@@ -1458,6 +1458,33 @@ mod tests {
     }
 
     #[test]
+    fn decoded_harness_with_too_many_warps_is_refused_not_run() {
+        // The worker decodes its harness from stdin: a warp count the
+        // SM's slot masks cannot hold must come back as a typed config
+        // error, never a panic inside the simulator.
+        let mut h = Harness::quick();
+        h.cfg.max_warps_per_sm = 65;
+        let doc = harness_to_json(&h).to_string();
+        let back = harness_from_json(&json::parse(&doc).expect("parses")).expect("decodes");
+        let err = back
+            .run_job(
+                snake_workloads::Benchmark::Lps,
+                snake_core::PrefetcherKind::Snake,
+            )
+            .expect_err("65 warps per SM is refused");
+        assert!(
+            matches!(
+                err,
+                SimError::Config(snake_sim::ConfigError::TooManyWarps {
+                    requested: 65,
+                    limit: 64
+                })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn spec_round_trips_including_paths() {
         let h = Harness::quick();
         let job = JobSpec {

@@ -90,6 +90,34 @@ fn wait_for(socket: &Path, id: u64, want: &str) -> Value {
     }
 }
 
+/// A job that outlasts any check made while it runs, at any simulator
+/// speed: the whole standard-size campaign (every app under every
+/// mechanism), which simulates orders of magnitude more cycles than the
+/// quick jobs the tests race against it. Tests cancel it (or shut the
+/// daemon down) once they are done with it.
+fn held_job(budget: u64, client: Option<&str>) -> SubmitSpec {
+    SubmitSpec {
+        benchmarks: None,
+        mechanisms: None,
+        quick: false,
+        budget: Some(budget),
+        client: client.map(str::to_string),
+        ..SubmitSpec::default()
+    }
+}
+
+/// Polls the daemon's state journal until a line contains `needle`.
+fn wait_for_journal(state: &Path, needle: &str) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !std::fs::read_to_string(state).is_ok_and(|text| text.contains(needle)) {
+        assert!(
+            Instant::now() < deadline,
+            "journal never recorded {needle:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// Shuts the daemon down and joins its threads.
 fn shutdown(socket: &Path, handle: DaemonHandle) {
     client::request(socket, &Request::Shutdown).expect("shutdown accepted");
@@ -265,17 +293,7 @@ fn quota_rejection_is_typed_and_leaves_other_clients_alone() {
 
     // A long-running job occupies the scheduler; Running jobs do not
     // count against the *queued* quota.
-    let busy = submit(
-        &socket,
-        SubmitSpec {
-            benchmarks: Some("LPS".into()),
-            mechanisms: Some("baseline".into()),
-            quick: false,
-            budget: Some(60_000),
-            client: Some("alice".into()),
-            ..SubmitSpec::default()
-        },
-    );
+    let busy = submit(&socket, held_job(60_000, Some("alice")));
     wait_for(&socket, busy, "running");
 
     let queued = SubmitSpec {
@@ -333,17 +351,7 @@ fn running_quota_holds_a_client_without_starving_others() {
     let socket = opts.socket.clone();
     let handle = serve::serve(&opts).expect("daemon starts");
 
-    let long = submit(
-        &socket,
-        SubmitSpec {
-            benchmarks: Some("LPS".into()),
-            mechanisms: Some("baseline".into()),
-            quick: false,
-            budget: Some(120_000),
-            client: Some("alice".into()),
-            ..SubmitSpec::default()
-        },
-    );
+    let long = submit(&socket, held_job(120_000, Some("alice")));
     wait_for(&socket, long, "running");
     let quick = SubmitSpec {
         benchmarks: Some("LPS".into()),
@@ -630,19 +638,10 @@ fn cancel_during_checkpointing_leaves_no_stray_artifact() {
     let socket = opts.socket.clone();
     let handle = serve::serve(&opts).expect("daemon starts");
 
-    let id = submit(
-        &socket,
-        SubmitSpec {
-            benchmarks: Some("LPS".into()),
-            mechanisms: Some("baseline".into()),
-            quick: false,
-            budget: Some(60_000),
-            ..SubmitSpec::default()
-        },
-    );
+    let id = submit(&socket, held_job(60_000, None));
     wait_for(&socket, id, "running");
     // Let it write at least one checkpoint before the cancel lands.
-    std::thread::sleep(Duration::from_millis(100));
+    wait_for_journal(&state, "\"event\":\"checkpoint\"");
     client::request(&socket, &Request::Cancel { id }).expect("cancel accepted");
     let end = client::tail(&socket, id, |_| {}).expect("tail verifies");
     assert_eq!(end.state, "cancelled");

@@ -123,6 +123,9 @@ pub struct Snake {
     /// Chain-walk telemetry recorded only when
     /// [`PrefetchContext::telemetry`] is set, drained by the SM.
     events: Vec<PrefetcherEvent>,
+    /// Per-access scratch for the Tail table's walk; empty between
+    /// calls, kept only to reuse its allocation.
+    targets: Vec<Address>,
 }
 
 impl Snake {
@@ -144,6 +147,7 @@ impl Snake {
             cfg,
             name,
             events: Vec::new(),
+            targets: Vec::new(),
         }
     }
 
@@ -202,7 +206,6 @@ impl Prefetcher for Snake {
             return;
         }
 
-        let mut targets: Vec<Address> = Vec::new();
         let summary = self.tail.generate(
             event.warp,
             event.pc,
@@ -210,10 +213,10 @@ impl Prefetcher for Snake {
             self.throttle.depth(),
             self.cfg.inter_warp_degree,
             self.cfg.use_fixed_strides,
-            &mut targets,
+            &mut self.targets,
         );
         if ctx.telemetry {
-            for (i, t) in targets.iter().take(summary.chain_targets).enumerate() {
+            for (i, t) in self.targets.iter().take(summary.chain_targets).enumerate() {
                 self.events.push(PrefetcherEvent::ChainWalkStep {
                     depth: i as u32 + 1,
                     addr: *t,
@@ -228,7 +231,7 @@ impl Prefetcher for Snake {
                 },
             });
         }
-        out.extend(targets.into_iter().map(PrefetchRequest::new));
+        out.extend(self.targets.drain(..).map(PrefetchRequest::new));
     }
 
     fn throttled(&self, now: snake_sim::Cycle) -> bool {

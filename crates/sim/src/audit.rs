@@ -15,6 +15,10 @@
 //!   MSHR occupancy within capacity, miss queue within depth, a 1:1
 //!   correspondence between MSHR entries and reserved cache lines, and
 //!   free/demand/prefetch/reserved line counts summing to capacity.
+//! * **Warp-state masks** (per SM, see
+//!   [`Sm::audit_invariants`](crate::Sm::audit_invariants)): the
+//!   front end's per-slot bitmasks, resident-warp count and next
+//!   busy-warp wake-up all equal what the warp slots themselves say.
 //! * **Stats monotonicity**: every cumulative counter is
 //!   non-decreasing between windows (a decrease means double-counting
 //!   or underflow somewhere).

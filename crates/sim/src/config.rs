@@ -11,6 +11,7 @@
 
 use crate::fault::FaultPlan;
 use crate::types::Cycle;
+use crate::warp::MAX_WARP_SLOTS;
 
 /// Warp scheduling policy, per SM scheduler.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -327,6 +328,12 @@ impl GpuConfig {
         if self.schedulers_per_sm == 0 || self.max_warps_per_sm == 0 {
             return Err(ConfigError::ZeroParameter("sm shape"));
         }
+        if self.max_warps_per_sm > MAX_WARP_SLOTS {
+            return Err(ConfigError::TooManyWarps {
+                requested: self.max_warps_per_sm,
+                limit: MAX_WARP_SLOTS,
+            });
+        }
         if self.max_outstanding_loads == 0 {
             return Err(ConfigError::ZeroParameter("max_outstanding_loads"));
         }
@@ -385,6 +392,14 @@ pub enum ConfigError {
     },
     /// A parameter that must be non-zero was zero.
     ZeroParameter(&'static str),
+    /// More warp slots per SM than the SM's one-bit-per-slot warp
+    /// masks can hold.
+    TooManyWarps {
+        /// Requested `max_warps_per_sm`.
+        requested: u32,
+        /// The most slots an SM supports.
+        limit: u32,
+    },
     /// L1 and L2 line sizes differ.
     LineSizeMismatch {
         /// L1 line bytes.
@@ -405,6 +420,10 @@ impl std::fmt::Display for ConfigError {
                 "shared-memory carve-out {carveout} B leaves no cache in {capacity} B SRAM"
             ),
             ConfigError::ZeroParameter(p) => write!(f, "parameter {p} must be non-zero"),
+            ConfigError::TooManyWarps { requested, limit } => write!(
+                f,
+                "max_warps_per_sm {requested} exceeds the {limit} warp slots an SM supports"
+            ),
             ConfigError::LineSizeMismatch { l1, l2 } => {
                 write!(f, "L1 line size {l1} B differs from L2 line size {l2} B")
             }
@@ -463,6 +482,23 @@ mod tests {
             c.validate(),
             Err(ConfigError::CarveoutTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_more_warps_than_a_mask_holds() {
+        let mut c = GpuConfig::volta_v100();
+        assert_eq!(c.max_warps_per_sm, MAX_WARP_SLOTS, "V100's 64 warps fit");
+        assert!(c.validate().is_ok());
+        c.max_warps_per_sm = MAX_WARP_SLOTS + 1;
+        let err = c.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TooManyWarps {
+                requested: 65,
+                limit: 64
+            }
+        );
+        assert!(err.to_string().contains("65"), "{err}");
     }
 
     #[test]

@@ -342,8 +342,7 @@ impl Gpu {
             }
         }
 
-        // Progress baselines for the watchdog.
-        let instr_before: u64 = self.sms.iter().map(Sm::instructions_issued).sum();
+        // Progress baseline for the watchdog.
         let partition_events_before = self.partition.events();
         let mut noc_moved = false;
 
@@ -352,8 +351,9 @@ impl Gpu {
 
         let util = self.noc.utilization();
         let backpressured = self.noc_backpressured;
+        let mut issued = 0u64;
         for sm in &mut self.sms {
-            sm.tick(&self.kernel, now, util, backpressured);
+            issued += u64::from(sm.tick(&self.kernel, now, util, backpressured));
         }
         self.noc_backpressured = false;
 
@@ -437,8 +437,7 @@ impl Gpu {
 
         if advance {
             if let Some(watchdog) = &mut self.watchdog {
-                let instr_after: u64 = self.sms.iter().map(Sm::instructions_issued).sum();
-                let progressed = instr_after > instr_before
+                let progressed = issued > 0
                     || noc_moved
                     || self.partition.events() > partition_events_before
                     || self.sms.iter().any(|sm| sm.has_busy_warp(now));
@@ -531,7 +530,11 @@ impl Gpu {
         };
         let mut violations: Vec<String> = Vec::new();
         for sm in &self.sms {
-            for v in sm.l1().audit_invariants() {
+            for v in sm
+                .audit_invariants()
+                .into_iter()
+                .chain(sm.l1().audit_invariants())
+            {
                 violations.push(format!("sm {}: {v}", sm.id().0));
             }
         }

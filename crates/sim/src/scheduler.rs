@@ -9,7 +9,13 @@
 use crate::config::SchedulerPolicy;
 use crate::json::Value;
 use crate::snapshot::{self, SnapshotError};
-use crate::warp::WarpSlot;
+use crate::warp::{bits, WarpSlot};
+
+/// The slots of an `n`-slot SM owned by scheduler `offset` of `stride`
+/// (`slot_idx % stride == offset`), as a mask.
+pub(crate) fn partition_mask(n: usize, offset: usize, stride: usize) -> u64 {
+    (offset..n).step_by(stride).fold(0, |m, i| m | 1 << i)
+}
 
 /// Per-scheduler pick state.
 #[derive(Debug, Clone, Default)]
@@ -28,33 +34,32 @@ impl Scheduler {
         }
     }
 
-    /// Picks a slot index to issue from among `slots` (the SM's full
-    /// slot array; `None` entries are free slots). Only slots with
-    /// `slot_idx % stride == offset` belong to this scheduler.
+    /// Picks a slot index to issue from. `ready` holds this scheduler's
+    /// issuable slots: the SM's ready mask restricted to
+    /// [`partition_mask`]`(slots.len(), offset, stride)`, the slots with
+    /// `slot_idx % stride == offset`. `slots` (the SM's full slot array)
+    /// supplies GTO's launch order.
     pub fn pick(
         &mut self,
+        ready: u64,
         slots: &[Option<WarpSlot>],
         offset: usize,
         stride: usize,
     ) -> Option<usize> {
-        let issuable = |i: usize| {
-            slots
-                .get(i)
-                .and_then(|s| s.as_ref())
-                .is_some_and(|w| w.issuable())
-        };
         match self.policy {
             SchedulerPolicy::GreedyThenOldest => {
                 if let Some(cur) = self.current {
-                    if cur % stride == offset && issuable(cur) {
+                    if cur < slots.len() && ready & 1 << cur != 0 {
                         return Some(cur);
                     }
                 }
                 // Oldest = smallest launch sequence number.
-                let pick = (offset..slots.len())
-                    .step_by(stride)
-                    .filter(|&i| issuable(i))
-                    .min_by_key(|&i| slots[i].as_ref().expect("issuable").launch_seq);
+                let pick = bits(ready).min_by_key(|&i| {
+                    slots[i]
+                        .as_ref()
+                        .expect("ready bit marks a live slot")
+                        .launch_seq
+                });
                 self.current = pick;
                 pick
             }
@@ -64,20 +69,13 @@ impl Scheduler {
                     return None;
                 }
                 let start = self.current.map_or(offset, |c| c + stride);
-                // Walk this scheduler's slots once, wrapping.
-                let mine: Vec<usize> = (offset..n).step_by(stride).collect();
-                if mine.is_empty() {
-                    return None;
-                }
-                let begin = mine
-                    .iter()
-                    .position(|&i| i >= start % n.max(1))
-                    .unwrap_or(0);
-                let pick = mine[begin..]
-                    .iter()
-                    .chain(mine[..begin].iter())
-                    .copied()
-                    .find(|&i| issuable(i));
+                // Walk this scheduler's slots once, wrapping: the lowest
+                // ready slot at or after `start`, else the lowest overall.
+                let after = ready & (!0u64 << (start % n));
+                let pick = [after, ready]
+                    .into_iter()
+                    .find(|&m| m != 0)
+                    .map(|m| m.trailing_zeros() as usize);
                 if pick.is_some() {
                     self.current = pick;
                 }
@@ -119,7 +117,20 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::types::CtaId;
-    use crate::warp::WarpState;
+    use crate::warp::{WarpMasks, WarpState};
+
+    /// Picks the way the SM does: from the ready mask of `offset`'s
+    /// partition.
+    fn pick(
+        s: &mut Scheduler,
+        slots: &[Option<WarpSlot>],
+        offset: usize,
+        stride: usize,
+    ) -> Option<usize> {
+        let ready =
+            WarpMasks::from_slots(slots).ready & partition_mask(slots.len(), offset, stride);
+        s.pick(ready, slots, offset, stride)
+    }
 
     fn slot(seq: u64, ready: bool) -> Option<WarpSlot> {
         let mut w = WarpSlot::new(CtaId(0), 0, seq);
@@ -134,19 +145,19 @@ mod tests {
         let mut s = Scheduler::new(SchedulerPolicy::GreedyThenOldest);
         let slots = vec![slot(5, true), slot(1, true), slot(2, true)];
         // First pick: oldest (seq 1) = slot 1.
-        assert_eq!(s.pick(&slots, 0, 1), Some(1));
+        assert_eq!(pick(&mut s, &slots, 0, 1), Some(1));
         // Stays greedy on slot 1 even though slot 2 is also ready.
-        assert_eq!(s.pick(&slots, 0, 1), Some(1));
+        assert_eq!(pick(&mut s, &slots, 0, 1), Some(1));
     }
 
     #[test]
     fn gto_falls_back_to_oldest_when_current_stalls() {
         let mut s = Scheduler::new(SchedulerPolicy::GreedyThenOldest);
         let mut slots = vec![slot(5, true), slot(1, true), slot(2, true)];
-        assert_eq!(s.pick(&slots, 0, 1), Some(1));
+        assert_eq!(pick(&mut s, &slots, 0, 1), Some(1));
         slots[1].as_mut().unwrap().state = WarpState::Waiting;
         // Oldest ready is seq 2 = slot 2.
-        assert_eq!(s.pick(&slots, 0, 1), Some(2));
+        assert_eq!(pick(&mut s, &slots, 0, 1), Some(2));
     }
 
     #[test]
@@ -154,23 +165,23 @@ mod tests {
         let mut s = Scheduler::new(SchedulerPolicy::GreedyThenOldest);
         let slots = vec![slot(0, true), slot(1, true), slot(2, true), slot(3, true)];
         // Scheduler 1 of 2 only sees odd slots.
-        assert_eq!(s.pick(&slots, 1, 2), Some(1));
+        assert_eq!(pick(&mut s, &slots, 1, 2), Some(1));
     }
 
     #[test]
     fn gto_returns_none_when_nothing_ready() {
         let mut s = Scheduler::new(SchedulerPolicy::GreedyThenOldest);
         let slots = vec![slot(0, false), None];
-        assert_eq!(s.pick(&slots, 0, 1), None);
+        assert_eq!(pick(&mut s, &slots, 0, 1), None);
     }
 
     #[test]
     fn lrr_rotates() {
         let mut s = Scheduler::new(SchedulerPolicy::LooseRoundRobin);
         let slots = vec![slot(0, true), slot(1, true), slot(2, true)];
-        let a = s.pick(&slots, 0, 1).unwrap();
-        let b = s.pick(&slots, 0, 1).unwrap();
-        let c = s.pick(&slots, 0, 1).unwrap();
+        let a = pick(&mut s, &slots, 0, 1).unwrap();
+        let b = pick(&mut s, &slots, 0, 1).unwrap();
+        let c = pick(&mut s, &slots, 0, 1).unwrap();
         let mut seen = vec![a, b, c];
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2], "all warps get a turn");
@@ -180,7 +191,7 @@ mod tests {
     fn invalidate_clears_greedy_warp() {
         let mut s = Scheduler::new(SchedulerPolicy::GreedyThenOldest);
         let slots = vec![slot(0, true), slot(1, true)];
-        let first = s.pick(&slots, 0, 1).unwrap();
+        let first = pick(&mut s, &slots, 0, 1).unwrap();
         s.invalidate(first);
         assert_eq!(s.current, None);
     }

@@ -12,11 +12,11 @@ use crate::perfstat::{HostProfiler, Phase, Stopwatch};
 use crate::prefetch::{
     AccessEvent, PrefetchContext, PrefetchPlacement, PrefetchRequest, Prefetcher, PrefetcherEvent,
 };
-use crate::scheduler::Scheduler;
+use crate::scheduler::{partition_mask, Scheduler};
 use crate::snapshot::{self, SnapshotError};
 use crate::stats::{AccessOutcome, ReservationFailReason, SimStats};
 use crate::types::{CtaId, Cycle, SmId, WarpId};
-use crate::warp::{WarpSlot, WarpState};
+use crate::warp::{bits, WarpMasks, WarpSlot, WarpState, MAX_WARP_SLOTS};
 use crate::watchdog::{SmCensus, WarpBlock, WarpCensus};
 
 /// A CTA waiting to be launched on this SM.
@@ -31,7 +31,14 @@ pub(crate) struct PendingCta {
 pub struct Sm {
     id: SmId,
     slots: Vec<Option<WarpSlot>>,
+    /// Per-slot warp states as bitmasks, re-derived after every slot
+    /// mutation (see [`WarpMasks`]).
+    masks: WarpMasks,
     schedulers: Vec<Scheduler>,
+    /// Slot mask of each scheduler's static partition.
+    partitions: Vec<u64>,
+    /// Mask of every slot this SM has.
+    all_slots: u64,
     l1: UnifiedL1,
     prefetcher: Box<dyn Prefetcher>,
     cta_queue: VecDeque<PendingCta>,
@@ -66,7 +73,7 @@ impl std::fmt::Debug for Sm {
         f.debug_struct("Sm")
             .field("id", &self.id)
             .field("prefetcher", &self.prefetcher.name())
-            .field("resident_warps", &self.slots.iter().flatten().count())
+            .field("resident_warps", &self.active_warps())
             .field("queued_ctas", &self.cta_queue.len())
             .finish()
     }
@@ -75,7 +82,19 @@ impl std::fmt::Debug for Sm {
 impl Sm {
     /// Builds an SM with the given prefetcher. The L1 placement mode is
     /// derived from the prefetcher's [`PrefetchPlacement`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.max_warps_per_sm` exceeds the 64 slots a warp
+    /// mask can hold ([`GpuConfig::validate`] rejects such configs).
     pub fn new(cfg: &GpuConfig, id: SmId, prefetcher: Box<dyn Prefetcher>) -> Self {
+        assert!(
+            cfg.max_warps_per_sm <= MAX_WARP_SLOTS,
+            "an SM holds at most {MAX_WARP_SLOTS} warps, config asks for {}",
+            cfg.max_warps_per_sm
+        );
+        let n_slots = cfg.max_warps_per_sm as usize;
+        let n_sched = cfg.schedulers_per_sm as usize;
         let mode = match prefetcher.placement() {
             PrefetchPlacement::Decoupled => L1Mode::Decoupled,
             PrefetchPlacement::PlainL1 => L1Mode::Plain,
@@ -83,10 +102,15 @@ impl Sm {
         };
         Sm {
             id,
-            slots: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
-            schedulers: (0..cfg.schedulers_per_sm)
+            slots: (0..n_slots).map(|_| None).collect(),
+            masks: WarpMasks::default(),
+            schedulers: (0..n_sched)
                 .map(|_| Scheduler::new(cfg.scheduler))
                 .collect(),
+            partitions: (0..n_sched)
+                .map(|sid| partition_mask(n_slots, sid, n_sched))
+                .collect(),
+            all_slots: partition_mask(n_slots, 0, 1),
             l1: UnifiedL1::new(cfg, mode),
             prefetcher,
             cta_queue: VecDeque::new(),
@@ -149,7 +173,7 @@ impl Sm {
 
     /// Number of resident warps (windowed-metrics input).
     pub fn active_warps(&self) -> usize {
-        self.slots.iter().flatten().count()
+        self.masks.live.count_ones() as usize
     }
 
     /// Whether the prefetcher reported throttling at the last tick.
@@ -177,7 +201,7 @@ impl Sm {
     /// has drained (no queued requests, no outstanding misses).
     pub fn is_done(&self) -> bool {
         self.cta_queue.is_empty()
-            && self.slots.iter().all(|s| s.is_none())
+            && self.masks.live == 0
             && self.l1.peek_outgoing().is_none()
             && self.l1.outstanding_misses() == 0
     }
@@ -192,31 +216,45 @@ impl Sm {
         self.prefetcher.name()
     }
 
+    /// Re-derives slot `i`'s warp-state bits after a mutation.
+    fn sync(&mut self, i: usize) {
+        self.masks.set(i, self.slots[i].as_ref());
+    }
+
     fn try_launch_ctas(&mut self) {
-        loop {
-            let Some(front) = self.cta_queue.front() else {
-                return;
-            };
-            let free: Vec<usize> = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.is_none())
-                .map(|(i, _)| i)
-                .collect();
-            if free.len() < front.warps.len() {
+        while let Some(front) = self.cta_queue.front() {
+            let free = self.all_slots & !self.masks.live;
+            if (free.count_ones() as usize) < front.warps.len() {
                 return;
             }
             let cta = self.cta_queue.pop_front().expect("front checked");
-            for (slot_idx, trace_idx) in free.into_iter().zip(cta.warps.iter().copied()) {
+            for (slot_idx, trace_idx) in bits(free).zip(cta.warps.iter().copied()) {
                 self.slots[slot_idx] = Some(WarpSlot::new(cta.cta, trace_idx, self.launch_seq));
                 self.launch_seq += 1;
+                self.sync(slot_idx);
             }
+        }
+    }
+
+    /// Normalizes busy warps whose deadline has passed to ready. Only
+    /// busy slots are visited, and only once the earliest deadline is
+    /// due; `next_wake` is recomputed from the slots still busy.
+    fn refresh_busy(&mut self, now: Cycle) {
+        if now < self.masks.next_wake {
+            return;
+        }
+        self.masks.next_wake = Cycle(u64::MAX);
+        for i in bits(self.masks.busy) {
+            if let Some(slot) = self.slots[i].as_mut() {
+                slot.refresh(now);
+            }
+            self.sync(i);
         }
     }
 
     /// Advances the SM by one cycle: launch CTAs, refresh warps, issue
     /// from each scheduler, account stalls, sync prefetcher state.
+    /// Returns the number of instructions issued.
     ///
     /// `noc_backpressured` reports whether the interconnect refused
     /// injections *last* cycle (the SMs tick before this cycle's
@@ -229,7 +267,7 @@ impl Sm {
         now: Cycle,
         noc_utilization: f64,
         noc_backpressured: bool,
-    ) {
+    ) -> u32 {
         // Phase attribution: the front-end regions below (CTA launch,
         // warp refresh, scheduler picks) are timed as `SmIssue`; the
         // L1 and prefetcher calls nested in `issue()` time themselves
@@ -239,34 +277,33 @@ impl Sm {
         sw.stop(&mut self.prof, Phase::SmIssue);
         self.l1.tick_recovery(now);
         let sw = Stopwatch::start(self.prof.is_some());
-        for slot in self.slots.iter_mut().flatten() {
-            slot.refresh(now);
-        }
+        self.refresh_busy(now);
         sw.stop(&mut self.prof, Phase::SmIssue);
 
         let n_sched = self.schedulers.len();
         let mut issued = 0u32;
         for sid in 0..n_sched {
             let mut sched = std::mem::take(&mut self.schedulers[sid]);
+            let part = self.partitions[sid];
             let sw = Stopwatch::start(self.prof.is_some());
-            let picked = sched.pick(&self.slots, sid, n_sched);
+            let picked = sched.pick(self.masks.ready & part, &self.slots, sid, n_sched);
             sw.stop(&mut self.prof, Phase::SmIssue);
             // Exactly one stall-taxonomy bucket is charged per
             // scheduler per cycle, so the buckets partition
             // `scheduler_cycles` exactly (audit-enforced).
             if let Some(slot_idx) = picked {
-                let retrying = self.slots[slot_idx]
-                    .as_ref()
-                    .is_some_and(|s| !s.pending.is_empty());
+                let retrying = self.masks.retry & 1 << slot_idx != 0;
                 self.l1.clear_last_fail();
                 let did_issue = self.issue(slot_idx, kernel, now, noc_utilization);
-                if self.slots[slot_idx].is_none() {
+                self.sync(slot_idx);
+                let retired = self.slots[slot_idx].is_none();
+                if retired {
                     sched.invalidate(slot_idx);
                 }
                 if did_issue {
                     issued += 1;
                     self.stats.stall.issued += 1;
-                } else if self.slots[slot_idx].is_none() {
+                } else if retired {
                     // Trace exhausted: the warp retired, nothing to run.
                     self.stats.stall.no_warp += 1;
                 } else if retrying {
@@ -292,28 +329,15 @@ impl Sm {
                     self.stats.stall.scoreboard += 1;
                 }
             } else {
-                // Nothing issuable in this scheduler's slot partition:
-                // attribute the idle slot to what its warps are doing.
-                let (mut live, mut mem, mut barrier) = (false, false, false);
-                for slot in (sid..self.slots.len())
-                    .step_by(n_sched)
-                    .filter_map(|i| self.slots[i].as_ref())
-                {
-                    live = true;
-                    if slot.memory_stalled() {
-                        // `mem` outranks the remaining buckets, so the
-                        // rest of the partition cannot change the verdict.
-                        mem = true;
-                        break;
-                    } else if slot.busy_mem {
-                        barrier = true;
-                    }
-                }
-                let bucket = if !live {
+                // Nothing issuable in this scheduler's slot partition,
+                // so none of its warps is ready: attribute the idle slot
+                // to what its warps are doing, memory stalls outranking
+                // memory-entered busy latency outranking compute.
+                let bucket = if self.masks.live & part == 0 {
                     &mut self.stats.stall.no_warp
-                } else if mem {
+                } else if self.masks.memory_stalled() & part != 0 {
                     &mut self.stats.stall.mem_data
-                } else if barrier {
+                } else if self.masks.busy_mem & part != 0 {
                     &mut self.stats.stall.barrier
                 } else {
                     &mut self.stats.stall.scoreboard
@@ -325,10 +349,10 @@ impl Sm {
         self.stats.stall.scheduler_cycles += n_sched as u64;
 
         // Stall taxonomy (Fig 5).
-        let live: Vec<&WarpSlot> = self.slots.iter().flatten().collect();
-        if !live.is_empty() && issued == 0 {
+        let live = self.masks.live;
+        if live != 0 && issued == 0 {
             self.stats.all_stall_cycles += 1;
-            if live.iter().all(|w| w.memory_stalled()) {
+            if live & !self.masks.memory_stalled() == 0 {
                 self.stats.all_stall_mem_cycles += 1;
             }
         }
@@ -359,6 +383,7 @@ impl Sm {
             self.stats.prefetch.throttled_cycles += 1;
         }
         sw.stop(&mut self.prof, Phase::Prefetch);
+        issued
     }
 
     /// Issues from `slot_idx`. Returns `true` if a *new* instruction
@@ -409,7 +434,8 @@ impl Sm {
                 slot.cur_pc = *pc;
                 slot.cur_is_load = true;
                 slot.cur_coalesced = addrs.len() == 1;
-                slot.pending = addrs.iter().collect();
+                slot.pending.clear();
+                slot.pending.extend(addrs.iter());
                 self.stats.instructions += 1;
                 self.emit(
                     now,
@@ -426,7 +452,8 @@ impl Sm {
                 slot.cur_pc = *pc;
                 slot.cur_is_load = false;
                 slot.cur_coalesced = addrs.len() == 1;
-                slot.pending = addrs.iter().collect();
+                slot.pending.clear();
+                slot.pending.extend(addrs.iter());
                 self.stats.instructions += 1;
                 self.emit(
                     now,
@@ -452,14 +479,15 @@ impl Sm {
         noc_utilization: f64,
         next_is_load: bool,
     ) {
-        while let Some(&addr) = slot.pending.first() {
+        let mut accepted = 0;
+        while let Some(&addr) = slot.pending.get(accepted) {
             let line = addr.line(self.line_bytes);
             if slot.cur_is_load {
                 let outcome = self.l1.access_demand(line, WarpId(slot_idx as u32), now);
                 if outcome == AccessOutcome::ReservationFail {
                     break;
                 }
-                slot.pending.remove(0);
+                accepted += 1;
                 self.stats.demand_loads += 1;
                 if matches!(outcome, AccessOutcome::Miss | AccessOutcome::HitReserved) {
                     slot.outstanding += 1;
@@ -480,10 +508,11 @@ impl Sm {
                 if !self.l1.access_store(line, now) {
                     break;
                 }
-                slot.pending.remove(0);
+                accepted += 1;
                 self.stats.stores += 1;
             }
         }
+        slot.pending.drain(..accepted);
         if slot.pending.is_empty() {
             if slot.cur_is_load {
                 if next_is_load && slot.outstanding < self.max_outstanding_loads {
@@ -584,6 +613,7 @@ impl Sm {
                 .and_then(|s| s.as_mut())
                 .is_some_and(WarpSlot::complete_response);
             if unstalled {
+                self.sync(wid.index());
                 self.emit(
                     now,
                     SimEvent::WarpUnstall {
@@ -609,7 +639,7 @@ impl Sm {
         self.stats.fault.spurious_fills = self.l1.fault_stats.spurious_fills;
     }
 
-    /// Count of instructions issued so far (watchdog progress signal).
+    /// Count of instructions issued so far (windowed-metrics input).
     pub fn instructions_issued(&self) -> u64 {
         self.stats.instructions
     }
@@ -618,10 +648,11 @@ impl Sm {
     /// after `now` — guaranteed future progress the watchdog must not
     /// mistake for a wedge.
     pub fn has_busy_warp(&self, now: Cycle) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|s| matches!(s.state, WarpState::Busy(until) if until > now))
+        bits(self.masks.busy).any(|i| {
+            self.slots[i]
+                .as_ref()
+                .is_some_and(|s| matches!(s.state, WarpState::Busy(until) if until > now))
+        })
     }
 
     /// Snapshot of this SM's blocked state for a
@@ -757,6 +788,7 @@ impl Sm {
         self.prefetcher
             .restore_state(snapshot::field(v, "prefetcher")?)?;
         self.stats.restore_state(snapshot::field(v, "stats")?)?;
+        self.masks = WarpMasks::from_slots(&slots);
         self.slots = slots;
         self.cta_queue = cta_queue;
         self.launch_seq = snapshot::u64_field(v, "launch_seq")?;
@@ -767,19 +799,52 @@ impl Sm {
     /// Frees retired warps (trace exhausted, nothing outstanding).
     /// Called each cycle by the GPU after fills are delivered.
     pub fn retire_finished(&mut self, kernel: &KernelTrace) {
-        for slot_opt in &mut self.slots {
-            let retire = match slot_opt {
-                Some(s) => {
-                    s.next >= kernel.warps()[s.trace_idx].instrs.len()
-                        && s.pending.is_empty()
-                        && s.outstanding == 0
-                        && s.state == WarpState::Ready
-                }
-                None => false,
-            };
+        // Ready with nothing pending; the trace and responses decide.
+        for i in bits(self.masks.ready & !self.masks.retry) {
+            let retire = self.slots[i].as_ref().is_some_and(|s| {
+                s.outstanding == 0 && s.next >= kernel.warps()[s.trace_idx].instrs.len()
+            });
             if retire {
-                *slot_opt = None;
+                self.slots[i] = None;
+                self.sync(i);
             }
         }
+    }
+
+    /// Checks the derived warp state against the slots it summarizes:
+    /// recomputes every warp mask, the resident-warp count and
+    /// `next_wake` from scratch and reports each mismatch (empty when
+    /// consistent). Called by the device's invariant auditor.
+    pub fn audit_invariants(&self) -> Vec<String> {
+        let want = WarpMasks::from_slots(&self.slots);
+        let have = self.masks;
+        let mut violations: Vec<String> = [
+            ("live", have.live, want.live),
+            ("ready", have.ready, want.ready),
+            ("waiting", have.waiting, want.waiting),
+            ("retry", have.retry, want.retry),
+            ("busy", have.busy, want.busy),
+            ("busy_mem", have.busy_mem, want.busy_mem),
+        ]
+        .into_iter()
+        .filter(|(_, have, want)| have != want)
+        .map(|(name, have, want)| {
+            format!("warp mask {name} is {have:#018x} but the slots give {want:#018x}")
+        })
+        .collect();
+        let resident = self.slots.iter().flatten().count();
+        if self.active_warps() != resident {
+            violations.push(format!(
+                "{} active warps counted but {resident} slots occupied",
+                self.active_warps()
+            ));
+        }
+        if have.next_wake != want.next_wake {
+            violations.push(format!(
+                "next_wake is cycle {} but the earliest busy deadline is cycle {}",
+                have.next_wake.0, want.next_wake.0
+            ));
+        }
+        violations
     }
 }

@@ -10,6 +10,114 @@ use crate::json::Value;
 use crate::snapshot::{self, SnapshotError};
 use crate::types::{Address, CtaId, Cycle, Pc};
 
+/// The most warp slots one SM can hold: one bit each in a [`WarpMasks`]
+/// word.
+pub(crate) const MAX_WARP_SLOTS: u32 = u64::BITS;
+
+/// Iterates the indices of the set bits of `mask`, lowest first.
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(i)
+    })
+}
+
+/// One SM's warp states as bitmasks, bit `i` describing slot `i`, so the
+/// per-cycle front-end decisions are mask tests instead of slot scans.
+///
+/// Derived state: every mutation of a slot is followed by
+/// [`WarpMasks::set`] for that slot, which keeps the masks equal to
+/// [`WarpMasks::from_slots`] of the slot array (the invariant auditor
+/// checks exactly that). They are rebuilt on restore, never
+/// checkpointed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WarpMasks {
+    /// Occupied slots.
+    pub live: u64,
+    /// [`WarpState::Ready`]: issuable this cycle (busy warps whose
+    /// deadline has passed are refreshed to ready first).
+    pub ready: u64,
+    /// [`WarpState::Waiting`] on memory responses.
+    pub waiting: u64,
+    /// Ready, with reservation-failed transactions still pending.
+    pub retry: u64,
+    /// [`WarpState::Busy`] until a known cycle.
+    pub busy: u64,
+    /// Busy, with the latency entered by a memory instruction
+    /// ([`WarpSlot::busy_mem`]).
+    pub busy_mem: u64,
+    /// The earliest `Busy` deadline; `Cycle(u64::MAX)` when no slot is
+    /// busy. No busy slot can become ready before this cycle.
+    pub next_wake: Cycle,
+}
+
+impl Default for WarpMasks {
+    fn default() -> Self {
+        WarpMasks {
+            live: 0,
+            ready: 0,
+            waiting: 0,
+            retry: 0,
+            busy: 0,
+            busy_mem: 0,
+            next_wake: Cycle(u64::MAX),
+        }
+    }
+}
+
+impl WarpMasks {
+    /// Masks describing `slots` from scratch.
+    pub fn from_slots(slots: &[Option<WarpSlot>]) -> Self {
+        let mut masks = WarpMasks::default();
+        for (i, slot) in slots.iter().enumerate() {
+            masks.set(i, slot.as_ref());
+        }
+        masks
+    }
+
+    /// Re-derives slot `i`'s bits from its current contents (`None` for
+    /// a free slot). `next_wake` only ever moves earlier here; the
+    /// busy-slot refresh recomputes it.
+    pub fn set(&mut self, i: usize, slot: Option<&WarpSlot>) {
+        let bit = 1u64 << i;
+        let clear = !bit;
+        self.live &= clear;
+        self.ready &= clear;
+        self.waiting &= clear;
+        self.retry &= clear;
+        self.busy &= clear;
+        self.busy_mem &= clear;
+        let Some(slot) = slot else { return };
+        self.live |= bit;
+        match slot.state {
+            WarpState::Ready => {
+                self.ready |= bit;
+                if !slot.pending.is_empty() {
+                    self.retry |= bit;
+                }
+            }
+            WarpState::Waiting => self.waiting |= bit,
+            WarpState::Busy(until) => {
+                self.busy |= bit;
+                if slot.busy_mem {
+                    self.busy_mem |= bit;
+                }
+                self.next_wake = self.next_wake.min(until);
+            }
+        }
+    }
+
+    /// Slots stalled *on memory* (for the Fig 5 stall taxonomy): waiting
+    /// for responses or retrying rejected transactions.
+    pub fn memory_stalled(&self) -> u64 {
+        self.waiting | self.retry
+    }
+}
+
 /// Execution state of a warp slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarpState {
@@ -74,13 +182,6 @@ impl WarpSlot {
         }
     }
 
-    /// Whether the warp can be picked by a scheduler this cycle.
-    /// Busy warps whose deadline has passed are normalized to
-    /// [`WarpState::Ready`] by [`WarpSlot::refresh`] first.
-    pub fn issuable(&self) -> bool {
-        self.state == WarpState::Ready
-    }
-
     /// Normalizes time-based state transitions at the start of a cycle.
     pub fn refresh(&mut self, now: Cycle) {
         if let WarpState::Busy(until) = self.state {
@@ -88,15 +189,6 @@ impl WarpSlot {
                 self.state = WarpState::Ready;
             }
         }
-    }
-
-    /// Whether the warp is stalled *on memory* (for the Fig 5 stall
-    /// taxonomy): waiting for responses or retrying rejected
-    /// transactions.
-    pub fn memory_stalled(&self) -> bool {
-        self.state == WarpState::Waiting
-            || (self.state == WarpState::Ready && !self.pending.is_empty() && self.outstanding == 0)
-            || (self.state == WarpState::Ready && !self.pending.is_empty())
     }
 
     /// Records a completed memory response; returns `true` when the
@@ -198,9 +290,8 @@ mod tests {
         w.state = WarpState::Busy(Cycle(10));
         w.refresh(Cycle(9));
         assert_eq!(w.state, WarpState::Busy(Cycle(10)));
-        assert!(!w.issuable());
         w.refresh(Cycle(10));
-        assert!(w.issuable());
+        assert_eq!(w.state, WarpState::Ready);
     }
 
     #[test]
@@ -226,19 +317,50 @@ mod tests {
     }
 
     #[test]
+    fn masks_track_each_state() {
+        let mut busy = WarpSlot::new(CtaId(0), 0, 0);
+        busy.state = WarpState::Busy(Cycle(40));
+        busy.busy_mem = true;
+        let mut waiting = WarpSlot::new(CtaId(0), 1, 1);
+        waiting.state = WarpState::Waiting;
+        let mut retry = WarpSlot::new(CtaId(0), 2, 2);
+        retry.pending.push(Address(4));
+        let mut late = WarpSlot::new(CtaId(0), 3, 3);
+        late.state = WarpState::Busy(Cycle(90));
+        let mut slots = vec![None; 64];
+        slots[0] = Some(busy);
+        slots[5] = Some(waiting);
+        slots[17] = Some(retry);
+        slots[63] = Some(late);
+        let m = WarpMasks::from_slots(&slots);
+        assert_eq!(m.live, 1 | 1 << 5 | 1 << 17 | 1 << 63);
+        assert_eq!(m.ready, 1 << 17);
+        assert_eq!(m.retry, 1 << 17);
+        assert_eq!(m.waiting, 1 << 5);
+        assert_eq!(m.busy, 1 | 1 << 63);
+        assert_eq!(m.busy_mem, 1);
+        assert_eq!(m.memory_stalled(), 1 << 5 | 1 << 17);
+        assert_eq!(m.next_wake, Cycle(40));
+        assert_eq!(bits(m.live).collect::<Vec<_>>(), vec![0, 5, 17, 63]);
+
+        let mut cleared = m;
+        cleared.set(63, None);
+        assert_eq!(cleared.live, 1 | 1 << 5 | 1 << 17);
+        assert_eq!(cleared.busy, 1);
+    }
+
+    #[test]
     fn memory_stall_taxonomy() {
+        let stalled = |w: WarpSlot| WarpMasks::from_slots(&[Some(w)]).memory_stalled() == 1;
         let mut w = WarpSlot::new(CtaId(0), 0, 0);
-        assert!(!w.memory_stalled());
+        assert!(!stalled(w.clone()));
         w.state = WarpState::Waiting;
-        assert!(w.memory_stalled());
+        assert!(stalled(w));
         let mut w = WarpSlot::new(CtaId(0), 0, 0);
         w.pending.push(Address(4));
-        assert!(
-            w.memory_stalled(),
-            "retrying a reservation fail is a memory stall"
-        );
+        assert!(stalled(w), "retrying a reservation fail is a memory stall");
         let mut w = WarpSlot::new(CtaId(0), 0, 0);
         w.state = WarpState::Busy(Cycle(100));
-        assert!(!w.memory_stalled(), "compute busy is not a memory stall");
+        assert!(!stalled(w), "compute busy is not a memory stall");
     }
 }

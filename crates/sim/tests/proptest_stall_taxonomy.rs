@@ -1,13 +1,16 @@
 //! Property-based exactness of the issue-slot stall taxonomy: for
-//! arbitrary instruction mixes, fault plans, and checkpoint cut
-//! points, the eight stall buckets must partition scheduler-cycles
-//! exactly — at every observation point, after merging across SMs,
-//! and bit-identically across a checkpoint/restore round-trip.
+//! arbitrary instruction mixes, fault plans, scheduler policies, SM
+//! counts and checkpoint cut points, the eight stall buckets must
+//! partition scheduler-cycles exactly — at every observation point,
+//! after merging across SMs, and bit-identically across a
+//! checkpoint/restore round-trip. Every run is audited, so the SMs'
+//! warp-state masks are checked against their slots throughout.
 
 use proptest::prelude::*;
 use snake_sim::snapshot::Checkpoint;
 use snake_sim::{
-    json, Gpu, GpuConfig, Instr, KernelTrace, NullPrefetcher, Recovery, StallBreakdown, WarpTrace,
+    json, Gpu, GpuConfig, Instr, KernelTrace, NullPrefetcher, Recovery, SchedulerPolicy,
+    StallBreakdown, WarpTrace,
 };
 use snake_sim::{CtaId, FaultPlan};
 
@@ -20,26 +23,39 @@ struct Scenario {
     mix: u64,
     kill: u64,
     faults: bool,
+    lrr: bool,
+    sms: u32,
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
     (
         (1usize..6, 2usize..24, 1u64..8),
         (any::<u64>(), 1u64..400, any::<bool>()),
+        (any::<bool>(), 1u32..3),
     )
-        .prop_map(|((warps, instrs, stride), (mix, kill, faults))| Scenario {
-            warps,
-            instrs,
-            stride: stride * 64,
-            mix,
-            kill,
-            faults,
-        })
+        .prop_map(
+            |((warps, instrs, stride), (mix, kill, faults), (lrr, sms))| Scenario {
+                warps,
+                instrs,
+                stride: stride * 64,
+                mix,
+                kill,
+                faults,
+                lrr,
+                sms,
+            },
+        )
 }
 
 fn build(s: &Scenario) -> (GpuConfig, KernelTrace) {
-    let mut cfg = GpuConfig::scaled(1);
+    let mut cfg = GpuConfig::scaled(s.sms);
     cfg.metrics_window = Some(64);
+    cfg.audit_window = Some(16);
+    cfg.scheduler = if s.lrr {
+        SchedulerPolicy::LooseRoundRobin
+    } else {
+        SchedulerPolicy::GreedyThenOldest
+    };
     if s.faults {
         cfg.fault = FaultPlan {
             seed: 0xD15EA5E,

@@ -10,6 +10,18 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> snakebench smoke (benchmark identity checks gate simulator changes)"
+# The repository benchmark is a workspace of its own (snakebench/). It
+# exits non-zero when any of its checks fails: every job must complete,
+# and every timed rep must reproduce the warm-up run's statistics
+# exactly, so a change that makes the simulation fail or drift between
+# runs of one process cannot pass CI.
+cargo build --release --offline --manifest-path snakebench/Cargo.toml
+if ! ./snakebench/target/release/snakebench --workload memory_bound --seconds 1 --trace 0; then
+    echo "snakebench smoke: a benchmark check failed" >&2
+    exit 1
+fi
+
 echo "==> cargo test (default features)"
 cargo test --workspace -q
 
