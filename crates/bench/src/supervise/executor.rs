@@ -44,7 +44,7 @@ use snake_sim::{
 use snake_workloads::WorkloadSize;
 
 use super::JobSpec;
-use crate::runner::{Harness, JobRun, RunOutput};
+use crate::runner::{ExecContext, Harness, JobRun, RunOutput};
 
 /// Environment variable overriding the worker binary the sandbox
 /// re-executes (normally the `repro` binary is located automatically).
@@ -245,33 +245,6 @@ enum ExecMode {
     },
 }
 
-/// Everything a single job run needs besides the harness: resume /
-/// checkpoint paths, suspension policy, cancellation, and the live
-/// telemetry ring. All optional — a plain batch run passes
-/// [`ExecContext::default`].
-#[derive(Default)]
-pub struct ExecContext<'a> {
-    /// Restore the simulator from this checkpoint before running.
-    pub resume_from: Option<&'a Path>,
-    /// Where checkpoints (periodic and suspension) are written.
-    pub checkpoint_to: Option<&'a Path>,
-    /// Suspend once the simulation reaches this cycle (test knob,
-    /// `repro --suspend-after`).
-    pub suspend_after: Option<u64>,
-    /// Wall-clock deadline: the in-thread path suspends cooperatively,
-    /// the sandbox kills the child and resumes from its newest
-    /// checkpoint.
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation flag (daemon `cancel`); the sandbox
-    /// polls it and kills the child.
-    pub cancel: Option<&'a AtomicBool>,
-    /// Live telemetry ring for window rows (daemon `tail`/`top`).
-    pub ring: Option<&'a TelemetryRing>,
-    /// Also publish the full trace-event stream (in-thread only;
-    /// sandboxed children stream window rows).
-    pub include_events: bool,
-}
-
 /// A job execution strategy shared by a whole campaign (or daemon):
 /// either the historical in-thread path or the subprocess sandbox,
 /// with one sticky degradation flag across all jobs.
@@ -327,10 +300,12 @@ impl JobExecutor {
         self.degraded.load(Ordering::Relaxed)
     }
 
-    /// Runs one job to a [`JobRun`], dispatching on the executor mode.
-    /// `on_checkpoint(cycle, bytes)` fires after every durable
-    /// checkpoint write (the child's writes included — the supervisor
-    /// can journal them before anything else crashes).
+    /// Runs one job to a [`JobRun`], dispatching on the executor mode:
+    /// in-thread (and after a failed sandbox spawn) this is
+    /// [`Harness::run_job_with`]; a sandboxed child makes the same call
+    /// on its side. `on_checkpoint(cycle, bytes)` fires after every
+    /// durable checkpoint write (the child's writes included — the
+    /// supervisor can journal them before anything else crashes).
     ///
     /// # Errors
     ///
@@ -343,83 +318,22 @@ impl JobExecutor {
         ctx: &ExecContext<'_>,
         on_checkpoint: &mut dyn FnMut(u64, u64),
     ) -> Result<JobRun, ExecError> {
-        match &self.mode {
-            ExecMode::InThread => run_in_thread(h, job, ctx, on_checkpoint),
-            ExecMode::Sandbox { limits, worker } => {
-                if self.degraded() {
-                    return run_in_thread(h, job, ctx, on_checkpoint);
-                }
+        if let ExecMode::Sandbox { limits, worker } = &self.mode {
+            if !self.degraded() {
                 match run_sandbox(h, job, ctx, limits, worker.as_deref(), on_checkpoint) {
-                    Ok(result) => result,
+                    Ok(result) => return result,
                     Err(spawn_err) => {
                         self.degraded.store(true, Ordering::Relaxed);
                         eprintln!(
                             "supervise: sandbox spawn failed ({spawn_err}); \
                              degrading to in-thread execution"
                         );
-                        run_in_thread(h, job, ctx, on_checkpoint)
                     }
                 }
             }
         }
-    }
-}
-
-/// The in-thread implementation: the serviced path when live services
-/// (ring/cancellation) are attached, the managed path otherwise —
-/// byte-for-byte the behavior the supervisor and daemon had before
-/// executors existed.
-fn run_in_thread(
-    h: &Harness,
-    job: &JobSpec,
-    ctx: &ExecContext<'_>,
-    on_checkpoint: &mut dyn FnMut(u64, u64),
-) -> Result<JobRun, ExecError> {
-    if ctx.ring.is_some() || ctx.cancel.is_some() {
-        let local_ring;
-        let ring = match ctx.ring {
-            Some(r) => r,
-            None => {
-                local_ring = TelemetryRing::new(1);
-                &local_ring
-            }
-        };
-        let local_cancel;
-        let cancel = match ctx.cancel {
-            Some(c) => c,
-            None => {
-                local_cancel = AtomicBool::new(false);
-                &local_cancel
-            }
-        };
-        h.run_job_serviced(
-            job.bench,
-            job.kind,
-            ring,
-            ctx.include_events,
-            cancel,
-            ctx.resume_from,
-            ctx.checkpoint_to,
-            ctx.deadline,
-            on_checkpoint,
-        )
-        .map_err(ExecError::from)
-    } else {
-        let suspend_cycle = ctx.suspend_after;
-        let deadline = ctx.deadline;
-        // Poll the wall clock every 1024 cycles only; the cycle-count
-        // trigger stays exact for determinism.
-        h.run_job_managed(
-            job.bench,
-            job.kind,
-            ctx.resume_from,
-            ctx.checkpoint_to,
-            |c| {
-                suspend_cycle.is_some_and(|n| c.0 >= n)
-                    || (c.0.is_multiple_of(1024) && deadline.is_some_and(|d| Instant::now() >= d))
-            },
-        )
-        .map_err(ExecError::from)
+        h.run_job_with(job.bench, job.kind, ctx, on_checkpoint)
+            .map_err(ExecError::from)
     }
 }
 
@@ -1307,34 +1221,22 @@ pub fn run_worker() -> i32 {
         })
     });
 
-    let cancel = AtomicBool::new(false);
-    let result = if let Some(n) = spec.suspend_after {
-        spec.h.run_job_managed(
-            spec.job.bench,
-            spec.job.kind,
-            spec.resume_from.as_deref(),
-            spec.checkpoint_to.as_deref(),
-            |c| c.0 >= n,
-        )
-    } else {
-        spec.h.run_job_serviced(
-            spec.job.bench,
-            spec.job.kind,
-            &ring,
-            false,
-            &cancel,
-            spec.resume_from.as_deref(),
-            spec.checkpoint_to.as_deref(),
-            None,
-            |cycle, bytes| {
-                emit(&obj(vec![
-                    ("t", Value::str("checkpoint")),
-                    ("cycle", Value::u64(cycle)),
-                    ("bytes", Value::u64(bytes)),
-                ]));
-            },
-        )
+    let ctx = ExecContext {
+        resume_from: spec.resume_from.as_deref(),
+        checkpoint_to: spec.checkpoint_to.as_deref(),
+        suspend_after: spec.suspend_after,
+        ring: spec.stream.then_some(&ring),
+        ..ExecContext::default()
     };
+    let result = spec
+        .h
+        .run_job_with(spec.job.bench, spec.job.kind, &ctx, &mut |cycle, bytes| {
+            emit(&obj(vec![
+                ("t", Value::str("checkpoint")),
+                ("cycle", Value::u64(cycle)),
+                ("bytes", Value::u64(bytes)),
+            ]));
+        });
     ring.close();
     if let Some(handle) = drain {
         let _ = handle.join();

@@ -42,7 +42,8 @@ use snake_workloads::Benchmark;
 use crate::runner::{Harness, JobRun};
 use manifest::{LoadedManifest, ManifestError, ManifestHeader, ManifestWriter};
 
-pub use executor::{CrashKind, CrashReport, ExecContext, ExecError, JobExecutor, SandboxLimits};
+pub use crate::runner::ExecContext;
+pub use executor::{CrashKind, CrashReport, ExecError, JobExecutor, SandboxLimits};
 pub use manifest::JobRecord;
 pub use progress::{Progress, ProgressSnapshot};
 pub use supervisor::{run_supervised, JobOutcome, SweepResult};

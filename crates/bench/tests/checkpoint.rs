@@ -1,9 +1,10 @@
 //! Kill-anywhere acceptance: killing a real benchmark at any cycle
 //! and restoring from the checkpoint must reproduce the uninterrupted
 //! run's `SimOutcome` byte-for-byte, across benchmarks and
-//! mechanisms; and with checkpointing off the checkpointed entry
-//! point must be exactly `Gpu::run`.
+//! mechanisms; and with checkpointing off the harness's job entry
+//! point must be exactly a plain run.
 
+use snake_bench::runner::{ExecContext, JobRun};
 use snake_bench::Harness;
 use snake_core::PrefetcherKind;
 use snake_sim::snapshot::Checkpoint;
@@ -58,19 +59,28 @@ fn kill_anywhere_restore_is_byte_identical() {
     }
 }
 
-/// With `checkpoint_every` unset, `run_checkpointed` takes the plain
-/// `run()` path: identical outcome, and no artifact is ever written.
+/// With `checkpoint_every` unset, a job given a checkpoint path but no
+/// suspend trigger is exactly [`Harness::run_job`]: identical output,
+/// and no artifact is ever written.
 #[test]
 fn checkpointing_off_is_exactly_run() {
     let h = Harness::quick();
     assert!(h.cfg.checkpoint_every.is_none());
-    let reference = format!("{:?}", gpu(&h, Benchmark::Cp, PrefetcherKind::Snake).run());
+    let reference = h.run_job(Benchmark::Cp, PrefetcherKind::Snake).unwrap();
     let path = std::env::temp_dir().join(format!("snake-ckpt-off-{}.ckpt", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let out = gpu(&h, Benchmark::Cp, PrefetcherKind::Snake)
-        .run_checkpointed(&path)
+    let ctx = ExecContext {
+        checkpoint_to: Some(&path),
+        ..ExecContext::default()
+    };
+    let mut fired = 0;
+    let run = h
+        .run_job_with(Benchmark::Cp, PrefetcherKind::Snake, &ctx, &mut |_, _| {
+            fired += 1
+        })
         .unwrap();
-    assert_eq!(format!("{out:?}"), reference);
+    assert_eq!(run, JobRun::Finished(Box::new(reference)));
+    assert_eq!(fired, 0, "no checkpoint may be reported");
     assert!(
         !path.exists(),
         "no artifact may be written when checkpointing is off"
@@ -78,33 +88,56 @@ fn checkpointing_off_is_exactly_run() {
 }
 
 /// With a checkpoint cadence set, the run still produces the same
-/// outcome (checkpointing is observation, not perturbation) and the
-/// final artifact restores to a device that finishes instantly with
-/// identical stats.
+/// output (checkpointing is observation, not perturbation) and the
+/// final artifact resumes to a run with identical output.
 #[test]
 fn periodic_checkpointing_does_not_perturb_the_run() {
     let mut h = Harness::quick();
-    let reference = format!("{:?}", gpu(&h, Benchmark::Lps, PrefetcherKind::Snake).run());
+    let reference = h.run_job(Benchmark::Lps, PrefetcherKind::Snake).unwrap();
 
     h.cfg.checkpoint_every = Some(256);
     let dir = std::env::temp_dir().join(format!("snake-ckpt-cadence-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("periodic.ckpt");
-    let out = gpu(&h, Benchmark::Lps, PrefetcherKind::Snake)
-        .run_checkpointed(&path)
+    let ctx = ExecContext {
+        checkpoint_to: Some(&path),
+        ..ExecContext::default()
+    };
+    let mut fired = Vec::new();
+    let run = h
+        .run_job_with(
+            Benchmark::Lps,
+            PrefetcherKind::Snake,
+            &ctx,
+            &mut |cycle, _| fired.push(cycle),
+        )
         .unwrap();
     assert_eq!(
-        format!("{out:?}"),
-        reference,
+        run,
+        JobRun::Finished(Box::new(reference.clone())),
         "periodic checkpointing must not change the simulation"
     );
     assert!(path.exists(), "cadence produced an artifact");
+    assert_eq!(
+        fired.len() as u64,
+        (reference.report.cycles - 1) / 256,
+        "one write per cadence cycle before the end: {fired:?}"
+    );
 
     // The artifact is a valid mid-run state under the *cadence*
-    // config; restore it and finish.
-    let ckpt = Checkpoint::load(&path).unwrap();
-    let mut resumed = gpu(&h, Benchmark::Lps, PrefetcherKind::Snake);
-    resumed.restore(&ckpt).unwrap();
-    assert_eq!(format!("{:?}", resumed.run()), reference);
+    // config; resume it and finish.
+    let resume = ExecContext {
+        resume_from: Some(&path),
+        ..ExecContext::default()
+    };
+    let resumed = h
+        .run_job_with(
+            Benchmark::Lps,
+            PrefetcherKind::Snake,
+            &resume,
+            &mut |_, _| {},
+        )
+        .unwrap();
+    assert_eq!(resumed, JobRun::Finished(Box::new(reference)));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -229,6 +229,58 @@ fn lease_killed_job_resumes_from_checkpoint_byte_identically() {
     }
 }
 
+/// The worker's `suspend_after` path: a sandboxed job told to suspend
+/// at a cycle, with a checkpoint path, ends `Suspended` at exactly
+/// that cycle, and resuming it in-thread finishes byte-identically to
+/// an uninterrupted run.
+#[test]
+fn sandboxed_suspend_after_resumes_in_thread_byte_identically() {
+    let dir = scratch("suspend-after");
+    let ckpt = dir.join("job.ckpt");
+    let h = Harness::quick();
+    let job = &campaign(&[Benchmark::Lps], &[PrefetcherKind::Snake])[0];
+
+    let exec = JobExecutor::sandbox_with_worker(SandboxLimits::default(), worker());
+    let ctx = ExecContext {
+        checkpoint_to: Some(&ckpt),
+        suspend_after: Some(300),
+        ..ExecContext::default()
+    };
+    let mut fired = Vec::new();
+    let run = exec
+        .run(&h, job, &ctx, &mut |cycle, _| fired.push(cycle))
+        .expect("a suspend_after trigger is a suspension, not a failure");
+    assert_eq!(
+        run,
+        JobRun::Suspended {
+            cycle: 300,
+            checkpoint: ckpt.display().to_string()
+        }
+    );
+    assert!(!exec.degraded(), "the job ran in a sandboxed child");
+    assert_eq!(fired, [300], "the suspension checkpoint reached the parent");
+    assert!(ckpt.exists(), "the checkpoint artifact is durable");
+
+    let resume_ctx = ExecContext {
+        resume_from: Some(&ckpt),
+        ..ExecContext::default()
+    };
+    let resumed = JobExecutor::in_thread()
+        .run(&h, job, &resume_ctx, &mut |_, _| {})
+        .expect("resume completes");
+    let clean = JobExecutor::in_thread()
+        .run(&h, job, &ExecContext::default(), &mut |_, _| {})
+        .expect("clean reference run");
+    match (resumed, clean) {
+        (JobRun::Finished(a), JobRun::Finished(b)) => assert_eq!(
+            a.report.to_json().to_string(),
+            b.report.to_json().to_string(),
+            "suspend-resume must be byte-identical to an uninterrupted run"
+        ),
+        other => panic!("both runs should finish, got {other:?}"),
+    }
+}
+
 /// Crash classification through the real binary: an injected
 /// `std::process::abort()` in a sandboxed child quarantines that job
 /// as `signal 6` while the sibling completes — and the whole sweep

@@ -14,7 +14,6 @@ use crate::types::Cycle;
 use crate::warp::MAX_WARP_SLOTS;
 
 /// Warp scheduling policy, per SM scheduler.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerPolicy {
     /// Greedy-then-oldest: keep issuing from the current warp until it
@@ -26,7 +25,6 @@ pub enum SchedulerPolicy {
 }
 
 /// Geometry of a set-associative cache.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
@@ -75,7 +73,6 @@ impl CacheGeometry {
 }
 
 /// Full simulator configuration (Table 1).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.
@@ -167,9 +164,9 @@ pub struct GpuConfig {
     /// (the default) disables collection.
     pub metrics_window: Option<u64>,
     /// Write a checkpoint of the complete simulator state every this
-    /// many cycles while running under
-    /// [`Gpu::run_checkpointed`](crate::Gpu::run_checkpointed) (or a
-    /// harness that polls [`Gpu::checkpoint`](crate::Gpu::checkpoint)).
+    /// many cycles when a harness runs a job with a checkpoint path
+    /// (it hands this cadence to
+    /// [`Gpu::run_serviced`](crate::Gpu::run_serviced)).
     /// `None` (the default) disables periodic checkpointing entirely —
     /// the run pays zero overhead, matching the no-observer-effect
     /// discipline of tracing and profiling.

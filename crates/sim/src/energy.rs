@@ -11,7 +11,6 @@ use crate::config::GpuConfig;
 use crate::stats::SimStats;
 
 /// Per-event energies in picojoules and static power in watts.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy per warp instruction issued (execution pipeline).
@@ -60,7 +59,6 @@ impl Default for EnergyModel {
 }
 
 /// Energy breakdown of a run, in joules.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Static (leakage + clock) energy over the runtime.

@@ -23,7 +23,6 @@ use crate::types::Cycle;
 ///
 /// For the first `active` cycles of every `period` cycles, both NoC
 /// directions run at `scale` times their configured byte budget.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Brownout {
     /// Cycle length of one brownout cycle (active + healthy).
@@ -35,7 +34,6 @@ pub struct Brownout {
 }
 
 /// Timeout-and-reissue recovery for lost fill responses.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Recovery {
     /// Cycles an MSHR entry may wait for its fill before the miss is
@@ -49,7 +47,6 @@ pub struct Recovery {
 /// A seeded, deterministic description of injected faults.
 ///
 /// The default plan injects nothing and adds no overhead.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the fault decision stream.

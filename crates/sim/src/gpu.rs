@@ -24,7 +24,6 @@ use crate::types::{Cycle, SmId};
 use crate::watchdog::{DeadlockReport, NocCensus, Watchdog};
 
 /// Why a simulation ended.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub enum StopReason {
     /// All warps retired and the memory system drained.
@@ -121,6 +120,10 @@ pub struct Gpu {
     /// Trace events forwarded to the sink so far (throughput input for
     /// the host profile).
     events_flushed: u64,
+    /// Host wall time of the run-loop segments that ended in a
+    /// suspension, added to the final segment's time in the host
+    /// profile. Host-only: neither checkpointed nor fingerprinted.
+    host_wall_nanos: u64,
     /// Live telemetry ring for per-window metric rows (and, via a
     /// [`RingSink`], trace events), attached by
     /// [`Gpu::attach_telemetry`]. With zero subscribers every push is
@@ -140,7 +143,6 @@ impl std::fmt::Debug for Gpu {
 }
 
 /// Result of running a kernel to completion.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOutcome {
     /// Device-wide merged statistics.
@@ -234,6 +236,7 @@ impl Gpu {
             noc_backpressured: false,
             prof,
             events_flushed: 0,
+            host_wall_nanos: 0,
             tap: None,
         })
     }
@@ -578,10 +581,8 @@ impl Gpu {
     /// Runs to completion (or the cycle limit, or a watchdog trip) and
     /// returns merged device statistics.
     pub fn run(&mut self) -> SimOutcome {
-        // One clock read per run when profiling; none otherwise.
-        let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
-        while self.step() {}
-        self.finalize(t0)
+        self.run_interruptible(|_| false)
+            .expect("suspend predicate is constant false")
     }
 
     /// Like [`Gpu::run`], but after every cycle asks `suspend` whether
@@ -592,48 +593,23 @@ impl Gpu {
     ///
     /// A suspended device is paused mid-run, not finished — calling
     /// [`Gpu::run`] again continues it to a normal outcome.
-    pub fn run_interruptible(
-        &mut self,
-        mut suspend: impl FnMut(Cycle) -> bool,
-    ) -> Option<SimOutcome> {
-        let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
-        loop {
-            if !self.step() {
-                return Some(self.finalize(t0));
-            }
-            if suspend(self.cycle) {
-                return None;
-            }
-        }
+    pub fn run_interruptible(&mut self, suspend: impl FnMut(Cycle) -> bool) -> Option<SimOutcome> {
+        self.run_serviced(None, |_, _| {}, suspend)
+            .expect("no checkpoint path, so no checkpoint I/O")
     }
 
-    /// Runs to completion while writing a checkpoint of the full
-    /// simulator state to `path` (atomically, replacing the previous
-    /// one) every [`GpuConfig::checkpoint_every`] cycles. When that
-    /// option is `None` this is exactly [`Gpu::run`] — no per-cycle
-    /// checkpoint arithmetic, no I/O.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] if a checkpoint cannot be written; the
-    /// simulation stops at that cycle rather than silently continuing
-    /// without crash protection.
-    pub fn run_checkpointed(&mut self, path: &Path) -> Result<SimOutcome, SnapshotError> {
-        let Some(every) = self.cfg.checkpoint_every else {
-            return Ok(self.run());
-        };
-        self.run_serviced(Some((path, every)), |_, _| {}, |_| false)
-            .map(|outcome| outcome.expect("suspend predicate is constant false"))
-    }
-
-    /// The serving layer's run loop: [`Gpu::run_interruptible`] and
-    /// [`Gpu::run_checkpointed`] combined. Writes a checkpoint of the
-    /// full simulator state to `checkpoint.0` (atomically, replacing
-    /// the previous one) every `checkpoint.1` cycles, invoking
+    /// The run loop: the only place that steps the device to an end.
+    /// With `checkpoint = Some((path, every))` it writes a checkpoint
+    /// of the full simulator state to `path` (atomically, replacing
+    /// the previous one) every `every` cycles, invoking
     /// `on_checkpoint(cycle, bytes)` after each durable write so a
-    /// supervisor can journal the artifact; after every cycle asks
+    /// supervisor can journal the artifact; after every cycle it asks
     /// `suspend` whether to stop early, returning `None` with the
     /// device paused mid-run (checkpointable via [`Gpu::checkpoint`]).
+    ///
+    /// With profiling on, the host wall time of every call adds up, so
+    /// a run suspended and then continued reports the time of all its
+    /// segments.
     ///
     /// # Errors
     ///
@@ -667,6 +643,9 @@ impl Gpu {
                 }
             }
             if suspend(self.cycle) {
+                if let Some(t0) = t0 {
+                    self.host_wall_nanos += t0.elapsed().as_nanos() as u64;
+                }
                 return Ok(None);
             }
         }
@@ -674,8 +653,8 @@ impl Gpu {
 
     /// Computes the stop reason, runs the end-of-run audit, emits the
     /// terminal trace event, closes the final metrics window, and
-    /// assembles the [`SimOutcome`]. Shared tail of every `run_*`
-    /// entry point, reached only after [`Gpu::step`] returned `false`.
+    /// assembles the [`SimOutcome`]. The tail of [`Gpu::run_serviced`],
+    /// reached only after [`Gpu::step`] returned `false`.
     fn finalize(&mut self, t0: Option<std::time::Instant>) -> SimOutcome {
         let stop = if let Some(report) = self.deadlock.take() {
             StopReason::Deadlock(report)
@@ -718,7 +697,10 @@ impl Gpu {
             }
             self.metrics = Some(metrics);
         }
-        let host = t0.and_then(|t0| self.collect_host_profile(t0.elapsed().as_nanos() as u64));
+        let host = t0.and_then(|t0| {
+            let wall = self.host_wall_nanos + t0.elapsed().as_nanos() as u64;
+            self.collect_host_profile(wall)
+        });
         SimOutcome {
             stats: self.collect_stats(),
             stop,
@@ -940,7 +922,7 @@ pub enum SimError {
     /// The configuration failed [`GpuConfig::validate`].
     Config(ConfigError),
     /// Writing, loading, or applying a checkpoint failed (see
-    /// [`Gpu::run_checkpointed`] and [`Gpu::restore`]).
+    /// [`Gpu::run_serviced`] and [`Gpu::restore`]).
     Snapshot(SnapshotError),
 }
 

@@ -1,10 +1,9 @@
 //! A dependency-free JSON value, parser, and writer.
 //!
-//! The build environment has no crates registry (the workspace's
-//! `serde` resolves to a no-op marker stub), but the sweep supervisor
-//! needs a real wire format for its checkpoint manifests. This module
-//! is the smallest JSON that round-trips the workspace's report types
-//! **exactly**:
+//! The build environment has no crates registry, so there is no
+//! `serde`, but the sweep supervisor needs a real wire format for its
+//! checkpoint manifests. This module is the smallest JSON that
+//! round-trips the workspace's report types **exactly**:
 //!
 //! * numbers keep their source lexeme (`Value::Num` stores the raw
 //!   token), so `u64` cycle counts survive beyond 2^53 and `f64`s

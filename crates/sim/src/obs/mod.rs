@@ -335,7 +335,7 @@ pub enum SimEvent {
         active: bool,
     },
     /// A checkpoint artifact was written durably to disk (emitted by
-    /// [`Gpu::run_checkpointed`](crate::Gpu::run_checkpointed) right
+    /// [`Gpu::run_serviced`](crate::Gpu::run_serviced) right
     /// after the atomic rename lands).
     CheckpointSaved {
         /// Size of the serialized artifact in bytes.

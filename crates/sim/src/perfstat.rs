@@ -32,7 +32,6 @@ use std::time::Instant;
 /// the module docs for which entry points feed each phase). Every
 /// phase is always present in a [`HostProfile`], zeroed when it never
 /// ran, so downstream serializers can rely on a fixed row set.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// SM front-end: CTA launch, warp refresh, scheduler picks.
@@ -103,7 +102,6 @@ impl std::fmt::Display for Phase {
 }
 
 /// Accumulated wall-time and call count for one phase.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStat {
     /// Total nanoseconds spent inside the phase's timed regions.
@@ -213,7 +211,6 @@ impl Stopwatch {
 ///
 /// Carried on [`SimOutcome::host`](crate::SimOutcome::host) when
 /// [`GpuConfig::host_profile`](crate::GpuConfig::host_profile) is set.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostProfile {
     /// Total wall time of [`Gpu::run`](crate::Gpu::run), nanoseconds.

@@ -88,7 +88,6 @@ persist_u64_fields!(StallBreakdown {
 /// slots. The hard invariant — the eight buckets sum to
 /// [`scheduler_cycles`](StallBreakdown::scheduler_cycles) — is
 /// enforced every audit window (see [`crate::audit`]) and proptested.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallBreakdown {
     /// The slot issued a new instruction.
@@ -214,7 +213,6 @@ pub enum ReservationFailReason {
 }
 
 /// Counters for one cache (L1 or prefetch partition view).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand hits on the demand partition.
@@ -284,7 +282,6 @@ impl CacheStats {
 }
 
 /// Prefetch effectiveness counters (definitions from §4 of the paper).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
     /// Prefetch requests the prefetcher asked for.
@@ -320,7 +317,6 @@ impl PrefetchStats {
 
 /// Counters for injected faults and the simulator's reaction to them
 /// (see [`crate::FaultPlan`]). All zero on a healthy run.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Fill responses silently dropped by the injector.
@@ -339,7 +335,6 @@ pub struct FaultStats {
 }
 
 /// Per-SM and device-wide summary.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimStats {
     /// Total simulated cycles.
@@ -594,17 +589,6 @@ mod tests {
         assert_eq!(a.cycles, 20);
         assert_eq!(a.instructions, 12);
         assert_eq!(a.demand_loads, 3);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn stats_types_are_serde() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<CacheStats>();
-        assert_serde::<PrefetchStats>();
-        assert_serde::<SimStats>();
-        assert_serde::<crate::config::GpuConfig>();
-        assert_serde::<crate::energy::EnergyModel>();
     }
 
     #[test]

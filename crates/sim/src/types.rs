@@ -15,7 +15,6 @@ use std::fmt;
 /// let a = Address::new(0x1000);
 /// assert_eq!(a.line(128).0, 0x1000 / 128);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address(pub u64);
 
@@ -143,7 +142,6 @@ impl fmt::Display for SmId {
 }
 
 /// A simulation cycle count.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 

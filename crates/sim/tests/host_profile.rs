@@ -4,7 +4,8 @@
 //! state).
 
 use snake_sim::{
-    run_kernel, CtaId, GpuConfig, Instr, KernelTrace, NullPrefetcher, Phase, SimStats, WarpTrace,
+    run_kernel, CtaId, Gpu, GpuConfig, Instr, KernelTrace, NullPrefetcher, Phase, SimStats,
+    WarpTrace,
 };
 
 fn streaming_kernel(warps: u32, loads: usize) -> KernelTrace {
@@ -106,5 +107,31 @@ fn inject_stall_inflates_mem_partition_phase_only() {
         slow_mem > base_mem.saturating_mul(2),
         "injected stall must inflate the mem_partition phase \
          (base {base_mem} ns, injected {slow_mem} ns)"
+    );
+}
+
+/// A device suspended with `run_interruptible` and finished with `run`
+/// reports the wall time of both segments. Its phase times carry over
+/// between the calls, so a wall time covering only the last segment
+/// would fall below their sum.
+#[test]
+fn wall_time_covers_every_run_segment() {
+    let cycles = run(GpuConfig::scaled(1)).stats.cycles;
+    let mut cfg = GpuConfig::scaled(1);
+    cfg.host_profile = true;
+    cfg.perf_inject_stall_ns = 20_000;
+    let mut gpu = Gpu::new(cfg, streaming_kernel(4, 32), |_| Box::new(NullPrefetcher)).unwrap();
+    assert!(
+        gpu.run_interruptible(|c| c.0 >= cycles * 9 / 10).is_none(),
+        "suspended before the end"
+    );
+    let out = gpu.run();
+    assert_eq!(out.stats.cycles, cycles);
+    let host = out.host.expect("host_profile=true must deliver a profile");
+    assert!(
+        host.phase_nanos_total() <= host.wall_nanos,
+        "phases ({} ns) must fit in the wall time of both segments ({} ns)",
+        host.phase_nanos_total(),
+        host.wall_nanos
     );
 }

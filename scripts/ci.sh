@@ -108,32 +108,43 @@ if [ "$rc" -ne 6 ]; then
     exit 1
 fi
 # Note: checkpointing-off overhead is covered by the trace-overhead
-# guard above (the no-cadence path is exactly Gpu::run) and by the
-# checkpointing_off_is_exactly_run test in crates/bench.
+# guard above (Gpu::run is the one run loop with no checkpoint path)
+# and by the checkpointing_off_is_exactly_run test in
+# crates/bench/tests/checkpoint.rs (a job with a checkpoint path but no
+# cadence is exactly a plain Harness::run_job).
 
 echo "==> suspend-resume smoke (supervisor: deadline preemption, no quarantine)"
 # A sweep whose jobs all hit the suspend trigger must exit 4 with the
 # per-job checkpoints durable next to the manifest; resuming restores
 # them mid-simulation and renders byte-identically to an uninterrupted
-# sweep, with nothing quarantined.
+# sweep, with nothing quarantined. The same holds with every job in a
+# sandboxed worker process (--isolate), suspended and resumed there.
 SUS_FLAGS=(--sweep --quick --benchmarks LIB --mechanisms snake,mta)
 ./target/release/repro "${SUS_FLAGS[@]}" \
     --manifest "$SWEEP_DIR/sus-full.jsonl" --out "$SWEEP_DIR/sus-full.md"
-rc=0
-./target/release/repro "${SUS_FLAGS[@]}" --suspend-after 300 \
-    --manifest "$SWEEP_DIR/sus.jsonl" --out "$SWEEP_DIR/sus-part.md" || rc=$?
-if [ "$rc" -ne 4 ]; then
-    echo "suspend-resume smoke: suspended sweep must exit 4, got $rc" >&2
-    exit 1
-fi
-ls "$SWEEP_DIR"/sus.jsonl.*.ckpt >/dev/null
-./target/release/repro "${SUS_FLAGS[@]}" \
-    --resume "$SWEEP_DIR/sus.jsonl" --out "$SWEEP_DIR/sus-resumed.md"
-if ! cmp -s "$SWEEP_DIR/sus-full.md" "$SWEEP_DIR/sus-resumed.md"; then
-    echo "suspend-resume smoke: resumed report differs from the uninterrupted run" >&2
-    diff "$SWEEP_DIR/sus-full.md" "$SWEEP_DIR/sus-resumed.md" >&2 || true
-    exit 1
-fi
+for SUS_LEG in in-thread isolate; do
+    SUS_LEG_FLAGS=("${SUS_FLAGS[@]}")
+    if [ "$SUS_LEG" = isolate ]; then
+        SUS_LEG_FLAGS+=(--isolate)
+    fi
+    rc=0
+    ./target/release/repro "${SUS_LEG_FLAGS[@]}" --suspend-after 300 \
+        --manifest "$SWEEP_DIR/sus-$SUS_LEG.jsonl" \
+        --out "$SWEEP_DIR/sus-$SUS_LEG-part.md" || rc=$?
+    if [ "$rc" -ne 4 ]; then
+        echo "suspend-resume smoke ($SUS_LEG): suspended sweep must exit 4, got $rc" >&2
+        exit 1
+    fi
+    ls "$SWEEP_DIR"/sus-"$SUS_LEG".jsonl.*.ckpt >/dev/null
+    ./target/release/repro "${SUS_LEG_FLAGS[@]}" \
+        --resume "$SWEEP_DIR/sus-$SUS_LEG.jsonl" \
+        --out "$SWEEP_DIR/sus-$SUS_LEG-resumed.md"
+    if ! cmp -s "$SWEEP_DIR/sus-full.md" "$SWEEP_DIR/sus-$SUS_LEG-resumed.md"; then
+        echo "suspend-resume smoke ($SUS_LEG): resumed report differs from the uninterrupted run" >&2
+        diff "$SWEEP_DIR/sus-full.md" "$SWEEP_DIR/sus-$SUS_LEG-resumed.md" >&2 || true
+        exit 1
+    fi
+done
 
 echo "==> perf smoke (host observatory: emit, self-compare, injected regression)"
 # The perf gate must: emit a parseable BENCH_ci.json, pass a

@@ -90,8 +90,7 @@ fn traced_run(
 /// combined stream exercises all 24 event variants deterministically.
 fn golden_traced_run(tag: &str) -> (SimOutcome, Vec<TraceEvent>) {
     let kernel = Benchmark::Lps.build(&WorkloadSize::tiny());
-    let mut cfg = golden_cfg();
-    cfg.checkpoint_every = Some(1_000);
+    let cfg = golden_cfg();
     let warps = cfg.max_warps_per_sm;
     let dir = std::env::temp_dir().join(format!("snake-golden-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -103,7 +102,10 @@ fn golden_traced_run(tag: &str) -> (SimOutcome, Vec<TraceEvent>) {
     })
     .expect("valid config");
     gpu.attach_sink(Box::new(sink.clone()));
-    let out = gpu.run_checkpointed(&ckpt_path).expect("checkpointing run");
+    let out = gpu
+        .run_serviced(Some((&ckpt_path, 1_000)), |_, _| {}, |_| false)
+        .expect("checkpointing run")
+        .expect("never suspended");
 
     // Restore leg: attach the sink *before* restoring so the Restored
     // splice event is captured, then finish the remaining cycles.
