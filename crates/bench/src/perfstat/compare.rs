@@ -143,7 +143,10 @@ pub struct CompareResult {
     /// Jobs present in only one of the reports (compared jobs must
     /// match; these are reported, not failed on).
     pub unmatched: Vec<String>,
-    /// Whether the two reports came from matching host fingerprints.
+    /// Whether the two reports came from the same machine and
+    /// toolchain ([`HostFingerprint::same_host`]).
+    ///
+    /// [`HostFingerprint::same_host`]: crate::perfstat::HostFingerprint::same_host
     pub same_host: bool,
 }
 
@@ -243,7 +246,7 @@ pub fn compare(base: &PerfReport, cur: &PerfReport, cfg: &CompareConfig) -> Comp
     CompareResult {
         rows,
         unmatched,
-        same_host: base.host == cur.host,
+        same_host: base.host.same_host(&cur.host),
     }
 }
 
@@ -390,6 +393,18 @@ mod tests {
         assert!(result.rows.is_empty());
         assert_eq!(result.unmatched.len(), 2);
         assert!(result.passed(), "unmatched jobs are not failures");
+    }
+
+    #[test]
+    fn same_host_ignores_the_revision() {
+        let base = report("base", &[1_000_000]);
+        let mut cur = report("cur", &[1_000_000]);
+        cur.host.git_sha = "g-dirty".into();
+        let result = compare(&base, &cur, &strict());
+        assert!(result.same_host, "a parent and its change share a host");
+        assert!(!result.table().to_string().contains("fingerprints differ"));
+        cur.host.cpus = 2;
+        assert!(!compare(&base, &cur, &strict()).same_host);
     }
 
     #[test]

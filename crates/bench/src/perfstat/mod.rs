@@ -51,7 +51,8 @@ pub struct HostFingerprint {
     pub cpus: u64,
     /// `rustc --version` line, or `"unknown"`.
     pub rustc: String,
-    /// Short git revision of the working tree, or `"unknown"`.
+    /// Short git revision of the working tree, suffixed `-dirty` when
+    /// the tree has uncommitted changes, or `"unknown"`.
     pub git_sha: String,
     /// `"debug"` or `"release"` (from `cfg!(debug_assertions)`).
     pub cargo_profile: String,
@@ -67,7 +68,7 @@ impl HostFingerprint {
             .map(|n| n.get() as u64)
             .unwrap_or(0);
         let rustc = command_line("rustc", &["--version"]);
-        let git_sha = command_line("git", &["rev-parse", "--short", "HEAD"]);
+        let git_sha = command_line("git", &["describe", "--always", "--dirty", "--abbrev=7"]);
         let cargo_profile = if cfg!(debug_assertions) {
             "debug"
         } else {
@@ -80,6 +81,16 @@ impl HostFingerprint {
             cargo_profile: cargo_profile.into(),
             os: std::env::consts::OS.into(),
         }
+    }
+
+    /// Whether `other` was measured on the same machine and toolchain:
+    /// every field but the revision, which a parent-versus-change
+    /// comparison differs in by design.
+    pub fn same_host(&self, other: &HostFingerprint) -> bool {
+        self.cpus == other.cpus
+            && self.rustc == other.rustc
+            && self.cargo_profile == other.cargo_profile
+            && self.os == other.os
     }
 
     fn to_json(&self) -> Value {

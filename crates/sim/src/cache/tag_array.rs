@@ -1,6 +1,9 @@
 //! Set-associative tag array with per-line state, LRU, and the
 //! demand/prefetch side flag used by Snake's decoupled unified cache.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::config::CacheGeometry;
 use crate::json::Value;
 use crate::snapshot::{self, SnapshotError};
@@ -68,15 +71,44 @@ impl Line {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Way(pub(crate) usize);
 
+/// Hasher for the line index: one multiply by an odd 64-bit constant,
+/// then a rotate. The product's low bits depend only on the key's low
+/// bits, and the lines of a strided stream differ only in high bits,
+/// so `finish` rotates the well-mixed high bits down to where the
+/// table takes its bucket index.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// A set-associative tag array.
 ///
 /// `L2` and the unified L1 share this structure; the L1 additionally
 /// drives the [`Side`] flags and occupancy counters.
 #[derive(Debug, Clone)]
 pub struct TagArray {
-    sets: u32,
+    /// `sets - 1`; the set count is a power of two.
+    set_mask: u64,
     ways: u32,
     lines: Vec<Line>,
+    /// Exact map from the tag of every non-invalid line to its way:
+    /// kept in step by [`TagArray::reserve`] and [`TagArray::evict`],
+    /// rebuilt on restore, never checkpointed.
+    index: HashMap<LineAddr, u32, BuildHasherDefault<LineHasher>>,
     valid: u32,
     valid_prefetch: u32,
     reserved: u32,
@@ -96,9 +128,10 @@ impl TagArray {
         let sets = usable_lines / ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         TagArray {
-            sets,
+            set_mask: u64::from(sets - 1),
             ways,
             lines: vec![Line::invalid(); usable_lines as usize],
+            index: HashMap::with_capacity_and_hasher(usable_lines as usize, Default::default()),
             valid: 0,
             valid_prefetch: 0,
             reserved: 0,
@@ -142,7 +175,7 @@ impl TagArray {
     }
 
     fn set_of(&self, addr: LineAddr) -> usize {
-        (addr.0 % u64::from(self.sets)) as usize
+        (addr.0 & self.set_mask) as usize
     }
 
     fn set_range(&self, addr: LineAddr) -> std::ops::Range<usize> {
@@ -152,9 +185,7 @@ impl TagArray {
 
     /// Finds the way holding `addr`, if present (any state but Invalid).
     pub fn probe(&self, addr: LineAddr) -> Option<Way> {
-        self.set_range(addr)
-            .find(|&i| self.lines[i].state != LineState::Invalid && self.lines[i].tag == addr)
-            .map(Way)
+        self.index.get(&addr).map(|&i| Way(i as usize))
     }
 
     /// Immutable view of a line.
@@ -238,6 +269,9 @@ impl TagArray {
     pub fn evict(&mut self, way: Way) -> Line {
         let l = self.lines[way.0];
         debug_assert_ne!(l.state, LineState::Reserved);
+        if l.state != LineState::Invalid {
+            self.index.remove(&l.tag);
+        }
         if l.state == LineState::Valid {
             self.valid -= 1;
             if l.side == Side::Prefetch {
@@ -252,11 +286,14 @@ impl TagArray {
     ///
     /// # Panics
     ///
-    /// Panics (debug) if the way is not invalid.
+    /// Panics (debug) if the way is not an invalid way of `addr`'s set
+    /// or `addr` is already present.
     pub fn reserve(&mut self, way: Way, addr: LineAddr, side: Side, now: Cycle) {
-        let l = &mut self.lines[way.0];
-        debug_assert_eq!(l.state, LineState::Invalid);
-        *l = Line {
+        debug_assert_eq!(self.lines[way.0].state, LineState::Invalid);
+        debug_assert!(self.set_range(addr).contains(&way.0));
+        let held = self.index.insert(addr, way.0 as u32);
+        debug_assert_eq!(held, None, "line {:#x} reserved twice", addr.0);
+        self.lines[way.0] = Line {
             tag: addr,
             state: LineState::Reserved,
             side,
@@ -304,9 +341,9 @@ impl TagArray {
         candidates.into_iter().map(|i| self.evict(Way(i))).collect()
     }
 
-    /// Iterates over all valid lines (testing/diagnostics).
-    pub fn iter_valid(&self) -> impl Iterator<Item = &Line> {
-        self.lines.iter().filter(|l| l.state == LineState::Valid)
+    /// Every line in way order, set after set (testing/diagnostics).
+    pub fn lines(&self) -> &[Line] {
+        &self.lines
     }
 
     /// Serializes every line for a checkpoint. The geometry and the
@@ -339,12 +376,13 @@ impl TagArray {
     }
 
     /// Restores every line from [`save_state`] and recomputes the
-    /// occupancy counters.
+    /// occupancy counters and the line index.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Malformed`] when the line count does not match
-    /// this array's geometry or a line entry is mistyped.
+    /// this array's geometry, a line entry is mistyped, a line sits
+    /// outside its tag's set, or a tag is held twice.
     ///
     /// [`save_state`]: TagArray::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
@@ -384,7 +422,26 @@ impl TagArray {
                 origin_prefetch: flag(6)?,
             });
         }
+        let mut index = HashMap::with_capacity_and_hasher(restored.len(), Default::default());
+        for (i, l) in restored.iter().enumerate() {
+            if l.state == LineState::Invalid {
+                continue;
+            }
+            if !self.set_range(l.tag).contains(&i) {
+                return Err(SnapshotError::malformed(format!(
+                    "tag-array line {:#x} stored at way {i}, outside its set",
+                    l.tag.0
+                )));
+            }
+            if let Some(first) = index.insert(l.tag, i as u32) {
+                return Err(SnapshotError::malformed(format!(
+                    "tag-array line {:#x} stored twice, at ways {first} and {i}",
+                    l.tag.0
+                )));
+            }
+        }
         self.lines = restored;
+        self.index = index;
         self.valid = self
             .lines
             .iter()
@@ -401,6 +458,50 @@ impl TagArray {
             .filter(|l| l.state == LineState::Reserved)
             .count() as u32;
         Ok(())
+    }
+
+    /// Checks the line index against the lines, returning a description
+    /// of every mismatch (empty = healthy): each non-invalid line must
+    /// sit inside its tag's set and be indexed at its own way, no tag
+    /// may be held twice, and the index holds nothing else.
+    pub fn audit_invariants(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        let mut occupied = 0;
+        for (i, l) in self.lines.iter().enumerate() {
+            if l.state == LineState::Invalid {
+                continue;
+            }
+            occupied += 1;
+            if !self.set_range(l.tag).contains(&i) {
+                v.push(format!(
+                    "line {:#x} sits at way {i}, outside set {}",
+                    l.tag.0,
+                    self.set_of(l.tag)
+                ));
+            }
+            match self.index.get(&l.tag).map(|&w| w as usize) {
+                Some(w) if w == i => {}
+                Some(w)
+                    if self.lines[w].state != LineState::Invalid && self.lines[w].tag == l.tag =>
+                {
+                    v.push(format!(
+                        "line {:#x} is held twice, at ways {w} and {i}",
+                        l.tag.0
+                    ));
+                }
+                found => v.push(format!(
+                    "line {:#x} at way {i} is indexed at {found:?}",
+                    l.tag.0
+                )),
+            }
+        }
+        if self.index.len() != occupied {
+            v.push(format!(
+                "line index holds {} entries for {occupied} occupied lines",
+                self.index.len()
+            ));
+        }
+        v
     }
 }
 
@@ -514,6 +615,39 @@ mod tests {
         tags.sort_unstable();
         assert_eq!(tags, vec![0, 2]);
         assert_eq!(t.prefetch_lines(), 2);
+    }
+
+    #[test]
+    fn restore_rejects_misplaced_and_duplicated_lines() {
+        let mut t = arr();
+        let a = LineAddr(4); // set 0: ways 0 and 1
+        let w = t.find_victim(a, |_| true).unwrap();
+        t.reserve(w, a, Side::Demand, Cycle(1));
+        let saved = t.save_state();
+        let mut back = arr();
+        back.restore_state(&saved).unwrap();
+        assert_eq!(back.probe(a), Some(w));
+        assert!(back.audit_invariants().is_empty());
+
+        let edited = |edit: &dyn Fn(&mut Vec<Value>)| {
+            let mut v = saved.clone();
+            let Value::Obj(fields) = &mut v else {
+                unreachable!()
+            };
+            let Value::Arr(lines) = &mut fields[0].1 else {
+                unreachable!()
+            };
+            edit(lines);
+            v
+        };
+        // The reserved line moved into set 1.
+        let moved = edited(&|lines| lines.swap(w.0, 2));
+        let err = arr().restore_state(&moved).unwrap_err();
+        assert!(err.to_string().contains("outside its set"), "{err}");
+        // The reserved line copied into the other way of its set.
+        let twice = edited(&|lines| lines[w.0 ^ 1] = lines[w.0].clone());
+        let err = arr().restore_state(&twice).unwrap_err();
+        assert!(err.to_string().contains("stored twice"), "{err}");
     }
 
     #[test]

@@ -934,6 +934,14 @@ impl UnifiedL1 {
                 t.capacity()
             ));
         }
+        v.extend(t.audit_invariants());
+        if let Some(iso) = &self.isolated {
+            v.extend(
+                iso.audit_invariants()
+                    .into_iter()
+                    .map(|e| format!("side buffer: {e}")),
+            );
+        }
         v
     }
 }

@@ -307,7 +307,13 @@ impl GpuConfig {
     /// Returns a [`ConfigError`] describing the first inconsistency
     /// found (e.g. a shared-memory carve-out larger than the SRAM).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.shared_mem_carveout_bytes >= self.l1.capacity_bytes {
+        // The carve-out removes ways and keeps the set count
+        // (`TagArray::from_geometry`), so it must leave a line per set.
+        let left = self
+            .l1
+            .capacity_bytes
+            .saturating_sub(self.shared_mem_carveout_bytes);
+        if left / self.l1.line_bytes < self.l1.sets() {
             return Err(ConfigError::CarveoutTooLarge {
                 carveout: self.shared_mem_carveout_bytes,
                 capacity: self.l1.capacity_bytes,
@@ -380,7 +386,8 @@ impl Default for GpuConfig {
 /// Error returned by [`GpuConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The shared-memory carve-out does not leave any cache space.
+    /// The shared-memory carve-out leaves less than one cache line per
+    /// set.
     CarveoutTooLarge {
         /// Requested carve-out bytes.
         carveout: u32,
@@ -414,7 +421,8 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::CarveoutTooLarge { carveout, capacity } => write!(
                 f,
-                "shared-memory carve-out {carveout} B leaves no cache in {capacity} B SRAM"
+                "shared-memory carve-out {carveout} B leaves less than one line per set \
+                 in {capacity} B SRAM"
             ),
             ConfigError::ZeroParameter(p) => write!(f, "parameter {p} must be non-zero"),
             ConfigError::TooManyWarps { requested, limit } => write!(
@@ -479,6 +487,25 @@ mod tests {
             c.validate(),
             Err(ConfigError::CarveoutTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_carveout_leaving_fewer_lines_than_sets() {
+        let mut c = GpuConfig::scaled(1);
+        let capacity = c.l1.capacity_bytes;
+        c.shared_mem_carveout_bytes = capacity - c.l1.sets() * c.l1.line_bytes;
+        assert!(c.validate().is_ok(), "one line per set is enough");
+        // 384 B left: three lines for four sets.
+        c.shared_mem_carveout_bytes = 16_000;
+        assert_eq!((capacity - 16_000) / c.l1.line_bytes, 3);
+        assert_eq!(c.l1.sets(), 4);
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::CarveoutTooLarge {
+                carveout: 16_000,
+                capacity
+            })
+        );
     }
 
     #[test]

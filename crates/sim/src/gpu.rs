@@ -541,6 +541,9 @@ impl Gpu {
                 violations.push(format!("sm {}: {v}", sm.id().0));
             }
         }
+        for v in self.partition.audit_invariants() {
+            violations.push(format!("L2: {v}"));
+        }
         let stats = self.collect_stats();
         violations.extend(auditor.check_stats(&stats));
         if end_of_run {

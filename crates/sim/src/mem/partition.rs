@@ -356,6 +356,13 @@ impl MemoryPartition {
             && self.delayed.is_empty()
     }
 
+    /// Checks the L2 tag array's line index, returning a description
+    /// of every violated invariant (empty = healthy). Used by the
+    /// device auditor each audit window.
+    pub fn audit_invariants(&self) -> Vec<String> {
+        self.l2.audit_invariants()
+    }
+
     /// Monotone count of state-changing events (watchdog input).
     pub fn events(&self) -> u64 {
         self.events

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulator's core data structures:
-//! tag array occupancy invariants, MSHR merge bounds, and interconnect
-//! conservation/ordering.
+//! tag array occupancy invariants and line index, MSHR merge bounds,
+//! and interconnect conservation/ordering.
 
 use proptest::prelude::*;
 use snake_sim::cache::mshr::{MergeResult, MissOrigin, MshrFile};
@@ -10,80 +10,161 @@ use snake_sim::{Cycle, LineAddr, SmId, WarpId};
 
 #[derive(Debug, Clone)]
 enum TagOp {
-    /// Reserve-then-fill a line (if space allows).
-    Install { addr: u64, prefetch: bool },
+    /// Reserve a line (if space allows), filling it at once if `fill`.
+    Install {
+        key: u64,
+        prefetch: bool,
+        fill: bool,
+    },
+    /// Fill a line if it is reserved.
+    Fill { key: u64 },
     /// Touch a line if present.
-    Touch { addr: u64 },
-    /// Evict the LRU line of the set if any is evictable.
-    Evict { addr: u64 },
+    Touch { key: u64 },
+    /// Evict a line if it is valid.
+    Evict { key: u64 },
     /// Transfer a prefetch-side line to the demand side if present.
-    Transfer { addr: u64 },
+    Transfer { key: u64 },
+    /// Bulk-evict the `count` LRU valid lines of one side.
+    BulkEvict { prefetch: bool, count: u32 },
+    /// Checkpoint every line and restore into a fresh array.
+    SaveRestore,
 }
+
+/// Ops address lines `key * stride` for keys below this.
+const KEYS: u64 = 64;
 
 fn tag_op() -> impl Strategy<Value = TagOp> {
     prop_oneof![
-        (0u64..64, any::<bool>()).prop_map(|(addr, prefetch)| TagOp::Install { addr, prefetch }),
-        (0u64..64).prop_map(|addr| TagOp::Touch { addr }),
-        (0u64..64).prop_map(|addr| TagOp::Evict { addr }),
-        (0u64..64).prop_map(|addr| TagOp::Transfer { addr }),
+        3 => (0..KEYS, any::<bool>(), 0u8..4).prop_map(|(key, prefetch, f)| TagOp::Install {
+            key,
+            prefetch,
+            fill: f != 0,
+        }),
+        1 => (0..KEYS).prop_map(|key| TagOp::Fill { key }),
+        1 => (0..KEYS).prop_map(|key| TagOp::Touch { key }),
+        1 => (0..KEYS).prop_map(|key| TagOp::Evict { key }),
+        1 => (0..KEYS).prop_map(|key| TagOp::Transfer { key }),
+        1 => (any::<bool>(), 0u32..8).prop_map(|(prefetch, count)| TagOp::BulkEvict {
+            prefetch,
+            count,
+        }),
+        1 => Just(TagOp::SaveRestore),
     ]
+}
+
+fn side(prefetch: bool) -> Side {
+    if prefetch {
+        Side::Prefetch
+    } else {
+        Side::Demand
+    }
+}
+
+/// The oracle for `probe`: a linear scan of `addr`'s set, as an index
+/// into `t.lines()`.
+fn scan(t: &TagArray, ways: u32, addr: LineAddr) -> Option<usize> {
+    let sets = u64::from(t.capacity() / ways);
+    let first = (addr.0 % sets) as usize * ways as usize;
+    (first..first + ways as usize).find(|&i| {
+        let l = &t.lines()[i];
+        l.state != LineState::Invalid && l.tag == addr
+    })
+}
+
+/// `probe`'s answer as an index into `t.lines()`.
+fn probed(t: &TagArray, addr: LineAddr) -> Option<usize> {
+    let way = t.probe(addr)?;
+    t.lines().iter().position(|l| std::ptr::eq(l, t.line(way)))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn tag_array_occupancy_invariants(ops in prop::collection::vec(tag_op(), 1..200)) {
-        let mut t = TagArray::new(16, 4);
+    fn tag_array_occupancy_invariants(
+        // (lines, ways): a small L1, the 1-set side buffer, the V100 L1.
+        shape in prop::sample::select(vec![(16u32, 4u32), (32, 32), (1024, 256)]),
+        // A stride that is a multiple of every set count puts every key
+        // in set 0, and its lines differ only in high bits.
+        stride in prop::sample::select(vec![1u64, 3, 1 << 40]),
+        ops in prop::collection::vec(tag_op(), 1..200),
+    ) {
+        let (lines, ways) = shape;
+        let mut t = TagArray::new(lines, ways);
         let mut clock = 0u64;
         for op in ops {
             clock += 1;
             let now = Cycle(clock);
+            let at = |key: u64| LineAddr(key * stride);
             match op {
-                TagOp::Install { addr, prefetch } => {
-                    let a = LineAddr(addr);
+                TagOp::Install { key, prefetch, fill } => {
+                    let a = at(key);
                     if t.probe(a).is_none() {
                         if let Some(w) = t.find_victim(a, |_| true) {
                             if t.line(w).state == LineState::Valid {
                                 t.evict(w);
                             }
-                            let side = if prefetch { Side::Prefetch } else { Side::Demand };
-                            t.reserve(w, a, side, now);
+                            t.reserve(w, a, side(prefetch), now);
+                            if fill {
+                                t.fill(w, now);
+                            }
+                        }
+                    }
+                }
+                TagOp::Fill { key } => {
+                    if let Some(w) = t.probe(at(key)) {
+                        if t.line(w).state == LineState::Reserved {
                             t.fill(w, now);
                         }
                     }
                 }
-                TagOp::Touch { addr } => {
-                    if let Some(w) = t.probe(LineAddr(addr)) {
+                TagOp::Touch { key } => {
+                    if let Some(w) = t.probe(at(key)) {
                         t.touch(w, now);
                     }
                 }
-                TagOp::Evict { addr } => {
-                    let a = LineAddr(addr);
-                    if let Some(w) = t.probe(a) {
+                TagOp::Evict { key } => {
+                    if let Some(w) = t.probe(at(key)) {
                         if t.line(w).state == LineState::Valid {
                             t.evict(w);
                         }
                     }
                 }
-                TagOp::Transfer { addr } => {
-                    if let Some(w) = t.probe(LineAddr(addr)) {
+                TagOp::Transfer { key } => {
+                    if let Some(w) = t.probe(at(key)) {
                         let l = *t.line(w);
                         if l.state == LineState::Valid && l.side == Side::Prefetch {
                             t.transfer_to_demand(w, now);
                         }
                     }
                 }
+                TagOp::BulkEvict { prefetch, count } => {
+                    let evicted = t.bulk_evict_lru(side(prefetch), count);
+                    prop_assert!(evicted.len() <= count as usize);
+                }
+                TagOp::SaveRestore => {
+                    let saved = t.save_state();
+                    let mut fresh = TagArray::new(lines, ways);
+                    prop_assert!(fresh.restore_state(&saved).is_ok());
+                    prop_assert_eq!(fresh.save_state(), saved);
+                    t = fresh;
+                }
             }
             // Invariants after every operation.
             let occupied = t.capacity() - t.free_lines();
             prop_assert!(occupied <= t.capacity());
             prop_assert_eq!(t.demand_lines() + t.prefetch_lines() + t.reserved_lines(), occupied);
-            prop_assert_eq!(t.iter_valid().count() as u32, t.demand_lines() + t.prefetch_lines());
+            let valid = || t.lines().iter().filter(|l| l.state == LineState::Valid);
+            prop_assert_eq!(valid().count() as u32, t.demand_lines() + t.prefetch_lines());
             prop_assert_eq!(
-                t.iter_valid().filter(|l| l.side == Side::Prefetch).count() as u32,
+                valid().filter(|l| l.side == Side::Prefetch).count() as u32,
                 t.prefetch_lines()
             );
+            prop_assert_eq!(t.audit_invariants(), Vec::<String>::new());
+            for key in 0..KEYS {
+                let a = at(key);
+                prop_assert_eq!(probed(&t, a), scan(&t, ways, a), "line {:#x}", a.0);
+            }
         }
     }
 

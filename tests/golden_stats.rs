@@ -5,11 +5,12 @@
 //! Each run contributes one line to `tests/golden/stats_digests.txt`:
 //! the run's name, the FNV-1a hash of its `SimStats` `Debug` text, and
 //! its stop label. The matrix is every Table 2 app × {baseline, snake,
-//! snake-dt, mta} × {GTO, LRR} on `GpuConfig::scaled(2)`, plus one
+//! snake-dt, mta} × {GTO, LRR} on `GpuConfig::scaled(2)`, one
 //! `volta_v100()` row whose SMs fill all 64 warp slots under four
-//! schedulers. Regenerate with `UPDATE_GOLDEN=1 cargo test --test
-//! golden_stats` only when a change is *meant* to alter simulated
-//! behaviour.
+//! schedulers, and every app under Isolated-Snake (GTO, `scaled(2)`),
+//! whose 32-line side buffer is the one fully associative tag array.
+//! Regenerate with `UPDATE_GOLDEN=1 cargo test --test golden_stats`
+//! only when a change is *meant* to alter simulated behaviour.
 
 use snake_repro::prelude::*;
 use snake_repro::sim::snapshot::fnv1a64;
@@ -98,6 +99,16 @@ fn digests() -> String {
     let (out, peak) = run(cfg, Benchmark::Lps, &size, PrefetcherKind::Snake);
     assert_eq!(peak, slots, "the volta row must fill every warp slot");
     text.push_str(&digest_line("LPS/snake/gto/volta_v100", &out));
+
+    // Isolated-Snake keeps its prefetches in a 1-set, 32-way side
+    // buffer: the one tag-array shape the rows above never build.
+    for &app in Benchmark::all() {
+        let mut cfg = GpuConfig::scaled(2);
+        cfg.audit_window = Some(64);
+        let kind = PrefetcherKind::IsolatedSnake;
+        let (out, _) = run(cfg, app, &small(), kind);
+        text.push_str(&digest_line(&format!("{app}/{kind}/gto"), &out));
+    }
     text
 }
 
