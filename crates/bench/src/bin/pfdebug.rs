@@ -295,13 +295,24 @@ fn run() -> Result<(), CliError> {
     }
     if profile {
         match &out.host {
-            Some(host) => print!(
-                "{}",
-                perfstat::profile_table(
-                    &format!("{}/{}", bench.abbr(), kind.name()),
-                    std::slice::from_ref(host)
-                )
-            ),
+            Some(host) => {
+                print!(
+                    "{}",
+                    perfstat::profile_table(
+                        &format!("{}/{}", bench.abbr(), kind.name()),
+                        std::slice::from_ref(host)
+                    )
+                );
+                println!(
+                    "quiet: {} of {} cycles skipped ({:.1}%), {} of {} SM ticks replayed ({:.1}%)",
+                    host.skipped_cycles,
+                    host.cycles,
+                    100.0 * host.skipped_share(),
+                    host.replayed_ticks,
+                    host.sm_ticks,
+                    100.0 * host.replayed_share()
+                );
+            }
             None => eprintln!("no host profile collected"),
         }
     }

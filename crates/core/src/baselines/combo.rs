@@ -1,11 +1,11 @@
-//! Composition helpers: `Snake+CTA` (§4, comparison point 9 — the two
-//! mechanisms are orthogonal) and a placement override used to build
-//! the "decoupled versions of competitors" discussed with Fig 18.
+//! Composition: `Snake+CTA` (§4, comparison point 9 — the two
+//! mechanisms are orthogonal).
 
 use snake_sim::json::Value;
 use snake_sim::snapshot::{self, SnapshotError};
 use snake_sim::{
     AccessEvent, KernelTrace, PrefetchContext, PrefetchPlacement, PrefetchRequest, Prefetcher,
+    PrefetcherEvent,
 };
 
 /// Runs two prefetchers side by side, merging their requests
@@ -85,6 +85,15 @@ impl Prefetcher for Combined {
         self.first.trained() || self.second.trained()
     }
 
+    fn chain_depth(&self) -> u32 {
+        self.first.chain_depth().max(self.second.chain_depth())
+    }
+
+    fn drain_events(&mut self, out: &mut Vec<PrefetcherEvent>) {
+        self.first.drain_events(out);
+        self.second.drain_events(out);
+    }
+
     fn save_state(&self) -> Value {
         Value::Obj(vec![
             ("first".into(), self.first.save_state()),
@@ -95,79 +104,6 @@ impl Prefetcher for Combined {
     fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
         self.first.restore_state(snapshot::field(v, "first")?)?;
         self.second.restore_state(snapshot::field(v, "second")?)
-    }
-}
-
-/// Overrides the storage placement of an inner mechanism (e.g. a
-/// decoupled MTA).
-pub struct WithPlacement {
-    inner: Box<dyn Prefetcher>,
-    placement: PrefetchPlacement,
-    name: String,
-}
-
-impl std::fmt::Debug for WithPlacement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WithPlacement")
-            .field("name", &self.name)
-            .finish()
-    }
-}
-
-impl WithPlacement {
-    /// Wraps `inner`, storing its prefetches per `placement`. The
-    /// reported name gains a `+dec`/`+iso` suffix.
-    pub fn new(inner: Box<dyn Prefetcher>, placement: PrefetchPlacement) -> Self {
-        let suffix = match placement {
-            PrefetchPlacement::Decoupled => "+dec",
-            PrefetchPlacement::PlainL1 => "",
-            PrefetchPlacement::Isolated { .. } => "+iso",
-        };
-        let name = format!("{}{suffix}", inner.name());
-        WithPlacement {
-            inner,
-            placement,
-            name,
-        }
-    }
-}
-
-impl Prefetcher for WithPlacement {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn placement(&self) -> PrefetchPlacement {
-        self.placement
-    }
-
-    fn on_kernel_launch(&mut self, trace: &KernelTrace) {
-        self.inner.on_kernel_launch(trace);
-    }
-
-    fn on_demand_access(
-        &mut self,
-        event: &AccessEvent,
-        ctx: &PrefetchContext,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
-        self.inner.on_demand_access(event, ctx, out);
-    }
-
-    fn throttled(&self, now: snake_sim::Cycle) -> bool {
-        self.inner.throttled(now)
-    }
-
-    fn trained(&self) -> bool {
-        self.inner.trained()
-    }
-
-    fn save_state(&self) -> Value {
-        self.inner.save_state()
-    }
-
-    fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.inner.restore_state(v)
     }
 }
 
@@ -237,12 +173,40 @@ mod tests {
     }
 
     #[test]
-    fn with_placement_overrides_and_renames() {
-        let p = WithPlacement::new(
-            Box::new(crate::baselines::mta::Mta::default()),
-            PrefetchPlacement::Decoupled,
+    fn combined_forwards_snake_telemetry_and_chain_depth() {
+        let mut p = snake_cta();
+        assert_eq!(
+            p.chain_depth(),
+            Snake::new(SnakeConfig::snake()).chain_depth()
         );
-        assert_eq!(p.name(), "mta+dec");
-        assert_eq!(p.placement(), PrefetchPlacement::Decoupled);
+        let traced = PrefetchContext {
+            telemetry: true,
+            ..ctx()
+        };
+        // Train Snake's pc 10 -> pc 20 chain on three warps, then fire
+        // it from a fresh warp.
+        let mut out = Vec::new();
+        for w in 0..3u32 {
+            let base = 100_000 * u64::from(w);
+            p.on_demand_access(&ev(0, w, 10, base), &traced, &mut out);
+            p.on_demand_access(&ev(0, w, 20, base + 400), &traced, &mut out);
+            p.on_demand_access(
+                &ev(0, w, 999, base + 50_000 + u64::from(w)),
+                &traced,
+                &mut out,
+            );
+        }
+        p.on_demand_access(&ev(0, 7, 10, 1_000_000), &traced, &mut out);
+        let mut events = Vec::new();
+        p.drain_events(&mut events);
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, PrefetcherEvent::ChainWalkStart { .. })),
+            "Snake's chain walks must reach the simulator: {events:?}"
+        );
+        events.clear();
+        p.drain_events(&mut events);
+        assert!(events.is_empty(), "draining empties Snake's buffer");
     }
 }

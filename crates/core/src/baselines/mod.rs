@@ -8,7 +8,7 @@ pub mod intra_warp;
 pub mod mta;
 pub mod tree;
 
-pub use combo::{Combined, WithPlacement};
+pub use combo::Combined;
 pub use cta_aware::CtaAware;
 pub use inter_warp::InterWarp;
 pub use intra_warp::IntraWarp;

@@ -731,6 +731,23 @@ impl UnifiedL1 {
         sw.stop(&mut self.prof, Phase::Mshr);
     }
 
+    /// The earliest cycle at which [`tick_recovery`] may re-issue a
+    /// miss: the soonest timeout among entries with retries left, or
+    /// never without recovery or outstanding misses.
+    ///
+    /// [`tick_recovery`]: UnifiedL1::tick_recovery
+    pub(crate) fn recovery_due(&self) -> Cycle {
+        let Some(rec) = self.recovery else {
+            return Cycle(u64::MAX);
+        };
+        self.mshr
+            .iter()
+            .filter(|e| e.retries < rec.max_retries)
+            .map(|e| Cycle(e.last_issue.0.saturating_add(rec.timeout)))
+            .min()
+            .unwrap_or(Cycle(u64::MAX))
+    }
+
     fn tick_recovery_inner(&mut self, now: Cycle) {
         let Some(rec) = self.recovery else { return };
         if self.mshr.is_empty() {

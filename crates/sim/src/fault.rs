@@ -93,6 +93,27 @@ impl FaultPlan {
         }
     }
 
+    /// The first cycle after `now` whose bandwidth multiplier differs
+    /// from `now`'s; never when the multiplier is constant.
+    pub(crate) fn next_bandwidth_change(&self, now: Cycle) -> Cycle {
+        let never = Cycle(u64::MAX);
+        let Some(b) = self.brownout.filter(|b| b.scale < 1.0) else {
+            return never;
+        };
+        let start = now.0 - now.0 % b.period;
+        if now.0 % b.period < b.active {
+            if b.active < b.period {
+                Cycle(start + b.active)
+            } else {
+                never
+            }
+        } else if b.active > 0 {
+            Cycle(start + b.period)
+        } else {
+            never
+        }
+    }
+
     /// Checks the plan's parameters.
     ///
     /// # Errors
@@ -351,6 +372,22 @@ mod tests {
         assert_eq!(p.bandwidth_scale(Cycle(25)), 1.0);
         assert_eq!(p.bandwidth_scale(Cycle(99)), 1.0);
         assert_eq!(p.bandwidth_scale(Cycle(100)), 0.25);
+        for now in 0..250 {
+            let scale = p.bandwidth_scale(Cycle(now));
+            let next = (now + 1..).find(|&c| p.bandwidth_scale(Cycle(c)) != scale);
+            assert_eq!(p.next_bandwidth_change(Cycle(now)), Cycle(next.unwrap()));
+        }
+        let always = FaultPlan {
+            brownout: Some(Brownout {
+                period: 10,
+                active: 10,
+                scale: 0.5,
+            }),
+            ..FaultPlan::default()
+        };
+        for plan in [FaultPlan::default(), always] {
+            assert_eq!(plan.next_bandwidth_change(Cycle(7)), Cycle(u64::MAX));
+        }
     }
 
     #[test]

@@ -124,6 +124,9 @@ pub struct Gpu {
     /// suspension, added to the final segment's time in the host
     /// profile. Host-only: neither checkpointed nor fingerprinted.
     host_wall_nanos: u64,
+    /// Cycles the run loop skipped as device-quiet (host-only, like
+    /// `host_wall_nanos`; see [`Gpu::quiet_until`]).
+    skipped_cycles: u64,
     /// Live telemetry ring for per-window metric rows (and, via a
     /// [`RingSink`], trace events), attached by
     /// [`Gpu::attach_telemetry`]. With zero subscribers every push is
@@ -237,6 +240,7 @@ impl Gpu {
             prof,
             events_flushed: 0,
             host_wall_nanos: 0,
+            skipped_cycles: 0,
             tap: None,
         })
     }
@@ -429,8 +433,7 @@ impl Gpu {
             }
         }
 
-        let done =
-            self.sms.iter().all(Sm::is_done) && self.partition.is_idle() && self.noc.is_idle();
+        let done = self.drained();
         let budget_hit = self
             .cfg
             .cycle_budget
@@ -443,7 +446,7 @@ impl Gpu {
                 let progressed = issued > 0
                     || noc_moved
                     || self.partition.events() > partition_events_before
-                    || self.sms.iter().any(|sm| sm.has_busy_warp(now));
+                    || self.sms.iter().any(Sm::has_busy_warp);
                 if watchdog.observe(progressed, self.cycle) {
                     let stalled_for = watchdog.stalled_for(self.cycle);
                     self.deadlock = Some(self.deadlock_report(stalled_for));
@@ -468,6 +471,87 @@ impl Gpu {
             self.metrics = Some(metrics);
         }
         advance
+    }
+
+    /// The first cycle at or after the current one whose step must run
+    /// in full: the current cycle unless the device is quiet. On a
+    /// quiet device every SM replays an idle charge, no L1 request
+    /// waits for the interconnect, no packet arrives, the partition
+    /// only gains DRAM credit and no device trace event is pending, so
+    /// a step changes only counters that [`Gpu::run_serviced`] can
+    /// advance in bulk. The quiet stretch ends at the first SM wake,
+    /// packet arrival, partition event or brownout edge, and at the
+    /// step that closes an audit or metrics window, reaches the cycle
+    /// budget or limit, or would trip the watchdog.
+    pub fn quiet_until(&self) -> Cycle {
+        let now = self.cycle;
+        let brownout = self.cfg.fault.bandwidth_scale(now) < 1.0;
+        if !self.device_events.is_empty() || brownout != self.prev_brownout {
+            return now;
+        }
+        let mut until = Cycle(u64::MAX);
+        for sm in &self.sms {
+            match sm.idle_until() {
+                Some(wake) if !sm.has_outgoing() => until = until.min(wake),
+                _ => return now,
+            }
+        }
+        until = until
+            .min(self.noc.next_arrival())
+            .min(self.partition.next_event(now))
+            .min(self.cfg.fault.next_bandwidth_change(now));
+        for limit in [self.cfg.cycle_budget, self.cfg.max_cycles]
+            .into_iter()
+            .flatten()
+        {
+            until = until.min(Cycle(limit.0.saturating_sub(1)));
+        }
+        for every in [self.cfg.audit_window, self.cfg.metrics_window]
+            .into_iter()
+            .flatten()
+        {
+            until = until.min(window_step(now, every));
+        }
+        if let Some(watchdog) = &self.watchdog {
+            if !self.sms.iter().any(Sm::has_busy_warp) {
+                until = until.min(Cycle(watchdog.trips_at().0.saturating_sub(1)));
+            }
+        }
+        until.max(now)
+    }
+
+    /// Advances over the steps of cycles `self.cycle..to`, all before
+    /// [`Gpu::quiet_until`], in bulk: exactly what stepping them would
+    /// change, that is interconnect credit and utilization windows,
+    /// DRAM credit, the SMs' idle charges, brownout cycles and the
+    /// watchdog's progress mark. The bandwidth scale needs no update:
+    /// no brownout edge lies inside the stretch.
+    fn skip_quiet(&mut self, to: Cycle) {
+        let now = self.cycle;
+        let ticks = to.since(now);
+        if ticks == 0 {
+            return;
+        }
+        if self.prev_brownout {
+            self.brownout_cycles += ticks;
+        }
+        self.noc.skip_quiet(now, to);
+        self.partition.skip_quiet(ticks);
+        for sm in &mut self.sms {
+            sm.replay_idle(ticks, to);
+        }
+        let busy = self.sms.iter().any(Sm::has_busy_warp);
+        if let Some(watchdog) = self.watchdog.as_mut().filter(|_| busy) {
+            watchdog.observe(true, to);
+        }
+        self.skipped_cycles += ticks;
+        self.cycle = to;
+    }
+
+    /// Whether every warp retired and the memory system drained: the
+    /// end of a completed run.
+    fn drained(&self) -> bool {
+        self.sms.iter().all(Sm::is_done) && self.partition.is_idle() && self.noc.is_idle()
     }
 
     /// Gathers the cumulative/instantaneous counters a windowed-metrics
@@ -610,6 +694,11 @@ impl Gpu {
     /// `suspend` whether to stop early, returning `None` with the
     /// device paused mid-run (checkpointable via [`Gpu::checkpoint`]).
     ///
+    /// Device-quiet stretches (see [`Gpu::quiet_until`]) are skipped in
+    /// bulk, up to the next checkpoint too, with `suspend` asked about
+    /// every skipped cycle: counters, checkpoints, trace events and the
+    /// cycle a suspension lands on are those of stepping every cycle.
+    ///
     /// With profiling on, the host wall time of every call adds up, so
     /// a run suspended and then continued reports the time of all its
     /// segments.
@@ -645,7 +734,22 @@ impl Gpu {
                     on_checkpoint(self.cycle.0, bytes);
                 }
             }
-            if suspend(self.cycle) {
+            let mut until = self.quiet_until();
+            if let Some((_, every)) = checkpoint {
+                until = until.min(window_step(self.cycle, every));
+            }
+            let mut at = self.cycle;
+            let suspended = loop {
+                if suspend(at) {
+                    break true;
+                }
+                if at >= until {
+                    break false;
+                }
+                at = at.plus(1);
+            };
+            self.skip_quiet(at);
+            if suspended {
                 if let Some(t0) = t0 {
                     self.host_wall_nanos += t0.elapsed().as_nanos() as u64;
                 }
@@ -661,7 +765,7 @@ impl Gpu {
     fn finalize(&mut self, t0: Option<std::time::Instant>) -> SimOutcome {
         let stop = if let Some(report) = self.deadlock.take() {
             StopReason::Deadlock(report)
-        } else if self.sms.iter().all(Sm::is_done) {
+        } else if self.drained() {
             StopReason::Completed
         } else if let Some(budget) = self.cfg.cycle_budget.filter(|budget| self.cycle >= *budget) {
             StopReason::BudgetExceeded { budget: budget.0 }
@@ -723,7 +827,11 @@ impl Gpu {
         }
         self.noc.merge_profile(&mut prof);
         self.partition.merge_profile(&mut prof);
-        Some(prof.finish(wall_nanos, self.cycle.0, self.events_flushed))
+        let mut profile = prof.finish(wall_nanos, self.cycle.0, self.events_flushed);
+        profile.skipped_cycles = self.skipped_cycles;
+        profile.replayed_ticks = self.sms.iter().map(Sm::replayed_ticks).sum();
+        profile.sm_ticks = self.cycle.0 * self.sms.len() as u64;
+        Some(profile)
     }
 
     /// Merges per-SM, interconnect, and partition statistics.
@@ -912,6 +1020,16 @@ impl Gpu {
         self.deadlock = None;
         Ok(())
     }
+}
+
+/// The cycle whose step closes the first `every`-cycle window ending
+/// after `now` (the step of cycle `c` ends with the cycle count at
+/// `c + 1`); never for `every == 0`, which no cycle count after a step
+/// is a multiple of.
+fn window_step(now: Cycle, every: u64) -> Cycle {
+    now.0.checked_div(every).map_or(Cycle(u64::MAX), |n| {
+        Cycle((n + 1).saturating_mul(every) - 1)
+    })
 }
 
 /// A typed error from building or running a simulation.
@@ -1123,6 +1241,30 @@ mod tests {
         let out = run_kernel(cfg, simple_kernel(1, 2), |_| Box::new(NullPrefetcher)).unwrap();
         assert_eq!(out.stop, StopReason::Completed);
         assert!(out.stop.is_complete());
+    }
+
+    #[test]
+    fn completion_needs_the_memory_system_drained() {
+        // Every fill arrives twice, so the warp retires while the
+        // duplicate is still on its way: a budget that ends the run
+        // then truncates it, and the drain audit must not run.
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.fault.duplicate_response = 1.0;
+        cfg.audit_window = Some(1_000);
+        let kernel = simple_kernel(1, 1);
+        let run =
+            |cfg: GpuConfig| run_kernel(cfg, kernel.clone(), |_| Box::new(NullPrefetcher)).unwrap();
+        let drained = run(cfg.clone()).stats.cycles;
+        for budget in drained - 10..=drained {
+            let mut cfg = cfg.clone();
+            cfg.cycle_budget = Some(Cycle(budget));
+            let stop = run(cfg).stop;
+            assert_eq!(
+                stop.is_complete(),
+                budget == drained,
+                "budget {budget}: {stop:?}"
+            );
+        }
     }
 
     #[test]

@@ -246,6 +246,51 @@ impl Interconnect {
         sw.stop(&mut self.prof, Phase::Noc);
     }
 
+    /// Runs [`begin_cycle`](Interconnect::begin_cycle) for every cycle
+    /// of `from..to` in bulk. Only valid over cycles in which nothing
+    /// is sent or delivered and the bandwidth scale stays fixed: then
+    /// credit refills toward one cycle's budget, and every utilization
+    /// window rolled after the first one measures no traffic.
+    pub(crate) fn skip_quiet(&mut self, from: Cycle, to: Cycle) {
+        let sw = Stopwatch::start(self.prof.is_some());
+        let k = to.since(from);
+        for (credit, budget) in [
+            (&mut self.up.credit, self.up.effective_budget),
+            (&mut self.down.credit, self.down.effective_budget),
+        ] {
+            let b = budget as i64;
+            *credit = credit.saturating_add(b.saturating_mul(k as i64)).min(b);
+        }
+        self.cycles += k;
+        let per_cycle = self.up.effective_budget + self.down.effective_budget;
+        // `begin_cycle(from - 1)` left `from - window_start <= window`.
+        let first_roll = self.window_start.plus(self.window);
+        if first_roll < to {
+            let capacity = self.window_capacity + first_roll.since(from) * per_cycle;
+            self.last_window_utilization =
+                (self.up.window_bytes + self.down.window_bytes) as f64 / capacity.max(1) as f64;
+            self.up.window_bytes = 0;
+            self.down.window_bytes = 0;
+            let last_roll = first_roll.plus((to.0 - 1 - first_roll.0) / self.window * self.window);
+            if last_roll > first_roll {
+                self.last_window_utilization = 0.0;
+            }
+            self.window_start = last_roll;
+            self.window_capacity = to.since(last_roll) * per_cycle;
+        } else {
+            self.window_capacity += k * per_cycle;
+        }
+        sw.stop(&mut self.prof, Phase::Noc);
+    }
+
+    /// The cycle the next in-flight packet arrives, in either
+    /// direction; never when nothing is in flight.
+    pub(crate) fn next_arrival(&self) -> Cycle {
+        let up = self.up.in_flight.front().map(|(ready, _)| *ready);
+        let down = self.down.in_flight.front().map(|(ready, _)| *ready);
+        up.into_iter().chain(down).min().unwrap_or(Cycle(u64::MAX))
+    }
+
     /// Utilization (both directions) measured over the last completed
     /// window, in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
@@ -527,6 +572,30 @@ mod tests {
         }
         assert!((healthy.utilization() - 0.25).abs() < 1e-9);
         assert!((browned.utilization() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn skip_quiet_matches_beginning_every_cycle() {
+        for window in [1u32, 3, 16] {
+            for len in [1u64, 2, 3, 5, 17, 40] {
+                let mut stepped = Interconnect::new(64, 2, window);
+                stepped.set_bandwidth_scale(0.5);
+                for cy in 0..7 {
+                    stepped.begin_cycle(Cycle(cy));
+                    stepped.try_send_up(pkt(cy), 48, Cycle(cy));
+                }
+                let mut skipped = stepped.clone();
+                for cy in 7..7 + len {
+                    stepped.begin_cycle(Cycle(cy));
+                }
+                skipped.skip_quiet(Cycle(7), Cycle(7 + len));
+                assert_eq!(
+                    skipped.save_state(),
+                    stepped.save_state(),
+                    "window {window}, {len} cycles"
+                );
+            }
+        }
     }
 
     #[test]

@@ -65,7 +65,9 @@ pub struct MemoryPartition {
     dram_queue: VecDeque<PendingRead>,
     /// DRAM reads in flight (ready_cycle ordered FIFO: fixed latency).
     dram_pipe: VecDeque<(Cycle, PendingRead)>,
-    /// Requesters merged onto an outstanding DRAM read per line.
+    /// Every line with a DRAM read queued or in flight, with the
+    /// requesters merged onto that read (empty until one merges): the
+    /// O(1) merge check for each L2 request.
     dram_merges: HashMap<LineAddr, Vec<SmId>>,
     /// Responses ready to go back over the interconnect.
     outbox: VecDeque<DownPacket>,
@@ -208,16 +210,64 @@ impl MemoryPartition {
     /// Advances the partition by one cycle.
     pub fn tick(&mut self, now: Cycle) {
         let sw = Stopwatch::start(self.prof.is_some());
-        if self.inject_stall_ns > 0 {
-            // Perf-gate test hook: burn host time without touching any
-            // simulated state. Busy-wait because OS sleep granularity
-            // (~1 ms on some platforms) is far too coarse per tick.
+        self.inject_stall(1);
+        self.tick_inner(now);
+        sw.stop(&mut self.prof, Phase::MemPartition);
+    }
+
+    /// Perf-gate test hook: burns `ticks` ticks' worth of
+    /// [`GpuConfig::perf_inject_stall_ns`] without touching any
+    /// simulated state. Busy-waits because OS sleep granularity (~1 ms
+    /// on some platforms) is far too coarse per tick.
+    fn inject_stall(&self, ticks: u64) {
+        let nanos = self.inject_stall_ns.saturating_mul(ticks);
+        if nanos > 0 {
             let t0 = std::time::Instant::now();
-            while (t0.elapsed().as_nanos() as u64) < self.inject_stall_ns {
+            while (t0.elapsed().as_nanos() as u64) < nanos {
                 std::hint::spin_loop();
             }
         }
-        self.tick_inner(now);
+    }
+
+    /// The first cycle at or after `now` whose tick does more than
+    /// gain DRAM credit: a delayed, DRAM or L2-hit response comes due,
+    /// or the credit covers a queued DRAM read. `now` itself while a
+    /// request waits for a bank or a response for the interconnect.
+    pub(crate) fn next_event(&self, now: Cycle) -> Cycle {
+        if !self.incoming.is_empty() || !self.outbox.is_empty() {
+            return now;
+        }
+        let mut next = [
+            self.delayed.front().map(|(ready, _)| *ready),
+            self.dram_pipe.front().map(|(ready, _)| *ready),
+            self.hit_pipe.front().map(|(ready, _)| *ready),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .unwrap_or(Cycle(u64::MAX));
+        let (line, rate) = (u64::from(self.line_bytes), self.dram_bytes_per_cycle);
+        if !self.dram_queue.is_empty() && rate > 0 && rate * 8 >= line {
+            // The tick at cycle `now + j - 1` raises the credit to
+            // `min(credit + j * rate, 8 * rate)`.
+            let j = line.saturating_sub(self.dram_credit).div_ceil(rate).max(1);
+            next = next.min(now.plus(j - 1));
+        }
+        next
+    }
+
+    /// Runs `ticks` ticks in bulk that, by [`next_event`], only gain
+    /// DRAM credit.
+    ///
+    /// [`next_event`]: MemoryPartition::next_event
+    pub(crate) fn skip_quiet(&mut self, ticks: u64) {
+        let sw = Stopwatch::start(self.prof.is_some());
+        self.inject_stall(ticks);
+        let rate = self.dram_bytes_per_cycle;
+        self.dram_credit = self
+            .dram_credit
+            .saturating_add(rate.saturating_mul(ticks))
+            .min(rate * 8);
         sw.stop(&mut self.prof, Phase::MemPartition);
     }
 
@@ -291,11 +341,8 @@ impl MemoryPartition {
 
     fn service(&mut self, req: PendingRead, now: Cycle) {
         // Merge with an outstanding DRAM read for the same line.
-        if self.dram_merges.contains_key(&req.line)
-            || self.dram_pipe.iter().any(|(_, r)| r.line == req.line)
-            || self.dram_queue.iter().any(|r| r.line == req.line)
-        {
-            self.dram_merges.entry(req.line).or_default().push(req.sm);
+        if let Some(readers) = self.dram_merges.get_mut(&req.line) {
+            readers.push(req.sm);
             // Merged requests still count as L2 misses (they need DRAM).
             self.stats.l2_misses += 1;
             return;
@@ -314,6 +361,7 @@ impl MemoryPartition {
             }
             _ => {
                 self.stats.l2_misses += 1;
+                self.dram_merges.insert(req.line, Vec::new());
                 self.dram_queue.push_back(req);
             }
         }
@@ -356,11 +404,30 @@ impl MemoryPartition {
             && self.delayed.is_empty()
     }
 
-    /// Checks the L2 tag array's line index, returning a description
-    /// of every violated invariant (empty = healthy). Used by the
-    /// device auditor each audit window.
+    /// Checks the L2 tag array's line index and that the DRAM merge
+    /// table holds exactly the lines with a DRAM read queued or in
+    /// flight, returning a description of every violated invariant
+    /// (empty = healthy). Used by the device auditor each audit window.
     pub fn audit_invariants(&self) -> Vec<String> {
-        self.l2.audit_invariants()
+        let mut v = self.l2.audit_invariants();
+        let reads = self.dram_queue.len() + self.dram_pipe.len();
+        let mut reads_iter = self
+            .dram_queue
+            .iter()
+            .chain(self.dram_pipe.iter().map(|(_, r)| r));
+        if let Some(r) = reads_iter.find(|r| !self.dram_merges.contains_key(&r.line)) {
+            v.push(format!(
+                "DRAM read of line {:#x} has no merge entry",
+                r.line.0
+            ));
+        }
+        if self.dram_merges.len() != reads {
+            v.push(format!(
+                "{} DRAM merge entries but {reads} DRAM reads queued or in flight",
+                self.dram_merges.len()
+            ));
+        }
+        v
     }
 
     /// Monotone count of state-changing events (watchdog input).
@@ -374,12 +441,13 @@ impl MemoryPartition {
     }
 
     /// Serializes the complete partition state for a checkpoint: the
-    /// L2 tag array, every queue and pipe, DRAM merge table (sorted by
-    /// line for order-independence of the backing `HashMap`), fault
-    /// injector, and counters. Latencies, bank count, and bandwidth are
-    /// config-derived; trace and profiling attachments are
-    /// runtime-only (the trace buffer is drained every cycle, so it is
-    /// empty at a checkpoint boundary).
+    /// L2 tag array, every queue and pipe, the DRAM merges that have
+    /// readers (sorted by line for order-independence of the backing
+    /// `HashMap`; the empty entries follow from the DRAM queue and
+    /// pipe), fault injector, and counters. Latencies, bank count, and
+    /// bandwidth are config-derived; trace and profiling attachments
+    /// are runtime-only (the trace buffer is drained every cycle, so it
+    /// is empty at a checkpoint boundary).
     pub fn save_state(&self) -> Value {
         let read =
             |r: &PendingRead| Value::Arr(vec![Value::u64(u64::from(r.sm.0)), Value::u64(r.line.0)]);
@@ -399,7 +467,11 @@ impl MemoryPartition {
                 Value::u64(p.line.0),
             ])
         };
-        let mut merges: Vec<_> = self.dram_merges.iter().collect();
+        let mut merges: Vec<_> = self
+            .dram_merges
+            .iter()
+            .filter(|(_, sms)| !sms.is_empty())
+            .collect();
         merges.sort_by_key(|(line, _)| line.0);
         let merges = merges
             .into_iter()
@@ -528,6 +600,9 @@ impl MemoryPartition {
                 })
                 .ok_or_else(|| SnapshotError::malformed("partition dram_merges entry"))?;
             dram_merges.insert(line, sms);
+        }
+        for r in dram_queue.iter().chain(dram_pipe.iter().map(|(_, r)| r)) {
+            dram_merges.entry(r.line).or_default();
         }
         self.l2.restore_state(snapshot::field(v, "l2")?)?;
         self.injector
@@ -664,6 +739,54 @@ mod tests {
         p.tick(Cycle(1));
         p.tick(Cycle(2));
         assert!(p.stats.dram_reads <= 2);
+    }
+
+    #[test]
+    fn quiet_ticks_only_gain_credit_until_the_next_event() {
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.dram_bytes_per_cycle = 24; // one 128 B line per 5.3 cycles
+        cfg.l2_banks = 16;
+        let mut p = MemoryPartition::new(&cfg);
+        for i in 0..6 {
+            p.push_read(SmId(0), LineAddr(i));
+        }
+        p.push_read(SmId(1), LineAddr(3));
+        let mut now = Cycle(0);
+        let mut events = 0;
+        while !p.is_idle() {
+            let next = p.next_event(now);
+            let mut stepped = p.clone();
+            for cy in now.0..next.0 {
+                stepped.tick(Cycle(cy));
+            }
+            assert_eq!(stepped.events(), p.events(), "no event before {next:?}");
+            p.skip_quiet(next.since(now));
+            assert_eq!(p.save_state(), stepped.save_state());
+            let before = p.events();
+            p.tick(next);
+            assert!(p.events() > before, "cycle {next:?} is an event");
+            while p.pop_response().is_some() {}
+            now = next.plus(1);
+            events += 1;
+        }
+        assert!(events > 6, "reads wait for DRAM credit");
+    }
+
+    #[test]
+    fn dram_merge_table_round_trips_through_a_checkpoint() {
+        let mut p = part();
+        for (sm, line) in [(0, 1), (1, 1), (0, 2)] {
+            p.push_read(SmId(sm), LineAddr(line));
+        }
+        p.tick(Cycle(0));
+        assert_eq!(p.dram_merges.len(), 2, "one entry per DRAM read");
+        assert_eq!(p.census().merged_readers, 1);
+        let saved = p.save_state();
+        let mut restored = part();
+        restored.restore_state(&saved).expect("restore");
+        assert_eq!(restored.dram_merges, p.dram_merges);
+        assert_eq!(restored.save_state(), saved);
+        assert!(restored.audit_invariants().is_empty());
     }
 
     #[test]

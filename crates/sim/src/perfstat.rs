@@ -165,6 +165,9 @@ impl HostProfiler {
             wall_nanos,
             cycles,
             trace_events,
+            skipped_cycles: 0,
+            replayed_ticks: 0,
+            sm_ticks: 0,
             phases: self.stats,
         }
     }
@@ -219,6 +222,14 @@ pub struct HostProfile {
     pub cycles: u64,
     /// Trace events flushed to an attached sink (0 without a sink).
     pub trace_events: u64,
+    /// Cycles the run loop skipped as device-quiet instead of stepping
+    /// (see [`Gpu::quiet_until`](crate::Gpu::quiet_until)).
+    pub skipped_cycles: u64,
+    /// SM ticks that replayed an idle charge instead of picking, in
+    /// skipped cycles too (see [`Sm::tick`](crate::Sm::tick)).
+    pub replayed_ticks: u64,
+    /// Every SM tick of the run: SMs × `cycles`.
+    pub sm_ticks: u64,
     /// Per-phase accumulators, indexed in [`Phase::ALL`] order.
     phases: [PhaseStat; Phase::ALL.len()],
 }
@@ -255,6 +266,16 @@ impl HostProfile {
         }
     }
 
+    /// Share of the run's cycles skipped as device-quiet.
+    pub fn skipped_share(&self) -> f64 {
+        share(self.skipped_cycles, self.cycles)
+    }
+
+    /// Share of the run's SM ticks that replayed an idle charge.
+    pub fn replayed_share(&self) -> f64 {
+        share(self.replayed_ticks, self.sm_ticks)
+    }
+
     /// Trace events flushed per wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_nanos == 0 {
@@ -280,8 +301,20 @@ impl HostProfile {
             wall_nanos,
             cycles,
             trace_events,
+            skipped_cycles: 0,
+            replayed_ticks: 0,
+            sm_ticks: 0,
             phases,
         }
+    }
+}
+
+/// `part / whole`, 0 for an empty whole.
+fn share(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 

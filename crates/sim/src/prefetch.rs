@@ -133,6 +133,17 @@ pub enum PrefetchPlacement {
 /// candidates. All methods have defaults so trivial mechanisms stay
 /// trivial; the trait is object-safe (the simulator stores a
 /// `Box<dyn Prefetcher>`).
+///
+/// # Contract
+///
+/// [`trained`](Prefetcher::trained) may change, and
+/// [`throttled`](Prefetcher::throttled) may switch on, only inside
+/// [`on_demand_access`](Prefetcher::on_demand_access) or
+/// [`on_kernel_launch`](Prefetcher::on_kernel_launch); a throttle may
+/// switch off with time alone. An SM with nothing to issue makes no
+/// demand access, so while its prefetcher is unthrottled it replays
+/// one recorded idle tick instead of re-reading these (see
+/// [`Sm::tick`](crate::Sm::tick)).
 pub trait Prefetcher {
     /// Short mechanism name used in reports (e.g. `"snake"`, `"mta"`).
     fn name(&self) -> &str;
@@ -170,13 +181,17 @@ pub trait Prefetcher {
 
     /// Whether the mechanism is currently throttled. While throttled
     /// the L1 confines demand data to its own partition (§3.2/§3.3).
+    /// It may turn `true` only in an access or a kernel launch (see the
+    /// trait's contract).
     fn throttled(&self, now: Cycle) -> bool {
         let _ = now;
         false
     }
 
     /// Whether the training phase has completed (while training, the
-    /// decoupled L1 limits demand data to 50% of the SRAM, §3.2).
+    /// decoupled L1 limits demand data to 50% of the SRAM, §3.2). It
+    /// changes only in an access or a kernel launch (see the trait's
+    /// contract).
     fn trained(&self) -> bool {
         true
     }

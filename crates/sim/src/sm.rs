@@ -14,7 +14,7 @@ use crate::prefetch::{
 };
 use crate::scheduler::{partition_mask, Scheduler};
 use crate::snapshot::{self, SnapshotError};
-use crate::stats::{AccessOutcome, ReservationFailReason, SimStats};
+use crate::stats::{AccessOutcome, ReservationFailReason, SimStats, StallBreakdown};
 use crate::types::{CtaId, Cycle, SmId, WarpId};
 use crate::warp::{bits, WarpMasks, WarpSlot, WarpState, MAX_WARP_SLOTS};
 use crate::watchdog::{SmCensus, WarpBlock, WarpCensus};
@@ -25,6 +25,26 @@ pub(crate) struct PendingCta {
     pub cta: CtaId,
     /// Kernel trace indices of the CTA's warps.
     pub warps: Vec<usize>,
+}
+
+/// What one idle tick charged: a tick that found no ready warp, no
+/// launchable CTA, no due timeout recovery and an unthrottled
+/// prefetcher. Nothing such a tick reads changes until a busy warp's
+/// deadline or a recovery deadline comes due, a warp-state mask changes
+/// or a CTA is queued, so every tick before `wake` charges the same
+/// counters and replays this record instead of picking. Derived state:
+/// never checkpointed, dropped on restore, checked by the auditor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IdleCharge {
+    /// The first cycle whose tick must run in full again.
+    wake: Cycle,
+    /// Scheduler slots charged to `no_warp`, `mem_data`, `barrier` and
+    /// `scoreboard`, in that order (see [`Sm::idle_bucket`]).
+    slots: [u64; 4],
+    /// 1 when the tick counted an all-stall cycle.
+    all_stall: u64,
+    /// 1 when that all-stall cycle was a memory stall.
+    all_stall_mem: u64,
 }
 
 /// One streaming multiprocessor.
@@ -66,6 +86,12 @@ pub struct Sm {
     /// Throttle state at the last tick (edge detection for
     /// [`SimEvent::ThrottleHalt`]/[`SimEvent::ThrottleResume`]).
     prev_throttled: bool,
+    /// The charge later ticks replay while nothing changes (see
+    /// [`IdleCharge`]).
+    idle: Option<IdleCharge>,
+    /// Ticks that replayed `idle` instead of picking. Host-only: never
+    /// checkpointed, reported in the host profile.
+    replayed_ticks: u64,
 }
 
 impl std::fmt::Debug for Sm {
@@ -125,6 +151,8 @@ impl Sm {
             pf_events: Vec::new(),
             prof: None,
             prev_throttled: false,
+            idle: None,
+            replayed_ticks: 0,
         }
     }
 
@@ -190,6 +218,7 @@ impl Sm {
     /// Queues a CTA for execution on this SM.
     pub(crate) fn enqueue_cta(&mut self, cta: PendingCta) {
         self.cta_queue.push_back(cta);
+        self.idle = None;
     }
 
     /// Gives the prefetcher its pre-kernel look at the trace.
@@ -216,17 +245,24 @@ impl Sm {
         self.prefetcher.name()
     }
 
-    /// Re-derives slot `i`'s warp-state bits after a mutation.
+    /// Re-derives slot `i`'s warp-state bits after a mutation, which
+    /// ends any idle charge (a fill unstalling a warp, for one).
     fn sync(&mut self, i: usize) {
         self.masks.set(i, self.slots[i].as_ref());
+        self.idle = None;
+    }
+
+    /// Whether the front of the CTA queue fits in the free slots.
+    fn cta_launchable(&self) -> bool {
+        let free = self.all_slots & !self.masks.live;
+        self.cta_queue
+            .front()
+            .is_some_and(|cta| free.count_ones() as usize >= cta.warps.len())
     }
 
     fn try_launch_ctas(&mut self) {
-        while let Some(front) = self.cta_queue.front() {
+        while self.cta_launchable() {
             let free = self.all_slots & !self.masks.live;
-            if (free.count_ones() as usize) < front.warps.len() {
-                return;
-            }
             let cta = self.cta_queue.pop_front().expect("front checked");
             for (slot_idx, trace_idx) in bits(free).zip(cta.warps.iter().copied()) {
                 self.slots[slot_idx] = Some(WarpSlot::new(cta.cta, trace_idx, self.launch_seq));
@@ -256,6 +292,10 @@ impl Sm {
     /// from each scheduler, account stalls, sync prefetcher state.
     /// Returns the number of instructions issued.
     ///
+    /// A tick that finds nothing to do records an idle charge, and
+    /// the ticks after it replay that charge until its wake cycle
+    /// instead of picking: same counters, a few adds.
+    ///
     /// `noc_backpressured` reports whether the interconnect refused
     /// injections *last* cycle (the SMs tick before this cycle's
     /// injection loop) — it reattributes `MissQueueFull` rejections to
@@ -268,6 +308,13 @@ impl Sm {
         noc_utilization: f64,
         noc_backpressured: bool,
     ) -> u32 {
+        if let Some(charge) = self.idle {
+            if now < charge.wake {
+                self.replay_idle(1, now.plus(1));
+                return 0;
+            }
+            self.idle = None;
+        }
         // Phase attribution: the front-end regions below (CTA launch,
         // warp refresh, scheduler picks) are timed as `SmIssue`; the
         // L1 and prefetcher calls nested in `issue()` time themselves
@@ -279,6 +326,8 @@ impl Sm {
         let sw = Stopwatch::start(self.prof.is_some());
         self.refresh_busy(now);
         sw.stop(&mut self.prof, Phase::SmIssue);
+        // No scheduler can pick: this tick charges only idle buckets.
+        let idle = self.masks.ready == 0;
 
         let n_sched = self.schedulers.len();
         let mut issued = 0u32;
@@ -330,19 +379,9 @@ impl Sm {
                 }
             } else {
                 // Nothing issuable in this scheduler's slot partition,
-                // so none of its warps is ready: attribute the idle slot
-                // to what its warps are doing, memory stalls outranking
-                // memory-entered busy latency outranking compute.
-                let bucket = if self.masks.live & part == 0 {
-                    &mut self.stats.stall.no_warp
-                } else if self.masks.memory_stalled() & part != 0 {
-                    &mut self.stats.stall.mem_data
-                } else if self.masks.busy_mem & part != 0 {
-                    &mut self.stats.stall.barrier
-                } else {
-                    &mut self.stats.stall.scoreboard
-                };
-                *bucket += 1;
+                // so none of its warps is ready.
+                let bucket = self.idle_bucket(part);
+                *stall_bucket(&mut self.stats.stall, bucket) += 1;
             }
             self.schedulers[sid] = sched;
         }
@@ -383,7 +422,73 @@ impl Sm {
             self.stats.prefetch.throttled_cycles += 1;
         }
         sw.stop(&mut self.prof, Phase::Prefetch);
+        // An unthrottled mechanism stays unthrottled, and its training
+        // fixed, until its next access (the `Prefetcher` contract), so
+        // only the busy-warp and recovery deadlines end the charge.
+        if idle && !throttled {
+            let wake = self.masks.next_wake.min(self.l1.recovery_due());
+            if wake > now {
+                self.idle = Some(self.idle_charge(wake));
+            }
+        }
         issued
+    }
+
+    /// The bucket an idle scheduler slot over partition `part` is
+    /// charged to, as an index into [`IdleCharge::slots`]: what its
+    /// warps are doing, memory stalls outranking memory-entered busy
+    /// latency outranking compute.
+    fn idle_bucket(&self, part: u64) -> usize {
+        if self.masks.live & part == 0 {
+            0
+        } else if self.masks.memory_stalled() & part != 0 {
+            1
+        } else if self.masks.busy_mem & part != 0 {
+            2
+        } else {
+            3
+        }
+    }
+
+    /// What an idle tick charges under the current warp masks.
+    fn idle_charge(&self, wake: Cycle) -> IdleCharge {
+        let mut slots = [0; 4];
+        for &part in &self.partitions {
+            slots[self.idle_bucket(part)] += 1;
+        }
+        let live = self.masks.live;
+        IdleCharge {
+            wake,
+            slots,
+            all_stall: u64::from(live != 0),
+            all_stall_mem: u64::from(live != 0 && live & !self.masks.memory_stalled() == 0),
+        }
+    }
+
+    /// Charges `ticks` idle ticks from the held [`IdleCharge`], the last
+    /// of them at cycle `end - 1`: what that many full ticks would add.
+    pub(crate) fn replay_idle(&mut self, ticks: u64, end: Cycle) {
+        let charge = self.idle.expect("replaying needs an idle charge");
+        let stall = &mut self.stats.stall;
+        for (bucket, n) in charge.slots.into_iter().enumerate() {
+            *stall_bucket(stall, bucket) += n * ticks;
+        }
+        stall.scheduler_cycles += self.schedulers.len() as u64 * ticks;
+        self.stats.all_stall_cycles += charge.all_stall * ticks;
+        self.stats.all_stall_mem_cycles += charge.all_stall_mem * ticks;
+        self.stats.cycles = end.0;
+        self.replayed_ticks += ticks;
+    }
+
+    /// The first cycle whose tick runs in full, when this SM holds an
+    /// idle charge its ticks before then replay (see [`Sm::tick`]).
+    pub(crate) fn idle_until(&self) -> Option<Cycle> {
+        self.idle.map(|charge| charge.wake)
+    }
+
+    /// Ticks that replayed an idle charge instead of picking (host-only).
+    pub(crate) fn replayed_ticks(&self) -> u64 {
+        self.replayed_ticks
     }
 
     /// Issues from `slot_idx`. Returns `true` if a *new* instruction
@@ -644,15 +749,13 @@ impl Sm {
         self.stats.instructions
     }
 
-    /// Whether any resident warp is absorbing a fixed latency that ends
-    /// after `now` — guaranteed future progress the watchdog must not
-    /// mistake for a wedge.
-    pub fn has_busy_warp(&self, now: Cycle) -> bool {
-        bits(self.masks.busy).any(|i| {
-            self.slots[i]
-                .as_ref()
-                .is_some_and(|s| matches!(s.state, WarpState::Busy(until) if until > now))
-        })
+    /// Whether any resident warp is absorbing a fixed latency —
+    /// guaranteed future progress the watchdog must not mistake for a
+    /// wedge. Between ticks every busy warp's deadline lies ahead: a
+    /// full tick turns the due ones ready, and a replayed tick comes
+    /// before the earliest deadline (audit-checked).
+    pub fn has_busy_warp(&self) -> bool {
+        self.masks.busy != 0
     }
 
     /// Snapshot of this SM's blocked state for a
@@ -789,6 +892,7 @@ impl Sm {
             .restore_state(snapshot::field(v, "prefetcher")?)?;
         self.stats.restore_state(snapshot::field(v, "stats")?)?;
         self.masks = WarpMasks::from_slots(&slots);
+        self.idle = None;
         self.slots = slots;
         self.cta_queue = cta_queue;
         self.launch_seq = snapshot::u64_field(v, "launch_seq")?;
@@ -845,6 +949,146 @@ impl Sm {
                 have.next_wake.0, want.next_wake.0
             ));
         }
+        // The last tick ran at cycle `stats.cycles - 1`; it left no busy
+        // deadline due, which is what lets the watchdog read the mask.
+        if self.stats.cycles > 0 && want.next_wake.0 < self.stats.cycles {
+            violations.push(format!(
+                "a warp is still busy until cycle {} after the tick at cycle {}",
+                want.next_wake.0,
+                self.stats.cycles - 1
+            ));
+        }
+        if let Some(charge) = self.idle {
+            violations.extend(self.audit_idle_charge(charge, &want));
+        }
         violations
+    }
+
+    /// Checks a held idle charge against what a full tick would do now:
+    /// pick nothing, launch nothing, recover nothing, stay unthrottled,
+    /// and charge exactly the recorded buckets until the wake cycle.
+    fn audit_idle_charge(&self, charge: IdleCharge, masks: &WarpMasks) -> Vec<String> {
+        let mut v = Vec::new();
+        if masks.ready != 0 {
+            v.push(format!(
+                "idle charge held with ready warps {:#018x}",
+                masks.ready
+            ));
+        }
+        if self.cta_launchable() {
+            v.push("idle charge held with a launchable CTA".to_string());
+        }
+        if self.prev_throttled {
+            v.push("idle charge held by a throttled SM".to_string());
+        }
+        let due = masks.next_wake.min(self.l1.recovery_due());
+        if charge.wake > due {
+            v.push(format!(
+                "idle charge wakes at cycle {} but a deadline is due at cycle {}",
+                charge.wake.0, due.0
+            ));
+        }
+        let want = self.idle_charge(charge.wake);
+        if charge != want {
+            v.push(format!(
+                "idle charge {charge:?} but the warp masks charge {want:?}"
+            ));
+        }
+        v
+    }
+}
+
+/// The [`StallBreakdown`] counter of idle bucket `bucket` (see
+/// [`Sm::idle_bucket`]).
+fn stall_bucket(stall: &mut StallBreakdown, bucket: usize) -> &mut u64 {
+    match bucket {
+        0 => &mut stall.no_warp,
+        1 => &mut stall.mem_data,
+        2 => &mut stall.barrier,
+        _ => &mut stall.scoreboard,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel::WarpTrace;
+    use crate::prefetch::NullPrefetcher;
+    use crate::types::LineAddr;
+
+    /// One SM holding one warp that issues a load, then waits on it.
+    fn waiting_sm() -> (Sm, KernelTrace) {
+        let kernel = KernelTrace::new(
+            "wait",
+            vec![WarpTrace::new(
+                CtaId(0),
+                vec![Instr::load(0u32, 0u64), Instr::compute(1)],
+            )],
+        );
+        let mut sm = Sm::new(&GpuConfig::scaled(1), SmId(0), Box::new(NullPrefetcher));
+        sm.enqueue_cta(PendingCta {
+            cta: CtaId(0),
+            warps: vec![0],
+        });
+        assert_eq!(sm.tick(&kernel, Cycle(0), 0.0, false), 1, "the load issues");
+        assert_eq!(sm.idle_until(), None, "an issuing tick records no charge");
+        (sm, kernel)
+    }
+
+    #[test]
+    fn idle_ticks_replay_exactly_what_a_full_tick_charged() {
+        let (mut sm, kernel) = waiting_sm();
+        let before = sm.stats;
+        assert_eq!(sm.tick(&kernel, Cycle(1), 0.0, false), 0);
+        assert_eq!(
+            sm.idle_until(),
+            Some(Cycle(u64::MAX)),
+            "no deadline to wake at"
+        );
+        let full = sm.stats;
+        assert_eq!(sm.tick(&kernel, Cycle(2), 0.0, false), 0);
+        assert_eq!(sm.replayed_ticks(), 1);
+        let replayed = sm.stats;
+        let delta = |a: &SimStats, b: &SimStats| {
+            (
+                b.stall.no_warp - a.stall.no_warp,
+                b.stall.mem_data - a.stall.mem_data,
+                b.stall.scheduler_cycles - a.stall.scheduler_cycles,
+                b.all_stall_cycles - a.all_stall_cycles,
+                b.all_stall_mem_cycles - a.all_stall_mem_cycles,
+                b.cycles - a.cycles,
+            )
+        };
+        assert_eq!(delta(&before, &full), delta(&full, &replayed));
+        assert!(
+            sm.audit_invariants().is_empty(),
+            "{:?}",
+            sm.audit_invariants()
+        );
+
+        // The fill unstalls the warp, which ends the charge.
+        sm.deliver_fill(LineAddr(0), Cycle(3));
+        assert_eq!(sm.idle_until(), None);
+        assert_eq!(sm.tick(&kernel, Cycle(3), 0.0, false), 1);
+    }
+
+    #[test]
+    fn audit_flags_a_stale_idle_charge() {
+        let (mut sm, kernel) = waiting_sm();
+        sm.tick(&kernel, Cycle(1), 0.0, false);
+        assert!(sm.idle_until().is_some());
+        // Make the warp ready behind the charge's back.
+        let slot = sm.slots[0].as_mut().expect("resident warp");
+        slot.state = WarpState::Ready;
+        slot.outstanding = 0;
+        let slot = sm.slots[0].clone();
+        sm.masks.set(0, slot.as_ref());
+        let violations = sm.audit_invariants();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("idle charge held with ready warps")),
+            "{violations:?}"
+        );
     }
 }

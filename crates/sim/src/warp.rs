@@ -205,13 +205,15 @@ impl WarpSlot {
     }
 
     /// Called when the current memory instruction's transactions are
-    /// all accepted: block on responses or absorb the hit latency.
+    /// all accepted: block on responses or absorb the hit latency (at
+    /// least one cycle, like compute, so a busy deadline always lies
+    /// past the tick that set it).
     pub fn settle_mem_instr(&mut self, now: Cycle, hit_latency: u32) {
         debug_assert!(self.pending.is_empty());
         if self.outstanding > 0 {
             self.state = WarpState::Waiting;
         } else {
-            self.state = WarpState::Busy(now.plus(u64::from(hit_latency)));
+            self.state = WarpState::Busy(now.plus(u64::from(hit_latency).max(1)));
             self.busy_mem = true;
         }
     }

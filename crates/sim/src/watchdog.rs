@@ -51,6 +51,11 @@ impl Watchdog {
         now.since(self.last_progress) >= self.threshold
     }
 
+    /// The cycle count at which a run with no further progress trips.
+    pub(crate) fn trips_at(&self) -> Cycle {
+        Cycle(self.last_progress.0.saturating_add(self.threshold))
+    }
+
     /// Cycles since the last observed progress.
     pub fn stalled_for(&self, now: Cycle) -> u64 {
         now.since(self.last_progress)
@@ -226,6 +231,7 @@ mod tests {
     fn watchdog_trips_only_after_threshold_quiet_cycles() {
         let mut w = Watchdog::new(3);
         assert!(!w.observe(true, Cycle(0)));
+        assert_eq!(w.trips_at(), Cycle(3));
         assert!(!w.observe(false, Cycle(1)));
         assert!(!w.observe(false, Cycle(2)));
         assert!(w.observe(false, Cycle(3)), "3 quiet cycles = threshold");

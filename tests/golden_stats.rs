@@ -11,6 +11,10 @@
 //! whose 32-line side buffer is the one fully associative tag array.
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test golden_stats`
 //! only when a change is *meant* to alter simulated behaviour.
+//!
+//! Every row runs twice: suspended after every cycle, which steps each
+//! cycle, and through plain `Gpu::run`, which skips device-quiet
+//! stretches in bulk. Both must give the pinned digest.
 
 use snake_repro::prelude::*;
 use snake_repro::sim::snapshot::fnv1a64;
@@ -39,7 +43,8 @@ fn policy_label(policy: SchedulerPolicy) -> &'static str {
 }
 
 /// Runs `app` under `kind` and returns the outcome plus the largest
-/// number of warps any single SM held at a cycle boundary.
+/// number of warps any single SM held at a cycle boundary. Also runs
+/// it through `Gpu::run` and checks that both drives agree.
 fn run(
     cfg: GpuConfig,
     app: Benchmark,
@@ -47,12 +52,21 @@ fn run(
     kind: PrefetcherKind,
 ) -> (SimOutcome, usize) {
     let warps = cfg.max_warps_per_sm;
-    let mut gpu = Gpu::new(cfg, app.build(size), |_| kind.build(warps)).expect("valid config");
+    let build =
+        || Gpu::new(cfg.clone(), app.build(size), |_| kind.build(warps)).expect("valid config");
+    let whole = build().run();
+    let mut gpu = build();
     let mut peak = 0;
-    // Suspending after every cycle steps exactly like `Gpu::run` while
-    // letting the occupancy be sampled between steps.
+    // Suspending after every cycle steps every cycle (the run loop
+    // asks before it could skip one) while letting the occupancy be
+    // sampled between steps.
     loop {
         if let Some(out) = gpu.run_interruptible(|_| true) {
+            assert_eq!(
+                digest_line("stepped", &out),
+                digest_line("stepped", &whole),
+                "{app}/{kind}: Gpu::run disagrees with stepping every cycle"
+            );
             return (out, peak);
         }
         let resident = gpu.sms().iter().map(|sm| sm.active_warps()).max();

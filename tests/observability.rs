@@ -232,6 +232,32 @@ fn windowed_metrics_capture_throttle_transitions() {
 /// Budget truncation is visible at every observability layer: the
 /// structured stop reason, the terminal trace event, and the windowed
 /// metrics exports (CSV trailer + timeline banner).
+/// `snake+cta` runs Snake inside a combination: its chain walks and
+/// chain depth must reach the trace and the windowed metrics as
+/// plain Snake's do.
+#[test]
+fn snake_cta_reports_snakes_chain_walks_and_depth() {
+    let mut cfg = GpuConfig::scaled(1);
+    cfg.metrics_window = Some(500);
+    let size = WorkloadSize {
+        warps_per_cta: 4,
+        ctas: 2,
+        iters: 48,
+        seed: 0xC0FFEE,
+    };
+    for kind in [PrefetcherKind::Snake, PrefetcherKind::SnakeCta] {
+        let (out, events) = traced_run(cfg.clone(), Benchmark::Lps.build(&size), kind);
+        let walks = events
+            .iter()
+            .filter(|e| matches!(e.data, SimEvent::ChainWalkStart { .. }))
+            .count();
+        assert!(walks > 0, "{kind} emitted no chain walks");
+        let series = out.series.expect("metrics window set");
+        let depth = series.samples.iter().map(|s| s.chain_depth).max();
+        assert!(depth > Some(0), "{kind} reported no chain depth");
+    }
+}
+
 #[test]
 fn budget_truncation_is_observable_end_to_end() {
     let mut cfg = GpuConfig::scaled(1);

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use snake_repro::prelude::*;
-use snake_repro::sim::{CtaId, StopReason};
+use snake_repro::sim::{Brownout, CtaId, Cycle, Recovery, StopReason};
 
 #[derive(Debug, Clone, Copy)]
 enum GenInstr {
@@ -85,6 +85,53 @@ proptest! {
         let text = trace_io::to_text(&k);
         let parsed = trace_io::from_text(&text).expect("serializer output must parse");
         prop_assert_eq!(parsed, k);
+    }
+
+    /// `Gpu::run` skips device-quiet stretches in bulk; stepping every
+    /// cycle is the reference it must match, faults, windows, watchdog
+    /// and budget included, and a suspension at any cycle must leave
+    /// the stepped device's checkpoint bytes.
+    #[test]
+    fn skipping_quiet_cycles_matches_stepping(
+        k in kernel(),
+        seed in 0u64..1000,
+        period in 50u64..400,
+        window in 16u64..200,
+        budget in 200u64..3000,
+        pause in 1u64..3000,
+    ) {
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.fault.seed = seed;
+        cfg.fault.drop_response = 0.05;
+        cfg.fault.delay_response = 0.1;
+        cfg.fault.delay_cycles = 90;
+        cfg.fault.brownout = Some(Brownout { period, active: period / 3, scale: 0.25 });
+        cfg.fault.recovery = Some(Recovery { timeout: 300, max_retries: 4 });
+        cfg.audit_window = Some(window);
+        cfg.metrics_window = Some(window + 7);
+        cfg.watchdog_cycles = Some(400 + window);
+        cfg.cycle_budget = Some(Cycle(budget));
+        let warps = cfg.max_warps_per_sm;
+        let state = |gpu: &Gpu| gpu.checkpoint().to_json().to_string();
+        for kind in [PrefetcherKind::Baseline, PrefetcherKind::Snake] {
+            let build = || Gpu::new(cfg.clone(), k.clone(), |_| kind.build(warps)).expect("valid");
+            let (mut skipping, mut stepped) = (build(), build());
+            let mut more = true;
+            while more && stepped.cycle().0 < pause {
+                more = stepped.step();
+            }
+            let out = match skipping.run_interruptible(|c| c.0 == pause) {
+                Some(out) => out,
+                None => {
+                    prop_assert_eq!(skipping.cycle().0, pause);
+                    prop_assert!(state(&skipping) == state(&stepped), "{} at {}", kind, pause);
+                    skipping.run()
+                }
+            };
+            while more && stepped.step() {}
+            prop_assert_eq!(&out.stats, &stepped.collect_stats(), "{}", kind);
+            prop_assert_eq!(out.stop.label() == "deadlock", stepped.deadlock_info().is_some());
+        }
     }
 
     #[test]
