@@ -20,6 +20,7 @@ use std::time::Duration;
 
 use snake_bench::cli::{self, CliError};
 use snake_bench::figures::{self, EvalMatrix};
+use snake_bench::jsonl_log::LogError;
 use snake_bench::perfstat::{self, CompareConfig, PerfReport};
 use snake_bench::report::Table;
 use snake_bench::supervise::{self, SweepConfig, SweepError};
@@ -580,9 +581,7 @@ fn run_perf(opts: PerfOpts) -> Result<i32, CliError> {
 fn sweep_error_to_cli(e: SweepError) -> CliError {
     match e {
         SweepError::Sim(e) => CliError::from(e),
-        SweepError::Manifest(supervise::manifest::ManifestError::Io { path, source }) => {
-            CliError::Io { path, source }
-        }
+        SweepError::Manifest(LogError::Io { path, source }) => CliError::Io { path, source },
         other => CliError::BadArg {
             what: "manifest",
             why: other.to_string(),

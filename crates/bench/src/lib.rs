@@ -21,6 +21,7 @@
 
 pub mod cli;
 pub mod figures;
+pub mod jsonl_log;
 pub mod perfstat;
 pub mod report;
 pub mod runner;

@@ -51,6 +51,7 @@ use super::protocol::{
     done_line, err_line, err_line_coded, ok_line, progress_line, record_line, stream_end_line,
     stream_line, Request, SubmitSpec,
 };
+use crate::jsonl_log::LogError;
 use crate::runner::Harness;
 use crate::supervise::{
     campaign, run_supervised, ExecContext, JobExecutor, JobOutcome, JobRecord, JobSpec, Progress,
@@ -371,20 +372,11 @@ pub fn serve(opts: &DaemonOptions) -> io::Result<DaemonHandle> {
     };
     let journal = match &opts.state_log {
         Some(path) => {
-            // Replay only regular files: a device node (/dev/null,
-            // /dev/full) has no replayable history — and reading one
-            // could block forever.
-            let recovered = if std::fs::metadata(path)
-                .map(|m| m.is_file())
-                .unwrap_or(false)
-            {
-                let events = journal::load(path)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                journal::recover(&events)
-            } else {
-                journal::Recovered::default()
-            };
-            let j = Journal::open_append(path)?;
+            let (events, j) = Journal::open(path).map_err(|e| match e {
+                LogError::Io { source, .. } => source,
+                malformed => io::Error::new(io::ErrorKind::InvalidData, malformed.to_string()),
+            })?;
+            let recovered = journal::recover(&events);
             registry.next_id = recovered.next_id.max(1);
             for job in recovered.jobs {
                 restore_job(&j, job, opts.checkpoint_every, opts.isolate, &mut registry);

@@ -1,10 +1,5 @@
-//! The daemon's crash-consistent state journal.
-//!
-//! Layout: headerless JSONL, one event object per line, sharing the
-//! manifest's crash-consistency rules (append + flush + `sync_data`
-//! per line; a torn final line is tolerated on load and truncated away
-//! on reopen; a malformed line *before* the tail is corruption and
-//! fails the load):
+//! The daemon's crash-consistent state journal: a headerless
+//! [`crate::jsonl_log`] log, one event object per line:
 //!
 //! ```text
 //! {"event":"submitted","id":1,"spec":{"benchmarks":"LPS","quick":true}}
@@ -29,23 +24,21 @@
 //!   (a full disk must never take down running simulations) but *never
 //!   silent*: every failed append is counted and flips the sticky
 //!   degraded flag that `status` and `health` surface;
-//! * [`load`] + [`recover`] — replay: parse the surviving lines, then
-//!   pure-functionally fold them into per-job recovered state (what to
-//!   re-queue, what was terminal, which mid-simulation checkpoints are
-//!   still live). `recover` touches no I/O, so property tests can feed
-//!   it arbitrary event interleavings.
+//! * [`Journal::open`] / [`load`] + [`recover`] — replay: read the
+//!   surviving events, then pure-functionally fold them into per-job
+//!   recovered state (what to re-queue, what was terminal, which
+//!   mid-simulation checkpoints are still live). `recover` touches no
+//!   I/O, so property tests can feed it arbitrary event interleavings.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use snake_core::json::{self, Value};
+use snake_core::json::Value;
 
 use super::protocol::SubmitSpec;
-use crate::supervise::manifest::truncate_torn_tail;
+use crate::jsonl_log::{self, Appender, Lines, LogError};
 use crate::supervise::JobRecord;
 
 /// One journal line.
@@ -221,48 +214,6 @@ impl JournalEvent {
     }
 }
 
-/// A failure reading a journal (writing never fails loudly — see
-/// [`Journal::append`]).
-#[derive(Debug)]
-pub enum JournalError {
-    /// File-system failure.
-    Io {
-        /// The journal path involved.
-        path: String,
-        /// The underlying error.
-        source: std::io::Error,
-    },
-    /// A line before the torn tail is malformed: real corruption.
-    Malformed {
-        /// The journal path involved.
-        path: String,
-        /// 1-based line number of the bad line.
-        line: usize,
-        /// What was wrong with it.
-        why: String,
-    },
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io { path, source } => write!(f, "{path}: {source}"),
-            JournalError::Malformed { path, line, why } => {
-                write!(f, "{path}:{line}: malformed journal: {why}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for JournalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            JournalError::Io { source, .. } => Some(source),
-            JournalError::Malformed { .. } => None,
-        }
-    }
-}
-
 /// Append handle on the daemon's state journal.
 ///
 /// Appends are deliberately infallible at the call site: a journal
@@ -275,47 +226,47 @@ impl std::error::Error for JournalError {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<File>,
+    log: Mutex<Appender>,
     errors: AtomicU64,
 }
 
+fn decode(lines: &Lines) -> Result<Vec<JournalEvent>, LogError> {
+    lines.decode_from(1, JournalEvent::from_json)
+}
+
 impl Journal {
-    /// Opens (or creates) the journal for appending. A torn final line
-    /// from a crashed writer is truncated away first, so a new event is
-    /// never glued onto partial bytes. Non-regular targets (`/dev/null`,
-    /// a full device node) are opened as-is — the degradation counters
-    /// then do their job.
+    /// Opens (or creates) the journal for appending and returns the
+    /// events it already holds; its torn final line, if any, is
+    /// truncated away so a new event is never glued onto partial bytes.
+    /// Non-regular targets (`/dev/null`, a full device node) have no
+    /// replayable history — reading one could block forever — so they
+    /// are opened as-is and the degradation counters do their job.
     ///
     /// # Errors
     ///
-    /// Returns the underlying [`std::io::Error`] when the file cannot
-    /// be opened or the torn tail cannot be truncated.
-    pub fn open_append(path: &Path) -> Result<Journal, std::io::Error> {
-        if std::fs::metadata(path)
-            .map(|m| m.is_file())
-            .unwrap_or(false)
-        {
-            truncate_torn_tail(path)?;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Journal {
+    /// [`LogError`] when the journal cannot be read, truncated or
+    /// opened, or holds a corrupt line (which leaves it untouched).
+    pub fn open(path: &Path) -> Result<(Vec<JournalEvent>, Journal), LogError> {
+        let (events, log) = if path.is_file() {
+            jsonl_log::open(path, "journal", decode)?
+        } else {
+            (Vec::new(), Appender::open_as_is(path)?)
+        };
+        let journal = Journal {
             path: path.to_path_buf(),
-            file: Mutex::new(file),
+            log: Mutex::new(log),
             errors: AtomicU64::new(0),
-        })
+        };
+        Ok((events, journal))
     }
 
-    /// Appends one event, making it durable (flush + `sync_data`)
-    /// before returning. On failure the event is lost but the loss is
-    /// counted — see the type-level contract.
+    /// Appends one event, making it durable before returning. On
+    /// failure the event is lost but the loss is counted — see the
+    /// type-level contract.
     pub fn append(&self, event: &JournalEvent) {
-        let mut f = self.file.lock().unwrap();
-        let attempt = (|| -> std::io::Result<()> {
-            writeln!(f, "{}", event.to_json())?;
-            f.flush()?;
-            f.sync_data()
-        })();
-        if attempt.is_err() {
+        let line = event.to_json();
+        let mut log = self.log.lock().expect("no journal append panics");
+        if log.append(&line).is_err() {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -337,43 +288,14 @@ impl Journal {
     }
 }
 
-/// Loads a journal, tolerating a torn final line (dropped — the events
-/// before it are intact and sufficient).
+/// Loads a journal without touching it, dropping a torn final line
+/// (the events before it are intact and sufficient).
 ///
 /// # Errors
 ///
-/// Returns [`JournalError`] when the file is unreadable or a line
-/// *before* the final one is malformed.
-pub fn load(path: &Path) -> Result<Vec<JournalEvent>, JournalError> {
-    let text = std::fs::read_to_string(path).map_err(|source| JournalError::Io {
-        path: path.display().to_string(),
-        source,
-    })?;
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .collect();
-    let last = lines.len();
-    let mut events = Vec::with_capacity(lines.len());
-    for (n, (line_no, line)) in lines.into_iter().enumerate() {
-        let parsed = json::parse(line)
-            .map_err(|e| e.to_string())
-            .and_then(|v| JournalEvent::from_json(&v));
-        match parsed {
-            Ok(ev) => events.push(ev),
-            // A bad final line is a torn append from a crash: drop it.
-            Err(_) if n + 1 == last => break,
-            Err(why) => {
-                return Err(JournalError::Malformed {
-                    path: path.display().to_string(),
-                    line: line_no + 1,
-                    why,
-                })
-            }
-        }
-    }
-    Ok(events)
+/// [`LogError`] when the file is unreadable or holds a corrupt line.
+pub fn load(path: &Path) -> Result<Vec<JournalEvent>, LogError> {
+    jsonl_log::load(path, "journal", decode)
 }
 
 /// One job reconstructed from the journal.
@@ -523,6 +445,9 @@ pub fn recover(events: &[JournalEvent]) -> Recovered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snake_core::json;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn ev_roundtrip(ev: JournalEvent) {
         let line = ev.to_json().to_string();
@@ -727,7 +652,7 @@ mod tests {
         if !full.exists() {
             return; // non-Linux CI
         }
-        let j = Journal::open_append(full).expect("open /dev/full");
+        let (_, j) = Journal::open(full).expect("open /dev/full");
         assert!(!j.degraded());
         j.append(&JournalEvent::Running { id: 1 });
         j.append(&JournalEvent::Running { id: 2 });
@@ -741,7 +666,7 @@ mod tests {
             std::env::temp_dir().join(format!("snake-journal-heal-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         {
-            let j = Journal::open_append(&path).unwrap();
+            let (_, j) = Journal::open(&path).unwrap();
             j.append(&JournalEvent::Submitted {
                 id: 1,
                 spec: SubmitSpec::default(),
@@ -756,7 +681,7 @@ mod tests {
         // append starts on a clean line.
         assert_eq!(load(&path).unwrap().len(), 1);
         {
-            let j = Journal::open_append(&path).unwrap();
+            let (_, j) = Journal::open(&path).unwrap();
             j.append(&JournalEvent::Running { id: 1 });
         }
         let events = load(&path).unwrap();
@@ -785,10 +710,7 @@ mod tests {
         )
         .unwrap();
         let err = load(&path).unwrap_err();
-        assert!(
-            matches!(err, JournalError::Malformed { line: 2, .. }),
-            "{err}"
-        );
+        assert!(matches!(err, LogError::Malformed { line: 2, .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 }

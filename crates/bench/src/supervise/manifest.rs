@@ -1,8 +1,7 @@
-//! The crash-consistent sweep checkpoint file.
-//!
-//! Layout: one JSON object per line (JSONL). The first line is a
-//! versioned header binding the file to a (harness, campaign)
-//! fingerprint; each following line records one finished job:
+//! The sweep checkpoint file: a [`crate::jsonl_log`] log whose first
+//! line is a versioned header binding the file to a (harness,
+//! campaign) fingerprint; each following line records one finished
+//! job:
 //!
 //! ```text
 //! {"manifest":"snake-sweep-manifest","version":1,"fingerprint":"ab12…","jobs":22}
@@ -11,44 +10,26 @@
 //! {"job":"CP/snake","state":"suspended","attempts":1,"cycle":48213,"checkpoint":"sweep.CP-snake.ckpt"}
 //! ```
 //!
-//! Crash consistency:
-//!
-//! * the header is written to a temp file, fsynced, and atomically
-//!   renamed into place — a manifest either exists with a valid header
-//!   or not at all;
-//! * records are appended with flush + `sync_data` per line, so a
-//!   record is durable before its job counts as checkpointed;
-//! * a torn final line (the process died mid-append) is tolerated on
-//!   load: that job simply re-runs on resume. A malformed line
-//!   *before* the tail is corruption and fails the load.
+//! Crash consistency is the log's: the header is created atomically,
+//! a record is durable before its job counts as checkpointed, and a
+//! torn final record is dropped (that job simply re-runs on resume).
 //!
 //! Reports round-trip bit-exactly (see [`snake_core::json`]), which is
 //! what makes a resumed sweep's rendered output byte-identical to an
 //! uninterrupted run.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use snake_core::json::{self, Value};
+use snake_core::json::Value;
 use snake_core::MechanismReport;
+
+use crate::jsonl_log::{self, Appender, Lines, LogError};
 
 /// The header's `manifest` field — identifies the file format.
 pub const MANIFEST_MAGIC: &str = "snake-sweep-manifest";
 
 /// Current manifest format version.
 pub const MANIFEST_VERSION: u64 = 1;
-
-/// 64-bit FNV-1a — the fingerprint/seed hash used across the sweep
-/// supervisor (stable, dependency-free, not cryptographic).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The manifest's first line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -270,201 +251,60 @@ impl JobRecord {
     }
 }
 
-/// A failure reading or writing a manifest.
-#[derive(Debug)]
-pub enum ManifestError {
-    /// File-system failure.
-    Io {
-        /// The manifest path involved.
-        path: String,
-        /// The underlying error.
-        source: std::io::Error,
-    },
-    /// The header or a non-tail record is malformed.
-    Malformed {
-        /// The manifest path involved.
-        path: String,
-        /// 1-based line number of the bad line.
-        line: usize,
-        /// What was wrong with it.
-        why: String,
-    },
-}
-
-impl std::fmt::Display for ManifestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ManifestError::Io { path, source } => write!(f, "{path}: {source}"),
-            ManifestError::Malformed { path, line, why } => {
-                write!(f, "{path}:{line}: malformed manifest: {why}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ManifestError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ManifestError::Io { source, .. } => Some(source),
-            ManifestError::Malformed { .. } => None,
-        }
-    }
-}
-
-/// Heals a torn final line in an append-mode JSONL file: if the file
-/// does not end in a newline (the writer died mid-append), everything
-/// after the last complete line is truncated away and the truncation
-/// is made durable. Shared by the sweep manifest and the daemon state
-/// journal, whose crash-consistency rules are identical.
-///
-/// # Errors
-///
-/// Returns the underlying [`std::io::Error`] when the file cannot be
-/// read or truncated.
-pub fn truncate_torn_tail(path: &Path) -> Result<(), std::io::Error> {
-    let bytes = std::fs::read(path)?;
-    if !bytes.is_empty() && bytes.last() != Some(&b'\n') {
-        let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1) as u64;
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(keep)?;
-        f.sync_all()?;
-    }
-    Ok(())
-}
-
-/// Append handle on a manifest whose header is already durable.
-#[derive(Debug)]
-pub struct ManifestWriter {
-    path: PathBuf,
-    file: File,
-}
-
-impl ManifestWriter {
-    /// Creates a fresh manifest: header written to `<path>.tmp`,
-    /// fsynced, then renamed into place — so a crash during creation
-    /// never leaves a half-written header at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManifestError::Io`] on any file-system failure.
-    pub fn create(path: &Path, header: &ManifestHeader) -> Result<Self, ManifestError> {
-        let io_err = |source| ManifestError::Io {
-            path: path.display().to_string(),
-            source,
-        };
-        let tmp = path.with_file_name(format!(
-            "{}.tmp",
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "manifest".into())
-        ));
-        let mut f = File::create(&tmp).map_err(io_err)?;
-        writeln!(f, "{}", header.to_json()).map_err(io_err)?;
-        f.sync_all().map_err(io_err)?;
-        drop(f);
-        std::fs::rename(&tmp, path).map_err(io_err)?;
-        Self::append_to(path)
-    }
-
-    /// Opens an existing manifest for appending (resume).
-    ///
-    /// A torn final line (crash mid-append) is truncated away first —
-    /// [`load`] already ignores it, and truncating keeps a new record
-    /// from being glued onto the partial bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManifestError::Io`] when the file cannot be opened or
-    /// the torn tail cannot be truncated.
-    pub fn append_to(path: &Path) -> Result<Self, ManifestError> {
-        let io_err = |source| ManifestError::Io {
-            path: path.display().to_string(),
-            source,
-        };
-        truncate_torn_tail(path).map_err(io_err)?;
-        let file = OpenOptions::new().append(true).open(path).map_err(io_err)?;
-        Ok(ManifestWriter {
-            path: path.to_path_buf(),
-            file,
-        })
-    }
-
-    /// Appends one record and makes it durable (flush + `sync_data`)
-    /// before returning — after this, the job is checkpointed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManifestError::Io`] on any write or sync failure.
-    pub fn append(&mut self, record: &JobRecord) -> Result<(), ManifestError> {
-        let io_err = |source| ManifestError::Io {
-            path: self.path.display().to_string(),
-            source,
-        };
-        writeln!(self.file, "{}", record.to_json()).map_err(io_err)?;
-        self.file.flush().map_err(io_err)?;
-        self.file.sync_data().map_err(io_err)
-    }
-
-    /// The manifest's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
 /// A successfully loaded manifest.
 #[derive(Debug)]
 pub struct LoadedManifest {
     /// The validated header.
     pub header: ManifestHeader,
     /// Every intact record, in file order. A torn final line (crash
-    /// mid-append) is silently dropped — that job just re-runs.
+    /// mid-append) is dropped — that job just re-runs.
     pub records: Vec<JobRecord>,
 }
 
-/// Loads and validates a manifest.
+fn decode(lines: &Lines) -> Result<LoadedManifest, LogError> {
+    Ok(LoadedManifest {
+        header: lines.decode_line(1, ManifestHeader::from_json)?,
+        records: lines.decode_from(2, JobRecord::from_json)?,
+    })
+}
+
+/// Creates a fresh manifest holding only `header`, atomically, and
+/// opens it for appending records.
 ///
 /// # Errors
 ///
-/// Returns [`ManifestError`] when the file is unreadable, the header
-/// is invalid, or a record *before the final line* is malformed.
-pub fn load(path: &Path) -> Result<LoadedManifest, ManifestError> {
-    let text = std::fs::read_to_string(path).map_err(|source| ManifestError::Io {
-        path: path.display().to_string(),
-        source,
-    })?;
-    let malformed = |line, why: String| ManifestError::Malformed {
-        path: path.display().to_string(),
-        line,
-        why,
-    };
-    let mut lines = text.lines().enumerate();
-    let (_, header_line) = lines
-        .next()
-        .ok_or_else(|| malformed(1, "empty manifest".into()))?;
-    let header = json::parse(header_line)
-        .map_err(|e| e.to_string())
-        .and_then(|v| ManifestHeader::from_json(&v))
-        .map_err(|why| malformed(1, why))?;
-    let mut records = Vec::new();
-    let rest: Vec<(usize, &str)> = lines.filter(|(_, l)| !l.trim().is_empty()).collect();
-    let last_idx = rest.len();
-    for (n, (line_no, line)) in rest.into_iter().enumerate() {
-        let parsed = json::parse(line)
-            .map_err(|e| e.to_string())
-            .and_then(|v| JobRecord::from_json(&v));
-        match parsed {
-            Ok(rec) => records.push(rec),
-            // A bad final line is a torn append from a crash: drop it.
-            Err(_) if n + 1 == last_idx => break,
-            Err(why) => return Err(malformed(line_no + 1, why)),
-        }
-    }
-    Ok(LoadedManifest { header, records })
+/// [`LogError::Io`] on any file-system failure.
+pub fn create(path: &Path, header: &ManifestHeader) -> Result<Appender, LogError> {
+    Appender::create(path, &header.to_json())
+}
+
+/// Loads and validates a manifest without touching it.
+///
+/// # Errors
+///
+/// [`LogError`] when the file is unreadable, the header is invalid, or
+/// a record is corrupt.
+pub fn load(path: &Path) -> Result<LoadedManifest, LogError> {
+    jsonl_log::load(path, "manifest", decode)
+}
+
+/// Loads a manifest and opens it for appending (resume): its torn
+/// final line, if any, is truncated away so the next record starts on
+/// a clean line.
+///
+/// # Errors
+///
+/// As [`load`]; the file is left untouched when it does not load.
+pub fn open(path: &Path) -> Result<(LoadedManifest, Appender), LogError> {
+    jsonl_log::open(path, "manifest", decode)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn tmp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("snake-manifest-{}-{name}", std::process::id()))
@@ -526,10 +366,10 @@ mod tests {
             checkpoint: "sweep.CP-snake.ckpt".into(),
         };
         {
-            let mut w = ManifestWriter::create(&path, &header).unwrap();
-            w.append(&completed).unwrap();
-            w.append(&quarantined).unwrap();
-            w.append(&suspended).unwrap();
+            let mut w = create(&path, &header).unwrap();
+            w.append(&completed.to_json()).unwrap();
+            w.append(&quarantined.to_json()).unwrap();
+            w.append(&suspended.to_json()).unwrap();
         }
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.header, header);
@@ -552,8 +392,8 @@ mod tests {
             stderr: None,
         };
         {
-            let mut w = ManifestWriter::create(&path, &header).unwrap();
-            w.append(&rec).unwrap();
+            let mut w = create(&path, &header).unwrap();
+            w.append(&rec.to_json()).unwrap();
         }
         // Simulate a crash mid-append: a truncated record on the tail.
         {
@@ -578,10 +418,7 @@ mod tests {
         )
         .unwrap();
         let err = load(&path).unwrap_err();
-        assert!(
-            matches!(err, ManifestError::Malformed { line: 2, .. }),
-            "{err}"
-        );
+        assert!(matches!(err, LogError::Malformed { line: 2, .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -601,8 +438,8 @@ mod tests {
             stderr: None,
         };
         {
-            let mut w = ManifestWriter::create(&path, &header).unwrap();
-            w.append(&first).unwrap();
+            let mut w = create(&path, &header).unwrap();
+            w.append(&first.to_json()).unwrap();
         }
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -617,8 +454,8 @@ mod tests {
             stderr: None,
         };
         {
-            let mut w = ManifestWriter::append_to(&path).unwrap();
-            w.append(&second).unwrap();
+            let (_, mut w) = open(&path).unwrap();
+            w.append(&second.to_json()).unwrap();
         }
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.records, vec![first, second]);
@@ -644,13 +481,6 @@ mod tests {
     fn create_refuses_nothing_but_load_reports_missing_file() {
         let path = tmp_path("missing.jsonl");
         let _ = std::fs::remove_file(&path);
-        assert!(matches!(load(&path).unwrap_err(), ManifestError::Io { .. }));
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        // Reference value for "abc" from the FNV-1a specification.
-        assert_eq!(fnv1a64(b"abc"), 0xe71fa2190541574b);
-        assert_ne!(fnv1a64(b"abc"), fnv1a64(b"abd"));
+        assert!(matches!(load(&path).unwrap_err(), LogError::Io { .. }));
     }
 }

@@ -8,11 +8,11 @@
 //! while every healthy sibling still produces its row.
 //!
 //! Progress checkpoints into a crash-consistent JSONL [`manifest`]
-//! (versioned header written via tmp-file + atomic rename; one record
-//! appended and flushed per finished job), so an interrupted sweep can
-//! be resumed with `repro --resume <manifest>`: completed jobs are
-//! replayed from their recorded reports and the final rendered output
-//! is byte-identical to an uninterrupted run.
+//! (versioned header created atomically; one durable record appended
+//! per finished job), so an interrupted sweep can be resumed with
+//! `repro --resume <manifest>`: completed jobs are replayed from their
+//! recorded reports and the final rendered output is byte-identical to
+//! an uninterrupted run.
 //!
 //! Jobs caught *mid-simulation* by the sweep deadline (or the
 //! deterministic `suspend_after` trigger) are not killed and retried
@@ -36,11 +36,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use snake_core::PrefetcherKind;
+use snake_sim::snapshot::fnv1a64;
 use snake_sim::SimError;
 use snake_workloads::Benchmark;
 
+use crate::jsonl_log::{Appender, LogError};
 use crate::runner::{Harness, JobRun};
-use manifest::{LoadedManifest, ManifestError, ManifestHeader, ManifestWriter};
+use manifest::{LoadedManifest, ManifestHeader};
 
 pub use crate::runner::ExecContext;
 pub use executor::{CrashKind, CrashReport, ExecError, JobExecutor, SandboxLimits};
@@ -158,9 +160,7 @@ impl Default for SweepConfig {
 /// perturb the fault-injection RNG reproducibly, independent of
 /// thread scheduling or wall-clock time.
 pub fn retry_seed(base: u64, job_id: &str, attempt: u32) -> u64 {
-    manifest::fnv1a64(job_id.as_bytes())
-        ^ base
-        ^ u64::from(attempt).wrapping_mul(0x9E3779B97F4A7C15)
+    fnv1a64(job_id.as_bytes()) ^ base ^ u64::from(attempt).wrapping_mul(0x9E3779B97F4A7C15)
 }
 
 /// Fingerprint binding a manifest to one (harness, campaign) pair, so
@@ -171,7 +171,7 @@ pub fn fingerprint(h: &Harness, jobs: &[JobSpec]) -> String {
         text.push_str(&job.id());
         text.push('|');
     }
-    format!("{:016x}", manifest::fnv1a64(text.as_bytes()))
+    format!("{:016x}", fnv1a64(text.as_bytes()))
 }
 
 /// A fatal error setting up or checkpointing a sweep (job-level
@@ -181,7 +181,7 @@ pub enum SweepError {
     /// The harness configuration is invalid.
     Sim(SimError),
     /// Reading or writing the manifest failed.
-    Manifest(ManifestError),
+    Manifest(LogError),
     /// A manifest already exists at the path and `resume` was not
     /// requested; refusing to clobber checkpointed work.
     ManifestExists(String),
@@ -231,8 +231,8 @@ impl From<SimError> for SweepError {
     }
 }
 
-impl From<ManifestError> for SweepError {
-    fn from(e: ManifestError) -> Self {
+impl From<LogError> for SweepError {
+    fn from(e: LogError) -> Self {
         SweepError::Manifest(e)
     }
 }
@@ -278,10 +278,10 @@ where
     h.validate()?;
     let fp = fingerprint(h, jobs);
     let mut checkpointed: HashMap<String, JobRecord> = HashMap::new();
-    let mut writer: Option<ManifestWriter> = None;
+    let mut writer: Option<Appender> = None;
     if let Some(path) = manifest_path {
         if resume {
-            let LoadedManifest { header, records } = manifest::load(path)?;
+            let (LoadedManifest { header, records }, appender) = manifest::open(path)?;
             if header.fingerprint != fp {
                 return Err(SweepError::FingerprintMismatch {
                     expected: fp,
@@ -292,7 +292,7 @@ where
                 // Last record wins if a job somehow appears twice.
                 checkpointed.insert(rec.job().to_string(), rec);
             }
-            writer = Some(ManifestWriter::append_to(path)?);
+            writer = Some(appender);
         } else {
             if path.exists() {
                 return Err(SweepError::ManifestExists(path.display().to_string()));
@@ -301,7 +301,7 @@ where
                 fingerprint: fp,
                 jobs: jobs.len() as u64,
             };
-            writer = Some(ManifestWriter::create(path, &header)?);
+            writer = Some(manifest::create(path, &header)?);
         }
     }
     Ok(run_supervised(jobs, cfg, &checkpointed, writer, runner))

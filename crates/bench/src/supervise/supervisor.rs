@@ -12,9 +12,10 @@ use snake_core::MechanismReport;
 use snake_sim::StopReason;
 
 use super::executor::{CrashKind, ExecError};
-use super::manifest::{JobRecord, ManifestWriter};
+use super::manifest::JobRecord;
 use super::{JobSpec, SweepConfig, EXIT_INTERRUPTED, EXIT_QUARANTINE};
 use crate::figures::panic_message;
+use crate::jsonl_log::Appender;
 use crate::report::{pct, ratio, Table};
 use crate::runner::JobRun;
 
@@ -299,7 +300,7 @@ pub fn run_supervised<F>(
     jobs: &[JobSpec],
     cfg: &SweepConfig,
     checkpointed: &HashMap<String, JobRecord>,
-    writer: Option<ManifestWriter>,
+    writer: Option<Appender>,
     runner: F,
 ) -> SweepResult
 where
@@ -411,7 +412,8 @@ where
                     }
                     if let Some(w) = &writer {
                         if let Some(record) = outcome.to_record(job.id()) {
-                            if let Err(e) = w.lock().unwrap().append(&record) {
+                            let mut w = w.lock().expect("no manifest append panics");
+                            if let Err(e) = w.append(&record.to_json()) {
                                 manifest_errors
                                     .lock()
                                     .unwrap()

@@ -1,15 +1,17 @@
 //! Property-based crash model for the daemon's state journal: a crash
-//! leaves an arbitrary *byte prefix* of the append stream on disk.
-//! For any event sequence and any truncation point, `load` must
-//! return exactly the events whose lines survived complete, reopening
-//! must heal the torn tail so the next append starts on a clean line,
-//! and the pure `recover` fold must never panic or recycle job ids —
-//! whatever interleaving the journal replays.
+//! leaves an arbitrary *byte prefix* of the append stream on disk, or
+//! a garbage final line. For any event sequence and any such image,
+//! `load` must return exactly the events whose lines survived
+//! complete, reopening must heal the torn tail so the next append
+//! starts on a clean line — the two agreeing on what the journal
+//! holds — and the pure `recover` fold must never panic or recycle
+//! job ids, whatever interleaving the journal replays.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
+use snake_bench::jsonl_log::LogError;
 use snake_bench::serve::journal::{self, Journal, JournalEvent};
 use snake_bench::serve::SubmitSpec;
 use snake_bench::supervise::JobRecord;
@@ -69,13 +71,44 @@ fn event() -> impl Strategy<Value = JournalEvent> {
     ]
 }
 
+/// Puts `image` on disk as the journal a crash left, then checks the
+/// torn-tail rule on it: `load` returns exactly `survivors`, reopening
+/// returns the same events, and one append after the heal gives that
+/// load plus the new event on a clean line — never glued onto partial
+/// bytes.
+fn check_crash_image(image: &[u8], survivors: &[JournalEvent]) -> Result<(), TestCaseError> {
+    let path = case_path();
+    std::fs::write(&path, image).expect("crash image written");
+    let loaded = journal::load(&path).expect("torn tail never fails the load");
+    prop_assert_eq!(&loaded, survivors);
+
+    let extra = JournalEvent::Running { id: 99 };
+    let (reopened, j) = Journal::open(&path).expect("reopen heals");
+    prop_assert_eq!(&reopened, &loaded);
+    j.append(&extra);
+    drop(j);
+    let mut expected = loaded;
+    expected.push(extra);
+    prop_assert_eq!(
+        journal::load(&path).expect("healed journal loads"),
+        expected
+    );
+
+    // And the heal is real: the file itself now ends every line with a
+    // newline (no partial bytes kept).
+    let healed = std::fs::read(&path).expect("journal readable");
+    prop_assert_eq!(healed.last(), Some(&b'\n'));
+    std::fs::remove_file(&path).expect("cleanup");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Write events through the real append path, cut the file at an
-    /// arbitrary byte, and load: exactly the complete-line prefix
-    /// survives. Reopening heals the tear, and an append after the
-    /// heal lands as a clean line — never glued onto partial bytes.
+    /// Write events through the real append path, then crash: cut the
+    /// file at an arbitrary byte or just before any line's newline, or
+    /// end it with a garbage final line, with and without its newline.
+    /// Every such image loads, heals and takes the next append cleanly.
     #[test]
     fn any_byte_prefix_loads_heals_and_appends_cleanly(
         case in (prop::collection::vec(event(), 1..10), 0usize..101)
@@ -83,40 +116,32 @@ proptest! {
         let (events, cut_pct) = case;
         let path = case_path();
         {
-            let j = Journal::open_append(&path).expect("journal opens");
+            let (_, j) = Journal::open(&path).expect("journal opens");
             for ev in &events {
                 j.append(ev);
             }
             prop_assert_eq!(j.errors(), 0, "appends to a real file succeed");
         }
         let bytes = std::fs::read(&path).expect("journal readable");
-        let cut = bytes.len() * cut_pct / 100;
+        std::fs::remove_file(&path).expect("cleanup");
+
         // A line survives the crash iff its trailing newline made it
         // to disk before the cut.
+        let cut = bytes.len() * cut_pct / 100;
         let survivors = bytes[..cut].iter().filter(|b| **b == b'\n').count();
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .expect("journal writable")
-            .set_len(cut as u64)
-            .expect("truncate to the crash point");
+        check_crash_image(&bytes[..cut], &events[..survivors])?;
 
-        let loaded = journal::load(&path).expect("torn tail never fails the load");
-        prop_assert_eq!(&loaded, &events[..survivors]);
+        // A line whose JSON is complete but whose newline was lost is
+        // torn too.
+        let newlines = bytes.iter().enumerate().filter(|(_, b)| **b == b'\n');
+        for (line, (at, _)) in newlines.enumerate() {
+            check_crash_image(&bytes[..at], &events[..line])?;
+        }
 
-        // Reopen (heals the tear) and append one more event: the new
-        // line must parse, right after the surviving prefix.
-        let extra = JournalEvent::Running { id: 99 };
-        Journal::open_append(&path).expect("reopen heals").append(&extra);
-        let mut expected = events[..survivors].to_vec();
-        expected.push(extra);
-        prop_assert_eq!(journal::load(&path).expect("healed journal loads"), expected);
-
-        // And the heal is real: the file itself now ends every line
-        // with a newline (no partial bytes kept).
-        let healed = std::fs::read(&path).expect("journal readable");
-        prop_assert_eq!(healed.last(), Some(&b'\n'));
-        std::fs::remove_file(&path).expect("cleanup");
+        // A garbage final line is torn, with or without its newline.
+        for garbage in [&b"{\"event\":\"runn"[..], b"{\"event\":\"runn\n"] {
+            check_crash_image(&[&bytes[..], garbage].concat(), &events)?;
+        }
     }
 
     /// The pure replay fold: arbitrary interleavings never panic, ids
@@ -161,7 +186,7 @@ proptest! {
         let (events, victim_pct) = case;
         let path = case_path();
         {
-            let j = Journal::open_append(&path).expect("journal opens");
+            let (_, j) = Journal::open(&path).expect("journal opens");
             for ev in &events {
                 j.append(ev);
             }
@@ -183,9 +208,12 @@ proptest! {
 
         let err = journal::load(&path).expect_err("corruption must be fatal");
         prop_assert!(
-            matches!(err, journal::JournalError::Malformed { line, .. } if line == victim + 1),
+            matches!(err, LogError::Malformed { line, .. } if line == victim + 1),
             "wrong diagnosis: {}", err
         );
+        // Reopening refuses too, and heals nothing.
+        prop_assert!(Journal::open(&path).is_err(), "reopen must refuse corruption");
+        prop_assert_eq!(std::fs::read(&path).expect("journal readable"), bytes);
         std::fs::remove_file(&path).expect("cleanup");
     }
 }

@@ -150,7 +150,7 @@ fn orphaned_submission_requeues_and_completes_on_startup() {
     };
     {
         // Hand-write the journal a crashed daemon would have left.
-        let j = Journal::open_append(&journal_path).expect("journal opens");
+        let (_, j) = Journal::open(&journal_path).expect("journal opens");
         j.append(&JournalEvent::Submitted {
             id: 1,
             spec: spec.clone(),

@@ -10,13 +10,13 @@
 //! the interrupted run would have used, so the final [`SimOutcome`]
 //! is byte-identical to the uninterrupted run's.
 //!
-//! Durability follows the sweep manifest's discipline: the document
-//! is written to a temporary file, fsynced, and atomically renamed
-//! into place, so a crash mid-write leaves either the previous
-//! checkpoint or none — never a torn one. Loading additionally
-//! verifies a checksum over the state payload, so a truncated or
-//! corrupted file is rejected with a typed [`SnapshotError`] before
-//! any state is applied.
+//! Durability comes from [`write_atomic`], which the sweep manifest's
+//! header shares: the document is written to a temporary file,
+//! fsynced, and atomically renamed into place, so a crash mid-write
+//! leaves either the previous checkpoint or none — never a torn one.
+//! Loading additionally verifies a checksum over the state payload, so
+//! a truncated or corrupted file is rejected with a typed
+//! [`SnapshotError`] before any state is applied.
 //!
 //! What is deliberately **excluded**: host wall-clock profiling
 //! ([`crate::perfstat`] measures the machine, not the simulation) and
@@ -120,9 +120,9 @@ impl std::error::Error for SnapshotError {
     }
 }
 
-/// FNV-1a 64-bit hash (same function the sweep manifest uses for its
-/// header fingerprint; duplicated because the bench crate depends on
-/// this one, not the other way around).
+/// FNV-1a 64-bit hash: the checkpoint checksum, and the workspace's
+/// one stable non-cryptographic hash (the sweep supervisor's manifest
+/// fingerprint and retry seeds, the golden `SimStats` digests).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -130,6 +130,32 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Writes `bytes` to `path` so that a crash leaves either the old file
+/// (or none) or the whole new one: the bytes go to `<file name>.tmp`
+/// in the same directory, are fsynced, and the temporary file is then
+/// renamed over `path`; syncing the directory makes the rename itself
+/// durable.
+///
+/// # Errors
+///
+/// The underlying [`std::io::Error`]; `InvalidInput` when `path` has
+/// no file name.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut name = path
+        .file_name()
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no file name"))?
+        .to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
 impl Checkpoint {
@@ -190,31 +216,22 @@ impl Checkpoint {
         Ok(Checkpoint { fingerprint, state })
     }
 
-    /// Writes the artifact to `path` with the manifest's crash
-    /// discipline: temporary file in the same directory, `fsync`,
-    /// atomic rename. A crash mid-write leaves the previous file (or
-    /// none) intact. Returns the artifact size in bytes (reported on
-    /// the [`SimEvent::CheckpointSaved`](crate::obs::SimEvent) trace
-    /// event).
+    /// Writes the artifact to `path`, one line, with [`write_atomic`]:
+    /// a crash mid-write leaves the previous file (or none) intact.
+    /// Returns the artifact size in bytes (reported on the
+    /// [`SimEvent::CheckpointSaved`](crate::obs::SimEvent) trace event).
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Io`] with the offending path.
     pub fn write_atomic(&self, path: &Path) -> Result<u64, SnapshotError> {
-        let err = |source| SnapshotError::Io {
+        let mut text = self.to_json().to_string();
+        text.push('\n');
+        write_atomic(path, text.as_bytes()).map_err(|source| SnapshotError::Io {
             path: path.display().to_string(),
             source,
-        };
-        let tmp = path.with_extension("ckpt-tmp");
-        let text = self.to_json().to_string();
-        {
-            let mut f = std::fs::File::create(&tmp).map_err(err)?;
-            f.write_all(text.as_bytes()).map_err(err)?;
-            f.write_all(b"\n").map_err(err)?;
-            f.sync_all().map_err(err)?;
-        }
-        std::fs::rename(&tmp, path).map_err(err)?;
-        Ok(text.len() as u64 + 1)
+        })?;
+        Ok(text.len() as u64)
     }
 
     /// Loads and validates an artifact from `path`. A torn tail (the
@@ -455,10 +472,26 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("snap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.ckpt");
+        std::fs::write(&path, "an older artifact").unwrap();
         let c = sample();
-        c.write_atomic(&path).unwrap();
+        let size = c.write_atomic(&path).unwrap();
+        assert_eq!(size, std::fs::metadata(&path).unwrap().len());
         assert_eq!(Checkpoint::load(&path).unwrap(), c);
+        // The temporary file was renamed over the old artifact.
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("state.ckpt")]);
+        assert!(write_atomic(Path::new("/"), b"x").is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fnv_is_stable() {
+        // Reference value for "abc" from the FNV-1a specification.
+        assert_eq!(fnv1a64(b"abc"), 0xe71fa2190541574b);
+        assert_ne!(fnv1a64(b"abc"), fnv1a64(b"abd"));
     }
 
     #[test]
