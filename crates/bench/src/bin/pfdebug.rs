@@ -16,8 +16,9 @@ use snake_bench::cli::{self, CliError};
 use snake_bench::perfstat::{self, compare, CompareConfig};
 use snake_bench::Harness;
 use snake_core::PrefetcherKind;
+use snake_sim::json;
 use snake_sim::obs::{chrome_trace_to, SharedVecSink};
-use snake_sim::snapshot::{self, Checkpoint};
+use snake_sim::snapshot::{self, Checkpoint, SnapshotError};
 use snake_sim::Gpu;
 use snake_workloads::Benchmark;
 
@@ -352,8 +353,8 @@ fn diverge_report(
     let warps = h.cfg.max_warps_per_sm;
     let mut a = Checkpoint::load(Path::new(a_path))?;
     let mut b = Checkpoint::load(Path::new(b_path))?;
-    let mut ca = snapshot::u64_field(&a.state, "cycle").map_err(CliError::Checkpoint)?;
-    let mut cb = snapshot::u64_field(&b.state, "cycle").map_err(CliError::Checkpoint)?;
+    let mut ca = json::u64_field(&a.state, "cycle").map_err(SnapshotError::from)?;
+    let mut cb = json::u64_field(&b.state, "cycle").map_err(SnapshotError::from)?;
     let (mut a_name, mut b_name) = (a_path, b_path);
     if cb < ca {
         std::mem::swap(&mut a, &mut b);

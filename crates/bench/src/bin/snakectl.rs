@@ -33,6 +33,7 @@ use snake_bench::cli::{fail, CliError};
 use snake_bench::serve::client::{self, ClientError, TailOutcome};
 use snake_bench::serve::{Request, SubmitSpec, EXIT_QUOTA};
 use snake_core::json::Value;
+use snake_sim::MetricsSample;
 
 const USAGE: &str = "usage: snakectl [--socket PATH] COMMAND
 commands:
@@ -210,22 +211,24 @@ fn render(v: &Value) -> Option<String> {
     let kind = v.get("type").and_then(Value::as_str)?;
     let s = |k: &str| v.get(k).and_then(Value::as_str).unwrap_or("?").to_string();
     let n = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-    let f = |k: &str| v.get(k).and_then(Value::as_f64).unwrap_or(0.0);
     match kind {
         "stream" => Some(format!("stream {} from seq {}", s("job"), n("from"))),
-        "window" => Some(format!(
-            "window {} cycle={} ipc={:.3} l1={:.1}% mshr={:.1}% chain={} \
-             throttled={} warps={} dropped={}",
-            s("job"),
-            n("cycle"),
-            f("ipc"),
-            f("l1_hit_rate") * 100.0,
-            f("mshr_occupancy") * 100.0,
-            n("chain_depth"),
-            n("throttled_sms"),
-            n("active_warps"),
-            n("dropped"),
-        )),
+        "window" => {
+            let w = MetricsSample::from_json(v).ok()?;
+            Some(format!(
+                "window {} cycle={} ipc={:.3} l1={:.1}% mshr={:.1}% chain={} \
+                 throttled={} warps={} dropped={}",
+                s("job"),
+                w.cycle,
+                w.ipc,
+                w.l1_hit_rate * 100.0,
+                w.mshr_occupancy * 100.0,
+                w.chain_depth,
+                w.throttled_sms,
+                w.active_warps,
+                n("dropped"),
+            ))
+        }
         "event" => Some(format!(
             "event {} cycle={} {}",
             s("job"),
@@ -251,17 +254,17 @@ fn render(v: &Value) -> Option<String> {
     }
 }
 
-/// Stall-taxonomy buckets in display order: window-line field suffix,
-/// bar glyph, and short label. The glyphs stack into the breakdown bar.
-const STALL_BUCKETS: [(&str, char, &str); 8] = [
-    ("issued", '#', "issued"),
-    ("no_warp", ' ', "no-warp"),
-    ("barrier", 'B', "barrier"),
-    ("scoreboard", 'S', "scoreb"),
-    ("mem_data", 'D', "mem-data"),
-    ("mem_mshr", 'M', "mshr"),
-    ("mem_missq", 'Q', "missq"),
-    ("mem_noc", 'N', "noc"),
+/// Stall-taxonomy buckets in display order: bar glyph and short label.
+/// The glyphs stack into the breakdown bar.
+const STALL_BUCKETS: [(char, &str); 8] = [
+    ('#', "issued"),
+    (' ', "no-warp"),
+    ('B', "barrier"),
+    ('S', "scoreb"),
+    ('D', "mem-data"),
+    ('M', "mshr"),
+    ('Q', "missq"),
+    ('N', "noc"),
 ];
 
 /// State behind the `top` dashboard: the latest window row plus stream
@@ -269,18 +272,9 @@ const STALL_BUCKETS: [(&str, char, &str); 8] = [
 #[derive(Default)]
 struct Dashboard {
     job: String,
-    cycle: u64,
     seq: u64,
     dropped: u64,
-    ipc: f64,
-    l1: f64,
-    mshr: f64,
-    missq: f64,
-    noc: f64,
-    warps: u64,
-    throttled: u64,
-    chain: u64,
-    stall: [f64; 8],
+    window: MetricsSample,
     windows: u64,
     events: u64,
     progress: Option<String>,
@@ -303,7 +297,6 @@ impl Dashboard {
     /// when the visible state changed (a repaint is due).
     fn observe(&mut self, v: &Value) -> bool {
         let n = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        let f = |k: &str| v.get(k).and_then(Value::as_f64).unwrap_or(0.0);
         match v.get("type").and_then(Value::as_str) {
             Some("stream") => {
                 if let Some(job) = v.get("job").and_then(Value::as_str) {
@@ -311,24 +304,16 @@ impl Dashboard {
                 }
                 false
             }
-            Some("window") => {
-                self.cycle = n("cycle");
-                self.seq = n("seq");
-                self.dropped = n("dropped");
-                self.ipc = f("ipc");
-                self.l1 = f("l1_hit_rate");
-                self.mshr = f("mshr_occupancy");
-                self.missq = f("miss_queue_occupancy");
-                self.noc = f("noc_utilization");
-                self.warps = n("active_warps");
-                self.throttled = n("throttled_sms");
-                self.chain = n("chain_depth");
-                for (i, (key, _, _)) in STALL_BUCKETS.iter().enumerate() {
-                    self.stall[i] = f(&format!("stall_{key}"));
+            Some("window") => match MetricsSample::from_json(v) {
+                Ok(window) => {
+                    self.window = window;
+                    self.seq = n("seq");
+                    self.dropped = n("dropped");
+                    self.windows += 1;
+                    true
                 }
-                self.windows += 1;
-                true
-            }
+                Err(_) => false,
+            },
             Some("event") => {
                 self.events += 1;
                 self.dropped = self.dropped.max(n("dropped"));
@@ -348,16 +333,31 @@ impl Dashboard {
         }
     }
 
+    /// The window's stall fractions, in [`STALL_BUCKETS`] order.
+    fn stall(&self) -> [f64; 8] {
+        let w = &self.window;
+        [
+            w.stall_issued,
+            w.stall_no_warp,
+            w.stall_barrier,
+            w.stall_scoreboard,
+            w.stall_mem_data,
+            w.stall_mem_mshr,
+            w.stall_mem_missq,
+            w.stall_mem_noc,
+        ]
+    }
+
     /// The stall breakdown as a stacked bar: each bucket's glyph
     /// repeated in proportion to its fraction of the window's issue
     /// slots.
     fn stacked_bar(&self, width: usize) -> String {
         let mut bar = String::with_capacity(width);
-        for (i, &frac) in self.stall.iter().enumerate() {
+        for (i, frac) in self.stall().into_iter().enumerate() {
             let n = (frac.clamp(0.0, 1.0) * width as f64).round() as usize;
             for _ in 0..n {
                 if bar.chars().count() < width {
-                    bar.push(STALL_BUCKETS[i].1);
+                    bar.push(STALL_BUCKETS[i].0);
                 }
             }
         }
@@ -377,34 +377,35 @@ impl Dashboard {
             format!("{} dropped", self.dropped)
         };
         let pct100 = |v: f64| format!("{:.1}%", v * 100.0);
+        let w = &self.window;
         let mut lines = vec![
             format!(
                 "top {}  window #{}  cycle {}  seq {}  stream {}",
-                self.job, self.windows, self.cycle, self.seq, health
+                self.job, self.windows, w.cycle, self.seq, health
             ),
             format!(
                 "ipc {:.3}  l1 {}  warps {}  throttled {}  chain {}  events {}",
-                self.ipc,
-                pct100(self.l1),
-                self.warps,
-                self.throttled,
-                self.chain,
+                w.ipc,
+                pct100(w.l1_hit_rate),
+                w.active_warps,
+                w.throttled_sms,
+                w.chain_depth,
                 self.events
             ),
             format!(
                 "mshr [{}] {}  missq [{}] {}  noc [{}] {}",
-                gauge(self.mshr, 10),
-                pct100(self.mshr),
-                gauge(self.missq, 10),
-                pct100(self.missq),
-                gauge(self.noc, 10),
-                pct100(self.noc)
+                gauge(w.mshr_occupancy, 10),
+                pct100(w.mshr_occupancy),
+                gauge(w.miss_queue_occupancy, 10),
+                pct100(w.miss_queue_occupancy),
+                gauge(w.noc_utilization, 10),
+                pct100(w.noc_utilization)
             ),
             format!("stall [{}]", self.stacked_bar(40)),
             STALL_BUCKETS
                 .iter()
-                .zip(self.stall.iter())
-                .map(|((_, _, label), &frac)| format!("{label} {}", pct100(frac)))
+                .zip(self.stall())
+                .map(|((_, label), frac)| format!("{label} {}", pct100(frac)))
                 .collect::<Vec<_>>()
                 .join(" | "),
         ];

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use snake_core::analysis::{analyze_chains, ideal_bound, mechanism_bound, ChainAnalysisConfig};
+use snake_core::analysis::{analyze_chains, mechanism_bound, ChainAnalysisConfig};
 use snake_core::cost::{head_table_cost, snake_storage_bytes, tail_table_cost, FieldWidths};
 use snake_core::metrics::{geometric_mean, mean, MechanismReport};
 use snake_core::snake::tail_table::{EvictionPolicy, TailTableConfig};
@@ -478,7 +478,6 @@ pub fn fig11_chain_vs_mta(h: &Harness) -> Table {
         let k = b.build(&h.size);
         let chains = mechanism_bound(&k, PrefetcherKind::SSnake).fraction();
         let mta = mechanism_bound(&k, PrefetcherKind::Mta).fraction();
-        let _ = ideal_bound(&k);
         sc.push(chains);
         sm.push(mta);
         t.push_row(vec![b.abbr().into(), pct(chains), pct(mta)]);

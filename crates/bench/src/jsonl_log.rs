@@ -14,8 +14,9 @@
 //!   is not JSON, or any line that is JSON but not a valid record. It
 //!   fails as [`LogError::Malformed`] with its 1-based line number, and
 //!   `open` then truncates nothing.
-//! * **Atomic creation.** `Appender::create` writes the first line with
-//!   [`write_atomic`]: the file holds that whole line or is absent.
+//! * **Atomic creation.** `Appender::create` writes the first line, if
+//!   any, with [`write_atomic`]: the file holds that whole line (or is
+//!   empty) or is absent, and its directory entry is synced.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -205,14 +206,17 @@ pub struct Appender {
 }
 
 impl Appender {
-    /// Creates a log whose first line is `first` (the manifest header),
-    /// atomically, and opens it for appending.
+    /// Creates a log holding only `first` (the manifest header), or
+    /// empty (the daemon journal), atomically, and opens it for
+    /// appending: the file is absent or whole, and its directory entry
+    /// is durable.
     ///
     /// # Errors
     ///
     /// [`LogError::Io`] on any file-system failure.
-    pub(crate) fn create(path: &Path, first: &Value) -> Result<Appender, LogError> {
-        write_atomic(path, format!("{first}\n").as_bytes()).map_err(io_error(path))?;
+    pub(crate) fn create(path: &Path, first: Option<&Value>) -> Result<Appender, LogError> {
+        let text = first.map_or_else(String::new, |line| format!("{line}\n"));
+        write_atomic(path, text.as_bytes()).map_err(io_error(path))?;
         Appender::open_as_is(path)
     }
 
@@ -253,6 +257,7 @@ impl Appender {
 mod tests {
     use super::*;
     use crate::supervise::manifest::{self, JobRecord, ManifestHeader};
+    use crate::supervise::CrashKind;
 
     fn tmp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("snake-jsonl-log-{}-{name}", std::process::id()))
@@ -263,7 +268,7 @@ mod tests {
             job: job.into(),
             attempts: 2,
             error: "panic: boom".into(),
-            crash: Some("signal 11".into()),
+            crash: Some(CrashKind::Signal(11)),
             stderr: Some(stderr.into()),
         }
     }

@@ -105,11 +105,11 @@ impl HostFingerprint {
 
     fn from_json(v: &Value) -> Result<Self, PerfError> {
         Ok(HostFingerprint {
-            cpus: field_u64(v, "cpus")?,
-            rustc: field_str(v, "rustc")?,
-            git_sha: field_str(v, "git_sha")?,
-            cargo_profile: field_str(v, "cargo_profile")?,
-            os: field_str(v, "os")?,
+            cpus: json::u64_field(v, "cpus")?,
+            rustc: json::str_field(v, "rustc")?.into(),
+            git_sha: json::str_field(v, "git_sha")?.into(),
+            cargo_profile: json::str_field(v, "cargo_profile")?.into(),
+            os: json::str_field(v, "os")?.into(),
         })
     }
 }
@@ -200,28 +200,11 @@ impl std::error::Error for PerfError {
     }
 }
 
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, PerfError> {
-    v.get(key)
-        .ok_or_else(|| PerfError::Shape(format!("missing field {key:?}")))
-}
-
-fn field_u64(v: &Value, key: &str) -> Result<u64, PerfError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| PerfError::Shape(format!("field {key:?} is not a u64")))
-}
-
-fn field_str(v: &Value, key: &str) -> Result<String, PerfError> {
-    Ok(field(v, key)?
-        .as_str()
-        .ok_or_else(|| PerfError::Shape(format!("field {key:?} is not a string")))?
-        .to_string())
-}
-
-fn field_arr<'v>(v: &'v Value, key: &str) -> Result<&'v [Value], PerfError> {
-    field(v, key)?
-        .as_arr()
-        .ok_or_else(|| PerfError::Shape(format!("field {key:?} is not an array")))
+/// A missing or mistyped field makes the document not a perf report.
+impl From<json::FieldError> for PerfError {
+    fn from(e: json::FieldError) -> Self {
+        PerfError::Shape(e.into())
+    }
 }
 
 pub(crate) fn profile_to_json(p: &HostProfile) -> Value {
@@ -245,22 +228,22 @@ pub(crate) fn profile_to_json(p: &HostProfile) -> Value {
 
 pub(crate) fn profile_from_json(v: &Value) -> Result<HostProfile, PerfError> {
     let mut phases = Vec::new();
-    for entry in field_arr(v, "phases")? {
-        let label = field_str(entry, "phase")?;
-        let phase = Phase::from_label(&label)
+    for entry in json::arr_field(v, "phases")? {
+        let label = json::str_field(entry, "phase")?;
+        let phase = Phase::from_label(label)
             .ok_or_else(|| PerfError::Shape(format!("unknown phase {label:?}")))?;
         phases.push((
             phase,
             PhaseStat {
-                nanos: field_u64(entry, "nanos")?,
-                calls: field_u64(entry, "calls")?,
+                nanos: json::u64_field(entry, "nanos")?,
+                calls: json::u64_field(entry, "calls")?,
             },
         ));
     }
     Ok(HostProfile::from_parts(
-        field_u64(v, "wall_nanos")?,
-        field_u64(v, "cycles")?,
-        field_u64(v, "trace_events")?,
+        json::u64_field(v, "wall_nanos")?,
+        json::u64_field(v, "cycles")?,
+        json::u64_field(v, "trace_events")?,
         phases,
     ))
 }
@@ -298,26 +281,25 @@ impl PerfReport {
     /// Returns [`PerfError`] when the document is malformed or carries
     /// an unsupported schema version.
     pub fn from_json(v: &Value) -> Result<Self, PerfError> {
-        let version = field_u64(v, "schema_version")?;
+        let version = json::u64_field(v, "schema_version")?;
         if version != SCHEMA_VERSION {
             return Err(PerfError::Version(version));
         }
         let mut jobs = Vec::new();
-        for j in field_arr(v, "jobs")? {
+        for j in json::arr_field(v, "jobs")? {
             let mut samples = Vec::new();
-            for s in field_arr(j, "samples")? {
+            for s in json::arr_field(j, "samples")? {
                 samples.push(profile_from_json(s)?);
             }
             jobs.push(JobPerf {
-                job: field_str(j, "job")?,
+                job: json::str_field(j, "job")?.into(),
                 samples,
             });
         }
         Ok(PerfReport {
-            label: field_str(v, "label")?,
-            runs: u32::try_from(field_u64(v, "runs")?)
-                .map_err(|_| PerfError::Shape("field \"runs\" does not fit u32".into()))?,
-            host: HostFingerprint::from_json(field(v, "host")?)?,
+            label: json::str_field(v, "label")?.into(),
+            runs: json::u32_field(v, "runs")?,
+            host: HostFingerprint::from_json(json::field(v, "host")?)?,
             jobs,
         })
     }
@@ -438,7 +420,7 @@ pub fn collect(
         executor: executor.clone(),
         ..SweepConfig::default()
     };
-    // `run_campaign_with` only surfaces reports through `JobOutcome`,
+    // `run_campaign_with` only surfaces reports through `JobRecord`,
     // which does not carry host profiles; capture them out-of-band.
     let captured: Mutex<Vec<(String, HostProfile)>> = Mutex::new(Vec::new());
     for _ in 0..runs {

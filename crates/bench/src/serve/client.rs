@@ -62,6 +62,13 @@ impl ClientError {
     }
 }
 
+/// A stream line missing a field the accounting needs is malformed.
+impl From<json::FieldError> for ClientError {
+    fn from(e: json::FieldError) -> Self {
+        protocol_error(e)
+    }
+}
+
 /// Turns a protocol-level failure into an [`io::Error`]-backed error.
 fn protocol_error(message: impl Into<String>) -> ClientError {
     ClientError::Io(io::Error::new(io::ErrorKind::InvalidData, message.into()))
@@ -203,25 +210,12 @@ pub fn tail_watch(
         let line = line.map_err(ClientError::Io)?;
         let v = json::parse(line.trim())
             .map_err(|e| protocol_error(format!("bad stream line: {e}")))?;
-        let kind = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| protocol_error("stream line without \"type\""))?
-            .to_string();
+        let kind = json::str_field(&v, "type")?.to_string();
         let keep_going = on_line(&v);
         match kind.as_str() {
-            "stream" => {
-                let from = v
-                    .get("from")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| protocol_error("stream line without \"from\""))?;
-                expected_next = Some(from);
-            }
+            "stream" => expected_next = Some(json::u64_field(&v, "from")?),
             "stream_end" => {
-                let next = v
-                    .get("next")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| protocol_error("stream_end line without \"next\""))?;
+                let next = json::u64_field(&v, "next")?;
                 let expected = expected_next
                     .ok_or_else(|| protocol_error("stream_end before its stream header"))?;
                 if next < expected {
@@ -235,10 +229,7 @@ pub fn tail_watch(
                 expected_next = None;
             }
             "window" | "event" => {
-                let seq = v
-                    .get("seq")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| protocol_error("record without \"seq\""))?;
+                let seq = json::u64_field(&v, "seq")?;
                 let expected = expected_next
                     .ok_or_else(|| protocol_error("record before its stream header"))?;
                 if seq < expected {
@@ -252,20 +243,11 @@ pub fn tail_watch(
             }
             "progress" => {}
             "done" => {
-                let field = |k: &str| {
-                    v.get(k)
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| protocol_error(format!("done line without {k:?}")))
-                };
                 let end = TailEnd {
-                    state: v
-                        .get("state")
-                        .and_then(Value::as_str)
-                        .unwrap_or("unknown")
-                        .to_string(),
-                    exit: field("exit")? as i32,
-                    delivered: field("delivered")?,
-                    dropped: field("dropped")?,
+                    state: json::str_field(&v, "state")?.to_string(),
+                    exit: json::u64_field(&v, "exit")? as i32,
+                    delivered: json::u64_field(&v, "delivered")?,
+                    dropped: json::u64_field(&v, "dropped")?,
                 };
                 if end.delivered != seen {
                     return Err(protocol_error(format!(

@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use snake_core::json::Value;
-use snake_core::{MechanismReport, PrefetcherKind};
+use snake_core::PrefetcherKind;
 use snake_sim::snapshot::Checkpoint;
 use snake_sim::{TelemetryRecord, TelemetryRing};
 use snake_workloads::Benchmark;
@@ -54,7 +54,7 @@ use super::protocol::{
 use crate::jsonl_log::LogError;
 use crate::runner::Harness;
 use crate::supervise::{
-    campaign, run_supervised, ExecContext, JobExecutor, JobOutcome, JobRecord, JobSpec, Progress,
+    campaign, run_supervised, ExecContext, JobExecutor, JobRecord, JobSpec, Progress,
     SandboxLimits, SweepConfig,
 };
 
@@ -117,46 +117,11 @@ enum ReqState {
     Queued,
     /// The scheduler is running it now.
     Running,
-    /// Finished; holds the supervisor exit code, the report rows, and
-    /// a note per quarantined sub-job (crash kind + stderr excerpt).
-    Done {
-        exit: i32,
-        reports: Vec<(String, String, MechanismReport)>,
-        failures: Vec<QuarantineNote>,
-    },
+    /// Finished; holds the supervisor exit code and the sub-jobs'
+    /// records in campaign order.
+    Done { exit: i32, records: Vec<JobRecord> },
     /// Cancelled before completion (queued or mid-run).
     Cancelled,
-}
-
-/// What `snakectl status` shows for one quarantined sub-job: enough to
-/// diagnose the quarantine without grepping the journal.
-#[derive(Debug, Clone)]
-struct QuarantineNote {
-    job: String,
-    attempts: u32,
-    error: String,
-    /// Typed crash classification label, when the failure was a
-    /// process death or panic.
-    crash: Option<String>,
-    /// Last stderr excerpt from a crashed sandboxed child.
-    stderr: Option<String>,
-}
-
-impl QuarantineNote {
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("job".to_string(), Value::str(&self.job)),
-            ("attempts".to_string(), Value::u64(u64::from(self.attempts))),
-            ("error".to_string(), Value::str(&self.error)),
-        ];
-        if let Some(kind) = &self.crash {
-            fields.push(("crash".into(), Value::str(kind)));
-        }
-        if let Some(excerpt) = &self.stderr {
-            fields.push(("stderr".into(), Value::str(excerpt)));
-        }
-        Value::Obj(fields)
-    }
 }
 
 impl ReqState {
@@ -489,42 +454,15 @@ fn restore_job(
             if state == "cancelled" {
                 ReqState::Cancelled
             } else {
-                // Reports in campaign order, exactly how a live run
+                // Records in campaign order, exactly how a live run
                 // publishes them — recovery must not reorder bytes.
-                let reports = plan
-                    .jobs
-                    .iter()
-                    .filter_map(|js| match records.get(&js.id()) {
-                        Some(JobRecord::Completed { stop, report, .. }) => {
-                            Some((js.id(), stop.clone(), report.clone()))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                let failures = plan
-                    .jobs
-                    .iter()
-                    .filter_map(|js| match records.get(&js.id()) {
-                        Some(JobRecord::Quarantined {
-                            attempts,
-                            error,
-                            crash,
-                            stderr,
-                            ..
-                        }) => Some(QuarantineNote {
-                            job: js.id(),
-                            attempts: *attempts,
-                            error: error.clone(),
-                            crash: crash.clone(),
-                            stderr: stderr.clone(),
-                        }),
-                        _ => None,
-                    })
-                    .collect();
                 ReqState::Done {
                     exit: *exit,
-                    reports,
-                    failures,
+                    records: plan
+                        .jobs
+                        .iter()
+                        .filter_map(|js| records.get(&js.id()).cloned())
+                        .collect(),
                 }
             }
         }
@@ -871,20 +809,17 @@ fn run_entry(shared: &Shared, entry: &JobEntry) {
     // make recovery quadratic) and drop checkpoints of finished jobs.
     {
         let mut recovered = entry.recovered.lock().unwrap();
-        for (job, outcome) in &result.outcomes {
-            let jid = job.id();
-            let Some(rec) = outcome.to_record(jid.clone()) else {
-                continue;
-            };
-            if recovered.get(&jid) != Some(&rec) {
+        for rec in result.outcomes.iter().filter_map(|(_, rec)| rec.as_ref()) {
+            let jid = rec.job();
+            if recovered.get(jid) != Some(rec) {
                 shared.journal(&JournalEvent::Job {
                     id: entry.id,
                     record: rec.clone(),
                 });
-                recovered.insert(jid.clone(), rec.clone());
+                recovered.insert(jid.to_string(), rec.clone());
             }
             if !matches!(rec, JobRecord::Suspended { .. }) {
-                clear_checkpoint(shared, entry, &jid);
+                clear_checkpoint(shared, entry, jid);
             }
         }
     }
@@ -896,7 +831,7 @@ fn run_entry(shared: &Shared, entry: &JobEntry) {
     let unfinished = result
         .outcomes
         .iter()
-        .any(|(_, o)| matches!(o, JobOutcome::Skipped { .. } | JobOutcome::Suspended { .. }));
+        .any(|(_, o)| matches!(o, None | Some(JobRecord::Suspended { .. })));
     if unfinished {
         // The slice deadline hit: suspended state is durable, so the
         // sweep goes back to the queue at its original priority and
@@ -916,40 +851,12 @@ fn run_entry(shared: &Shared, entry: &JobEntry) {
     }
 
     let exit = result.exit_code();
-    let reports: Vec<(String, String, MechanismReport)> = result
+    let records = result
         .outcomes
-        .iter()
-        .filter_map(|(job, o)| match o {
-            JobOutcome::Completed { report, stop, .. } => {
-                Some((job.id(), stop.clone(), report.clone()))
-            }
-            _ => None,
-        })
+        .into_iter()
+        .filter_map(|(_, rec)| rec)
         .collect();
-    let failures: Vec<QuarantineNote> = result
-        .outcomes
-        .iter()
-        .filter_map(|(job, o)| match o {
-            JobOutcome::Crashed {
-                message,
-                attempts,
-                crash,
-                stderr,
-            } => Some(QuarantineNote {
-                job: job.id(),
-                attempts: *attempts,
-                error: message.clone(),
-                crash: crash.map(|k| k.label()),
-                stderr: stderr.clone(),
-            }),
-            _ => None,
-        })
-        .collect();
-    *entry.state.lock().unwrap() = ReqState::Done {
-        exit,
-        reports,
-        failures,
-    };
+    *entry.state.lock().unwrap() = ReqState::Done { exit, records };
     shared.journal_terminal(entry.id, "done", exit);
     shared.wake.notify_all();
 }
@@ -1041,6 +948,17 @@ fn handle_submit(shared: &Shared, spec: &SubmitSpec, out: &mut UnixStream) -> io
     writeln!(out, "{}", ok_line(vec![("id".into(), Value::u64(id))]))
 }
 
+/// A finished sub-job as `status` lists it: its record line without
+/// the keys `status` has never shown (`omit`), so the record's one
+/// encoder also writes these rows.
+fn status_row(record: &JobRecord, omit: &[&str]) -> Value {
+    let mut row = record.to_json();
+    if let Value::Obj(fields) = &mut row {
+        fields.retain(|(key, _)| !omit.contains(&key.as_str()));
+    }
+    row
+}
+
 /// One job's status object.
 fn status_json(entry: &JobEntry) -> Value {
     let state = entry.state.lock().unwrap();
@@ -1054,33 +972,21 @@ fn status_json(entry: &JobEntry) -> Value {
     if let Some(client) = &entry.client {
         fields.push(("client".into(), Value::str(client)));
     }
-    if let ReqState::Done {
-        exit,
-        reports,
-        failures,
-    } = &*state
-    {
+    if let ReqState::Done { exit, records } = &*state {
         fields.push(("exit".into(), Value::u64((*exit).max(0) as u64)));
-        fields.push((
-            "reports".into(),
-            Value::Arr(
-                reports
-                    .iter()
-                    .map(|(job, stop, report)| {
-                        Value::Obj(vec![
-                            ("job".into(), Value::str(job)),
-                            ("stop".into(), Value::str(stop)),
-                            ("report".into(), report.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        if !failures.is_empty() {
-            fields.push((
-                "quarantined".into(),
-                Value::Arr(failures.iter().map(QuarantineNote::to_json).collect()),
-            ));
+        let reports = records
+            .iter()
+            .filter(|r| matches!(r, JobRecord::Completed { .. }))
+            .map(|r| status_row(r, &["state", "attempts"]))
+            .collect();
+        fields.push(("reports".into(), Value::Arr(reports)));
+        let quarantined: Vec<Value> = records
+            .iter()
+            .filter(|r| matches!(r, JobRecord::Quarantined { .. }))
+            .map(|r| status_row(r, &["state"]))
+            .collect();
+        if !quarantined.is_empty() {
+            fields.push(("quarantined".into(), Value::Arr(quarantined)));
         }
     }
     Value::Obj(fields)
@@ -1447,10 +1353,60 @@ mod tests {
         );
         let done = ReqState::Done {
             exit: 0,
-            reports: Vec::new(),
-            failures: Vec::new(),
+            records: Vec::new(),
         };
         assert_eq!(done.terminal(), Some(("done", 0)));
+    }
+
+    #[test]
+    fn status_bytes_are_pinned() {
+        let report = snake_core::MechanismReport {
+            mechanism: "snake".into(),
+            app: "LPS".into(),
+            ipc: 1.5,
+            cycles: 4000,
+            ..snake_core::MechanismReport::default()
+        };
+        let done = ReqState::Done {
+            exit: 3,
+            records: vec![
+                JobRecord::Completed {
+                    job: "LPS/snake".into(),
+                    attempts: 1,
+                    stop: "completed".into(),
+                    report,
+                },
+                JobRecord::Quarantined {
+                    job: "LPS/mta".into(),
+                    attempts: 2,
+                    error: "sandboxed job LPS/mta died: signal 11".into(),
+                    crash: Some(crate::supervise::CrashKind::Signal(11)),
+                    stderr: Some("Segmentation fault".into()),
+                },
+            ],
+        };
+        let entry = JobEntry {
+            id: 4,
+            desc: "2 jobs (1 × 2), quick".into(),
+            priority: 1,
+            client: Some("alice".into()),
+            harness: Harness::quick(),
+            jobs: Vec::new(),
+            events: false,
+            isolate: false,
+            deadline: None,
+            cancel: AtomicBool::new(false),
+            progress: Arc::new(Progress::default()),
+            rings: Mutex::new(Vec::new()),
+            state: Mutex::new(done),
+            recovered: Mutex::new(HashMap::new()),
+            live_ckpts: Mutex::new(HashMap::new()),
+        };
+        entry.progress.begin(2);
+        assert_eq!(
+            status_json(&entry).to_string(),
+            r#"{"id":4,"desc":"2 jobs (1 × 2), quick","priority":1,"state":"done","progress":{"total":2,"done":0,"quarantined":0,"skipped":0,"suspended":0,"retries":0,"overdue":0,"remaining":2},"client":"alice","exit":3,"reports":[{"job":"LPS/snake","stop":"completed","report":{"mechanism":"snake","app":"LPS","ipc":1.5,"coverage":0.0,"accuracy":0.0,"precision":0.0,"l1_hit_rate":0.0,"reservation_fail_rate":0.0,"noc_utilization":0.0,"memory_stall_fraction":0.0,"energy_j":0.0,"cycles":4000,"timeliness_p50":0,"timeliness_p90":0,"evicted_unused":0,"stall_issued":0.0,"stall_no_warp":0.0,"stall_barrier":0.0,"stall_scoreboard":0.0,"stall_mem_data":0.0,"stall_mem_mshr":0.0,"stall_mem_missq":0.0,"stall_mem_noc":0.0}}],"quarantined":[{"job":"LPS/mta","attempts":2,"error":"sandboxed job LPS/mta died: signal 11","crash":"signal 11","stderr":"Segmentation fault"}]}"#
+        );
     }
 
     #[test]

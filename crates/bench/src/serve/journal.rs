@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use snake_core::json::Value;
+use snake_core::json::{self, Value};
 
 use super::protocol::SubmitSpec;
 use crate::jsonl_log::{self, Appender, Lines, LogError};
@@ -155,25 +155,15 @@ impl JournalEvent {
     ///
     /// Returns a description of the first malformed or missing field.
     pub fn from_json(v: &Value) -> Result<Self, String> {
-        let event = v
-            .get("event")
-            .and_then(Value::as_str)
-            .ok_or("missing \"event\" field")?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_u64)
-            .ok_or("missing \"id\" field")?;
-        let job = || -> Result<String, String> {
-            Ok(v.get("job")
-                .and_then(Value::as_str)
-                .ok_or("missing \"job\" field")?
-                .to_string())
-        };
+        let event = json::str_field(v, "event")?;
+        let id = json::u64_field(v, "id")?;
+        let job = || json::str_field(v, "job").map(str::to_string);
+        let terminal = json::if_present(v, "terminal", json::bool_field)? == Some(true);
         match event {
             "submitted" => Ok(JournalEvent::Submitted {
                 id,
                 spec: match v.get("spec") {
-                    Some(spec) => SubmitSpec::from_json(spec),
+                    Some(spec) => SubmitSpec::from_json(spec)?,
                     // PR-5-era journals had no spec; an empty spec still
                     // resolves (full campaign at default priority).
                     None => SubmitSpec::default(),
@@ -183,32 +173,20 @@ impl JournalEvent {
             "requeued" => Ok(JournalEvent::Requeued { id }),
             "job" => Ok(JournalEvent::Job {
                 id,
-                record: JobRecord::from_json(v.get("record").ok_or("missing \"record\" field")?)?,
+                record: JobRecord::from_json(json::field(v, "record")?)?,
             }),
             "checkpoint" => Ok(JournalEvent::Checkpoint {
                 id,
                 job: job()?,
-                cycle: v
-                    .get("cycle")
-                    .and_then(Value::as_u64)
-                    .ok_or("missing \"cycle\" field")?,
-                path: v
-                    .get("path")
-                    .and_then(Value::as_str)
-                    .ok_or("missing \"path\" field")?
-                    .to_string(),
+                cycle: json::u64_field(v, "cycle")?,
+                path: json::str_field(v, "path")?.into(),
             }),
             "checkpoint_cleared" => Ok(JournalEvent::CheckpointCleared { id, job: job()? }),
-            state if v.get("terminal").and_then(Value::as_bool) == Some(true) => {
-                Ok(JournalEvent::Terminal {
-                    id,
-                    state: state.to_string(),
-                    exit: v
-                        .get("exit")
-                        .and_then(Value::as_u64)
-                        .ok_or("missing \"exit\" field")? as i32,
-                })
-            }
+            state if terminal => Ok(JournalEvent::Terminal {
+                id,
+                state: state.to_string(),
+                exit: json::u64_field(v, "exit")? as i32,
+            }),
             other => Err(format!("unknown journal event {other:?}")),
         }
     }
@@ -238,19 +216,23 @@ impl Journal {
     /// Opens (or creates) the journal for appending and returns the
     /// events it already holds; its torn final line, if any, is
     /// truncated away so a new event is never glued onto partial bytes.
+    /// A missing journal is created empty with the one atomic write, so
+    /// its directory entry is as durable as the appends that follow.
     /// Non-regular targets (`/dev/null`, a full device node) have no
     /// replayable history — reading one could block forever — so they
     /// are opened as-is and the degradation counters do their job.
     ///
     /// # Errors
     ///
-    /// [`LogError`] when the journal cannot be read, truncated or
-    /// opened, or holds a corrupt line (which leaves it untouched).
+    /// [`LogError`] when the journal cannot be created, read, truncated
+    /// or opened, or holds a corrupt line (which leaves it untouched).
     pub fn open(path: &Path) -> Result<(Vec<JournalEvent>, Journal), LogError> {
         let (events, log) = if path.is_file() {
             jsonl_log::open(path, "journal", decode)?
-        } else {
+        } else if path.exists() {
             (Vec::new(), Appender::open_as_is(path)?)
+        } else {
+            (Vec::new(), Appender::create(path, None)?)
         };
         let journal = Journal {
             path: path.to_path_buf(),
@@ -445,6 +427,7 @@ pub fn recover(events: &[JournalEvent]) -> Recovered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::CrashKind;
     use snake_core::json;
     use std::fs::OpenOptions;
     use std::io::Write;
@@ -477,7 +460,7 @@ mod tests {
                 job: "LPS/snake".into(),
                 attempts: 2,
                 error: "panic: boom".into(),
-                crash: Some("signal 9".into()),
+                crash: Some(CrashKind::Signal(9)),
                 stderr: Some("Killed".into()),
             },
         });
@@ -501,6 +484,72 @@ mod tests {
             state: "cancelled".into(),
             exit: 7,
         });
+    }
+
+    #[test]
+    fn event_bytes_are_pinned() {
+        let cases = [
+            (
+                JournalEvent::Submitted {
+                    id: 3,
+                    spec: SubmitSpec {
+                        benchmarks: Some("LPS".into()),
+                        quick: true,
+                        priority: 2,
+                        client: Some("alice".into()),
+                        ..SubmitSpec::default()
+                    },
+                },
+                r#"{"event":"submitted","id":3,"spec":{"benchmarks":"LPS","quick":true,"priority":2,"client":"alice"}}"#,
+            ),
+            (
+                JournalEvent::Running { id: 3 },
+                r#"{"event":"running","id":3}"#,
+            ),
+            (
+                JournalEvent::Requeued { id: 3 },
+                r#"{"event":"requeued","id":3}"#,
+            ),
+            (
+                JournalEvent::Job {
+                    id: 3,
+                    record: JobRecord::Suspended {
+                        job: "LPS/snake".into(),
+                        attempts: 1,
+                        cycle: 4000,
+                        checkpoint: "state.jsonl.j3.LPS-snake.ckpt".into(),
+                    },
+                },
+                r#"{"event":"job","id":3,"record":{"job":"LPS/snake","state":"suspended","attempts":1,"cycle":4000,"checkpoint":"state.jsonl.j3.LPS-snake.ckpt"}}"#,
+            ),
+            (
+                JournalEvent::Checkpoint {
+                    id: 3,
+                    job: "LPS/snake".into(),
+                    cycle: 4000,
+                    path: "state.jsonl.j3.LPS-snake.ckpt".into(),
+                },
+                r#"{"event":"checkpoint","id":3,"job":"LPS/snake","cycle":4000,"path":"state.jsonl.j3.LPS-snake.ckpt"}"#,
+            ),
+            (
+                JournalEvent::CheckpointCleared {
+                    id: 3,
+                    job: "LPS/snake".into(),
+                },
+                r#"{"event":"checkpoint_cleared","id":3,"job":"LPS/snake"}"#,
+            ),
+            (
+                JournalEvent::Terminal {
+                    id: 3,
+                    state: "cancelled".into(),
+                    exit: 7,
+                },
+                r#"{"event":"cancelled","id":3,"terminal":true,"exit":7}"#,
+            ),
+        ];
+        for (event, line) in cases {
+            assert_eq!(event.to_json().to_string(), line);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! to the final `dropped` — [`client::tail`](super::client::tail)
 //! verifies exactly that.
 
-use snake_core::json::Value;
+use snake_core::json::{self, FieldError, Value};
 use snake_sim::{MetricsSample, TelemetryRecord, TraceEvent};
 
 use crate::supervise::ProgressSnapshot;
@@ -108,21 +108,27 @@ impl SubmitSpec {
     }
 
     /// Parses the spec fields out of an object; absent fields default.
-    pub fn from_json(v: &Value) -> SubmitSpec {
-        let field = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
-        SubmitSpec {
-            benchmarks: field("benchmarks"),
-            mechanisms: field("mechanisms"),
-            quick: v.get("quick").and_then(Value::as_bool).unwrap_or(false),
-            budget: v.get("budget").and_then(Value::as_u64),
-            window: v.get("window").and_then(Value::as_u64),
-            events: v.get("events").and_then(Value::as_bool).unwrap_or(false),
-            isolate: v.get("isolate").and_then(Value::as_bool).unwrap_or(false),
-            priority: v.get("priority").and_then(Value::as_u64).unwrap_or(0),
-            client: field("client"),
-            deadline_ms: v.get("deadline_ms").and_then(Value::as_u64),
-            checkpoint_every: v.get("checkpoint_every").and_then(Value::as_u64),
-        }
+    ///
+    /// # Errors
+    ///
+    /// [`FieldError`] for a field that is present but mistyped.
+    pub fn from_json(v: &Value) -> Result<SubmitSpec, FieldError> {
+        let text = |key| json::if_present(v, key, json::str_field).map(|s| s.map(str::to_string));
+        let flag = |key| json::if_present(v, key, json::bool_field).map(|b| b.unwrap_or(false));
+        let number = |key| json::if_present(v, key, json::u64_field);
+        Ok(SubmitSpec {
+            benchmarks: text("benchmarks")?,
+            mechanisms: text("mechanisms")?,
+            quick: flag("quick")?,
+            budget: number("budget")?,
+            window: number("window")?,
+            events: flag("events")?,
+            isolate: flag("isolate")?,
+            priority: number("priority")?.unwrap_or(0),
+            client: text("client")?,
+            deadline_ms: number("deadline_ms")?,
+            checkpoint_every: number("checkpoint_every")?,
+        })
     }
 }
 
@@ -162,32 +168,25 @@ pub enum Request {
 
 impl Request {
     /// Parses one request line.
+    ///
+    /// # Errors
+    ///
+    /// A description of the malformed line, missing field, or field of
+    /// the wrong type.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = snake_core::json::parse(line).map_err(|e| format!("bad json: {e}"))?;
-        let op = v
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing \"op\"".to_string())?;
-        let id = |required: bool| -> Result<Option<u64>, String> {
-            match v.get("id") {
-                Some(n) => n
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| "\"id\" must be a non-negative integer".to_string()),
-                None if required => Err("missing \"id\"".to_string()),
-                None => Ok(None),
-            }
-        };
-        match op {
-            "submit" => Ok(Request::Submit(SubmitSpec::from_json(&v))),
-            "status" => Ok(Request::Status { id: id(false)? }),
+        let v = json::parse(line).map_err(|e| format!("bad json: {e}"))?;
+        match json::str_field(&v, "op")? {
+            "submit" => Ok(Request::Submit(SubmitSpec::from_json(&v)?)),
+            "status" => Ok(Request::Status {
+                id: json::if_present(&v, "id", json::u64_field)?,
+            }),
             "tail" => Ok(Request::Tail {
-                id: id(true)?.expect("required id"),
-                ring: v.get("ring").and_then(Value::as_u64).unwrap_or(0),
-                from: v.get("from").and_then(Value::as_u64),
+                id: json::u64_field(&v, "id")?,
+                ring: json::if_present(&v, "ring", json::u64_field)?.unwrap_or(0),
+                from: json::if_present(&v, "from", json::u64_field)?,
             }),
             "cancel" => Ok(Request::Cancel {
-                id: id(true)?.expect("required id"),
+                id: json::u64_field(&v, "id")?,
             }),
             "health" => Ok(Request::Health),
             "shutdown" => Ok(Request::Shutdown),
@@ -283,34 +282,19 @@ pub fn stream_end_line(job: &str, next: u64) -> Value {
     ])
 }
 
-/// One metrics window as a stream line.
+/// One metrics window as a stream line: the sample's own object
+/// between the stream framing keys and the cumulative `dropped` count.
 pub fn window_line(job: &str, seq: u64, s: &MetricsSample, dropped: u64) -> Value {
-    Value::Obj(vec![
+    let mut fields = vec![
         ("type".into(), Value::str("window")),
         ("job".into(), Value::str(job)),
         ("seq".into(), Value::u64(seq)),
-        ("cycle".into(), Value::u64(s.cycle)),
-        ("ipc".into(), Value::f64(s.ipc)),
-        ("l1_hit_rate".into(), Value::f64(s.l1_hit_rate)),
-        ("mshr_occupancy".into(), Value::f64(s.mshr_occupancy)),
-        (
-            "miss_queue_occupancy".into(),
-            Value::f64(s.miss_queue_occupancy),
-        ),
-        ("noc_utilization".into(), Value::f64(s.noc_utilization)),
-        ("active_warps".into(), Value::u64(s.active_warps as u64)),
-        ("throttled_sms".into(), Value::u64(s.throttled_sms as u64)),
-        ("chain_depth".into(), Value::u64(u64::from(s.chain_depth))),
-        ("stall_issued".into(), Value::f64(s.stall_issued)),
-        ("stall_no_warp".into(), Value::f64(s.stall_no_warp)),
-        ("stall_barrier".into(), Value::f64(s.stall_barrier)),
-        ("stall_scoreboard".into(), Value::f64(s.stall_scoreboard)),
-        ("stall_mem_data".into(), Value::f64(s.stall_mem_data)),
-        ("stall_mem_mshr".into(), Value::f64(s.stall_mem_mshr)),
-        ("stall_mem_missq".into(), Value::f64(s.stall_mem_missq)),
-        ("stall_mem_noc".into(), Value::f64(s.stall_mem_noc)),
-        ("dropped".into(), Value::u64(dropped)),
-    ])
+    ];
+    if let Value::Obj(sample) = s.to_json() {
+        fields.extend(sample);
+    }
+    fields.push(("dropped".into(), Value::u64(dropped)));
+    Value::Obj(fields)
 }
 
 /// One trace event as a stream line.
@@ -377,7 +361,7 @@ mod tests {
         let line = Request::Submit(spec.clone()).to_json().to_string();
         assert_eq!(Request::parse(&line), Ok(Request::Submit(spec.clone())));
         // The bare-spec object (the journal's `spec` field) agrees.
-        assert_eq!(SubmitSpec::from_json(&spec.to_json()), spec);
+        assert_eq!(SubmitSpec::from_json(&spec.to_json()), Ok(spec));
     }
 
     #[test]
@@ -411,6 +395,137 @@ mod tests {
         ] {
             assert_eq!(Request::parse(&req.to_json().to_string()), Ok(req));
         }
+    }
+
+    #[test]
+    fn request_bytes_are_pinned() {
+        let full = SubmitSpec {
+            benchmarks: Some("LPS,CP".into()),
+            mechanisms: Some("baseline,snake".into()),
+            quick: true,
+            budget: Some(6000),
+            window: Some(200),
+            events: true,
+            isolate: true,
+            priority: 5,
+            client: Some("alice".into()),
+            deadline_ms: Some(1500),
+            checkpoint_every: Some(2000),
+        };
+        let cases = [
+            (
+                Request::Submit(full),
+                r#"{"op":"submit","benchmarks":"LPS,CP","mechanisms":"baseline,snake","quick":true,"budget":6000,"window":200,"events":true,"isolate":true,"priority":5,"client":"alice","deadline_ms":1500,"checkpoint_every":2000}"#,
+            ),
+            (Request::Submit(SubmitSpec::default()), r#"{"op":"submit"}"#),
+            (Request::Status { id: None }, r#"{"op":"status"}"#),
+            (Request::Status { id: Some(3) }, r#"{"op":"status","id":3}"#),
+            (
+                Request::Tail {
+                    id: 1,
+                    ring: 0,
+                    from: None,
+                },
+                r#"{"op":"tail","id":1}"#,
+            ),
+            (
+                Request::Tail {
+                    id: 1,
+                    ring: 2,
+                    from: Some(777),
+                },
+                r#"{"op":"tail","id":1,"ring":2,"from":777}"#,
+            ),
+            (Request::Cancel { id: 9 }, r#"{"op":"cancel","id":9}"#),
+            (Request::Health, r#"{"op":"health"}"#),
+            (Request::Shutdown, r#"{"op":"shutdown"}"#),
+        ];
+        for (req, line) in cases {
+            assert_eq!(req.to_json().to_string(), line);
+        }
+    }
+
+    #[test]
+    fn stream_line_bytes_are_pinned() {
+        let sample = MetricsSample {
+            cycle: 600,
+            ipc: 1.25,
+            l1_hit_rate: 0.5,
+            mshr_occupancy: 0.25,
+            miss_queue_occupancy: 0.0,
+            noc_utilization: 0.75,
+            active_warps: 8,
+            throttled_sms: 1,
+            chain_depth: 3,
+            stall_issued: 0.5,
+            stall_no_warp: 0.0,
+            stall_barrier: 0.125,
+            stall_scoreboard: 0.125,
+            stall_mem_data: 0.25,
+            stall_mem_mshr: 0.0,
+            stall_mem_missq: 0.0,
+            stall_mem_noc: 1.0 / 3.0,
+        };
+        let event = TraceEvent {
+            cycle: snake_sim::Cycle(1200),
+            data: snake_sim::SimEvent::WarpIssue {
+                sm: snake_sim::SmId(0),
+                warp: snake_sim::WarpId(3),
+            },
+        };
+        let progress = ProgressSnapshot {
+            total: 4,
+            done: 1,
+            quarantined: 1,
+            skipped: 0,
+            suspended: 0,
+            retries: 2,
+            overdue: 0,
+        };
+        let cases = [
+            (
+                window_line("LPS/snake", 7, &sample, 2),
+                r#"{"type":"window","job":"LPS/snake","seq":7,"cycle":600,"ipc":1.25,"l1_hit_rate":0.5,"mshr_occupancy":0.25,"miss_queue_occupancy":0.0,"noc_utilization":0.75,"active_warps":8,"throttled_sms":1,"chain_depth":3,"stall_issued":0.5,"stall_no_warp":0.0,"stall_barrier":0.125,"stall_scoreboard":0.125,"stall_mem_data":0.25,"stall_mem_mshr":0.0,"stall_mem_missq":0.0,"stall_mem_noc":0.3333333333333333,"dropped":2}"#,
+            ),
+            (
+                event_line("LPS/snake", 8, &event, 2),
+                r#"{"type":"event","job":"LPS/snake","seq":8,"cycle":1200,"name":"WarpIssue","dropped":2}"#,
+            ),
+            (
+                progress_line(&progress),
+                r#"{"type":"progress","total":4,"done":1,"quarantined":1,"skipped":0,"suspended":0,"retries":2,"overdue":0,"remaining":2}"#,
+            ),
+            (
+                stream_line("LPS/snake", 5),
+                r#"{"type":"stream","job":"LPS/snake","from":5}"#,
+            ),
+            (
+                stream_end_line("LPS/snake", 40),
+                r#"{"type":"stream_end","job":"LPS/snake","next":40}"#,
+            ),
+            (
+                done_line("done", 0, 33, 2),
+                r#"{"type":"done","state":"done","exit":0,"delivered":33,"dropped":2}"#,
+            ),
+        ];
+        for (value, line) in cases {
+            assert_eq!(value.to_string(), line);
+        }
+    }
+
+    #[test]
+    fn mistyped_request_fields_are_rejected_not_defaulted() {
+        // A present field of the wrong type is an error, never its
+        // default: this submit must not queue every benchmark under
+        // every mechanism with no budget.
+        let submit = r#"{"op":"submit","benchmarks":["LPS"],"budget":"100","quick":"yes"}"#;
+        assert!(
+            Request::parse(submit).is_err(),
+            "{:?}",
+            Request::parse(submit)
+        );
+        let tail = r#"{"op":"tail","id":1,"ring":"2","from":-1}"#;
+        assert!(Request::parse(tail).is_err(), "{:?}", Request::parse(tail));
     }
 
     #[test]

@@ -288,11 +288,6 @@ impl JobExecutor {
         }
     }
 
-    /// Whether this executor sandboxes jobs in subprocesses.
-    pub fn is_sandbox(&self) -> bool {
-        matches!(self.mode, ExecMode::Sandbox { .. })
-    }
-
     /// Sticky health flag: a sandbox spawn failed at least once and
     /// execution degraded to in-thread. Never set by the in-thread
     /// executor.
@@ -633,51 +628,6 @@ fn opt_u64(fields: &mut Vec<(&str, Value)>, key: &'static str, v: Option<u64>) {
     }
 }
 
-fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    req(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not a u64"))
-}
-
-fn req_u32(v: &Value, key: &str) -> Result<u32, String> {
-    req(v, key)?
-        .as_u32()
-        .ok_or_else(|| format!("field {key:?} is not a u32"))
-}
-
-fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
-    req(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field {key:?} is not a number"))
-}
-
-fn req_bool(v: &Value, key: &str) -> Result<bool, String> {
-    req(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field {key:?} is not a bool"))
-}
-
-fn req_str(v: &Value, key: &str) -> Result<String, String> {
-    Ok(req(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))?
-        .to_string())
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(f) => f
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} is not a u64")),
-    }
-}
-
 fn cache_to_json(c: &CacheGeometry) -> Value {
     obj(vec![
         ("capacity_bytes", Value::u64(c.capacity_bytes.into())),
@@ -688,9 +638,9 @@ fn cache_to_json(c: &CacheGeometry) -> Value {
 
 fn cache_from_json(v: &Value) -> Result<CacheGeometry, String> {
     Ok(CacheGeometry {
-        capacity_bytes: req_u32(v, "capacity_bytes")?,
-        line_bytes: req_u32(v, "line_bytes")?,
-        ways: req_u32(v, "ways")?,
+        capacity_bytes: json::u32_field(v, "capacity_bytes")?,
+        line_bytes: json::u32_field(v, "line_bytes")?,
+        ways: json::u32_field(v, "ways")?,
     })
 }
 
@@ -726,24 +676,24 @@ fn fault_to_json(f: &FaultPlan) -> Value {
 
 fn fault_from_json(v: &Value) -> Result<FaultPlan, String> {
     Ok(FaultPlan {
-        seed: req_u64(v, "seed")?,
-        drop_response: req_f64(v, "drop_response")?,
-        duplicate_response: req_f64(v, "duplicate_response")?,
-        delay_response: req_f64(v, "delay_response")?,
-        delay_cycles: req_u64(v, "delay_cycles")?,
+        seed: json::u64_field(v, "seed")?,
+        drop_response: json::f64_field(v, "drop_response")?,
+        duplicate_response: json::f64_field(v, "duplicate_response")?,
+        delay_response: json::f64_field(v, "delay_response")?,
+        delay_cycles: json::u64_field(v, "delay_cycles")?,
         brownout: match v.get("brownout") {
             None => None,
             Some(b) => Some(Brownout {
-                period: req_u64(b, "period")?,
-                active: req_u64(b, "active")?,
-                scale: req_f64(b, "scale")?,
+                period: json::u64_field(b, "period")?,
+                active: json::u64_field(b, "active")?,
+                scale: json::f64_field(b, "scale")?,
             }),
         },
         recovery: match v.get("recovery") {
             None => None,
             Some(r) => Some(Recovery {
-                timeout: req_u64(r, "timeout")?,
-                max_retries: req_u32(r, "max_retries")?,
+                timeout: json::u64_field(r, "timeout")?,
+                max_retries: json::u32_field(r, "max_retries")?,
             }),
         },
     })
@@ -841,60 +791,60 @@ pub fn harness_to_json(h: &Harness) -> Value {
 ///
 /// Returns a description of the first missing or mistyped field.
 pub fn harness_from_json(v: &Value) -> Result<Harness, String> {
-    let c = req(v, "cfg")?;
+    let c = json::field(v, "cfg")?;
     let cfg = GpuConfig {
-        num_sms: req_u32(c, "num_sms")?,
-        core_clock_mhz: req_u32(c, "core_clock_mhz")?,
-        schedulers_per_sm: req_u32(c, "schedulers_per_sm")?,
-        scheduler: match req_str(c, "scheduler")?.as_str() {
+        num_sms: json::u32_field(c, "num_sms")?,
+        core_clock_mhz: json::u32_field(c, "core_clock_mhz")?,
+        schedulers_per_sm: json::u32_field(c, "schedulers_per_sm")?,
+        scheduler: match json::str_field(c, "scheduler")? {
             "greedy_then_oldest" => SchedulerPolicy::GreedyThenOldest,
             "loose_round_robin" => SchedulerPolicy::LooseRoundRobin,
             other => return Err(format!("unknown scheduler policy {other:?}")),
         },
-        max_warps_per_sm: req_u32(c, "max_warps_per_sm")?,
-        warp_width: req_u32(c, "warp_width")?,
-        max_outstanding_loads: req_u32(c, "max_outstanding_loads")?,
-        l1: cache_from_json(req(c, "l1")?)?,
-        shared_mem_carveout_bytes: req_u32(c, "shared_mem_carveout_bytes")?,
-        l1_hit_latency: req_u32(c, "l1_hit_latency")?,
-        mshr_entries: req_u32(c, "mshr_entries")?,
-        mshr_merge: req_u32(c, "mshr_merge")?,
-        miss_queue_depth: req_u32(c, "miss_queue_depth")?,
-        l2: cache_from_json(req(c, "l2")?)?,
-        l2_banks: req_u32(c, "l2_banks")?,
-        l2_hit_latency: req_u32(c, "l2_hit_latency")?,
-        dram_latency: req_u32(c, "dram_latency")?,
-        dram_bytes_per_cycle: req_u32(c, "dram_bytes_per_cycle")?,
-        noc_bytes_per_cycle: req_u32(c, "noc_bytes_per_cycle")?,
-        noc_latency: req_u32(c, "noc_latency")?,
-        bw_window: req_u32(c, "bw_window")?,
-        max_cycles: get_u64(c, "max_cycles")?.map(snake_sim::Cycle),
-        cycle_budget: get_u64(c, "cycle_budget")?.map(snake_sim::Cycle),
-        watchdog_cycles: get_u64(c, "watchdog_cycles")?,
-        fault: fault_from_json(req(c, "fault")?)?,
-        audit_window: get_u64(c, "audit_window")?,
-        metrics_window: get_u64(c, "metrics_window")?,
-        checkpoint_every: get_u64(c, "checkpoint_every")?,
-        host_profile: req_bool(c, "host_profile")?,
-        perf_inject_stall_ns: req_u64(c, "perf_inject_stall_ns")?,
+        max_warps_per_sm: json::u32_field(c, "max_warps_per_sm")?,
+        warp_width: json::u32_field(c, "warp_width")?,
+        max_outstanding_loads: json::u32_field(c, "max_outstanding_loads")?,
+        l1: cache_from_json(json::field(c, "l1")?)?,
+        shared_mem_carveout_bytes: json::u32_field(c, "shared_mem_carveout_bytes")?,
+        l1_hit_latency: json::u32_field(c, "l1_hit_latency")?,
+        mshr_entries: json::u32_field(c, "mshr_entries")?,
+        mshr_merge: json::u32_field(c, "mshr_merge")?,
+        miss_queue_depth: json::u32_field(c, "miss_queue_depth")?,
+        l2: cache_from_json(json::field(c, "l2")?)?,
+        l2_banks: json::u32_field(c, "l2_banks")?,
+        l2_hit_latency: json::u32_field(c, "l2_hit_latency")?,
+        dram_latency: json::u32_field(c, "dram_latency")?,
+        dram_bytes_per_cycle: json::u32_field(c, "dram_bytes_per_cycle")?,
+        noc_bytes_per_cycle: json::u32_field(c, "noc_bytes_per_cycle")?,
+        noc_latency: json::u32_field(c, "noc_latency")?,
+        bw_window: json::u32_field(c, "bw_window")?,
+        max_cycles: json::if_present(c, "max_cycles", json::u64_field)?.map(snake_sim::Cycle),
+        cycle_budget: json::if_present(c, "cycle_budget", json::u64_field)?.map(snake_sim::Cycle),
+        watchdog_cycles: json::if_present(c, "watchdog_cycles", json::u64_field)?,
+        fault: fault_from_json(json::field(c, "fault")?)?,
+        audit_window: json::if_present(c, "audit_window", json::u64_field)?,
+        metrics_window: json::if_present(c, "metrics_window", json::u64_field)?,
+        checkpoint_every: json::if_present(c, "checkpoint_every", json::u64_field)?,
+        host_profile: json::bool_field(c, "host_profile")?,
+        perf_inject_stall_ns: json::u64_field(c, "perf_inject_stall_ns")?,
     };
-    let s = req(v, "size")?;
+    let s = json::field(v, "size")?;
     let size = WorkloadSize {
-        warps_per_cta: req_u32(s, "warps_per_cta")?,
-        ctas: req_u32(s, "ctas")?,
-        iters: req_u32(s, "iters")?,
-        seed: req_u64(s, "seed")?,
+        warps_per_cta: json::u32_field(s, "warps_per_cta")?,
+        ctas: json::u32_field(s, "ctas")?,
+        iters: json::u32_field(s, "iters")?,
+        seed: json::u64_field(s, "seed")?,
     };
-    let e = req(v, "energy")?;
+    let e = json::field(v, "energy")?;
     let energy = EnergyModel {
-        instr_pj: req_f64(e, "instr_pj")?,
-        l1_access_pj: req_f64(e, "l1_access_pj")?,
-        l2_access_pj: req_f64(e, "l2_access_pj")?,
-        dram_access_pj: req_f64(e, "dram_access_pj")?,
-        noc_byte_pj: req_f64(e, "noc_byte_pj")?,
-        prefetcher_access_pj: req_f64(e, "prefetcher_access_pj")?,
-        static_w_per_sm: req_f64(e, "static_w_per_sm")?,
-        prefetcher_static_w: req_f64(e, "prefetcher_static_w")?,
+        instr_pj: json::f64_field(e, "instr_pj")?,
+        l1_access_pj: json::f64_field(e, "l1_access_pj")?,
+        l2_access_pj: json::f64_field(e, "l2_access_pj")?,
+        dram_access_pj: json::f64_field(e, "dram_access_pj")?,
+        noc_byte_pj: json::f64_field(e, "noc_byte_pj")?,
+        prefetcher_access_pj: json::f64_field(e, "prefetcher_access_pj")?,
+        static_w_per_sm: json::f64_field(e, "static_w_per_sm")?,
+        prefetcher_static_w: json::f64_field(e, "prefetcher_static_w")?,
     };
     Ok(Harness { cfg, size, energy })
 }
@@ -946,26 +896,19 @@ fn parse_job_id(id: &str) -> Result<JobSpec, String> {
 
 fn parse_worker_spec(line: &str) -> Result<WorkerSpec, String> {
     let v = json::parse(line).map_err(|e| format!("malformed spec line: {e}"))?;
-    if req_u64(&v, "v")? != 1 {
+    if json::u64_field(&v, "v")? != 1 {
         return Err("unsupported spec version".into());
     }
-    let opt_path = |key: &str| -> Result<Option<PathBuf>, String> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(p) => {
-                Ok(Some(PathBuf::from(p.as_str().ok_or_else(|| {
-                    format!("field {key:?} is not a string")
-                })?)))
-            }
-        }
+    let path = |key: &str| -> Result<Option<PathBuf>, String> {
+        Ok(json::if_present(&v, key, json::str_field)?.map(PathBuf::from))
     };
     Ok(WorkerSpec {
-        h: harness_from_json(req(&v, "harness")?)?,
-        job: parse_job_id(&req_str(&v, "job")?)?,
-        resume_from: opt_path("resume")?,
-        checkpoint_to: opt_path("checkpoint")?,
-        suspend_after: get_u64(&v, "suspend_after")?,
-        stream: req_bool(&v, "stream")?,
+        h: harness_from_json(json::field(&v, "harness")?)?,
+        job: parse_job_id(json::str_field(&v, "job")?)?,
+        resume_from: path("resume")?,
+        checkpoint_to: path("checkpoint")?,
+        suspend_after: json::if_present(&v, "suspend_after", json::u64_field)?,
+        stream: json::bool_field(&v, "stream")?,
     })
 }
 
@@ -1014,72 +957,60 @@ pub enum ChildLine {
     },
 }
 
-fn sample_to_json(s: &MetricsSample) -> Value {
-    obj(vec![
-        ("t", Value::str("window")),
-        ("cycle", Value::u64(s.cycle)),
-        ("ipc", Value::f64(s.ipc)),
-        ("l1_hit_rate", Value::f64(s.l1_hit_rate)),
-        ("mshr_occupancy", Value::f64(s.mshr_occupancy)),
-        ("miss_queue_occupancy", Value::f64(s.miss_queue_occupancy)),
-        ("noc_utilization", Value::f64(s.noc_utilization)),
-        ("active_warps", Value::u64(s.active_warps as u64)),
-        ("throttled_sms", Value::u64(s.throttled_sms as u64)),
-        ("chain_depth", Value::u64(s.chain_depth.into())),
-        ("stall_issued", Value::f64(s.stall_issued)),
-        ("stall_no_warp", Value::f64(s.stall_no_warp)),
-        ("stall_barrier", Value::f64(s.stall_barrier)),
-        ("stall_scoreboard", Value::f64(s.stall_scoreboard)),
-        ("stall_mem_data", Value::f64(s.stall_mem_data)),
-        ("stall_mem_mshr", Value::f64(s.stall_mem_mshr)),
-        ("stall_mem_missq", Value::f64(s.stall_mem_missq)),
-        ("stall_mem_noc", Value::f64(s.stall_mem_noc)),
-    ])
-}
-
-fn sample_from_json(v: &Value) -> Result<MetricsSample, String> {
-    Ok(MetricsSample {
-        cycle: req_u64(v, "cycle")?,
-        ipc: req_f64(v, "ipc")?,
-        l1_hit_rate: req_f64(v, "l1_hit_rate")?,
-        mshr_occupancy: req_f64(v, "mshr_occupancy")?,
-        miss_queue_occupancy: req_f64(v, "miss_queue_occupancy")?,
-        noc_utilization: req_f64(v, "noc_utilization")?,
-        active_warps: req_u64(v, "active_warps")? as usize,
-        throttled_sms: req_u64(v, "throttled_sms")? as usize,
-        chain_depth: req_u32(v, "chain_depth")?,
-        stall_issued: req_f64(v, "stall_issued")?,
-        stall_no_warp: req_f64(v, "stall_no_warp")?,
-        stall_barrier: req_f64(v, "stall_barrier")?,
-        stall_scoreboard: req_f64(v, "stall_scoreboard")?,
-        stall_mem_data: req_f64(v, "stall_mem_data")?,
-        stall_mem_mshr: req_f64(v, "stall_mem_mshr")?,
-        stall_mem_missq: req_f64(v, "stall_mem_missq")?,
-        stall_mem_noc: req_f64(v, "stall_mem_noc")?,
-    })
-}
-
-fn finished_to_json(out: &RunOutput) -> Value {
-    let mut fields = vec![
-        ("t", Value::str("finished")),
-        ("stop", Value::str(out.stop.label())),
-    ];
-    if let StopReason::BudgetExceeded { budget } = out.stop {
-        fields.push(("budget", Value::u64(budget)));
+impl ChildLine {
+    /// The line as the child writes it.
+    fn to_json(&self) -> Value {
+        match self {
+            ChildLine::Window(sample) => {
+                let mut fields = vec![("t".to_string(), Value::str("window"))];
+                if let Value::Obj(payload) = sample.to_json() {
+                    fields.extend(payload);
+                }
+                Value::Obj(fields)
+            }
+            ChildLine::Checkpoint { cycle, bytes } => obj(vec![
+                ("t", Value::str("checkpoint")),
+                ("cycle", Value::u64(*cycle)),
+                ("bytes", Value::u64(*bytes)),
+            ]),
+            ChildLine::Finished { output: out } => {
+                let mut fields = vec![
+                    ("t", Value::str("finished")),
+                    ("stop", Value::str(out.stop.label())),
+                ];
+                if let StopReason::BudgetExceeded { budget } = out.stop {
+                    fields.push(("budget", Value::u64(budget)));
+                }
+                fields.push(("report", out.report.to_json()));
+                if let Some(host) = &out.host {
+                    fields.push(("host", crate::perfstat::profile_to_json(host)));
+                }
+                obj(fields)
+            }
+            ChildLine::Suspended { cycle, checkpoint } => obj(vec![
+                ("t", Value::str("suspended")),
+                ("cycle", Value::u64(*cycle)),
+                ("checkpoint", Value::str(checkpoint)),
+            ]),
+            ChildLine::Cancelled => obj(vec![("t", Value::str("cancelled"))]),
+            ChildLine::Failed { message } => obj(vec![
+                ("t", Value::str("failed")),
+                ("message", Value::str(message)),
+            ]),
+            ChildLine::Error { message } => obj(vec![
+                ("t", Value::str("error")),
+                ("message", Value::str(message)),
+            ]),
+        }
     }
-    fields.push(("report", out.report.to_json()));
-    if let Some(host) = &out.host {
-        fields.push(("host", crate::perfstat::profile_to_json(host)));
-    }
-    obj(fields)
 }
 
 fn stop_from_json(v: &Value) -> Result<StopReason, String> {
-    match req_str(v, "stop")?.as_str() {
+    match json::str_field(v, "stop")? {
         "completed" => Ok(StopReason::Completed),
         "cycle_limit" => Ok(StopReason::CycleLimit),
         "budget_exceeded" => Ok(StopReason::BudgetExceeded {
-            budget: req_u64(v, "budget")?,
+            budget: json::u64_field(v, "budget")?,
         }),
         other => Err(format!("unexpected stop reason {other:?} on the wire")),
     }
@@ -1094,14 +1025,14 @@ fn stop_from_json(v: &Value) -> Result<StopReason, String> {
 /// Returns a description of what made the line unusable.
 pub fn parse_child_line(line: &str) -> Result<ChildLine, String> {
     let v = json::parse(line).map_err(|e| format!("unparseable child line: {e}"))?;
-    match req_str(&v, "t")?.as_str() {
-        "window" => Ok(ChildLine::Window(sample_from_json(&v)?)),
+    match json::str_field(&v, "t")? {
+        "window" => Ok(ChildLine::Window(MetricsSample::from_json(&v)?)),
         "checkpoint" => Ok(ChildLine::Checkpoint {
-            cycle: req_u64(&v, "cycle")?,
-            bytes: req_u64(&v, "bytes")?,
+            cycle: json::u64_field(&v, "cycle")?,
+            bytes: json::u64_field(&v, "bytes")?,
         }),
         "finished" => {
-            let report = MechanismReport::from_json(req(&v, "report")?)?;
+            let report = MechanismReport::from_json(json::field(&v, "report")?)?;
             let host = match v.get("host") {
                 None => None,
                 Some(h) => Some(
@@ -1118,15 +1049,15 @@ pub fn parse_child_line(line: &str) -> Result<ChildLine, String> {
             })
         }
         "suspended" => Ok(ChildLine::Suspended {
-            cycle: req_u64(&v, "cycle")?,
-            checkpoint: req_str(&v, "checkpoint")?,
+            cycle: json::u64_field(&v, "cycle")?,
+            checkpoint: json::str_field(&v, "checkpoint")?.into(),
         }),
         "cancelled" => Ok(ChildLine::Cancelled),
         "failed" => Ok(ChildLine::Failed {
-            message: req_str(&v, "message")?,
+            message: json::str_field(&v, "message")?.into(),
         }),
         "error" => Ok(ChildLine::Error {
-            message: req_str(&v, "message")?,
+            message: json::str_field(&v, "message")?.into(),
         }),
         other => Err(format!("unknown child line type {other:?}")),
     }
@@ -1211,7 +1142,7 @@ pub fn run_worker() -> i32 {
             let d = sub.drain();
             for rec in d.records {
                 if let TelemetryRecord::Window(sample) = rec {
-                    emit(&sample_to_json(&sample));
+                    emit(&ChildLine::Window(sample).to_json());
                 }
             }
             if d.done {
@@ -1231,35 +1162,26 @@ pub fn run_worker() -> i32 {
     let result = spec
         .h
         .run_job_with(spec.job.bench, spec.job.kind, &ctx, &mut |cycle, bytes| {
-            emit(&obj(vec![
-                ("t", Value::str("checkpoint")),
-                ("cycle", Value::u64(cycle)),
-                ("bytes", Value::u64(bytes)),
-            ]));
+            emit(&ChildLine::Checkpoint { cycle, bytes }.to_json());
         });
     ring.close();
     if let Some(handle) = drain {
         let _ = handle.join();
     }
-    match result {
-        Ok(JobRun::Finished(out)) => match &out.stop {
-            StopReason::Deadlock(report) => emit(&obj(vec![
-                ("t", Value::str("failed")),
-                ("message", Value::str(format!("deadlock: {report}"))),
-            ])),
-            _ => emit(&finished_to_json(&out)),
+    let line = match result {
+        Ok(JobRun::Finished(output)) => match &output.stop {
+            StopReason::Deadlock(report) => ChildLine::Failed {
+                message: format!("deadlock: {report}"),
+            },
+            _ => ChildLine::Finished { output },
         },
-        Ok(JobRun::Suspended { cycle, checkpoint }) => emit(&obj(vec![
-            ("t", Value::str("suspended")),
-            ("cycle", Value::u64(cycle)),
-            ("checkpoint", Value::str(checkpoint)),
-        ])),
-        Ok(JobRun::Cancelled) => emit(&obj(vec![("t", Value::str("cancelled"))])),
-        Err(err) => emit(&obj(vec![
-            ("t", Value::str("error")),
-            ("message", Value::str(err.to_string())),
-        ])),
-    }
+        Ok(JobRun::Suspended { cycle, checkpoint }) => ChildLine::Suspended { cycle, checkpoint },
+        Ok(JobRun::Cancelled) => ChildLine::Cancelled,
+        Err(err) => ChildLine::Error {
+            message: err.to_string(),
+        },
+    };
+    emit(&line.to_json());
     0
 }
 
@@ -1434,7 +1356,7 @@ mod tests {
             stall_mem_missq: 0.0,
             stall_mem_noc: 0.0,
         };
-        let line = sample_to_json(&sample).to_string();
+        let line = ChildLine::Window(sample).to_json().to_string();
         assert_eq!(parse_child_line(&line), Ok(ChildLine::Window(sample)));
         // Every strict prefix of a valid line is rejected, never
         // mis-parsed.
@@ -1446,6 +1368,148 @@ mod tests {
         }
         assert!(parse_child_line(r#"{"t":"mystery"}"#).is_err());
         assert!(parse_child_line("").is_err());
+    }
+
+    #[test]
+    fn worker_spec_bytes_are_pinned() {
+        let mut h = Harness::quick();
+        h.cfg.cycle_budget = Some(snake_sim::Cycle(6000));
+        h.cfg.metrics_window = Some(500);
+        h.cfg.fault.brownout = Some(Brownout {
+            period: 2000,
+            active: 250,
+            scale: 0.5,
+        });
+        h.cfg.fault.recovery = Some(Recovery {
+            timeout: 500,
+            max_retries: 4,
+        });
+        let job = JobSpec {
+            bench: snake_workloads::Benchmark::Lps,
+            kind: snake_core::PrefetcherKind::Snake,
+        };
+        let line = worker_spec_json(
+            &h,
+            &job,
+            Some(Path::new("sweep.LPS-snake.ckpt")),
+            Some(Path::new("next.ckpt")),
+            Some(300),
+            true,
+        );
+        assert_eq!(
+            line.to_string(),
+            r#"{"v":1,"job":"LPS/snake","harness":{"cfg":{"num_sms":1,"core_clock_mhz":1530,"schedulers_per_sm":2,"scheduler":"greedy_then_oldest","max_warps_per_sm":16,"warp_width":32,"max_outstanding_loads":4,"l1":{"capacity_bytes":16384,"line_bytes":128,"ways":32},"shared_mem_carveout_bytes":0,"l1_hit_latency":28,"mshr_entries":128,"mshr_merge":8,"miss_queue_depth":2,"l2":{"capacity_bytes":262144,"line_bytes":128,"ways":16},"l2_banks":8,"l2_hit_latency":120,"dram_latency":220,"dram_bytes_per_cycle":64,"noc_bytes_per_cycle":40,"noc_latency":20,"bw_window":256,"fault":{"seed":0,"drop_response":0.0,"duplicate_response":0.0,"delay_response":0.0,"delay_cycles":0,"brownout":{"period":2000,"active":250,"scale":0.5},"recovery":{"timeout":500,"max_retries":4}},"host_profile":false,"perf_inject_stall_ns":0,"max_cycles":20000000,"cycle_budget":6000,"watchdog_cycles":10000,"metrics_window":500},"size":{"warps_per_cta":4,"ctas":2,"iters":48,"seed":12648430},"energy":{"instr_pj":60.0,"l1_access_pj":150.0,"l2_access_pj":800.0,"dram_access_pj":4000.0,"noc_byte_pj":4.0,"prefetcher_access_pj":6.4,"static_w_per_sm":3.0,"prefetcher_static_w":0.006}},"stream":true,"resume":"sweep.LPS-snake.ckpt","checkpoint":"next.ckpt","suspend_after":300}"#
+        );
+        let bare = worker_spec_json(&Harness::quick(), &job, None, None, None, false);
+        assert_eq!(
+            bare.to_string(),
+            r#"{"v":1,"job":"LPS/snake","harness":{"cfg":{"num_sms":1,"core_clock_mhz":1530,"schedulers_per_sm":2,"scheduler":"greedy_then_oldest","max_warps_per_sm":16,"warp_width":32,"max_outstanding_loads":4,"l1":{"capacity_bytes":16384,"line_bytes":128,"ways":32},"shared_mem_carveout_bytes":0,"l1_hit_latency":28,"mshr_entries":128,"mshr_merge":8,"miss_queue_depth":2,"l2":{"capacity_bytes":262144,"line_bytes":128,"ways":16},"l2_banks":8,"l2_hit_latency":120,"dram_latency":220,"dram_bytes_per_cycle":64,"noc_bytes_per_cycle":40,"noc_latency":20,"bw_window":256,"fault":{"seed":0,"drop_response":0.0,"duplicate_response":0.0,"delay_response":0.0,"delay_cycles":0},"host_profile":false,"perf_inject_stall_ns":0,"max_cycles":20000000,"watchdog_cycles":10000},"size":{"warps_per_cta":4,"ctas":2,"iters":48,"seed":12648430},"energy":{"instr_pj":60.0,"l1_access_pj":150.0,"l2_access_pj":800.0,"dram_access_pj":4000.0,"noc_byte_pj":4.0,"prefetcher_access_pj":6.4,"static_w_per_sm":3.0,"prefetcher_static_w":0.006}},"stream":false}"#
+        );
+    }
+
+    #[test]
+    fn child_line_bytes_are_pinned() {
+        let sample = MetricsSample {
+            cycle: 600,
+            ipc: 1.25,
+            l1_hit_rate: 0.5,
+            mshr_occupancy: 0.25,
+            miss_queue_occupancy: 0.0,
+            noc_utilization: 0.75,
+            active_warps: 8,
+            throttled_sms: 1,
+            chain_depth: 3,
+            stall_issued: 0.5,
+            stall_no_warp: 0.0,
+            stall_barrier: 0.125,
+            stall_scoreboard: 0.125,
+            stall_mem_data: 0.25,
+            stall_mem_mshr: 0.0,
+            stall_mem_missq: 0.0,
+            stall_mem_noc: 1.0 / 3.0,
+        };
+        let report = MechanismReport {
+            mechanism: "snake".into(),
+            app: "LPS".into(),
+            ipc: 1.5,
+            cycles: 4000,
+            ..MechanismReport::default()
+        };
+        let host = snake_sim::HostProfile::from_parts(
+            9000,
+            4000,
+            12,
+            [(
+                snake_sim::Phase::L1Lookup,
+                snake_sim::PhaseStat {
+                    nanos: 700,
+                    calls: 40,
+                },
+            )],
+        );
+        let finished = |stop: StopReason, host: Option<snake_sim::HostProfile>| RunOutput {
+            report: report.clone(),
+            stop,
+            host,
+        };
+        let cases = [
+            (
+                ChildLine::Window(sample).to_json(),
+                r#"{"t":"window","cycle":600,"ipc":1.25,"l1_hit_rate":0.5,"mshr_occupancy":0.25,"miss_queue_occupancy":0.0,"noc_utilization":0.75,"active_warps":8,"throttled_sms":1,"chain_depth":3,"stall_issued":0.5,"stall_no_warp":0.0,"stall_barrier":0.125,"stall_scoreboard":0.125,"stall_mem_data":0.25,"stall_mem_mshr":0.0,"stall_mem_missq":0.0,"stall_mem_noc":0.3333333333333333}"#,
+            ),
+            (
+                ChildLine::Checkpoint {
+                    cycle: 2000,
+                    bytes: 89_162,
+                }
+                .to_json(),
+                r#"{"t":"checkpoint","cycle":2000,"bytes":89162}"#,
+            ),
+            (
+                ChildLine::Finished {
+                    output: Box::new(finished(StopReason::Completed, None)),
+                }
+                .to_json(),
+                r#"{"t":"finished","stop":"completed","report":{"mechanism":"snake","app":"LPS","ipc":1.5,"coverage":0.0,"accuracy":0.0,"precision":0.0,"l1_hit_rate":0.0,"reservation_fail_rate":0.0,"noc_utilization":0.0,"memory_stall_fraction":0.0,"energy_j":0.0,"cycles":4000,"timeliness_p50":0,"timeliness_p90":0,"evicted_unused":0,"stall_issued":0.0,"stall_no_warp":0.0,"stall_barrier":0.0,"stall_scoreboard":0.0,"stall_mem_data":0.0,"stall_mem_mshr":0.0,"stall_mem_missq":0.0,"stall_mem_noc":0.0}}"#,
+            ),
+            (
+                ChildLine::Finished {
+                    output: Box::new(finished(
+                        StopReason::BudgetExceeded { budget: 4000 },
+                        Some(host),
+                    )),
+                }
+                .to_json(),
+                r#"{"t":"finished","stop":"budget_exceeded","budget":4000,"report":{"mechanism":"snake","app":"LPS","ipc":1.5,"coverage":0.0,"accuracy":0.0,"precision":0.0,"l1_hit_rate":0.0,"reservation_fail_rate":0.0,"noc_utilization":0.0,"memory_stall_fraction":0.0,"energy_j":0.0,"cycles":4000,"timeliness_p50":0,"timeliness_p90":0,"evicted_unused":0,"stall_issued":0.0,"stall_no_warp":0.0,"stall_barrier":0.0,"stall_scoreboard":0.0,"stall_mem_data":0.0,"stall_mem_mshr":0.0,"stall_mem_missq":0.0,"stall_mem_noc":0.0},"host":{"wall_nanos":9000,"cycles":4000,"trace_events":12,"phases":[{"phase":"sm_issue","nanos":0,"calls":0},{"phase":"l1_lookup","nanos":700,"calls":40},{"phase":"mshr","nanos":0,"calls":0},{"phase":"prefetch","nanos":0,"calls":0},{"phase":"noc","nanos":0,"calls":0},{"phase":"mem_partition","nanos":0,"calls":0},{"phase":"observability","nanos":0,"calls":0}]}}"#,
+            ),
+            (
+                ChildLine::Suspended {
+                    cycle: 300,
+                    checkpoint: "sweep.LPS-snake.ckpt".into(),
+                }
+                .to_json(),
+                r#"{"t":"suspended","cycle":300,"checkpoint":"sweep.LPS-snake.ckpt"}"#,
+            ),
+            (ChildLine::Cancelled.to_json(), r#"{"t":"cancelled"}"#),
+            (
+                ChildLine::Failed {
+                    message: "deadlock: no progress".into(),
+                }
+                .to_json(),
+                r#"{"t":"failed","message":"deadlock: no progress"}"#,
+            ),
+            (
+                ChildLine::Error {
+                    message: "invalid configuration: mshr_entries is 0".into(),
+                }
+                .to_json(),
+                r#"{"t":"error","message":"invalid configuration: mshr_entries is 0"}"#,
+            ),
+        ];
+        for (value, line) in cases {
+            assert_eq!(value.to_string(), line);
+            assert!(parse_child_line(line).is_ok(), "{line}");
+        }
     }
 
     #[test]

@@ -20,9 +20,10 @@
 
 use std::path::Path;
 
-use snake_core::json::Value;
+use snake_core::json::{self, Value};
 use snake_core::MechanismReport;
 
+use super::executor::CrashKind;
 use crate::jsonl_log::{self, Appender, Lines, LogError};
 
 /// The header's `manifest` field — identifies the file format.
@@ -51,41 +52,30 @@ impl ManifestHeader {
     }
 
     fn from_json(v: &Value) -> Result<Self, String> {
-        let magic = v
-            .get("manifest")
-            .and_then(Value::as_str)
-            .ok_or("missing \"manifest\" field")?;
+        let magic = json::str_field(v, "manifest")?;
         if magic != MANIFEST_MAGIC {
             return Err(format!("not a sweep manifest (magic {magic:?})"));
         }
-        let version = v
-            .get("version")
-            .and_then(Value::as_u64)
-            .ok_or("missing \"version\" field")?;
+        let version = json::u64_field(v, "version")?;
         if version != MANIFEST_VERSION {
             return Err(format!(
                 "unsupported manifest version {version} (this build reads {MANIFEST_VERSION})"
             ));
         }
         Ok(ManifestHeader {
-            fingerprint: v
-                .get("fingerprint")
-                .and_then(Value::as_str)
-                .ok_or("missing \"fingerprint\" field")?
-                .to_string(),
-            jobs: v
-                .get("jobs")
-                .and_then(Value::as_u64)
-                .ok_or("missing \"jobs\" field")?,
+            fingerprint: json::str_field(v, "fingerprint")?.into(),
+            jobs: json::u64_field(v, "jobs")?,
         })
     }
 }
 
-/// One checkpointed job.
+/// How one job of a sweep finished: the one shape the supervisor
+/// returns, the manifest and the daemon journal append as they are,
+/// and `snakectl status` lists.
 //
-// The report row dominates the enum's size, but records are transient
-// (parsed, matched, dropped one manifest line at a time), so the
-// indirection a `Box` would buy is not worth the churn.
+// The report row dominates the enum's size; a sweep holds tens of
+// these, so boxing it would only add churn at every construction and
+// match site.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobRecord {
@@ -93,14 +83,16 @@ pub enum JobRecord {
     Completed {
         /// Job id, `"<abbr>/<mechanism>"`.
         job: String,
-        /// Attempts it took.
+        /// Attempts it took (1 = first try).
         attempts: u32,
         /// Stop-reason label (`"completed"`, `"budget_exceeded"`, …).
         stop: String,
         /// The recorded report row.
         report: MechanismReport,
     },
-    /// The job exhausted its attempts (or hit a deterministic error).
+    /// Every attempt panicked, deadlocked, or errored (or one hit a
+    /// deterministic error); the job is quarantined and its siblings
+    /// were unaffected.
     Quarantined {
         /// Job id, `"<abbr>/<mechanism>"`.
         job: String,
@@ -108,16 +100,17 @@ pub enum JobRecord {
         attempts: u32,
         /// The last failure, human-readable.
         error: String,
-        /// Typed crash classification label (`"panic"`, `"signal 11"`,
-        /// `"oom"`, `"timeout"`, `"protocol"`); absent for typed
+        /// Typed crash classification when the failure was a process
+        /// death (sandbox executor) or a panic; absent for typed
         /// simulator errors, deadlocks, and pre-isolation manifests.
-        crash: Option<String>,
+        crash: Option<CrashKind>,
         /// Last stderr excerpt from a crashed sandboxed child.
         stderr: Option<String>,
     },
-    /// The job was preempted mid-simulation (sweep deadline); its
-    /// complete simulator state is durable in the checkpoint file, and
-    /// resume restores it instead of re-running from cycle zero.
+    /// The job was preempted mid-simulation (deadline or
+    /// `suspend_after`); its complete simulator state is durable in the
+    /// checkpoint file, and resume restores it instead of re-running
+    /// from cycle zero.
     Suspended {
         /// Job id, `"<abbr>/<mechanism>"`.
         job: String,
@@ -171,7 +164,7 @@ impl JobRecord {
                 // Optional fields are omitted entirely when absent, so
                 // pre-isolation manifests stay byte-identical.
                 if let Some(kind) = crash {
-                    fields.push(("crash".into(), Value::str(kind)));
+                    fields.push(("crash".into(), Value::str(kind.label())));
                 }
                 if let Some(excerpt) = stderr {
                     fields.push(("stderr".into(), Value::str(excerpt)));
@@ -199,54 +192,35 @@ impl JobRecord {
     ///
     /// Returns a description of the first malformed or missing field.
     pub fn from_json(v: &Value) -> Result<Self, String> {
-        let job = v
-            .get("job")
-            .and_then(Value::as_str)
-            .ok_or("missing \"job\" field")?
-            .to_string();
-        let attempts = v
-            .get("attempts")
-            .and_then(Value::as_u32)
-            .ok_or("missing \"attempts\" field")?;
-        match v.get("state").and_then(Value::as_str) {
-            Some("completed") => Ok(JobRecord::Completed {
+        let job = json::str_field(v, "job")?.to_string();
+        let attempts = json::u32_field(v, "attempts")?;
+        match json::str_field(v, "state")? {
+            "completed" => Ok(JobRecord::Completed {
                 job,
                 attempts,
-                stop: v
-                    .get("stop")
-                    .and_then(Value::as_str)
-                    .ok_or("missing \"stop\" field")?
-                    .to_string(),
-                report: MechanismReport::from_json(
-                    v.get("report").ok_or("missing \"report\" field")?,
-                )?,
+                stop: json::str_field(v, "stop")?.into(),
+                report: MechanismReport::from_json(json::field(v, "report")?)?,
             }),
-            Some("quarantined") => Ok(JobRecord::Quarantined {
+            "quarantined" => Ok(JobRecord::Quarantined {
                 job,
                 attempts,
-                error: v
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .ok_or("missing \"error\" field")?
-                    .to_string(),
-                crash: v.get("crash").and_then(Value::as_str).map(str::to_string),
-                stderr: v.get("stderr").and_then(Value::as_str).map(str::to_string),
+                error: json::str_field(v, "error")?.into(),
+                crash: match json::if_present(v, "crash", json::str_field)? {
+                    Some(label) => Some(
+                        CrashKind::parse(label)
+                            .ok_or_else(|| format!("unknown crash kind {label:?}"))?,
+                    ),
+                    None => None,
+                },
+                stderr: json::if_present(v, "stderr", json::str_field)?.map(str::to_string),
             }),
-            Some("suspended") => Ok(JobRecord::Suspended {
+            "suspended" => Ok(JobRecord::Suspended {
                 job,
                 attempts,
-                cycle: v
-                    .get("cycle")
-                    .and_then(Value::as_u64)
-                    .ok_or("missing \"cycle\" field")?,
-                checkpoint: v
-                    .get("checkpoint")
-                    .and_then(Value::as_str)
-                    .ok_or("missing \"checkpoint\" field")?
-                    .to_string(),
+                cycle: json::u64_field(v, "cycle")?,
+                checkpoint: json::str_field(v, "checkpoint")?.into(),
             }),
-            Some(other) => Err(format!("unknown record state {other:?}")),
-            None => Err("missing \"state\" field".into()),
+            other => Err(format!("unknown record state {other:?}")),
         }
     }
 }
@@ -275,7 +249,7 @@ fn decode(lines: &Lines) -> Result<LoadedManifest, LogError> {
 ///
 /// [`LogError::Io`] on any file-system failure.
 pub fn create(path: &Path, header: &ManifestHeader) -> Result<Appender, LogError> {
-    Appender::create(path, &header.to_json())
+    Appender::create(path, Some(&header.to_json()))
 }
 
 /// Loads and validates a manifest without touching it.
@@ -356,7 +330,7 @@ mod tests {
             job: "MUM/mta".into(),
             attempts: 3,
             error: "panic: boom".into(),
-            crash: Some("signal 11".into()),
+            crash: Some(CrashKind::Signal(11)),
             stderr: Some("Segmentation fault".into()),
         };
         let suspended = JobRecord::Suspended {
@@ -375,6 +349,78 @@ mod tests {
         assert_eq!(loaded.header, header);
         assert_eq!(loaded.records, vec![completed, quarantined, suspended]);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn header_and_record_bytes_are_pinned() {
+        let header = ManifestHeader {
+            fingerprint: "deadbeefdeadbeef".into(),
+            jobs: 22,
+        };
+        assert_eq!(
+            header.to_json().to_string(),
+            r#"{"manifest":"snake-sweep-manifest","version":1,"fingerprint":"deadbeefdeadbeef","jobs":22}"#
+        );
+        let report = MechanismReport {
+            mechanism: "snake".into(),
+            app: "LPS".into(),
+            ipc: 1.5,
+            cycles: 4000,
+            ..MechanismReport::default()
+        };
+        let cases = [
+            (
+                JobRecord::Completed {
+                    job: "LPS/snake".into(),
+                    attempts: 2,
+                    stop: "budget_exceeded".into(),
+                    report,
+                },
+                r#"{"job":"LPS/snake","state":"completed","attempts":2,"stop":"budget_exceeded","report":{"mechanism":"snake","app":"LPS","ipc":1.5,"coverage":0.0,"accuracy":0.0,"precision":0.0,"l1_hit_rate":0.0,"reservation_fail_rate":0.0,"noc_utilization":0.0,"memory_stall_fraction":0.0,"energy_j":0.0,"cycles":4000,"timeliness_p50":0,"timeliness_p90":0,"evicted_unused":0,"stall_issued":0.0,"stall_no_warp":0.0,"stall_barrier":0.0,"stall_scoreboard":0.0,"stall_mem_data":0.0,"stall_mem_mshr":0.0,"stall_mem_missq":0.0,"stall_mem_noc":0.0}}"#,
+            ),
+            (
+                JobRecord::Quarantined {
+                    job: "MUM/mta".into(),
+                    attempts: 3,
+                    error: "panic: boom \"quoted\"".into(),
+                    crash: Some(CrashKind::Signal(11)),
+                    stderr: Some("Segmentation fault".into()),
+                },
+                r#"{"job":"MUM/mta","state":"quarantined","attempts":3,"error":"panic: boom \"quoted\"","crash":"signal 11","stderr":"Segmentation fault"}"#,
+            ),
+            (
+                JobRecord::Quarantined {
+                    job: "MUM/mta".into(),
+                    attempts: 1,
+                    error: "deadlock: no progress".into(),
+                    crash: None,
+                    stderr: None,
+                },
+                r#"{"job":"MUM/mta","state":"quarantined","attempts":1,"error":"deadlock: no progress"}"#,
+            ),
+            (
+                JobRecord::Quarantined {
+                    job: "CP/snake".into(),
+                    attempts: 1,
+                    error: "sandboxed job CP/snake died: panic".into(),
+                    crash: Some(CrashKind::Panic),
+                    stderr: None,
+                },
+                r#"{"job":"CP/snake","state":"quarantined","attempts":1,"error":"sandboxed job CP/snake died: panic","crash":"panic"}"#,
+            ),
+            (
+                JobRecord::Suspended {
+                    job: "CP/snake".into(),
+                    attempts: 1,
+                    cycle: 48_213,
+                    checkpoint: "sweep.CP-snake.ckpt".into(),
+                },
+                r#"{"job":"CP/snake","state":"suspended","attempts":1,"cycle":48213,"checkpoint":"sweep.CP-snake.ckpt"}"#,
+            ),
+        ];
+        for (record, line) in cases {
+            assert_eq!(record.to_json().to_string(), line);
+        }
     }
 
     #[test]
@@ -450,7 +496,7 @@ mod tests {
             job: "LPS/snake".into(),
             attempts: 2,
             error: "panic: boom".into(),
-            crash: Some("panic".into()),
+            crash: Some(CrashKind::Panic),
             stderr: None,
         };
         {

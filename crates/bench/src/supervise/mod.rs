@@ -48,7 +48,7 @@ pub use crate::runner::ExecContext;
 pub use executor::{CrashKind, CrashReport, ExecError, JobExecutor, SandboxLimits};
 pub use manifest::JobRecord;
 pub use progress::{Progress, ProgressSnapshot};
-pub use supervisor::{run_supervised, JobOutcome, SweepResult};
+pub use supervisor::{run_supervised, SweepResult};
 
 /// Exit code when the sweep finished but quarantined at least one job
 /// (healthy rows were still produced and rendered).

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use snake_core::json::Value;
 
-use super::supervisor::JobOutcome;
+use super::manifest::JobRecord;
 
 /// Monotone sweep counters, updated by the supervisor's worker threads
 /// with relaxed atomics (exact totals matter, cross-counter ordering
@@ -46,13 +46,14 @@ impl Progress {
         self.overdue.store(0, Ordering::Relaxed);
     }
 
-    /// Records a finished job's outcome in its bucket.
-    pub fn observe(&self, outcome: &JobOutcome) {
+    /// Records a finished job's outcome in its bucket: its record, or
+    /// `None` for a job that was skipped.
+    pub fn observe(&self, outcome: Option<&JobRecord>) {
         let bucket = match outcome {
-            JobOutcome::Completed { .. } => &self.done,
-            JobOutcome::Crashed { .. } => &self.quarantined,
-            JobOutcome::Skipped { .. } => &self.skipped,
-            JobOutcome::Suspended { .. } => &self.suspended,
+            Some(JobRecord::Completed { .. }) => &self.done,
+            Some(JobRecord::Quarantined { .. }) => &self.quarantined,
+            None => &self.skipped,
+            Some(JobRecord::Suspended { .. }) => &self.suspended,
         };
         bucket.fetch_add(1, Ordering::Relaxed);
     }
@@ -161,17 +162,19 @@ mod tests {
     fn buckets_and_remaining() {
         let p = Progress::default();
         p.begin(5);
-        p.observe(&JobOutcome::Completed {
-            report: MechanismReport::default(),
-            stop: "completed".into(),
+        p.observe(Some(&JobRecord::Completed {
+            job: "LPS/snake".into(),
             attempts: 1,
-        });
-        p.observe(&JobOutcome::Crashed {
-            message: "panic".into(),
+            stop: "completed".into(),
+            report: MechanismReport::default(),
+        }));
+        p.observe(Some(&JobRecord::Quarantined {
+            job: "CP/snake".into(),
             attempts: 3,
+            error: "panic".into(),
             crash: None,
             stderr: None,
-        });
+        }));
         p.note_retry();
         p.note_retry();
         let s = p.snapshot();
@@ -184,16 +187,15 @@ mod tests {
     fn render_elides_zero_buckets() {
         let p = Progress::default();
         p.begin(4);
-        p.observe(&JobOutcome::Completed {
-            report: MechanismReport::default(),
-            stop: "completed".into(),
+        p.observe(Some(&JobRecord::Completed {
+            job: "LPS/snake".into(),
             attempts: 1,
-        });
+            stop: "completed".into(),
+            report: MechanismReport::default(),
+        }));
         let line = p.snapshot().render(std::time::Duration::from_millis(1500));
         assert_eq!(line, "sweep 1/4 done, 3 remaining, 1.5s");
-        p.observe(&JobOutcome::Skipped {
-            reason: "cancelled".into(),
-        });
+        p.observe(None);
         p.note_retry();
         let line = p.snapshot().render(std::time::Duration::ZERO);
         assert_eq!(

@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use snake_core::MechanismReport;
 use snake_sim::StopReason;
 
 use super::executor::{CrashKind, ExecError};
@@ -19,106 +18,13 @@ use crate::jsonl_log::Appender;
 use crate::report::{pct, ratio, Table};
 use crate::runner::JobRun;
 
-/// The final state of one job in a finished sweep.
-//
-// A sweep holds tens of these, so the report row's size (which
-// dominates the enum) is irrelevant; boxing it would only add churn
-// at every construction and match site.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobOutcome {
-    /// The job produced a report (cleanly, or truncated by a cycle
-    /// budget / cycle limit).
-    Completed {
-        /// The report row.
-        report: MechanismReport,
-        /// Stop-reason label (`"completed"`, `"budget_exceeded"`, …).
-        stop: String,
-        /// Attempts it took (1 = first try).
-        attempts: u32,
-    },
-    /// Every attempt panicked, deadlocked, or errored; the job is
-    /// quarantined and its siblings were unaffected.
-    Crashed {
-        /// The last failure, human-readable.
-        message: String,
-        /// Attempts made before quarantine.
-        attempts: u32,
-        /// Typed crash classification when the failure was a process
-        /// death (sandbox executor) or a panic; `None` for typed
-        /// simulator errors and deadlocks.
-        crash: Option<CrashKind>,
-        /// Last stderr excerpt from the crashed child, when captured.
-        stderr: Option<String>,
-    },
-    /// The job was never started: the sweep hit its wall deadline or
-    /// `stop_after` first. Resume from the manifest to run it.
-    Skipped {
-        /// Why it was not started.
-        reason: String,
-    },
-    /// The job was preempted mid-simulation (deadline or
-    /// `suspend_after`); its full state is checkpointed and resume
-    /// restores it rather than re-running from cycle zero.
-    Suspended {
-        /// Simulation cycle the state was captured at.
-        cycle: u64,
-        /// Path of the checkpoint artifact.
-        checkpoint: String,
-        /// Attempts when it was suspended.
-        attempts: u32,
-    },
-}
-
-impl JobOutcome {
-    /// The manifest record this outcome checkpoints as — `None` for
-    /// skipped jobs, which are not durable state (they simply re-run).
-    /// Shared by the sweep manifest writer and the daemon's state
-    /// journal, so both planes record identical facts.
-    pub fn to_record(&self, job: String) -> Option<JobRecord> {
-        match self {
-            JobOutcome::Completed {
-                report,
-                stop,
-                attempts,
-            } => Some(JobRecord::Completed {
-                job,
-                attempts: *attempts,
-                stop: stop.clone(),
-                report: report.clone(),
-            }),
-            JobOutcome::Crashed {
-                message,
-                attempts,
-                crash,
-                stderr,
-            } => Some(JobRecord::Quarantined {
-                job,
-                attempts: *attempts,
-                error: message.clone(),
-                crash: crash.map(|k| k.label()),
-                stderr: stderr.clone(),
-            }),
-            JobOutcome::Suspended {
-                cycle,
-                checkpoint,
-                attempts,
-            } => Some(JobRecord::Suspended {
-                job,
-                attempts: *attempts,
-                cycle: *cycle,
-                checkpoint: checkpoint.clone(),
-            }),
-            JobOutcome::Skipped { .. } => None,
-        }
-    }
-}
-
 /// Everything a finished (or interrupted) sweep produced.
 #[derive(Debug)]
 pub struct SweepResult {
-    /// One outcome per job, in campaign order.
-    pub outcomes: Vec<(JobSpec, JobOutcome)>,
+    /// One outcome per job, in campaign order: its record, or `None`
+    /// when it was skipped (deadline, `stop_after`, or cancellation) —
+    /// not durable state, it simply re-runs.
+    pub outcomes: Vec<(JobSpec, Option<JobRecord>)>,
     /// True when jobs were skipped (deadline / `stop_after`).
     pub interrupted: bool,
     /// Checkpointing failures (the sweep itself kept going; resume
@@ -132,10 +38,10 @@ impl SweepResult {
         let mut c = (0, 0, 0, 0);
         for (_, o) in &self.outcomes {
             match o {
-                JobOutcome::Completed { .. } => c.0 += 1,
-                JobOutcome::Crashed { .. } => c.1 += 1,
-                JobOutcome::Skipped { .. } => c.2 += 1,
-                JobOutcome::Suspended { .. } => c.3 += 1,
+                Some(JobRecord::Completed { .. }) => c.0 += 1,
+                Some(JobRecord::Quarantined { .. }) => c.1 += 1,
+                None => c.2 += 1,
+                Some(JobRecord::Suspended { .. }) => c.3 += 1,
             }
         }
         c
@@ -175,11 +81,12 @@ impl SweepResult {
             .collect(),
         );
         for (job, outcome) in &self.outcomes {
-            if let JobOutcome::Completed {
+            if let Some(JobRecord::Completed {
                 report,
                 stop,
                 attempts,
-            } = outcome
+                ..
+            }) = outcome
             {
                 t.push_row(vec![
                     job.bench.abbr().into(),
@@ -216,12 +123,13 @@ impl SweepResult {
             .outcomes
             .iter()
             .filter_map(|(job, o)| match o {
-                JobOutcome::Crashed {
-                    message,
+                Some(JobRecord::Quarantined {
+                    error,
                     attempts,
                     crash,
                     stderr,
-                } => Some((job, message, *attempts, crash, stderr)),
+                    ..
+                }) => Some((job, error, *attempts, crash, stderr)),
                 _ => None,
             })
             .collect();
@@ -307,39 +215,16 @@ where
     F: Fn(&JobSpec, u32, Option<&Path>) -> Result<JobRun, ExecError> + Sync,
 {
     let started_at = Instant::now();
-    let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
+    // `None` until the job settles; then its record, or `None` inside
+    // when it was skipped.
+    let mut outcomes: Vec<Option<Option<JobRecord>>> = vec![None; jobs.len()];
     let mut pending: VecDeque<(usize, &JobSpec, Option<String>)> = VecDeque::new();
     for (i, job) in jobs.iter().enumerate() {
         match checkpointed.get(&job.id()) {
-            Some(JobRecord::Completed {
-                attempts,
-                stop,
-                report,
-                ..
-            }) => {
-                outcomes[i] = Some(JobOutcome::Completed {
-                    report: report.clone(),
-                    stop: stop.clone(),
-                    attempts: *attempts,
-                });
-            }
-            Some(JobRecord::Quarantined {
-                attempts,
-                error,
-                crash,
-                stderr,
-                ..
-            }) => {
-                outcomes[i] = Some(JobOutcome::Crashed {
-                    message: error.clone(),
-                    attempts: *attempts,
-                    crash: crash.as_deref().and_then(CrashKind::parse),
-                    stderr: stderr.clone(),
-                });
-            }
             Some(JobRecord::Suspended { checkpoint, .. }) => {
                 pending.push_back((i, job, Some(checkpoint.clone())));
             }
+            Some(record) => outcomes[i] = Some(Some(record.clone())),
             None => pending.push_back((i, job, None)),
         }
     }
@@ -349,7 +234,7 @@ where
         // resumed sweep's progress line starts where the last one
         // ended instead of at zero.
         for outcome in outcomes.iter().flatten() {
-            p.observe(outcome);
+            p.observe(outcome.as_ref());
         }
     }
 
@@ -370,20 +255,12 @@ where
         let over_deadline = cfg.wall_deadline.is_some_and(|d| started_at.elapsed() >= d);
         let over_count = cfg.stop_after.is_some_and(|k| q.started >= k);
         if over_deadline || over_count {
-            let reason = if over_deadline {
-                "sweep wall-clock deadline exceeded before this job started"
-            } else {
-                "sweep stopped by --stop-after before this job started"
-            };
             let mut d = done.lock().unwrap();
             while let Some((i, _, _)) = q.pending.pop_front() {
-                let outcome = JobOutcome::Skipped {
-                    reason: reason.into(),
-                };
                 if let Some(p) = &cfg.progress {
-                    p.observe(&outcome);
+                    p.observe(None);
                 }
-                d[i] = Some(outcome);
+                d[i] = Some(None);
             }
             *interrupted.lock().unwrap() = true;
             return None;
@@ -403,22 +280,20 @@ where
                     let outcome = supervise_one(job, cfg, resume.as_deref(), &runner);
                     running.fetch_sub(1, Ordering::Relaxed);
                     if let Some(p) = &cfg.progress {
-                        p.observe(&outcome);
+                        p.observe(outcome.as_ref());
                     }
-                    if let JobOutcome::Suspended { .. } = &outcome {
+                    if let Some(JobRecord::Suspended { .. }) = &outcome {
                         // Work remains: the sweep must report
                         // interrupted so callers resume it.
                         *interrupted.lock().unwrap() = true;
                     }
-                    if let Some(w) = &writer {
-                        if let Some(record) = outcome.to_record(job.id()) {
-                            let mut w = w.lock().expect("no manifest append panics");
-                            if let Err(e) = w.append(&record.to_json()) {
-                                manifest_errors
-                                    .lock()
-                                    .unwrap()
-                                    .push(format!("{}: {e}", job.id()));
-                            }
+                    if let (Some(w), Some(record)) = (&writer, &outcome) {
+                        let mut w = w.lock().expect("no manifest append panics");
+                        if let Err(e) = w.append(&record.to_json()) {
+                            manifest_errors
+                                .lock()
+                                .unwrap()
+                                .push(format!("{}: {e}", job.id()));
                         }
                     }
                     done.lock().unwrap()[i] = Some(outcome);
@@ -475,7 +350,8 @@ struct Failure {
 }
 
 /// Runs one job's attempt loop: panic isolation, retry classification,
-/// capped exponential backoff, quarantine.
+/// capped exponential backoff, quarantine. Returns the job's record, or
+/// `None` when the caller cancelled it.
 ///
 /// A `resume_from` checkpoint only applies to attempt 1; if a resumed
 /// run fails, later attempts fall back to a fresh run from cycle zero
@@ -493,11 +369,20 @@ fn supervise_one<F>(
     cfg: &SweepConfig,
     resume_from: Option<&str>,
     runner: &F,
-) -> JobOutcome
+) -> Option<JobRecord>
 where
     F: Fn(&JobSpec, u32, Option<&Path>) -> Result<JobRun, ExecError> + Sync,
 {
     let max_attempts = cfg.max_attempts.max(1);
+    let quarantined = |error: String, attempts: u32, crash: Option<CrashKind>, stderr| {
+        Some(JobRecord::Quarantined {
+            job: job.id(),
+            attempts,
+            error,
+            crash,
+            stderr,
+        })
+    };
     let mut attempt = 1u32;
     loop {
         let resume = if attempt == 1 {
@@ -513,45 +398,31 @@ where
                     stderr: None,
                 },
                 _ => {
-                    return JobOutcome::Completed {
+                    return Some(JobRecord::Completed {
+                        job: job.id(),
+                        attempts: attempt,
                         stop: output.stop.label().to_string(),
                         report: output.report,
-                        attempts: attempt,
-                    };
+                    });
                 }
             },
             Ok(Ok(JobRun::Suspended { cycle, checkpoint })) => {
-                return JobOutcome::Suspended {
+                return Some(JobRecord::Suspended {
+                    job: job.id(),
+                    attempts: attempt,
                     cycle,
                     checkpoint,
-                    attempts: attempt,
-                };
+                });
             }
             // Cancellation is a caller decision, not a failure:
-            // recorded as skipped, never retried.
-            Ok(Ok(JobRun::Cancelled)) => {
-                return JobOutcome::Skipped {
-                    reason: "cancelled by the caller before completion".into(),
-                };
-            }
+            // skipped, never retried.
+            Ok(Ok(JobRun::Cancelled)) => return None,
             // A typed simulator error is deterministic (bad
             // configuration); retrying cannot change it.
             Ok(Err(ExecError::Sim(err))) => {
-                return JobOutcome::Crashed {
-                    message: err.to_string(),
-                    attempts: attempt,
-                    crash: None,
-                    stderr: None,
-                };
+                return quarantined(err.to_string(), attempt, None, None)
             }
-            Ok(Err(ExecError::Typed(message))) => {
-                return JobOutcome::Crashed {
-                    message,
-                    attempts: attempt,
-                    crash: None,
-                    stderr: None,
-                };
-            }
+            Ok(Err(ExecError::Typed(message))) => return quarantined(message, attempt, None, None),
             Ok(Err(ExecError::Failure(message))) => Failure {
                 message,
                 crash: None,
@@ -560,12 +431,7 @@ where
             Ok(Err(ExecError::Crash(c))) => {
                 let stderr = (!c.stderr.is_empty()).then(|| c.stderr.clone());
                 if !c.kind.retryable() {
-                    return JobOutcome::Crashed {
-                        message: c.message,
-                        attempts: attempt,
-                        crash: Some(c.kind),
-                        stderr,
-                    };
+                    return quarantined(c.message, attempt, Some(c.kind), stderr);
                 }
                 Failure {
                     message: c.message,
@@ -580,12 +446,7 @@ where
             },
         };
         if attempt >= max_attempts {
-            return JobOutcome::Crashed {
-                message: failure.message,
-                attempts: attempt,
-                crash: failure.crash,
-                stderr: failure.stderr,
-            };
+            return quarantined(failure.message, attempt, failure.crash, failure.stderr);
         }
         if let Some(p) = &cfg.progress {
             p.note_retry();

@@ -467,6 +467,41 @@ fn deadline_slices_suspend_requeue_and_finish_byte_identically() {
     shutdown(&socket, handle);
 }
 
+/// A submit with a field of the wrong type is refused outright. Read
+/// as its default, this one would queue every benchmark under every
+/// mechanism on the standard harness with no budget.
+#[test]
+fn mistyped_submit_is_rejected_and_queues_nothing() {
+    let (socket, handle) = daemon("mistyped");
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    writeln!(
+        stream,
+        r#"{{"op":"submit","benchmarks":["LPS"],"budget":"100","quick":"yes"}}"#
+    )
+    .expect("send submit");
+    let mut line = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut line)
+        .expect("submit answered");
+    let response = snake_core::json::parse(line.trim()).expect("response json");
+    assert_eq!(
+        response.get("ok").and_then(Value::as_bool),
+        Some(false),
+        "{line}"
+    );
+    let status = client::request(&socket, &Request::Status { id: None }).expect("status");
+    assert_eq!(
+        status
+            .get("jobs")
+            .and_then(Value::as_arr)
+            .map(<[Value]>::len),
+        Some(0),
+        "nothing may be queued: {status}"
+    );
+
+    shutdown(&socket, handle);
+}
+
 /// `tail --from-seq`/`--ring` resume a cut-off subscription: a second
 /// tail starting mid-stream sees exactly the suffix, with the same
 /// verified sequence arithmetic.
@@ -488,23 +523,28 @@ fn tail_from_seq_resumes_mid_stream_with_exact_accounting() {
     );
     // First connection: a raw tail, cut off after a few records — the
     // "ssh dropped" scenario. Remember the last sequence we saw.
+    //
+    // The connection stays open, unread, until the resumed tail has
+    // subscribed: its subscription is still live then, so the ring
+    // keeps every record and the reconnect gets exactly `from..`
+    // whether or not the job has finished by now. (With no subscriber
+    // left the ring releases its buffer, so closing first would make
+    // the result depend on host speed.)
     let mut cut_at = None;
+    let stream = UnixStream::connect(&socket).expect("connect");
     {
-        let stream = UnixStream::connect(&socket).expect("connect");
-        {
-            let mut w = &stream;
-            writeln!(
-                w,
-                "{}",
-                Request::Tail {
-                    id,
-                    ring: 0,
-                    from: None
-                }
-                .to_json()
-            )
-            .expect("send tail request");
-        }
+        let mut w = &stream;
+        writeln!(
+            w,
+            "{}",
+            Request::Tail {
+                id,
+                ring: 0,
+                from: None
+            }
+            .to_json()
+        )
+        .expect("send tail request");
         let mut reader = BufReader::new(&stream);
         let mut line = String::new();
         let mut records = 0;
@@ -517,7 +557,6 @@ fn tail_from_seq_resumes_mid_stream_with_exact_accounting() {
                 cut_at = Some(seq);
             }
         }
-        // Dropped here, mid-stream.
     }
     let from = cut_at.expect("saw records before the cut") + 1;
 
@@ -525,7 +564,15 @@ fn tail_from_seq_resumes_mid_stream_with_exact_accounting() {
     // the stream's sequence arithmetic internally (gaps vs. the done
     // line), so a successful return *is* the exactness proof; on top
     // of that the resumed tail must actually deliver the live suffix.
-    let resumed = client::tail_from(&socket, id, 0, Some(from), |_| {}).expect("resumed tail");
+    // The first connection drops once the resumed subscription exists.
+    let mut first = Some(stream);
+    let resumed = client::tail_from(&socket, id, 0, Some(from), |v| {
+        if v.get("type").and_then(Value::as_str) == Some("stream") {
+            first = None;
+        }
+    })
+    .expect("resumed tail");
+    assert!(first.is_none(), "the resumed tail opened its ring");
     assert_eq!(resumed.state, "done");
     assert_eq!(
         resumed.exit, 0,

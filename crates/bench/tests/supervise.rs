@@ -8,7 +8,7 @@ use std::sync::Mutex;
 
 use snake_bench::runner::JobRun;
 use snake_bench::supervise::{
-    self, campaign, CrashKind, ExecError, JobOutcome, JobSpec, SweepConfig, SweepError,
+    self, campaign, CrashKind, ExecError, JobRecord, JobSpec, SweepConfig, SweepError,
     EXIT_INTERRUPTED, EXIT_QUARANTINE,
 };
 use snake_bench::Harness;
@@ -177,12 +177,12 @@ fn poisoned_jobs_are_quarantined_and_siblings_are_unharmed() {
             .unwrap()
     };
     match outcome(Benchmark::Cp) {
-        JobOutcome::Crashed {
-            message,
+        Some(JobRecord::Quarantined {
+            error: message,
             attempts,
             crash,
             ..
-        } => {
+        }) => {
             assert!(message.starts_with("panic: injected poison"), "{message}");
             assert_eq!(attempts, cfg.max_attempts, "panics are retried first");
             assert_eq!(crash, Some(CrashKind::Panic), "panics carry their kind");
@@ -190,12 +190,12 @@ fn poisoned_jobs_are_quarantined_and_siblings_are_unharmed() {
         other => panic!("CP should be quarantined, got {other:?}"),
     }
     match outcome(Benchmark::Lps) {
-        JobOutcome::Crashed {
-            message,
+        Some(JobRecord::Quarantined {
+            error: message,
             attempts,
             crash,
             ..
-        } => {
+        }) => {
             assert!(message.starts_with("deadlock:"), "{message}");
             assert_eq!(attempts, cfg.max_attempts, "deadlocks are retried first");
             assert_eq!(crash, None, "deadlocks are sim outcomes, not crashes");
@@ -203,7 +203,7 @@ fn poisoned_jobs_are_quarantined_and_siblings_are_unharmed() {
         other => panic!("LPS should be quarantined, got {other:?}"),
     }
     match outcome(Benchmark::Lib) {
-        JobOutcome::Completed { stop, report, .. } => {
+        Some(JobRecord::Completed { stop, report, .. }) => {
             assert_eq!(stop, "budget_exceeded");
             assert!(report.cycles <= 64, "truncated at the budget");
         }
@@ -211,7 +211,7 @@ fn poisoned_jobs_are_quarantined_and_siblings_are_unharmed() {
     }
     for bench in [Benchmark::Mum, Benchmark::Nw] {
         assert!(
-            matches!(outcome(bench), JobOutcome::Completed { ref stop, .. } if stop == "completed"),
+            matches!(outcome(bench), Some(JobRecord::Completed { ref stop, .. }) if stop == "completed"),
             "healthy sibling {bench} must be unaffected"
         );
     }
@@ -257,7 +257,7 @@ fn flaky_job_succeeds_after_retries() {
 
     assert_eq!(result.exit_code(), 0);
     match &result.outcomes[0].1 {
-        JobOutcome::Completed { attempts, stop, .. } => {
+        Some(JobRecord::Completed { attempts, stop, .. }) => {
             assert_eq!(*attempts, 3);
             assert_eq!(stop, "completed");
         }
@@ -288,12 +288,12 @@ fn deterministic_sim_error_quarantines_without_retry() {
 
     assert_eq!(result.exit_code(), EXIT_QUARANTINE);
     match &result.outcomes[0].1 {
-        JobOutcome::Crashed {
-            message,
+        Some(JobRecord::Quarantined {
+            error: message,
             attempts,
             crash,
             ..
-        } => {
+        }) => {
             assert!(message.contains("invalid configuration"), "{message}");
             assert_eq!(*attempts, 1, "deterministic errors are not retried");
             assert_eq!(*crash, None, "typed sim errors carry no crash kind");
@@ -335,9 +335,9 @@ fn deadline_suspended_job_resumes_mid_simulation() {
     assert!(suspended > 0, "jobs reaching the deadline are suspended");
     let mut checkpoints = Vec::new();
     for (_, o) in &part.outcomes {
-        if let JobOutcome::Suspended {
+        if let Some(JobRecord::Suspended {
             cycle, checkpoint, ..
-        } = o
+        }) = o
         {
             assert!(*cycle >= 300, "suspended at or after the trigger cycle");
             assert!(

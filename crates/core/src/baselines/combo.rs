@@ -1,8 +1,8 @@
 //! Composition: `Snake+CTA` (§4, comparison point 9 — the two
 //! mechanisms are orthogonal).
 
-use snake_sim::json::Value;
-use snake_sim::snapshot::{self, SnapshotError};
+use snake_sim::json::{self, Value};
+use snake_sim::snapshot::SnapshotError;
 use snake_sim::{
     AccessEvent, KernelTrace, PrefetchContext, PrefetchPlacement, PrefetchRequest, Prefetcher,
     PrefetcherEvent,
@@ -102,8 +102,8 @@ impl Prefetcher for Combined {
     }
 
     fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.first.restore_state(snapshot::field(v, "first")?)?;
-        self.second.restore_state(snapshot::field(v, "second")?)
+        self.first.restore_state(json::field(v, "first")?)?;
+        self.second.restore_state(json::field(v, "second")?)
     }
 }
 

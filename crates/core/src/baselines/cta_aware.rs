@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use snake_sim::json::Value;
+use snake_sim::json::{self, Value};
 use snake_sim::snapshot::{self, SnapshotError};
 use snake_sim::{
     AccessEvent, Address, CtaId, KernelTrace, Pc, PrefetchContext, PrefetchRequest, Prefetcher,
@@ -163,9 +163,9 @@ impl Prefetcher for CtaAware {
 
     fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
         let bad = || SnapshotError::malformed("cta-aware table row does not decode");
-        let seq = snapshot::u64_field(v, "seq")?;
+        let seq = json::u64_field(v, "seq")?;
         let mut table = HashMap::with_capacity(self.capacity);
-        for row in snapshot::arr_field(v, "table")? {
+        for row in json::arr_field(v, "table")? {
             let Some([pc, bases, stride, stamp]) = row.as_arr() else {
                 return Err(bad());
             };

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use snake_sim::json::Value;
+use snake_sim::json::{self, Value};
 use snake_sim::snapshot::{self, SnapshotError};
 use snake_sim::{
     AccessEvent, Address, KernelTrace, Pc, PrefetchContext, PrefetchRequest, Prefetcher, WarpId,
@@ -151,9 +151,9 @@ impl Prefetcher for IntraWarp {
 
     fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
         let bad = || SnapshotError::malformed("intra-warp table row does not decode");
-        let seq = snapshot::u64_field(v, "seq")?;
+        let seq = json::u64_field(v, "seq")?;
         let mut table = HashMap::with_capacity(self.capacity);
-        for row in snapshot::arr_field(v, "table")? {
+        for row in json::arr_field(v, "table")? {
             let Some([w, pc, addr, stride, confidence, stamp]) = row.as_arr() else {
                 return Err(bad());
             };

@@ -2,8 +2,8 @@
 //! intra-warp and inter-warp mechanisms — the best-coverage prior work
 //! the paper compares against (§2, Fig 6/11/16).
 
-use snake_sim::json::Value;
-use snake_sim::snapshot::{self, SnapshotError};
+use snake_sim::json::{self, Value};
+use snake_sim::snapshot::SnapshotError;
 use snake_sim::{AccessEvent, KernelTrace, PrefetchContext, PrefetchRequest, Prefetcher};
 
 use crate::baselines::inter_warp::InterWarp;
@@ -52,8 +52,8 @@ impl Prefetcher for Mta {
     }
 
     fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.intra.restore_state(snapshot::field(v, "intra")?)?;
-        self.inter.restore_state(snapshot::field(v, "inter")?)
+        self.intra.restore_state(json::field(v, "intra")?)?;
+        self.inter.restore_state(json::field(v, "inter")?)
     }
 }
 

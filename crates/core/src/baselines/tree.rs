@@ -7,8 +7,8 @@
 
 use std::collections::HashMap;
 
-use snake_sim::json::Value;
-use snake_sim::snapshot::{self, SnapshotError};
+use snake_sim::json::{self, Value};
+use snake_sim::snapshot::SnapshotError;
 use snake_sim::{
     AccessEvent, AccessOutcome, Address, KernelTrace, PrefetchContext, PrefetchRequest, Prefetcher,
 };
@@ -118,7 +118,7 @@ impl Prefetcher for Tree {
         let bad = || SnapshotError::malformed("tree chunk row does not decode");
         let mut frontier = HashMap::with_capacity(self.capacity);
         let mut order = Vec::new();
-        for row in snapshot::arr_field(v, "chunks")? {
+        for row in json::arr_field(v, "chunks")? {
             let Some([chunk, front]) = row.as_arr() else {
                 return Err(bad());
             };

@@ -1,8 +1,8 @@
 //! Evaluation metrics (§4 "Comparison Metrics") and the per-run report
 //! row used by the figure harness.
 
-use crate::json::{self, Value};
-use snake_sim::{EnergyModel, GpuConfig, SimOutcome, SimStats};
+use crate::json::{self, FieldError, Value};
+use snake_sim::{EnergyModel, GpuConfig, SimOutcome};
 
 /// One mechanism's results on one application — the columns of
 /// Figs 16–19 and 25.
@@ -141,50 +141,34 @@ impl MechanismReport {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or mistyped field.
+    /// [`FieldError`] for the first missing or mistyped field.
     ///
     /// [`to_json`]: MechanismReport::to_json
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        fn str_field(v: &Value, key: &str) -> Result<String, String> {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string field {key:?}"))
-        }
-        fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-        }
-        fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-        }
+    pub fn from_json(v: &Value) -> Result<Self, FieldError> {
         Ok(MechanismReport {
-            mechanism: str_field(v, "mechanism")?,
-            app: str_field(v, "app")?,
-            ipc: f64_field(v, "ipc")?,
-            coverage: f64_field(v, "coverage")?,
-            accuracy: f64_field(v, "accuracy")?,
-            precision: f64_field(v, "precision")?,
-            l1_hit_rate: f64_field(v, "l1_hit_rate")?,
-            reservation_fail_rate: f64_field(v, "reservation_fail_rate")?,
-            noc_utilization: f64_field(v, "noc_utilization")?,
-            memory_stall_fraction: f64_field(v, "memory_stall_fraction")?,
-            energy_j: f64_field(v, "energy_j")?,
-            cycles: u64_field(v, "cycles")?,
-            timeliness_p50: u64_field(v, "timeliness_p50")?,
-            timeliness_p90: u64_field(v, "timeliness_p90")?,
-            evicted_unused: u64_field(v, "evicted_unused")?,
-            stall_issued: f64_field(v, "stall_issued")?,
-            stall_no_warp: f64_field(v, "stall_no_warp")?,
-            stall_barrier: f64_field(v, "stall_barrier")?,
-            stall_scoreboard: f64_field(v, "stall_scoreboard")?,
-            stall_mem_data: f64_field(v, "stall_mem_data")?,
-            stall_mem_mshr: f64_field(v, "stall_mem_mshr")?,
-            stall_mem_missq: f64_field(v, "stall_mem_missq")?,
-            stall_mem_noc: f64_field(v, "stall_mem_noc")?,
+            mechanism: json::str_field(v, "mechanism")?.into(),
+            app: json::str_field(v, "app")?.into(),
+            ipc: json::f64_field(v, "ipc")?,
+            coverage: json::f64_field(v, "coverage")?,
+            accuracy: json::f64_field(v, "accuracy")?,
+            precision: json::f64_field(v, "precision")?,
+            l1_hit_rate: json::f64_field(v, "l1_hit_rate")?,
+            reservation_fail_rate: json::f64_field(v, "reservation_fail_rate")?,
+            noc_utilization: json::f64_field(v, "noc_utilization")?,
+            memory_stall_fraction: json::f64_field(v, "memory_stall_fraction")?,
+            energy_j: json::f64_field(v, "energy_j")?,
+            cycles: json::u64_field(v, "cycles")?,
+            timeliness_p50: json::u64_field(v, "timeliness_p50")?,
+            timeliness_p90: json::u64_field(v, "timeliness_p90")?,
+            evicted_unused: json::u64_field(v, "evicted_unused")?,
+            stall_issued: json::f64_field(v, "stall_issued")?,
+            stall_no_warp: json::f64_field(v, "stall_no_warp")?,
+            stall_barrier: json::f64_field(v, "stall_barrier")?,
+            stall_scoreboard: json::f64_field(v, "stall_scoreboard")?,
+            stall_mem_data: json::f64_field(v, "stall_mem_data")?,
+            stall_mem_mshr: json::f64_field(v, "stall_mem_mshr")?,
+            stall_mem_missq: json::f64_field(v, "stall_mem_missq")?,
+            stall_mem_noc: json::f64_field(v, "stall_mem_noc")?,
         })
     }
 
@@ -197,7 +181,7 @@ impl MechanismReport {
     /// [`from_json`]: MechanismReport::from_json
     pub fn from_json_str(text: &str) -> Result<Self, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
-        Self::from_json(&v)
+        Ok(Self::from_json(&v)?)
     }
 
     /// Speedup of this run over a baseline run (Fig 18's y-axis).
@@ -235,16 +219,10 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Convenience: coverage/accuracy straight from raw stats (used by
-/// tests and the analysis module).
-pub fn coverage_of(stats: &SimStats) -> f64 {
-    stats.coverage()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snake_sim::StopReason;
+    use snake_sim::{SimStats, StopReason};
 
     fn outcome(ipc_instr: u64, cycles: u64) -> SimOutcome {
         SimOutcome {
@@ -301,6 +279,39 @@ mod tests {
         assert_eq!(back, row);
         // Byte-identical re-serialization, the manifest invariant.
         assert_eq!(back.to_json().to_string(), text);
+    }
+
+    #[test]
+    fn report_bytes_are_pinned() {
+        let row = MechanismReport {
+            mechanism: "snake".into(),
+            app: "LPS".into(),
+            ipc: 1.0 / 3.0,
+            coverage: 0.8,
+            accuracy: 0.75,
+            precision: 0.9,
+            l1_hit_rate: 0.7,
+            reservation_fail_rate: 0.1,
+            noc_utilization: 0.3,
+            memory_stall_fraction: 0.5,
+            energy_j: 1e-3,
+            cycles: 123_456_789_012_345,
+            timeliness_p50: 40,
+            timeliness_p90: 90,
+            evicted_unused: 3,
+            stall_issued: 1.0 / 7.0,
+            stall_no_warp: 0.05,
+            stall_barrier: 0.1,
+            stall_scoreboard: 0.05,
+            stall_mem_data: 0.4,
+            stall_mem_mshr: 0.15,
+            stall_mem_missq: 0.08,
+            stall_mem_noc: 0.02,
+        };
+        assert_eq!(
+            row.to_json().to_string(),
+            r#"{"mechanism":"snake","app":"LPS","ipc":0.3333333333333333,"coverage":0.8,"accuracy":0.75,"precision":0.9,"l1_hit_rate":0.7,"reservation_fail_rate":0.1,"noc_utilization":0.3,"memory_stall_fraction":0.5,"energy_j":0.001,"cycles":123456789012345,"timeliness_p50":40,"timeliness_p90":90,"evicted_unused":3,"stall_issued":0.14285714285714285,"stall_no_warp":0.05,"stall_barrier":0.1,"stall_scoreboard":0.05,"stall_mem_data":0.4,"stall_mem_mshr":0.15,"stall_mem_missq":0.08,"stall_mem_noc":0.02}"#
+        );
     }
 
     #[test]

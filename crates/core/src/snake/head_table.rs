@@ -13,8 +13,8 @@
 //! per-warp table, the paper's paired rows with doubled columns, and
 //! the cheaper single-column paired row the doubling defends against.
 
-use snake_sim::json::Value;
-use snake_sim::snapshot::{self, SnapshotError};
+use snake_sim::json::{self, Value};
+use snake_sim::snapshot::SnapshotError;
 use snake_sim::{Address, Pc, WarpId};
 
 /// A Head-table update result: the load-to-load transition of a warp.
@@ -252,8 +252,8 @@ impl HeadTable {
                 }
             }
         };
-        let entries = snapshot::arr_field(v, "entries")?;
-        let rows = snapshot::arr_field(v, "rows")?;
+        let entries = json::arr_field(v, "entries")?;
+        let rows = json::arr_field(v, "rows")?;
         if entries.len() != self.entries.len() || rows.len() != self.rows.len() {
             return Err(SnapshotError::malformed(format!(
                 "head table shape mismatch: checkpoint {}x{} rows, table {}x{}",

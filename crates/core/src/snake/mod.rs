@@ -6,8 +6,8 @@ pub mod head_table;
 pub mod tail_table;
 pub mod throttle;
 
-use snake_sim::json::Value;
-use snake_sim::snapshot::{self, SnapshotError};
+use snake_sim::json::{self, Value};
+use snake_sim::snapshot::SnapshotError;
 use snake_sim::{
     AccessEvent, Address, KernelTrace, PrefetchContext, PrefetchPlacement, PrefetchRequest,
     Prefetcher, PrefetcherEvent, WalkStop,
@@ -262,10 +262,9 @@ impl Prefetcher for Snake {
     }
 
     fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.head.restore_state(snapshot::field(v, "head")?)?;
-        self.tail.restore_state(snapshot::field(v, "tail")?)?;
-        self.throttle
-            .restore_state(snapshot::field(v, "throttle")?)?;
+        self.head.restore_state(json::field(v, "head")?)?;
+        self.tail.restore_state(json::field(v, "tail")?)?;
+        self.throttle.restore_state(json::field(v, "throttle")?)?;
         self.events.clear();
         Ok(())
     }

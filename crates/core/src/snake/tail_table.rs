@@ -2,7 +2,7 @@
 //! intra-warp and inter-warp strides, with the paper's training FSM,
 //! promotion rule, verification/demotion, and eviction policies.
 
-use snake_sim::json::Value;
+use snake_sim::json::{self, Value};
 use snake_sim::snapshot::{self, SnapshotError};
 use snake_sim::{Address, Pc, WarpId};
 
@@ -156,16 +156,16 @@ impl TailEntry {
     pub fn from_state(v: &Value) -> Result<TailEntry, SnapshotError> {
         let bad = |what: &str| SnapshotError::malformed(format!("tail entry: bad {what}"));
         let opt_i64 = |key: &str| -> Result<Option<i64>, SnapshotError> {
-            match snapshot::field(v, key)? {
+            match json::field(v, key)? {
                 Value::Null => Ok(None),
                 other => Ok(Some(other.as_i64().ok_or_else(|| bad(key))?)),
             }
         };
         let state = |key: &str| -> Result<TrainState, SnapshotError> {
-            let bits = u8::try_from(snapshot::u64_field(v, key)?).map_err(|_| bad(key))?;
+            let bits = u8::try_from(json::u64_field(v, key)?).map_err(|_| bad(key))?;
             TrainState::from_bits(bits).ok_or_else(|| bad(key))
         };
-        let iw_base = match snapshot::field(v, "iw_base")? {
+        let iw_base = match json::field(v, "iw_base")? {
             Value::Null => None,
             other => match other.as_arr() {
                 Some([w, a]) => Some((
@@ -176,21 +176,20 @@ impl TailEntry {
             },
         };
         Ok(TailEntry {
-            pc1: Pc(snapshot::u32_field(v, "pc1")?),
-            pc2: Pc(snapshot::u32_field(v, "pc2")?),
-            inter_thread_stride: snapshot::i64_field(v, "inter_thread_stride")?,
+            pc1: Pc(json::u32_field(v, "pc1")?),
+            pc2: Pc(json::u32_field(v, "pc2")?),
+            inter_thread_stride: json::i64_field(v, "inter_thread_stride")?,
             t1: state("t1")?,
-            warp_vec: snapshot::u64_field(v, "warp_vec")?,
+            warp_vec: json::u64_field(v, "warp_vec")?,
             intra_stride: opt_i64("intra_stride")?,
             t2: state("t2")?,
-            intra_warps: snapshot::u64_field(v, "intra_warps")?,
+            intra_warps: json::u64_field(v, "intra_warps")?,
             inter_warp_stride: opt_i64("inter_warp_stride")?,
             iw_base,
             iw_candidate: opt_i64("iw_candidate")?,
-            iw_confirm: snapshot::u64_field(v, "iw_confirm")?,
-            repeats: u8::try_from(snapshot::u64_field(v, "repeats")?)
-                .map_err(|_| bad("repeats"))?,
-            last_use: snapshot::u64_field(v, "last_use")?,
+            iw_confirm: json::u64_field(v, "iw_confirm")?,
+            repeats: u8::try_from(json::u64_field(v, "repeats")?).map_err(|_| bad("repeats"))?,
+            last_use: json::u64_field(v, "last_use")?,
         })
     }
 
@@ -308,7 +307,7 @@ impl TailTable {
     /// [`SnapshotError::Malformed`] when an entry does not decode or
     /// the checkpoint holds more entries than this table's capacity.
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let items = snapshot::arr_field(v, "entries")?;
+        let items = json::arr_field(v, "entries")?;
         if items.len() > self.cfg.entries {
             return Err(SnapshotError::malformed(format!(
                 "checkpoint has {} tail entries, capacity is {}",
@@ -316,8 +315,8 @@ impl TailTable {
                 self.cfg.entries
             )));
         }
-        let seq = snapshot::u64_field(v, "seq")?;
-        let any_trained = snapshot::bool_field(v, "any_trained")?;
+        let seq = json::u64_field(v, "seq")?;
+        let any_trained = json::bool_field(v, "any_trained")?;
         let mut entries = Vec::with_capacity(self.cfg.entries);
         for item in items {
             entries.push(TailEntry::from_state(item)?);

@@ -9,8 +9,8 @@
 //! 2. **Bandwidth** — measured interconnect utilization reaches 70% of
 //!    peak: halt until it falls back to 50% (hysteresis).
 
-use snake_sim::json::Value;
-use snake_sim::snapshot::{self, SnapshotError};
+use snake_sim::json::{self, Value};
+use snake_sim::snapshot::SnapshotError;
 use snake_sim::{Cycle, PrefetchContext};
 
 /// Throttle configuration.
@@ -163,10 +163,10 @@ impl Throttle {
     /// [`SnapshotError::Malformed`] when a field is missing or does not
     /// decode.
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let space_halted_until = Cycle(snapshot::u64_field(v, "space_halted_until")?);
-        let bw_halted = snapshot::bool_field(v, "bw_halted")?;
-        let depth = snapshot::usize_field(v, "depth")?;
-        let calm_events = snapshot::u32_field(v, "calm_events")?;
+        let space_halted_until = Cycle(json::u64_field(v, "space_halted_until")?);
+        let bw_halted = json::bool_field(v, "bw_halted")?;
+        let depth = json::usize_field(v, "depth")?;
+        let calm_events = json::u32_field(v, "calm_events")?;
         self.space_halted_until = space_halted_until;
         self.bw_halted = bw_halted;
         self.depth = depth.clamp(1, self.max_depth);

@@ -7,9 +7,9 @@
 
 use std::collections::HashMap;
 
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::obs::{SimEvent, TraceEvent};
-use crate::snapshot::{self, SnapshotError};
+use crate::snapshot::SnapshotError;
 use crate::types::{Cycle, LineAddr, SmId, WarpId};
 
 /// The origin of an outstanding miss.
@@ -274,7 +274,7 @@ impl MshrFile {
     ///
     /// [`save_state`]: MshrFile::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let entries = snapshot::arr_field(v, "entries")?;
+        let entries = json::arr_field(v, "entries")?;
         if entries.len() > self.capacity {
             return Err(SnapshotError::malformed(format!(
                 "checkpoint has {} MSHR entries, capacity is {}",
@@ -284,13 +284,13 @@ impl MshrFile {
         }
         let mut restored = HashMap::with_capacity(self.capacity);
         for e in entries {
-            let line = LineAddr(snapshot::u64_field(e, "line")?);
-            let origin = match snapshot::u64_field(e, "origin")? {
+            let line = LineAddr(json::u64_field(e, "line")?);
+            let origin = match json::u64_field(e, "origin")? {
                 0 => MissOrigin::Demand,
                 1 => MissOrigin::Prefetch,
                 _ => return Err(SnapshotError::malformed("bad MSHR origin")),
             };
-            let waiters = snapshot::arr_field(e, "waiters")?
+            let waiters = json::arr_field(e, "waiters")?
                 .iter()
                 .map(|w| {
                     w.as_u32()
@@ -304,11 +304,11 @@ impl MshrFile {
                     line,
                     origin,
                     waiters,
-                    demand_merged: snapshot::bool_field(e, "demand_merged")?,
-                    requests: snapshot::u32_field(e, "requests")?,
-                    alloc_cycle: Cycle(snapshot::u64_field(e, "alloc_cycle")?),
-                    last_issue: Cycle(snapshot::u64_field(e, "last_issue")?),
-                    retries: snapshot::u32_field(e, "retries")?,
+                    demand_merged: json::bool_field(e, "demand_merged")?,
+                    requests: json::u32_field(e, "requests")?,
+                    alloc_cycle: Cycle(json::u64_field(e, "alloc_cycle")?),
+                    last_issue: Cycle(json::u64_field(e, "last_issue")?),
+                    retries: json::u32_field(e, "retries")?,
                 },
             );
         }

@@ -5,8 +5,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::config::CacheGeometry;
-use crate::json::Value;
-use crate::snapshot::{self, SnapshotError};
+use crate::json::{self, Value};
+use crate::snapshot::SnapshotError;
 use crate::types::{Cycle, LineAddr};
 
 /// Allocation state of a cache line.
@@ -386,7 +386,7 @@ impl TagArray {
     ///
     /// [`save_state`]: TagArray::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let lines = snapshot::arr_field(v, "lines")?;
+        let lines = json::arr_field(v, "lines")?;
         if lines.len() != self.lines.len() {
             return Err(SnapshotError::malformed(format!(
                 "tag array has {} lines, checkpoint has {}",

@@ -20,10 +20,10 @@ use crate::cache::mshr::{MergeResult, MissOrigin, MshrFile};
 use crate::cache::tag_array::{Side, TagArray};
 use crate::config::GpuConfig;
 use crate::fault::Recovery;
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::obs::{PrefetchDropReason, PrefetchLifecycle, SimEvent, TraceEvent};
 use crate::perfstat::{HostProfiler, Phase, Stopwatch};
-use crate::snapshot::{self, SnapshotError};
+use crate::snapshot::SnapshotError;
 use crate::stats::{AccessOutcome, CacheStats, FaultStats, PrefetchStats, ReservationFailReason};
 use crate::types::{Cycle, LineAddr, SmId, WarpId};
 
@@ -839,8 +839,8 @@ impl UnifiedL1 {
     ///
     /// [`save_state`]: UnifiedL1::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.tags.restore_state(snapshot::field(v, "tags")?)?;
-        match (&mut self.isolated, snapshot::field(v, "isolated")?) {
+        self.tags.restore_state(json::field(v, "tags")?)?;
+        match (&mut self.isolated, json::field(v, "isolated")?) {
             (None, Value::Null) => {}
             (Some(iso), saved @ Value::Obj(_)) => iso.restore_state(saved)?,
             _ => {
@@ -849,8 +849,8 @@ impl UnifiedL1 {
                 ))
             }
         }
-        self.mshr.restore_state(snapshot::field(v, "mshr")?)?;
-        let queue = snapshot::arr_field(v, "miss_queue")?;
+        self.mshr.restore_state(json::field(v, "mshr")?)?;
+        let queue = json::arr_field(v, "miss_queue")?;
         if queue.len() > self.miss_queue_depth {
             return Err(SnapshotError::malformed(format!(
                 "checkpoint miss queue holds {}, depth is {}",
@@ -873,18 +873,16 @@ impl UnifiedL1 {
                 })
             })
             .collect::<Result<VecDeque<_>, SnapshotError>>()?;
-        self.confined_until = Cycle(snapshot::u64_field(v, "confined_until")?);
-        self.trained = snapshot::bool_field(v, "trained")?;
-        self.transfer_numer = snapshot::u64_field(v, "transfer_numer")?;
-        self.transfer_denom = snapshot::u64_field(v, "transfer_denom")?;
-        self.overrun = snapshot::bool_field(v, "overrun")?;
+        self.confined_until = Cycle(json::u64_field(v, "confined_until")?);
+        self.trained = json::bool_field(v, "trained")?;
+        self.transfer_numer = json::u64_field(v, "transfer_numer")?;
+        self.transfer_denom = json::u64_field(v, "transfer_denom")?;
+        self.overrun = json::bool_field(v, "overrun")?;
         self.fault_stats
-            .restore_state(snapshot::field(v, "fault_stats")?)?;
-        self.stats.restore_state(snapshot::field(v, "stats")?)?;
-        self.pf_stats
-            .restore_state(snapshot::field(v, "pf_stats")?)?;
-        self.lifecycle
-            .restore_state(snapshot::field(v, "lifecycle")?)?;
+            .restore_state(json::field(v, "fault_stats")?)?;
+        self.stats.restore_state(json::field(v, "stats")?)?;
+        self.pf_stats.restore_state(json::field(v, "pf_stats")?)?;
+        self.lifecycle.restore_state(json::field(v, "lifecycle")?)?;
         Ok(())
     }
 

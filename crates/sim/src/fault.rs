@@ -14,8 +14,8 @@
 //! its waiters and the forward-progress watchdog converts the hang
 //! into a [`StopReason::Deadlock`](crate::StopReason::Deadlock).
 
-use crate::json::Value;
-use crate::snapshot::{self, SnapshotError};
+use crate::json::{self, Value};
+use crate::snapshot::SnapshotError;
 use crate::stats::FaultStats;
 use crate::types::Cycle;
 
@@ -236,8 +236,8 @@ impl FaultInjector {
     ///
     /// [`save_state`]: FaultInjector::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.state = snapshot::u64_field(v, "state")?;
-        self.stats.restore_state(snapshot::field(v, "stats")?)?;
+        self.state = json::u64_field(v, "state")?;
+        self.stats.restore_state(json::field(v, "stats")?)?;
         Ok(())
     }
 

@@ -6,7 +6,7 @@ use std::path::Path;
 
 use crate::audit::{self, Auditor};
 use crate::config::{ConfigError, GpuConfig};
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::kernel::KernelTrace;
 use crate::mem::interconnect::{Interconnect, UpPacket, READ_REQUEST_BYTES};
 use crate::mem::partition::MemoryPartition;
@@ -861,11 +861,6 @@ impl Gpu {
         self.deadlock.as_deref()
     }
 
-    /// Lifetime interconnect utilization (Fig 4).
-    pub fn noc_lifetime_utilization(&self) -> f64 {
-        self.noc.lifetime_utilization()
-    }
-
     /// Fingerprint of everything a checkpoint's state is only valid
     /// under: the configuration (with fields that do not affect
     /// simulated behavior zeroed — checkpoint cadence, host profiling),
@@ -971,12 +966,12 @@ impl Gpu {
 
     /// Applies state captured by [`Gpu::save_state`].
     fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let cycle = Cycle(snapshot::u64_field(v, "cycle")?);
-        let brownout_cycles = snapshot::u64_field(v, "brownout_cycles")?;
-        let prev_brownout = snapshot::bool_field(v, "prev_brownout")?;
-        let noc_backpressured = snapshot::bool_field(v, "noc_backpressured")?;
-        let events_flushed = snapshot::u64_field(v, "events_flushed")?;
-        let sms = snapshot::arr_field(v, "sms")?;
+        let cycle = Cycle(json::u64_field(v, "cycle")?);
+        let brownout_cycles = json::u64_field(v, "brownout_cycles")?;
+        let prev_brownout = json::bool_field(v, "prev_brownout")?;
+        let noc_backpressured = json::bool_field(v, "noc_backpressured")?;
+        let events_flushed = json::u64_field(v, "events_flushed")?;
+        let sms = json::arr_field(v, "sms")?;
         if sms.len() != self.sms.len() {
             return Err(SnapshotError::malformed(format!(
                 "checkpoint has {} SMs, device has {}",
@@ -987,10 +982,9 @@ impl Gpu {
         for (sm, state) in self.sms.iter_mut().zip(sms) {
             sm.restore_state(state)?;
         }
-        self.noc.restore_state(snapshot::field(v, "noc")?)?;
-        self.partition
-            .restore_state(snapshot::field(v, "partition")?)?;
-        let wd = snapshot::field(v, "watchdog")?;
+        self.noc.restore_state(json::field(v, "noc")?)?;
+        self.partition.restore_state(json::field(v, "partition")?)?;
+        let wd = json::field(v, "watchdog")?;
         match (&mut self.watchdog, wd) {
             (None, Value::Null) => {}
             (Some(w), state) if !matches!(state, Value::Null) => w.restore_state(state)?,
@@ -1000,7 +994,7 @@ impl Gpu {
                 ));
             }
         }
-        let m = snapshot::field(v, "metrics")?;
+        let m = json::field(v, "metrics")?;
         match (&mut self.metrics, m) {
             (None, Value::Null) => {}
             (Some(metrics), state) if !matches!(state, Value::Null) => {

@@ -189,6 +189,170 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+// ---------------------------------------------------------------------------
+// Typed field readers: the one way every document in the workspace is
+// decoded (checkpoint state, sweep manifest, daemon journal and wire
+// lines, the sandbox child protocol, perf reports).
+// ---------------------------------------------------------------------------
+
+/// A missing or mistyped field found by one of the typed readers below;
+/// `?` converts it into each document's own error type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError(String);
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> String {
+        e.0
+    }
+}
+
+fn mistyped(what: &str, key: &str) -> FieldError {
+    FieldError(format!("missing or non-{what} field {key:?}"))
+}
+
+/// Looks up `key` in an object value.
+///
+/// # Errors
+///
+/// [`FieldError`] naming the missing key.
+pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, FieldError> {
+    v.get(key)
+        .ok_or_else(|| FieldError(format!("missing field {key:?}")))
+}
+
+/// Reads a `u64` field.
+///
+/// # Errors
+///
+/// [`FieldError`] when missing or mistyped.
+pub fn u64_field(v: &Value, key: &str) -> Result<u64, FieldError> {
+    v.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| mistyped("u64", key))
+}
+
+/// Reads a `u32` field.
+///
+/// # Errors
+///
+/// [`FieldError`] when missing, mistyped, or out of range.
+pub fn u32_field(v: &Value, key: &str) -> Result<u32, FieldError> {
+    u64_field(v, key)?
+        .try_into()
+        .map_err(|_| FieldError(format!("field {key:?} exceeds u32")))
+}
+
+/// Reads a `usize` field.
+///
+/// # Errors
+///
+/// [`FieldError`] when missing, mistyped, or out of range.
+pub fn usize_field(v: &Value, key: &str) -> Result<usize, FieldError> {
+    u64_field(v, key)?
+        .try_into()
+        .map_err(|_| FieldError(format!("field {key:?} exceeds usize")))
+}
+
+/// Reads an `i64` field (stored as its decimal lexeme).
+///
+/// # Errors
+///
+/// [`FieldError`] when missing or mistyped.
+pub fn i64_field(v: &Value, key: &str) -> Result<i64, FieldError> {
+    match v.get(key) {
+        Some(Value::Num(s)) => s
+            .parse()
+            .map_err(|_| FieldError(format!("field {key:?} is not an i64"))),
+        _ => Err(mistyped("numeric", key)),
+    }
+}
+
+/// Reads an `f64` field; the lexeme round-trips bit-exactly because
+/// both sides use [`fmt_f64`]'s shortest representation.
+///
+/// # Errors
+///
+/// [`FieldError`] when missing or mistyped.
+pub fn f64_field(v: &Value, key: &str) -> Result<f64, FieldError> {
+    v.get(key)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| mistyped("f64", key))
+}
+
+/// Reads a `bool` field.
+///
+/// # Errors
+///
+/// [`FieldError`] when missing or mistyped.
+pub fn bool_field(v: &Value, key: &str) -> Result<bool, FieldError> {
+    v.get(key)
+        .and_then(Value::as_bool)
+        .ok_or_else(|| mistyped("bool", key))
+}
+
+/// Reads a string field.
+///
+/// # Errors
+///
+/// [`FieldError`] when missing or mistyped.
+pub fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, FieldError> {
+    v.get(key)
+        .and_then(Value::as_str)
+        .ok_or_else(|| mistyped("string", key))
+}
+
+/// Reads an array field.
+///
+/// # Errors
+///
+/// [`FieldError`] when missing or mistyped.
+pub fn arr_field<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], FieldError> {
+    v.get(key)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| mistyped("array", key))
+}
+
+/// Reads a required `Option<u64>` field written as the number or `null`.
+///
+/// # Errors
+///
+/// [`FieldError`] when missing or mistyped.
+pub fn opt_u64_field(v: &Value, key: &str) -> Result<Option<u64>, FieldError> {
+    match field(v, key)? {
+        Value::Null => Ok(None),
+        n => n
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| FieldError(format!("field {key:?} is not u64 or null"))),
+    }
+}
+
+/// Reads an optional field with `read`: `None` when `key` is absent. A
+/// field that is present but that `read` rejects is an error, never
+/// silently its default.
+///
+/// # Errors
+///
+/// `read`'s [`FieldError`].
+pub fn if_present<'a, T>(
+    v: &'a Value,
+    key: &str,
+    read: impl FnOnce(&'a Value, &str) -> Result<T, FieldError>,
+) -> Result<Option<T>, FieldError> {
+    match v.get(key) {
+        None => Ok(None),
+        Some(_) => read(v, key).map(Some),
+    }
+}
+
 /// A parse failure, with the byte offset it happened at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -497,6 +661,23 @@ mod tests {
         assert!(parse("12 34").unwrap_err().msg.contains("trailing"));
         assert!(parse("\"open").is_err());
         assert!(parse("-").is_err());
+    }
+
+    #[test]
+    fn field_readers_report_the_key() {
+        let v = parse(r#"{"a":1,"x":-5,"n":null,"s":"t"}"#).unwrap();
+        assert_eq!(u64_field(&v, "a").unwrap(), 1);
+        let err = u64_field(&v, "b").unwrap_err();
+        assert_eq!(err.to_string(), r#"missing or non-u64 field "b""#);
+        assert_eq!(i64_field(&v, "x").unwrap(), -5);
+        assert_eq!(opt_u64_field(&v, "n").unwrap(), None);
+        assert!(opt_u64_field(&v, "b").is_err(), "nullable is not optional");
+        // Optional fields: absent is `None`, present but mistyped is an
+        // error.
+        assert_eq!(if_present(&v, "b", u64_field).unwrap(), None);
+        assert_eq!(if_present(&v, "a", u64_field).unwrap(), Some(1));
+        let err = if_present(&v, "s", u64_field).unwrap_err();
+        assert_eq!(String::from(err), r#"missing or non-u64 field "s""#);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::obs::{NocDir, SimEvent, TraceEvent};
 use crate::perfstat::{HostProfiler, Phase, Stopwatch};
 use crate::snapshot::{self, SnapshotError};
@@ -122,7 +122,7 @@ impl<T> Channel<T> {
         dec: impl Fn(&[Value]) -> Option<T>,
     ) -> Result<(), SnapshotError> {
         let mut in_flight = VecDeque::new();
-        for entry in snapshot::arr_field(v, "in_flight")? {
+        for entry in json::arr_field(v, "in_flight")? {
             let row = entry
                 .as_arr()
                 .ok_or_else(|| SnapshotError::malformed("in-flight packet"))?;
@@ -134,11 +134,11 @@ impl<T> Channel<T> {
                 dec(&row[1..]).ok_or_else(|| SnapshotError::malformed("in-flight packet body"))?;
             in_flight.push_back((Cycle(ready), pkt));
         }
-        self.effective_budget = snapshot::u64_field(v, "effective_budget")?;
-        self.credit = snapshot::i64_field(v, "credit")?;
+        self.effective_budget = json::u64_field(v, "effective_budget")?;
+        self.credit = json::i64_field(v, "credit")?;
         self.in_flight = in_flight;
-        self.total_bytes = snapshot::u64_field(v, "total_bytes")?;
-        self.window_bytes = snapshot::u64_field(v, "window_bytes")?;
+        self.total_bytes = json::u64_field(v, "total_bytes")?;
+        self.window_bytes = json::u64_field(v, "window_bytes")?;
         Ok(())
     }
 }
@@ -453,7 +453,7 @@ impl Interconnect {
     ///
     /// [`SnapshotError::Malformed`] on a missing or malformed field.
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.up.restore_state(snapshot::field(v, "up")?, |row| {
+        self.up.restore_state(json::field(v, "up")?, |row| {
             if let [sm, line, is_store] = row {
                 Some(UpPacket {
                     sm: SmId(sm.as_u32()?),
@@ -464,21 +464,20 @@ impl Interconnect {
                 None
             }
         })?;
-        self.down
-            .restore_state(snapshot::field(v, "down")?, |row| {
-                if let [sm, line] = row {
-                    Some(DownPacket {
-                        sm: SmId(sm.as_u32()?),
-                        line: LineAddr(line.as_u64()?),
-                    })
-                } else {
-                    None
-                }
-            })?;
-        self.window_start = Cycle(snapshot::u64_field(v, "window_start")?);
-        self.last_window_utilization = snapshot::f64_field(v, "last_window_utilization")?;
-        self.window_capacity = snapshot::u64_field(v, "window_capacity")?;
-        self.cycles = snapshot::u64_field(v, "cycles")?;
+        self.down.restore_state(json::field(v, "down")?, |row| {
+            if let [sm, line] = row {
+                Some(DownPacket {
+                    sm: SmId(sm.as_u32()?),
+                    line: LineAddr(line.as_u64()?),
+                })
+            } else {
+                None
+            }
+        })?;
+        self.window_start = Cycle(json::u64_field(v, "window_start")?);
+        self.last_window_utilization = json::f64_field(v, "last_window_utilization")?;
+        self.window_capacity = json::u64_field(v, "window_capacity")?;
+        self.cycles = json::u64_field(v, "cycles")?;
         Ok(())
     }
 }

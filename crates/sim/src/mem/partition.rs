@@ -11,11 +11,11 @@ use std::collections::{HashMap, VecDeque};
 use crate::cache::tag_array::{LineState, Side, TagArray};
 use crate::config::GpuConfig;
 use crate::fault::{FaultInjector, ResponseFault};
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::mem::interconnect::DownPacket;
 use crate::obs::{FaultKind, SimEvent, TraceEvent};
 use crate::perfstat::{HostProfiler, Phase, Stopwatch};
-use crate::snapshot::{self, SnapshotError};
+use crate::snapshot::SnapshotError;
 use crate::stats::{persist_u64_fields, FaultStats};
 use crate::types::{Cycle, LineAddr, SmId};
 
@@ -548,7 +548,7 @@ impl MemoryPartition {
             key: &str,
             dec: impl Fn(&[Value]) -> Option<T>,
         ) -> Result<VecDeque<T>, SnapshotError> {
-            snapshot::arr_field(v, key)?
+            json::arr_field(v, key)?
                 .iter()
                 .map(|entry| {
                     entry
@@ -563,7 +563,7 @@ impl MemoryPartition {
             key: &str,
             dec: impl Fn(&[Value]) -> Option<T>,
         ) -> Result<VecDeque<(Cycle, T)>, SnapshotError> {
-            snapshot::arr_field(v, key)?
+            json::arr_field(v, key)?
                 .iter()
                 .map(|entry| {
                     entry
@@ -583,7 +583,7 @@ impl MemoryPartition {
         let outbox = queue(v, "outbox", decode_pkt)?;
         let delayed = timed(v, "delayed", decode_pkt)?;
         let mut dram_merges = HashMap::new();
-        for entry in snapshot::arr_field(v, "dram_merges")? {
+        for entry in json::arr_field(v, "dram_merges")? {
             let (line, sms) = entry
                 .as_arr()
                 .and_then(|row| {
@@ -604,12 +604,11 @@ impl MemoryPartition {
         for r in dram_queue.iter().chain(dram_pipe.iter().map(|(_, r)| r)) {
             dram_merges.entry(r.line).or_default();
         }
-        self.l2.restore_state(snapshot::field(v, "l2")?)?;
-        self.injector
-            .restore_state(snapshot::field(v, "injector")?)?;
-        self.stats.restore_state(snapshot::field(v, "stats")?)?;
-        self.dram_credit = snapshot::u64_field(v, "dram_credit")?;
-        self.events = snapshot::u64_field(v, "events")?;
+        self.l2.restore_state(json::field(v, "l2")?)?;
+        self.injector.restore_state(json::field(v, "injector")?)?;
+        self.stats.restore_state(json::field(v, "stats")?)?;
+        self.dram_credit = json::u64_field(v, "dram_credit")?;
+        self.events = json::u64_field(v, "events")?;
         self.incoming = incoming;
         self.hit_pipe = hit_pipe;
         self.dram_queue = dram_queue;

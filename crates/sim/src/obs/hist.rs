@@ -8,8 +8,8 @@
 //! the hot path. Percentiles are bucket-resolution upper bounds, which
 //! is plenty for "did the fill beat the first use" questions.
 
-use crate::json::Value;
-use crate::snapshot::{self, SnapshotError};
+use crate::json::{self, Value};
+use crate::snapshot::SnapshotError;
 
 /// Number of power-of-two buckets in a [`LatencyHistogram`].
 ///
@@ -171,7 +171,7 @@ impl LatencyHistogram {
     ///
     /// [`save_state`]: LatencyHistogram::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let buckets = snapshot::arr_field(v, "buckets")?;
+        let buckets = json::arr_field(v, "buckets")?;
         if buckets.len() != HISTOGRAM_BUCKETS {
             return Err(SnapshotError::malformed(format!(
                 "histogram has {} buckets, expected {HISTOGRAM_BUCKETS}",
@@ -183,9 +183,9 @@ impl LatencyHistogram {
                 .as_u64()
                 .ok_or_else(|| SnapshotError::malformed("non-u64 histogram bucket"))?;
         }
-        self.count = snapshot::u64_field(v, "count")?;
-        self.sum = snapshot::u64_field(v, "sum")?;
-        self.max = snapshot::u64_field(v, "max")?;
+        self.count = json::u64_field(v, "count")?;
+        self.sum = json::u64_field(v, "sum")?;
+        self.max = json::u64_field(v, "max")?;
         Ok(())
     }
 }
@@ -249,11 +249,11 @@ impl PrefetchLifecycle {
     /// [`SnapshotError::Malformed`] on a missing or malformed field.
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
         self.issue_to_fill
-            .restore_state(snapshot::field(v, "issue_to_fill")?)?;
+            .restore_state(json::field(v, "issue_to_fill")?)?;
         self.fill_to_first_use
-            .restore_state(snapshot::field(v, "fill_to_first_use")?)?;
+            .restore_state(json::field(v, "fill_to_first_use")?)?;
         self.lifetime_unused
-            .restore_state(snapshot::field(v, "lifetime_unused")?)?;
+            .restore_state(json::field(v, "lifetime_unused")?)?;
         Ok(())
     }
 }

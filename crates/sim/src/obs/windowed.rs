@@ -9,8 +9,8 @@
 //! ([`MetricsSeries::to_csv`]) or rendered as an ASCII timeline
 //! ([`MetricsSeries::ascii_timeline`]).
 
-use crate::json::Value;
-use crate::snapshot::{self, SnapshotError};
+use crate::json::{self, FieldError, Value};
+use crate::snapshot::SnapshotError;
 use crate::stats::StallBreakdown;
 use crate::types::Cycle;
 
@@ -48,7 +48,7 @@ pub struct WindowTotals {
 
 /// One row of the time series: rates over a single window plus
 /// instantaneous gauges at its closing edge.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricsSample {
     /// Cycle at the closing edge of the window.
     pub cycle: u64,
@@ -85,6 +85,70 @@ pub struct MetricsSample {
     pub stall_mem_missq: f64,
     /// Fraction rejected by a full miss queue under NoC backpressure.
     pub stall_mem_noc: f64,
+}
+
+impl MetricsSample {
+    /// The sample as one JSON object, in field order: the payload of
+    /// the sandbox child's `window` line and of the daemon's `window`
+    /// stream line, which wrap it in their own framing keys.
+    pub fn to_json(&self) -> Value {
+        Value::Obj(vec![
+            ("cycle".into(), Value::u64(self.cycle)),
+            ("ipc".into(), Value::f64(self.ipc)),
+            ("l1_hit_rate".into(), Value::f64(self.l1_hit_rate)),
+            ("mshr_occupancy".into(), Value::f64(self.mshr_occupancy)),
+            (
+                "miss_queue_occupancy".into(),
+                Value::f64(self.miss_queue_occupancy),
+            ),
+            ("noc_utilization".into(), Value::f64(self.noc_utilization)),
+            ("active_warps".into(), Value::u64(self.active_warps as u64)),
+            (
+                "throttled_sms".into(),
+                Value::u64(self.throttled_sms as u64),
+            ),
+            (
+                "chain_depth".into(),
+                Value::u64(u64::from(self.chain_depth)),
+            ),
+            ("stall_issued".into(), Value::f64(self.stall_issued)),
+            ("stall_no_warp".into(), Value::f64(self.stall_no_warp)),
+            ("stall_barrier".into(), Value::f64(self.stall_barrier)),
+            ("stall_scoreboard".into(), Value::f64(self.stall_scoreboard)),
+            ("stall_mem_data".into(), Value::f64(self.stall_mem_data)),
+            ("stall_mem_mshr".into(), Value::f64(self.stall_mem_mshr)),
+            ("stall_mem_missq".into(), Value::f64(self.stall_mem_missq)),
+            ("stall_mem_noc".into(), Value::f64(self.stall_mem_noc)),
+        ])
+    }
+
+    /// Decodes [`to_json`](MetricsSample::to_json)'s object; framing
+    /// keys around it are ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`FieldError`] for the first missing or mistyped field.
+    pub fn from_json(v: &Value) -> Result<Self, FieldError> {
+        Ok(MetricsSample {
+            cycle: json::u64_field(v, "cycle")?,
+            ipc: json::f64_field(v, "ipc")?,
+            l1_hit_rate: json::f64_field(v, "l1_hit_rate")?,
+            mshr_occupancy: json::f64_field(v, "mshr_occupancy")?,
+            miss_queue_occupancy: json::f64_field(v, "miss_queue_occupancy")?,
+            noc_utilization: json::f64_field(v, "noc_utilization")?,
+            active_warps: json::usize_field(v, "active_warps")?,
+            throttled_sms: json::usize_field(v, "throttled_sms")?,
+            chain_depth: json::u32_field(v, "chain_depth")?,
+            stall_issued: json::f64_field(v, "stall_issued")?,
+            stall_no_warp: json::f64_field(v, "stall_no_warp")?,
+            stall_barrier: json::f64_field(v, "stall_barrier")?,
+            stall_scoreboard: json::f64_field(v, "stall_scoreboard")?,
+            stall_mem_data: json::f64_field(v, "stall_mem_data")?,
+            stall_mem_mshr: json::f64_field(v, "stall_mem_mshr")?,
+            stall_mem_missq: json::f64_field(v, "stall_mem_missq")?,
+            stall_mem_noc: json::f64_field(v, "stall_mem_noc")?,
+        })
+    }
 }
 
 /// The collected time series.
@@ -368,7 +432,7 @@ impl WindowedMetrics {
     /// nothing is applied until the whole sample array decodes.
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
         let mut samples = Vec::new();
-        for (i, entry) in snapshot::arr_field(v, "samples")?.iter().enumerate() {
+        for (i, entry) in json::arr_field(v, "samples")?.iter().enumerate() {
             let row = entry
                 .as_arr()
                 .filter(|r| r.len() == 17)
@@ -403,7 +467,7 @@ impl WindowedMetrics {
                 stall_mem_noc: f(16)?,
             });
         }
-        let stop = match snapshot::field(v, "stop")? {
+        let stop = match json::field(v, "stop")? {
             Value::Null => None,
             other => Some(
                 other
@@ -414,12 +478,12 @@ impl WindowedMetrics {
         };
         self.series.samples = samples;
         self.series.stop = stop;
-        self.last_cycle = snapshot::u64_field(v, "last_cycle")?;
-        self.last_instructions = snapshot::u64_field(v, "last_instructions")?;
-        self.last_l1_hits = snapshot::u64_field(v, "last_l1_hits")?;
-        self.last_l1_accesses = snapshot::u64_field(v, "last_l1_accesses")?;
+        self.last_cycle = json::u64_field(v, "last_cycle")?;
+        self.last_instructions = json::u64_field(v, "last_instructions")?;
+        self.last_l1_hits = json::u64_field(v, "last_l1_hits")?;
+        self.last_l1_accesses = json::u64_field(v, "last_l1_accesses")?;
         self.last_stall
-            .restore_state(snapshot::field(v, "last_stall")?)?;
+            .restore_state(json::field(v, "last_stall")?)?;
         Ok(())
     }
 }
@@ -459,6 +523,22 @@ mod tests {
         assert_eq!(s.samples[1].l1_hit_rate, 0.3);
         assert_eq!(s.samples[1].mshr_occupancy, 0.25);
         assert_eq!(s.samples[1].miss_queue_occupancy, 0.25);
+    }
+
+    #[test]
+    fn sample_json_round_trips_and_ignores_framing() {
+        let mut m = WindowedMetrics::new(10);
+        m.record(Cycle(10), &totals(7, 5, 10));
+        let sample = m.finish().samples[0];
+        let mut line = sample.to_json();
+        if let Value::Obj(fields) = &mut line {
+            fields.insert(0, ("t".into(), Value::str("window")));
+        }
+        let text = line.to_string();
+        let back = MetricsSample::from_json(&json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, sample);
+        let err = MetricsSample::from_json(&json::parse(r#"{"cycle":1}"#).unwrap()).unwrap_err();
+        assert_eq!(err.to_string(), r#"missing or non-f64 field "ipc""#);
     }
 
     #[test]

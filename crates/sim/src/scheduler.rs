@@ -7,7 +7,7 @@
 //! warp-id/base-address columns (§3.1, §5.5).
 
 use crate::config::SchedulerPolicy;
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::snapshot::{self, SnapshotError};
 use crate::warp::{bits, WarpSlot};
 
@@ -108,7 +108,7 @@ impl Scheduler {
     ///
     /// [`save_state`]: Scheduler::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.current = snapshot::opt_u64_field(v, "current")?.map(|c| c as usize);
+        self.current = json::opt_u64_field(v, "current")?.map(|c| c as usize);
         Ok(())
     }
 }

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use crate::cache::unified_l1::{L1Mode, OutgoingRequest, PrefetchIssue, UnifiedL1};
 use crate::config::GpuConfig;
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::kernel::{Instr, KernelTrace};
 use crate::obs::{SimEvent, TraceEvent};
 use crate::perfstat::{HostProfiler, Phase, Stopwatch};
@@ -13,7 +13,7 @@ use crate::prefetch::{
     AccessEvent, PrefetchContext, PrefetchPlacement, PrefetchRequest, Prefetcher, PrefetcherEvent,
 };
 use crate::scheduler::{partition_mask, Scheduler};
-use crate::snapshot::{self, SnapshotError};
+use crate::snapshot::SnapshotError;
 use crate::stats::{AccessOutcome, ReservationFailReason, SimStats, StallBreakdown};
 use crate::types::{CtaId, Cycle, SmId, WarpId};
 use crate::warp::{bits, WarpMasks, WarpSlot, WarpState, MAX_WARP_SLOTS};
@@ -839,7 +839,7 @@ impl Sm {
     /// or when the slot/scheduler counts do not match this SM's
     /// configuration (the checkpoint belongs to a different config).
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let slot_entries = snapshot::arr_field(v, "slots")?;
+        let slot_entries = json::arr_field(v, "slots")?;
         if slot_entries.len() != self.slots.len() {
             return Err(SnapshotError::malformed(format!(
                 "checkpoint has {} warp slots, SM has {}",
@@ -854,7 +854,7 @@ impl Sm {
                 other => Some(WarpSlot::from_state(other)?),
             });
         }
-        let sched_entries = snapshot::arr_field(v, "schedulers")?;
+        let sched_entries = json::arr_field(v, "schedulers")?;
         if sched_entries.len() != self.schedulers.len() {
             return Err(SnapshotError::malformed(format!(
                 "checkpoint has {} schedulers, SM has {}",
@@ -863,7 +863,7 @@ impl Sm {
             )));
         }
         let mut cta_queue = VecDeque::new();
-        for entry in snapshot::arr_field(v, "cta_queue")? {
+        for entry in json::arr_field(v, "cta_queue")? {
             let pending = entry
                 .as_arr()
                 .and_then(|row| {
@@ -887,16 +887,16 @@ impl Sm {
         for (sched, entry) in self.schedulers.iter_mut().zip(sched_entries) {
             sched.restore_state(entry)?;
         }
-        self.l1.restore_state(snapshot::field(v, "l1")?)?;
+        self.l1.restore_state(json::field(v, "l1")?)?;
         self.prefetcher
-            .restore_state(snapshot::field(v, "prefetcher")?)?;
-        self.stats.restore_state(snapshot::field(v, "stats")?)?;
+            .restore_state(json::field(v, "prefetcher")?)?;
+        self.stats.restore_state(json::field(v, "stats")?)?;
         self.masks = WarpMasks::from_slots(&slots);
         self.idle = None;
         self.slots = slots;
         self.cta_queue = cta_queue;
-        self.launch_seq = snapshot::u64_field(v, "launch_seq")?;
-        self.prev_throttled = snapshot::bool_field(v, "prev_throttled")?;
+        self.launch_seq = json::u64_field(v, "launch_seq")?;
+        self.prev_throttled = json::bool_field(v, "prev_throttled")?;
         Ok(())
     }
 

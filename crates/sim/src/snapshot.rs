@@ -111,6 +111,13 @@ impl fmt::Display for SnapshotError {
     }
 }
 
+/// A missing or mistyped state field is a malformed checkpoint.
+impl From<json::FieldError> for SnapshotError {
+    fn from(e: json::FieldError) -> Self {
+        SnapshotError::malformed(e)
+    }
+}
+
 impl std::error::Error for SnapshotError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -191,22 +198,19 @@ impl Checkpoint {
     /// checksum mismatch; [`SnapshotError::SchemaMismatch`] when the
     /// document was written by a different schema version.
     pub fn from_json(v: &Value) -> Result<Self, SnapshotError> {
-        let magic = v
-            .get("magic")
-            .and_then(Value::as_str)
-            .ok_or_else(|| SnapshotError::malformed("missing magic"))?;
+        let magic = json::str_field(v, "magic")?;
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::malformed(format!(
                 "magic {magic:?} is not {SNAPSHOT_MAGIC:?}"
             )));
         }
-        let version = u64_field(v, "version")?;
+        let version = json::u64_field(v, "version")?;
         if version != SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch { found: version });
         }
-        let fingerprint = u64_field(v, "fingerprint")?;
-        let crc = u64_field(v, "crc")?;
-        let state = field(v, "state")?.clone();
+        let fingerprint = json::u64_field(v, "fingerprint")?;
+        let crc = json::u64_field(v, "crc")?;
+        let state = json::field(v, "state")?.clone();
         let actual = fnv1a64(state.to_string().as_bytes());
         if actual != crc {
             return Err(SnapshotError::malformed(format!(
@@ -270,114 +274,6 @@ impl Checkpoint {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Field accessors shared by every component's `restore_state`.
-// ---------------------------------------------------------------------------
-
-/// Looks up `key` in an object value.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] naming the missing key.
-pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, SnapshotError> {
-    v.get(key)
-        .ok_or_else(|| SnapshotError::malformed(format!("missing field {key:?}")))
-}
-
-/// Reads a `u64` field.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] when missing or mistyped.
-pub fn u64_field(v: &Value, key: &str) -> Result<u64, SnapshotError> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| SnapshotError::malformed(format!("missing or non-u64 field {key:?}")))
-}
-
-/// Reads a `u32` field.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] when missing, mistyped, or out of range.
-pub fn u32_field(v: &Value, key: &str) -> Result<u32, SnapshotError> {
-    u64_field(v, key)?
-        .try_into()
-        .map_err(|_| SnapshotError::malformed(format!("field {key:?} exceeds u32")))
-}
-
-/// Reads a `usize` field.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] when missing, mistyped, or out of range.
-pub fn usize_field(v: &Value, key: &str) -> Result<usize, SnapshotError> {
-    u64_field(v, key)?
-        .try_into()
-        .map_err(|_| SnapshotError::malformed(format!("field {key:?} exceeds usize")))
-}
-
-/// Reads an `i64` field (stored as its decimal lexeme).
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] when missing or mistyped.
-pub fn i64_field(v: &Value, key: &str) -> Result<i64, SnapshotError> {
-    match v.get(key) {
-        Some(Value::Num(s)) => s
-            .parse()
-            .map_err(|_| SnapshotError::malformed(format!("field {key:?} is not an i64"))),
-        _ => Err(SnapshotError::malformed(format!(
-            "missing or non-numeric field {key:?}"
-        ))),
-    }
-}
-
-/// Reads an `f64` field; the lexeme round-trips bit-exactly because
-/// both sides use [`json::fmt_f64`]'s shortest representation.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] when missing or mistyped.
-pub fn f64_field(v: &Value, key: &str) -> Result<f64, SnapshotError> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| SnapshotError::malformed(format!("missing or non-f64 field {key:?}")))
-}
-
-/// Reads a `bool` field.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] when missing or mistyped.
-pub fn bool_field(v: &Value, key: &str) -> Result<bool, SnapshotError> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| SnapshotError::malformed(format!("missing or non-bool field {key:?}")))
-}
-
-/// Reads a string field.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] when missing or mistyped.
-pub fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, SnapshotError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| SnapshotError::malformed(format!("missing or non-string field {key:?}")))
-}
-
-/// Reads an array field.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] when missing or mistyped.
-pub fn arr_field<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], SnapshotError> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| SnapshotError::malformed(format!("missing or non-array field {key:?}")))
-}
-
 /// Reports where two state documents first diverge, as a `/`-joined
 /// path of object keys and array indices (e.g. `sms/0/warps/3/next`),
 /// or `None` when they are identical. Drives `pfdebug`'s divergence
@@ -426,21 +322,6 @@ pub fn opt_u64_value(n: Option<u64>) -> Value {
     match n {
         Some(n) => Value::u64(n),
         None => Value::Null,
-    }
-}
-
-/// Reads an `Option<u64>` field written by [`opt_u64_value`].
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] when missing or mistyped.
-pub fn opt_u64_field(v: &Value, key: &str) -> Result<Option<u64>, SnapshotError> {
-    match field(v, key)? {
-        Value::Null => Ok(None),
-        n => n
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| SnapshotError::malformed(format!("field {key:?} is not u64 or null"))),
     }
 }
 
@@ -551,16 +432,11 @@ mod tests {
     #[test]
     fn field_accessors_report_the_key() {
         let v = Value::Obj(vec![("a".into(), Value::u64(1))]);
-        assert_eq!(u64_field(&v, "a").unwrap(), 1);
-        let err = u64_field(&v, "b").unwrap_err();
-        assert!(err.to_string().contains("\"b\""), "{err}");
+        let err = SnapshotError::from(json::u64_field(&v, "b").unwrap_err());
+        assert!(matches!(err, SnapshotError::Malformed { .. }), "{err}");
         assert_eq!(
-            i64_field(&json::parse(r#"{"x":-5}"#).unwrap(), "x").unwrap(),
-            -5
-        );
-        assert_eq!(
-            opt_u64_field(&json::parse(r#"{"x":null}"#).unwrap(), "x").unwrap(),
-            None
+            err.to_string(),
+            r#"malformed checkpoint: missing or non-u64 field "b""#
         );
     }
 }

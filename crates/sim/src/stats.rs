@@ -6,8 +6,8 @@
 //! (Figs 16/17), IPC (Fig 18), energy events (Fig 19), and L1 hit
 //! rates (Fig 25).
 
-use crate::json::Value;
-use crate::snapshot::{self, SnapshotError};
+use crate::json::{self, Value};
+use crate::snapshot::SnapshotError;
 
 /// Generates `save_state`/`restore_state` for a struct of plain `u64`
 /// counters — the checkpoint encoding of every stats block.
@@ -28,7 +28,7 @@ macro_rules! persist_u64_fields {
             /// [`SnapshotError::Malformed`] on a missing or mistyped
             /// field.
             pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-                $(self.$field = snapshot::u64_field(v, stringify!($field))?;)+
+                $(self.$field = json::u64_field(v, stringify!($field))?;)+
                 Ok(())
             }
         }
@@ -491,21 +491,20 @@ impl SimStats {
     ///
     /// [`SnapshotError::Malformed`] on a missing or mistyped field.
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.cycles = snapshot::u64_field(v, "cycles")?;
-        self.instructions = snapshot::u64_field(v, "instructions")?;
-        self.demand_loads = snapshot::u64_field(v, "demand_loads")?;
-        self.stores = snapshot::u64_field(v, "stores")?;
-        self.all_stall_mem_cycles = snapshot::u64_field(v, "all_stall_mem_cycles")?;
-        self.all_stall_cycles = snapshot::u64_field(v, "all_stall_cycles")?;
-        self.stall.restore_state(snapshot::field(v, "stall")?)?;
-        self.l1.restore_state(snapshot::field(v, "l1")?)?;
-        self.l2_hits = snapshot::u64_field(v, "l2_hits")?;
-        self.l2_misses = snapshot::u64_field(v, "l2_misses")?;
-        self.noc_bytes_up = snapshot::u64_field(v, "noc_bytes_up")?;
-        self.noc_bytes_down = snapshot::u64_field(v, "noc_bytes_down")?;
-        self.prefetch
-            .restore_state(snapshot::field(v, "prefetch")?)?;
-        self.fault.restore_state(snapshot::field(v, "fault")?)?;
+        self.cycles = json::u64_field(v, "cycles")?;
+        self.instructions = json::u64_field(v, "instructions")?;
+        self.demand_loads = json::u64_field(v, "demand_loads")?;
+        self.stores = json::u64_field(v, "stores")?;
+        self.all_stall_mem_cycles = json::u64_field(v, "all_stall_mem_cycles")?;
+        self.all_stall_cycles = json::u64_field(v, "all_stall_cycles")?;
+        self.stall.restore_state(json::field(v, "stall")?)?;
+        self.l1.restore_state(json::field(v, "l1")?)?;
+        self.l2_hits = json::u64_field(v, "l2_hits")?;
+        self.l2_misses = json::u64_field(v, "l2_misses")?;
+        self.noc_bytes_up = json::u64_field(v, "noc_bytes_up")?;
+        self.noc_bytes_down = json::u64_field(v, "noc_bytes_down")?;
+        self.prefetch.restore_state(json::field(v, "prefetch")?)?;
+        self.fault.restore_state(json::field(v, "fault")?)?;
         Ok(())
     }
 }

@@ -6,8 +6,8 @@
 //! latency hiding, exactly the mechanism whose breakdown (the memory
 //! wall) the paper quantifies in Figs 3–5.
 
-use crate::json::Value;
-use crate::snapshot::{self, SnapshotError};
+use crate::json::{self, Value};
+use crate::snapshot::SnapshotError;
 use crate::types::{Address, CtaId, Cycle, Pc};
 
 /// The most warp slots one SM can hold: one bit each in a [`WarpMasks`]
@@ -252,7 +252,7 @@ impl WarpSlot {
     ///
     /// [`SnapshotError::Malformed`] on a missing or malformed field.
     pub fn from_state(v: &Value) -> Result<WarpSlot, SnapshotError> {
-        let state = match snapshot::field(v, "state")? {
+        let state = match json::field(v, "state")? {
             Value::Null => WarpState::Ready,
             Value::Bool(true) => WarpState::Waiting,
             other => WarpState::Busy(Cycle(
@@ -261,23 +261,23 @@ impl WarpSlot {
                     .ok_or_else(|| SnapshotError::malformed("warp state"))?,
             )),
         };
-        let pending = snapshot::arr_field(v, "pending")?
+        let pending = json::arr_field(v, "pending")?
             .iter()
             .map(|a| a.as_u64().map(Address))
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| SnapshotError::malformed("warp pending address"))?;
         Ok(WarpSlot {
-            cta: CtaId(snapshot::u32_field(v, "cta")?),
-            trace_idx: snapshot::usize_field(v, "trace_idx")?,
-            launch_seq: snapshot::u64_field(v, "launch_seq")?,
-            next: snapshot::usize_field(v, "next")?,
+            cta: CtaId(json::u32_field(v, "cta")?),
+            trace_idx: json::usize_field(v, "trace_idx")?,
+            launch_seq: json::u64_field(v, "launch_seq")?,
+            next: json::usize_field(v, "next")?,
             state,
             pending,
-            cur_pc: Pc(snapshot::u32_field(v, "cur_pc")?),
-            cur_is_load: snapshot::bool_field(v, "cur_is_load")?,
-            cur_coalesced: snapshot::bool_field(v, "cur_coalesced")?,
-            outstanding: snapshot::u32_field(v, "outstanding")?,
-            busy_mem: snapshot::bool_field(v, "busy_mem")?,
+            cur_pc: Pc(json::u32_field(v, "cur_pc")?),
+            cur_is_load: json::bool_field(v, "cur_is_load")?,
+            cur_coalesced: json::bool_field(v, "cur_coalesced")?,
+            outstanding: json::u32_field(v, "outstanding")?,
+            busy_mem: json::bool_field(v, "busy_mem")?,
         })
     }
 }

@@ -13,8 +13,8 @@
 //! [`DeadlockReport`]: who is blocked, on what, and where every
 //! in-flight request was parked.
 
-use crate::json::Value;
-use crate::snapshot::{self, SnapshotError};
+use crate::json::{self, Value};
+use crate::snapshot::SnapshotError;
 use crate::types::{CtaId, Cycle, SmId};
 
 pub use crate::mem::partition::PartitionCensus;
@@ -78,7 +78,7 @@ impl Watchdog {
     ///
     /// [`save_state`]: Watchdog::save_state
     pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.last_progress = Cycle(snapshot::u64_field(v, "last_progress")?);
+        self.last_progress = Cycle(json::u64_field(v, "last_progress")?);
         Ok(())
     }
 }
