@@ -647,22 +647,35 @@ fn write_metrics_csv(h: &Harness, path: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn run_selected(h: &Harness, wanted: &[String]) -> Result<Vec<Table>, CliError> {
-    // The timing matrix is only collected if a figure needs it.
-    let needs_matrix = wanted.iter().any(|w| {
-        matches!(
-            w.as_str(),
-            "fig03" | "fig04" | "fig05" | "fig16" | "fig17" | "fig18" | "fig19" | "fig25"
-        )
+/// The timing-matrix mechanisms the figures in `wanted` read, in
+/// `figures::all` order; empty when no wanted figure reads the matrix.
+fn matrix_kinds(wanted: &[String]) -> Vec<PrefetcherKind> {
+    let mut kinds = figures::figure_mechanisms();
+    kinds.push(PrefetcherKind::IsolatedSnake);
+    kinds.retain(|&k| {
+        wanted.iter().any(|w| match w.as_str() {
+            "fig03" | "fig04" | "fig05" => k == PrefetcherKind::Baseline,
+            "fig16" | "fig17" | "fig18" | "fig19" => figures::figure_mechanisms().contains(&k),
+            "fig25" => matches!(
+                k,
+                PrefetcherKind::Baseline | PrefetcherKind::Snake | PrefetcherKind::IsolatedSnake
+            ),
+            _ => false,
+        })
     });
-    let matrix = if needs_matrix {
-        let mut kinds = figures::figure_mechanisms();
-        kinds.push(PrefetcherKind::IsolatedSnake);
-        Some(EvalMatrix::collect(h, &kinds)?)
-    } else {
+    kinds
+}
+
+fn run_selected(h: &Harness, wanted: &[String]) -> Result<Vec<Table>, CliError> {
+    // The timing matrix is only collected if a figure needs it, and
+    // then only for the mechanisms the wanted figures read.
+    let kinds = matrix_kinds(wanted);
+    let matrix = if kinds.is_empty() {
         None
+    } else {
+        Some(EvalMatrix::collect(h, &kinds)?)
     };
-    // `needs_matrix` lists exactly the figures that take the matrix, so
+    // `matrix_kinds` lists exactly the figures that take the matrix, so
     // a miss here is a bug in this binary, not in the invocation.
     let need = |id: &str| -> Result<&EvalMatrix, CliError> {
         matrix.as_ref().ok_or_else(|| {

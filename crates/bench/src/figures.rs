@@ -6,6 +6,8 @@
 //! `EXPERIMENTS.md` format.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use snake_core::analysis::{analyze_chains, mechanism_bound, ChainAnalysisConfig};
 use snake_core::cost::{head_table_cost, snake_storage_bytes, tail_table_cost, FieldWidths};
@@ -47,7 +49,7 @@ impl EvalMatrix {
         h.validate()?;
         Ok(Self::collect_with(kinds, |b, k| {
             // Unreachable after validate(); a failure here panics and
-            // is caught + named by the worker drain below.
+            // is caught and named by the pool.
             h.run(b, k).expect("configuration validated above")
         }))
     }
@@ -56,70 +58,11 @@ impl EvalMatrix {
         kinds: &[PrefetcherKind],
         runner: impl Fn(Benchmark, PrefetcherKind) -> MechanismReport + Sync,
     ) -> Self {
-        let pairs: Vec<(Benchmark, PrefetcherKind)> = Benchmark::all()
-            .iter()
-            .flat_map(|&b| kinds.iter().map(move |&k| (b, k)))
-            .collect();
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(pairs.len().max(1));
-        let chunk = pairs.len().div_ceil(threads);
-        let mut reports = HashMap::with_capacity(pairs.len());
-        let mut failures: Vec<String> = Vec::new();
-        let runner = &runner;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for part in pairs.chunks(chunk) {
-                handles.push((
-                    part,
-                    scope.spawn(move || {
-                        part.iter()
-                            .map(|&(b, k)| {
-                                let r =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        runner(b, k)
-                                    }));
-                                ((b, k), r)
-                            })
-                            .collect::<Vec<_>>()
-                    }),
-                ));
-            }
-            for (part, handle) in handles {
-                match handle.join() {
-                    Ok(results) => {
-                        for ((b, k), r) in results {
-                            match r {
-                                Ok(report) => {
-                                    reports.insert((b, k), report);
-                                }
-                                Err(payload) => failures
-                                    .push(format!("{b}/{k}: {}", panic_message(payload.as_ref()))),
-                            }
-                        }
-                    }
-                    // catch_unwind above makes this unreachable in
-                    // practice; cover it so a worker dying some other
-                    // way still names its pairs.
-                    Err(payload) => {
-                        let names: Vec<String> =
-                            part.iter().map(|(b, k)| format!("{b}/{k}")).collect();
-                        failures.push(format!(
-                            "worker for [{}] died: {}",
-                            names.join(", "),
-                            panic_message(payload.as_ref())
-                        ));
-                    }
-                }
-            }
-        });
-        assert!(
-            failures.is_empty(),
-            "eval worker(s) panicked:\n  {}",
-            failures.join("\n  ")
-        );
-        EvalMatrix { reports }
+        let pairs = grid(Benchmark::all(), kinds);
+        let reports = par_map(&pairs, |(b, k)| format!("{b}/{k}"), |&(b, k)| runner(b, k));
+        EvalMatrix {
+            reports: pairs.into_iter().zip(reports).collect(),
+        }
     }
 
     /// The report for one pair.
@@ -132,10 +75,6 @@ impl EvalMatrix {
             .get(&(b, k))
             .unwrap_or_else(|| panic!("missing report for {b}/{k}"))
     }
-
-    fn has(&self, b: Benchmark, k: PrefetcherKind) -> bool {
-        self.reports.contains_key(&(b, k))
-    }
 }
 
 /// Best-effort text of a worker's panic payload.
@@ -145,6 +84,118 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("non-string panic payload")
+}
+
+/// Runs `f` on every job on up to `available_parallelism()` scoped
+/// threads and returns the results in job order.
+///
+/// Each thread claims the next job index from one shared counter, so
+/// no thread idles while a job is left. Every job runs under
+/// `catch_unwind`.
+///
+/// # Panics
+///
+/// Panics after every thread has drained if any job panicked, naming
+/// each failed job (by `name`) with its panic message.
+fn par_map<J: Sync, R: Send>(
+    jobs: &[J],
+    name: impl Fn(&J) -> String,
+    f: impl Fn(&J) -> R + Sync,
+) -> Vec<R> {
+    let threads = std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .min(jobs.len());
+    // The counter only hands out indices: `fetch_add` gives each index
+    // to one thread under any ordering, the jobs were shared before the
+    // spawn and the results come back through `join`, which
+    // synchronizes. So `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let (next, f) = (&next, &f);
+    let mut slots: Vec<Option<std::thread::Result<R>>> = jobs.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(i) else {
+                            break done;
+                        };
+                        done.push((i, catch_unwind(AssertUnwindSafe(|| f(job)))));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .expect("a job's panic is caught inside its worker");
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    let mut results = Vec::with_capacity(jobs.len());
+    let mut failures = Vec::new();
+    for (job, slot) in jobs.iter().zip(slots) {
+        match slot.expect("every job index is claimed once") {
+            Ok(r) => results.push(r),
+            Err(payload) => failures.push(format!(
+                "{}: {}",
+                name(job),
+                panic_message(payload.as_ref())
+            )),
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "eval worker(s) panicked:\n  {}",
+        failures.join("\n  ")
+    );
+    results
+}
+
+/// A parameter sweep: validates `h` once, then runs every job through
+/// [`par_map`] and returns the results in job order, or the first
+/// error in job order.
+fn sweep<J: Sync, R: Send>(
+    h: &Harness,
+    jobs: &[J],
+    name: impl Fn(&J) -> String,
+    f: impl Fn(&J) -> Result<R, SimError> + Sync,
+) -> Result<Vec<R>, SimError> {
+    h.validate()?;
+    par_map(jobs, name, f).into_iter().collect()
+}
+
+/// Every `(a, b)` pair, `a`-major: the job list of a sweep.
+fn grid<A: Copy, B: Copy>(outer: &[A], inner: &[B]) -> Vec<(A, B)> {
+    outer
+        .iter()
+        .flat_map(|&a| inner.iter().map(move |&b| (a, b)))
+        .collect()
+}
+
+/// Pushes one row per application from `values` (app-major,
+/// `per_app` settings each), then the MEAN row over applications.
+fn push_app_rows(t: &mut Table, values: &[f64], per_app: usize) {
+    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); per_app];
+    for (&b, row) in Benchmark::all().iter().zip(values.chunks(per_app)) {
+        for (col, &v) in cols.iter_mut().zip(row) {
+            col.push(v);
+        }
+        t.push_row(
+            std::iter::once(b.abbr().to_string())
+                .chain(row.iter().map(|&v| pct(v)))
+                .collect(),
+        );
+    }
+    t.push_row(
+        std::iter::once("MEAN".to_string())
+            .chain(cols.iter().map(|col| pct(mean(col))))
+            .collect(),
+    );
 }
 
 /// The mechanisms shown in Figs 16–18 (baseline excluded from the
@@ -395,6 +446,11 @@ fn baseline_metric_table(
     t
 }
 
+// The trace-analysis figures (6, 9, 10, 11) run on the calling thread,
+// not through `par_map`. On pool threads they raised the process's
+// peak RSS over `paper_all`'s quick passes from about 7.7 MiB to
+// 9.4–9.6 MiB (two host threads), beyond that metric's 10% bound.
+
 /// Fig 6 — coverage upper bounds of prior mechanisms vs the Ideal
 /// prefetcher (trace analysis under infinite storage / zero latency).
 pub fn fig06_coverage_vs_ideal(h: &Harness) -> Table {
@@ -592,11 +648,7 @@ pub fn fig25_hit_rate(m: &EvalMatrix) -> Table {
     for &b in Benchmark::all() {
         let base = m.get(b, PrefetcherKind::Baseline).l1_hit_rate;
         let snake = m.get(b, PrefetcherKind::Snake).l1_hit_rate;
-        let iso = if m.has(b, PrefetcherKind::IsolatedSnake) {
-            m.get(b, PrefetcherKind::IsolatedSnake).l1_hit_rate
-        } else {
-            snake
-        };
+        let iso = m.get(b, PrefetcherKind::IsolatedSnake).l1_hit_rate;
         b0.push(base);
         b1.push(snake);
         b2.push(iso);
@@ -635,6 +687,19 @@ fn entry_sweep_table(
     eviction: EvictionPolicy,
     note: &str,
 ) -> Result<Table, SimError> {
+    let jobs = grid(Benchmark::all(), &ENTRY_SWEEP);
+    let coverage = sweep(
+        h,
+        &jobs,
+        |(b, entries)| format!("{b}/{entries} tail entries"),
+        |&(b, entries)| {
+            let cfg = snake_with_tail(h, entries, eviction);
+            let r = h.run_custom(&b.build(&h.size), "snake-sweep", |_| {
+                Box::new(Snake::new(cfg))
+            })?;
+            Ok(r.coverage)
+        },
+    )?;
     let mut headers = vec!["app".to_string()];
     headers.extend(ENTRY_SWEEP.iter().map(|e| {
         if *e >= 1024 {
@@ -644,23 +709,7 @@ fn entry_sweep_table(
         }
     }));
     let mut t = Table::new(title, headers);
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); ENTRY_SWEEP.len()];
-    for &b in Benchmark::all() {
-        let kernel = b.build(&h.size);
-        let mut row = vec![b.abbr().to_string()];
-        for (i, &entries) in ENTRY_SWEEP.iter().enumerate() {
-            let cfg = snake_with_tail(h, entries, eviction);
-            let r = h.run_custom(&kernel, "snake-sweep", |_| Box::new(Snake::new(cfg)))?;
-            cols[i].push(r.coverage);
-            row.push(pct(r.coverage));
-        }
-        t.push_row(row);
-    }
-    let mut mean_row = vec!["MEAN".to_string()];
-    for col in &cols {
-        mean_row.push(pct(mean(col)));
-    }
-    t.push_row(mean_row);
+    push_app_rows(&mut t, &coverage, ENTRY_SWEEP.len());
     t.note(note);
     Ok(t)
 }
@@ -731,26 +780,34 @@ pub fn fig23_throttling(h: &Harness) -> Result<Table, SimError> {
             "precision".into(),
         ],
     );
-    for &pause in &THROTTLE_SWEEP {
-        let (mut cov, mut acc, mut prec) = (Vec::new(), Vec::new(), Vec::new());
-        for &b in Benchmark::all() {
-            let kernel = b.build(&h.size);
+    let jobs = grid(&THROTTLE_SWEEP, Benchmark::all());
+    let reports = sweep(
+        h,
+        &jobs,
+        |(pause, b)| format!("{b}/pause {pause}"),
+        |&(pause, b)| {
             let mut cfg = SnakeConfig {
                 head_warps: h.cfg.max_warps_per_sm,
                 ..SnakeConfig::snake()
             };
             cfg.throttle.pause_cycles = pause;
             cfg.throttle.enabled = pause > 0;
-            let r = h.run_custom(&kernel, "snake-throttle", |_| Box::new(Snake::new(cfg)))?;
-            cov.push(r.coverage);
-            acc.push(r.accuracy);
-            prec.push(r.precision);
-        }
+            h.run_custom(&b.build(&h.size), "snake-throttle", |_| {
+                Box::new(Snake::new(cfg))
+            })
+        },
+    )?;
+    for (pause, runs) in THROTTLE_SWEEP
+        .iter()
+        .zip(reports.chunks(Benchmark::all().len()))
+    {
+        let mean_of =
+            |f: fn(&MechanismReport) -> f64| pct(mean(&runs.iter().map(f).collect::<Vec<_>>()));
         t.push_row(vec![
             pause.to_string(),
-            pct(mean(&cov)),
-            pct(mean(&acc)),
-            pct(mean(&prec)),
+            mean_of(|r| r.coverage),
+            mean_of(|r| r.accuracy),
+            mean_of(|r| r.precision),
         ]);
     }
     t.note("paper: 50 cycles gives ~75% accuracy at only ~2% coverage loss; longer pauses trade coverage for accuracy");
@@ -777,20 +834,32 @@ pub fn fig24_tiling(h: &Harness) -> Result<Table, SimError> {
             "snake+tiled energy".into(),
         ],
     );
-    let untiled = tiled::trace(&h.size, 0);
-    let base = h.run_kernel(&untiled, PrefetcherKind::Baseline)?;
-    for &frac in &TILE_SWEEP {
-        let tile_bytes = u64::from(h.cfg.l1_usable_bytes()) * u64::from(frac) / 100;
-        let tile_bytes = (tile_bytes / 128).max(1) * 128;
-        let kernel = tiled::trace(&h.size, tile_bytes);
-        let tiled_r = h.run_kernel(&kernel, PrefetcherKind::Baseline)?;
-        let snake_r = h.run_kernel(&kernel, PrefetcherKind::Snake)?;
+    let tile_bytes = |frac: u32| {
+        let bytes = u64::from(h.cfg.l1_usable_bytes()) * u64::from(frac) / 100;
+        (bytes / 128).max(1) * 128
+    };
+    // Job 0 is the untiled (tile size 0) baseline every ratio divides
+    // by; then each tile size under baseline and under Snake.
+    let mut jobs = vec![(0, PrefetcherKind::Baseline)];
+    jobs.extend(grid(
+        &TILE_SWEEP.map(tile_bytes),
+        &[PrefetcherKind::Baseline, PrefetcherKind::Snake],
+    ));
+    let runs = sweep(
+        h,
+        &jobs,
+        |(bytes, k)| format!("{bytes} B tiles/{k}"),
+        |&(bytes, k)| h.run_kernel(&tiled::trace(&h.size, bytes), k),
+    )?;
+    let (base, tiled_runs) = runs.split_first().expect("job 0 is the untiled run");
+    for (frac, pair) in TILE_SWEEP.iter().zip(tiled_runs.chunks(2)) {
+        let (tiled_r, snake_r) = (&pair[0], &pair[1]);
         t.push_row(vec![
             format!("{frac}%"),
-            ratio(tiled_r.speedup_over(&base)),
-            ratio(snake_r.speedup_over(&base)),
-            ratio(tiled_r.energy_vs(&base)),
-            ratio(snake_r.energy_vs(&base)),
+            ratio(tiled_r.speedup_over(base)),
+            ratio(snake_r.speedup_over(base)),
+            ratio(tiled_r.energy_vs(base)),
+            ratio(snake_r.energy_vs(base)),
         ]);
     }
     t.note("paper: best at 75% tile size; Snake+Tiled beats Tiled except at 100% where Snake stays throttled");
@@ -825,27 +894,24 @@ pub fn extra_head_layout(h: &Harness) -> Result<Table, SimError> {
         HeadLayout::PairedDoubled,
         HeadLayout::PairedSingle,
     ];
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); layouts.len()];
-    for &b in Benchmark::all() {
-        let kernel = b.build(&h.size);
-        let mut row = vec![b.abbr().to_string()];
-        for (i, &layout) in layouts.iter().enumerate() {
+    let jobs = grid(Benchmark::all(), &layouts);
+    let coverage = sweep(
+        h,
+        &jobs,
+        |(b, layout)| format!("{b}/{layout:?}"),
+        |&(b, layout)| {
             let cfg = SnakeConfig {
                 head_warps: h.cfg.max_warps_per_sm,
                 head_layout: layout,
                 ..SnakeConfig::snake()
             };
-            let r = h.run_custom(&kernel, "snake-layout", |_| Box::new(Snake::new(cfg)))?;
-            cols[i].push(r.coverage);
-            row.push(pct(r.coverage));
-        }
-        t.push_row(row);
-    }
-    let mut mean_row = vec!["MEAN".to_string()];
-    for col in &cols {
-        mean_row.push(pct(mean(col)));
-    }
-    t.push_row(mean_row);
+            let r = h.run_custom(&b.build(&h.size), "snake-layout", |_| {
+                Box::new(Snake::new(cfg))
+            })?;
+            Ok(r.coverage)
+        },
+    )?;
+    push_app_rows(&mut t, &coverage, layouts.len());
     t.note("paper claim (§5.5): doubled columns keep the paired layout near the ideal; a single column loses history under GTO");
     Ok(t)
 }
@@ -862,17 +928,31 @@ pub fn extra_scheduler(h: &Harness) -> Result<Table, SimError> {
         "Extra B — Snake speedup under GTO vs loose round-robin",
         vec!["app".into(), "GTO speedup".into(), "LRR speedup".into()],
     );
-    for &b in Benchmark::all() {
+    let harnesses = [
+        SchedulerPolicy::GreedyThenOldest,
+        SchedulerPolicy::LooseRoundRobin,
+    ]
+    .map(|policy| {
+        let mut harness = h.clone();
+        harness.cfg.scheduler = policy;
+        harness
+    });
+    let settings = grid(
+        &harnesses.each_ref(),
+        &[PrefetcherKind::Baseline, PrefetcherKind::Snake],
+    );
+    let jobs = grid(Benchmark::all(), &settings);
+    let runs = sweep(
+        h,
+        &jobs,
+        |(b, (harness, k))| format!("{b}/{k}/{:?}", harness.cfg.scheduler),
+        |&(b, (harness, k))| harness.run(b, k),
+    )?;
+    for (&b, app_runs) in Benchmark::all().iter().zip(runs.chunks(settings.len())) {
         let mut row = vec![b.abbr().to_string()];
-        for policy in [
-            SchedulerPolicy::GreedyThenOldest,
-            SchedulerPolicy::LooseRoundRobin,
-        ] {
-            let mut harness = h.clone();
-            harness.cfg.scheduler = policy;
-            let base = harness.run(b, PrefetcherKind::Baseline)?;
-            let snake = harness.run(b, PrefetcherKind::Snake)?;
-            row.push(ratio(snake.speedup_over(&base)));
+        // Per policy: the baseline run, then the Snake run.
+        for pair in app_runs.chunks(2) {
+            row.push(ratio(pair[1].speedup_over(&pair[0])));
         }
         t.push_row(row);
     }
@@ -903,15 +983,21 @@ pub fn extra_multi_app(h: &Harness) -> Result<Table, SimError> {
         (Benchmark::Hotspot, Benchmark::Lib),
         (Benchmark::Cp, Benchmark::Srad),
     ];
-    for (a, b) in pairs {
-        let ka = a.build(&h.size);
-        let kb = b.build(&h.size);
-        let tagged = h.run_kernel(&colocate(&ka, &kb, PcSpace::PerApp), PrefetcherKind::Snake)?;
-        let shared = h.run_kernel(&colocate(&ka, &kb, PcSpace::Shared), PrefetcherKind::Snake)?;
+    let jobs = grid(&pairs, &[PcSpace::PerApp, PcSpace::Shared]);
+    let coverage = sweep(
+        h,
+        &jobs,
+        |((a, b), space)| format!("{a}+{b}/{space:?}"),
+        |&((a, b), space)| {
+            let kernel = colocate(&a.build(&h.size), &b.build(&h.size), space);
+            Ok(h.run_kernel(&kernel, PrefetcherKind::Snake)?.coverage)
+        },
+    )?;
+    for ((a, b), spaces) in pairs.iter().zip(coverage.chunks(2)) {
         t.push_row(vec![
             format!("{}+{}", a.abbr(), b.abbr()),
-            pct(tagged.coverage),
-            pct(shared.coverage),
+            pct(spaces[0]),
+            pct(spaces[1]),
         ]);
     }
     t.note("paper §1: chains must be \"detected within each application\"; aliasing two apps' load PCs onto one table degrades the chains");
@@ -1000,11 +1086,65 @@ mod tests {
     }
 
     #[test]
+    fn pool_returns_results_in_job_order_when_later_jobs_finish_first() {
+        use std::time::{Duration, Instant};
+        let jobs: Vec<usize> = (0..16).collect();
+        let finished = AtomicUsize::new(0);
+        let finish_order = std::sync::Mutex::new(Vec::new());
+        let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+        let out = par_map(
+            &jobs,
+            |i| format!("job {i}"),
+            |&i| {
+                if i == 0 && parallel {
+                    // Hold job 0 until the other thread has run every
+                    // later job (bounded, so a broken pool fails
+                    // rather than hangs).
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    while finished.load(Ordering::SeqCst) < jobs.len() - 1
+                        && Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                finish_order.lock().expect("no job panics").push(i);
+                i * 10
+            },
+        );
+        assert_eq!(out, jobs.iter().map(|i| i * 10).collect::<Vec<_>>());
+        if parallel {
+            let finish_order = finish_order.into_inner().expect("no job panics");
+            assert_eq!(finish_order.last(), Some(&0), "{finish_order:?}");
+        }
+    }
+
+    #[test]
+    fn pool_runs_every_job_exactly_once() {
+        let jobs: Vec<usize> = (0..100).collect();
+        let runs: Vec<AtomicUsize> = jobs.iter().map(|_| AtomicUsize::new(0)).collect();
+        let out = par_map(
+            &jobs,
+            |i| format!("job {i}"),
+            |&i| runs[i].fetch_add(1, Ordering::SeqCst),
+        );
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+        // Each job saw its counter at zero.
+        assert_eq!(out, vec![0; jobs.len()]);
+    }
+
+    #[test]
+    fn pool_of_no_jobs_returns_nothing() {
+        let out: Vec<u8> = par_map(&[] as &[u8], |_| String::new(), |_| unreachable!("no job"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
     fn panicking_worker_is_named_and_the_rest_drain() {
         let h = quick();
         let kinds = [PrefetcherKind::Baseline];
         let ran = std::sync::Mutex::new(Vec::new());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             EvalMatrix::collect_with(&kinds, |b, k| {
                 if b == Benchmark::Mum {
                     panic!("synthetic failure");
@@ -1023,6 +1163,37 @@ mod tests {
         assert!(msg.contains("synthetic failure"), "{msg}");
         // Every other pair still produced a report before the abort.
         assert_eq!(ran.lock().unwrap().len(), Benchmark::all().len() - 1);
+
+        // The same for a sweep-shaped job list (app x setting): every
+        // failed job is named, in job order, and the rest still run.
+        let jobs = grid(Benchmark::all(), &ENTRY_SWEEP);
+        let failing = [jobs[7], jobs[40]];
+        let ran = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            sweep(
+                &h,
+                &jobs,
+                |(b, entries)| format!("{b}/{entries} tail entries"),
+                |job| {
+                    if failing.contains(job) {
+                        panic!("synthetic failure");
+                    }
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
+                },
+            )
+        }));
+        let payload = outcome.expect_err("the failed jobs must surface");
+        let msg = panic_message(payload.as_ref());
+        let named_at = |(b, e): (Benchmark, usize)| {
+            msg.find(&format!("{b}/{e} tail entries: synthetic failure"))
+                .unwrap_or_else(|| panic!("failure must name {b}/{e}: {msg}"))
+        };
+        assert!(
+            named_at(failing[0]) < named_at(failing[1]),
+            "failures are listed in job order: {msg}"
+        );
+        assert_eq!(ran.load(Ordering::SeqCst), jobs.len() - failing.len());
     }
 
     #[test]
@@ -1030,6 +1201,16 @@ mod tests {
         let mut h = quick();
         h.cfg.mshr_entries = 0;
         assert!(EvalMatrix::collect(&h, &[PrefetcherKind::Baseline]).is_err());
+        assert!(fig24_tiling(&h).is_err());
+        // A sweep checks the harness before it hands out any job.
+        let jobs = grid(Benchmark::all(), &ENTRY_SWEEP);
+        let swept = sweep(
+            &h,
+            &jobs,
+            |(b, entries)| format!("{b}/{entries}"),
+            |_| -> Result<(), SimError> { panic!("a job was dispatched") },
+        );
+        assert!(swept.is_err());
     }
 
     #[test]

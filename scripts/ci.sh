@@ -21,6 +21,14 @@ if ! ./snakebench/target/release/snakebench --workload memory_bound --seconds 1 
     echo "snakebench smoke: a benchmark check failed" >&2
     exit 1
 fi
+# paper_all runs every figure of `repro --quick --all`, whose timing
+# matrix and sweeps share one thread pool: each pass's matrix must hold
+# all 132 (app, mechanism) pairs, and every pass must render the same
+# bytes as the first.
+if ! ./snakebench/target/release/snakebench --workload paper_all --seconds 1 --trace 0; then
+    echo "snakebench smoke: a paper_all check failed" >&2
+    exit 1
+fi
 
 echo "==> cargo test (default features)"
 cargo test --workspace -q
