@@ -19,10 +19,9 @@ use std::path::Path;
 use std::time::Duration;
 
 use snake_bench::cli::{self, CliError};
-use snake_bench::figures::{self, EvalMatrix};
+use snake_bench::figures;
 use snake_bench::jsonl_log::LogError;
 use snake_bench::perfstat::{self, CompareConfig, PerfReport};
-use snake_bench::report::Table;
 use snake_bench::supervise::{self, SweepConfig, SweepError};
 use snake_bench::Harness;
 use snake_core::PrefetcherKind;
@@ -32,17 +31,15 @@ use snake_workloads::Benchmark;
 /// Window width (cycles) for the `--metrics-csv` time series.
 const METRICS_WINDOW: u64 = 500;
 
-const EXPERIMENTS: &[&str] = &[
-    "table1", "table2", "table3", "fig03", "fig04", "fig05", "fig06", "fig09", "fig10", "fig11",
-    "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "fig25",
-    "xhead", "xsched", "xmulti",
-];
-
 fn usage() -> String {
     format!(
         "usage: repro [--quick] [--markdown] [--out FILE] [--metrics-csv FILE] (--list | --all | <experiment>...)\n       repro --sweep [SWEEP FLAGS]   supervised sweep over (benchmark, mechanism) jobs\n       repro --resume FILE           finish an interrupted sweep from its manifest\n       repro --perf [PERF FLAGS]     host-side perf measurement (BENCH_<label>.json)\n       repro --profile [PERF FLAGS]  one profiled pass, per-phase wall-time tables\n  --metrics-csv FILE  run lps under snake with windowed metrics and write the time series\nsweep flags:\n  --manifest FILE     checkpoint each finished job into FILE (must not pre-exist)\n  --benchmarks A,B    job benchmarks (abbr; default: all)\n  --mechanisms X,Y    job mechanisms (default: all)\n  --budget N          per-job cycle budget (jobs stop with budget_exceeded)\n  --retries N         attempts per job before quarantine (default 3)\n  --deadline-ms N     wall-clock budget for the whole sweep\n  --stop-after N      stop claiming jobs after N started (deterministic interrupt; exit 4)\n  --suspend-after N   checkpoint and requeue any job reaching cycle N (exit 4; resume restores)\n  --chaos             inject the canned fault plan (drops/delays/brownouts + recovery)\n  --progress          repaint a live progress line on stderr (done/total, retries, quarantines, elapsed)\nisolation flags (sweep and perf):\n  --isolate           run each job in a sandboxed worker subprocess; crashes\n                      (abort/signal/OOM/timeout) quarantine with a typed kind\n                      instead of killing the sweep\n  --isolate-mem MB    child address-space rlimit in MiB (requires --isolate)\n  --isolate-cpu SECS  child CPU-time rlimit in seconds (requires --isolate)\nperf flags (--benchmarks/--mechanisms/--budget also apply):\n  --label NAME        report label; output defaults to BENCH_<label>.json (default: local)\n  --runs N            repetitions per job (default 5; median +/- IQR)\n  --perf-out FILE     write the report here instead of BENCH_<label>.json\n  --compare FILE      gate against a baseline BENCH_*.json; exit {} on regression\n  --rel-threshold X   relative slowdown bar for the gate (default 0.10)\n  --perf-inject-ns N  burn N host ns per mem-partition tick (gate self-test hook)\nexperiments: {}",
         perfstat::EXIT_PERF_REGRESSION,
-        EXPERIMENTS.join(" ")
+        figures::EXPERIMENTS
+            .iter()
+            .map(|e| e.id)
+            .collect::<Vec<_>>()
+            .join(" ")
     )
 }
 
@@ -196,8 +193,8 @@ fn run() -> Result<i32, CliError> {
         }
     }
     if list {
-        for e in EXPERIMENTS {
-            println!("{e}");
+        for e in figures::EXPERIMENTS {
+            println!("{}", e.id);
         }
         return Ok(0);
     }
@@ -289,14 +286,18 @@ fn run() -> Result<i32, CliError> {
             "nothing to do: pass --all, --list, --sweep, --metrics-csv, or experiment ids".into(),
         ));
     }
-    for w in &wanted {
-        if !EXPERIMENTS.contains(&w.as_str()) {
-            return Err(CliError::BadArg {
-                what: "experiment",
-                why: format!("unknown experiment: {w}"),
-            });
-        }
-    }
+    let selected = wanted
+        .iter()
+        .map(|w| {
+            figures::EXPERIMENTS
+                .iter()
+                .find(|e| e.id == w)
+                .ok_or_else(|| CliError::BadArg {
+                    what: "experiment",
+                    why: format!("unknown experiment: {w}"),
+                })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     let h = if quick {
         Harness::quick()
@@ -312,7 +313,7 @@ fn run() -> Result<i32, CliError> {
     let tables = if all {
         figures::all(&h)?
     } else {
-        run_selected(&h, &wanted)?
+        figures::render(&h, &selected)?
     };
 
     let mut rendered = String::new();
@@ -645,74 +646,4 @@ fn write_metrics_csv(h: &Harness, path: &str) -> Result<(), CliError> {
         .map_err(|e| CliError::io(path, e))?;
     eprintln!("wrote {} metric windows to {path}", series.samples.len());
     Ok(())
-}
-
-/// The timing-matrix mechanisms the figures in `wanted` read, in
-/// `figures::all` order; empty when no wanted figure reads the matrix.
-fn matrix_kinds(wanted: &[String]) -> Vec<PrefetcherKind> {
-    let mut kinds = figures::figure_mechanisms();
-    kinds.push(PrefetcherKind::IsolatedSnake);
-    kinds.retain(|&k| {
-        wanted.iter().any(|w| match w.as_str() {
-            "fig03" | "fig04" | "fig05" => k == PrefetcherKind::Baseline,
-            "fig16" | "fig17" | "fig18" | "fig19" => figures::figure_mechanisms().contains(&k),
-            "fig25" => matches!(
-                k,
-                PrefetcherKind::Baseline | PrefetcherKind::Snake | PrefetcherKind::IsolatedSnake
-            ),
-            _ => false,
-        })
-    });
-    kinds
-}
-
-fn run_selected(h: &Harness, wanted: &[String]) -> Result<Vec<Table>, CliError> {
-    // The timing matrix is only collected if a figure needs it, and
-    // then only for the mechanisms the wanted figures read.
-    let kinds = matrix_kinds(wanted);
-    let matrix = if kinds.is_empty() {
-        None
-    } else {
-        Some(EvalMatrix::collect(h, &kinds)?)
-    };
-    // `matrix_kinds` lists exactly the figures that take the matrix, so
-    // a miss here is a bug in this binary, not in the invocation.
-    let need = |id: &str| -> Result<&EvalMatrix, CliError> {
-        matrix.as_ref().ok_or_else(|| {
-            CliError::Internal(format!(
-                "{id} needs the timing matrix but it was not collected"
-            ))
-        })
-    };
-    wanted
-        .iter()
-        .map(|w| {
-            Ok(match w.as_str() {
-                "table1" => figures::table1_config(h),
-                "table2" => figures::table2_benchmarks(),
-                "table3" => figures::table3_cost(),
-                "fig03" => figures::fig03_reservation_fails(need("fig03")?),
-                "fig04" => figures::fig04_noc_utilization(need("fig04")?),
-                "fig05" => figures::fig05_memory_stalls(need("fig05")?),
-                "fig06" => figures::fig06_coverage_vs_ideal(h),
-                "fig09" => figures::fig09_chain_pcs(h),
-                "fig10" => figures::fig10_chain_repetition(h),
-                "fig11" => figures::fig11_chain_vs_mta(h),
-                "fig16" => figures::fig16_coverage(need("fig16")?),
-                "fig17" => figures::fig17_accuracy(need("fig17")?),
-                "fig18" => figures::fig18_performance(need("fig18")?),
-                "fig19" => figures::fig19_energy(need("fig19")?),
-                "fig20" => figures::fig20_tail_entries(h)?,
-                "fig21" => figures::fig21_hw_cost(),
-                "fig22" => figures::fig22_eviction_policy(h)?,
-                "fig23" => figures::fig23_throttling(h)?,
-                "fig24" => figures::fig24_tiling(h)?,
-                "fig25" => figures::fig25_hit_rate(need("fig25")?),
-                "xhead" => figures::extra_head_layout(h)?,
-                "xsched" => figures::extra_scheduler(h)?,
-                "xmulti" => figures::extra_multi_app(h)?,
-                _ => unreachable!("validated above"),
-            })
-        })
-        .collect()
 }

@@ -59,7 +59,12 @@ impl EvalMatrix {
         runner: impl Fn(Benchmark, PrefetcherKind) -> MechanismReport + Sync,
     ) -> Self {
         let pairs = grid(Benchmark::all(), kinds);
-        let reports = par_map(&pairs, |(b, k)| format!("{b}/{k}"), |&(b, k)| runner(b, k));
+        let reports = par_map(
+            host_threads(),
+            &pairs,
+            |(b, k)| format!("{b}/{k}"),
+            |&(b, k)| runner(b, k),
+        );
         EvalMatrix {
             reports: pairs.into_iter().zip(reports).collect(),
         }
@@ -86,25 +91,31 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Runs `f` on every job on up to `available_parallelism()` scoped
-/// threads and returns the results in job order.
+/// The figures' pool width: every host core (4 when the count is
+/// unknown).
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
+/// Runs `f` on every job on up to `threads` scoped threads and returns
+/// the results in job order. This is the one job pool: the figures'
+/// simulations and the sweep supervisor's jobs both run through it.
 ///
 /// Each thread claims the next job index from one shared counter, so
-/// no thread idles while a job is left. Every job runs under
-/// `catch_unwind`.
+/// no thread idles while a job is left, and jobs start in job order.
+/// Every job runs under `catch_unwind`.
 ///
 /// # Panics
 ///
 /// Panics after every thread has drained if any job panicked, naming
 /// each failed job (by `name`) with its panic message.
-fn par_map<J: Sync, R: Send>(
+pub(crate) fn par_map<J: Sync, R: Send>(
+    threads: usize,
     jobs: &[J],
     name: impl Fn(&J) -> String,
     f: impl Fn(&J) -> R + Sync,
 ) -> Vec<R> {
-    let threads = std::thread::available_parallelism()
-        .map_or(4, |n| n.get())
-        .min(jobs.len());
+    let threads = threads.min(jobs.len());
     // The counter only hands out indices: `fetch_add` gives each index
     // to one thread under any ordering, the jobs were shared before the
     // spawn and the results come back through `join`, which
@@ -166,7 +177,7 @@ fn sweep<J: Sync, R: Send>(
     f: impl Fn(&J) -> Result<R, SimError> + Sync,
 ) -> Result<Vec<R>, SimError> {
     h.validate()?;
-    par_map(jobs, name, f).into_iter().collect()
+    par_map(host_threads(), jobs, name, f).into_iter().collect()
 }
 
 /// Every `(a, b)` pair, `a`-major: the job list of a sweep.
@@ -1004,41 +1015,86 @@ pub fn extra_multi_app(h: &Harness) -> Result<Table, SimError> {
     Ok(t)
 }
 
+/// One experiment `repro` can print.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The id `repro` lists and selects it by.
+    pub id: &'static str,
+    /// Renders its table from the harness and a timing matrix that
+    /// holds at least the mechanisms in `reads`.
+    pub render: fn(&Harness, &EvalMatrix) -> Result<Table, SimError>,
+    /// The timing-matrix mechanisms it reads; empty when it simulates
+    /// on its own or only analyzes traces.
+    pub reads: &'static [PrefetcherKind],
+}
+
+// What the experiments read from the timing matrix.
+const BASELINE: &[PrefetcherKind] = &[PrefetcherKind::Baseline];
+const MECHANISMS: &[PrefetcherKind] = PrefetcherKind::all();
+const HIT_RATES: &[PrefetcherKind] = &[
+    PrefetcherKind::Baseline,
+    PrefetcherKind::Snake,
+    PrefetcherKind::IsolatedSnake,
+];
+
+const fn exp(
+    id: &'static str,
+    render: fn(&Harness, &EvalMatrix) -> Result<Table, SimError>,
+    reads: &'static [PrefetcherKind],
+) -> Experiment {
+    Experiment { id, render, reads }
+}
+
+/// Every table and figure, in paper order: what [`all`] renders and
+/// `repro --list` lists. `fig05b` is the Fig 5 stall breakdown.
+pub const EXPERIMENTS: &[Experiment] = &[
+    exp("table1", |h, _| Ok(table1_config(h)), &[]),
+    exp("table2", |_, _| Ok(table2_benchmarks()), &[]),
+    exp("table3", |_, _| Ok(table3_cost()), &[]),
+    exp("fig03", |_, m| Ok(fig03_reservation_fails(m)), BASELINE),
+    exp("fig04", |_, m| Ok(fig04_noc_utilization(m)), BASELINE),
+    exp("fig05", |_, m| Ok(fig05_memory_stalls(m)), BASELINE),
+    exp("fig05b", |_, m| Ok(fig05_stall_breakdown(m)), BASELINE),
+    exp("fig06", |h, _| Ok(fig06_coverage_vs_ideal(h)), &[]),
+    exp("fig09", |h, _| Ok(fig09_chain_pcs(h)), &[]),
+    exp("fig10", |h, _| Ok(fig10_chain_repetition(h)), &[]),
+    exp("fig11", |h, _| Ok(fig11_chain_vs_mta(h)), &[]),
+    exp("fig16", |_, m| Ok(fig16_coverage(m)), MECHANISMS),
+    exp("fig17", |_, m| Ok(fig17_accuracy(m)), MECHANISMS),
+    exp("fig18", |_, m| Ok(fig18_performance(m)), MECHANISMS),
+    exp("fig19", |_, m| Ok(fig19_energy(m)), MECHANISMS),
+    exp("fig20", |h, _| fig20_tail_entries(h), &[]),
+    exp("fig21", |_, _| Ok(fig21_hw_cost()), &[]),
+    exp("fig22", |h, _| fig22_eviction_policy(h), &[]),
+    exp("fig23", |h, _| fig23_throttling(h), &[]),
+    exp("fig24", |h, _| fig24_tiling(h), &[]),
+    exp("fig25", |_, m| Ok(fig25_hit_rate(m)), HIT_RATES),
+    exp("xhead", |h, _| extra_head_layout(h), &[]),
+    exp("xsched", |h, _| extra_scheduler(h), &[]),
+    exp("xmulti", |h, _| extra_multi_app(h), &[]),
+];
+
+/// Renders `experiments` in order. The timing matrix is collected once,
+/// for exactly the mechanisms they read.
+///
+/// # Errors
+///
+/// Returns [`SimError`] when the harness configuration is invalid.
+pub fn render(h: &Harness, experiments: &[&Experiment]) -> Result<Vec<Table>, SimError> {
+    let mut kinds = figure_mechanisms();
+    kinds.push(PrefetcherKind::IsolatedSnake);
+    kinds.retain(|k| experiments.iter().any(|e| e.reads.contains(k)));
+    let m = EvalMatrix::collect(h, &kinds)?;
+    experiments.iter().map(|e| (e.render)(h, &m)).collect()
+}
+
 /// Runs every table and figure, in paper order.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] when the harness configuration is invalid.
 pub fn all(h: &Harness) -> Result<Vec<Table>, SimError> {
-    let mut kinds = figure_mechanisms();
-    kinds.push(PrefetcherKind::IsolatedSnake);
-    let m = EvalMatrix::collect(h, &kinds)?;
-    Ok(vec![
-        table1_config(h),
-        table2_benchmarks(),
-        table3_cost(),
-        fig03_reservation_fails(&m),
-        fig04_noc_utilization(&m),
-        fig05_memory_stalls(&m),
-        fig05_stall_breakdown(&m),
-        fig06_coverage_vs_ideal(h),
-        fig09_chain_pcs(h),
-        fig10_chain_repetition(h),
-        fig11_chain_vs_mta(h),
-        fig16_coverage(&m),
-        fig17_accuracy(&m),
-        fig18_performance(&m),
-        fig19_energy(&m),
-        fig20_tail_entries(h)?,
-        fig21_hw_cost(),
-        fig22_eviction_policy(h)?,
-        fig23_throttling(h)?,
-        fig24_tiling(h)?,
-        fig25_hit_rate(&m),
-        extra_head_layout(h)?,
-        extra_scheduler(h)?,
-        extra_multi_app(h)?,
-    ])
+    render(h, &EXPERIMENTS.iter().collect::<Vec<_>>())
 }
 
 #[cfg(test)]
@@ -1093,6 +1149,7 @@ mod tests {
         let finish_order = std::sync::Mutex::new(Vec::new());
         let parallel = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
         let out = par_map(
+            host_threads(),
             &jobs,
             |i| format!("job {i}"),
             |&i| {
@@ -1124,6 +1181,7 @@ mod tests {
         let jobs: Vec<usize> = (0..100).collect();
         let runs: Vec<AtomicUsize> = jobs.iter().map(|_| AtomicUsize::new(0)).collect();
         let out = par_map(
+            host_threads(),
             &jobs,
             |i| format!("job {i}"),
             |&i| runs[i].fetch_add(1, Ordering::SeqCst),
@@ -1135,7 +1193,12 @@ mod tests {
 
     #[test]
     fn pool_of_no_jobs_returns_nothing() {
-        let out: Vec<u8> = par_map(&[] as &[u8], |_| String::new(), |_| unreachable!("no job"));
+        let out: Vec<u8> = par_map(
+            4,
+            &[] as &[u8],
+            |_| String::new(),
+            |_| unreachable!("no job"),
+        );
         assert!(out.is_empty());
     }
 

@@ -5,9 +5,9 @@
 //! durable artifacts and decisions:
 //!
 //! * [`collect`] runs every `(benchmark, mechanism)` job `runs` times
-//!   through the sweep supervisor (single worker, so samples never
-//!   contend for cores) with [`GpuConfig::host_profile`] enabled and
-//!   gathers one [`HostProfile`] per repetition;
+//!   through the job executor, one at a time so samples never contend
+//!   for cores, with [`GpuConfig::host_profile`] enabled and gathers
+//!   one [`HostProfile`] per repetition;
 //! * [`PerfReport`] serializes the samples plus a [`HostFingerprint`]
 //!   (cpu count, rustc, git sha, cargo profile) into a
 //!   schema-versioned `BENCH_<label>.json` via `snake_core::json`, and
@@ -22,14 +22,13 @@
 pub mod compare;
 
 use std::path::Path;
-use std::sync::Mutex;
 
 use snake_core::json::{self, Value};
 use snake_sim::perfstat::{Phase, PhaseStat};
-use snake_sim::HostProfile;
+use snake_sim::{HostProfile, SimError, StopReason};
 
-use crate::runner::Harness;
-use crate::supervise::{self, JobSpec, SweepConfig, SweepError};
+use crate::runner::{ExecContext, Harness, JobRun};
+use crate::supervise::{JobExecutor, JobSpec};
 
 pub use compare::{CompareConfig, CompareResult, CompareRow};
 
@@ -346,32 +345,25 @@ impl std::str::FromStr for PerfReport {
 /// A failed perf collection.
 #[derive(Debug)]
 pub enum CollectError {
-    /// Setting up or running the supervised campaign failed.
-    Sweep(SweepError),
-    /// The campaign ran but not every job completed healthy — a perf
-    /// report with quarantined or skipped jobs cannot be compared.
-    Unhealthy {
-        /// Jobs that completed.
-        completed: usize,
-        /// Jobs quarantined after exhausting their attempt budget.
-        quarantined: usize,
-        /// Jobs never started.
-        skipped: usize,
+    /// The harness configuration is invalid; no rep ran.
+    Sim(SimError),
+    /// A job did not finish, so the report could not be compared.
+    Unfinished {
+        /// The job's identity (`"<abbr>/<mechanism>"`).
+        job: String,
+        /// What happened instead: the executor's error, a suspension,
+        /// a cancellation, or the deadlock report.
+        why: String,
     },
 }
 
 impl std::fmt::Display for CollectError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CollectError::Sweep(e) => write!(f, "{e}"),
-            CollectError::Unhealthy {
-                completed,
-                quarantined,
-                skipped,
-            } => write!(
+            CollectError::Sim(e) => write!(f, "{e}"),
+            CollectError::Unfinished { job, why } => write!(
                 f,
-                "perf collection needs every job healthy: \
-                 {completed} completed, {quarantined} quarantined, {skipped} skipped"
+                "perf collection needs every job to finish: {job} did not ({why})"
             ),
         }
     }
@@ -380,91 +372,66 @@ impl std::fmt::Display for CollectError {
 impl std::error::Error for CollectError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CollectError::Sweep(e) => Some(e),
-            CollectError::Unhealthy { .. } => None,
+            CollectError::Sim(e) => Some(e),
+            CollectError::Unfinished { .. } => None,
         }
     }
 }
 
-impl From<SweepError> for CollectError {
-    fn from(e: SweepError) -> Self {
-        CollectError::Sweep(e)
-    }
-}
-
-/// Collects a perf report: `runs` supervised passes over `jobs` with
-/// host profiling enabled and a single worker (samples must not
-/// contend with each other for cores — parallel workers would measure
-/// the scheduler, not the simulator). A sandbox `executor` gives each
-/// rep a fresh address space, so allocator state and heap layout from
-/// one rep cannot contaminate the next; host profiles travel back over
-/// the child protocol losslessly.
+/// Collects a perf report: `runs` passes over `jobs`, one job after
+/// another on the calling thread, with host profiling enabled
+/// (samples must not contend with each other for cores — parallel
+/// jobs would measure the scheduler, not the simulator). Each rep calls
+/// `executor` directly: a perf pass wants samples, not retries. A
+/// sandbox `executor` gives each rep a fresh address space, so
+/// allocator state and heap layout from one rep cannot contaminate the
+/// next; host profiles travel back over the child protocol losslessly.
 ///
 /// # Errors
 ///
-/// Returns [`CollectError`] when the harness is invalid or any job
-/// fails to complete (quarantined jobs cannot be compared, so a perf
-/// run demands a fully healthy campaign).
+/// Returns [`CollectError`] when the harness is invalid, or at the
+/// first job that does not finish (an executor error, a suspension, a
+/// cancellation or a deadlock): a report with a missing job cannot be
+/// compared. A job that panics in-thread panics the caller.
 pub fn collect(
     h: &Harness,
     jobs: &[JobSpec],
     runs: u32,
     label: &str,
-    executor: std::sync::Arc<supervise::JobExecutor>,
+    executor: std::sync::Arc<JobExecutor>,
 ) -> Result<PerfReport, CollectError> {
+    h.validate().map_err(CollectError::Sim)?;
     let mut h = h.clone();
     h.cfg.host_profile = true;
-    let cfg = SweepConfig {
-        workers: 1,
-        max_attempts: 1,
-        executor: executor.clone(),
-        ..SweepConfig::default()
-    };
-    // `run_campaign_with` only surfaces reports through `JobRecord`,
-    // which does not carry host profiles; capture them out-of-band.
-    let captured: Mutex<Vec<(String, HostProfile)>> = Mutex::new(Vec::new());
-    for _ in 0..runs {
-        let result =
-            supervise::run_campaign_with(&h, jobs, &cfg, None, false, |job, _attempt, _resume| {
-                let ctx = supervise::ExecContext::default();
-                let run = executor.run(&h, job, &ctx, &mut |_, _| {})?;
-                if let crate::runner::JobRun::Finished(out) = &run {
-                    if let Some(profile) = &out.host {
-                        captured
-                            .lock()
-                            .expect("perf capture lock poisoned")
-                            .push((job.id(), profile.clone()));
-                    }
-                }
-                Ok(run)
-            })?;
-        let (completed, quarantined, skipped, suspended) = result.counts();
-        if quarantined > 0 || skipped > 0 || suspended > 0 {
-            return Err(CollectError::Unhealthy {
-                completed,
-                quarantined,
-                skipped: skipped + suspended,
-            });
-        }
-    }
-    let captured = captured.into_inner().expect("perf capture lock poisoned");
-    let job_perfs = jobs
+    let mut perfs: Vec<JobPerf> = jobs
         .iter()
-        .map(|spec| {
-            let id = spec.id();
-            let samples = captured
-                .iter()
-                .filter(|(job, _)| *job == id)
-                .map(|(_, p)| p.clone())
-                .collect();
-            JobPerf { job: id, samples }
+        .map(|job| JobPerf {
+            job: job.id(),
+            samples: Vec::new(),
         })
         .collect();
+    for _ in 0..runs {
+        for (job, perf) in jobs.iter().zip(&mut perfs) {
+            let why = match executor.run(&h, job, &ExecContext::default(), &mut |_, _| {}) {
+                Ok(JobRun::Finished(out)) => match out.stop {
+                    StopReason::Deadlock(report) => format!("deadlock: {report}"),
+                    _ => {
+                        perf.samples.extend(out.host);
+                        continue;
+                    }
+                },
+                Ok(JobRun::Suspended { cycle, .. }) => format!("suspended at cycle {cycle}"),
+                Ok(JobRun::Cancelled) => "cancelled".into(),
+                Err(e) => e.to_string(),
+            };
+            return Err(CollectError::Unfinished { job: job.id(), why });
+        }
+    }
     Ok(PerfReport {
         label: label.to_string(),
         runs,
         host: HostFingerprint::capture(),
-        jobs: job_perfs,
+        jobs: perfs,
     })
 }
 

@@ -54,8 +54,8 @@ use super::protocol::{
 use crate::jsonl_log::LogError;
 use crate::runner::Harness;
 use crate::supervise::{
-    campaign, run_supervised, ExecContext, JobExecutor, JobRecord, JobSpec, Progress,
-    SandboxLimits, SweepConfig,
+    campaign, job_checkpoint_path, run_supervised, ExecContext, JobExecutor, JobRecord, JobSpec,
+    Progress, SandboxLimits, SweepConfig,
 };
 
 /// Exit code `snakectl tail` reports for a cancelled job — distinct
@@ -177,6 +177,30 @@ struct JobEntry {
     live_ckpts: Mutex<HashMap<String, PathBuf>>,
 }
 
+impl JobEntry {
+    /// A sweep as `spec` submitted it and `plan` resolved it, in
+    /// `state`, with no records or checkpoints yet.
+    fn new(id: u64, spec: &SubmitSpec, plan: Plan, state: ReqState) -> Self {
+        JobEntry {
+            id,
+            desc: plan.desc,
+            priority: spec.priority,
+            client: spec.client.clone(),
+            harness: plan.harness,
+            jobs: plan.jobs,
+            events: spec.events,
+            isolate: plan.isolate,
+            deadline: spec.deadline_ms.map(Duration::from_millis),
+            cancel: AtomicBool::new(false),
+            progress: Arc::new(Progress::default()),
+            rings: Mutex::new(Vec::new()),
+            state: Mutex::new(state),
+            recovered: Mutex::new(HashMap::new()),
+            live_ckpts: Mutex::new(HashMap::new()),
+        }
+    }
+}
+
 struct Registry {
     next_id: u64,
     /// `(id, priority)`, submission order; the scheduler pops the
@@ -248,25 +272,32 @@ fn clear_checkpoint(shared: &Shared, entry: &JobEntry, job: &str) {
     }
 }
 
-/// Removes every live checkpoint of a sweep (cancellation path).
-fn clear_all_checkpoints(shared: &Shared, entry: &JobEntry) {
+/// The one cancel transition: marks the entry cancelled, removes its
+/// checkpoint artifacts (journaling each clear), journals the terminal
+/// line after them, and wakes the schedulers. `state` is the entry's
+/// locked state, so a caller that checked it under the same lock makes
+/// check and transition one atomic step, and no other thread sees the
+/// cancelled state before its terminal line is journaled.
+fn cancel(shared: &Shared, entry: &JobEntry, state: &mut ReqState) {
+    entry.cancel.store(true, Ordering::Relaxed);
+    *state = ReqState::Cancelled;
     let drained: Vec<(String, PathBuf)> = entry.live_ckpts.lock().unwrap().drain().collect();
     for (job, path) in drained {
         let _ = std::fs::remove_file(&path);
         shared.journal(&JournalEvent::CheckpointCleared { id: entry.id, job });
     }
+    shared.journal_terminal(entry.id, "cancelled", EXIT_CANCELLED);
+    shared.wake.notify_all();
 }
 
-/// The sibling file a daemon job's mid-simulation checkpoint goes to:
-/// `<journal file name>.j<id>.<sub-job id with '/' → '-'>.ckpt`, in
-/// the journal's directory — daemon state and simulation state travel
-/// together, mirroring the sweep manifest convention.
-fn checkpoint_path(journal_path: &Path, id: u64, job_id: &str) -> PathBuf {
-    let stem = journal_path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "snaked-state".into());
-    journal_path.with_file_name(format!("{stem}.j{id}.{}.ckpt", job_id.replace('/', "-")))
+/// The base path of a daemon job's mid-simulation checkpoints,
+/// `<journal path>.j<id>`: [`job_checkpoint_path`] puts each sub-job's
+/// file beside it, so daemon state and simulation state travel
+/// together, as a sweep manifest and its checkpoints do.
+fn checkpoint_base(journal: &Path, id: u64) -> PathBuf {
+    let mut base = journal.as_os_str().to_owned();
+    base.push(format!(".j{id}"));
+    base.into()
 }
 
 /// A running daemon; `join` blocks until shutdown completes.
@@ -414,26 +445,14 @@ fn restore_job(
                     exit: EXIT_CANCELLED,
                 });
             }
-            registry.entries.insert(
-                id,
-                Arc::new(JobEntry {
-                    id,
-                    desc: format!("unrecoverable: {why}"),
-                    priority: job.spec.priority,
-                    client: job.spec.client.clone(),
-                    harness: Harness::quick(),
-                    jobs: Vec::new(),
-                    events: false,
-                    isolate: false,
-                    deadline: None,
-                    cancel: AtomicBool::new(true),
-                    progress: Arc::new(Progress::default()),
-                    rings: Mutex::new(Vec::new()),
-                    state: Mutex::new(ReqState::Cancelled),
-                    recovered: Mutex::new(HashMap::new()),
-                    live_ckpts: Mutex::new(HashMap::new()),
-                }),
-            );
+            let plan = Plan {
+                harness: Harness::quick(),
+                jobs: Vec::new(),
+                desc: format!("unrecoverable: {why}"),
+                isolate: false,
+            };
+            let entry = JobEntry::new(id, &job.spec, plan, ReqState::Cancelled);
+            registry.entries.insert(id, Arc::new(entry));
             return;
         }
     };
@@ -505,23 +524,10 @@ fn restore_job(
             }
         }
     }
-    let entry = Arc::new(JobEntry {
-        id,
-        desc: plan.desc,
-        priority: job.spec.priority,
-        client: job.spec.client.clone(),
-        harness: plan.harness,
-        jobs: plan.jobs,
-        events: job.spec.events,
-        isolate: plan.isolate,
-        deadline: job.spec.deadline_ms.map(Duration::from_millis),
-        cancel: AtomicBool::new(false),
-        progress: Arc::new(Progress::default()),
-        rings: Mutex::new(Vec::new()),
-        state: Mutex::new(state),
-        recovered: Mutex::new(records),
-        live_ckpts: Mutex::new(live),
-    });
+    let mut entry = JobEntry::new(id, &job.spec, plan, state);
+    *entry.recovered.get_mut().unwrap() = records;
+    *entry.live_ckpts.get_mut().unwrap() = live;
+    let entry = Arc::new(entry);
     if queued {
         registry.queue.push((id, entry.priority));
         j.append(&JournalEvent::Requeued { id });
@@ -695,16 +701,6 @@ fn scheduler_loop(shared: &Shared) {
     }
 }
 
-/// Marks an entry cancelled, clears its checkpoint artifacts, and
-/// journals the terminal line. The caller must have observed a state
-/// that makes it the unique finalizer.
-fn finalize_cancelled(shared: &Shared, entry: &JobEntry) {
-    clear_all_checkpoints(shared, entry);
-    *entry.state.lock().unwrap() = ReqState::Cancelled;
-    shared.journal_terminal(entry.id, "cancelled", EXIT_CANCELLED);
-    shared.wake.notify_all();
-}
-
 /// Runs one scheduling slice of a submitted sweep: to a terminal state
 /// when it finishes (or is cancelled), or back to the queue when its
 /// per-slice deadline suspends it mid-simulation.
@@ -721,11 +717,7 @@ fn run_entry(shared: &Shared, entry: &JobEntry) {
         if entry.cancel.load(Ordering::Relaxed) {
             // Cancelled after a requeue put it back in the queue (the
             // cancel handler saw Running and left finalizing to us).
-            *state = ReqState::Cancelled;
-            drop(state);
-            clear_all_checkpoints(shared, entry);
-            shared.journal_terminal(entry.id, "cancelled", EXIT_CANCELLED);
-            shared.wake.notify_all();
+            cancel(shared, entry, &mut state);
             return;
         }
         *state = ReqState::Running;
@@ -744,27 +736,19 @@ fn run_entry(shared: &Shared, entry: &JobEntry) {
     };
     let slice_deadline = entry.deadline.map(|d| Instant::now() + d);
     let ckpt_base = match &shared.journal {
-        Some(j) if entry.harness.cfg.checkpoint_every.is_some() => Some(j.path().to_path_buf()),
+        Some(j) if entry.harness.cfg.checkpoint_every.is_some() => {
+            Some(checkpoint_base(j.path(), entry.id))
+        }
         _ => None,
     };
-    let runner = |job: &JobSpec, attempt: u32, resume: Option<&Path>| {
+    let runner = |harness: &Harness, job: &JobSpec, resume: Option<&Path>| {
         if entry.cancel.load(Ordering::Relaxed) {
             return Ok(crate::runner::JobRun::Cancelled);
         }
         let ring = TelemetryRing::new(RING_CAPACITY);
         entry.rings.lock().unwrap().push((job.id(), ring.clone()));
-        let harness = if attempt == 1 {
-            entry.harness.clone()
-        } else {
-            let mut retry = entry.harness.clone();
-            retry.cfg.fault.seed =
-                crate::supervise::retry_seed(cfg.retry_seed_base, &job.id(), attempt);
-            retry
-        };
         let jid = job.id();
-        let ckpt_path = ckpt_base
-            .as_ref()
-            .map(|b| checkpoint_path(b, entry.id, &jid));
+        let ckpt_path = ckpt_base.as_ref().map(|b| job_checkpoint_path(b, &jid));
         let executor = if entry.isolate {
             &shared.exec_sandbox
         } else {
@@ -779,7 +763,7 @@ fn run_entry(shared: &Shared, entry: &JobEntry) {
             include_events: entry.events,
             ..ExecContext::default()
         };
-        let result = executor.run(&harness, job, &ctx, &mut |cycle, _bytes| {
+        let result = executor.run(harness, job, &ctx, &mut |cycle, _bytes| {
             // A checkpoint is durable on disk the moment this
             // fires; register it before anything can crash.
             let Some(p) = &ckpt_path else { return };
@@ -802,7 +786,14 @@ fn run_entry(shared: &Shared, entry: &JobEntry) {
         result
     };
     let recovered_at_start = entry.recovered.lock().unwrap().clone();
-    let result = run_supervised(&entry.jobs, &cfg, &recovered_at_start, None, runner);
+    let result = run_supervised(
+        &entry.harness,
+        &entry.jobs,
+        &cfg,
+        &recovered_at_start,
+        None,
+        runner,
+    );
 
     // Journal every record that became durable this slice (replayed
     // ones are already in the journal — appending them again would
@@ -825,7 +816,7 @@ fn run_entry(shared: &Shared, entry: &JobEntry) {
     }
 
     if entry.cancel.load(Ordering::Relaxed) {
-        finalize_cancelled(shared, entry);
+        cancel(shared, entry, &mut entry.state.lock().unwrap());
         return;
     }
     let unfinished = result
@@ -839,7 +830,7 @@ fn run_entry(shared: &Shared, entry: &JobEntry) {
         let mut reg = shared.registry.lock().unwrap();
         if reg.shutdown || entry.cancel.load(Ordering::Relaxed) {
             drop(reg);
-            finalize_cancelled(shared, entry);
+            cancel(shared, entry, &mut entry.state.lock().unwrap());
             return;
         }
         *entry.state.lock().unwrap() = ReqState::Queued;
@@ -919,24 +910,8 @@ fn handle_submit(shared: &Shared, spec: &SubmitSpec, out: &mut UnixStream) -> io
         }
         let id = reg.next_id;
         reg.next_id += 1;
-        let entry = Arc::new(JobEntry {
-            id,
-            desc: plan.desc,
-            priority: spec.priority,
-            client: spec.client.clone(),
-            harness: plan.harness,
-            jobs: plan.jobs,
-            events: spec.events,
-            isolate: plan.isolate,
-            deadline: spec.deadline_ms.map(Duration::from_millis),
-            cancel: AtomicBool::new(false),
-            progress: Arc::new(Progress::default()),
-            rings: Mutex::new(Vec::new()),
-            state: Mutex::new(ReqState::Queued),
-            recovered: Mutex::new(HashMap::new()),
-            live_ckpts: Mutex::new(HashMap::new()),
-        });
-        reg.entries.insert(id, entry);
+        let entry = JobEntry::new(id, spec, plan, ReqState::Queued);
+        reg.entries.insert(id, Arc::new(entry));
         reg.queue.push((id, spec.priority));
         id
     };
@@ -1074,10 +1049,7 @@ fn handle_cancel(shared: &Shared, id: u64, out: &mut UnixStream) -> io::Result<(
             // Still queued: run_entry re-checks under this lock and
             // will not start it, so it is terminal right now.
             ReqState::Queued => {
-                *state = ReqState::Cancelled;
-                drop(state);
-                clear_all_checkpoints(shared, &entry);
-                shared.journal_terminal(id, "cancelled", EXIT_CANCELLED);
+                cancel(shared, &entry, &mut state);
                 "cancelled"
             }
             // Running: the flag stops it within a cycle; the
@@ -1104,16 +1076,10 @@ fn handle_shutdown(shared: &Shared, out: &mut UnixStream) -> io::Result<()> {
         // Cancel every live entry, queued or running — including one
         // the scheduler popped but has not transitioned yet (its
         // Queued → Running step re-checks under the state lock).
-        for (id, entry) in reg.entries.iter() {
+        for entry in reg.entries.values() {
             let mut state = entry.state.lock().unwrap();
             match &*state {
-                ReqState::Queued => {
-                    entry.cancel.store(true, Ordering::Relaxed);
-                    *state = ReqState::Cancelled;
-                    drop(state);
-                    clear_all_checkpoints(shared, entry);
-                    shared.journal_terminal(*id, "cancelled", EXIT_CANCELLED);
-                }
+                ReqState::Queued => cancel(shared, entry, &mut state),
                 ReqState::Running => entry.cancel.store(true, Ordering::Relaxed),
                 _ => {}
             }
@@ -1339,7 +1305,10 @@ mod tests {
 
     #[test]
     fn checkpoint_paths_are_journal_siblings() {
-        let p = checkpoint_path(Path::new("/tmp/state.jsonl"), 3, "LPS/snake");
+        let p = job_checkpoint_path(
+            &checkpoint_base(Path::new("/tmp/state.jsonl"), 3),
+            "LPS/snake",
+        );
         assert_eq!(p, PathBuf::from("/tmp/state.jsonl.j3.LPS-snake.ckpt"));
     }
 
@@ -1385,23 +1354,18 @@ mod tests {
                 },
             ],
         };
-        let entry = JobEntry {
-            id: 4,
-            desc: "2 jobs (1 × 2), quick".into(),
+        let spec = SubmitSpec {
             priority: 1,
             client: Some("alice".into()),
+            ..SubmitSpec::default()
+        };
+        let plan = Plan {
             harness: Harness::quick(),
             jobs: Vec::new(),
-            events: false,
+            desc: "2 jobs (1 × 2), quick".into(),
             isolate: false,
-            deadline: None,
-            cancel: AtomicBool::new(false),
-            progress: Arc::new(Progress::default()),
-            rings: Mutex::new(Vec::new()),
-            state: Mutex::new(done),
-            recovered: Mutex::new(HashMap::new()),
-            live_ckpts: Mutex::new(HashMap::new()),
         };
+        let entry = JobEntry::new(4, &spec, plan, done);
         entry.progress.begin(2);
         assert_eq!(
             status_json(&entry).to_string(),

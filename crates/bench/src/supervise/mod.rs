@@ -31,12 +31,13 @@ pub mod progress;
 mod supervisor;
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use snake_core::PrefetcherKind;
-use snake_sim::snapshot::fnv1a64;
+use snake_sim::snapshot::{fnv1a64, Fnv1a64};
 use snake_sim::SimError;
 use snake_workloads::Benchmark;
 
@@ -99,13 +100,13 @@ pub struct SweepConfig {
     pub backoff_base_ms: u64,
     /// Backoff ceiling in milliseconds.
     pub backoff_cap_ms: u64,
-    /// Worker threads pulling jobs from the queue.
+    /// Threads of the job pool the pending jobs run on.
     pub workers: usize,
     /// Wall-clock budget for the whole sweep; jobs not yet claimed
     /// when it expires are skipped and the sweep reports interrupted.
     pub wall_deadline: Option<Duration>,
-    /// Stop claiming new jobs after this many have been started this
-    /// run (checkpointed jobs excluded) — a deterministic stand-in for
+    /// Start only the first this many pending jobs this run
+    /// (checkpointed jobs excluded) — a deterministic stand-in for
     /// killing the process mid-sweep.
     pub stop_after: Option<usize>,
     /// Suspend (checkpoint mid-simulation and requeue) every running
@@ -114,9 +115,6 @@ pub struct SweepConfig {
     /// Requires a manifest; applies to this invocation only, so a
     /// resume without the flag restores and finishes the job.
     pub suspend_after: Option<u64>,
-    /// Base value for the deterministic per-attempt retry seed
-    /// schedule (see [`retry_seed`]).
-    pub retry_seed_base: u64,
     /// Live progress counters the supervisor updates as jobs finish —
     /// shared with `repro --progress` and the daemon's `tail` stream.
     /// `None` (the default) skips all bookkeeping.
@@ -145,7 +143,6 @@ impl Default for SweepConfig {
             wall_deadline: None,
             stop_after: None,
             suspend_after: None,
-            retry_seed_base: 0x534E414B45, // "SNAKE"
             progress: None,
             executor: Arc::new(JobExecutor::in_thread()),
             watchdog_grace: Duration::from_millis(1000),
@@ -159,19 +156,23 @@ impl Default for SweepConfig {
 /// fails is bit-identical to an unsupervised run); later attempts
 /// perturb the fault-injection RNG reproducibly, independent of
 /// thread scheduling or wall-clock time.
-pub fn retry_seed(base: u64, job_id: &str, attempt: u32) -> u64 {
-    fnv1a64(job_id.as_bytes()) ^ base ^ u64::from(attempt).wrapping_mul(0x9E3779B97F4A7C15)
+pub fn retry_seed(job_id: &str, attempt: u32) -> u64 {
+    const BASE: u64 = 0x534E414B45; // "SNAKE"
+    fnv1a64(job_id.as_bytes()) ^ BASE ^ u64::from(attempt).wrapping_mul(0x9E3779B97F4A7C15)
 }
 
 /// Fingerprint binding a manifest to one (harness, campaign) pair, so
 /// `--resume` refuses to splice reports from a different experiment.
+///
+/// The value is the FNV-1a hash of `"snake-sweep-v1|{cfg:?}|{size:?}|"`
+/// followed by `"<job id>|"` per job, streamed rather than built.
 pub fn fingerprint(h: &Harness, jobs: &[JobSpec]) -> String {
-    let mut text = format!("snake-sweep-v1|{:?}|{:?}|", h.cfg, h.size);
+    let mut hash = Fnv1a64::default();
+    write!(hash, "snake-sweep-v1|{:?}|{:?}|", h.cfg, h.size).expect("hashing cannot fail");
     for job in jobs {
-        text.push_str(&job.id());
-        text.push('|');
+        write!(hash, "{job}|").expect("hashing cannot fail");
     }
-    format!("{:016x}", fnv1a64(text.as_bytes()))
+    format!("{:016x}", hash.0)
 }
 
 /// A fatal error setting up or checkpointing a sweep (job-level
@@ -273,7 +274,7 @@ pub fn run_campaign_with<F>(
     runner: F,
 ) -> Result<SweepResult, SweepError>
 where
-    F: Fn(&JobSpec, u32, Option<&Path>) -> Result<JobRun, ExecError> + Sync,
+    F: Fn(&Harness, &JobSpec, Option<&Path>) -> Result<JobRun, ExecError> + Sync,
 {
     h.validate()?;
     let fp = fingerprint(h, jobs);
@@ -304,12 +305,13 @@ where
             writer = Some(manifest::create(path, &header)?);
         }
     }
-    Ok(run_supervised(jobs, cfg, &checkpointed, writer, runner))
+    Ok(run_supervised(h, jobs, cfg, &checkpointed, writer, runner))
 }
 
-/// [`run_campaign_with`] using the configured [`JobExecutor`]:
-/// attempt 1 runs the harness untouched; retries perturb only the
-/// fault-injection seed via the deterministic [`retry_seed`] schedule.
+/// [`run_campaign_with`] using the configured [`JobExecutor`], with
+/// the attempt policy of [`run_supervised`]: attempt 1 runs the harness
+/// untouched; retries perturb only the fault-injection seed via the
+/// deterministic [`retry_seed`] schedule.
 ///
 /// With a manifest, running jobs are *suspended* rather than lost when
 /// the sweep deadline expires (or `suspend_after` fires): their full
@@ -332,31 +334,23 @@ pub fn run_campaign(
     manifest_path: Option<&Path>,
     resume: bool,
 ) -> Result<SweepResult, SweepError> {
-    let base = cfg.retry_seed_base;
     let deadline = cfg.wall_deadline.map(|d| Instant::now() + d);
-    let suspend_cycle = cfg.suspend_after;
     run_campaign_with(
         h,
         jobs,
         cfg,
         manifest_path,
         resume,
-        |job, attempt, resume_from| {
+        |h, job, resume_from| {
             let checkpoint_to = manifest_path.map(|m| job_checkpoint_path(m, &job.id()));
             let ctx = ExecContext {
-                resume_from: if attempt == 1 { resume_from } else { None },
+                resume_from,
                 checkpoint_to: checkpoint_to.as_deref(),
-                suspend_after: suspend_cycle,
+                suspend_after: cfg.suspend_after,
                 deadline,
                 ..ExecContext::default()
             };
-            if attempt == 1 {
-                cfg.executor.run(h, job, &ctx, &mut |_, _| {})
-            } else {
-                let mut retry = h.clone();
-                retry.cfg.fault.seed = retry_seed(base, &job.id(), attempt);
-                cfg.executor.run(&retry, job, &ctx, &mut |_, _| {})
-            }
+            cfg.executor.run(h, job, &ctx, &mut |_, _| {})
         },
     )
 }
@@ -380,12 +374,12 @@ mod tests {
 
     #[test]
     fn retry_seeds_differ_by_job_and_attempt_but_are_deterministic() {
-        let a2 = retry_seed(7, "LPS/snake", 2);
-        let a3 = retry_seed(7, "LPS/snake", 3);
-        let b2 = retry_seed(7, "CP/snake", 2);
+        let a2 = retry_seed("LPS/snake", 2);
+        let a3 = retry_seed("LPS/snake", 3);
+        let b2 = retry_seed("CP/snake", 2);
         assert_ne!(a2, a3);
         assert_ne!(a2, b2);
-        assert_eq!(a2, retry_seed(7, "LPS/snake", 2));
+        assert_eq!(a2, retry_seed("LPS/snake", 2));
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! The worker pool: claims jobs, isolates panics, retries with
-//! backoff, checkpoints records, and assembles the final result.
+//! The supervision policy: hands jobs to the one job pool, isolates
+//! panics, retries with backoff, checkpoints records, and assembles the
+//! final result.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -12,11 +13,11 @@ use snake_sim::StopReason;
 
 use super::executor::{CrashKind, ExecError};
 use super::manifest::JobRecord;
-use super::{JobSpec, SweepConfig, EXIT_INTERRUPTED, EXIT_QUARANTINE};
-use crate::figures::panic_message;
+use super::{retry_seed, JobSpec, SweepConfig, EXIT_INTERRUPTED, EXIT_QUARANTINE};
+use crate::figures::{panic_message, par_map};
 use crate::jsonl_log::Appender;
 use crate::report::{pct, ratio, Table};
-use crate::runner::JobRun;
+use crate::runner::{Harness, JobRun};
 
 /// Everything a finished (or interrupted) sweep produced.
 #[derive(Debug)]
@@ -25,7 +26,8 @@ pub struct SweepResult {
     /// when it was skipped (deadline, `stop_after`, or cancellation) —
     /// not durable state, it simply re-runs.
     pub outcomes: Vec<(JobSpec, Option<JobRecord>)>,
-    /// True when jobs were skipped (deadline / `stop_after`).
+    /// True when some job did not finish this run: it was skipped
+    /// (deadline, `stop_after`, or cancellation) or suspended.
     pub interrupted: bool,
     /// Checkpointing failures (the sweep itself kept going; resume
     /// from this manifest may re-run the affected jobs).
@@ -184,27 +186,24 @@ pub(super) fn backoff_ms(cfg: &SweepConfig, attempt: u32) -> u64 {
         .min(cfg.backoff_cap_ms)
 }
 
-struct Queue<'a> {
-    /// `(index, job, checkpoint to resume from)` — the path is `Some`
-    /// for jobs a previous run suspended mid-simulation.
-    pending: VecDeque<(usize, &'a JobSpec, Option<String>)>,
-    started: usize,
-}
-
-/// Runs `jobs` through `runner` under the supervision policy.
+/// Runs `jobs` on `h` through `runner` under the supervision policy.
 ///
 /// * Jobs present in `checkpointed` are replayed from their records —
 ///   their simulations never run again. A `Suspended` record instead
 ///   *requeues* the job with its mid-simulation checkpoint: the runner
 ///   restores the state and finishes the remaining cycles.
-/// * Each remaining job runs on a worker behind `catch_unwind`; a
-///   panic or deadlock triggers retries (with backoff and a fresh
-///   `attempt` number for the runner's seed schedule) up to
-///   `cfg.max_attempts`, then quarantine. A typed `SimError` is
-///   deterministic, so it quarantines immediately without retries.
+/// * The remaining jobs run on the one job pool (`figures::par_map`)
+///   with `cfg.workers` threads. Only the first `cfg.stop_after` of
+///   them start (by position, so the same ones whatever the worker
+///   count), and none starts once the wall deadline has passed.
+/// * Each job runs its attempts under the one attempt policy: a panic
+///   or deadlock is retried with backoff and a new fault seed up to
+///   `cfg.max_attempts`, then quarantined; a typed `SimError` is
+///   deterministic, so it quarantines at once.
 /// * Every finished job is appended to `writer` (when given) before
 ///   it counts as done.
 pub fn run_supervised<F>(
+    h: &Harness,
     jobs: &[JobSpec],
     cfg: &SweepConfig,
     checkpointed: &HashMap<String, JobRecord>,
@@ -212,20 +211,20 @@ pub fn run_supervised<F>(
     runner: F,
 ) -> SweepResult
 where
-    F: Fn(&JobSpec, u32, Option<&Path>) -> Result<JobRun, ExecError> + Sync,
+    F: Fn(&Harness, &JobSpec, Option<&Path>) -> Result<JobRun, ExecError> + Sync,
 {
     let started_at = Instant::now();
-    // `None` until the job settles; then its record, or `None` inside
-    // when it was skipped.
-    let mut outcomes: Vec<Option<Option<JobRecord>>> = vec![None; jobs.len()];
-    let mut pending: VecDeque<(usize, &JobSpec, Option<String>)> = VecDeque::new();
+    let mut outcomes: Vec<Option<JobRecord>> = vec![None; jobs.len()];
+    // `(index, job, checkpoint to resume from)`: the path is `Some` for
+    // jobs a previous run suspended mid-simulation.
+    let mut pending: Vec<(usize, &JobSpec, Option<&str>)> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
         match checkpointed.get(&job.id()) {
             Some(JobRecord::Suspended { checkpoint, .. }) => {
-                pending.push_back((i, job, Some(checkpoint.clone())));
+                pending.push((i, job, Some(checkpoint.as_str())));
             }
-            Some(record) => outcomes[i] = Some(Some(record.clone())),
-            None => pending.push_back((i, job, None)),
+            Some(record) => outcomes[i] = Some(record.clone()),
+            None => pending.push((i, job, None)),
         }
     }
     if let Some(p) = &cfg.progress {
@@ -233,91 +232,57 @@ where
         // Replayed jobs count toward their buckets up front, so a
         // resumed sweep's progress line starts where the last one
         // ended instead of at zero.
-        for outcome in outcomes.iter().flatten() {
-            p.observe(outcome.as_ref());
+        for record in outcomes.iter().flatten() {
+            p.observe(Some(record));
         }
     }
+    let started = pending.len().min(cfg.stop_after.unwrap_or(usize::MAX));
 
-    let queue = Mutex::new(Queue {
-        pending,
-        started: 0,
-    });
-    let done = Mutex::new(&mut outcomes);
     let writer = writer.map(Mutex::new);
-    let manifest_errors = Mutex::new(Vec::new());
-    let interrupted = Mutex::new(false);
-
-    let claim = || -> Option<(usize, &JobSpec, Option<String>)> {
-        let mut q = queue.lock().unwrap();
-        if q.pending.is_empty() {
-            return None;
-        }
-        let over_deadline = cfg.wall_deadline.is_some_and(|d| started_at.elapsed() >= d);
-        let over_count = cfg.stop_after.is_some_and(|k| q.started >= k);
-        if over_deadline || over_count {
-            let mut d = done.lock().unwrap();
-            while let Some((i, _, _)) = q.pending.pop_front() {
-                if let Some(p) = &cfg.progress {
-                    p.observe(None);
-                }
-                d[i] = Some(None);
-            }
-            *interrupted.lock().unwrap() = true;
-            return None;
-        }
-        q.started += 1;
-        q.pending.pop_front()
-    };
-
-    let n_workers = cfg.workers.clamp(1, jobs.len().max(1));
     let running = AtomicU64::new(0);
-    let active_workers = AtomicUsize::new(n_workers);
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| {
-                while let Some((i, job, resume)) = claim() {
+    let settled = std::thread::scope(|scope| {
+        // Per started job: its record (`None` when skipped or
+        // cancelled) and the manifest append failure, if any.
+        let pool = scope.spawn(|| {
+            par_map(
+                cfg.workers.max(1),
+                &pending[..started],
+                |(_, job, _)| job.id(),
+                |&(_, job, resume)| {
+                    if cfg.wall_deadline.is_some_and(|d| started_at.elapsed() >= d) {
+                        if let Some(p) = &cfg.progress {
+                            p.observe(None);
+                        }
+                        return (None, None);
+                    }
                     running.fetch_add(1, Ordering::Relaxed);
-                    let outcome = supervise_one(job, cfg, resume.as_deref(), &runner);
+                    let outcome = supervise_one(h, job, cfg, resume, &runner);
                     running.fetch_sub(1, Ordering::Relaxed);
                     if let Some(p) = &cfg.progress {
                         p.observe(outcome.as_ref());
                     }
-                    if let Some(JobRecord::Suspended { .. }) = &outcome {
-                        // Work remains: the sweep must report
-                        // interrupted so callers resume it.
-                        *interrupted.lock().unwrap() = true;
-                    }
+                    let mut manifest_error = None;
                     if let (Some(w), Some(record)) = (&writer, &outcome) {
                         let mut w = w.lock().expect("no manifest append panics");
                         if let Err(e) = w.append(&record.to_json()) {
-                            manifest_errors
-                                .lock()
-                                .unwrap()
-                                .push(format!("{}: {e}", job.id()));
+                            manifest_error = Some(format!("{}: {e}", job.id()));
                         }
                     }
-                    done.lock().unwrap()[i] = Some(outcome);
-                }
-                active_workers.fetch_sub(1, Ordering::Relaxed);
-            });
-        }
-        // Hung-job reaper: the cooperative deadline check inside a
-        // running simulation fires only every 1024 cycles, so a job
-        // wedged *inside* one cycle can hold the sweep open silently.
-        // The watchdog cannot kill an in-thread job, but it makes the
-        // hang observable: jobs still running past the deadline plus
-        // the grace period are counted as overdue in `Progress`, which
-        // `repro --progress` repaints and daemon health surfaces.
+                    (outcome, manifest_error)
+                },
+            )
+        });
+        // Hung-job reaper, on this thread until the pool returns: the
+        // cooperative deadline check inside a running simulation fires
+        // only every 1024 cycles, so a job wedged *inside* one cycle
+        // can hold the sweep open silently. The reaper cannot kill an
+        // in-thread job, but it makes the hang observable: jobs still
+        // running past the deadline plus the grace period are counted
+        // as overdue in `Progress`, which `repro --progress` repaints
+        // and daemon health surfaces.
         if let (Some(deadline), Some(progress)) = (cfg.wall_deadline, &cfg.progress) {
             let overdue_at = started_at + deadline + cfg.watchdog_grace;
-            let progress = progress.clone();
-            let running = &running;
-            let active_workers = &active_workers;
-            scope.spawn(move || loop {
-                if active_workers.load(Ordering::Relaxed) == 0 {
-                    progress.set_overdue(0);
-                    return;
-                }
+            while !pool.is_finished() {
                 let overdue = if Instant::now() >= overdue_at {
                     running.load(Ordering::Relaxed)
                 } else {
@@ -325,19 +290,31 @@ where
                 };
                 progress.set_overdue(overdue);
                 std::thread::sleep(Duration::from_millis(25));
-            });
+            }
+            progress.set_overdue(0);
         }
+        pool.join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     });
+    // Jobs past `stop_after` never start.
+    if let Some(p) = &cfg.progress {
+        for _ in started..pending.len() {
+            p.observe(None);
+        }
+    }
 
-    let interrupted = *interrupted.lock().unwrap();
+    let mut manifest_errors = Vec::new();
+    for (&(i, _, _), (outcome, error)) in pending.iter().zip(settled) {
+        outcomes[i] = outcome;
+        manifest_errors.extend(error);
+    }
+    let outcomes: Vec<_> = jobs.iter().copied().zip(outcomes).collect();
     SweepResult {
-        outcomes: jobs
+        interrupted: outcomes
             .iter()
-            .zip(outcomes)
-            .map(|(job, o)| (*job, o.expect("every job is checkpointed, run, or skipped")))
-            .collect(),
-        interrupted,
-        manifest_errors: manifest_errors.into_inner().unwrap(),
+            .any(|(_, o)| matches!(o, None | Some(JobRecord::Suspended { .. }))),
+        outcomes,
+        manifest_errors,
     }
 }
 
@@ -353,10 +330,12 @@ struct Failure {
 /// capped exponential backoff, quarantine. Returns the job's record, or
 /// `None` when the caller cancelled it.
 ///
-/// A `resume_from` checkpoint only applies to attempt 1; if a resumed
-/// run fails, later attempts fall back to a fresh run from cycle zero
-/// under the retry seed schedule (a perturbed fault seed cannot take
-/// effect inside restored RNG state anyway).
+/// This is the one attempt policy. Attempt 1 runs the caller's
+/// harness and resumes from `resume_from` when given. Attempt `n > 1`
+/// runs from cycle zero with the fault seed [`retry_seed`]`(job, n)`
+/// (a perturbed fault seed cannot take effect inside restored RNG
+/// state anyway), so a job that never fails is bit-identical to an
+/// unsupervised run.
 ///
 /// Retry classification: typed simulator errors (and their sandboxed
 /// [`ExecError::Typed`] twin) are deterministic and quarantine
@@ -365,13 +344,14 @@ struct Failure {
 /// panic re-runs the same deterministic seed, and a lease timeout
 /// would just burn the lease again, so neither spends retry budget.
 fn supervise_one<F>(
+    h: &Harness,
     job: &JobSpec,
     cfg: &SweepConfig,
     resume_from: Option<&str>,
     runner: &F,
 ) -> Option<JobRecord>
 where
-    F: Fn(&JobSpec, u32, Option<&Path>) -> Result<JobRun, ExecError> + Sync,
+    F: Fn(&Harness, &JobSpec, Option<&Path>) -> Result<JobRun, ExecError> + Sync,
 {
     let max_attempts = cfg.max_attempts.max(1);
     let quarantined = |error: String, attempts: u32, crash: Option<CrashKind>, stderr| {
@@ -385,12 +365,13 @@ where
     };
     let mut attempt = 1u32;
     loop {
-        let resume = if attempt == 1 {
-            resume_from.map(Path::new)
-        } else {
-            None
-        };
-        let failure = match catch_unwind(AssertUnwindSafe(|| runner(job, attempt, resume))) {
+        let mut harness = h.clone();
+        let mut resume = resume_from.map(Path::new);
+        if attempt > 1 {
+            harness.cfg.fault.seed = retry_seed(&job.id(), attempt);
+            resume = None;
+        }
+        let failure = match catch_unwind(AssertUnwindSafe(|| runner(&harness, job, resume))) {
             Ok(Ok(JobRun::Finished(output))) => match output.stop {
                 StopReason::Deadlock(report) => Failure {
                     message: format!("deadlock: {report}"),

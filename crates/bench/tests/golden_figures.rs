@@ -55,20 +55,36 @@ fn quick_all_matches_the_golden_bytes() {
 
 #[test]
 fn selected_figures_print_their_golden_sections() {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--quick", "fig03", "fig25", "xmulti"])
-        .output()
-        .expect("spawn repro");
-    assert!(out.status.success(), "repro exited with {}", out.status);
     let golden = golden();
-    let want: String = sections(&golden)
-        .into_iter()
-        .filter(|s| {
-            ["== Fig 3 —", "== Fig 25 —", "== Extra C —"]
-                .iter()
-                .any(|title| s.starts_with(title))
-        })
-        .collect();
-    assert_eq!(want.matches("\n== ").count(), 2, "three golden sections");
-    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+    let cases: [(&[&str], &[&str]); 2] = [
+        (
+            &["fig03", "fig25", "xmulti"],
+            &["== Fig 3 —", "== Fig 25 —", "== Extra C —"],
+        ),
+        // The stall breakdown `--all` prints after Fig 5.
+        (&["fig05b"], &["== Fig 5 (breakdown) —"]),
+    ];
+    for (ids, titles) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("--quick")
+            .args(ids)
+            .output()
+            .expect("spawn repro");
+        assert!(
+            out.status.success(),
+            "repro {ids:?} exited with {}: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let want: String = sections(&golden)
+            .into_iter()
+            .filter(|s| titles.iter().any(|title| s.starts_with(title)))
+            .collect();
+        assert_eq!(
+            want.matches("\n== ").count(),
+            titles.len() - 1,
+            "one golden section per id"
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+    }
 }

@@ -7,9 +7,14 @@
 use std::path::PathBuf;
 use std::process::Command;
 use std::str::FromStr;
+use std::sync::Arc;
 
-use snake_bench::perfstat::{PerfReport, EXIT_PERF_REGRESSION, SCHEMA_VERSION};
-use snake_sim::Phase;
+use snake_bench::perfstat::{self, CollectError, PerfReport, EXIT_PERF_REGRESSION, SCHEMA_VERSION};
+use snake_bench::supervise::{campaign, JobExecutor};
+use snake_bench::Harness;
+use snake_core::PrefetcherKind;
+use snake_sim::{Phase, SimError};
+use snake_workloads::Benchmark;
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -200,4 +205,37 @@ fn perf_rejects_mixing_modes() {
         .output()
         .expect("spawn repro");
     assert_eq!(output.status.code(), Some(2), "usage error expected");
+}
+
+#[test]
+fn collect_refuses_an_invalid_harness_before_any_rep() {
+    let mut h = Harness::quick();
+    h.cfg.mshr_entries = 0;
+    let jobs = campaign(&[Benchmark::Lps], &[PrefetcherKind::Baseline]);
+    let err = perfstat::collect(&h, &jobs, 3, "bad", Arc::new(JobExecutor::in_thread()))
+        .expect_err("an invalid harness cannot be measured");
+    // A rep that ran would fail as `Unfinished`, naming its job.
+    assert!(
+        matches!(err, CollectError::Sim(SimError::Config(_))),
+        "{err}"
+    );
+}
+
+#[test]
+fn collect_fails_at_a_deadlocked_job_and_names_it() {
+    // Every response dropped and no recovery: the watchdog stops the
+    // run with a deadlock report.
+    let mut h = Harness::quick();
+    h.cfg.fault.drop_response = 1.0;
+    let jobs = campaign(&[Benchmark::Lps], &[PrefetcherKind::Baseline]);
+    let err = perfstat::collect(&h, &jobs, 2, "stuck", Arc::new(JobExecutor::in_thread()))
+        .expect_err("a deadlocked job has no comparable sample");
+    match &err {
+        CollectError::Unfinished { job, why } => {
+            assert_eq!(job, "LPS/baseline");
+            assert!(why.starts_with("deadlock:"), "{why}");
+        }
+        other => panic!("expected an unfinished job, got {other:?}"),
+    }
+    assert!(err.to_string().contains("LPS/baseline"), "{err}");
 }

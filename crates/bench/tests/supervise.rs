@@ -82,6 +82,36 @@ fn interrupted_then_resumed_sweep_is_byte_identical() {
     std::fs::remove_file(&part_path).unwrap();
 }
 
+/// `stop_after` starts the first pending jobs in campaign order, by
+/// position, so the same jobs run however many workers claim them.
+#[test]
+fn stop_after_runs_the_first_pending_jobs_with_many_workers() {
+    let h = Harness::quick();
+    let jobs = campaign(
+        &[Benchmark::Lps, Benchmark::Cp, Benchmark::Nw],
+        &[PrefetcherKind::Baseline],
+    );
+    let cfg = SweepConfig {
+        stop_after: Some(1),
+        workers: 2,
+        ..test_cfg()
+    };
+    for round in 0..20 {
+        let ran = Mutex::new(Vec::new());
+        let result = supervise::run_campaign_with(&h, &jobs, &cfg, None, false, |h, job, _| {
+            ran.lock().unwrap().push(job.id());
+            h.run_job(job.bench, job.kind)
+                .map(Box::new)
+                .map(JobRun::Finished)
+                .map_err(ExecError::from)
+        })
+        .unwrap();
+        assert_eq!(ran.into_inner().unwrap(), ["LPS/baseline"], "round {round}");
+        assert_eq!(result.counts(), (1, 0, 2, 0), "round {round}");
+        assert_eq!(result.exit_code(), EXIT_INTERRUPTED);
+    }
+}
+
 /// Resume replays checkpointed jobs from the manifest; their
 /// simulations must not run again.
 #[test]
@@ -94,7 +124,7 @@ fn resume_skips_checkpointed_jobs() {
     let path = tmp_manifest("skip");
 
     let ran: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let runner = |job: &JobSpec, _attempt: u32, _resume: Option<&std::path::Path>| {
+    let runner = |_: &Harness, job: &JobSpec, _resume: Option<&std::path::Path>| {
         ran.lock().unwrap().push(job.id());
         h.run_job(job.bench, job.kind)
             .map(Box::new)
@@ -152,7 +182,7 @@ fn poisoned_jobs_are_quarantined_and_siblings_are_unharmed() {
     );
     let cfg = test_cfg();
 
-    let result = supervise::run_campaign_with(&healthy, &jobs, &cfg, None, false, |job, _, _| {
+    let result = supervise::run_campaign_with(&healthy, &jobs, &cfg, None, false, |_, job, _| {
         match job.bench {
             Benchmark::Cp => panic!("injected poison in {job}"),
             Benchmark::Lps => deadlocked.run_job(job.bench, job.kind),
@@ -231,7 +261,9 @@ fn poisoned_jobs_are_quarantined_and_siblings_are_unharmed() {
 }
 
 /// A flaky job that fails its first attempts and then succeeds is
-/// retried with the attempt count recorded — not quarantined.
+/// retried with the attempt count recorded — not quarantined. Attempt
+/// 1 runs the harness's own fault seed; attempt `n` runs
+/// `retry_seed(job, n)`.
 #[test]
 fn flaky_job_succeeds_after_retries() {
     let h = Harness::quick();
@@ -242,9 +274,10 @@ fn flaky_job_succeeds_after_retries() {
     };
 
     let calls = AtomicU32::new(0);
-    let result = supervise::run_campaign_with(&h, &jobs, &cfg, None, false, |job, attempt, _| {
-        calls.fetch_add(1, Ordering::SeqCst);
-        assert_eq!(attempt, calls.load(Ordering::SeqCst), "attempts count up");
+    let seeds = Mutex::new(Vec::new());
+    let result = supervise::run_campaign_with(&h, &jobs, &cfg, None, false, |attempt_h, job, _| {
+        let attempt = calls.fetch_add(1, Ordering::SeqCst) + 1;
+        seeds.lock().unwrap().push(attempt_h.cfg.fault.seed);
         if attempt < 3 {
             panic!("transient failure on attempt {attempt}");
         }
@@ -254,6 +287,16 @@ fn flaky_job_succeeds_after_retries() {
             .map_err(ExecError::from)
     })
     .unwrap();
+    let id = jobs[0].id();
+    assert_eq!(
+        seeds.into_inner().unwrap(),
+        [
+            h.cfg.fault.seed,
+            supervise::retry_seed(&id, 2),
+            supervise::retry_seed(&id, 3)
+        ],
+        "attempt 1 keeps the harness's seed, retries follow the schedule"
+    );
 
     assert_eq!(result.exit_code(), 0);
     match &result.outcomes[0].1 {
@@ -276,7 +319,7 @@ fn deterministic_sim_error_quarantines_without_retry() {
     let jobs = campaign(&[Benchmark::Srad], &[PrefetcherKind::Baseline]);
 
     let calls = AtomicU32::new(0);
-    let result = supervise::run_campaign_with(&h, &jobs, &test_cfg(), None, false, |job, _, _| {
+    let result = supervise::run_campaign_with(&h, &jobs, &test_cfg(), None, false, |_, job, _| {
         calls.fetch_add(1, Ordering::SeqCst);
         broken
             .run_job(job.bench, job.kind)

@@ -38,7 +38,7 @@ pub enum PrefetcherKind {
 
 impl PrefetcherKind {
     /// Every mechanism in Fig 16/17/18 order, baseline first.
-    pub fn all() -> &'static [PrefetcherKind] {
+    pub const fn all() -> &'static [PrefetcherKind] {
         &[
             PrefetcherKind::Baseline,
             PrefetcherKind::Intra,

@@ -2,7 +2,9 @@
 //! partition, advanced by a single cycle loop.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::OnceLock;
 
 use crate::audit::{self, Auditor};
 use crate::config::{ConfigError, GpuConfig};
@@ -133,6 +135,9 @@ pub struct Gpu {
     /// a counter bump — see the no-observer-effect guarantee on
     /// [`crate::obs::ring`].
     tap: Option<TelemetryRing>,
+    /// [`Gpu::fingerprint`], computed on first use: hashing the kernel
+    /// trace costs milliseconds, which only checkpointing pays.
+    fingerprint: OnceLock<u64>,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -242,6 +247,7 @@ impl Gpu {
             host_wall_nanos: 0,
             skipped_cycles: 0,
             tap: None,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -867,17 +873,22 @@ impl Gpu {
     /// the kernel trace, and the per-SM mechanism names. Two devices
     /// with equal fingerprints step identically, so state captured on
     /// one restores exactly onto the other.
+    ///
+    /// The value is the FNV-1a hash of `"{cfg:?}|{kernel:?}"` followed
+    /// by `"|<name>"` per SM, streamed rather than built as a string.
     pub fn fingerprint(&self) -> u64 {
-        let mut cfg = self.cfg.clone();
-        cfg.checkpoint_every = None;
-        cfg.host_profile = false;
-        cfg.perf_inject_stall_ns = 0;
-        let mut text = format!("{cfg:?}|{:?}", self.kernel);
-        for sm in &self.sms {
-            text.push('|');
-            text.push_str(sm.prefetcher_name());
-        }
-        snapshot::fnv1a64(text.as_bytes())
+        *self.fingerprint.get_or_init(|| {
+            let mut cfg = self.cfg.clone();
+            cfg.checkpoint_every = None;
+            cfg.host_profile = false;
+            cfg.perf_inject_stall_ns = 0;
+            let mut hash = snapshot::Fnv1a64::default();
+            write!(hash, "{cfg:?}|{:?}", self.kernel).expect("hashing cannot fail");
+            for sm in &self.sms {
+                write!(hash, "|{}", sm.prefetcher_name()).expect("hashing cannot fail");
+            }
+            hash.0
+        })
     }
 
     /// Captures the complete mutable simulator state as a checkpoint
@@ -1106,6 +1117,23 @@ mod tests {
 
     fn run(kernel: KernelTrace) -> SimOutcome {
         run_kernel(GpuConfig::scaled(1), kernel, |_| Box::new(NullPrefetcher)).unwrap()
+    }
+
+    #[test]
+    fn streamed_fingerprint_hashes_the_formatted_text() {
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.checkpoint_every = Some(100);
+        let kernel = simple_kernel(8, 3);
+        let gpu = Gpu::new(cfg.clone(), kernel.clone(), |_| Box::new(NullPrefetcher)).unwrap();
+        // The reference: the whole text, formatted, then hashed.
+        cfg.checkpoint_every = None;
+        let mut text = format!("{cfg:?}|{kernel:?}");
+        for sm in gpu.sms() {
+            text.push('|');
+            text.push_str(sm.prefetcher_name());
+        }
+        assert_eq!(gpu.fingerprint(), snapshot::fnv1a64(text.as_bytes()));
+        assert_eq!(gpu.fingerprint(), gpu.fingerprint(), "cached value");
     }
 
     #[test]

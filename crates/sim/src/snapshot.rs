@@ -131,12 +131,37 @@ impl std::error::Error for SnapshotError {
 /// one stable non-cryptographic hash (the sweep supervisor's manifest
 /// fingerprint and retry seeds, the golden `SimStats` digests).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::default();
+    h.update(bytes);
+    h.0
+}
+
+/// A streaming [`fnv1a64`] whose field is the running value:
+/// formatting into it with `write!` hashes the text without building
+/// it, and gives the same value as `fnv1a64` of the formatted string.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(pub u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a64 {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Writes `bytes` to `path` so that a crash leaves either the old file

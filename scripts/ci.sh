@@ -29,6 +29,14 @@ if ! ./snakebench/target/release/snakebench --workload paper_all --seconds 1 --t
     echo "snakebench smoke: a paper_all check failed" >&2
     exit 1
 fi
+# isolated_resume is the one workload that runs the sandbox executor
+# and checkpoint capture and restore (with the device fingerprint each
+# of them checks): every job must finish, and every restored run must
+# reproduce the uninterrupted statistics.
+if ! ./snakebench/target/release/snakebench --workload isolated_resume --seconds 1 --trace 0; then
+    echo "snakebench smoke: an isolated_resume check failed" >&2
+    exit 1
+fi
 
 echo "==> cargo test (default features)"
 cargo test --workspace -q
