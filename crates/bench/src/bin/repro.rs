@@ -126,7 +126,16 @@ fn run() -> Result<i32, CliError> {
                 })?);
             }
             "--rel-threshold" => {
-                rel_threshold = Some(parse_num(&mut args, "rel-threshold", "a fraction")?);
+                // NaN or infinity would make every gate comparison
+                // false, and a negative bar flags any delta.
+                let x: f64 = parse_num(&mut args, "rel-threshold", "a fraction")?;
+                if !(x.is_finite() && x >= 0.0) {
+                    return Err(CliError::BadArg {
+                        what: "rel-threshold",
+                        why: format!("not a finite, non-negative fraction: {x}"),
+                    });
+                }
+                rel_threshold = Some(x);
             }
             "--perf-inject-ns" => {
                 inject_ns = Some(parse_num(

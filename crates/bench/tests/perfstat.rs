@@ -160,6 +160,43 @@ fn perf_gate_passes_self_comparison_and_fails_injected_stall() {
     }
 }
 
+/// NaN or infinity makes every gate comparison false, so an injected
+/// stall would pass; a negative bar flags any delta. Each is a usage
+/// error, refused before any job runs.
+#[test]
+fn perf_gate_rejects_non_finite_and_negative_thresholds() {
+    let base = tmp("threshold-base.json");
+    let status = perf_cmd(&base, &["--label", "base"])
+        .status()
+        .expect("spawn repro");
+    assert!(status.success(), "baseline run exited with {status}");
+    let base_arg = base.to_str().unwrap().to_string();
+    for bad in ["nan", "inf", "-1"] {
+        let out = tmp(&format!("threshold-{bad}.json"));
+        let output = perf_cmd(
+            &out,
+            &[
+                "--compare",
+                &base_arg,
+                "--rel-threshold",
+                bad,
+                "--perf-inject-ns",
+                "20000",
+            ],
+        )
+        .output()
+        .expect("spawn repro");
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "--rel-threshold {bad} must be a usage error; stdout: {}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+        assert!(!out.exists(), "--rel-threshold {bad} wrote a report");
+    }
+    std::fs::remove_file(&base).ok();
+}
+
 #[test]
 fn profile_flag_prints_per_phase_tables() {
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))

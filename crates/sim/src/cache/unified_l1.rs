@@ -22,7 +22,6 @@ use crate::config::GpuConfig;
 use crate::fault::Recovery;
 use crate::json::{self, Value};
 use crate::obs::{PrefetchDropReason, PrefetchLifecycle, SimEvent, TraceEvent};
-use crate::perfstat::{HostProfiler, Phase, Stopwatch};
 use crate::snapshot::SnapshotError;
 use crate::stats::{AccessOutcome, CacheStats, FaultStats, PrefetchStats, ReservationFailReason};
 use crate::types::{Cycle, LineAddr, SmId, WarpId};
@@ -122,10 +121,6 @@ pub struct UnifiedL1 {
     /// by the SM each cycle. `None` (the default) keeps every emission
     /// site to a single branch.
     trace: Option<(SmId, Vec<TraceEvent>)>,
-    /// Host-time accumulator for lookup ([`Phase::L1Lookup`]) and
-    /// MSHR-completion ([`Phase::Mshr`]) work. `None` (the default)
-    /// keeps every timed entry point to a single branch.
-    prof: Option<HostProfiler>,
 }
 
 impl UnifiedL1 {
@@ -155,20 +150,6 @@ impl UnifiedL1 {
             pf_stats: PrefetchStats::default(),
             lifecycle: PrefetchLifecycle::default(),
             trace: None,
-            prof: None,
-        }
-    }
-
-    /// Starts accumulating host-time for this L1's lookup and MSHR
-    /// phases (see [`perfstat`](crate::perfstat)).
-    pub fn enable_profiling(&mut self) {
-        self.prof = Some(HostProfiler::new());
-    }
-
-    /// Folds this L1's host-time accumulator into `into` (end of run).
-    pub fn merge_profile(&mut self, into: &mut HostProfiler) {
-        if let Some(prof) = self.prof.take() {
-            into.merge(&prof);
         }
     }
 
@@ -261,7 +242,6 @@ impl UnifiedL1 {
 
     /// A demand load access.
     pub fn access_demand(&mut self, line: LineAddr, warp: WarpId, now: Cycle) -> AccessOutcome {
-        let sw = Stopwatch::start(self.prof.is_some());
         let outcome = self.access_demand_inner(line, warp, now);
         self.emit(now, |sm| SimEvent::L1Access {
             sm,
@@ -269,7 +249,6 @@ impl UnifiedL1 {
             line,
             outcome,
         });
-        sw.stop(&mut self.prof, Phase::L1Lookup);
         outcome
     }
 
@@ -520,7 +499,6 @@ impl UnifiedL1 {
 
     /// Asks the L1 to issue a prefetch for `line`.
     pub fn request_prefetch(&mut self, line: LineAddr, now: Cycle) -> PrefetchIssue {
-        let sw = Stopwatch::start(self.prof.is_some());
         let res = self.request_prefetch_inner(line, now);
         match res {
             PrefetchIssue::Issued => {
@@ -541,7 +519,6 @@ impl UnifiedL1 {
                 });
             }
         }
-        sw.stop(&mut self.prof, Phase::L1Lookup);
         res
     }
 
@@ -614,13 +591,6 @@ impl UnifiedL1 {
     /// A write-through, no-allocate store. Returns `false` when the
     /// miss queue is full (reservation fail; the warp retries).
     pub fn access_store(&mut self, line: LineAddr, now: Cycle) -> bool {
-        let sw = Stopwatch::start(self.prof.is_some());
-        let accepted = self.access_store_inner(line, now);
-        sw.stop(&mut self.prof, Phase::L1Lookup);
-        accepted
-    }
-
-    fn access_store_inner(&mut self, line: LineAddr, now: Cycle) -> bool {
         if self.miss_queue.len() >= self.miss_queue_depth {
             self.reservation_fail(ReservationFailReason::MissQueueFull);
             return false;
@@ -656,13 +626,6 @@ impl UnifiedL1 {
     /// timeout reissue already completed the miss) is counted as
     /// spurious and discarded.
     pub fn fill(&mut self, line: LineAddr, now: Cycle) -> Waiters {
-        let sw = Stopwatch::start(self.prof.is_some());
-        let waiters = self.fill_inner(line, now);
-        sw.stop(&mut self.prof, Phase::Mshr);
-        waiters
-    }
-
-    fn fill_inner(&mut self, line: LineAddr, now: Cycle) -> Waiters {
         let Some(entry) = self.mshr.try_complete(line) else {
             self.fault_stats.spurious_fills += 1;
             return Vec::new();
@@ -726,29 +689,6 @@ impl UnifiedL1 {
     /// only a fresh read goes down the hierarchy. No-op unless
     /// [`FaultPlan::recovery`](crate::FaultPlan) is set.
     pub fn tick_recovery(&mut self, now: Cycle) {
-        let sw = Stopwatch::start(self.prof.is_some());
-        self.tick_recovery_inner(now);
-        sw.stop(&mut self.prof, Phase::Mshr);
-    }
-
-    /// The earliest cycle at which [`tick_recovery`] may re-issue a
-    /// miss: the soonest timeout among entries with retries left, or
-    /// never without recovery or outstanding misses.
-    ///
-    /// [`tick_recovery`]: UnifiedL1::tick_recovery
-    pub(crate) fn recovery_due(&self) -> Cycle {
-        let Some(rec) = self.recovery else {
-            return Cycle(u64::MAX);
-        };
-        self.mshr
-            .iter()
-            .filter(|e| e.retries < rec.max_retries)
-            .map(|e| Cycle(e.last_issue.0.saturating_add(rec.timeout)))
-            .min()
-            .unwrap_or(Cycle(u64::MAX))
-    }
-
-    fn tick_recovery_inner(&mut self, now: Cycle) {
         let Some(rec) = self.recovery else { return };
         if self.mshr.is_empty() {
             return;
@@ -783,12 +723,29 @@ impl UnifiedL1 {
         }
     }
 
+    /// The earliest cycle at which [`tick_recovery`] may re-issue a
+    /// miss: the soonest timeout among entries with retries left, or
+    /// never without recovery or outstanding misses.
+    ///
+    /// [`tick_recovery`]: UnifiedL1::tick_recovery
+    pub(crate) fn recovery_due(&self) -> Cycle {
+        let Some(rec) = self.recovery else {
+            return Cycle(u64::MAX);
+        };
+        self.mshr
+            .iter()
+            .filter(|e| e.retries < rec.max_retries)
+            .map(|e| Cycle(e.last_issue.0.saturating_add(rec.timeout)))
+            .min()
+            .unwrap_or(Cycle(u64::MAX))
+    }
+
     /// Serializes the complete cache state for a checkpoint: tag
     /// arrays, MSHRs, the miss queue, the decoupling policy state,
     /// and every counter/histogram. The placement mode, queue depth,
     /// and recovery plan are config-derived and not captured; trace
-    /// and profiling attachments are runtime-only (checkpoints are
-    /// taken at a flushed cycle boundary, so their buffers are empty).
+    /// attachments are runtime-only (checkpoints are taken at a
+    /// flushed cycle boundary, so their buffers are empty).
     pub fn save_state(&self) -> Value {
         let mut fields = vec![
             ("tags".into(), self.tags.save_state()),

@@ -237,16 +237,20 @@ impl GpuConfig {
         }
     }
 
-    /// A scaled-down machine preserving the V100's contention ratios.
+    /// A scaled-down machine for fast runs: `sms` SMs, each with 16
+    /// resident warps under 2 schedulers and a 16 KiB unified L1. This
+    /// is the default substrate for all experiments: it produces the
+    /// paper's baseline symptoms (≈30% reservation fails, ≈33% NoC
+    /// utilization, ≈55% memory stalls) while simulating thousands of
+    /// times faster.
     ///
-    /// `sms` SMs, each with 16 resident warps and a 16 KiB unified L1
-    /// (1 KiB per warp — *tighter* than the V100's 2 KiB per warp, so
-    /// the cache contention the paper's decoupling/throttling address
-    /// is clearly exercised), a proportionally narrower interconnect and
-    /// DRAM, and the same latencies. This is the default substrate for
-    /// all experiments: it produces the paper's baseline symptoms
-    /// (≈30% reservation fails, ≈33% NoC utilization, ≈55% memory
-    /// stalls) while simulating thousands of times faster.
+    /// Per resident warp it keeps some V100 proportions (8 MSHRs, one
+    /// miss-queue entry per 8 warps, 4 L1 sets, the L1-hit and NoC
+    /// latencies) and not others (ROADMAP.md item 2): `scaled(2)` gives
+    /// each warp 12.5× the V100's NoC and 35.6× its DRAM bandwidth,
+    /// half its L1 (1 KiB, so cache contention is clearly exercised),
+    /// 6.7× its L2, 8 warps per scheduler instead of 16, and L2-hit and
+    /// DRAM latencies of 120 and 220 cycles instead of 212 and 260.
     ///
     /// # Examples
     ///

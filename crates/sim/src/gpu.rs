@@ -17,7 +17,7 @@ use crate::obs::{
     MetricsSeries, PrefetchLifecycle, SimEvent, TerminalKind, TraceEvent, TraceSink, WindowTotals,
     WindowedMetrics,
 };
-use crate::perfstat::{HostProfile, HostProfiler, Phase, Stopwatch};
+use crate::perfstat::{HostProfile, HostProfiler, Phase};
 use crate::prefetch::Prefetcher;
 use crate::sm::{PendingCta, Sm};
 use crate::snapshot::{self, Checkpoint, SnapshotError};
@@ -114,10 +114,9 @@ pub struct Gpu {
     /// backpressure (uplink credit refused). The SMs read it the next
     /// cycle to attribute `MissQueueFull` rejections to the NoC.
     noc_backpressured: bool,
-    /// Device-level host-time accumulator ([`Phase::Observability`]:
-    /// trace flushing and metrics sampling), present when
-    /// [`GpuConfig::host_profile`] is set. Component accumulators are
-    /// merged into the final [`HostProfile`] at the end of `run`.
+    /// The run's one host-time profiler, present when
+    /// [`GpuConfig::host_profile`] is set. The run loop decides which
+    /// of its iterations the profiler times (see [`Gpu::run_serviced`]).
     prof: Option<HostProfiler>,
     /// Trace events forwarded to the sink so far (throughput input for
     /// the host profile).
@@ -210,21 +209,12 @@ impl Gpu {
             sm.kernel_launch(&kernel);
         }
 
-        let mut noc = Interconnect::new(cfg.noc_bytes_per_cycle, cfg.noc_latency, cfg.bw_window);
-        let mut partition = MemoryPartition::new(&cfg);
+        let noc = Interconnect::new(cfg.noc_bytes_per_cycle, cfg.noc_latency, cfg.bw_window);
+        let partition = MemoryPartition::new(&cfg);
         let watchdog = cfg.watchdog_cycles.map(Watchdog::new);
         let auditor = cfg.audit_window.map(|_| Auditor::new());
         let metrics = cfg.metrics_window.map(WindowedMetrics::new);
-        let prof = if cfg.host_profile {
-            for sm in &mut sms {
-                sm.enable_profiling();
-            }
-            noc.enable_profiling();
-            partition.enable_profiling();
-            Some(HostProfiler::new())
-        } else {
-            None
-        };
+        let prof = cfg.host_profile.then(HostProfiler::default);
         Ok(Gpu {
             cfg,
             kernel,
@@ -300,7 +290,6 @@ impl Gpu {
         let Some(sink) = self.sink.as_mut() else {
             return;
         };
-        let sw = Stopwatch::start(self.prof.is_some());
         self.trace_scratch.clear();
         for sm in &mut self.sms {
             sm.drain_trace(&mut self.trace_scratch);
@@ -313,7 +302,6 @@ impl Gpu {
         }
         self.events_flushed += self.trace_scratch.len() as u64;
         self.trace_scratch.clear();
-        sw.stop(&mut self.prof, Phase::Observability);
     }
 
     /// The configuration the device was built with.
@@ -334,8 +322,13 @@ impl Gpu {
     /// Advances one cycle. Returns `false` once the device is idle,
     /// the cycle limit is reached, or the forward-progress watchdog
     /// trips (see [`StopReason::Deadlock`]).
+    ///
+    /// In a run-loop iteration the profiler samples, each region of the
+    /// step is timed as one [`Phase`]; `observability` only when there
+    /// is an audit, a trace flush or a metrics sample to do.
     pub fn step(&mut self) -> bool {
         let now = self.cycle;
+        self.switch(Phase::Noc);
 
         // Fault injection: scale interconnect bandwidth during brownout
         // windows before this cycle's credit refill.
@@ -360,15 +353,20 @@ impl Gpu {
         let mut noc_moved = false;
 
         self.noc.begin_cycle(now);
+        self.switch(Phase::MemPartition);
         self.partition.tick(now);
 
+        self.switch(Phase::SmIssue);
         let util = self.noc.utilization();
         let backpressured = self.noc_backpressured;
         let mut issued = 0u64;
         for sm in &mut self.sms {
-            issued += u64::from(sm.tick(&self.kernel, now, util, backpressured));
+            let prof = self.prof.as_mut().filter(|p| p.sampling);
+            issued += u64::from(sm.tick(&self.kernel, now, util, backpressured, prof));
         }
         self.noc_backpressured = false;
+
+        self.switch(Phase::Noc);
 
         // Inject L1 requests into the interconnect, round-robin start.
         let n = self.sms.len();
@@ -422,11 +420,13 @@ impl Gpu {
         }
 
         // Deliver fills to the L1s.
+        self.switch(Phase::Mshr);
         while let Some(down) = self.noc.pop_down(now) {
             noc_moved = true;
             self.sms[down.sm.0 as usize].deliver_fill(down.line, now);
         }
 
+        self.switch(Phase::SmIssue);
         for sm in &mut self.sms {
             sm.retire_finished(&self.kernel);
         }
@@ -435,7 +435,9 @@ impl Gpu {
 
         if let Some(window) = self.cfg.audit_window {
             if self.cycle.0.is_multiple_of(window) {
+                self.switch(Phase::Observability);
                 self.run_audit(false);
+                self.switch(Phase::SmIssue);
             }
         }
 
@@ -460,6 +462,9 @@ impl Gpu {
                 }
             }
         }
+        if self.sink.is_some() {
+            self.switch(Phase::Observability);
+        }
         self.flush_trace();
 
         // Close the metrics window only after this cycle's trace events
@@ -469,10 +474,9 @@ impl Gpu {
         // nothing above mutates the counters it reads.
         if let Some(mut metrics) = self.metrics.take() {
             if self.cycle.0.is_multiple_of(metrics.window()) {
-                let sw = Stopwatch::start(self.prof.is_some());
+                self.switch(Phase::Observability);
                 metrics.record(self.cycle, &self.window_totals());
                 Self::tap_window(&self.tap, &metrics);
-                sw.stop(&mut self.prof, Phase::Observability);
             }
             self.metrics = Some(metrics);
         }
@@ -531,18 +535,22 @@ impl Gpu {
     /// change, that is interconnect credit and utilization windows,
     /// DRAM credit, the SMs' idle charges, brownout cycles and the
     /// watchdog's progress mark. The bandwidth scale needs no update:
-    /// no brownout edge lies inside the stretch.
+    /// no brownout edge lies inside the stretch. Each bulk update is
+    /// timed as the phase of the step work it stands for.
     fn skip_quiet(&mut self, to: Cycle) {
         let now = self.cycle;
         let ticks = to.since(now);
         if ticks == 0 {
             return;
         }
+        self.switch(Phase::Noc);
         if self.prev_brownout {
             self.brownout_cycles += ticks;
         }
         self.noc.skip_quiet(now, to);
+        self.switch(Phase::MemPartition);
         self.partition.skip_quiet(ticks);
+        self.switch(Phase::SmIssue);
         for sm in &mut self.sms {
             sm.replay_idle(ticks, to);
         }
@@ -705,9 +713,9 @@ impl Gpu {
     /// every skipped cycle: counters, checkpoints, trace events and the
     /// cycle a suspension lands on are those of stepping every cycle.
     ///
-    /// With profiling on, the host wall time of every call adds up, so
-    /// a run suspended and then continued reports the time of all its
-    /// segments.
+    /// With profiling on, the device's [`HostProfiler`] times sampled
+    /// iterations, and the host wall time of every call adds up, so a
+    /// run suspended and then continued reports all its segments.
     ///
     /// # Errors
     ///
@@ -723,11 +731,16 @@ impl Gpu {
         let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
         loop {
             if !self.step() {
+                self.end_iteration();
                 return Ok(Some(self.finalize(t0)));
+            }
+            if let Some(p) = &mut self.prof {
+                p.switch_to_loop();
             }
             if let Some((path, every)) = checkpoint {
                 if self.cycle.0.is_multiple_of(every) {
-                    let bytes = self.checkpoint().write_atomic(path)?;
+                    let written = self.checkpoint().write_atomic(path);
+                    let bytes = written.inspect_err(|_| self.end_iteration())?;
                     // Stamped after the rename lands, so the event is
                     // never part of the artifact it describes; it rides
                     // out with the next cycle's flush.
@@ -755,12 +768,27 @@ impl Gpu {
                 at = at.plus(1);
             };
             self.skip_quiet(at);
+            self.end_iteration();
             if suspended {
                 if let Some(t0) = t0 {
                     self.host_wall_nanos += t0.elapsed().as_nanos() as u64;
                 }
                 return Ok(None);
             }
+        }
+    }
+
+    /// Times the step's next region as `phase` in a sampled iteration.
+    fn switch(&mut self, phase: Phase) {
+        if let Some(p) = &mut self.prof {
+            p.switch(phase);
+        }
+    }
+
+    /// Ends the run-loop iteration for the profiler.
+    fn end_iteration(&mut self) {
+        if let Some(p) = &mut self.prof {
+            p.end_iteration();
         }
     }
 
@@ -823,16 +851,10 @@ impl Gpu {
         }
     }
 
-    /// Merges every component's host-time accumulator into one
-    /// [`HostProfile`] (consumes the accumulators; `None` when
+    /// Seals the run's profiler into its [`HostProfile`] (`None` when
     /// profiling is off).
     fn collect_host_profile(&mut self, wall_nanos: u64) -> Option<HostProfile> {
-        let mut prof = self.prof.take()?;
-        for sm in &mut self.sms {
-            sm.merge_profile(&mut prof);
-        }
-        self.noc.merge_profile(&mut prof);
-        self.partition.merge_profile(&mut prof);
+        let prof = self.prof.take()?;
         let mut profile = prof.finish(wall_nanos, self.cycle.0, self.events_flushed);
         profile.skipped_cycles = self.skipped_cycles;
         profile.replayed_ticks = self.sms.iter().map(Sm::replayed_ticks).sum();

@@ -10,7 +10,6 @@ use std::collections::VecDeque;
 
 use crate::json::{self, Value};
 use crate::obs::{NocDir, SimEvent, TraceEvent};
-use crate::perfstat::{HostProfiler, Phase, Stopwatch};
 use crate::snapshot::{self, SnapshotError};
 use crate::types::{Cycle, LineAddr, SmId};
 
@@ -162,9 +161,6 @@ pub struct Interconnect {
     /// GPU drains them each cycle. `None` (default) keeps the send/pop
     /// hot paths to a single branch.
     trace: Option<Vec<TraceEvent>>,
-    /// Host-time accumulator for [`Phase::Noc`]. `None` (default)
-    /// keeps every timed entry point to a single branch.
-    prof: Option<HostProfiler>,
 }
 
 impl Interconnect {
@@ -186,20 +182,6 @@ impl Interconnect {
             window_capacity: 0,
             cycles: 0,
             trace: None,
-            prof: None,
-        }
-    }
-
-    /// Starts accumulating host-time for the interconnect's phase (see
-    /// [`perfstat`](crate::perfstat)).
-    pub fn enable_profiling(&mut self) {
-        self.prof = Some(HostProfiler::new());
-    }
-
-    /// Folds the interconnect's host-time accumulator into `into`.
-    pub fn merge_profile(&mut self, into: &mut HostProfiler) {
-        if let Some(prof) = self.prof.take() {
-            into.merge(&prof);
         }
     }
 
@@ -229,7 +211,6 @@ impl Interconnect {
     /// Starts a new cycle: refreshes per-cycle credits and rolls the
     /// utilization window.
     pub fn begin_cycle(&mut self, now: Cycle) {
-        let sw = Stopwatch::start(self.prof.is_some());
         self.up.begin_cycle();
         self.down.begin_cycle();
         self.cycles += 1;
@@ -243,7 +224,6 @@ impl Interconnect {
             self.window_start = now;
         }
         self.window_capacity += self.up.effective_budget + self.down.effective_budget;
-        sw.stop(&mut self.prof, Phase::Noc);
     }
 
     /// Runs [`begin_cycle`](Interconnect::begin_cycle) for every cycle
@@ -252,7 +232,6 @@ impl Interconnect {
     /// credit refills toward one cycle's budget, and every utilization
     /// window rolled after the first one measures no traffic.
     pub(crate) fn skip_quiet(&mut self, from: Cycle, to: Cycle) {
-        let sw = Stopwatch::start(self.prof.is_some());
         let k = to.since(from);
         for (credit, budget) in [
             (&mut self.up.credit, self.up.effective_budget),
@@ -280,7 +259,6 @@ impl Interconnect {
         } else {
             self.window_capacity += k * per_cycle;
         }
-        sw.stop(&mut self.prof, Phase::Noc);
     }
 
     /// The cycle the next in-flight packet arrives, in either
@@ -300,7 +278,6 @@ impl Interconnect {
     /// Attempts to inject a request; `false` when this cycle's uplink
     /// budget is exhausted.
     pub fn try_send_up(&mut self, pkt: UpPacket, bytes: u64, now: Cycle) -> bool {
-        let sw = Stopwatch::start(self.prof.is_some());
         let sent = self.up.try_send(pkt, bytes, now);
         if sent {
             if let Some(buf) = self.trace.as_mut() {
@@ -315,14 +292,12 @@ impl Interconnect {
                 });
             }
         }
-        sw.stop(&mut self.prof, Phase::Noc);
         sent
     }
 
     /// Attempts to inject a response; `false` when this cycle's
     /// downlink budget is exhausted.
     pub fn try_send_down(&mut self, pkt: DownPacket, bytes: u64, now: Cycle) -> bool {
-        let sw = Stopwatch::start(self.prof.is_some());
         let sent = self.down.try_send(pkt, bytes, now);
         if sent {
             if let Some(buf) = self.trace.as_mut() {
@@ -337,13 +312,11 @@ impl Interconnect {
                 });
             }
         }
-        sw.stop(&mut self.prof, Phase::Noc);
         sent
     }
 
     /// Pops the next request that has completed transit.
     pub fn pop_up(&mut self, now: Cycle) -> Option<UpPacket> {
-        let sw = Stopwatch::start(self.prof.is_some());
         let pkt = self.up.pop_arrived(now);
         if let Some(p) = pkt {
             if let Some(buf) = self.trace.as_mut() {
@@ -357,13 +330,11 @@ impl Interconnect {
                 });
             }
         }
-        sw.stop(&mut self.prof, Phase::Noc);
         pkt
     }
 
     /// Pops the next response that has completed transit.
     pub fn pop_down(&mut self, now: Cycle) -> Option<DownPacket> {
-        let sw = Stopwatch::start(self.prof.is_some());
         let pkt = self.down.pop_arrived(now);
         if let Some(p) = pkt {
             if let Some(buf) = self.trace.as_mut() {
@@ -377,7 +348,6 @@ impl Interconnect {
                 });
             }
         }
-        sw.stop(&mut self.prof, Phase::Noc);
         pkt
     }
 
@@ -417,9 +387,9 @@ impl Interconnect {
 
     /// Serializes in-flight packets, credits, brownout scaling, and the
     /// utilization window for a checkpoint. Budgets, latency, and the
-    /// window length are config-derived and not captured; trace and
-    /// profiling attachments are runtime-only (the trace buffer is
-    /// drained every cycle, so it is empty at a checkpoint boundary).
+    /// window length are config-derived and not captured; trace
+    /// attachments are runtime-only (the trace buffer is drained every
+    /// cycle, so it is empty at a checkpoint boundary).
     pub fn save_state(&self) -> Value {
         Value::Obj(vec![
             (

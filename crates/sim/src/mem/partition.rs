@@ -14,7 +14,6 @@ use crate::fault::{FaultInjector, ResponseFault};
 use crate::json::{self, Value};
 use crate::mem::interconnect::DownPacket;
 use crate::obs::{FaultKind, SimEvent, TraceEvent};
-use crate::perfstat::{HostProfiler, Phase, Stopwatch};
 use crate::snapshot::SnapshotError;
 use crate::stats::{persist_u64_fields, FaultStats};
 use crate::types::{Cycle, LineAddr, SmId};
@@ -84,9 +83,6 @@ pub struct MemoryPartition {
     /// GPU drains them each cycle. `None` (default) keeps `emit` to a
     /// single extra branch.
     trace: Option<Vec<TraceEvent>>,
-    /// Host-time accumulator for [`Phase::MemPartition`]. `None`
-    /// (default) keeps every timed entry point to a single branch.
-    prof: Option<HostProfiler>,
     /// Test hook: busy-wait this many host nanoseconds per tick (see
     /// [`GpuConfig::perf_inject_stall_ns`]); 0 disables.
     inject_stall_ns: u64,
@@ -121,22 +117,8 @@ impl MemoryPartition {
             injector: FaultInjector::new(cfg.fault),
             events: 0,
             trace: None,
-            prof: None,
             inject_stall_ns: cfg.perf_inject_stall_ns,
             stats: PartitionStats::default(),
-        }
-    }
-
-    /// Starts accumulating host-time for the partition's phase (see
-    /// [`perfstat`](crate::perfstat)).
-    pub fn enable_profiling(&mut self) {
-        self.prof = Some(HostProfiler::new());
-    }
-
-    /// Folds the partition's host-time accumulator into `into`.
-    pub fn merge_profile(&mut self, into: &mut HostProfiler) {
-        if let Some(prof) = self.prof.take() {
-            into.merge(&prof);
         }
     }
 
@@ -187,15 +169,12 @@ impl MemoryPartition {
 
     /// Accepts a read request from the interconnect.
     pub fn push_read(&mut self, sm: SmId, line: LineAddr) {
-        let sw = Stopwatch::start(self.prof.is_some());
         self.incoming.push_back(PendingRead { sm, line });
-        sw.stop(&mut self.prof, Phase::MemPartition);
     }
 
     /// Accepts a write-through store: updates the L2 if present and
     /// consumes DRAM write bandwidth (no response).
     pub fn push_store(&mut self, line: LineAddr, now: Cycle) {
-        let sw = Stopwatch::start(self.prof.is_some());
         self.stats.stores += 1;
         if let Some(way) = self.l2.probe(line) {
             if self.l2.line(way).state == LineState::Valid {
@@ -204,74 +183,12 @@ impl MemoryPartition {
         }
         // Write data consumes DRAM bandwidth alongside reads.
         self.dram_credit = self.dram_credit.saturating_sub(u64::from(self.line_bytes));
-        sw.stop(&mut self.prof, Phase::MemPartition);
     }
 
     /// Advances the partition by one cycle.
     pub fn tick(&mut self, now: Cycle) {
-        let sw = Stopwatch::start(self.prof.is_some());
         self.inject_stall(1);
-        self.tick_inner(now);
-        sw.stop(&mut self.prof, Phase::MemPartition);
-    }
 
-    /// Perf-gate test hook: burns `ticks` ticks' worth of
-    /// [`GpuConfig::perf_inject_stall_ns`] without touching any
-    /// simulated state. Busy-waits because OS sleep granularity (~1 ms
-    /// on some platforms) is far too coarse per tick.
-    fn inject_stall(&self, ticks: u64) {
-        let nanos = self.inject_stall_ns.saturating_mul(ticks);
-        if nanos > 0 {
-            let t0 = std::time::Instant::now();
-            while (t0.elapsed().as_nanos() as u64) < nanos {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// The first cycle at or after `now` whose tick does more than
-    /// gain DRAM credit: a delayed, DRAM or L2-hit response comes due,
-    /// or the credit covers a queued DRAM read. `now` itself while a
-    /// request waits for a bank or a response for the interconnect.
-    pub(crate) fn next_event(&self, now: Cycle) -> Cycle {
-        if !self.incoming.is_empty() || !self.outbox.is_empty() {
-            return now;
-        }
-        let mut next = [
-            self.delayed.front().map(|(ready, _)| *ready),
-            self.dram_pipe.front().map(|(ready, _)| *ready),
-            self.hit_pipe.front().map(|(ready, _)| *ready),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-        .unwrap_or(Cycle(u64::MAX));
-        let (line, rate) = (u64::from(self.line_bytes), self.dram_bytes_per_cycle);
-        if !self.dram_queue.is_empty() && rate > 0 && rate * 8 >= line {
-            // The tick at cycle `now + j - 1` raises the credit to
-            // `min(credit + j * rate, 8 * rate)`.
-            let j = line.saturating_sub(self.dram_credit).div_ceil(rate).max(1);
-            next = next.min(now.plus(j - 1));
-        }
-        next
-    }
-
-    /// Runs `ticks` ticks in bulk that, by [`next_event`], only gain
-    /// DRAM credit.
-    ///
-    /// [`next_event`]: MemoryPartition::next_event
-    pub(crate) fn skip_quiet(&mut self, ticks: u64) {
-        let sw = Stopwatch::start(self.prof.is_some());
-        self.inject_stall(ticks);
-        let rate = self.dram_bytes_per_cycle;
-        self.dram_credit = self
-            .dram_credit
-            .saturating_add(rate.saturating_mul(ticks))
-            .min(rate * 8);
-        sw.stop(&mut self.prof, Phase::MemPartition);
-    }
-
-    fn tick_inner(&mut self, now: Cycle) {
         // 0. Release fault-delayed responses whose hold expired.
         while let Some((ready, _)) = self.delayed.front() {
             if *ready > now {
@@ -339,6 +256,60 @@ impl MemoryPartition {
         }
     }
 
+    /// Perf-gate test hook: burns `ticks` ticks' worth of
+    /// [`GpuConfig::perf_inject_stall_ns`] without touching any
+    /// simulated state. Busy-waits because OS sleep granularity (~1 ms
+    /// on some platforms) is far too coarse per tick.
+    fn inject_stall(&self, ticks: u64) {
+        let nanos = self.inject_stall_ns.saturating_mul(ticks);
+        if nanos > 0 {
+            let t0 = std::time::Instant::now();
+            while (t0.elapsed().as_nanos() as u64) < nanos {
+                std::hint::spin_loop();
+            }
+        }
+    }
+
+    /// The first cycle at or after `now` whose tick does more than
+    /// gain DRAM credit: a delayed, DRAM or L2-hit response comes due,
+    /// or the credit covers a queued DRAM read. `now` itself while a
+    /// request waits for a bank or a response for the interconnect.
+    pub(crate) fn next_event(&self, now: Cycle) -> Cycle {
+        if !self.incoming.is_empty() || !self.outbox.is_empty() {
+            return now;
+        }
+        let mut next = [
+            self.delayed.front().map(|(ready, _)| *ready),
+            self.dram_pipe.front().map(|(ready, _)| *ready),
+            self.hit_pipe.front().map(|(ready, _)| *ready),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .unwrap_or(Cycle(u64::MAX));
+        let (line, rate) = (u64::from(self.line_bytes), self.dram_bytes_per_cycle);
+        if !self.dram_queue.is_empty() && rate > 0 && rate * 8 >= line {
+            // The tick at cycle `now + j - 1` raises the credit to
+            // `min(credit + j * rate, 8 * rate)`.
+            let j = line.saturating_sub(self.dram_credit).div_ceil(rate).max(1);
+            next = next.min(now.plus(j - 1));
+        }
+        next
+    }
+
+    /// Runs `ticks` ticks in bulk that, by [`next_event`], only gain
+    /// DRAM credit.
+    ///
+    /// [`next_event`]: MemoryPartition::next_event
+    pub(crate) fn skip_quiet(&mut self, ticks: u64) {
+        self.inject_stall(ticks);
+        let rate = self.dram_bytes_per_cycle;
+        self.dram_credit = self
+            .dram_credit
+            .saturating_add(rate.saturating_mul(ticks))
+            .min(rate * 8);
+    }
+
     fn service(&mut self, req: PendingRead, now: Cycle) {
         // Merge with an outstanding DRAM read for the same line.
         if let Some(readers) = self.dram_merges.get_mut(&req.line) {
@@ -382,10 +353,7 @@ impl MemoryPartition {
 
     /// Pops the next response ready for the interconnect.
     pub fn pop_response(&mut self) -> Option<DownPacket> {
-        let sw = Stopwatch::start(self.prof.is_some());
-        let pkt = self.outbox.pop_front();
-        sw.stop(&mut self.prof, Phase::MemPartition);
-        pkt
+        self.outbox.pop_front()
     }
 
     /// Pushes back a response the interconnect could not take this
@@ -445,9 +413,9 @@ impl MemoryPartition {
     /// readers (sorted by line for order-independence of the backing
     /// `HashMap`; the empty entries follow from the DRAM queue and
     /// pipe), fault injector, and counters. Latencies, bank count, and
-    /// bandwidth are config-derived; trace and profiling attachments
-    /// are runtime-only (the trace buffer is drained every cycle, so it
-    /// is empty at a checkpoint boundary).
+    /// bandwidth are config-derived; trace attachments are runtime-only
+    /// (the trace buffer is drained every cycle, so it is empty at a
+    /// checkpoint boundary).
     pub fn save_state(&self) -> Value {
         let read =
             |r: &PendingRead| Value::Arr(vec![Value::u64(u64::from(r.sm.0)), Value::u64(r.line.0)]);

@@ -1,54 +1,53 @@
 //! Host-side performance observatory: where does *wall-clock* time go
 //! while the simulator runs?
 //!
-//! PR 2's `obs` layer made the simulated GPU observable; this module
-//! makes the simulator itself observable. Each component that does
-//! per-cycle work (SM front-end, unified L1, MSHR, prefetcher hook,
-//! interconnect, memory partition, trace flushing) owns an
-//! `Option<HostProfiler>` and wraps its entry points in a
-//! [`Stopwatch`] — the same Option-gated pattern as
-//! [`TraceSink`](crate::obs::TraceSink), so the disabled path costs a
-//! single branch and no clock reads. The GPU merges every component's
-//! accumulator at the end of [`run`](crate::Gpu::run) into one
-//! [`HostProfile`] carried on [`SimOutcome`](crate::SimOutcome).
+//! The `obs` layer makes the simulated GPU observable; this module
+//! makes the simulator itself observable. When
+//! [`GpuConfig::host_profile`] is set the device owns one
+//! [`HostProfiler`], and its run loop ([`Gpu::run_serviced`]) has it
+//! time one iteration in 64 on average, on a deterministic, jittered
+//! schedule. A sampled iteration reads the clock once at each switch
+//! between [`Phase`]s; other iterations, and runs with profiling off,
+//! read no clock. At the end of the run the wall time is split by the
+//! shares the sampled iterations show, net of the switches' own cost,
+//! so phases plus unaccounted time (the run loop's own bookkeeping)
+//! equal the wall time exactly. DESIGN.md § Host performance
+//! observatory has the phase map of a step and the estimate's limits.
 //!
-//! Phases are **disjoint leaf measurements**: a component times only
-//! its own entry points, never a region that contains another
-//! component's timed call, so phase times never double-count and sum
-//! to at most the wall time. Whatever falls between timed regions
-//! (loop glue, retirement, watchdog checks) is reported as
-//! [`HostProfile::unaccounted_nanos`].
-//!
-//! Profiling is enabled with [`GpuConfig::host_profile`]; it never
-//! changes simulated behavior, only measures the host cost of it.
+//! Profiling never changes simulated behavior, only measures the host
+//! cost of it.
 //!
 //! [`GpuConfig::host_profile`]: crate::GpuConfig::host_profile
+//! [`Gpu::run_serviced`]: crate::Gpu::run_serviced
 
 use std::time::Instant;
 
 /// A host-time phase of the per-cycle tick loop.
 ///
-/// The taxonomy maps one-to-one onto the simulator's components (see
-/// the module docs for which entry points feed each phase). Every
-/// phase is always present in a [`HostProfile`], zeroed when it never
-/// ran, so downstream serializers can rely on a fixed row set.
+/// Every region of a step belongs to exactly one phase (DESIGN.md §
+/// Host performance observatory has the map of a step). Every phase is
+/// always present in a [`HostProfile`], zeroed when it never ran, so
+/// downstream serializers can rely on a fixed row set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// SM front-end: CTA launch, warp refresh, scheduler picks.
+    /// SM front-end: CTA launch, warp refresh, scheduler picks, idle
+    /// ticks replayed, warp retirement, the end-of-run check and the
+    /// watchdog.
     SmIssue,
     /// Unified-L1 lookups: demand loads, stores, prefetch issue.
     L1Lookup,
     /// MSHR completion work: fills and timeout-recovery scans.
     Mshr,
     /// Prefetcher training and candidate generation
-    /// (`on_demand_access` plus telemetry drain).
+    /// (`on_demand_access` plus telemetry drain) and the throttle sync.
     Prefetch,
-    /// Interconnect: credit refill, packet injection, arrivals.
+    /// Interconnect: credit refill, packet injection, arrivals handed
+    /// to the partition, responses sent.
     Noc,
-    /// Memory partition: L2 banks, DRAM pipes, request/response queues.
+    /// Memory partition: L2 banks, DRAM pipes, response queues.
     MemPartition,
-    /// Observability itself: per-cycle trace drain/forward and
-    /// windowed-metrics sampling.
+    /// Observability itself: trace flush, windowed-metrics sampling
+    /// and the invariant audit.
     Observability,
 }
 
@@ -83,15 +82,7 @@ impl Phase {
     }
 
     fn index(self) -> usize {
-        match self {
-            Phase::SmIssue => 0,
-            Phase::L1Lookup => 1,
-            Phase::Mshr => 2,
-            Phase::Prefetch => 3,
-            Phase::Noc => 4,
-            Phase::MemPartition => 5,
-            Phase::Observability => 6,
-        }
+        self as usize
     }
 }
 
@@ -104,9 +95,11 @@ impl std::fmt::Display for Phase {
 /// Accumulated wall-time and call count for one phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStat {
-    /// Total nanoseconds spent inside the phase's timed regions.
+    /// Nanoseconds spent in the phase's regions: the run's wall time
+    /// times the phase's share of the sampled iterations.
     pub nanos: u64,
-    /// Number of timed regions that contributed.
+    /// Regions of the phase entered, estimated from the sampled
+    /// iterations.
     pub calls: u64,
 }
 
@@ -121,92 +114,165 @@ impl PhaseStat {
     }
 }
 
-/// A component-owned phase-time accumulator.
-///
-/// Components hold `Option<HostProfiler>` (`None` = profiling off) and
-/// the GPU merges them all at the end of a run. The accumulator is a
-/// flat array indexed by [`Phase`], so `add` is two integer adds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HostProfiler {
-    stats: [PhaseStat; Phase::ALL.len()],
-}
+/// Mean run-loop iterations from one sampled iteration to the next,
+/// chosen by measurement (DESIGN.md § Host performance observatory).
+const SAMPLE_PERIOD: u64 = 64;
 
-impl HostProfiler {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        HostProfiler::default()
-    }
+/// Slots after the phases: the run loop's own bookkeeping, the empty
+/// region timing one switch, and the unread time between samples.
+const LOOP: usize = Phase::ALL.len();
+const CLOCK: usize = LOOP + 1;
+const IDLE: usize = CLOCK + 1;
 
-    /// Records one timed region of `nanos` under `phase`.
-    #[inline]
-    pub fn add(&mut self, phase: Phase, nanos: u64) {
-        let s = &mut self.stats[phase.index()];
-        s.nanos += nanos;
-        s.calls += 1;
-    }
-
-    /// Accumulated stat for one phase.
-    pub fn get(&self, phase: Phase) -> PhaseStat {
-        self.stats[phase.index()]
-    }
-
-    /// Folds another accumulator into this one.
-    pub fn merge(&mut self, other: &HostProfiler) {
-        for (into, from) in self.stats.iter_mut().zip(other.stats.iter()) {
-            into.nanos += from.nanos;
-            into.calls += from.calls;
-        }
-    }
-
-    /// Seals the accumulator into a [`HostProfile`] with run-level
-    /// context (total wall time, simulated cycles, trace events).
-    pub fn finish(self, wall_nanos: u64, cycles: u64, trace_events: u64) -> HostProfile {
-        HostProfile {
-            wall_nanos,
-            cycles,
-            trace_events,
-            skipped_cycles: 0,
-            replayed_ticks: 0,
-            sm_ticks: 0,
-            phases: self.stats,
-        }
-    }
-}
-
-/// A scoped wall-clock timer for one phase region.
-///
-/// `start(false)` reads no clock at all; `stop` against a `None`
-/// profiler is a no-op — so a disabled profiler costs one branch per
-/// region, matching the `obs` layer's zero-cost-when-off contract.
+/// The run's one host-time profiler, owned by the device and driven by
+/// its run loop (see the [module docs](self)).
 ///
 /// # Examples
 ///
 /// ```
-/// use snake_sim::perfstat::{HostProfiler, Phase, Stopwatch};
+/// use snake_sim::perfstat::{HostProfiler, Phase};
 ///
-/// let mut prof = Some(HostProfiler::new());
-/// let sw = Stopwatch::start(prof.is_some());
-/// // ... the timed region ...
-/// sw.stop(&mut prof, Phase::Noc);
-/// assert_eq!(prof.unwrap().get(Phase::Noc).calls, 1);
+/// let mut prof = HostProfiler::default();
+/// prof.switch(Phase::Noc); // the first iteration is sampled: starts the clock
+/// prof.end_iteration();
+/// prof.switch(Phase::Noc); // the second is not: reads no clock
+/// prof.end_iteration();
+/// let profile = prof.finish(1_000, 2, 0);
+/// assert_eq!(profile.get(Phase::Noc).calls, 2, "one region, scaled by 2 / 1");
+/// assert_eq!(profile.phase_nanos_total() + profile.unaccounted_nanos(), 1_000);
 /// ```
-#[derive(Debug)]
-#[must_use = "a started stopwatch must be stopped into a profiler"]
-pub struct Stopwatch(Option<Instant>);
+#[derive(Debug, Clone)]
+pub struct HostProfiler {
+    /// Sampled nanoseconds and regions per slot: the phases in
+    /// [`Phase::ALL`] order, then `LOOP`, `CLOCK` and `IDLE`.
+    nanos: [u64; IDLE + 1],
+    regions: [u64; IDLE + 1],
+    /// The slot the running region is charged to, and when it began.
+    current: usize,
+    since: Instant,
+    /// The schedule: whether this iteration is sampled and how many
+    /// follow before the next is. Gaps come in pairs `SAMPLE_PERIOD ∓ d`
+    /// (`d < SAMPLE_PERIOD / 2` from a fixed-seed xorshift `rng`,
+    /// `pending` holding a pair's second gap): deterministic, never in
+    /// step with a power-of-two window, `SAMPLE_PERIOD` on average.
+    pub(crate) sampling: bool,
+    wait: u64,
+    rng: u64,
+    pending: Option<u64>,
+    /// Run-loop iterations so far, and how many of them were sampled.
+    iterations: u64,
+    sampled: u64,
+    /// The fastest empty region: what a switch costs.
+    switch_nanos: u64,
+}
 
-impl Stopwatch {
-    /// Starts timing when `enabled`, otherwise returns an inert watch.
+impl Default for HostProfiler {
+    /// A profiler whose first iteration is sampled.
+    fn default() -> Self {
+        HostProfiler {
+            nanos: [0; IDLE + 1],
+            regions: [0; IDLE + 1],
+            current: IDLE,
+            since: Instant::now(),
+            sampling: true,
+            wait: 0,
+            rng: 0x9E37_79B9_7F4A_7C15,
+            pending: None,
+            iterations: 0,
+            sampled: 0,
+            switch_nanos: u64::MAX,
+        }
+    }
+}
+
+impl HostProfiler {
+    /// In a sampled iteration, ends the running region and starts one
+    /// charged to `phase` (nothing when `phase` is already running). The
+    /// first switch of a sampled iteration starts the clock.
     #[inline]
-    pub fn start(enabled: bool) -> Self {
-        Stopwatch(if enabled { Some(Instant::now()) } else { None })
+    pub fn switch(&mut self, phase: Phase) {
+        self.switch_to(phase.index());
     }
 
-    /// Stops the watch and charges the elapsed time to `phase`.
+    /// Like [`switch`](HostProfiler::switch), to the run loop's own
+    /// bookkeeping, which no phase accounts for.
     #[inline]
-    pub fn stop(self, prof: &mut Option<HostProfiler>, phase: Phase) {
-        if let (Some(t0), Some(p)) = (self.0, prof.as_mut()) {
-            p.add(phase, t0.elapsed().as_nanos() as u64);
+    pub fn switch_to_loop(&mut self) {
+        self.switch_to(LOOP);
+    }
+
+    /// Ends a run-loop iteration. A sampled one ends its last region,
+    /// times one empty region between two switches and stops the clock.
+    /// Then the schedule decides whether the next one is sampled.
+    pub fn end_iteration(&mut self) {
+        self.switch_to(CLOCK);
+        let before = self.nanos[CLOCK];
+        self.switch_to(IDLE);
+        if self.sampling {
+            self.switch_nanos = self.switch_nanos.min(self.nanos[CLOCK] - before);
+            self.sampled += 1;
+            self.wait = self.gap();
         }
+        self.iterations += 1;
+        self.wait -= 1;
+        self.sampling = self.wait == 0;
+    }
+
+    /// Iterations from this sampled one to the next.
+    fn gap(&mut self) -> u64 {
+        if let Some(gap) = self.pending.take() {
+            return gap;
+        }
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        let d = self.rng % (SAMPLE_PERIOD / 2);
+        self.pending = Some(SAMPLE_PERIOD + d);
+        SAMPLE_PERIOD - d
+    }
+
+    #[inline]
+    fn switch_to(&mut self, slot: usize) {
+        if !self.sampling || slot == self.current {
+            return;
+        }
+        let now = Instant::now();
+        self.nanos[self.current] += now.duration_since(self.since).as_nanos() as u64;
+        self.regions[self.current] += 1;
+        self.current = slot;
+        self.since = now;
+    }
+
+    /// Seals the run into a [`HostProfile`]: each slot's sampled time
+    /// less one switch per region (the fastest switch, so that one
+    /// preempted empty region cannot erase every short region's work)
+    /// is its share of `wall_nanos`, and each phase's regions are scaled
+    /// by iterations over sampled iterations.
+    pub fn finish(self, wall_nanos: u64, cycles: u64, trace_events: u64) -> HostProfile {
+        let per = |count: u64, num: u64, den: u64| -> u64 {
+            (u128::from(count) * u128::from(num) / u128::from(den.max(1))) as u64
+        };
+        let work: [u64; LOOP + 1] = std::array::from_fn(|slot| {
+            let switches = per(self.regions[slot], self.switch_nanos, 1);
+            self.nanos[slot].saturating_sub(switches)
+        });
+        let total = work.iter().sum();
+        let stats = Phase::ALL.map(|p| {
+            let i = p.index();
+            let nanos = per(wall_nanos, work[i], total);
+            let calls = per(self.regions[i], self.iterations, self.sampled);
+            (p, PhaseStat { nanos, calls })
+        });
+        HostProfile::from_parts(wall_nanos, cycles, trace_events, stats)
+    }
+}
+
+/// Switches a sampled iteration's profiler to `phase`; nothing on an
+/// unsampled iteration (`None`).
+#[inline]
+pub(crate) fn switch(prof: &mut Option<&mut HostProfiler>, phase: Phase) {
+    if let Some(p) = prof {
+        p.switch(phase);
     }
 }
 
@@ -250,9 +316,10 @@ impl HostProfile {
         self.phases.iter().map(|s| s.nanos).sum()
     }
 
-    /// Wall time not attributed to any phase (loop glue, retirement,
-    /// watchdog checks). Saturates at zero: per-region clock reads can
-    /// in principle over-measure very short regions.
+    /// Wall time not attributed to any phase: the run loop's own
+    /// bookkeeping. Saturates at zero for a profile built by
+    /// [`HostProfile::from_parts`] with more phase time than wall time;
+    /// [`HostProfiler::finish`] never builds one.
     pub fn unaccounted_nanos(&self) -> u64 {
         self.wall_nanos.saturating_sub(self.phase_nanos_total())
     }
@@ -285,8 +352,8 @@ impl HostProfile {
         }
     }
 
-    /// Builds a profile directly from per-phase stats (exporters and
-    /// tests; simulation code goes through [`HostProfiler::finish`]).
+    /// Builds a profile directly from per-phase stats (exporters, tests
+    /// and [`HostProfiler::finish`]).
     pub fn from_parts(
         wall_nanos: u64,
         cycles: u64,
@@ -338,65 +405,150 @@ mod tests {
     }
 
     #[test]
-    fn profiler_accumulates_and_merges() {
-        let mut a = HostProfiler::new();
-        a.add(Phase::Noc, 100);
-        a.add(Phase::Noc, 50);
-        a.add(Phase::Mshr, 7);
-        let mut b = HostProfiler::new();
-        b.add(Phase::Noc, 1);
-        a.merge(&b);
+    fn finish_splits_wall_by_sampled_shares_and_scales_calls() {
+        let (mut nanos, mut regions) = ([0; IDLE + 1], [0; IDLE + 1]);
+        let sm = Phase::SmIssue.index();
+        let noc = Phase::Noc.index();
+        (nanos[sm], regions[sm]) = (340, 4); // 300 ns of work
+        (nanos[noc], regions[noc]) = (120, 2); // 100 ns
+        (nanos[LOOP], regions[LOOP]) = (110, 1); // 100 ns
+                                                 // 64 iterations per sampled one, and a switch costs 10 ns.
+        let prof = HostProfiler {
+            nanos,
+            regions,
+            iterations: 640,
+            sampled: 10,
+            switch_nanos: 10,
+            ..HostProfiler::default()
+        };
+        let profile = prof.finish(1_000, 5, 0);
         assert_eq!(
-            a.get(Phase::Noc),
+            profile.get(Phase::SmIssue),
             PhaseStat {
-                nanos: 151,
-                calls: 3
+                nanos: 600,
+                calls: 256
             }
         );
-        assert_eq!(a.get(Phase::Mshr), PhaseStat { nanos: 7, calls: 1 });
-        assert_eq!(a.get(Phase::SmIssue), PhaseStat::default());
+        assert_eq!(
+            profile.get(Phase::Noc),
+            PhaseStat {
+                nanos: 200,
+                calls: 128
+            }
+        );
+        assert_eq!(profile.get(Phase::Mshr), PhaseStat::default());
+        assert_eq!(profile.unaccounted_nanos(), 200, "the loop's share");
     }
 
     #[test]
-    fn disabled_stopwatch_records_nothing() {
-        let mut prof = Some(HostProfiler::new());
-        Stopwatch::start(false).stop(&mut prof, Phase::L1Lookup);
-        assert_eq!(prof.unwrap().get(Phase::L1Lookup).calls, 0);
-        let mut off: Option<HostProfiler> = None;
-        Stopwatch::start(true).stop(&mut off, Phase::L1Lookup);
-        assert!(off.is_none());
+    fn unsampled_iterations_record_nothing() {
+        let mut prof = HostProfiler::default();
+        prof.switch(Phase::L1Lookup);
+        prof.end_iteration();
+        let (nanos, regions) = (prof.nanos, prof.regions);
+        while !prof.sampling {
+            prof.switch(Phase::L1Lookup);
+            prof.end_iteration();
+        }
+        assert!(prof.iterations > 2, "the second sample comes later");
+        assert_eq!(prof.sampled, 1);
+        assert_eq!(prof.nanos[..CLOCK], nanos[..CLOCK], "no phase time");
+        assert_eq!(prof.regions[..CLOCK], regions[..CLOCK], "no region");
     }
 
     #[test]
-    fn enabled_stopwatch_charges_the_phase() {
-        let mut prof = Some(HostProfiler::new());
-        let sw = Stopwatch::start(true);
+    fn switch_charges_the_previous_phase() {
+        let mut prof = HostProfiler::default();
+        prof.switch(Phase::Prefetch);
         std::hint::black_box(1 + 1);
-        sw.stop(&mut prof, Phase::Prefetch);
-        let s = prof.unwrap().get(Phase::Prefetch);
-        assert_eq!(s.calls, 1);
+        prof.switch(Phase::Prefetch);
+        prof.switch_to_loop();
+        prof.switch(Phase::Noc);
+        prof.end_iteration();
+        assert_eq!(prof.regions[Phase::Prefetch.index()], 1, "one region");
+        assert_eq!(prof.regions[LOOP], 1);
+        assert_eq!(prof.regions[Phase::Noc.index()], 1);
+        assert_eq!(prof.regions[CLOCK], 1, "the empty region");
+        assert_eq!(prof.switch_nanos, prof.nanos[CLOCK]);
+        assert_eq!(prof.regions[Phase::Mshr.index()], 0);
+        assert_eq!(prof.regions[IDLE], 1, "before the first switch");
+    }
+
+    #[test]
+    fn schedule_is_deterministic_bounded_and_averages_the_period() {
+        let gaps = || {
+            let mut prof = HostProfiler::default();
+            let sampled: Vec<u64> = (0..64_000)
+                .filter(|_| {
+                    let sampled = prof.sampling;
+                    prof.end_iteration();
+                    sampled
+                })
+                .collect();
+            sampled.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>()
+        };
+        let a = gaps();
+        assert_eq!(a, gaps(), "deterministic");
+        assert!(a.len() > 900, "{} gaps", a.len());
+        for &gap in &a {
+            assert!(
+                gap > SAMPLE_PERIOD / 2 && gap < SAMPLE_PERIOD * 3 / 2,
+                "gap {gap}"
+            );
+        }
+        assert!(a.windows(2).any(|w| w[0] != w[1]), "jittered");
+        let pairs = a.len() / 2 * 2;
+        let sum: u64 = a[..pairs].iter().sum();
+        assert_eq!(sum, SAMPLE_PERIOD * pairs as u64, "mean gap");
     }
 
     #[test]
     fn profile_derived_metrics() {
-        let mut p = HostProfiler::new();
-        p.add(Phase::SmIssue, 600);
-        p.add(Phase::MemPartition, 300);
-        let profile = p.finish(2_000, 4_000_000_000, 1_000_000_000);
+        let profile = HostProfile::from_parts(
+            2_000,
+            4_000_000_000,
+            1_000_000_000,
+            [
+                (
+                    Phase::SmIssue,
+                    PhaseStat {
+                        nanos: 600,
+                        calls: 1,
+                    },
+                ),
+                (
+                    Phase::MemPartition,
+                    PhaseStat {
+                        nanos: 300,
+                        calls: 1,
+                    },
+                ),
+            ],
+        );
         assert_eq!(profile.phase_nanos_total(), 900);
         assert_eq!(profile.unaccounted_nanos(), 1_100);
         assert!((profile.cycles_per_sec() - 2e15).abs() < 1e6);
         assert!((profile.events_per_sec() - 5e14).abs() < 1e6);
         assert_eq!(profile.iter().count(), Phase::ALL.len());
         // Over-measurement saturates instead of underflowing.
-        let mut p = HostProfiler::new();
-        p.add(Phase::SmIssue, 500);
-        assert_eq!(p.finish(100, 1, 0).unaccounted_nanos(), 0);
+        let over = HostProfile::from_parts(
+            100,
+            1,
+            0,
+            [(
+                Phase::SmIssue,
+                PhaseStat {
+                    nanos: 500,
+                    calls: 1,
+                },
+            )],
+        );
+        assert_eq!(over.unaccounted_nanos(), 0);
     }
 
     #[test]
     fn zero_wall_profile_reports_zero_rates() {
-        let profile = HostProfiler::new().finish(0, 0, 0);
+        let profile = HostProfiler::default().finish(0, 0, 0);
         assert_eq!(profile.cycles_per_sec(), 0.0);
         assert_eq!(profile.events_per_sec(), 0.0);
     }

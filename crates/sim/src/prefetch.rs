@@ -167,11 +167,12 @@ pub trait Prefetcher {
     ///
     /// Host-time note: when
     /// [`GpuConfig::host_profile`](crate::GpuConfig::host_profile) is
-    /// set, the wall time spent inside this method (and
-    /// [`drain_events`](Prefetcher::drain_events)) is charged to the
-    /// `prefetch` phase of the run's
-    /// [`HostProfile`](crate::perfstat::HostProfile) — an expensive
-    /// mechanism shows up here, not smeared over the SM front-end.
+    /// set, the cycles the run loop samples time this method (and
+    /// [`drain_events`](Prefetcher::drain_events)) as the `prefetch`
+    /// phase of the run's [`HostProfile`](crate::perfstat::HostProfile),
+    /// and the L1 issue of the candidates it returns as `l1_lookup`: an
+    /// expensive mechanism shows up here, not smeared over the SM
+    /// front-end.
     fn on_demand_access(
         &mut self,
         event: &AccessEvent,

@@ -8,7 +8,7 @@ use crate::config::GpuConfig;
 use crate::json::{self, Value};
 use crate::kernel::{Instr, KernelTrace};
 use crate::obs::{SimEvent, TraceEvent};
-use crate::perfstat::{HostProfiler, Phase, Stopwatch};
+use crate::perfstat::{self, HostProfiler, Phase};
 use crate::prefetch::{
     AccessEvent, PrefetchContext, PrefetchPlacement, PrefetchRequest, Prefetcher, PrefetcherEvent,
 };
@@ -78,11 +78,6 @@ pub struct Sm {
     trace: Option<Vec<TraceEvent>>,
     /// Scratch buffer for prefetcher-reported chain-walk events.
     pf_events: Vec<PrefetcherEvent>,
-    /// Host-time accumulator for the SM front-end
-    /// ([`Phase::SmIssue`]) and the prefetcher hook
-    /// ([`Phase::Prefetch`]). `None` (default) keeps every timed
-    /// region to a single branch.
-    prof: Option<HostProfiler>,
     /// Throttle state at the last tick (edge detection for
     /// [`SimEvent::ThrottleHalt`]/[`SimEvent::ThrottleResume`]).
     prev_throttled: bool,
@@ -149,7 +144,6 @@ impl Sm {
             max_outstanding_loads: cfg.max_outstanding_loads,
             trace: None,
             pf_events: Vec::new(),
-            prof: None,
             prev_throttled: false,
             idle: None,
             replayed_ticks: 0,
@@ -181,22 +175,6 @@ impl Sm {
         if let Some(buf) = self.trace.as_mut() {
             buf.push(TraceEvent { cycle, data });
         }
-    }
-
-    /// Starts accumulating host-time for this SM's phases and its
-    /// L1's (see [`perfstat`](crate::perfstat)).
-    pub fn enable_profiling(&mut self) {
-        self.prof = Some(HostProfiler::new());
-        self.l1.enable_profiling();
-    }
-
-    /// Folds this SM's host-time accumulator (and its L1's) into
-    /// `into` (end of run).
-    pub fn merge_profile(&mut self, into: &mut HostProfiler) {
-        if let Some(prof) = self.prof.take() {
-            into.merge(&prof);
-        }
-        self.l1.merge_profile(into);
     }
 
     /// Number of resident warps (windowed-metrics input).
@@ -301,13 +279,20 @@ impl Sm {
     /// injection loop) — it reattributes `MissQueueFull` rejections to
     /// the NoC when the queue is full because the network will not
     /// drain it.
+    ///
+    /// `prof` is the device's profiler in an iteration the run loop
+    /// samples (`None` otherwise): the tick is timed as `sm_issue`,
+    /// switching to `mshr`, `l1_lookup` and `prefetch` around its L1
+    /// and prefetcher calls.
     pub fn tick(
         &mut self,
         kernel: &KernelTrace,
         now: Cycle,
         noc_utilization: f64,
         noc_backpressured: bool,
+        mut prof: Option<&mut HostProfiler>,
     ) -> u32 {
+        perfstat::switch(&mut prof, Phase::SmIssue);
         if let Some(charge) = self.idle {
             if now < charge.wake {
                 self.replay_idle(1, now.plus(1));
@@ -315,17 +300,11 @@ impl Sm {
             }
             self.idle = None;
         }
-        // Phase attribution: the front-end regions below (CTA launch,
-        // warp refresh, scheduler picks) are timed as `SmIssue`; the
-        // L1 and prefetcher calls nested in `issue()` time themselves
-        // (`L1Lookup`/`Mshr`/`Prefetch`), so phases stay disjoint.
-        let sw = Stopwatch::start(self.prof.is_some());
         self.try_launch_ctas();
-        sw.stop(&mut self.prof, Phase::SmIssue);
+        perfstat::switch(&mut prof, Phase::Mshr);
         self.l1.tick_recovery(now);
-        let sw = Stopwatch::start(self.prof.is_some());
+        perfstat::switch(&mut prof, Phase::SmIssue);
         self.refresh_busy(now);
-        sw.stop(&mut self.prof, Phase::SmIssue);
         // No scheduler can pick: this tick charges only idle buckets.
         let idle = self.masks.ready == 0;
 
@@ -334,16 +313,14 @@ impl Sm {
         for sid in 0..n_sched {
             let mut sched = std::mem::take(&mut self.schedulers[sid]);
             let part = self.partitions[sid];
-            let sw = Stopwatch::start(self.prof.is_some());
             let picked = sched.pick(self.masks.ready & part, &self.slots, sid, n_sched);
-            sw.stop(&mut self.prof, Phase::SmIssue);
             // Exactly one stall-taxonomy bucket is charged per
             // scheduler per cycle, so the buckets partition
             // `scheduler_cycles` exactly (audit-enforced).
             if let Some(slot_idx) = picked {
                 let retrying = self.masks.retry & 1 << slot_idx != 0;
                 self.l1.clear_last_fail();
-                let did_issue = self.issue(slot_idx, kernel, now, noc_utilization);
+                let did_issue = self.issue(slot_idx, kernel, now, noc_utilization, &mut prof);
                 self.sync(slot_idx);
                 let retired = self.slots[slot_idx].is_none();
                 if retired {
@@ -399,7 +376,7 @@ impl Sm {
 
         // Prefetcher/L1 policy sync (charged to the prefetch phase:
         // it is the mechanism's throttle/training state being read).
-        let sw = Stopwatch::start(self.prof.is_some());
+        perfstat::switch(&mut prof, Phase::Prefetch);
         self.l1.set_trained(self.prefetcher.trained());
         let throttled = self.prefetcher.throttled(now);
         if throttled != self.prev_throttled {
@@ -421,7 +398,7 @@ impl Sm {
             self.l1.confine_until(now.plus(1));
             self.stats.prefetch.throttled_cycles += 1;
         }
-        sw.stop(&mut self.prof, Phase::Prefetch);
+        perfstat::switch(&mut prof, Phase::SmIssue);
         // An unthrottled mechanism stays unthrottled, and its training
         // fixed, until its next access (the `Prefetcher` contract), so
         // only the busy-warp and recovery deadlines end the charge.
@@ -500,6 +477,7 @@ impl Sm {
         kernel: &KernelTrace,
         now: Cycle,
         noc_utilization: f64,
+        prof: &mut Option<&mut HostProfiler>,
     ) -> bool {
         let mut slot = self.slots[slot_idx]
             .take()
@@ -510,7 +488,14 @@ impl Sm {
                 kernel.warps()[slot.trace_idx].instrs.get(slot.next),
                 Some(Instr::Load { .. })
             );
-            self.process_txns(&mut slot, slot_idx, now, noc_utilization, next_is_load);
+            self.process_txns(
+                &mut slot,
+                slot_idx,
+                now,
+                noc_utilization,
+                next_is_load,
+                prof,
+            );
             self.slots[slot_idx] = Some(slot);
             return false;
         }
@@ -550,7 +535,14 @@ impl Sm {
                     },
                 );
                 let next_is_load = matches!(trace.instrs.get(slot.next), Some(Instr::Load { .. }));
-                self.process_txns(&mut slot, slot_idx, now, noc_utilization, next_is_load);
+                self.process_txns(
+                    &mut slot,
+                    slot_idx,
+                    now,
+                    noc_utilization,
+                    next_is_load,
+                    prof,
+                );
             }
             Some(Instr::Store { pc, addrs }) => {
                 slot.next += 1;
@@ -567,7 +559,7 @@ impl Sm {
                         warp: WarpId(slot_idx as u32),
                     },
                 );
-                self.process_txns(&mut slot, slot_idx, now, noc_utilization, false);
+                self.process_txns(&mut slot, slot_idx, now, noc_utilization, false, prof);
             }
         }
         self.slots[slot_idx] = Some(slot);
@@ -575,7 +567,8 @@ impl Sm {
     }
 
     /// Sends the warp's pending transactions to the L1, stopping at the
-    /// first reservation fail (in-order LSU).
+    /// first reservation fail (in-order LSU). A sampled tick charges the
+    /// lookups to `l1_lookup` and the prefetcher hook to `prefetch`.
     fn process_txns(
         &mut self,
         slot: &mut WarpSlot,
@@ -583,9 +576,11 @@ impl Sm {
         now: Cycle,
         noc_utilization: f64,
         next_is_load: bool,
+        prof: &mut Option<&mut HostProfiler>,
     ) {
         let mut accepted = 0;
         while let Some(&addr) = slot.pending.get(accepted) {
+            perfstat::switch(prof, Phase::L1Lookup);
             let line = addr.line(self.line_bytes);
             if slot.cur_is_load {
                 let outcome = self.l1.access_demand(line, WarpId(slot_idx as u32), now);
@@ -607,7 +602,7 @@ impl Sm {
                         outcome,
                         cycle: now,
                     };
-                    self.run_prefetcher(&event, now, noc_utilization);
+                    self.run_prefetcher(&event, now, noc_utilization, prof);
                 }
             } else {
                 if !self.l1.access_store(line, now) {
@@ -617,6 +612,7 @@ impl Sm {
                 self.stats.stores += 1;
             }
         }
+        perfstat::switch(prof, Phase::SmIssue);
         slot.pending.drain(..accepted);
         if slot.pending.is_empty() {
             if slot.cur_is_load {
@@ -644,8 +640,16 @@ impl Sm {
         // else: stay Ready; the scheduler retries next cycle.
     }
 
-    fn run_prefetcher(&mut self, event: &AccessEvent, now: Cycle, noc_utilization: f64) {
-        let sw = Stopwatch::start(self.prof.is_some());
+    /// Trains the prefetcher on `event` (`prefetch`) and issues its
+    /// candidates into the L1 (`l1_lookup`).
+    fn run_prefetcher(
+        &mut self,
+        event: &AccessEvent,
+        now: Cycle,
+        noc_utilization: f64,
+        prof: &mut Option<&mut HostProfiler>,
+    ) {
+        perfstat::switch(prof, Phase::Prefetch);
         let ctx = PrefetchContext {
             cycle: now,
             bw_utilization: noc_utilization,
@@ -681,9 +685,7 @@ impl Sm {
                 self.emit(now, data);
             }
         }
-        // Stop before the issue loop: `request_prefetch` times itself
-        // under `L1Lookup`.
-        sw.stop(&mut self.prof, Phase::Prefetch);
+        perfstat::switch(prof, Phase::L1Lookup);
         self.scratch.truncate(self.max_prefetches_per_event);
         self.stats.prefetch.requested += self.scratch.len() as u64;
         for i in 0..self.scratch.len() {
@@ -792,11 +794,10 @@ impl Sm {
     /// Serializes the complete SM state for a checkpoint: every warp
     /// slot, scheduler cursors, the unified L1, the prefetcher's own
     /// state, the CTA launch queue, and counters. Config-derived
-    /// fields (latencies, capacities) are not captured; trace and
-    /// profiling attachments are runtime-only (event buffers are
-    /// drained every cycle, so they are empty at a checkpoint
-    /// boundary), and `scratch`/`pf_events` never hold data across
-    /// cycles.
+    /// fields (latencies, capacities) are not captured; trace
+    /// attachments are runtime-only (event buffers are drained every
+    /// cycle, so they are empty at a checkpoint boundary), and
+    /// `scratch`/`pf_events` never hold data across cycles.
     pub fn save_state(&self) -> Value {
         let slots = self
             .slots
@@ -1030,7 +1031,11 @@ mod tests {
             cta: CtaId(0),
             warps: vec![0],
         });
-        assert_eq!(sm.tick(&kernel, Cycle(0), 0.0, false), 1, "the load issues");
+        assert_eq!(
+            sm.tick(&kernel, Cycle(0), 0.0, false, None),
+            1,
+            "the load issues"
+        );
         assert_eq!(sm.idle_until(), None, "an issuing tick records no charge");
         (sm, kernel)
     }
@@ -1039,14 +1044,14 @@ mod tests {
     fn idle_ticks_replay_exactly_what_a_full_tick_charged() {
         let (mut sm, kernel) = waiting_sm();
         let before = sm.stats;
-        assert_eq!(sm.tick(&kernel, Cycle(1), 0.0, false), 0);
+        assert_eq!(sm.tick(&kernel, Cycle(1), 0.0, false, None), 0);
         assert_eq!(
             sm.idle_until(),
             Some(Cycle(u64::MAX)),
             "no deadline to wake at"
         );
         let full = sm.stats;
-        assert_eq!(sm.tick(&kernel, Cycle(2), 0.0, false), 0);
+        assert_eq!(sm.tick(&kernel, Cycle(2), 0.0, false, None), 0);
         assert_eq!(sm.replayed_ticks(), 1);
         let replayed = sm.stats;
         let delta = |a: &SimStats, b: &SimStats| {
@@ -1069,13 +1074,13 @@ mod tests {
         // The fill unstalls the warp, which ends the charge.
         sm.deliver_fill(LineAddr(0), Cycle(3));
         assert_eq!(sm.idle_until(), None);
-        assert_eq!(sm.tick(&kernel, Cycle(3), 0.0, false), 1);
+        assert_eq!(sm.tick(&kernel, Cycle(3), 0.0, false, None), 1);
     }
 
     #[test]
     fn audit_flags_a_stale_idle_charge() {
         let (mut sm, kernel) = waiting_sm();
-        sm.tick(&kernel, Cycle(1), 0.0, false);
+        sm.tick(&kernel, Cycle(1), 0.0, false, None);
         assert!(sm.idle_until().is_some());
         // Make the warp ready behind the charge's back.
         let slot = sm.slots[0].as_mut().expect("resident warp");

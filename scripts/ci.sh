@@ -17,8 +17,16 @@ echo "==> snakebench smoke (benchmark identity checks gate simulator changes)"
 # exactly, so a change that makes the simulation fail or drift between
 # runs of one process cannot pass CI.
 cargo build --release --offline --manifest-path snakebench/Cargo.toml
-if ! ./snakebench/target/release/snakebench --workload memory_bound --seconds 1 --trace 0; then
+# `--trace 1` adds the profiled and traced passes to the untraced ones:
+# every profiled run must reproduce the reference run's statistics too.
+if ! ./snakebench/target/release/snakebench --workload memory_bound --seconds 1 --trace 1; then
     echo "snakebench smoke: a benchmark check failed" >&2
+    exit 1
+fi
+# prefetch_heavy's jobs run the L1 prefetch path on every load, so its
+# profiled passes hand the sampled profiler to the prefetcher hook.
+if ! ./snakebench/target/release/snakebench --workload prefetch_heavy --seconds 1 --trace 1; then
+    echo "snakebench smoke: a prefetch_heavy check failed" >&2
     exit 1
 fi
 # paper_all runs every figure of `repro --quick --all`, whose timing

@@ -14,7 +14,10 @@
 //!
 //! Every row runs twice: suspended after every cycle, which steps each
 //! cycle, and through plain `Gpu::run`, which skips device-quiet
-//! stretches in bulk. Both must give the pinned digest.
+//! stretches in bulk. Both must give the pinned digest. The Snake rows
+//! of the matrix (every app under GTO and LRR) run a third time,
+//! through `Gpu::run` with the host profiler on, which hands itself to
+//! the steps it samples: that run must give the pinned digest too.
 
 use snake_repro::prelude::*;
 use snake_repro::sim::snapshot::fnv1a64;
@@ -90,7 +93,20 @@ fn digests() -> String {
                 let mut cfg = GpuConfig::scaled(2);
                 cfg.scheduler = policy;
                 cfg.audit_window = Some(64);
-                let (out, _) = run(cfg, app, &small(), kind);
+                let (out, _) = run(cfg.clone(), app, &small(), kind);
+                if kind == PrefetcherKind::Snake {
+                    cfg.host_profile = true;
+                    let warps = cfg.max_warps_per_sm;
+                    let profiled = Gpu::new(cfg, app.build(&small()), |_| kind.build(warps))
+                        .expect("valid config")
+                        .run();
+                    assert!(profiled.host.is_some(), "{app}/{kind}: no host profile");
+                    assert_eq!(
+                        digest_line("profiled", &profiled),
+                        digest_line("profiled", &out),
+                        "{app}/{kind}: a profiled Gpu::run disagrees with stepping every cycle"
+                    );
+                }
                 let name = format!("{app}/{kind}/{}", policy_label(policy));
                 text.push_str(&digest_line(&name, &out));
             }
