@@ -3,18 +3,14 @@
 //! Besides the funnel counters, the binary exposes the observability
 //! layer: `--trace-out` streams a Chrome trace-event JSON loadable in
 //! Perfetto, `--timeline` renders the windowed time series as an ASCII
-//! chart, `--profile` prints the run's per-phase host wall-time table,
-//! and `--overhead-guard` measures the no-sink tracing overhead
-//! against a recorded wall-clock baseline through the perf
-//! observatory's noise-aware comparator (used by `scripts/ci.sh`).
+//! chart, and `--profile` prints the run's per-phase host wall-time
+//! table.
 
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::time::Instant;
 
 use snake_bench::cli::{self, CliError};
-use snake_bench::perfstat::{self, compare, CompareConfig};
-use snake_bench::Harness;
+use snake_bench::{report, Harness};
 use snake_core::PrefetcherKind;
 use snake_sim::json;
 use snake_sim::obs::{chrome_trace_to, SharedVecSink};
@@ -25,13 +21,6 @@ use snake_workloads::Benchmark;
 /// Window width (cycles) used when `--timeline` is given without an
 /// explicit `--window`.
 const DEFAULT_WINDOW: u64 = 1000;
-
-/// Timed repetitions for `--overhead-guard` (the median of N runs
-/// feeds the comparator; the first run doubles as warm-up).
-const GUARD_REPS: u32 = 5;
-
-/// Allowed slowdown of the no-sink path over the recorded baseline.
-const GUARD_TOLERANCE: f64 = 1.02;
 
 fn usage() -> String {
     let benches: Vec<&str> = Benchmark::all().iter().map(|b| b.abbr()).collect();
@@ -44,7 +33,6 @@ fn usage() -> String {
          --window N             sample windowed metrics every N cycles (default {} with --timeline)\n  \
          --budget N             stop the run after N cycles (StopReason::BudgetExceeded)\n  \
          --profile              print the run's per-phase host wall-time table\n  \
-         --overhead-guard FILE  time the no-sink path against the baseline in FILE\n                         (records FILE when absent; fails if >{:.0}% slower\n                         beyond the measured noise band)\n  \
          --checkpoint-at N      checkpoint the full simulator state at cycle N, then finish\n  \
          --checkpoint-out FILE  where --checkpoint-at writes (default BENCH-MECHANISM-cN.ckpt)\n  \
          --restore FILE         restore a checkpoint and run it to completion\n                         (schema/config mismatch exits {})\n  \
@@ -52,7 +40,6 @@ fn usage() -> String {
          --diverge A B          bisect two checkpoints of the same run: restore the earlier,\n                         replay a golden device from cycle 0, report the first divergent\n                         cycle and state path (exit 1 on divergence)",
         benches.join(" "),
         DEFAULT_WINDOW,
-        (GUARD_TOLERANCE - 1.0) * 100.0,
         cli::EXIT_CHECKPOINT_MISMATCH
     )
 }
@@ -69,7 +56,6 @@ fn run() -> Result<(), CliError> {
     let mut window: Option<u64> = None;
     let mut budget: Option<u64> = None;
     let mut profile = false;
-    let mut guard: Option<String> = None;
     let mut checkpoint_at: Option<u64> = None;
     let mut checkpoint_out: Option<String> = None;
     let mut restore: Option<String> = None;
@@ -154,11 +140,6 @@ fn run() -> Result<(), CliError> {
                     .ok_or_else(|| CliError::Usage("--diverge needs two checkpoints".into()))?;
                 diverge = Some((a, b));
             }
-            "--overhead-guard" => {
-                guard = Some(args.next().ok_or_else(|| {
-                    CliError::Usage("--overhead-guard needs a baseline file operand".into())
-                })?);
-            }
             "--help" | "-h" => {
                 println!("{}", usage());
                 return Ok(());
@@ -168,6 +149,12 @@ fn run() -> Result<(), CliError> {
             }
             other => positional.push(other.to_string()),
         }
+    }
+    if checkpoint_out.is_some() && checkpoint_at.is_none() {
+        return Err(CliError::Usage(
+            "--checkpoint-out names where --checkpoint-at writes; pass it with --checkpoint-at"
+                .into(),
+        ));
     }
     if positional.len() > 2 {
         return Err(CliError::Usage(format!(
@@ -198,9 +185,6 @@ fn run() -> Result<(), CliError> {
         None => PrefetcherKind::Snake,
     };
 
-    if let Some(path) = guard {
-        return overhead_guard(&path, bench, kind);
-    }
     if let Some((a, b)) = diverge {
         return diverge_report(&a, &b, bench, kind);
     }
@@ -296,24 +280,10 @@ fn run() -> Result<(), CliError> {
     }
     if profile {
         match &out.host {
-            Some(host) => {
-                print!(
-                    "{}",
-                    perfstat::profile_table(
-                        &format!("{}/{}", bench.abbr(), kind.name()),
-                        std::slice::from_ref(host)
-                    )
-                );
-                println!(
-                    "quiet: {} of {} cycles skipped ({:.1}%), {} of {} SM ticks replayed ({:.1}%)",
-                    host.skipped_cycles,
-                    host.cycles,
-                    100.0 * host.skipped_share(),
-                    host.replayed_ticks,
-                    host.sm_ticks,
-                    100.0 * host.replayed_share()
-                );
-            }
+            Some(host) => print!(
+                "{}",
+                report::profile_table(&format!("{}/{}", bench.abbr(), kind.name()), host)
+            ),
             None => eprintln!("no host profile collected"),
         }
     }
@@ -415,63 +385,4 @@ fn diverge_report(
          both sit on the golden trajectory"
     );
     Ok(())
-}
-
-/// Times the no-sink path and compares against (or records) the
-/// wall-clock baseline in `path`.
-///
-/// The baseline file holds a single integer: the median-of-N run time
-/// in nanoseconds, recorded on this machine by a previous invocation
-/// (a single-sample, zero-variance baseline in the perf observatory's
-/// terms). A missing file records the current measurement and
-/// succeeds, so CI can bootstrap the baseline on first run. The
-/// verdict comes from `perfstat::compare::is_regression`: the delta
-/// must clear the [`GUARD_TOLERANCE`] relative bar *and* the measured
-/// spread of the current repetitions.
-fn overhead_guard(path: &str, bench: Benchmark, kind: PrefetcherKind) -> Result<(), CliError> {
-    let h = Harness::standard();
-    let kernel = bench.build(&h.size);
-    let warps = h.cfg.max_warps_per_sm;
-    let mut samples: Vec<u64> = Vec::with_capacity(GUARD_REPS as usize);
-    for _ in 0..GUARD_REPS {
-        let mut gpu = Gpu::new(h.cfg.clone(), kernel.clone(), |_| kind.build(warps))?;
-        let start = Instant::now();
-        let out = gpu.run();
-        let elapsed = start.elapsed().as_nanos() as u64;
-        assert!(out.stats.cycles > 0, "guard run did no work");
-        samples.push(elapsed);
-    }
-    let (cur_med, cur_iqr) = compare::median_iqr(&samples);
-    match std::fs::read_to_string(path) {
-        Ok(raw) => {
-            let baseline_ns: u64 = raw.trim().parse().map_err(|_| CliError::BadArg {
-                what: "baseline",
-                why: format!("{path}: not a nanosecond count: {:?}", raw.trim()),
-            })?;
-            let ratio = cur_med / baseline_ns.max(1) as f64;
-            println!(
-                "overhead-guard: median {cur_med:.0} ns (IQR {cur_iqr:.0}) \
-                 vs baseline {baseline_ns} ns (x{ratio:.4})"
-            );
-            let cfg = CompareConfig {
-                rel_threshold: GUARD_TOLERANCE - 1.0,
-                ..CompareConfig::default()
-            };
-            if compare::is_regression(baseline_ns as f64, 0.0, cur_med, cur_iqr, &cfg) {
-                eprintln!(
-                    "pfdebug: no-sink trace path regressed {:.1}% (limit {:.0}% + noise band)",
-                    (ratio - 1.0) * 100.0,
-                    (GUARD_TOLERANCE - 1.0) * 100.0
-                );
-                std::process::exit(1);
-            }
-            Ok(())
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            std::fs::write(path, format!("{cur_med:.0}\n")).map_err(|e| CliError::io(path, e))?;
-            println!("overhead-guard: recorded baseline {cur_med:.0} ns in {path}");
-            Ok(())
-        }
-        Err(e) => Err(CliError::io(path, e)),
-    }
 }

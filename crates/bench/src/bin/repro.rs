@@ -21,11 +21,12 @@ use std::time::Duration;
 use snake_bench::cli::{self, CliError};
 use snake_bench::figures;
 use snake_bench::jsonl_log::LogError;
-use snake_bench::perfstat::{self, CompareConfig, PerfReport};
-use snake_bench::supervise::{self, SweepConfig, SweepError};
+use snake_bench::report;
+use snake_bench::runner::{ExecContext, JobRun};
+use snake_bench::supervise::{self, JobExecutor, JobSpec, SweepConfig, SweepError};
 use snake_bench::Harness;
 use snake_core::PrefetcherKind;
-use snake_sim::{Brownout, Cycle, FaultPlan, Gpu, Recovery};
+use snake_sim::{Brownout, Cycle, FaultPlan, Gpu, Recovery, StopReason};
 use snake_workloads::Benchmark;
 
 /// Window width (cycles) for the `--metrics-csv` time series.
@@ -33,8 +34,7 @@ const METRICS_WINDOW: u64 = 500;
 
 fn usage() -> String {
     format!(
-        "usage: repro [--quick] [--markdown] [--out FILE] [--metrics-csv FILE] (--list | --all | <experiment>...)\n       repro --sweep [SWEEP FLAGS]   supervised sweep over (benchmark, mechanism) jobs\n       repro --resume FILE           finish an interrupted sweep from its manifest\n       repro --perf [PERF FLAGS]     host-side perf measurement (BENCH_<label>.json)\n       repro --profile [PERF FLAGS]  one profiled pass, per-phase wall-time tables\n  --metrics-csv FILE  run lps under snake with windowed metrics and write the time series\nsweep flags:\n  --manifest FILE     checkpoint each finished job into FILE (must not pre-exist)\n  --benchmarks A,B    job benchmarks (abbr; default: all)\n  --mechanisms X,Y    job mechanisms (default: all)\n  --budget N          per-job cycle budget (jobs stop with budget_exceeded)\n  --retries N         attempts per job before quarantine (default 3)\n  --deadline-ms N     wall-clock budget for the whole sweep\n  --stop-after N      stop claiming jobs after N started (deterministic interrupt; exit 4)\n  --suspend-after N   checkpoint and requeue any job reaching cycle N (exit 4; resume restores)\n  --chaos             inject the canned fault plan (drops/delays/brownouts + recovery)\n  --progress          repaint a live progress line on stderr (done/total, retries, quarantines, elapsed)\nisolation flags (sweep and perf):\n  --isolate           run each job in a sandboxed worker subprocess; crashes\n                      (abort/signal/OOM/timeout) quarantine with a typed kind\n                      instead of killing the sweep\n  --isolate-mem MB    child address-space rlimit in MiB (requires --isolate)\n  --isolate-cpu SECS  child CPU-time rlimit in seconds (requires --isolate)\nperf flags (--benchmarks/--mechanisms/--budget also apply):\n  --label NAME        report label; output defaults to BENCH_<label>.json (default: local)\n  --runs N            repetitions per job (default 5; median +/- IQR)\n  --perf-out FILE     write the report here instead of BENCH_<label>.json\n  --compare FILE      gate against a baseline BENCH_*.json; exit {} on regression\n  --rel-threshold X   relative slowdown bar for the gate (default 0.10)\n  --perf-inject-ns N  burn N host ns per mem-partition tick (gate self-test hook)\nexperiments: {}",
-        perfstat::EXIT_PERF_REGRESSION,
+        "usage: repro [--quick] [--markdown] [--out FILE] [--metrics-csv FILE] (--list | --all | <experiment>...)\n       repro --sweep [SWEEP FLAGS]   supervised sweep over (benchmark, mechanism) jobs\n       repro --resume FILE           finish an interrupted sweep from its manifest\n       repro --profile [JOB FLAGS]   one profiled run per job, per-phase wall-time tables\n  --metrics-csv FILE  run lps under snake with windowed metrics and write the time series\nsweep flags:\n  --manifest FILE     checkpoint each finished job into FILE (must not pre-exist)\n  --benchmarks A,B    job benchmarks (abbr; default: all)\n  --mechanisms X,Y    job mechanisms (default: all)\n  --budget N          per-job cycle budget (jobs stop with budget_exceeded)\n  --retries N         attempts per job before quarantine (default 3)\n  --deadline-ms N     wall-clock budget for the whole sweep\n  --stop-after N      stop claiming jobs after N started (deterministic interrupt; exit 4)\n  --suspend-after N   checkpoint and requeue any job reaching cycle N (exit 4; resume restores)\n  --chaos             inject the canned fault plan (drops/delays/brownouts + recovery)\n  --progress          repaint a live progress line on stderr (done/total, retries, quarantines, elapsed)\nisolation flags (sweep and profile):\n  --isolate           run each job in a sandboxed worker subprocess; crashes\n                      (abort/signal/OOM/timeout) quarantine with a typed kind\n                      instead of killing the sweep\n  --isolate-mem MB    child address-space rlimit in MiB (requires --isolate)\n  --isolate-cpu SECS  child CPU-time rlimit in seconds (requires --isolate)\nprofile flags: --benchmarks, --mechanisms (default baseline,snake) and --budget as above\nexperiments: {}",
         figures::EXPERIMENTS
             .iter()
             .map(|e| e.id)
@@ -79,14 +79,7 @@ fn run() -> Result<i32, CliError> {
     let mut isolate_cpu: Option<u64> = None;
     let mut benches: Option<Vec<Benchmark>> = None;
     let mut kinds: Option<Vec<PrefetcherKind>> = None;
-    let mut perf = false;
     let mut profile = false;
-    let mut label: Option<String> = None;
-    let mut runs: Option<u32> = None;
-    let mut perf_out: Option<String> = None;
-    let mut compare_file: Option<String> = None;
-    let mut rel_threshold: Option<f64> = None;
-    let mut inject_ns: Option<u64> = None;
     let mut wanted: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -105,45 +98,7 @@ fn run() -> Result<i32, CliError> {
             "--isolate-cpu" => {
                 isolate_cpu = Some(parse_num(&mut args, "isolate-cpu", "a second count")?);
             }
-            "--perf" => perf = true,
             "--profile" => profile = true,
-            "--label" => {
-                label = Some(
-                    args.next()
-                        .ok_or_else(|| CliError::Usage("--label needs a name operand".into()))?,
-                );
-            }
-            "--runs" => runs = Some(parse_num(&mut args, "runs", "a repetition count")?),
-            "--perf-out" => {
-                perf_out =
-                    Some(args.next().ok_or_else(|| {
-                        CliError::Usage("--perf-out needs a file operand".into())
-                    })?);
-            }
-            "--compare" => {
-                compare_file = Some(args.next().ok_or_else(|| {
-                    CliError::Usage("--compare needs a baseline file operand".into())
-                })?);
-            }
-            "--rel-threshold" => {
-                // NaN or infinity would make every gate comparison
-                // false, and a negative bar flags any delta.
-                let x: f64 = parse_num(&mut args, "rel-threshold", "a fraction")?;
-                if !(x.is_finite() && x >= 0.0) {
-                    return Err(CliError::BadArg {
-                        what: "rel-threshold",
-                        why: format!("not a finite, non-negative fraction: {x}"),
-                    });
-                }
-                rel_threshold = Some(x);
-            }
-            "--perf-inject-ns" => {
-                inject_ns = Some(parse_num(
-                    &mut args,
-                    "perf-inject-ns",
-                    "a nanosecond count",
-                )?);
-            }
             "--out" => {
                 out_file = Some(
                     args.next()
@@ -212,9 +167,10 @@ fn run() -> Result<i32, CliError> {
             "--isolate-mem/--isolate-cpu configure the sandbox; pass them with --isolate".into(),
         ));
     }
-    if isolate && !(sweep || resume.is_some() || perf || profile) {
+    if isolate && !(sweep || resume.is_some() || profile) {
         return Err(CliError::Usage(
-            "--isolate is a sweep/perf flag; pass it with --sweep, --resume, or --perf".into(),
+            "--isolate is a sweep/profile flag; pass it with --sweep, --resume, or --profile"
+                .into(),
         ));
     }
     let executor = || {
@@ -228,32 +184,29 @@ fn run() -> Result<i32, CliError> {
             supervise::JobExecutor::in_thread()
         })
     };
-    if perf || profile {
+    if profile {
         if sweep || resume.is_some() {
             return Err(CliError::Usage(
-                "--perf/--profile and --sweep/--resume are separate modes; pass only one".into(),
+                "--profile and --sweep/--resume are separate modes; pass only one".into(),
             ));
         }
         if !wanted.is_empty() || all {
             return Err(CliError::Usage(
-                "--perf/--profile runs jobs, not experiment ids; drop the extra operands".into(),
+                "--profile runs jobs, not experiment ids; drop the extra operands".into(),
             ));
         }
-        let opts = PerfOpts {
-            quick,
-            profile_only: profile && !perf,
-            label: label.unwrap_or_else(|| "local".into()),
-            runs: runs.unwrap_or(5).max(1),
-            perf_out,
-            compare_file,
-            rel_threshold,
-            inject_ns,
-            budget,
-            benches,
-            kinds,
-            executor: executor(),
+        let mut h = if quick {
+            Harness::quick()
+        } else {
+            Harness::standard()
         };
-        return run_perf(opts);
+        h.cfg.cycle_budget = budget.map(Cycle);
+        h.cfg.host_profile = true;
+        let benches = benches.unwrap_or_else(|| Benchmark::all().to_vec());
+        // Default to the two mechanisms the paper's story pivots on; a
+        // full-registry profile is `--mechanisms` away.
+        let kinds = kinds.unwrap_or_else(|| vec![PrefetcherKind::Baseline, PrefetcherKind::Snake]);
+        return run_profile(&h, &supervise::campaign(&benches, &kinds), &executor());
     }
     if sweep || resume.is_some() {
         if manifest.is_some() && resume.is_some() {
@@ -501,91 +454,38 @@ fn run_sweep(opts: SweepOpts) -> Result<i32, CliError> {
     Ok(result.exit_code())
 }
 
-/// Options for the perf-observatory path (`--perf` / `--profile`).
-struct PerfOpts {
-    quick: bool,
-    /// `--profile` without `--perf`: one pass, tables only, no
-    /// report file and no gate.
-    profile_only: bool,
-    label: String,
-    runs: u32,
-    perf_out: Option<String>,
-    compare_file: Option<String>,
-    rel_threshold: Option<f64>,
-    inject_ns: Option<u64>,
-    budget: Option<u64>,
-    benches: Option<Vec<Benchmark>>,
-    kinds: Option<Vec<PrefetcherKind>>,
-    executor: std::sync::Arc<supervise::JobExecutor>,
-}
-
-fn run_perf(opts: PerfOpts) -> Result<i32, CliError> {
-    let mut h = if opts.quick {
-        Harness::quick()
-    } else {
-        Harness::standard()
-    };
-    h.cfg.cycle_budget = opts.budget.map(Cycle);
-    if let Some(ns) = opts.inject_ns {
-        h.cfg.perf_inject_stall_ns = ns;
+/// `--profile`: one profiled run per job, one job after another on this
+/// thread (parallel jobs would time the scheduler, not the simulator),
+/// each printed as its per-phase table. Each run calls the executor
+/// directly: a profile wants one run, not retries. A sandbox executor
+/// gives each run a fresh address space.
+///
+/// Fails at the first job that does not finish (an executor error, a
+/// suspension, a cancellation or a deadlock), naming it.
+fn run_profile(h: &Harness, jobs: &[JobSpec], executor: &JobExecutor) -> Result<i32, CliError> {
+    h.validate()?;
+    for job in jobs {
+        let why = match executor.run(h, job, &ExecContext::default(), &mut |_, _| {}) {
+            Ok(JobRun::Finished(out)) => match out.stop {
+                StopReason::Deadlock(report) => format!("deadlock: {report}"),
+                _ => {
+                    let host = out
+                        .host
+                        .expect("a profiled run that finished has a profile");
+                    print!("{}", report::profile_table(&job.id(), &host));
+                    continue;
+                }
+            },
+            Ok(JobRun::Suspended { cycle, .. }) => format!("suspended at cycle {cycle}"),
+            Ok(JobRun::Cancelled) => "cancelled".into(),
+            Err(e) => e.to_string(),
+        };
+        return Err(CliError::BadArg {
+            what: "profile",
+            why: format!("{} did not finish ({why})", job.id()),
+        });
     }
-    let benches = opts.benches.unwrap_or_else(|| Benchmark::all().to_vec());
-    // Default to the two mechanisms the paper's story pivots on; a
-    // full-registry perf pass is `--mechanisms` away.
-    let kinds = opts
-        .kinds
-        .unwrap_or_else(|| vec![PrefetcherKind::Baseline, PrefetcherKind::Snake]);
-    let jobs = supervise::campaign(&benches, &kinds);
-    let runs = if opts.profile_only { 1 } else { opts.runs };
-    let report = perfstat::collect(&h, &jobs, runs, &opts.label, opts.executor).map_err(|e| {
-        CliError::BadArg {
-            what: "perf collection",
-            why: e.to_string(),
-        }
-    })?;
-
-    if opts.profile_only {
-        for job in &report.jobs {
-            print!("{}", perfstat::profile_table(&job.job, &job.samples));
-        }
-        return Ok(0);
-    }
-
-    let out_path = opts
-        .perf_out
-        .unwrap_or_else(|| format!("BENCH_{}.json", report.label));
-    report
-        .write_to(Path::new(&out_path))
-        .map_err(|e| CliError::io(&out_path, e))?;
-    eprintln!(
-        "repro: wrote {out_path} ({} job(s) x {} run(s))",
-        report.jobs.len(),
-        report.runs
-    );
-
-    let Some(baseline_path) = opts.compare_file else {
-        return Ok(0);
-    };
-    let baseline = PerfReport::load(Path::new(&baseline_path)).map_err(|why| CliError::BadArg {
-        what: "baseline",
-        why,
-    })?;
-    let cfg = CompareConfig {
-        rel_threshold: opts.rel_threshold.unwrap_or(0.10),
-        ..CompareConfig::default()
-    };
-    let result = perfstat::compare::compare(&baseline, &report, &cfg);
-    print!("{}", result.table());
-    if result.passed() {
-        eprintln!("repro: perf gate passed against {baseline_path}");
-        Ok(0)
-    } else {
-        eprintln!(
-            "repro: perf gate FAILED against {baseline_path}: {} metric(s) regressed",
-            result.regressions().count()
-        );
-        Ok(perfstat::EXIT_PERF_REGRESSION)
-    }
+    Ok(0)
 }
 
 fn sweep_error_to_cli(e: SweepError) -> CliError {

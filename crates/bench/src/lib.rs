@@ -22,7 +22,6 @@
 pub mod cli;
 pub mod figures;
 pub mod jsonl_log;
-pub mod perfstat;
 pub mod report;
 pub mod runner;
 pub mod serve;

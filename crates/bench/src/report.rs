@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use snake_sim::{HostProfile, Phase};
+
 /// A rendered experiment: title, column headers, and rows of cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -104,6 +106,64 @@ impl fmt::Display for Table {
     }
 }
 
+/// Renders one run's per-phase host wall time as a printable table
+/// (`repro --profile` / `pfdebug --profile`), with the run loop's
+/// unattributed time as a last row and the device-quiet shares as a
+/// note.
+pub fn profile_table(job: &str, host: &HostProfile) -> Table {
+    let mut t = Table::new(
+        format!("Host profile — {job}"),
+        vec![
+            "phase".into(),
+            "ms".into(),
+            "calls".into(),
+            "ns/call".into(),
+            "% wall".into(),
+        ],
+    );
+    let share = |nanos: u64| {
+        if host.wall_nanos > 0 {
+            100.0 * nanos as f64 / host.wall_nanos as f64
+        } else {
+            0.0
+        }
+    };
+    for phase in Phase::ALL {
+        let stat = host.get(phase);
+        t.push_row(vec![
+            phase.label().into(),
+            format!("{:.3}", stat.nanos as f64 / 1e6),
+            stat.calls.to_string(),
+            format!("{:.0}", stat.nanos_per_call()),
+            format!("{:.1}", share(stat.nanos)),
+        ]);
+    }
+    let unaccounted = host.unaccounted_nanos();
+    t.push_row(vec![
+        "(unaccounted)".into(),
+        format!("{:.3}", unaccounted as f64 / 1e6),
+        "-".into(),
+        "-".into(),
+        format!("{:.1}", share(unaccounted)),
+    ]);
+    t.note(format!(
+        "wall {:.3} ms, {:.0} cycles/s, {:.0} trace events/s",
+        host.wall_nanos as f64 / 1e6,
+        host.cycles_per_sec(),
+        host.events_per_sec()
+    ));
+    t.note(format!(
+        "quiet: {} of {} cycles skipped ({:.1}%), {} of {} SM ticks replayed ({:.1}%)",
+        host.skipped_cycles,
+        host.cycles,
+        100.0 * host.skipped_share(),
+        host.replayed_ticks,
+        host.sm_ticks,
+        100.0 * host.replayed_share()
+    ));
+    t
+}
+
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
@@ -148,6 +208,38 @@ mod tests {
     fn mismatched_row_rejected() {
         let mut t = Table::new("t", vec!["a".into()]);
         t.push_row(vec!["x".into(), "y".into()]);
+    }
+
+    #[test]
+    fn profile_table_lists_every_phase() {
+        let mut host = HostProfile::from_parts(
+            1_000_000,
+            5_000,
+            42,
+            Phase::ALL.iter().enumerate().map(|(i, &p)| {
+                let i = i as u64 + 1;
+                (
+                    p,
+                    snake_sim::PhaseStat {
+                        nanos: i * 1_000,
+                        calls: i * 10,
+                    },
+                )
+            }),
+        );
+        (host.skipped_cycles, host.replayed_ticks, host.sm_ticks) = (2_000, 3_000, 10_000);
+        let rendered = profile_table("LPS/snake", &host).to_string();
+        for phase in Phase::ALL {
+            assert!(rendered.contains(phase.label()), "missing {phase}");
+        }
+        assert!(rendered.contains("(unaccounted)"));
+        assert!(
+            rendered.contains(
+                "quiet: 2000 of 5000 cycles skipped (40.0%), \
+                 3000 of 10000 SM ticks replayed (30.0%)"
+            ),
+            "{rendered}"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct RunOutput {
     /// Why the simulation stopped.
     pub stop: StopReason,
     /// Host-side per-phase timing, present when the harness config set
-    /// [`GpuConfig::host_profile`] (the perf observatory's input).
+    /// [`GpuConfig::host_profile`] (what `repro --profile` prints).
     pub host: Option<HostProfile>,
 }
 

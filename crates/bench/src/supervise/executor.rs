@@ -38,8 +38,8 @@ use snake_core::json::{self, Value};
 use snake_core::MechanismReport;
 use snake_sim::snapshot::Checkpoint;
 use snake_sim::{
-    Brownout, CacheGeometry, EnergyModel, FaultPlan, GpuConfig, MetricsSample, Recovery,
-    SchedulerPolicy, SimError, StopReason, TelemetryRecord, TelemetryRing,
+    Brownout, CacheGeometry, EnergyModel, FaultPlan, GpuConfig, HostProfile, MetricsSample, Phase,
+    PhaseStat, Recovery, SchedulerPolicy, SimError, StopReason, TelemetryRecord, TelemetryRing,
 };
 use snake_workloads::WorkloadSize;
 
@@ -747,7 +747,6 @@ pub fn harness_to_json(h: &Harness) -> Value {
         ("bw_window", Value::u64(c.bw_window.into())),
         ("fault", fault_to_json(&c.fault)),
         ("host_profile", Value::Bool(c.host_profile)),
-        ("perf_inject_stall_ns", Value::u64(c.perf_inject_stall_ns)),
     ];
     opt_u64(&mut cfg, "max_cycles", c.max_cycles.map(|n| n.0));
     opt_u64(&mut cfg, "cycle_budget", c.cycle_budget.map(|n| n.0));
@@ -826,7 +825,6 @@ pub fn harness_from_json(v: &Value) -> Result<Harness, String> {
         metrics_window: json::if_present(c, "metrics_window", json::u64_field)?,
         checkpoint_every: json::if_present(c, "checkpoint_every", json::u64_field)?,
         host_profile: json::bool_field(c, "host_profile")?,
-        perf_inject_stall_ns: json::u64_field(c, "perf_inject_stall_ns")?,
     };
     let s = json::field(v, "size")?;
     let size = WorkloadSize {
@@ -983,7 +981,7 @@ impl ChildLine {
                 }
                 fields.push(("report", out.report.to_json()));
                 if let Some(host) = &out.host {
-                    fields.push(("host", crate::perfstat::profile_to_json(host)));
+                    fields.push(("host", profile_to_json(host)));
                 }
                 obj(fields)
             }
@@ -1003,6 +1001,56 @@ impl ChildLine {
             ]),
         }
     }
+}
+
+/// A host profile as the `finished` line carries it: every counter
+/// and every phase, so a sandboxed run reports what an in-thread one
+/// does.
+fn profile_to_json(p: &HostProfile) -> Value {
+    let phases = p
+        .iter()
+        .map(|(phase, stat)| {
+            obj(vec![
+                ("phase", Value::str(phase.label())),
+                ("nanos", Value::u64(stat.nanos)),
+                ("calls", Value::u64(stat.calls)),
+            ])
+        })
+        .collect();
+    obj(vec![
+        ("wall_nanos", Value::u64(p.wall_nanos)),
+        ("cycles", Value::u64(p.cycles)),
+        ("trace_events", Value::u64(p.trace_events)),
+        ("skipped_cycles", Value::u64(p.skipped_cycles)),
+        ("replayed_ticks", Value::u64(p.replayed_ticks)),
+        ("sm_ticks", Value::u64(p.sm_ticks)),
+        ("phases", Value::Arr(phases)),
+    ])
+}
+
+fn profile_from_json(v: &Value) -> Result<HostProfile, String> {
+    let mut phases = Vec::new();
+    for entry in json::arr_field(v, "phases")? {
+        let label = json::str_field(entry, "phase")?;
+        let phase = Phase::from_label(label).ok_or_else(|| format!("unknown phase {label:?}"))?;
+        phases.push((
+            phase,
+            PhaseStat {
+                nanos: json::u64_field(entry, "nanos")?,
+                calls: json::u64_field(entry, "calls")?,
+            },
+        ));
+    }
+    let mut p = HostProfile::from_parts(
+        json::u64_field(v, "wall_nanos")?,
+        json::u64_field(v, "cycles")?,
+        json::u64_field(v, "trace_events")?,
+        phases,
+    );
+    p.skipped_cycles = json::u64_field(v, "skipped_cycles")?;
+    p.replayed_ticks = json::u64_field(v, "replayed_ticks")?;
+    p.sm_ticks = json::u64_field(v, "sm_ticks")?;
+    Ok(p)
 }
 
 fn stop_from_json(v: &Value) -> Result<StopReason, String> {
@@ -1035,10 +1083,9 @@ pub fn parse_child_line(line: &str) -> Result<ChildLine, String> {
             let report = MechanismReport::from_json(json::field(&v, "report")?)?;
             let host = match v.get("host") {
                 None => None,
-                Some(h) => Some(
-                    crate::perfstat::profile_from_json(h)
-                        .map_err(|e| format!("bad host profile: {e}"))?,
-                ),
+                Some(h) => {
+                    Some(profile_from_json(h).map_err(|e| format!("bad host profile: {e}"))?)
+                }
             };
             Ok(ChildLine::Finished {
                 output: Box::new(RunOutput {
@@ -1371,6 +1418,34 @@ mod tests {
     }
 
     #[test]
+    fn host_profile_round_trips_bit_exact() {
+        let mut host = HostProfile::from_parts(
+            1_000_000,
+            9134,
+            42,
+            Phase::ALL.iter().enumerate().map(|(i, &p)| {
+                let i = i as u64 + 1;
+                (
+                    p,
+                    PhaseStat {
+                        nanos: i * 1_000,
+                        calls: i * 10,
+                    },
+                )
+            }),
+        );
+        // The quiet counters travel too: a sandboxed profile reports
+        // the skipped cycles and replayed ticks an in-thread one does.
+        (host.skipped_cycles, host.replayed_ticks, host.sm_ticks) = (3783, 5448, 9134);
+        let text = profile_to_json(&host).to_string();
+        let back = profile_from_json(&json::parse(&text).expect("parses")).expect("decodes");
+        assert_eq!(back, host);
+        assert_eq!(profile_to_json(&back).to_string(), text, "bytes are stable");
+        let err = profile_from_json(&json::parse(r#"{"phases":[]}"#).unwrap()).unwrap_err();
+        assert!(err.contains("wall_nanos"), "{err}");
+    }
+
+    #[test]
     fn worker_spec_bytes_are_pinned() {
         let mut h = Harness::quick();
         h.cfg.cycle_budget = Some(snake_sim::Cycle(6000));
@@ -1398,12 +1473,12 @@ mod tests {
         );
         assert_eq!(
             line.to_string(),
-            r#"{"v":1,"job":"LPS/snake","harness":{"cfg":{"num_sms":1,"core_clock_mhz":1530,"schedulers_per_sm":2,"scheduler":"greedy_then_oldest","max_warps_per_sm":16,"warp_width":32,"max_outstanding_loads":4,"l1":{"capacity_bytes":16384,"line_bytes":128,"ways":32},"shared_mem_carveout_bytes":0,"l1_hit_latency":28,"mshr_entries":128,"mshr_merge":8,"miss_queue_depth":2,"l2":{"capacity_bytes":262144,"line_bytes":128,"ways":16},"l2_banks":8,"l2_hit_latency":120,"dram_latency":220,"dram_bytes_per_cycle":64,"noc_bytes_per_cycle":40,"noc_latency":20,"bw_window":256,"fault":{"seed":0,"drop_response":0.0,"duplicate_response":0.0,"delay_response":0.0,"delay_cycles":0,"brownout":{"period":2000,"active":250,"scale":0.5},"recovery":{"timeout":500,"max_retries":4}},"host_profile":false,"perf_inject_stall_ns":0,"max_cycles":20000000,"cycle_budget":6000,"watchdog_cycles":10000,"metrics_window":500},"size":{"warps_per_cta":4,"ctas":2,"iters":48,"seed":12648430},"energy":{"instr_pj":60.0,"l1_access_pj":150.0,"l2_access_pj":800.0,"dram_access_pj":4000.0,"noc_byte_pj":4.0,"prefetcher_access_pj":6.4,"static_w_per_sm":3.0,"prefetcher_static_w":0.006}},"stream":true,"resume":"sweep.LPS-snake.ckpt","checkpoint":"next.ckpt","suspend_after":300}"#
+            r#"{"v":1,"job":"LPS/snake","harness":{"cfg":{"num_sms":1,"core_clock_mhz":1530,"schedulers_per_sm":2,"scheduler":"greedy_then_oldest","max_warps_per_sm":16,"warp_width":32,"max_outstanding_loads":4,"l1":{"capacity_bytes":16384,"line_bytes":128,"ways":32},"shared_mem_carveout_bytes":0,"l1_hit_latency":28,"mshr_entries":128,"mshr_merge":8,"miss_queue_depth":2,"l2":{"capacity_bytes":262144,"line_bytes":128,"ways":16},"l2_banks":8,"l2_hit_latency":120,"dram_latency":220,"dram_bytes_per_cycle":64,"noc_bytes_per_cycle":40,"noc_latency":20,"bw_window":256,"fault":{"seed":0,"drop_response":0.0,"duplicate_response":0.0,"delay_response":0.0,"delay_cycles":0,"brownout":{"period":2000,"active":250,"scale":0.5},"recovery":{"timeout":500,"max_retries":4}},"host_profile":false,"max_cycles":20000000,"cycle_budget":6000,"watchdog_cycles":10000,"metrics_window":500},"size":{"warps_per_cta":4,"ctas":2,"iters":48,"seed":12648430},"energy":{"instr_pj":60.0,"l1_access_pj":150.0,"l2_access_pj":800.0,"dram_access_pj":4000.0,"noc_byte_pj":4.0,"prefetcher_access_pj":6.4,"static_w_per_sm":3.0,"prefetcher_static_w":0.006}},"stream":true,"resume":"sweep.LPS-snake.ckpt","checkpoint":"next.ckpt","suspend_after":300}"#
         );
         let bare = worker_spec_json(&Harness::quick(), &job, None, None, None, false);
         assert_eq!(
             bare.to_string(),
-            r#"{"v":1,"job":"LPS/snake","harness":{"cfg":{"num_sms":1,"core_clock_mhz":1530,"schedulers_per_sm":2,"scheduler":"greedy_then_oldest","max_warps_per_sm":16,"warp_width":32,"max_outstanding_loads":4,"l1":{"capacity_bytes":16384,"line_bytes":128,"ways":32},"shared_mem_carveout_bytes":0,"l1_hit_latency":28,"mshr_entries":128,"mshr_merge":8,"miss_queue_depth":2,"l2":{"capacity_bytes":262144,"line_bytes":128,"ways":16},"l2_banks":8,"l2_hit_latency":120,"dram_latency":220,"dram_bytes_per_cycle":64,"noc_bytes_per_cycle":40,"noc_latency":20,"bw_window":256,"fault":{"seed":0,"drop_response":0.0,"duplicate_response":0.0,"delay_response":0.0,"delay_cycles":0},"host_profile":false,"perf_inject_stall_ns":0,"max_cycles":20000000,"watchdog_cycles":10000},"size":{"warps_per_cta":4,"ctas":2,"iters":48,"seed":12648430},"energy":{"instr_pj":60.0,"l1_access_pj":150.0,"l2_access_pj":800.0,"dram_access_pj":4000.0,"noc_byte_pj":4.0,"prefetcher_access_pj":6.4,"static_w_per_sm":3.0,"prefetcher_static_w":0.006}},"stream":false}"#
+            r#"{"v":1,"job":"LPS/snake","harness":{"cfg":{"num_sms":1,"core_clock_mhz":1530,"schedulers_per_sm":2,"scheduler":"greedy_then_oldest","max_warps_per_sm":16,"warp_width":32,"max_outstanding_loads":4,"l1":{"capacity_bytes":16384,"line_bytes":128,"ways":32},"shared_mem_carveout_bytes":0,"l1_hit_latency":28,"mshr_entries":128,"mshr_merge":8,"miss_queue_depth":2,"l2":{"capacity_bytes":262144,"line_bytes":128,"ways":16},"l2_banks":8,"l2_hit_latency":120,"dram_latency":220,"dram_bytes_per_cycle":64,"noc_bytes_per_cycle":40,"noc_latency":20,"bw_window":256,"fault":{"seed":0,"drop_response":0.0,"duplicate_response":0.0,"delay_response":0.0,"delay_cycles":0},"host_profile":false,"max_cycles":20000000,"watchdog_cycles":10000},"size":{"warps_per_cta":4,"ctas":2,"iters":48,"seed":12648430},"energy":{"instr_pj":60.0,"l1_access_pj":150.0,"l2_access_pj":800.0,"dram_access_pj":4000.0,"noc_byte_pj":4.0,"prefetcher_access_pj":6.4,"static_w_per_sm":3.0,"prefetcher_static_w":0.006}},"stream":false}"#
         );
     }
 
@@ -1435,19 +1510,20 @@ mod tests {
             cycles: 4000,
             ..MechanismReport::default()
         };
-        let host = snake_sim::HostProfile::from_parts(
+        let mut host = HostProfile::from_parts(
             9000,
             4000,
             12,
             [(
-                snake_sim::Phase::L1Lookup,
-                snake_sim::PhaseStat {
+                Phase::L1Lookup,
+                PhaseStat {
                     nanos: 700,
                     calls: 40,
                 },
             )],
         );
-        let finished = |stop: StopReason, host: Option<snake_sim::HostProfile>| RunOutput {
+        (host.skipped_cycles, host.replayed_ticks, host.sm_ticks) = (1500, 2500, 8000);
+        let finished = |stop: StopReason, host: Option<HostProfile>| RunOutput {
             report: report.clone(),
             stop,
             host,
@@ -1480,7 +1556,7 @@ mod tests {
                     )),
                 }
                 .to_json(),
-                r#"{"t":"finished","stop":"budget_exceeded","budget":4000,"report":{"mechanism":"snake","app":"LPS","ipc":1.5,"coverage":0.0,"accuracy":0.0,"precision":0.0,"l1_hit_rate":0.0,"reservation_fail_rate":0.0,"noc_utilization":0.0,"memory_stall_fraction":0.0,"energy_j":0.0,"cycles":4000,"timeliness_p50":0,"timeliness_p90":0,"evicted_unused":0,"stall_issued":0.0,"stall_no_warp":0.0,"stall_barrier":0.0,"stall_scoreboard":0.0,"stall_mem_data":0.0,"stall_mem_mshr":0.0,"stall_mem_missq":0.0,"stall_mem_noc":0.0},"host":{"wall_nanos":9000,"cycles":4000,"trace_events":12,"phases":[{"phase":"sm_issue","nanos":0,"calls":0},{"phase":"l1_lookup","nanos":700,"calls":40},{"phase":"mshr","nanos":0,"calls":0},{"phase":"prefetch","nanos":0,"calls":0},{"phase":"noc","nanos":0,"calls":0},{"phase":"mem_partition","nanos":0,"calls":0},{"phase":"observability","nanos":0,"calls":0}]}}"#,
+                r#"{"t":"finished","stop":"budget_exceeded","budget":4000,"report":{"mechanism":"snake","app":"LPS","ipc":1.5,"coverage":0.0,"accuracy":0.0,"precision":0.0,"l1_hit_rate":0.0,"reservation_fail_rate":0.0,"noc_utilization":0.0,"memory_stall_fraction":0.0,"energy_j":0.0,"cycles":4000,"timeliness_p50":0,"timeliness_p90":0,"evicted_unused":0,"stall_issued":0.0,"stall_no_warp":0.0,"stall_barrier":0.0,"stall_scoreboard":0.0,"stall_mem_data":0.0,"stall_mem_mshr":0.0,"stall_mem_missq":0.0,"stall_mem_noc":0.0},"host":{"wall_nanos":9000,"cycles":4000,"trace_events":12,"skipped_cycles":1500,"replayed_ticks":2500,"sm_ticks":8000,"phases":[{"phase":"sm_issue","nanos":0,"calls":0},{"phase":"l1_lookup","nanos":700,"calls":40},{"phase":"mshr","nanos":0,"calls":0},{"phase":"prefetch","nanos":0,"calls":0},{"phase":"noc","nanos":0,"calls":0},{"phase":"mem_partition","nanos":0,"calls":0},{"phase":"observability","nanos":0,"calls":0}]}}"#,
             ),
             (
                 ChildLine::Suspended {

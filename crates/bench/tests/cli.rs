@@ -87,3 +87,24 @@ fn pfdebug_rejects_a_zero_window() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("window"), "unhelpful error: {stderr}");
 }
+
+/// `--checkpoint-out` only says where `--checkpoint-at` writes: alone
+/// it is a usage error, refused before any simulation, not an option
+/// that silently writes nothing.
+#[test]
+fn pfdebug_rejects_checkpoint_out_without_checkpoint_at() {
+    let out = tmp("orphan.ckpt");
+    let output = Command::new(env!("CARGO_BIN_EXE_pfdebug"))
+        .args(["--budget", "2000", "--checkpoint-out"])
+        .arg(&out)
+        .args(["lps", "snake"])
+        .output()
+        .expect("spawn pfdebug");
+    assert_eq!(output.status.code(), Some(2), "usage error expected");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("--checkpoint-at"),
+        "unhelpful error: {stderr}"
+    );
+    assert!(!out.exists(), "no checkpoint may be written");
+}

@@ -5,7 +5,6 @@
 //! docs (or vice versa) fails here, not in a user's script.
 
 use snake_bench::cli::EXIT_CHECKPOINT_MISMATCH;
-use snake_bench::perfstat::EXIT_PERF_REGRESSION;
 use snake_bench::serve::{EXIT_CANCELLED, EXIT_QUOTA};
 use snake_bench::supervise::{EXIT_INTERRUPTED, EXIT_QUARANTINE};
 
@@ -15,7 +14,6 @@ const README: &str = include_str!("../../../README.md");
 const CODES: &[(i32, &str)] = &[
     (EXIT_QUARANTINE, "quarantined"),
     (EXIT_INTERRUPTED, "interrupted"),
-    (EXIT_PERF_REGRESSION, "regression"),
     (EXIT_CHECKPOINT_MISMATCH, "mismatch"),
     (EXIT_CANCELLED, "cancelled"),
     (EXIT_QUOTA, "quota"),

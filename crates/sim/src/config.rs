@@ -177,13 +177,6 @@ pub struct GpuConfig {
     /// default) keeps every timing site to a single branch — profiling
     /// never changes simulated behavior either way.
     pub host_profile: bool,
-    /// Test hook for the perf-regression gate: busy-wait this many
-    /// nanoseconds of *host* time inside the memory-partition phase on
-    /// every tick. Simulated behavior is untouched; only wall time
-    /// inflates. `0` (the default) disables the stall. Used by
-    /// `repro --perf --perf-inject-ns` to prove the comparator flags a
-    /// real slowdown.
-    pub perf_inject_stall_ns: u64,
 }
 
 impl GpuConfig {
@@ -233,7 +226,6 @@ impl GpuConfig {
             metrics_window: None,
             checkpoint_every: None,
             host_profile: false,
-            perf_inject_stall_ns: 0,
         }
     }
 
@@ -295,7 +287,6 @@ impl GpuConfig {
             metrics_window: None,
             checkpoint_every: None,
             host_profile: false,
-            perf_inject_stall_ns: 0,
         }
     }
 

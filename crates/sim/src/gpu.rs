@@ -903,7 +903,6 @@ impl Gpu {
             let mut cfg = self.cfg.clone();
             cfg.checkpoint_every = None;
             cfg.host_profile = false;
-            cfg.perf_inject_stall_ns = 0;
             let mut hash = snapshot::Fnv1a64::default();
             write!(hash, "{cfg:?}|{:?}", self.kernel).expect("hashing cannot fail");
             for sm in &self.sms {

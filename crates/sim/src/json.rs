@@ -192,7 +192,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 // ---------------------------------------------------------------------------
 // Typed field readers: the one way every document in the workspace is
 // decoded (checkpoint state, sweep manifest, daemon journal and wire
-// lines, the sandbox child protocol, perf reports).
+// lines, the sandbox child protocol).
 // ---------------------------------------------------------------------------
 
 /// A missing or mistyped field found by one of the typed readers below;

@@ -83,9 +83,6 @@ pub struct MemoryPartition {
     /// GPU drains them each cycle. `None` (default) keeps `emit` to a
     /// single extra branch.
     trace: Option<Vec<TraceEvent>>,
-    /// Test hook: busy-wait this many host nanoseconds per tick (see
-    /// [`GpuConfig::perf_inject_stall_ns`]); 0 disables.
-    inject_stall_ns: u64,
     /// Counters.
     pub stats: PartitionStats,
 }
@@ -117,7 +114,6 @@ impl MemoryPartition {
             injector: FaultInjector::new(cfg.fault),
             events: 0,
             trace: None,
-            inject_stall_ns: cfg.perf_inject_stall_ns,
             stats: PartitionStats::default(),
         }
     }
@@ -187,8 +183,6 @@ impl MemoryPartition {
 
     /// Advances the partition by one cycle.
     pub fn tick(&mut self, now: Cycle) {
-        self.inject_stall(1);
-
         // 0. Release fault-delayed responses whose hold expired.
         while let Some((ready, _)) = self.delayed.front() {
             if *ready > now {
@@ -256,20 +250,6 @@ impl MemoryPartition {
         }
     }
 
-    /// Perf-gate test hook: burns `ticks` ticks' worth of
-    /// [`GpuConfig::perf_inject_stall_ns`] without touching any
-    /// simulated state. Busy-waits because OS sleep granularity (~1 ms
-    /// on some platforms) is far too coarse per tick.
-    fn inject_stall(&self, ticks: u64) {
-        let nanos = self.inject_stall_ns.saturating_mul(ticks);
-        if nanos > 0 {
-            let t0 = std::time::Instant::now();
-            while (t0.elapsed().as_nanos() as u64) < nanos {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
     /// The first cycle at or after `now` whose tick does more than
     /// gain DRAM credit: a delayed, DRAM or L2-hit response comes due,
     /// or the credit covers a queued DRAM read. `now` itself while a
@@ -302,7 +282,6 @@ impl MemoryPartition {
     ///
     /// [`next_event`]: MemoryPartition::next_event
     pub(crate) fn skip_quiet(&mut self, ticks: u64) {
-        self.inject_stall(ticks);
         let rate = self.dram_bytes_per_cycle;
         self.dram_credit = self
             .dram_credit

@@ -63,7 +63,7 @@ impl Phase {
         Phase::Observability,
     ];
 
-    /// Stable lower-case label used in `BENCH_*.json` and tables.
+    /// Stable lower-case label used in the worker protocol and tables.
     pub fn label(self) -> &'static str {
         match self {
             Phase::SmIssue => "sm_issue",

@@ -3,8 +3,11 @@
 //! perturbs simulated behavior (no observer effect on architectural
 //! state).
 
+use std::time::{Duration, Instant};
+
 use snake_sim::{
-    run_kernel, CtaId, Gpu, GpuConfig, Instr, KernelTrace, NullPrefetcher, Phase, WarpTrace,
+    run_kernel, AccessEvent, CtaId, Gpu, GpuConfig, Instr, KernelTrace, NullPrefetcher, Phase,
+    PrefetchContext, PrefetchRequest, Prefetcher, WarpTrace,
 };
 
 fn streaming_kernel(warps: u32, loads: usize) -> KernelTrace {
@@ -92,32 +95,53 @@ fn profile_call_counts_are_deterministic() {
     }
 }
 
-/// The `perf_inject_stall_ns` hook burns host time inside the
-/// mem-partition phase without touching simulated behavior — the
-/// regression gate's integration tests rely on both halves.
-#[test]
-fn inject_stall_inflates_mem_partition_phase_only() {
-    let mut base_cfg = GpuConfig::scaled(1);
-    base_cfg.host_profile = true;
-    let base = run(base_cfg);
+/// The baseline mechanism, except that every demand access it observes
+/// burns 20 µs of host time: a stand-in for an expensive prefetcher.
+struct SlowPrefetcher;
 
-    let mut slow_cfg = GpuConfig::scaled(1);
-    slow_cfg.host_profile = true;
-    slow_cfg.perf_inject_stall_ns = 20_000;
-    let slow = run(slow_cfg);
+impl Prefetcher for SlowPrefetcher {
+    fn name(&self) -> &str {
+        "baseline"
+    }
+
+    fn on_demand_access(
+        &mut self,
+        _event: &AccessEvent,
+        _ctx: &PrefetchContext,
+        _out: &mut Vec<PrefetchRequest>,
+    ) {
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_micros(20) {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+fn run_slow(cfg: GpuConfig) -> snake_sim::SimOutcome {
+    run_kernel(cfg, streaming_kernel(4, 32), |_| Box::new(SlowPrefetcher)).unwrap()
+}
+
+/// Host time burned inside the prefetcher hook is charged to the
+/// `prefetch` phase, and touches no simulated state.
+#[test]
+fn slow_prefetcher_inflates_prefetch_phase_only() {
+    let mut cfg = GpuConfig::scaled(1);
+    cfg.host_profile = true;
+    let base = run(cfg.clone());
+    let slow = run_slow(cfg);
 
     // Same simulated results...
-    assert_eq!(base.stats.cycles, slow.stats.cycles);
-    assert_eq!(base.stats.l1.misses, slow.stats.l1.misses);
+    assert_eq!(base.stats, slow.stats, "every counter must match");
 
-    // ...but far more host time charged to the partition phase. Each
-    // tick burns >=20us, so even one tick dwarfs the real work.
-    let base_mem = base.host.unwrap().get(Phase::MemPartition).nanos;
-    let slow_mem = slow.host.unwrap().get(Phase::MemPartition).nanos;
+    // ...but far more host time charged to the prefetch phase. Each
+    // access burns 20 µs, so even one sampled access dwarfs the real
+    // work.
+    let base_pf = base.host.unwrap().get(Phase::Prefetch).nanos;
+    let slow_pf = slow.host.unwrap().get(Phase::Prefetch).nanos;
     assert!(
-        slow_mem > base_mem.saturating_mul(2),
-        "injected stall must inflate the mem_partition phase \
-         (base {base_mem} ns, injected {slow_mem} ns)"
+        slow_pf > base_pf.saturating_mul(2),
+        "the slow hook must inflate the prefetch phase \
+         (baseline {base_pf} ns, slow {slow_pf} ns)"
     );
 }
 
@@ -130,8 +154,7 @@ fn wall_time_covers_every_run_segment() {
     let cycles = run(GpuConfig::scaled(1)).stats.cycles;
     let mut cfg = GpuConfig::scaled(1);
     cfg.host_profile = true;
-    cfg.perf_inject_stall_ns = 20_000;
-    let mut gpu = Gpu::new(cfg, streaming_kernel(4, 32), |_| Box::new(NullPrefetcher)).unwrap();
+    let mut gpu = Gpu::new(cfg, streaming_kernel(4, 32), |_| Box::new(SlowPrefetcher)).unwrap();
     assert!(
         gpu.run_interruptible(|c| c.0 >= cycles * 9 / 10).is_none(),
         "suspended before the end"
