@@ -277,17 +277,7 @@ fn run() -> Result<i32, CliError> {
     } else {
         figures::render(&h, &selected)?
     };
-
-    let mut rendered = String::new();
-    for t in &tables {
-        if markdown {
-            rendered.push_str(&t.to_markdown());
-            rendered.push('\n');
-        } else {
-            rendered.push_str(&t.to_string());
-            rendered.push('\n');
-        }
-    }
+    let rendered = report::render_tables(&tables, markdown);
     match out_file {
         Some(path) => {
             let mut f = std::fs::File::create(&path).map_err(|e| CliError::io(&path, e))?;

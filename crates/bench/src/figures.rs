@@ -15,10 +15,10 @@ use snake_core::metrics::{geometric_mean, mean, MechanismReport};
 use snake_core::snake::tail_table::{EvictionPolicy, TailTableConfig};
 use snake_core::snake::{Snake, SnakeConfig};
 use snake_core::PrefetcherKind;
-use snake_sim::SimError;
+use snake_sim::{GpuConfig, SimError};
 use snake_workloads::{tiled, Benchmark};
 
-use crate::report::{pct, ratio, Table};
+use crate::report::{Cell, Table};
 use crate::runner::Harness;
 
 /// All timing-simulated mechanism/application results, computed once
@@ -188,25 +188,25 @@ fn grid<A: Copy, B: Copy>(outer: &[A], inner: &[B]) -> Vec<(A, B)> {
         .collect()
 }
 
-/// Pushes one row per application from `values` (app-major,
-/// `per_app` settings each), then the MEAN row over applications.
-fn push_app_rows(t: &mut Table, values: &[f64], per_app: usize) {
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); per_app];
-    for (&b, row) in Benchmark::all().iter().zip(values.chunks(per_app)) {
-        for (col, &v) in cols.iter_mut().zip(row) {
-            col.push(v);
-        }
-        t.push_row(
-            std::iter::once(b.abbr().to_string())
-                .chain(row.iter().map(|&v| pct(v)))
-                .collect(),
-        );
+/// A per-application table: one row per application (its abbreviation,
+/// then `row(app)`, called in [`Benchmark::all`] order) under `columns`,
+/// then the `summary` row over applications ([`mean`] or
+/// [`geometric_mean`]), then `note`.
+fn app_table<R: IntoIterator<Item = Cell>>(
+    title: &str,
+    columns: impl IntoIterator<Item = impl Into<String>>,
+    summary: fn(&[f64]) -> f64,
+    mut row: impl FnMut(Benchmark) -> R,
+    note: &str,
+) -> Table {
+    let headers = std::iter::once("app".to_string()).chain(columns.into_iter().map(Into::into));
+    let mut t = Table::new(title, headers);
+    for &b in Benchmark::all() {
+        t.push_row(std::iter::once(b.abbr().into()).chain(row(b)));
     }
-    t.push_row(
-        std::iter::once("MEAN".to_string())
-            .chain(cols.iter().map(|col| pct(mean(col))))
-            .collect(),
-    );
+    t.push_summary("MEAN", summary);
+    t.note(note);
+    t
 }
 
 /// The mechanisms shown in Figs 16–18 (baseline excluded from the
@@ -220,90 +220,71 @@ pub fn figure_mechanisms() -> Vec<PrefetcherKind> {
 /// Table 1 — baseline GPU configuration (paper values + the scaled
 /// substitute actually simulated).
 pub fn table1_config(h: &Harness) -> Table {
-    let paper = snake_sim::GpuConfig::volta_v100();
+    let paper = GpuConfig::volta_v100();
     let ours = &h.cfg;
     let mut t = Table::new(
         "Table 1 — Baseline GPU configuration (paper V100 vs scaled substrate)",
-        vec![
-            "parameter".into(),
-            "paper (V100)".into(),
-            "simulated".into(),
-        ],
+        ["parameter", "paper (V100)", "simulated"],
     );
-    let rows: Vec<(&str, String, String)> = vec![
-        ("SMs", paper.num_sms.to_string(), ours.num_sms.to_string()),
-        (
-            "schedulers/SM (GTO)",
-            paper.schedulers_per_sm.to_string(),
-            ours.schedulers_per_sm.to_string(),
-        ),
-        (
-            "warps/SM",
-            paper.max_warps_per_sm.to_string(),
-            ours.max_warps_per_sm.to_string(),
-        ),
-        (
-            "unified L1",
+    type Parameter = (&'static str, fn(&GpuConfig) -> Cell);
+    let rows: [Parameter; 9] = [
+        ("SMs", |c| Cell::Count(c.num_sms.into())),
+        ("schedulers/SM (GTO)", |c| {
+            Cell::Count(c.schedulers_per_sm.into())
+        }),
+        ("warps/SM", |c| Cell::Count(c.max_warps_per_sm.into())),
+        ("unified L1", |c| {
             format!(
                 "{} KiB, {}-way, {} B lines",
-                paper.l1.capacity_bytes / 1024,
-                paper.l1.ways,
-                paper.l1.line_bytes
-            ),
-            format!(
-                "{} KiB, {}-way, {} B lines",
-                ours.l1.capacity_bytes / 1024,
-                ours.l1.ways,
-                ours.l1.line_bytes
-            ),
-        ),
-        (
-            "MSHR",
-            format!(
-                "{} entries, {} merges",
-                paper.mshr_entries, paper.mshr_merge
-            ),
-            format!("{} entries, {} merges", ours.mshr_entries, ours.mshr_merge),
-        ),
-        (
-            "L2",
+                c.l1.capacity_bytes / 1024,
+                c.l1.ways,
+                c.l1.line_bytes
+            )
+            .into()
+        }),
+        ("MSHR", |c| {
+            format!("{} entries, {} merges", c.mshr_entries, c.mshr_merge).into()
+        }),
+        ("L2", |c| {
             format!(
                 "{} KiB agg., {} banks",
-                paper.l2.capacity_bytes / 1024,
-                paper.l2_banks
-            ),
-            format!(
-                "{} KiB agg., {} banks",
-                ours.l2.capacity_bytes / 1024,
-                ours.l2_banks
-            ),
-        ),
-        (
-            "L1 hit / L2 / +DRAM latency",
+                c.l2.capacity_bytes / 1024,
+                c.l2_banks
+            )
+            .into()
+        }),
+        ("L1 hit / L2 / +DRAM latency", |c| {
             format!(
                 "{} / {} / {} cy",
-                paper.l1_hit_latency, paper.l2_hit_latency, paper.dram_latency
-            ),
-            format!(
-                "{} / {} / {} cy",
-                ours.l1_hit_latency, ours.l2_hit_latency, ours.dram_latency
-            ),
-        ),
-        (
-            "NoC bytes/cycle/direction",
-            paper.noc_bytes_per_cycle.to_string(),
-            ours.noc_bytes_per_cycle.to_string(),
-        ),
-        (
-            "DRAM bytes/cycle",
-            paper.dram_bytes_per_cycle.to_string(),
-            ours.dram_bytes_per_cycle.to_string(),
-        ),
+                c.l1_hit_latency, c.l2_hit_latency, c.dram_latency
+            )
+            .into()
+        }),
+        ("NoC bytes/cycle/direction", |c| {
+            Cell::Count(c.noc_bytes_per_cycle.into())
+        }),
+        ("DRAM bytes/cycle", |c| {
+            Cell::Count(c.dram_bytes_per_cycle.into())
+        }),
     ];
-    for (p, a, b) in rows {
-        t.push_row(vec![p.into(), a, b]);
+    for (parameter, cell) in rows {
+        t.push_row([parameter.into(), cell(&paper), cell(ours)]);
     }
-    t.note("The scaled substrate keeps the V100's per-warp L1 capacity (2 KiB/warp) and latency profile; see DESIGN.md.");
+    let l1_kib =
+        |c: &GpuConfig| f64::from(c.l1.capacity_bytes / 1024) / f64::from(c.max_warps_per_sm);
+    let per_warp = |c: &GpuConfig, bytes: fn(&GpuConfig) -> u32| {
+        f64::from(bytes(c)) / f64::from(c.num_sms) / f64::from(c.max_warps_per_sm)
+    };
+    let vs_v100 = |bytes: fn(&GpuConfig) -> u32| per_warp(ours, bytes) / per_warp(&paper, bytes);
+    t.note(format!(
+        "L1 per resident warp: {} KiB (V100), {} KiB (simulated). NoC and DRAM bytes/cycle \
+         per resident warp: {:.1}× and {:.1}× the V100's. See DESIGN.md § Substrate modeling \
+         decisions.",
+        l1_kib(&paper),
+        l1_kib(ours),
+        vs_v100(|c| c.noc_bytes_per_cycle),
+        vs_v100(|c| c.dram_bytes_per_cycle),
+    ));
     t
 }
 
@@ -311,14 +292,10 @@ pub fn table1_config(h: &Harness) -> Table {
 pub fn table2_benchmarks() -> Table {
     let mut t = Table::new(
         "Table 2 — Benchmark suites",
-        vec!["abbr".into(), "application".into(), "suite".into()],
+        ["abbr", "application", "suite"],
     );
     for &b in Benchmark::all() {
-        t.push_row(vec![
-            b.abbr().into(),
-            b.full_name().into(),
-            b.suite().into(),
-        ]);
+        t.push_row([b.abbr().into(), b.full_name().into(), b.suite().into()]);
     }
     t.note("All eleven applications from the paper's Table 2, rebuilt as synthetic trace generators (see snake-workloads).");
     t
@@ -327,32 +304,22 @@ pub fn table2_benchmarks() -> Table {
 /// Table 3 — Snake's table parameters and storage.
 pub fn table3_cost() -> Table {
     let w = FieldWidths::default();
-    let head = head_table_cost(&w, 32);
-    let tail = tail_table_cost(&w, 10);
     let mut t = Table::new(
         "Table 3 — Snake's tables parameters",
-        vec![
-            "table".into(),
-            "bytes/entry".into(),
-            "entries".into(),
-            "total".into(),
-            "paper".into(),
-        ],
+        ["table", "bytes/entry", "entries", "total", "paper"],
     );
-    t.push_row(vec![
-        "Head".into(),
-        head.bytes_per_entry().to_string(),
-        head.entries.to_string(),
-        format!("{} B", head.total_bytes),
-        "14 B x 32 = 448 B".into(),
-    ]);
-    t.push_row(vec![
-        "Tail".into(),
-        tail.bytes_per_entry().to_string(),
-        tail.entries.to_string(),
-        format!("{} B", tail.total_bytes),
-        "32 B x 10 = 320 B".into(),
-    ]);
+    for (name, cost, paper) in [
+        ("Head", head_table_cost(&w, 32), "14 B x 32 = 448 B"),
+        ("Tail", tail_table_cost(&w, 10), "32 B x 10 = 320 B"),
+    ] {
+        t.push_row([
+            name.into(),
+            Cell::Count(cost.bytes_per_entry().into()),
+            Cell::Count(cost.entries.into()),
+            format!("{} B", cost.total_bytes).into(),
+            paper.into(),
+        ]);
+    }
     t.note("Field widths in snake_core::cost reproduce the paper's byte counts exactly.");
     t
 }
@@ -397,45 +364,28 @@ pub fn fig05_memory_stalls(m: &EvalMatrix) -> Table {
 /// (baseline). Columns sum to 100% by construction (audit-enforced in
 /// the simulator).
 pub fn fig05_stall_breakdown(m: &EvalMatrix) -> Table {
-    let mut t = Table::new(
+    app_table(
         "Fig 5 (breakdown) — Issue-slot taxonomy, baseline (% of scheduler cycles)",
         [
-            "app", "issued", "no-warp", "barrier", "scoreb", "mem-data", "mshr", "missq", "noc",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-    );
-    let mut sums = [0.0f64; 8];
-    for &b in Benchmark::all() {
-        let r = m.get(b, PrefetcherKind::Baseline);
-        let cols = [
-            r.stall_issued,
-            r.stall_no_warp,
-            r.stall_barrier,
-            r.stall_scoreboard,
-            r.stall_mem_data,
-            r.stall_mem_mshr,
-            r.stall_mem_missq,
-            r.stall_mem_noc,
-        ];
-        for (i, v) in cols.iter().enumerate() {
-            sums[i] += v;
-        }
-        t.push_row(
-            std::iter::once(b.abbr().to_string())
-                .chain(cols.iter().map(|&v| pct(v)))
-                .collect(),
-        );
-    }
-    let n = Benchmark::all().len() as f64;
-    t.push_row(
-        std::iter::once("MEAN".to_string())
-            .chain(sums.iter().map(|s| pct(s / n)))
-            .collect(),
-    );
-    t.note("MECE per-cycle accounting: the eight columns partition scheduler cycles exactly");
-    t
+            "issued", "no-warp", "barrier", "scoreb", "mem-data", "mshr", "missq", "noc",
+        ],
+        mean,
+        |b| {
+            let r = m.get(b, PrefetcherKind::Baseline);
+            [
+                r.stall_issued,
+                r.stall_no_warp,
+                r.stall_barrier,
+                r.stall_scoreboard,
+                r.stall_mem_data,
+                r.stall_mem_mshr,
+                r.stall_mem_missq,
+                r.stall_mem_noc,
+            ]
+            .map(Cell::Pct)
+        },
+        "MECE per-cycle accounting: the eight columns partition scheduler cycles exactly",
+    )
 }
 
 fn baseline_metric_table(
@@ -445,16 +395,13 @@ fn baseline_metric_table(
     f: impl Fn(&MechanismReport) -> f64,
     note: &str,
 ) -> Table {
-    let mut t = Table::new(title, vec!["app".into(), col.into()]);
-    let mut vals = Vec::new();
-    for &b in Benchmark::all() {
-        let v = f(m.get(b, PrefetcherKind::Baseline));
-        vals.push(v);
-        t.push_row(vec![b.abbr().into(), pct(v)]);
-    }
-    t.push_row(vec!["MEAN".into(), pct(mean(&vals))]);
-    t.note(note);
-    t
+    app_table(
+        title,
+        [col],
+        mean,
+        |b| [Cell::Pct(f(m.get(b, PrefetcherKind::Baseline)))],
+        note,
+    )
 }
 
 // The trace-analysis figures (6, 9, 10, 11) run on the calling thread,
@@ -465,135 +412,90 @@ fn baseline_metric_table(
 /// Fig 6 — coverage upper bounds of prior mechanisms vs the Ideal
 /// prefetcher (trace analysis under infinite storage / zero latency).
 pub fn fig06_coverage_vs_ideal(h: &Harness) -> Table {
-    let mut t = Table::new(
+    app_table(
         "Fig 6 — Coverage of Intra/Inter/MTA/CTA vs Ideal (trace bounds)",
-        ["app", "intra", "inter", "mta", "cta", "ideal"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    );
-    let mut sums = [0.0f64; 5];
-    for &b in Benchmark::all() {
-        let k = b.build(&h.size);
-        let r = snake_core::analysis::predictability(&k);
-        for (i, v) in [r.intra, r.inter, r.mta, r.cta, r.ideal].iter().enumerate() {
-            sums[i] += v;
-        }
-        t.push_row(vec![
-            b.abbr().into(),
-            pct(r.intra),
-            pct(r.inter),
-            pct(r.mta),
-            pct(r.cta),
-            pct(r.ideal),
-        ]);
-    }
-    let n = Benchmark::all().len() as f64;
-    t.push_row(
-        std::iter::once("MEAN".to_string())
-            .chain(sums.iter().map(|s| pct(s / n)))
-            .collect(),
-    );
-    t.note("paper: Ideal is ~25% above MTA and ~70% above CTA-aware");
-    t
+        ["intra", "inter", "mta", "cta", "ideal"],
+        mean,
+        |b| {
+            let r = snake_core::analysis::predictability(&b.build(&h.size));
+            [r.intra, r.inter, r.mta, r.cta, r.ideal].map(Cell::Pct)
+        },
+        "paper: Ideal is ~25% above MTA and ~70% above CTA-aware",
+    )
 }
 
 /// Fig 9 — load PCs participating in chains, per representative warp.
 pub fn fig09_chain_pcs(h: &Harness) -> Table {
-    let mut t = Table::new(
-        "Fig 9 — Load PCs in chains / all load PCs (representative warp)",
-        vec!["app".into(), "PCs in chains".into()],
-    );
     let cfg = ChainAnalysisConfig::default();
-    let mut vals = Vec::new();
-    for &b in Benchmark::all() {
-        let r = analyze_chains(&b.build(&h.size), &cfg);
-        vals.push(r.pc_fraction_in_chains);
-        t.push_row(vec![b.abbr().into(), pct(r.pc_fraction_in_chains)]);
-    }
-    t.push_row(vec!["MEAN".into(), pct(mean(&vals))]);
-    t.note("paper: chains cover ~65% of the PCs on average");
-    t
+    app_table(
+        "Fig 9 — Load PCs in chains / all load PCs (representative warp)",
+        ["PCs in chains"],
+        mean,
+        |b| {
+            let r = analyze_chains(&b.build(&h.size), &cfg);
+            [Cell::Pct(r.pc_fraction_in_chains)]
+        },
+        "paper: chains cover ~65% of the PCs on average",
+    )
 }
 
 /// Fig 10 — maximum chain repetition within the representative warp.
 pub fn fig10_chain_repetition(h: &Harness) -> Table {
-    let mut t = Table::new(
-        "Fig 10 — Maximum chain repetitions per representative warp",
-        vec!["app".into(), "max repetitions".into()],
-    );
     let cfg = ChainAnalysisConfig::default();
-    let mut vals = Vec::new();
-    for &b in Benchmark::all() {
-        let r = analyze_chains(&b.build(&h.size), &cfg);
-        vals.push(f64::from(r.max_repetition));
-        t.push_row(vec![b.abbr().into(), r.max_repetition.to_string()]);
-    }
-    t.push_row(vec!["MEAN".into(), format!("{:.1}", mean(&vals))]);
-    t.note("paper: chains repeat ~35x per warp on average (scales with workload size)");
-    t
+    app_table(
+        "Fig 10 — Maximum chain repetitions per representative warp",
+        ["max repetitions"],
+        mean,
+        |b| {
+            let r = analyze_chains(&b.build(&h.size), &cfg);
+            [Cell::Count(r.max_repetition.into())]
+        },
+        "paper: chains repeat ~35x per warp on average (scales with workload size)",
+    )
 }
 
 /// Fig 11 — chain-prefetchable accesses vs MTA (trace bounds).
 pub fn fig11_chain_vs_mta(h: &Harness) -> Table {
-    let mut t = Table::new(
+    app_table(
         "Fig 11 — Accesses prefetchable via chains vs MTA (trace bounds)",
-        vec!["app".into(), "chains".into(), "mta".into()],
-    );
-    let (mut sc, mut sm) = (Vec::new(), Vec::new());
-    for &b in Benchmark::all() {
-        let k = b.build(&h.size);
-        let chains = mechanism_bound(&k, PrefetcherKind::SSnake).fraction();
-        let mta = mechanism_bound(&k, PrefetcherKind::Mta).fraction();
-        sc.push(chains);
-        sm.push(mta);
-        t.push_row(vec![b.abbr().into(), pct(chains), pct(mta)]);
-    }
-    t.push_row(vec!["MEAN".into(), pct(mean(&sc)), pct(mean(&sm))]);
-    t.note("paper: chains reach ~70% on memory-bound apps; chains add opportunities MTA misses");
-    t
+        ["chains", "mta"],
+        mean,
+        |b| {
+            let k = b.build(&h.size);
+            [PrefetcherKind::SSnake, PrefetcherKind::Mta]
+                .map(|kind| Cell::Pct(mechanism_bound(&k, kind).fraction()))
+        },
+        "paper: chains reach ~70% on memory-bound apps; chains add opportunities MTA misses",
+    )
 }
 
 // ─────────────────────── evaluation figures ───────────────────────
 
+/// One column per mechanism but the baseline: `cell(report, baseline)`.
 fn mechanism_rows(
     m: &EvalMatrix,
     title: &str,
-    f: impl Fn(&MechanismReport, &MechanismReport) -> f64,
-    fmt: impl Fn(f64) -> String,
-    summary_geo: bool,
+    summary: fn(&[f64]) -> f64,
+    cell: impl Fn(&MechanismReport, &MechanismReport) -> Cell,
     note: &str,
 ) -> Table {
     let kinds: Vec<PrefetcherKind> = figure_mechanisms()
         .into_iter()
         .filter(|k| *k != PrefetcherKind::Baseline)
         .collect();
-    let mut headers = vec!["app".to_string()];
-    headers.extend(kinds.iter().map(|k| k.name().to_string()));
-    let mut t = Table::new(title, headers);
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); kinds.len()];
-    for &b in Benchmark::all() {
-        let base = m.get(b, PrefetcherKind::Baseline);
-        let mut row = vec![b.abbr().to_string()];
-        for (i, &k) in kinds.iter().enumerate() {
-            let v = f(m.get(b, k), base);
-            cols[i].push(v);
-            row.push(fmt(v));
-        }
-        t.push_row(row);
-    }
-    let mut mean_row = vec!["MEAN".to_string()];
-    for col in &cols {
-        let v = if summary_geo {
-            geometric_mean(col)
-        } else {
-            mean(col)
-        };
-        mean_row.push(fmt(v));
-    }
-    t.push_row(mean_row);
-    t.note(note);
-    t
+    app_table(
+        title,
+        kinds.iter().map(|k| k.name()),
+        summary,
+        |b| {
+            let base = m.get(b, PrefetcherKind::Baseline);
+            kinds
+                .iter()
+                .map(|&k| cell(m.get(b, k), base))
+                .collect::<Vec<_>>()
+        },
+        note,
+    )
 }
 
 /// Fig 16 — prefetch coverage of all mechanisms.
@@ -601,9 +503,8 @@ pub fn fig16_coverage(m: &EvalMatrix) -> Table {
     mechanism_rows(
         m,
         "Fig 16 — Prefetch coverage (correctly predicted / all demand)",
-        |r, _| r.coverage,
-        pct,
-        false,
+        mean,
+        |r, _| Cell::Pct(r.coverage),
         "paper: Snake ~80%, ~15% above MTA; nw low due to low repetition",
     )
 }
@@ -613,9 +514,8 @@ pub fn fig17_accuracy(m: &EvalMatrix) -> Table {
     mechanism_rows(
         m,
         "Fig 17 — Prefetch accuracy (timely correctly predicted / all demand)",
-        |r, _| r.accuracy,
-        pct,
-        false,
+        mean,
+        |r, _| Cell::Pct(r.accuracy),
         "paper: Snake ~75% timely; throttling trades ~2% coverage for ~20% accuracy",
     )
 }
@@ -625,9 +525,8 @@ pub fn fig18_performance(m: &EvalMatrix) -> Table {
     mechanism_rows(
         m,
         "Fig 18 — Speedup over baseline (IPC ratio)",
-        |r, base| r.speedup_over(base),
-        ratio,
-        true,
+        geometric_mean,
+        |r, base| Cell::Fixed(r.speedup_over(base), 3),
         "paper: Snake +17% avg (up to +60%); Snake beats Snake-DT by ~13% and Snake-T by ~7%",
     )
 }
@@ -637,42 +536,21 @@ pub fn fig19_energy(m: &EvalMatrix) -> Table {
     mechanism_rows(
         m,
         "Fig 19 — Energy vs baseline (lower is better)",
-        |r, base| r.energy_vs(base),
-        ratio,
-        true,
+        geometric_mean,
+        |r, base| Cell::Fixed(r.energy_vs(base), 3),
         "paper: Snake uses ~17% less energy on average",
     )
 }
 
 /// Fig 25 — L1 hit rate for baseline / Snake / Isolated-Snake.
 pub fn fig25_hit_rate(m: &EvalMatrix) -> Table {
-    let mut t = Table::new(
+    app_table(
         "Fig 25 — L1 data cache hit rate",
-        vec![
-            "app".into(),
-            "baseline".into(),
-            "snake".into(),
-            "isolated-snake".into(),
-        ],
-    );
-    let (mut b0, mut b1, mut b2) = (Vec::new(), Vec::new(), Vec::new());
-    for &b in Benchmark::all() {
-        let base = m.get(b, PrefetcherKind::Baseline).l1_hit_rate;
-        let snake = m.get(b, PrefetcherKind::Snake).l1_hit_rate;
-        let iso = m.get(b, PrefetcherKind::IsolatedSnake).l1_hit_rate;
-        b0.push(base);
-        b1.push(snake);
-        b2.push(iso);
-        t.push_row(vec![b.abbr().into(), pct(base), pct(snake), pct(iso)]);
-    }
-    t.push_row(vec![
-        "MEAN".into(),
-        pct(mean(&b0)),
-        pct(mean(&b1)),
-        pct(mean(&b2)),
-    ]);
-    t.note("paper: 45% baseline / 79% Snake / 84% Isolated-Snake — Snake within 5% of a dedicated buffer");
-    t
+        HIT_RATES.iter().map(|k| k.name()),
+        mean,
+        |b| HIT_RATES.iter().map(move |&k| Cell::Pct(m.get(b, k).l1_hit_rate)),
+        "paper: 45% baseline / 79% Snake / 84% Isolated-Snake — Snake within 5% of a dedicated buffer",
+    )
 }
 
 // ─────────────────────── sensitivity figures ───────────────────────
@@ -690,6 +568,29 @@ fn snake_with_tail(h: &Harness, entries: usize, eviction: EvictionPolicy) -> Sna
         head_warps: h.cfg.max_warps_per_sm,
         ..SnakeConfig::snake()
     }
+}
+
+/// A per-application table of swept coverage values, app-major with
+/// one column per setting.
+fn coverage_table(
+    title: &str,
+    columns: impl IntoIterator<Item = impl Into<String>>,
+    coverage: &[f64],
+    note: &str,
+) -> Table {
+    let mut apps = coverage.chunks(coverage.len() / Benchmark::all().len());
+    app_table(
+        title,
+        columns,
+        mean,
+        |_| {
+            apps.next()
+                .expect("one chunk per application")
+                .iter()
+                .map(|&v| Cell::Pct(v))
+        },
+        note,
+    )
 }
 
 fn entry_sweep_table(
@@ -711,18 +612,14 @@ fn entry_sweep_table(
             Ok(r.coverage)
         },
     )?;
-    let mut headers = vec!["app".to_string()];
-    headers.extend(ENTRY_SWEEP.iter().map(|e| {
-        if *e >= 1024 {
+    let columns = ENTRY_SWEEP.map(|e| {
+        if e >= 1024 {
             "unbounded".to_string()
         } else {
             format!("{e} entries")
         }
-    }));
-    let mut t = Table::new(title, headers);
-    push_app_rows(&mut t, &coverage, ENTRY_SWEEP.len());
-    t.note(note);
-    Ok(t)
+    });
+    Ok(coverage_table(title, columns, &coverage, note))
 }
 
 /// Fig 20 — Tail-table entry-count sweep (main eviction policy).
@@ -744,15 +641,15 @@ pub fn fig21_hw_cost() -> Table {
     let w = FieldWidths::default();
     let mut t = Table::new(
         "Fig 21 — Snake storage per SM vs Tail-table entries",
-        vec!["tail entries".into(), "total bytes".into()],
+        ["tail entries", "total bytes"],
     );
     for &e in &ENTRY_SWEEP {
         if e >= 1024 {
             continue;
         }
-        t.push_row(vec![
-            e.to_string(),
-            snake_storage_bytes(&w, 32, e as u32).to_string(),
+        t.push_row([
+            Cell::Count(e as u64),
+            Cell::Count(snake_storage_bytes(&w, 32, e as u32).into()),
         ]);
     }
     t.note("Head table fixed at 448 B; Tail table 32 B/entry (Table 3 widths)");
@@ -784,12 +681,7 @@ pub const THROTTLE_SWEEP: [u64; 6] = [0, 10, 25, 50, 100, 200];
 pub fn fig23_throttling(h: &Harness) -> Result<Table, SimError> {
     let mut t = Table::new(
         "Fig 23 — Throttle-interval sweep (mean over all apps)",
-        vec![
-            "pause (cycles)".into(),
-            "coverage".into(),
-            "accuracy".into(),
-            "precision".into(),
-        ],
+        ["pause (cycles)", "coverage", "accuracy", "precision"],
     );
     let jobs = grid(&THROTTLE_SWEEP, Benchmark::all());
     let reports = sweep(
@@ -808,14 +700,15 @@ pub fn fig23_throttling(h: &Harness) -> Result<Table, SimError> {
             })
         },
     )?;
-    for (pause, runs) in THROTTLE_SWEEP
+    for (&pause, runs) in THROTTLE_SWEEP
         .iter()
         .zip(reports.chunks(Benchmark::all().len()))
     {
-        let mean_of =
-            |f: fn(&MechanismReport) -> f64| pct(mean(&runs.iter().map(f).collect::<Vec<_>>()));
-        t.push_row(vec![
-            pause.to_string(),
+        let mean_of = |f: fn(&MechanismReport) -> f64| {
+            Cell::Pct(mean(&runs.iter().map(f).collect::<Vec<_>>()))
+        };
+        t.push_row([
+            Cell::Count(pause),
             mean_of(|r| r.coverage),
             mean_of(|r| r.accuracy),
             mean_of(|r| r.precision),
@@ -837,12 +730,12 @@ pub const TILE_SWEEP: [u32; 4] = [25, 50, 75, 100];
 pub fn fig24_tiling(h: &Harness) -> Result<Table, SimError> {
     let mut t = Table::new(
         "Fig 24 — Tiled convolution: IPC and energy vs untiled baseline",
-        vec![
-            "tile size".into(),
-            "tiled IPC".into(),
-            "snake+tiled IPC".into(),
-            "tiled energy".into(),
-            "snake+tiled energy".into(),
+        [
+            "tile size",
+            "tiled IPC",
+            "snake+tiled IPC",
+            "tiled energy",
+            "snake+tiled energy",
         ],
     );
     let tile_bytes = |frac: u32| {
@@ -865,12 +758,12 @@ pub fn fig24_tiling(h: &Harness) -> Result<Table, SimError> {
     let (base, tiled_runs) = runs.split_first().expect("job 0 is the untiled run");
     for (frac, pair) in TILE_SWEEP.iter().zip(tiled_runs.chunks(2)) {
         let (tiled_r, snake_r) = (&pair[0], &pair[1]);
-        t.push_row(vec![
-            format!("{frac}%"),
-            ratio(tiled_r.speedup_over(base)),
-            ratio(snake_r.speedup_over(base)),
-            ratio(tiled_r.energy_vs(base)),
-            ratio(snake_r.energy_vs(base)),
+        t.push_row([
+            format!("{frac}%").into(),
+            Cell::Fixed(tiled_r.speedup_over(base), 3),
+            Cell::Fixed(snake_r.speedup_over(base), 3),
+            Cell::Fixed(tiled_r.energy_vs(base), 3),
+            Cell::Fixed(snake_r.energy_vs(base), 3),
         ]);
     }
     t.note("paper: best at 75% tile size; Snake+Tiled beats Tiled except at 100% where Snake stays throttled");
@@ -891,15 +784,6 @@ pub fn fig24_tiling(h: &Harness) -> Result<Table, SimError> {
 /// Returns [`SimError`] when the harness configuration is invalid.
 pub fn extra_head_layout(h: &Harness) -> Result<Table, SimError> {
     use snake_core::snake::head_table::HeadLayout;
-    let mut t = Table::new(
-        "Extra A — Snake coverage vs Head-table layout (GTO scheduler)",
-        vec![
-            "app".into(),
-            "per-warp (ideal)".into(),
-            "paired doubled (paper)".into(),
-            "paired single".into(),
-        ],
-    );
     let layouts = [
         HeadLayout::PerWarp,
         HeadLayout::PairedDoubled,
@@ -922,9 +806,12 @@ pub fn extra_head_layout(h: &Harness) -> Result<Table, SimError> {
             Ok(r.coverage)
         },
     )?;
-    push_app_rows(&mut t, &coverage, layouts.len());
-    t.note("paper claim (§5.5): doubled columns keep the paired layout near the ideal; a single column loses history under GTO");
-    Ok(t)
+    Ok(coverage_table(
+        "Extra A — Snake coverage vs Head-table layout (GTO scheduler)",
+        ["per-warp (ideal)", "paired doubled (paper)", "paired single"],
+        &coverage,
+        "paper claim (§5.5): doubled columns keep the paired layout near the ideal; a single column loses history under GTO",
+    ))
 }
 
 /// Extra B — scheduler sensitivity: Snake under GTO vs loose
@@ -937,7 +824,7 @@ pub fn extra_scheduler(h: &Harness) -> Result<Table, SimError> {
     use snake_sim::SchedulerPolicy;
     let mut t = Table::new(
         "Extra B — Snake speedup under GTO vs loose round-robin",
-        vec!["app".into(), "GTO speedup".into(), "LRR speedup".into()],
+        ["app", "GTO speedup", "LRR speedup"],
     );
     let harnesses = [
         SchedulerPolicy::GreedyThenOldest,
@@ -960,12 +847,11 @@ pub fn extra_scheduler(h: &Harness) -> Result<Table, SimError> {
         |&(b, (harness, k))| harness.run(b, k),
     )?;
     for (&b, app_runs) in Benchmark::all().iter().zip(runs.chunks(settings.len())) {
-        let mut row = vec![b.abbr().to_string()];
         // Per policy: the baseline run, then the Snake run.
-        for pair in app_runs.chunks(2) {
-            row.push(ratio(pair[1].speedup_over(&pair[0])));
-        }
-        t.push_row(row);
+        let speedups = app_runs
+            .chunks(2)
+            .map(|pair| Cell::Fixed(pair[1].speedup_over(&pair[0]), 3));
+        t.push_row(std::iter::once(b.abbr().into()).chain(speedups));
     }
     t.note(
         "the paper's baseline is GTO (Table 1); Snake's tables are scheduler-agnostic by design",
@@ -983,10 +869,10 @@ pub fn extra_multi_app(h: &Harness) -> Result<Table, SimError> {
     use snake_workloads::multi::{colocate, PcSpace};
     let mut t = Table::new(
         "Extra C — Multi-application co-location (Snake coverage)",
-        vec![
-            "pair".into(),
-            "per-app chains (extension)".into(),
-            "shared PCs (untagged)".into(),
+        [
+            "pair",
+            "per-app chains (extension)",
+            "shared PCs (untagged)",
         ],
     );
     let pairs = [
@@ -1005,10 +891,10 @@ pub fn extra_multi_app(h: &Harness) -> Result<Table, SimError> {
         },
     )?;
     for ((a, b), spaces) in pairs.iter().zip(coverage.chunks(2)) {
-        t.push_row(vec![
-            format!("{}+{}", a.abbr(), b.abbr()),
-            pct(spaces[0]),
-            pct(spaces[1]),
+        t.push_row([
+            format!("{}+{}", a.abbr(), b.abbr()).into(),
+            Cell::Pct(spaces[0]),
+            Cell::Pct(spaces[1]),
         ]);
     }
     t.note("paper §1: chains must be \"detected within each application\"; aliasing two apps' load PCs onto one table degrades the chains");
@@ -1131,14 +1017,32 @@ mod tests {
         let t = fig21_hw_cost();
         assert_eq!(t.rows.len(), 4);
         // 10 entries: 448 + 320 bytes.
-        assert!(t.rows.iter().any(|r| r[0] == "10" && r[1] == "768"));
+        assert!(t.rows.contains(&vec![Cell::Count(10), Cell::Count(768)]));
     }
 
     #[test]
     fn table3_matches_paper() {
         let t = table3_cost();
-        assert!(t.rows[0].contains(&"448 B".to_string()));
-        assert!(t.rows[1].contains(&"320 B".to_string()));
+        let total = |row: &[Cell]| row[1].value().zip(row[2].value()).map(|(b, n)| b * n);
+        assert_eq!(total(&t.rows[0]), Some(448.0));
+        assert_eq!(total(&t.rows[1]), Some(320.0));
+        assert_eq!(t.rows[0][3], Cell::from("448 B"));
+        assert_eq!(t.rows[1][3], Cell::from("320 B"));
+    }
+
+    #[test]
+    fn table1_note_states_each_configs_own_per_warp_l1() {
+        for h in [Harness::quick(), Harness::standard()] {
+            assert_eq!(h.cfg.l1.capacity_bytes / h.cfg.max_warps_per_sm, 1024);
+            let t = table1_config(&h);
+            let note = &t.notes[0];
+            assert!(
+                note.contains("L1 per resident warp: 2 KiB (V100), 1 KiB (simulated)."),
+                "{note}"
+            );
+            assert!(note.contains("12.5× and 35.6× the V100's"), "{note}");
+            assert!(note.contains("DESIGN.md § Substrate modeling decisions"));
+        }
     }
 
     #[test]
@@ -1282,24 +1186,19 @@ mod tests {
         let kinds = [PrefetcherKind::Baseline];
         let m = EvalMatrix::collect(&h, &kinds).unwrap();
         let t = fig03_reservation_fails(&m);
-        assert_eq!(t.rows.len(), Benchmark::all().len() + 1);
-        assert!(t.to_string().contains("MEAN"));
+        let (summary, apps) = t.rows.split_last().expect("app rows and a summary");
+        assert_eq!(apps.len(), Benchmark::all().len());
+        let rates: Vec<f64> = apps.iter().map(|r| r[1].value().unwrap()).collect();
+        assert_eq!(summary[1], Cell::Pct(mean(&rates)), "the MEAN row");
         let _ = fig04_noc_utilization(&m);
         let _ = fig05_memory_stalls(&m);
         // The breakdown's eight columns partition scheduler cycles, so
-        // every row of the stacked figure sums to ~100%.
+        // every row of the stacked figure, MEAN included, sums to 1.
         let t = fig05_stall_breakdown(&m);
         assert_eq!(t.rows.len(), Benchmark::all().len() + 1);
         for row in &t.rows {
-            let total: f64 = row[1..]
-                .iter()
-                .map(|c| c.trim_end_matches('%').parse::<f64>().unwrap())
-                .sum();
-            assert!(
-                (total - 100.0).abs() < 0.5,
-                "row {:?} sums to {total}",
-                row[0]
-            );
+            let total: f64 = row[1..].iter().map(|c| c.value().unwrap()).sum();
+            assert!((total - 1.0).abs() < 1e-9, "row {} sums to {total}", row[0]);
         }
     }
 }

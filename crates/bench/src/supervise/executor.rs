@@ -717,7 +717,6 @@ pub fn harness_to_json(h: &Harness) -> Value {
             }),
         ),
         ("max_warps_per_sm", Value::u64(c.max_warps_per_sm.into())),
-        ("warp_width", Value::u64(c.warp_width.into())),
         (
             "max_outstanding_loads",
             Value::u64(c.max_outstanding_loads.into()),
@@ -801,7 +800,6 @@ pub fn harness_from_json(v: &Value) -> Result<Harness, String> {
             other => return Err(format!("unknown scheduler policy {other:?}")),
         },
         max_warps_per_sm: json::u32_field(c, "max_warps_per_sm")?,
-        warp_width: json::u32_field(c, "warp_width")?,
         max_outstanding_loads: json::u32_field(c, "max_outstanding_loads")?,
         l1: cache_from_json(json::field(c, "l1")?)?,
         shared_mem_carveout_bytes: json::u32_field(c, "shared_mem_carveout_bytes")?,
@@ -1041,16 +1039,15 @@ fn profile_from_json(v: &Value) -> Result<HostProfile, String> {
             },
         ));
     }
-    let mut p = HostProfile::from_parts(
+    Ok(HostProfile::from_parts(
         json::u64_field(v, "wall_nanos")?,
         json::u64_field(v, "cycles")?,
         json::u64_field(v, "trace_events")?,
+        json::u64_field(v, "skipped_cycles")?,
+        json::u64_field(v, "replayed_ticks")?,
+        json::u64_field(v, "sm_ticks")?,
         phases,
-    );
-    p.skipped_cycles = json::u64_field(v, "skipped_cycles")?;
-    p.replayed_ticks = json::u64_field(v, "replayed_ticks")?;
-    p.sm_ticks = json::u64_field(v, "sm_ticks")?;
-    Ok(p)
+    ))
 }
 
 fn stop_from_json(v: &Value) -> Result<StopReason, String> {
@@ -1419,10 +1416,15 @@ mod tests {
 
     #[test]
     fn host_profile_round_trips_bit_exact() {
-        let mut host = HostProfile::from_parts(
+        // The quiet counters travel too: a sandboxed profile reports
+        // the skipped cycles and replayed ticks an in-thread one does.
+        let host = HostProfile::from_parts(
             1_000_000,
             9134,
             42,
+            3783,
+            5448,
+            9134,
             Phase::ALL.iter().enumerate().map(|(i, &p)| {
                 let i = i as u64 + 1;
                 (
@@ -1434,9 +1436,6 @@ mod tests {
                 )
             }),
         );
-        // The quiet counters travel too: a sandboxed profile reports
-        // the skipped cycles and replayed ticks an in-thread one does.
-        (host.skipped_cycles, host.replayed_ticks, host.sm_ticks) = (3783, 5448, 9134);
         let text = profile_to_json(&host).to_string();
         let back = profile_from_json(&json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, host);
@@ -1473,12 +1472,12 @@ mod tests {
         );
         assert_eq!(
             line.to_string(),
-            r#"{"v":1,"job":"LPS/snake","harness":{"cfg":{"num_sms":1,"core_clock_mhz":1530,"schedulers_per_sm":2,"scheduler":"greedy_then_oldest","max_warps_per_sm":16,"warp_width":32,"max_outstanding_loads":4,"l1":{"capacity_bytes":16384,"line_bytes":128,"ways":32},"shared_mem_carveout_bytes":0,"l1_hit_latency":28,"mshr_entries":128,"mshr_merge":8,"miss_queue_depth":2,"l2":{"capacity_bytes":262144,"line_bytes":128,"ways":16},"l2_banks":8,"l2_hit_latency":120,"dram_latency":220,"dram_bytes_per_cycle":64,"noc_bytes_per_cycle":40,"noc_latency":20,"bw_window":256,"fault":{"seed":0,"drop_response":0.0,"duplicate_response":0.0,"delay_response":0.0,"delay_cycles":0,"brownout":{"period":2000,"active":250,"scale":0.5},"recovery":{"timeout":500,"max_retries":4}},"host_profile":false,"max_cycles":20000000,"cycle_budget":6000,"watchdog_cycles":10000,"metrics_window":500},"size":{"warps_per_cta":4,"ctas":2,"iters":48,"seed":12648430},"energy":{"instr_pj":60.0,"l1_access_pj":150.0,"l2_access_pj":800.0,"dram_access_pj":4000.0,"noc_byte_pj":4.0,"prefetcher_access_pj":6.4,"static_w_per_sm":3.0,"prefetcher_static_w":0.006}},"stream":true,"resume":"sweep.LPS-snake.ckpt","checkpoint":"next.ckpt","suspend_after":300}"#
+            r#"{"v":1,"job":"LPS/snake","harness":{"cfg":{"num_sms":1,"core_clock_mhz":1530,"schedulers_per_sm":2,"scheduler":"greedy_then_oldest","max_warps_per_sm":16,"max_outstanding_loads":4,"l1":{"capacity_bytes":16384,"line_bytes":128,"ways":32},"shared_mem_carveout_bytes":0,"l1_hit_latency":28,"mshr_entries":128,"mshr_merge":8,"miss_queue_depth":2,"l2":{"capacity_bytes":262144,"line_bytes":128,"ways":16},"l2_banks":8,"l2_hit_latency":120,"dram_latency":220,"dram_bytes_per_cycle":64,"noc_bytes_per_cycle":40,"noc_latency":20,"bw_window":256,"fault":{"seed":0,"drop_response":0.0,"duplicate_response":0.0,"delay_response":0.0,"delay_cycles":0,"brownout":{"period":2000,"active":250,"scale":0.5},"recovery":{"timeout":500,"max_retries":4}},"host_profile":false,"max_cycles":20000000,"cycle_budget":6000,"watchdog_cycles":10000,"metrics_window":500},"size":{"warps_per_cta":4,"ctas":2,"iters":48,"seed":12648430},"energy":{"instr_pj":60.0,"l1_access_pj":150.0,"l2_access_pj":800.0,"dram_access_pj":4000.0,"noc_byte_pj":4.0,"prefetcher_access_pj":6.4,"static_w_per_sm":3.0,"prefetcher_static_w":0.006}},"stream":true,"resume":"sweep.LPS-snake.ckpt","checkpoint":"next.ckpt","suspend_after":300}"#
         );
         let bare = worker_spec_json(&Harness::quick(), &job, None, None, None, false);
         assert_eq!(
             bare.to_string(),
-            r#"{"v":1,"job":"LPS/snake","harness":{"cfg":{"num_sms":1,"core_clock_mhz":1530,"schedulers_per_sm":2,"scheduler":"greedy_then_oldest","max_warps_per_sm":16,"warp_width":32,"max_outstanding_loads":4,"l1":{"capacity_bytes":16384,"line_bytes":128,"ways":32},"shared_mem_carveout_bytes":0,"l1_hit_latency":28,"mshr_entries":128,"mshr_merge":8,"miss_queue_depth":2,"l2":{"capacity_bytes":262144,"line_bytes":128,"ways":16},"l2_banks":8,"l2_hit_latency":120,"dram_latency":220,"dram_bytes_per_cycle":64,"noc_bytes_per_cycle":40,"noc_latency":20,"bw_window":256,"fault":{"seed":0,"drop_response":0.0,"duplicate_response":0.0,"delay_response":0.0,"delay_cycles":0},"host_profile":false,"max_cycles":20000000,"watchdog_cycles":10000},"size":{"warps_per_cta":4,"ctas":2,"iters":48,"seed":12648430},"energy":{"instr_pj":60.0,"l1_access_pj":150.0,"l2_access_pj":800.0,"dram_access_pj":4000.0,"noc_byte_pj":4.0,"prefetcher_access_pj":6.4,"static_w_per_sm":3.0,"prefetcher_static_w":0.006}},"stream":false}"#
+            r#"{"v":1,"job":"LPS/snake","harness":{"cfg":{"num_sms":1,"core_clock_mhz":1530,"schedulers_per_sm":2,"scheduler":"greedy_then_oldest","max_warps_per_sm":16,"max_outstanding_loads":4,"l1":{"capacity_bytes":16384,"line_bytes":128,"ways":32},"shared_mem_carveout_bytes":0,"l1_hit_latency":28,"mshr_entries":128,"mshr_merge":8,"miss_queue_depth":2,"l2":{"capacity_bytes":262144,"line_bytes":128,"ways":16},"l2_banks":8,"l2_hit_latency":120,"dram_latency":220,"dram_bytes_per_cycle":64,"noc_bytes_per_cycle":40,"noc_latency":20,"bw_window":256,"fault":{"seed":0,"drop_response":0.0,"duplicate_response":0.0,"delay_response":0.0,"delay_cycles":0},"host_profile":false,"max_cycles":20000000,"watchdog_cycles":10000},"size":{"warps_per_cta":4,"ctas":2,"iters":48,"seed":12648430},"energy":{"instr_pj":60.0,"l1_access_pj":150.0,"l2_access_pj":800.0,"dram_access_pj":4000.0,"noc_byte_pj":4.0,"prefetcher_access_pj":6.4,"static_w_per_sm":3.0,"prefetcher_static_w":0.006}},"stream":false}"#
         );
     }
 
@@ -1510,10 +1509,13 @@ mod tests {
             cycles: 4000,
             ..MechanismReport::default()
         };
-        let mut host = HostProfile::from_parts(
+        let host = HostProfile::from_parts(
             9000,
             4000,
             12,
+            1500,
+            2500,
+            8000,
             [(
                 Phase::L1Lookup,
                 PhaseStat {
@@ -1522,7 +1524,6 @@ mod tests {
                 },
             )],
         );
-        (host.skipped_cycles, host.replayed_ticks, host.sm_ticks) = (1500, 2500, 8000);
         let finished = |stop: StopReason, host: Option<HostProfile>| RunOutput {
             report: report.clone(),
             stop,

@@ -16,7 +16,7 @@ use super::manifest::JobRecord;
 use super::{retry_seed, JobSpec, SweepConfig, EXIT_INTERRUPTED, EXIT_QUARANTINE};
 use crate::figures::{panic_message, par_map};
 use crate::jsonl_log::Appender;
-use crate::report::{pct, ratio, Table};
+use crate::report::{render_tables, Cell, Table};
 use crate::runner::{Harness, JobRun};
 
 /// Everything a finished (or interrupted) sweep produced.
@@ -77,10 +77,7 @@ impl SweepResult {
                 "cycles",
                 "stop",
                 "attempts",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+            ],
         );
         for (job, outcome) in &self.outcomes {
             if let Some(JobRecord::Completed {
@@ -90,15 +87,15 @@ impl SweepResult {
                 ..
             }) = outcome
             {
-                t.push_row(vec![
+                t.push_row([
                     job.bench.abbr().into(),
                     job.kind.name().into(),
-                    ratio(report.ipc),
-                    pct(report.coverage),
-                    pct(report.accuracy),
-                    report.cycles.to_string(),
-                    stop.clone(),
-                    attempts.to_string(),
+                    Cell::Fixed(report.ipc, 3),
+                    Cell::Pct(report.coverage),
+                    Cell::Pct(report.accuracy),
+                    Cell::Count(report.cycles),
+                    stop.as_str().into(),
+                    Cell::Count((*attempts).into()),
                 ]);
             }
         }
@@ -140,10 +137,7 @@ impl SweepResult {
         }
         let mut t = Table::new(
             "Sweep — quarantined jobs",
-            ["job", "attempts", "crash", "last failure"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            ["job", "attempts", "crash", "last failure"],
         );
         for (job, message, attempts, crash, stderr) in crashed {
             // Keep the table single-line per job.
@@ -153,7 +147,12 @@ impl SweepResult {
                 first_line.push_str(&format!(" [stderr: {line}]"));
             }
             let kind = crash.map_or_else(|| "-".to_string(), |k| k.label());
-            t.push_row(vec![job.id(), attempts.to_string(), kind, first_line]);
+            t.push_row([
+                job.id().into(),
+                Cell::Count(attempts.into()),
+                kind.into(),
+                first_line.into(),
+            ]);
         }
         t.note("quarantined jobs exhausted their retry budget; healthy rows above are unaffected");
         Some(t)
@@ -164,16 +163,7 @@ impl SweepResult {
     pub fn render(&self, markdown: bool) -> String {
         let mut tables = vec![self.results_table()];
         tables.extend(self.quarantine_table());
-        let mut out = String::new();
-        for t in &tables {
-            if markdown {
-                out.push_str(&t.to_markdown());
-            } else {
-                out.push_str(&t.to_string());
-            }
-            out.push('\n');
-        }
-        out
+        render_tables(&tables, markdown)
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::process::Command;
 
-use snake_bench::{figures, Harness};
+use snake_bench::{figures, report, Harness};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -36,8 +36,7 @@ fn sections(text: &str) -> Vec<&str> {
 #[test]
 fn quick_all_matches_the_golden_bytes() {
     let tables = figures::all(&Harness::quick()).expect("the quick harness is valid");
-    // `repro` prints each table followed by a blank line.
-    let rendered: String = tables.iter().map(|t| format!("{t}\n")).collect();
+    let rendered = report::render_tables(&tables, false);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(GOLDEN, &rendered).expect("write golden");
     }

@@ -256,7 +256,7 @@ fn poisoned_jobs_are_quarantined_and_siblings_are_unharmed() {
         );
     }
     let quarantine = result.quarantine_table().expect("quarantine section");
-    let quarantined: Vec<&str> = quarantine.rows.iter().map(|r| r[0].as_str()).collect();
+    let quarantined: Vec<String> = quarantine.rows.iter().map(|r| r[0].to_string()).collect();
     assert_eq!(quarantined, ["CP/baseline", "LPS/baseline"]);
 }
 

@@ -85,8 +85,6 @@ pub struct GpuConfig {
     pub scheduler: SchedulerPolicy,
     /// Maximum resident warps per SM (threads/SM ÷ 32).
     pub max_warps_per_sm: u32,
-    /// Threads per warp (always 32 on NVIDIA hardware).
-    pub warp_width: u32,
     /// Outstanding loads one warp may have in flight before it blocks
     /// (stall-on-use: back-to-back loads issue without waiting; any
     /// non-load instruction acts as the use barrier).
@@ -196,7 +194,6 @@ impl GpuConfig {
             schedulers_per_sm: 4,
             scheduler: SchedulerPolicy::GreedyThenOldest,
             max_warps_per_sm: 64, // 2048 threads / 32
-            warp_width: 32,
             max_outstanding_loads: 4,
             l1: CacheGeometry::new(128 * 1024, 128, 256),
             shared_mem_carveout_bytes: 0,
@@ -238,7 +235,7 @@ impl GpuConfig {
     ///
     /// Per resident warp it keeps some V100 proportions (8 MSHRs, one
     /// miss-queue entry per 8 warps, 4 L1 sets, the L1-hit and NoC
-    /// latencies) and not others (ROADMAP.md item 2): `scaled(2)` gives
+    /// latencies) and not others (ROADMAP.md item 1): `scaled(2)` gives
     /// each warp 12.5× the V100's NoC and 35.6× its DRAM bandwidth,
     /// half its L1 (1 KiB, so cache contention is clearly exercised),
     /// 6.7× its L2, 8 warps per scheduler instead of 16, and L2-hit and
@@ -259,7 +256,6 @@ impl GpuConfig {
             schedulers_per_sm: 2,
             scheduler: SchedulerPolicy::GreedyThenOldest,
             max_warps_per_sm: 16,
-            warp_width: 32,
             max_outstanding_loads: 4,
             l1: CacheGeometry::new(16 * 1024, 128, 32),
             shared_mem_carveout_bytes: 0,

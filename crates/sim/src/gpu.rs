@@ -855,11 +855,14 @@ impl Gpu {
     /// profiling is off).
     fn collect_host_profile(&mut self, wall_nanos: u64) -> Option<HostProfile> {
         let prof = self.prof.take()?;
-        let mut profile = prof.finish(wall_nanos, self.cycle.0, self.events_flushed);
-        profile.skipped_cycles = self.skipped_cycles;
-        profile.replayed_ticks = self.sms.iter().map(Sm::replayed_ticks).sum();
-        profile.sm_ticks = self.cycle.0 * self.sms.len() as u64;
-        Some(profile)
+        Some(prof.finish(
+            wall_nanos,
+            self.cycle.0,
+            self.events_flushed,
+            self.skipped_cycles,
+            self.sms.iter().map(Sm::replayed_ticks).sum(),
+            self.cycle.0 * self.sms.len() as u64,
+        ))
     }
 
     /// Merges per-SM, interconnect, and partition statistics.

@@ -50,7 +50,6 @@ mod scheduler;
 mod sm;
 pub mod snapshot;
 mod stats;
-pub mod trace_io;
 mod types;
 mod warp;
 pub mod watchdog;

@@ -137,7 +137,7 @@ const IDLE: usize = CLOCK + 1;
 /// prof.end_iteration();
 /// prof.switch(Phase::Noc); // the second is not: reads no clock
 /// prof.end_iteration();
-/// let profile = prof.finish(1_000, 2, 0);
+/// let profile = prof.finish(1_000, 2, 0, 0, 0, 2);
 /// assert_eq!(profile.get(Phase::Noc).calls, 2, "one region, scaled by 2 / 1");
 /// assert_eq!(profile.phase_nanos_total() + profile.unaccounted_nanos(), 1_000);
 /// ```
@@ -247,8 +247,17 @@ impl HostProfiler {
     /// less one switch per region (the fastest switch, so that one
     /// preempted empty region cannot erase every short region's work)
     /// is its share of `wall_nanos`, and each phase's regions are scaled
-    /// by iterations over sampled iterations.
-    pub fn finish(self, wall_nanos: u64, cycles: u64, trace_events: u64) -> HostProfile {
+    /// by iterations over sampled iterations. The other arguments are
+    /// carried as in [`HostProfile::from_parts`].
+    pub fn finish(
+        self,
+        wall_nanos: u64,
+        cycles: u64,
+        trace_events: u64,
+        skipped_cycles: u64,
+        replayed_ticks: u64,
+        sm_ticks: u64,
+    ) -> HostProfile {
         let per = |count: u64, num: u64, den: u64| -> u64 {
             (u128::from(count) * u128::from(num) / u128::from(den.max(1))) as u64
         };
@@ -263,7 +272,15 @@ impl HostProfiler {
             let calls = per(self.regions[i], self.iterations, self.sampled);
             (p, PhaseStat { nanos, calls })
         });
-        HostProfile::from_parts(wall_nanos, cycles, trace_events, stats)
+        HostProfile::from_parts(
+            wall_nanos,
+            cycles,
+            trace_events,
+            skipped_cycles,
+            replayed_ticks,
+            sm_ticks,
+            stats,
+        )
     }
 }
 
@@ -352,12 +369,15 @@ impl HostProfile {
         }
     }
 
-    /// Builds a profile directly from per-phase stats (exporters, tests
-    /// and [`HostProfiler::finish`]).
+    /// Builds a profile from its fields, in declaration order, and its
+    /// per-phase stats (exporters, tests and [`HostProfiler::finish`]).
     pub fn from_parts(
         wall_nanos: u64,
         cycles: u64,
         trace_events: u64,
+        skipped_cycles: u64,
+        replayed_ticks: u64,
+        sm_ticks: u64,
         stats: impl IntoIterator<Item = (Phase, PhaseStat)>,
     ) -> Self {
         let mut phases = [PhaseStat::default(); Phase::ALL.len()];
@@ -368,9 +388,9 @@ impl HostProfile {
             wall_nanos,
             cycles,
             trace_events,
-            skipped_cycles: 0,
-            replayed_ticks: 0,
-            sm_ticks: 0,
+            skipped_cycles,
+            replayed_ticks,
+            sm_ticks,
             phases,
         }
     }
@@ -421,7 +441,7 @@ mod tests {
             switch_nanos: 10,
             ..HostProfiler::default()
         };
-        let profile = prof.finish(1_000, 5, 0);
+        let profile = prof.finish(1_000, 5, 0, 0, 0, 5);
         assert_eq!(
             profile.get(Phase::SmIssue),
             PhaseStat {
@@ -508,6 +528,9 @@ mod tests {
             2_000,
             4_000_000_000,
             1_000_000_000,
+            0,
+            0,
+            4_000_000_000,
             [
                 (
                     Phase::SmIssue,
@@ -535,6 +558,9 @@ mod tests {
             100,
             1,
             0,
+            0,
+            0,
+            1,
             [(
                 Phase::SmIssue,
                 PhaseStat {
@@ -548,15 +574,42 @@ mod tests {
 
     #[test]
     fn zero_wall_profile_reports_zero_rates() {
-        let profile = HostProfiler::default().finish(0, 0, 0);
+        let profile = HostProfiler::default().finish(0, 0, 0, 0, 0, 0);
         assert_eq!(profile.cycles_per_sec(), 0.0);
         assert_eq!(profile.events_per_sec(), 0.0);
+        assert_eq!(profile.skipped_share(), 0.0);
+        assert_eq!(profile.replayed_share(), 0.0);
+    }
+
+    #[test]
+    fn quiet_counters_reach_their_shares() {
+        let built = HostProfile::from_parts(1_000, 5_000, 0, 2_000, 3_000, 10_000, []);
+        let finished = HostProfiler::default().finish(1_000, 5_000, 0, 2_000, 3_000, 10_000);
+        for profile in [built, finished] {
+            assert_eq!(
+                (
+                    profile.skipped_cycles,
+                    profile.replayed_ticks,
+                    profile.sm_ticks
+                ),
+                (2_000, 3_000, 10_000)
+            );
+            assert!((profile.skipped_share() - 0.4).abs() < 1e-12);
+            assert!((profile.replayed_share() - 0.3).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn from_parts_places_stats_by_phase() {
-        let profile =
-            HostProfile::from_parts(10, 20, 30, [(Phase::Noc, PhaseStat { nanos: 5, calls: 2 })]);
+        let profile = HostProfile::from_parts(
+            10,
+            20,
+            30,
+            0,
+            0,
+            20,
+            [(Phase::Noc, PhaseStat { nanos: 5, calls: 2 })],
+        );
         assert_eq!(profile.get(Phase::Noc).calls, 2);
         assert_eq!(profile.get(Phase::SmIssue).calls, 0);
         assert_eq!(profile.wall_nanos, 10);

@@ -67,6 +67,26 @@ cargo test --workspace -q
 echo "==> cargo test (audit feature)"
 cargo test -p snake-sim --features audit -q
 
+echo "==> EXPERIMENTS.md full results (published = produced)"
+# Everything after EXPERIMENTS.md's "## Full results" heading and its
+# blank line must be exactly what `repro --all --markdown` prints
+# (standard size, about 11 s on 2 vCPUs).
+PUBLISHED=$(mktemp)
+PRODUCED=$(mktemp)
+sed '1,/^## Full results$/d' EXPERIMENTS.md | tail -n +2 > "$PUBLISHED"
+./target/release/repro --all --markdown > "$PRODUCED"
+if ! cmp -s "$PRODUCED" "$PUBLISHED"; then
+    diff "$PUBLISHED" "$PRODUCED" >&2 || true
+    rm -f "$PUBLISHED" "$PRODUCED"
+    echo "EXPERIMENTS.md: the Full results section differs from repro --all --markdown;" \
+         "regenerate it with:" >&2
+    echo "  { sed '/^## Full results\$/q' EXPERIMENTS.md; echo;" \
+         "./target/release/repro --all --markdown; } > EXPERIMENTS.md.new" \
+         "&& mv EXPERIMENTS.md.new EXPERIMENTS.md" >&2
+    exit 1
+fi
+rm -f "$PUBLISHED" "$PRODUCED"
+
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -79,14 +79,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn trace_text_round_trips_for_any_kernel(k in kernel()) {
-        use snake_repro::sim::trace_io;
-        let text = trace_io::to_text(&k);
-        let parsed = trace_io::from_text(&text).expect("serializer output must parse");
-        prop_assert_eq!(parsed, k);
-    }
-
     /// `Gpu::run` skips device-quiet stretches in bulk; stepping every
     /// cycle is the reference it must match, faults, windows, watchdog
     /// and budget included, and a suspension at any cycle must leave
