@@ -206,7 +206,8 @@ fn run() -> Result<i32, CliError> {
         // Default to the two mechanisms the paper's story pivots on; a
         // full-registry profile is `--mechanisms` away.
         let kinds = kinds.unwrap_or_else(|| vec![PrefetcherKind::Baseline, PrefetcherKind::Snake]);
-        return run_profile(&h, &supervise::campaign(&benches, &kinds), &executor());
+        let jobs = supervise::campaign(&benches, &kinds);
+        return run_profile(&h, &jobs, &executor(), markdown, out_file.as_deref());
     }
     if sweep || resume.is_some() {
         if manifest.is_some() && resume.is_some() {
@@ -277,17 +278,25 @@ fn run() -> Result<i32, CliError> {
     } else {
         figures::render(&h, &selected)?
     };
-    let rendered = report::render_tables(&tables, markdown);
+    write_output(
+        &report::render_tables(&tables, markdown),
+        out_file.as_deref(),
+    )?;
+    Ok(0)
+}
+
+/// Writes rendered tables to `out_file`, or to stdout without one.
+fn write_output(rendered: &str, out_file: Option<&str>) -> Result<(), CliError> {
     match out_file {
         Some(path) => {
-            let mut f = std::fs::File::create(&path).map_err(|e| CliError::io(&path, e))?;
+            let mut f = std::fs::File::create(path).map_err(|e| CliError::io(path, e))?;
             f.write_all(rendered.as_bytes())
-                .map_err(|e| CliError::io(&path, e))?;
+                .map_err(|e| CliError::io(path, e))?;
             eprintln!("wrote {path}");
         }
         None => print!("{rendered}"),
     }
-    Ok(0)
+    Ok(())
 }
 
 /// Options for the supervised sweep path.
@@ -415,16 +424,7 @@ fn run_sweep(opts: SweepOpts) -> Result<i32, CliError> {
         r.finish();
     }
     let result = result?;
-    let rendered = result.render(opts.markdown);
-    match &opts.out_file {
-        Some(path) => {
-            let mut f = std::fs::File::create(path).map_err(|e| CliError::io(path, e))?;
-            f.write_all(rendered.as_bytes())
-                .map_err(|e| CliError::io(path, e))?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{rendered}"),
-    }
+    write_output(&result.render(opts.markdown), opts.out_file.as_deref())?;
     for e in &result.manifest_errors {
         eprintln!("repro: warning: checkpoint failed for {e}");
     }
@@ -446,14 +446,24 @@ fn run_sweep(opts: SweepOpts) -> Result<i32, CliError> {
 
 /// `--profile`: one profiled run per job, one job after another on this
 /// thread (parallel jobs would time the scheduler, not the simulator),
-/// each printed as its per-phase table. Each run calls the executor
-/// directly: a profile wants one run, not retries. A sandbox executor
-/// gives each run a fresh address space.
+/// each rendered as its per-phase table and written like the figures
+/// (`--markdown`, `--out`). Each run calls the executor directly: a
+/// profile wants one run, not retries. A sandbox executor gives each
+/// run a fresh address space.
 ///
 /// Fails at the first job that does not finish (an executor error, a
-/// suspension, a cancellation or a deadlock), naming it.
-fn run_profile(h: &Harness, jobs: &[JobSpec], executor: &JobExecutor) -> Result<i32, CliError> {
+/// suspension, a cancellation or a deadlock), naming it, after writing
+/// the tables of the jobs before it.
+fn run_profile(
+    h: &Harness,
+    jobs: &[JobSpec],
+    executor: &JobExecutor,
+    markdown: bool,
+    out_file: Option<&str>,
+) -> Result<i32, CliError> {
     h.validate()?;
+    let mut tables = Vec::new();
+    let mut failed = None;
     for job in jobs {
         let why = match executor.run(h, job, &ExecContext::default(), &mut |_, _| {}) {
             Ok(JobRun::Finished(out)) => match out.stop {
@@ -462,7 +472,7 @@ fn run_profile(h: &Harness, jobs: &[JobSpec], executor: &JobExecutor) -> Result<
                     let host = out
                         .host
                         .expect("a profiled run that finished has a profile");
-                    print!("{}", report::profile_table(&job.id(), &host));
+                    tables.push(report::profile_table(&job.id(), &host));
                     continue;
                 }
             },
@@ -470,12 +480,14 @@ fn run_profile(h: &Harness, jobs: &[JobSpec], executor: &JobExecutor) -> Result<
             Ok(JobRun::Cancelled) => "cancelled".into(),
             Err(e) => e.to_string(),
         };
-        return Err(CliError::BadArg {
+        failed = Some(CliError::BadArg {
             what: "profile",
             why: format!("{} did not finish ({why})", job.id()),
         });
+        break;
     }
-    Ok(0)
+    write_output(&report::render_tables(&tables, markdown), out_file)?;
+    failed.map_or(Ok(0), Err)
 }
 
 fn sweep_error_to_cli(e: SweepError) -> CliError {

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use snake_core::analysis::{analyze_chains, mechanism_bound, ChainAnalysisConfig};
+use snake_core::analysis::{analyze_chains, ideal_bound, mechanism_bound, ChainAnalysisConfig};
 use snake_core::cost::{head_table_cost, snake_storage_bytes, tail_table_cost, FieldWidths};
 use snake_core::metrics::{geometric_mean, mean, MechanismReport};
 use snake_core::snake::tail_table::{EvictionPolicy, TailTableConfig};
@@ -417,8 +417,17 @@ pub fn fig06_coverage_vs_ideal(h: &Harness) -> Table {
         ["intra", "inter", "mta", "cta", "ideal"],
         mean,
         |b| {
-            let r = snake_core::analysis::predictability(&b.build(&h.size));
-            [r.intra, r.inter, r.mta, r.cta, r.ideal].map(Cell::Pct)
+            let k = b.build(&h.size);
+            [
+                PrefetcherKind::Intra,
+                PrefetcherKind::Inter,
+                PrefetcherKind::Mta,
+                PrefetcherKind::Cta,
+            ]
+            .map(|kind| mechanism_bound(&k, kind))
+            .into_iter()
+            .chain([ideal_bound(&k)])
+            .map(|bound| Cell::Pct(bound.fraction()))
         },
         "paper: Ideal is ~25% above MTA and ~70% above CTA-aware",
     )

@@ -1,5 +1,6 @@
 //! Integration tests for the bench binaries' observability flags:
-//! `repro --metrics-csv` and `pfdebug --trace-out` / `--timeline`.
+//! `repro --metrics-csv`, `repro --profile`'s output flags and
+//! `pfdebug --trace-out` / `--timeline`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -46,6 +47,42 @@ fn repro_metrics_csv_writes_the_time_series() {
             "stall fractions sum to {stalls} in: {row}"
         );
     }
+}
+
+/// `--profile` writes its tables like every other mode: as markdown
+/// with `--markdown`, into the `--out` file and not to stdout.
+#[test]
+fn repro_profile_honours_markdown_and_out() {
+    let out = tmp("profile.md");
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "--quick",
+            "--profile",
+            "--benchmarks",
+            "LPS",
+            "--mechanisms",
+            "snake",
+            "--markdown",
+            "--out",
+        ])
+        .arg(&out)
+        .output()
+        .expect("spawn repro");
+    assert!(
+        output.status.success(),
+        "repro exited with {}",
+        output.status
+    );
+    let md = std::fs::read_to_string(&out).expect("profile written");
+    std::fs::remove_file(&out).ok();
+    assert!(md.starts_with("### Host profile — LPS/snake\n"), "{md}");
+    assert!(
+        md.contains("| phase | ms | calls | ns/call | % wall |"),
+        "{md}"
+    );
+    assert!(md.contains("| prefetch |"), "{md}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.is_empty(), "table printed to stdout: {stdout}");
 }
 
 #[test]

@@ -123,9 +123,6 @@ pub struct Snake {
     /// Chain-walk telemetry recorded only when
     /// [`PrefetchContext::telemetry`] is set, drained by the SM.
     events: Vec<PrefetcherEvent>,
-    /// Per-access scratch for the Tail table's walk; empty between
-    /// calls, kept only to reuse its allocation.
-    targets: Vec<Address>,
 }
 
 impl Snake {
@@ -147,7 +144,6 @@ impl Snake {
             cfg,
             name,
             events: Vec::new(),
-            targets: Vec::new(),
         }
     }
 
@@ -159,6 +155,16 @@ impl Snake {
     /// Read access to the Tail table (diagnostics, examples, Fig 8).
     pub fn tail_table(&self) -> &TailTable {
         &self.tail
+    }
+}
+
+/// The Tail table's target sink for one demand access: each target
+/// goes straight into the SM's request buffer.
+struct Requests<'a>(&'a mut Vec<PrefetchRequest>);
+
+impl Extend<Address> for Requests<'_> {
+    fn extend<I: IntoIterator<Item = Address>>(&mut self, targets: I) {
+        self.0.extend(targets.into_iter().map(PrefetchRequest::new));
     }
 }
 
@@ -206,6 +212,7 @@ impl Prefetcher for Snake {
             return;
         }
 
+        let start = out.len();
         let summary = self.tail.generate(
             event.warp,
             event.pc,
@@ -213,13 +220,13 @@ impl Prefetcher for Snake {
             self.throttle.depth(),
             self.cfg.inter_warp_degree,
             self.cfg.use_fixed_strides,
-            &mut self.targets,
+            &mut Requests(out),
         );
         if ctx.telemetry {
-            for (i, t) in self.targets.iter().take(summary.chain_targets).enumerate() {
+            for (i, r) in out[start..start + summary.chain_targets].iter().enumerate() {
                 self.events.push(PrefetcherEvent::ChainWalkStep {
                     depth: i as u32 + 1,
-                    addr: *t,
+                    addr: r.addr,
                 });
             }
             self.events.push(PrefetcherEvent::ChainWalkStop {
@@ -231,7 +238,6 @@ impl Prefetcher for Snake {
                 },
             });
         }
-        out.extend(self.targets.drain(..).map(PrefetchRequest::new));
     }
 
     fn throttled(&self, now: snake_sim::Cycle) -> bool {

@@ -208,6 +208,58 @@ fn warp_bit(warp: WarpId) -> u64 {
     1u64 << (warp.0 % 64)
 }
 
+/// Hops held by a [`CachedWalk`]: the deepest walk Snake's throttle
+/// allows (`SnakeConfig::chain_depth`). Hops beyond it are walked
+/// afresh on every call.
+const CACHED_HOPS: usize = 16;
+
+/// The first hops of the inter-thread chain walk from one start PC for
+/// one warp bit, as [`TailTable::generate`] took them against the table
+/// contents that `stamp` names.
+///
+/// The walk reads the warp only through [`TailEntry::has_warp`] and
+/// the trigger address only as the base its offsets are added to, so
+/// one walk serves every later trigger of the same (PC, `warp % 64`)
+/// until an entry, a `t1` state or that warp's bit changes. A walk
+/// keeps entry indices, not offsets: replaying it sums the strides of
+/// the entries it stamps anyway, so a cache hit reads one small record
+/// beside the table.
+#[derive(Debug, Clone, Copy)]
+struct CachedWalk {
+    /// [`TailTable::walk_stamp`] for this warp bit when the walk was
+    /// taken.
+    stamp: u64,
+    /// Index of the entry each hop followed.
+    hops: [u16; CACHED_HOPS],
+    /// Bit `i` is set when hop `i` reached an offset from the trigger
+    /// address that no earlier hop reached, and that is not zero.
+    new_target: u16,
+    /// Hops held.
+    len: u8,
+    /// Whether the walk ran out of links after its `len` hops.
+    ended: bool,
+    /// Index of the first entry whose `pc1` is the start PC: the one
+    /// whose fixed strides [`TailTable::generate`] issues.
+    fixed: Option<u16>,
+}
+
+impl CachedWalk {
+    /// A walk that no stamp matches.
+    const STALE: CachedWalk = CachedWalk {
+        stamp: 0,
+        hops: [0; CACHED_HOPS],
+        new_target: 0,
+        len: 0,
+        ended: false,
+        fixed: None,
+    };
+}
+
+/// Index of a table entry in a [`CachedWalk`].
+fn entry_index(idx: usize) -> u16 {
+    u16::try_from(idx).expect("TailTable::new bounds the capacity to u16 indices")
+}
+
 /// Configuration knobs of the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailTableConfig {
@@ -241,6 +293,24 @@ pub struct TailTable {
     seq: u64,
     /// Set once any stride reaches a prefetchable state.
     any_trained: bool,
+    /// Bumped whenever a chain walk may change for every warp: an
+    /// insert or eviction (entry order and links) or a `t1` change.
+    /// Starts at 1, so that a walk stamped 0 is never valid.
+    version: u64,
+    /// Bumped per warp bit whenever that bit changes in any entry's
+    /// `warp_vec`.
+    warp_versions: [u64; 64],
+    /// The last chain walk per (start PC, `warp % 64`): the 64 walks of
+    /// `walk_pcs[i]` start at index `64 * i`. Derived state: never
+    /// checkpointed, dropped by `reset` and `restore_state`, and valid
+    /// only while its stamp matches.
+    walks: Vec<CachedWalk>,
+    /// The start PCs that have walks: those of a kernel's few load PCs
+    /// that ever started a chain, so a scan finds one faster than a
+    /// hash would.
+    walk_pcs: Vec<Pc>,
+    /// Scratch for one walk's offsets; empty between calls.
+    offsets: Vec<i64>,
 }
 
 impl TailTable {
@@ -248,9 +318,14 @@ impl TailTable {
     ///
     /// # Panics
     ///
-    /// Panics if the configured capacity or promote threshold is zero.
+    /// Panics if the configured capacity is zero or more than
+    /// `u16::MAX` entries, or the promote threshold is zero.
     pub fn new(cfg: TailTableConfig) -> Self {
         assert!(cfg.entries > 0, "tail table needs capacity");
+        assert!(
+            cfg.entries <= usize::from(u16::MAX),
+            "tail table capacity exceeds 16-bit entry indices"
+        );
         assert!(
             cfg.promote_threshold > 0,
             "promote threshold must be positive"
@@ -260,6 +335,11 @@ impl TailTable {
             cfg,
             seq: 0,
             any_trained: false,
+            version: 1,
+            warp_versions: [0; 64],
+            walks: Vec::new(),
+            walk_pcs: Vec::new(),
+            offsets: Vec::new(),
         }
     }
 
@@ -284,6 +364,8 @@ impl TailTable {
         self.entries.clear();
         self.seq = 0;
         self.any_trained = false;
+        self.walks.clear();
+        self.walk_pcs.clear();
     }
 
     /// Serializes entries (in table order — it is LRU-meaningful) and
@@ -324,12 +406,21 @@ impl TailTable {
         self.entries = entries;
         self.seq = seq;
         self.any_trained = any_trained;
+        self.walks.clear();
+        self.walk_pcs.clear();
         Ok(())
     }
 
     fn tick(&mut self) -> u64 {
         self.seq += 1;
         self.seq
+    }
+
+    /// The stamp a [`CachedWalk`] for warp bit `bit` must carry to be
+    /// valid: both counters only grow, so their sum moves whenever
+    /// either does.
+    fn walk_stamp(&self, bit: u32) -> u64 {
+        self.version + self.warp_versions[bit as usize]
     }
 
     /// The detection step (Fig 12): digest one Head-table transition.
@@ -341,14 +432,17 @@ impl TailTable {
         // warp previously claimed a different (pc2, stride) continuation
         // for prev_pc, remove it from that entry's warp vector.
         let threshold = self.cfg.promote_threshold;
+        let bit = (t.warp.0 % 64) as usize;
         for e in &mut self.entries {
             if e.pc1 == t.prev_pc
                 && e.has_warp(t.warp)
                 && !(e.pc2 == t.cur_pc && e.inter_thread_stride == stride)
             {
                 e.warp_vec &= !warp_bit(t.warp);
+                self.warp_versions[bit] += 1;
                 if e.popcount() < threshold && e.t1.can_prefetch() {
                     e.t1 = TrainState::NotTrained;
+                    self.version += 1;
                 }
             }
         }
@@ -376,10 +470,13 @@ impl TailTable {
             .find(|e| e.pc1 == t.prev_pc && e.pc2 == t.cur_pc && e.inter_thread_stride == stride)
         {
             let had_warp = e.has_warp(t.warp);
+            let t1 = e.t1;
             e.warp_vec |= warp_bit(t.warp);
             e.last_use = seq;
             if had_warp {
                 e.repeats = e.repeats.saturating_add(1);
+            } else {
+                self.warp_versions[bit] += 1;
             }
             if e.t1 == TrainState::Promoted && had_warp {
                 // Re-confirmation after promotion.
@@ -389,6 +486,9 @@ impl TailTable {
                 // via in-warp loop repetition (seen, then repeated) —
                 // both training paths of §3.2.
                 e.t1 = TrainState::Promoted;
+            }
+            if e.t1 != t1 {
+                self.version += 1;
             }
             if e.t1.can_prefetch() {
                 self.any_trained = true;
@@ -493,6 +593,7 @@ impl TailTable {
     }
 
     fn insert(&mut self, entry: TailEntry) {
+        self.version += 1;
         if self.entries.len() >= self.cfg.entries {
             let victim = self.eviction_victim();
             self.entries.swap_remove(victim);
@@ -534,8 +635,17 @@ impl TailTable {
     /// targets (s-Snake passes `false`). Targets are appended to `out`
     /// in priority order (inter-thread first — "Snake accords priority
     /// to the inter-thread stride", §3.4 — then intra-warp, then
-    /// inter-warp). Returns a [`WalkSummary`] describing how the chain
-    /// walk ended, for telemetry.
+    /// inter-warp); the chain targets are distinct from each other and
+    /// from `addr`, and `out`'s earlier contents are not read. Returns
+    /// a [`WalkSummary`] describing how the chain walk ended, for
+    /// telemetry.
+    ///
+    /// The walk is cached per (`pc`, `warp % 64`) and taken again only
+    /// after the table changed in a way it reads (an insert, an
+    /// eviction, a `t1` change, that warp bit in a `warp_vec`, a
+    /// restore); a cached walk is cut to, or extended to,
+    /// `chain_depth`. A cache hit stamps the visited entries' LRU
+    /// state exactly as walking them would.
     #[allow(clippy::too_many_arguments)]
     pub fn generate(
         &mut self,
@@ -545,65 +655,100 @@ impl TailTable {
         chain_depth: usize,
         iw_degree: u32,
         use_fixed: bool,
-        out: &mut Vec<Address>,
+        out: &mut impl Extend<Address>,
     ) -> WalkSummary {
         let seq = self.tick();
 
-        // Inter-thread chain walk.
-        let chain_start = out.len();
-        let mut cur_pc = pc;
+        // Inter-thread chain walk: replay the cached hops, then walk on.
+        let bit = warp.0 % 64;
+        let stamp = self.walk_stamp(bit);
+        let block = self.walk_pcs.iter().position(|&p| p == pc);
+        let mut first_walk = CachedWalk::STALE;
+        let walk = match block {
+            Some(b) => &mut self.walks[64 * b + bit as usize],
+            None => &mut first_walk,
+        };
+        if walk.stamp != stamp {
+            *walk = CachedWalk {
+                stamp,
+                fixed: self
+                    .entries
+                    .iter()
+                    .position(|e| e.pc1 == pc)
+                    .map(entry_index),
+                ..CachedWalk::STALE
+            };
+        }
         let mut cum = 0i64;
-        let mut visited = 0usize;
-        let mut exhausted = true;
-        while visited < chain_depth {
+        let mut cur_pc = pc;
+        let mut steps = chain_depth.min(usize::from(walk.len));
+        for (i, &idx) in walk.hops[..steps].iter().enumerate() {
+            let e = &mut self.entries[usize::from(idx)];
+            e.last_use = seq;
+            cum += e.inter_thread_stride;
+            if walk.new_target & (1 << i) != 0 {
+                self.offsets.push(cum);
+            }
+            cur_pc = e.pc2;
+        }
+        while steps < chain_depth && !walk.ended {
             let Some(idx) = self.entries.iter().position(|e| {
                 e.pc1 == cur_pc
                     && e.t1.can_prefetch()
                     && (e.has_warp(warp) || e.t1 == TrainState::Promoted)
             }) else {
-                exhausted = false;
+                walk.ended = steps == usize::from(walk.len);
                 break;
             };
-            let (stride, pc2) = {
-                let e = &mut self.entries[idx];
-                e.last_use = seq;
-                (e.inter_thread_stride, e.pc2)
-            };
-            cum += stride;
-            let target = addr.offset(cum);
+            let e = &mut self.entries[idx];
+            e.last_use = seq;
+            cum += e.inter_thread_stride;
             // Zero-stride links (e.g. a chain returning to the same
             // address) and laps revisiting earlier targets add nothing.
-            if target != addr && !out.contains(&target) {
-                out.push(target);
+            let new_target = cum != 0 && !self.offsets.contains(&cum);
+            if new_target {
+                self.offsets.push(cum);
             }
-            cur_pc = pc2;
-            visited += 1;
+            cur_pc = e.pc2;
+            if steps == usize::from(walk.len) && steps < CACHED_HOPS {
+                walk.hops[steps] = entry_index(idx);
+                walk.new_target |= u16::from(new_target) << steps;
+                walk.len += 1;
+            }
+            steps += 1;
             // Note: deliberately *no* cycle break — walking around a
             // loop's chain cycle repeatedly is how Snake prefetches
             // multiple iterations ahead ("delving deeper", §3.2/Fig 13);
             // `chain_depth` (throttling) bounds the walk.
         }
+        let fixed = walk.fixed;
+        // A PC gets its 64 walks once a walk from it takes a hop: most
+        // loads of an irregular kernel never start a chain.
+        if block.is_none() && first_walk.len > 0 {
+            self.walk_pcs.push(pc);
+            self.walks.extend([CachedWalk::STALE; 64]);
+            self.walks[64 * (self.walk_pcs.len() - 1) + bit as usize] = first_walk;
+        }
         let summary = WalkSummary {
-            steps: visited as u32,
-            exhausted,
-            chain_targets: out.len() - chain_start,
+            steps: steps as u32,
+            exhausted: steps == chain_depth,
+            chain_targets: self.offsets.len(),
         };
+        out.extend(self.offsets.drain(..).map(|o| addr.offset(o)));
 
         // Intra-warp and inter-warp strides of this PC.
         if !use_fixed {
             return summary;
         }
-        if let Some(e) = self.entries.iter_mut().find(|e| e.pc1 == pc) {
+        if let Some(e) = fixed.map(|i| &mut self.entries[usize::from(i)]) {
             e.last_use = seq;
             if e.t2.can_prefetch() {
                 if let Some(s) = e.intra_stride {
-                    out.push(addr.offset(s));
+                    out.extend([addr.offset(s)]);
                 }
             }
             if let Some(s) = e.inter_warp_stride {
-                for k in 1..=i64::from(iw_degree) {
-                    out.push(addr.offset(s * k));
-                }
+                out.extend((1..=i64::from(iw_degree)).map(|k| addr.offset(s * k)));
             }
         }
         summary
@@ -909,6 +1054,60 @@ mod tests {
         t.reset();
         assert!(t.entries().is_empty());
         assert!(!t.any_trained());
+    }
+
+    /// Trains the chain 10 -(+stride)-> 20 on three warps.
+    fn chain_table(stride: u64) -> TailTable {
+        let mut t = table();
+        for w in 0..3u32 {
+            let b = 10_000 * u64::from(w);
+            t.observe(&tr(w, 10, b, 20, b + stride));
+        }
+        t
+    }
+
+    fn walk(t: &mut TailTable) -> Vec<Address> {
+        let mut out = Vec::new();
+        t.generate(WarpId(0), Pc(10), Address(50_000), 4, 0, false, &mut out);
+        out
+    }
+
+    #[test]
+    fn reset_drops_cached_walks() {
+        let mut t = chain_table(400);
+        assert_eq!(walk(&mut t), vec![Address(50_400)]);
+        t.reset();
+        assert!(walk(&mut t).is_empty(), "a reset table has no chains");
+    }
+
+    #[test]
+    fn restore_state_drops_cached_walks() {
+        let mut t = chain_table(400);
+        assert_eq!(walk(&mut t), vec![Address(50_400)]);
+        t.restore_state(&chain_table(800).save_state()).unwrap();
+        assert_eq!(walk(&mut t), vec![Address(50_800)]);
+    }
+
+    #[test]
+    fn walks_deeper_than_the_cache_are_finished_afresh() {
+        // An 18-link straight chain 0 -> 1 -> ... -> 18 of +64 strides.
+        let mut t = TailTable::new(TailTableConfig {
+            entries: 32,
+            ..Default::default()
+        });
+        for w in 0..3u32 {
+            for pc in 0..18u32 {
+                let a = 10_000 * u64::from(w) + 64 * u64::from(pc);
+                t.observe(&tr(w, pc, a, pc + 1, a + 64));
+            }
+        }
+        let chain: Vec<Address> = (1..=18).map(|k| Address(64 * k)).collect();
+        for _ in 0..2 {
+            let mut out = Vec::new();
+            let s = t.generate(WarpId(0), Pc(0), Address(0), 20, 0, false, &mut out);
+            assert_eq!(out, chain);
+            assert_eq!((s.steps, s.exhausted), (18, false));
+        }
     }
 
     #[test]

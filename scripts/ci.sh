@@ -133,28 +133,35 @@ if ! cmp -s "$SWEEP_DIR/full.md" "$SWEEP_DIR/resumed.md"; then
 fi
 
 echo "==> kill-anywhere smoke (checkpoint mid-run, restore, byte-identical outcome)"
-# Kill a memory-bound benchmark at a pseudo-random cycle, restore from
-# the checkpoint in a fresh process, and require the restored run's
+# Kill a benchmark at a pseudo-random cycle, restore from the
+# checkpoint in a fresh process, and require the restored run's
 # SimOutcome artifact to be byte-identical to the uninterrupted one.
+# LIB is memory-bound and its chain walks almost never repeat. MRQ is
+# chain-heavy: most of Snake's walks there come from the Tail table's
+# walk cache, which is never checkpointed, so the restored run walks
+# from an empty cache and must still match the uninterrupted one.
 # The kill cycle is derived from the PID and echoed so a failure is
 # reproducible; a mismatched restore must use the distinct exit code 6.
 KILL_CYCLE=$((500 + $$ % 2000))
 echo "    kill cycle: $KILL_CYCLE (reproduce with --checkpoint-at $KILL_CYCLE)"
-./target/release/pfdebug lib snake \
-    --outcome-out "$SWEEP_DIR/uninterrupted.outcome"
-./target/release/pfdebug lib snake --checkpoint-at "$KILL_CYCLE" \
-    --checkpoint-out "$SWEEP_DIR/kill.ckpt" --outcome-out /dev/null
-./target/release/pfdebug lib snake --restore "$SWEEP_DIR/kill.ckpt" \
-    --outcome-out "$SWEEP_DIR/restored.outcome"
-if ! cmp -s "$SWEEP_DIR/uninterrupted.outcome" "$SWEEP_DIR/restored.outcome"; then
-    echo "kill-anywhere smoke: restored outcome differs from the uninterrupted run" >&2
-    ./target/release/pfdebug lib snake --checkpoint-at $((KILL_CYCLE + 32)) \
-        --checkpoint-out "$SWEEP_DIR/kill2.ckpt" --outcome-out /dev/null
-    ./target/release/pfdebug lib snake --diverge "$SWEEP_DIR/kill.ckpt" "$SWEEP_DIR/kill2.ckpt" >&2 || true
-    exit 1
-fi
+for APP in lib mrq; do
+    ./target/release/pfdebug "$APP" snake \
+        --outcome-out "$SWEEP_DIR/$APP-uninterrupted.outcome"
+    ./target/release/pfdebug "$APP" snake --checkpoint-at "$KILL_CYCLE" \
+        --checkpoint-out "$SWEEP_DIR/$APP-kill.ckpt" --outcome-out /dev/null
+    ./target/release/pfdebug "$APP" snake --restore "$SWEEP_DIR/$APP-kill.ckpt" \
+        --outcome-out "$SWEEP_DIR/$APP-restored.outcome"
+    if ! cmp -s "$SWEEP_DIR/$APP-uninterrupted.outcome" "$SWEEP_DIR/$APP-restored.outcome"; then
+        echo "kill-anywhere smoke: $APP restored outcome differs from the uninterrupted run" >&2
+        ./target/release/pfdebug "$APP" snake --checkpoint-at $((KILL_CYCLE + 32)) \
+            --checkpoint-out "$SWEEP_DIR/$APP-kill2.ckpt" --outcome-out /dev/null
+        ./target/release/pfdebug "$APP" snake \
+            --diverge "$SWEEP_DIR/$APP-kill.ckpt" "$SWEEP_DIR/$APP-kill2.ckpt" >&2 || true
+        exit 1
+    fi
+done
 rc=0
-./target/release/pfdebug lib mta --restore "$SWEEP_DIR/kill.ckpt" >/dev/null 2>&1 || rc=$?
+./target/release/pfdebug lib mta --restore "$SWEEP_DIR/lib-kill.ckpt" >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 6 ]; then
     echo "kill-anywhere smoke: mismatched restore must exit 6, got $rc" >&2
     exit 1
