@@ -185,10 +185,6 @@ fn run() -> Result<(), CliError> {
         None => PrefetcherKind::Snake,
     };
 
-    if let Some((a, b)) = diverge {
-        return diverge_report(&a, &b, bench, kind);
-    }
-
     let mut h = Harness::standard();
     if timeline && window.is_none() {
         window = Some(DEFAULT_WINDOW);
@@ -196,6 +192,9 @@ fn run() -> Result<(), CliError> {
     h.cfg.metrics_window = window;
     h.cfg.cycle_budget = budget.map(snake_sim::Cycle);
     h.cfg.host_profile = profile;
+    if let Some((a, b)) = diverge {
+        return diverge_report(&a, &b, bench, kind, &h);
+    }
     let kernel = bench.build(&h.size);
     let warps = h.cfg.max_warps_per_sm;
     let mut gpu = Gpu::new(h.cfg.clone(), kernel, |_| kind.build(warps))?;
@@ -299,8 +298,9 @@ fn run() -> Result<(), CliError> {
 /// `--diverge A B`: the checkpoint divergence bisector.
 ///
 /// Both checkpoints must come from runs of the BENCH/MECHANISM pair
-/// given on the command line (enforced by the config fingerprint; a
-/// mismatch exits with the checkpoint-mismatch code). The earlier
+/// and the configuration flags (`--window`, `--budget`) given on the
+/// command line (enforced by the config fingerprint; a mismatch exits
+/// with the checkpoint-mismatch code). The earlier
 /// checkpoint is restored onto a fresh device while a *golden* device
 /// replays the same run from cycle zero; from the earlier cycle on,
 /// the two advance in lockstep with their full state compared every
@@ -317,8 +317,8 @@ fn diverge_report(
     b_path: &str,
     bench: Benchmark,
     kind: PrefetcherKind,
+    h: &Harness,
 ) -> Result<(), CliError> {
-    let h = Harness::standard();
     let kernel = bench.build(&h.size);
     let warps = h.cfg.max_warps_per_sm;
     let mut a = Checkpoint::load(Path::new(a_path))?;

@@ -178,7 +178,6 @@ fn run() -> Result<i32, CliError> {
             supervise::JobExecutor::sandbox(supervise::SandboxLimits {
                 mem_mb: isolate_mem,
                 cpu_secs: isolate_cpu,
-                lease: None,
             })
         } else {
             supervise::JobExecutor::in_thread()

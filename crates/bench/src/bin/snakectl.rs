@@ -33,7 +33,7 @@ use snake_bench::cli::{fail, CliError};
 use snake_bench::serve::client::{self, ClientError, TailOutcome};
 use snake_bench::serve::{Request, SubmitSpec, EXIT_QUOTA};
 use snake_core::json::Value;
-use snake_sim::MetricsSample;
+use snake_sim::{MetricsSample, STALL_BUCKETS};
 
 const USAGE: &str = "usage: snakectl [--socket PATH] COMMAND
 commands:
@@ -254,18 +254,9 @@ fn render(v: &Value) -> Option<String> {
     }
 }
 
-/// Stall-taxonomy buckets in display order: bar glyph and short label.
-/// The glyphs stack into the breakdown bar.
-const STALL_BUCKETS: [(char, &str); 8] = [
-    ('#', "issued"),
-    (' ', "no-warp"),
-    ('B', "barrier"),
-    ('S', "scoreb"),
-    ('D', "mem-data"),
-    ('M', "mshr"),
-    ('Q', "missq"),
-    ('N', "noc"),
-];
+/// Each stall bucket's glyph in the breakdown bar, in
+/// [`STALL_BUCKETS`] order.
+const STALL_GLYPHS: [char; 8] = ['#', ' ', 'B', 'S', 'D', 'M', 'Q', 'N'];
 
 /// State behind the `top` dashboard: the latest window row plus stream
 /// health counters, repainted in place after every update.
@@ -280,6 +271,11 @@ struct Dashboard {
     progress: Option<String>,
     /// Lines painted by the previous repaint (cursor-up distance).
     painted: usize,
+}
+
+/// A fraction as a percentage with one decimal.
+fn pct100(v: f64) -> String {
+    format!("{:.1}%", v * 100.0)
 }
 
 /// A `[####......]`-style occupancy gauge.
@@ -333,31 +329,16 @@ impl Dashboard {
         }
     }
 
-    /// The window's stall fractions, in [`STALL_BUCKETS`] order.
-    fn stall(&self) -> [f64; 8] {
-        let w = &self.window;
-        [
-            w.stall_issued,
-            w.stall_no_warp,
-            w.stall_barrier,
-            w.stall_scoreboard,
-            w.stall_mem_data,
-            w.stall_mem_mshr,
-            w.stall_mem_missq,
-            w.stall_mem_noc,
-        ]
-    }
-
     /// The stall breakdown as a stacked bar: each bucket's glyph
     /// repeated in proportion to its fraction of the window's issue
     /// slots.
     fn stacked_bar(&self, width: usize) -> String {
         let mut bar = String::with_capacity(width);
-        for (i, frac) in self.stall().into_iter().enumerate() {
+        for (glyph, frac) in STALL_GLYPHS.into_iter().zip(self.window.stall) {
             let n = (frac.clamp(0.0, 1.0) * width as f64).round() as usize;
             for _ in 0..n {
                 if bar.chars().count() < width {
-                    bar.push(STALL_BUCKETS[i].0);
+                    bar.push(glyph);
                 }
             }
         }
@@ -365,6 +346,17 @@ impl Dashboard {
             bar.push('.');
         }
         bar
+    }
+
+    /// The legend under the bar: each bucket's label and its share of
+    /// the window's issue slots.
+    fn stall_labels(&self) -> String {
+        STALL_BUCKETS
+            .iter()
+            .zip(self.window.stall)
+            .map(|(b, frac)| format!("{} {}", b.label, pct100(frac)))
+            .collect::<Vec<_>>()
+            .join(" | ")
     }
 
     /// Repaints the dashboard in place: moves the cursor up over the
@@ -376,7 +368,6 @@ impl Dashboard {
         } else {
             format!("{} dropped", self.dropped)
         };
-        let pct100 = |v: f64| format!("{:.1}%", v * 100.0);
         let w = &self.window;
         let mut lines = vec![
             format!(
@@ -402,12 +393,7 @@ impl Dashboard {
                 pct100(w.noc_utilization)
             ),
             format!("stall [{}]", self.stacked_bar(40)),
-            STALL_BUCKETS
-                .iter()
-                .zip(self.stall())
-                .map(|((_, label), frac)| format!("{label} {}", pct100(frac)))
-                .collect::<Vec<_>>()
-                .join(" | "),
+            self.stall_labels(),
         ];
         if let Some(progress) = &self.progress {
             lines.push(progress.clone());
@@ -535,5 +521,31 @@ fn main() {
                 Request::Tail { .. } => unreachable!("handled above"),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snake_core::json;
+
+    /// A `window` line as the daemon streams it. The stall fractions
+    /// are multiples of 1/64, so the bar's rounding is exact: the
+    /// rounded runs add up to 41 glyphs, and the bar cuts the last.
+    const WINDOW: &str = r#"{"type":"window","job":"LPS/snake","seq":3,"dropped":0,"cycle":1500,"ipc":0.5,"l1_hit_rate":0.75,"mshr_occupancy":0.25,"miss_queue_occupancy":0.125,"noc_utilization":0.5,"active_warps":8,"throttled_sms":0,"chain_depth":4,"stall_issued":0.265625,"stall_no_warp":0.03125,"stall_barrier":0.09375,"stall_scoreboard":0.046875,"stall_mem_data":0.3125,"stall_mem_mshr":0.125,"stall_mem_missq":0.078125,"stall_mem_noc":0.046875}"#;
+
+    #[test]
+    fn stall_bar_and_labels_are_pinned() {
+        let mut dash = Dashboard::default();
+        assert!(dash.observe(&json::parse(WINDOW).unwrap()));
+        assert_eq!(
+            dash.stacked_bar(40),
+            "########### BBBBSSDDDDDDDDDDDDDMMMMMQQQN"
+        );
+        assert_eq!(
+            dash.stall_labels(),
+            "issued 26.6% | no-warp 3.1% | barrier 9.4% | scoreb 4.7% | \
+             mem-data 31.2% | mshr 12.5% | missq 7.8% | noc 4.7%"
+        );
     }
 }

@@ -9,13 +9,13 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use snake_core::analysis::{analyze_chains, ideal_bound, mechanism_bound, ChainAnalysisConfig};
+use snake_core::analysis::{analyze_chains, ideal_bound, mechanism_bound};
 use snake_core::cost::{head_table_cost, snake_storage_bytes, tail_table_cost, FieldWidths};
 use snake_core::metrics::{geometric_mean, mean, MechanismReport};
 use snake_core::snake::tail_table::{EvictionPolicy, TailTableConfig};
 use snake_core::snake::{Snake, SnakeConfig};
 use snake_core::PrefetcherKind;
-use snake_sim::{GpuConfig, SimError};
+use snake_sim::{GpuConfig, SimError, STALL_BUCKETS};
 use snake_workloads::{tiled, Benchmark};
 
 use crate::report::{Cell, Table};
@@ -366,24 +366,9 @@ pub fn fig05_memory_stalls(m: &EvalMatrix) -> Table {
 pub fn fig05_stall_breakdown(m: &EvalMatrix) -> Table {
     app_table(
         "Fig 5 (breakdown) — Issue-slot taxonomy, baseline (% of scheduler cycles)",
-        [
-            "issued", "no-warp", "barrier", "scoreb", "mem-data", "mshr", "missq", "noc",
-        ],
+        STALL_BUCKETS.map(|b| b.label),
         mean,
-        |b| {
-            let r = m.get(b, PrefetcherKind::Baseline);
-            [
-                r.stall_issued,
-                r.stall_no_warp,
-                r.stall_barrier,
-                r.stall_scoreboard,
-                r.stall_mem_data,
-                r.stall_mem_mshr,
-                r.stall_mem_missq,
-                r.stall_mem_noc,
-            ]
-            .map(Cell::Pct)
-        },
+        |b| m.get(b, PrefetcherKind::Baseline).stall.map(Cell::Pct),
         "MECE per-cycle accounting: the eight columns partition scheduler cycles exactly",
     )
 }
@@ -435,13 +420,12 @@ pub fn fig06_coverage_vs_ideal(h: &Harness) -> Table {
 
 /// Fig 9 — load PCs participating in chains, per representative warp.
 pub fn fig09_chain_pcs(h: &Harness) -> Table {
-    let cfg = ChainAnalysisConfig::default();
     app_table(
         "Fig 9 — Load PCs in chains / all load PCs (representative warp)",
         ["PCs in chains"],
         mean,
         |b| {
-            let r = analyze_chains(&b.build(&h.size), &cfg);
+            let r = analyze_chains(&b.build(&h.size));
             [Cell::Pct(r.pc_fraction_in_chains)]
         },
         "paper: chains cover ~65% of the PCs on average",
@@ -450,13 +434,12 @@ pub fn fig09_chain_pcs(h: &Harness) -> Table {
 
 /// Fig 10 — maximum chain repetition within the representative warp.
 pub fn fig10_chain_repetition(h: &Harness) -> Table {
-    let cfg = ChainAnalysisConfig::default();
     app_table(
         "Fig 10 — Maximum chain repetitions per representative warp",
         ["max repetitions"],
         mean,
         |b| {
-            let r = analyze_chains(&b.build(&h.size), &cfg);
+            let r = analyze_chains(&b.build(&h.size));
             [Cell::Count(r.max_repetition.into())]
         },
         "paper: chains repeat ~35x per warp on average (scales with workload size)",
@@ -569,11 +552,7 @@ pub const ENTRY_SWEEP: [usize; 5] = [2, 5, 10, 20, 1024];
 
 fn snake_with_tail(h: &Harness, entries: usize, eviction: EvictionPolicy) -> SnakeConfig {
     SnakeConfig {
-        tail: TailTableConfig {
-            entries,
-            eviction,
-            ..Default::default()
-        },
+        tail: TailTableConfig { entries, eviction },
         head_warps: h.cfg.max_warps_per_sm,
         ..SnakeConfig::snake()
     }

@@ -457,14 +457,7 @@ mod tests {
             active_warps: 8,
             throttled_sms: 1,
             chain_depth: 3,
-            stall_issued: 0.5,
-            stall_no_warp: 0.0,
-            stall_barrier: 0.125,
-            stall_scoreboard: 0.125,
-            stall_mem_data: 0.25,
-            stall_mem_mshr: 0.0,
-            stall_mem_missq: 0.0,
-            stall_mem_noc: 1.0 / 3.0,
+            stall: [0.5, 0.0, 0.125, 0.125, 0.25, 0.0, 0.0, 1.0 / 3.0],
         };
         let event = TraceEvent {
             cycle: snake_sim::Cycle(1200),

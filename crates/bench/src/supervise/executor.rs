@@ -216,19 +216,17 @@ fn is_alloc_failure(stderr: &str) -> bool {
     stderr.contains("memory allocation of") && stderr.contains("failed")
 }
 
-/// Resource limits for sandboxed children. `None` fields are
-/// unlimited; the wall-clock lease is enforced supervisor-side with
-/// `SIGKILL`, the rest via `ulimit` in the spawn wrapper.
+/// Resource limits for sandboxed children, applied via `ulimit` in the
+/// spawn wrapper. `None` fields are unlimited. The wall-clock lease is
+/// the job's [`ExecContext::deadline`], enforced supervisor-side with
+/// `SIGKILL`: the job then either resumes from its newest checkpoint
+/// or is quarantined as [`CrashKind::TimedOut`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SandboxLimits {
     /// Address-space cap in MiB (`ulimit -v`).
     pub mem_mb: Option<u64>,
     /// CPU-time cap in seconds (`ulimit -t`, delivers SIGXCPU).
     pub cpu_secs: Option<u64>,
-    /// Wall-clock lease per job; on expiry the child is SIGKILLed and
-    /// the job either resumes from its newest checkpoint or is
-    /// quarantined as [`CrashKind::TimedOut`].
-    pub lease: Option<Duration>,
 }
 
 /// How a [`JobExecutor`] runs jobs.
@@ -435,11 +433,6 @@ fn run_sandbox(
     let done = AtomicBool::new(false);
     let lease_killed = AtomicBool::new(false);
     let cancelled = AtomicBool::new(false);
-    let started = Instant::now();
-    let lease_at = match (ctx.deadline, limits.lease.map(|d| started + d)) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
 
     let mut terminal: Option<ChildLine> = None;
     let mut garbage: Option<String> = None;
@@ -457,7 +450,7 @@ fn run_sandbox(
                     kill_child(&child);
                     return;
                 }
-                if lease_at.is_some_and(|t| Instant::now() >= t) {
+                if ctx.deadline.is_some_and(|t| Instant::now() >= t) {
                     lease_killed.store(true, Ordering::Relaxed);
                     kill_child(&child);
                     return;
@@ -1391,14 +1384,7 @@ mod tests {
             active_warps: 8,
             throttled_sms: 1,
             chain_depth: 3,
-            stall_issued: 0.5,
-            stall_no_warp: 0.0,
-            stall_barrier: 0.125,
-            stall_scoreboard: 0.125,
-            stall_mem_data: 0.25,
-            stall_mem_mshr: 0.0,
-            stall_mem_missq: 0.0,
-            stall_mem_noc: 0.0,
+            stall: [0.5, 0.0, 0.125, 0.125, 0.25, 0.0, 0.0, 0.0],
         };
         let line = ChildLine::Window(sample).to_json().to_string();
         assert_eq!(parse_child_line(&line), Ok(ChildLine::Window(sample)));
@@ -1493,14 +1479,7 @@ mod tests {
             active_warps: 8,
             throttled_sms: 1,
             chain_depth: 3,
-            stall_issued: 0.5,
-            stall_no_warp: 0.0,
-            stall_barrier: 0.125,
-            stall_scoreboard: 0.125,
-            stall_mem_data: 0.25,
-            stall_mem_mshr: 0.0,
-            stall_mem_missq: 0.0,
-            stall_mem_noc: 1.0 / 3.0,
+            stall: [0.5, 0.0, 0.125, 0.125, 0.25, 0.0, 0.0, 1.0 / 3.0],
         };
         let report = MechanismReport {
             mechanism: "snake".into(),

@@ -301,14 +301,7 @@ mod tests {
             timeliness_p50: 40,
             timeliness_p90: 90,
             evicted_unused: 3,
-            stall_issued: 1.0 / 7.0,
-            stall_no_warp: 0.05,
-            stall_barrier: 0.1,
-            stall_scoreboard: 0.05,
-            stall_mem_data: 0.4,
-            stall_mem_mshr: 0.15,
-            stall_mem_missq: 0.08,
-            stall_mem_noc: 0.02,
+            stall: [1.0 / 7.0, 0.05, 0.1, 0.05, 0.4, 0.15, 0.08, 0.02],
         }
     }
 

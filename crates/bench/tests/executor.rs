@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use snake_bench::runner::JobRun;
 use snake_bench::supervise::{
@@ -144,22 +144,20 @@ fn silent_worker_exit_is_a_protocol_error() {
     }
 }
 
-/// An expired wall-clock lease with no checkpoint to resume from is a
-/// non-retryable timeout crash.
+/// An expired wall-clock lease (the job's deadline) with no checkpoint
+/// to resume from is a non-retryable timeout crash.
 #[test]
 fn lease_expiry_without_checkpoint_is_timed_out() {
     // Standard harness: slow enough that the child cannot finish
     // before the monitor's first poll.
     let h = Harness::standard();
     let job = &campaign(&[Benchmark::Lps], &[PrefetcherKind::Snake])[0];
-    let exec = JobExecutor::sandbox_with_worker(
-        SandboxLimits {
-            lease: Some(Duration::from_millis(1)),
-            ..SandboxLimits::default()
-        },
-        worker(),
-    );
-    match exec.run(&h, job, &ExecContext::default(), &mut |_, _| {}) {
+    let exec = JobExecutor::sandbox_with_worker(SandboxLimits::default(), worker());
+    let ctx = ExecContext {
+        deadline: Some(Instant::now() + Duration::from_millis(1)),
+        ..ExecContext::default()
+    };
+    match exec.run(&h, job, &ctx, &mut |_, _| {}) {
         Err(ExecError::Crash(c)) => {
             assert_eq!(c.kind, CrashKind::TimedOut, "{c:?}");
             assert!(!c.kind.retryable(), "timeouts are deterministic: no retry");
@@ -182,16 +180,11 @@ fn lease_killed_job_resumes_from_checkpoint_byte_identically() {
     h.cfg.checkpoint_every = Some(200);
     let job = &campaign(&[Benchmark::Lps], &[PrefetcherKind::Snake])[0];
 
-    let exec = JobExecutor::sandbox_with_worker(
-        SandboxLimits {
-            lease: Some(Duration::from_millis(400)),
-            ..SandboxLimits::default()
-        },
-        worker(),
-    );
+    let exec = JobExecutor::sandbox_with_worker(SandboxLimits::default(), worker());
     let mut checkpoints = 0u32;
     let ctx = ExecContext {
         checkpoint_to: Some(&ckpt),
+        deadline: Some(Instant::now() + Duration::from_millis(400)),
         ..ExecContext::default()
     };
     let run = exec

@@ -3,7 +3,8 @@
 //! Operates on raw kernel traces, independent of the timing simulator:
 //! extracts the `(PC1, PC2, stride)` pairs of each warp's load stream,
 //! decides which are *stable* (repeated within a warp or confirmed
-//! across warps, mirroring Snake's 3-warp promotion rule), and reports
+//! across warps, by Snake's promotion threshold
+//! [`PROMOTE_THRESHOLD`]), and reports
 //! the paper's two motivation statistics — the fraction of load PCs
 //! participating in chains (Fig 9) and the maximum chain repetition
 //! count per warp (Fig 10).
@@ -11,6 +12,8 @@
 use std::collections::HashMap;
 
 use snake_sim::{Address, Instr, KernelTrace, Pc, WarpTrace};
+
+use crate::snake::tail_table::PROMOTE_THRESHOLD;
 
 /// A directed chain link between two load PCs with a concrete stride.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,45 +69,49 @@ pub struct ChainReport {
     pub representative_pcs: usize,
 }
 
-/// Parameters of stability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainAnalysisConfig {
-    /// Within-warp repetitions that make a link stable.
-    pub min_repeats: u32,
-    /// Distinct warps observing a link that make it stable (the
-    /// paper's promotion rule uses 3).
-    pub min_warps: u32,
+/// Every warp's link counts, and how many warps observed each link.
+struct LinkCensus {
+    per_warp: Vec<HashMap<ChainLink, u32>>,
+    warps_per_link: HashMap<ChainLink, u32>,
 }
 
-impl Default for ChainAnalysisConfig {
-    fn default() -> Self {
-        ChainAnalysisConfig {
-            min_repeats: 3,
-            min_warps: 3,
+impl LinkCensus {
+    fn new(kernel: &KernelTrace) -> Self {
+        let per_warp: Vec<HashMap<ChainLink, u32>> =
+            kernel.warps().iter().map(link_counts).collect();
+        let mut warps_per_link = HashMap::new();
+        for counts in &per_warp {
+            for link in counts.keys() {
+                *warps_per_link.entry(*link).or_insert(0) += 1;
+            }
         }
+        LinkCensus {
+            per_warp,
+            warps_per_link,
+        }
+    }
+
+    /// Whether `link` is stable for the warp whose link counts are
+    /// `counts`: repeated [`PROMOTE_THRESHOLD`] times within it, or
+    /// observed by [`PROMOTE_THRESHOLD`] warps.
+    fn stable_in(&self, link: &ChainLink, counts: &HashMap<ChainLink, u32>) -> bool {
+        counts.get(link).copied().unwrap_or(0) >= PROMOTE_THRESHOLD
+            || self.warps_per_link.get(link).copied().unwrap_or(0) >= PROMOTE_THRESHOLD
+    }
+
+    /// The links stable for at least one warp, in no fixed order.
+    fn stable_links(&self) -> impl Iterator<Item = &ChainLink> {
+        self.warps_per_link
+            .keys()
+            .filter(|l| self.per_warp.iter().any(|c| self.stable_in(l, c)))
     }
 }
 
 /// Runs the chain analysis (Figs 9 and 10).
-pub fn analyze_chains(kernel: &KernelTrace, cfg: &ChainAnalysisConfig) -> ChainReport {
-    // Kernel-wide: how many warps observed each link, and per-warp
-    // occurrence counts.
-    let mut warps_per_link: HashMap<ChainLink, u32> = HashMap::new();
-    let per_warp_counts: Vec<HashMap<ChainLink, u32>> =
-        kernel.warps().iter().map(link_counts).collect();
-    for counts in &per_warp_counts {
-        for link in counts.keys() {
-            *warps_per_link.entry(*link).or_insert(0) += 1;
-        }
-    }
-
-    let stable = |link: &ChainLink, counts: &HashMap<ChainLink, u32>| {
-        counts.get(link).copied().unwrap_or(0) >= cfg.min_repeats
-            || warps_per_link.get(link).copied().unwrap_or(0) >= cfg.min_warps
-    };
-
+pub fn analyze_chains(kernel: &KernelTrace) -> ChainReport {
+    let census = LinkCensus::new(kernel);
     let (rep_id, rep) = kernel.representative_warp();
-    let rep_counts = &per_warp_counts[rep_id.index()];
+    let rep_counts = &census.per_warp[rep_id.index()];
     let mut rep_pcs: Vec<Pc> = load_sequence(rep).iter().map(|(pc, _)| *pc).collect();
     rep_pcs.sort_unstable();
     rep_pcs.dedup();
@@ -114,21 +121,16 @@ pub fn analyze_chains(kernel: &KernelTrace, cfg: &ChainAnalysisConfig) -> ChainR
         .filter(|pc| {
             rep_counts
                 .keys()
-                .any(|l| (l.pc1 == **pc || l.pc2 == **pc) && stable(l, rep_counts))
+                .any(|l| (l.pc1 == **pc || l.pc2 == **pc) && census.stable_in(l, rep_counts))
         })
         .count();
 
     let max_repetition = rep_counts
         .iter()
-        .filter(|(l, _)| stable(l, rep_counts))
+        .filter(|(l, _)| census.stable_in(l, rep_counts))
         .map(|(_, c)| *c)
         .max()
         .unwrap_or(0);
-
-    let stable_links = warps_per_link
-        .keys()
-        .filter(|l| per_warp_counts.iter().any(|c| stable(l, c)))
-        .count();
 
     ChainReport {
         pc_fraction_in_chains: if rep_pcs.is_empty() {
@@ -137,7 +139,7 @@ pub fn analyze_chains(kernel: &KernelTrace, cfg: &ChainAnalysisConfig) -> ChainR
             pcs_in_chains as f64 / rep_pcs.len() as f64
         },
         max_repetition,
-        stable_links,
+        stable_links: census.stable_links().count(),
         representative_pcs: rep_pcs.len(),
     }
 }
@@ -152,7 +154,7 @@ pub fn analyze_chains(kernel: &KernelTrace, cfg: &ChainAnalysisConfig) -> ChainR
 /// # Examples
 ///
 /// ```
-/// use snake_core::analysis::{chain_graph_dot, ChainAnalysisConfig};
+/// use snake_core::analysis::chain_graph_dot;
 /// use snake_sim::{CtaId, Instr, KernelTrace, WarpTrace};
 ///
 /// let warp = WarpTrace::new(CtaId(0), (0..8).flat_map(|i| {
@@ -160,31 +162,14 @@ pub fn analyze_chains(kernel: &KernelTrace, cfg: &ChainAnalysisConfig) -> ChainR
 ///     [Instr::load(1u32, b), Instr::load(2u32, b + 400)]
 /// }).collect());
 /// let k = KernelTrace::new("demo", vec![warp]);
-/// let dot = chain_graph_dot(&k, &ChainAnalysisConfig::default());
+/// let dot = chain_graph_dot(&k);
 /// assert!(dot.contains("digraph"));
 /// assert!(dot.contains("+400"));
 /// ```
-pub fn chain_graph_dot(kernel: &KernelTrace, cfg: &ChainAnalysisConfig) -> String {
-    // Count within-warp occurrences and observing warps per link.
-    let per_warp: Vec<HashMap<ChainLink, u32>> = kernel.warps().iter().map(link_counts).collect();
-    let mut total: HashMap<ChainLink, (u32, u32)> = HashMap::new(); // (occurrences, warps)
-    for counts in &per_warp {
-        for (link, n) in counts {
-            let e = total.entry(*link).or_insert((0, 0));
-            e.0 += n;
-            e.1 += 1;
-        }
-    }
-    let mut stable: Vec<(&ChainLink, &(u32, u32))> = total
-        .iter()
-        .filter(|(l, (_, warps))| {
-            *warps >= cfg.min_warps
-                || per_warp
-                    .iter()
-                    .any(|c| c.get(l).copied().unwrap_or(0) >= cfg.min_repeats)
-        })
-        .collect();
-    stable.sort_by_key(|(l, _)| **l);
+pub fn chain_graph_dot(kernel: &KernelTrace) -> String {
+    let census = LinkCensus::new(kernel);
+    let mut stable: Vec<&ChainLink> = census.stable_links().collect();
+    stable.sort_unstable();
 
     let mut dot = String::from(
         "digraph chains {
@@ -192,13 +177,15 @@ pub fn chain_graph_dot(kernel: &KernelTrace, cfg: &ChainAnalysisConfig) -> Strin
   node [shape=box];
 ",
     );
-    let mut pcs: Vec<Pc> = stable.iter().flat_map(|(l, _)| [l.pc1, l.pc2]).collect();
+    let mut pcs: Vec<Pc> = stable.iter().flat_map(|l| [l.pc1, l.pc2]).collect();
     pcs.sort_unstable();
     pcs.dedup();
     for pc in pcs {
         dot.push_str(&format!("  pc{0} [label=\"PC {0}\"];\n", pc.0));
     }
-    for (l, (occ, warps)) in stable {
+    for l in stable {
+        let occ: u32 = census.per_warp.iter().filter_map(|c| c.get(l)).sum();
+        let warps = census.warps_per_link[l];
         dot.push_str(&format!(
             "  pc{} -> pc{} [label=\"{}{} (x{}, {}w)\"];\n",
             l.pc1.0,
@@ -247,7 +234,7 @@ mod tests {
     #[test]
     fn loop_chain_has_full_pc_coverage() {
         let k = KernelTrace::new("lps-ish", vec![chain_warp(10, 0)]);
-        let r = analyze_chains(&k, &ChainAnalysisConfig::default());
+        let r = analyze_chains(&k);
         assert_eq!(r.representative_pcs, 3);
         assert!((r.pc_fraction_in_chains - 1.0).abs() < 1e-12);
         // Each intra-iteration link repeats 10x; wraparound link 9x.
@@ -257,7 +244,7 @@ mod tests {
     #[test]
     fn random_trace_has_no_stable_chains() {
         let k = KernelTrace::new("mum-ish", vec![random_warp(64, 7)]);
-        let r = analyze_chains(&k, &ChainAnalysisConfig::default());
+        let r = analyze_chains(&k);
         assert_eq!(r.max_repetition, 0);
         assert_eq!(r.pc_fraction_in_chains, 0.0);
     }
@@ -268,7 +255,7 @@ mod tests {
         // but three warps share the same links.
         let warps = (0..3).map(|w| chain_warp(1, w * 100_000)).collect();
         let k = KernelTrace::new("k", warps);
-        let r = analyze_chains(&k, &ChainAnalysisConfig::default());
+        let r = analyze_chains(&k);
         assert!(r.pc_fraction_in_chains > 0.99);
         assert_eq!(r.max_repetition, 1);
     }

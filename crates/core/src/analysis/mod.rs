@@ -5,7 +5,7 @@
 pub mod chains;
 pub mod coverage;
 
-pub use chains::{analyze_chains, chain_graph_dot, ChainAnalysisConfig, ChainLink, ChainReport};
+pub use chains::{analyze_chains, chain_graph_dot, ChainLink, ChainReport};
 pub use coverage::{
     ideal_bound, mechanism_bound, predictability, CoverageBound, PredictabilityReport,
 };

@@ -2,7 +2,7 @@
 //! row used by the figure harness.
 
 use crate::json::{self, FieldError, Value};
-use snake_sim::{EnergyModel, GpuConfig, SimOutcome};
+use snake_sim::{stall_shares_from_json, stall_shares_to_json, EnergyModel, GpuConfig, SimOutcome};
 
 /// One mechanism's results on one application — the columns of
 /// Figs 16–19 and 25.
@@ -42,22 +42,10 @@ pub struct MechanismReport {
     pub timeliness_p90: u64,
     /// Prefetched lines that were evicted without ever being used.
     pub evicted_unused: u64,
-    /// Issue-slot taxonomy: fraction of scheduler-cycles that issued.
-    pub stall_issued: f64,
-    /// Fraction with no runnable warp in the scheduler's partition.
-    pub stall_no_warp: f64,
-    /// Fraction absorbing memory-use latency (L1 hit/store settle).
-    pub stall_barrier: f64,
-    /// Fraction stalled on a non-memory data dependency.
-    pub stall_scoreboard: f64,
-    /// Fraction stalled waiting on outstanding loads (stall-on-use).
-    pub stall_mem_data: f64,
-    /// Fraction rejected by a full MSHR (or no evictable way).
-    pub stall_mem_mshr: f64,
-    /// Fraction rejected by a full miss queue without NoC backpressure.
-    pub stall_mem_missq: f64,
-    /// Fraction rejected by a full miss queue under NoC backpressure.
-    pub stall_mem_noc: f64,
+    /// Issue-slot taxonomy: the fraction of scheduler-cycles in each
+    /// bucket, in [`STALL_BUCKETS`](snake_sim::STALL_BUCKETS) order
+    /// (Fig 5b).
+    pub stall: [f64; 8],
 }
 
 impl MechanismReport {
@@ -87,14 +75,7 @@ impl MechanismReport {
             timeliness_p50: outcome.lifecycle.fill_to_first_use.p50(),
             timeliness_p90: outcome.lifecycle.fill_to_first_use.p90(),
             evicted_unused: s.prefetch.evicted_unused,
-            stall_issued: s.stall.fraction(s.stall.issued),
-            stall_no_warp: s.stall.fraction(s.stall.no_warp),
-            stall_barrier: s.stall.fraction(s.stall.barrier),
-            stall_scoreboard: s.stall.fraction(s.stall.scoreboard),
-            stall_mem_data: s.stall.fraction(s.stall.mem_data),
-            stall_mem_mshr: s.stall.fraction(s.stall.mem_struct_mshr),
-            stall_mem_missq: s.stall.fraction(s.stall.mem_struct_missq),
-            stall_mem_noc: s.stall.fraction(s.stall.mem_struct_noc),
+            stall: s.stall.shares(),
         }
     }
 
@@ -104,7 +85,7 @@ impl MechanismReport {
     /// bit-exactly — the property the sweep manifest's byte-identical
     /// resume guarantee relies on.
     pub fn to_json(&self) -> Value {
-        Value::Obj(vec![
+        let mut fields = vec![
             ("mechanism".into(), Value::str(&self.mechanism)),
             ("app".into(), Value::str(&self.app)),
             ("ipc".into(), Value::f64(self.ipc)),
@@ -126,15 +107,9 @@ impl MechanismReport {
             ("timeliness_p50".into(), Value::u64(self.timeliness_p50)),
             ("timeliness_p90".into(), Value::u64(self.timeliness_p90)),
             ("evicted_unused".into(), Value::u64(self.evicted_unused)),
-            ("stall_issued".into(), Value::f64(self.stall_issued)),
-            ("stall_no_warp".into(), Value::f64(self.stall_no_warp)),
-            ("stall_barrier".into(), Value::f64(self.stall_barrier)),
-            ("stall_scoreboard".into(), Value::f64(self.stall_scoreboard)),
-            ("stall_mem_data".into(), Value::f64(self.stall_mem_data)),
-            ("stall_mem_mshr".into(), Value::f64(self.stall_mem_mshr)),
-            ("stall_mem_missq".into(), Value::f64(self.stall_mem_missq)),
-            ("stall_mem_noc".into(), Value::f64(self.stall_mem_noc)),
-        ])
+        ];
+        fields.extend(stall_shares_to_json(&self.stall));
+        Value::Obj(fields)
     }
 
     /// Rebuilds a row from the object produced by [`to_json`].
@@ -161,14 +136,7 @@ impl MechanismReport {
             timeliness_p50: json::u64_field(v, "timeliness_p50")?,
             timeliness_p90: json::u64_field(v, "timeliness_p90")?,
             evicted_unused: json::u64_field(v, "evicted_unused")?,
-            stall_issued: json::f64_field(v, "stall_issued")?,
-            stall_no_warp: json::f64_field(v, "stall_no_warp")?,
-            stall_barrier: json::f64_field(v, "stall_barrier")?,
-            stall_scoreboard: json::f64_field(v, "stall_scoreboard")?,
-            stall_mem_data: json::f64_field(v, "stall_mem_data")?,
-            stall_mem_mshr: json::f64_field(v, "stall_mem_mshr")?,
-            stall_mem_missq: json::f64_field(v, "stall_mem_missq")?,
-            stall_mem_noc: json::f64_field(v, "stall_mem_noc")?,
+            stall: stall_shares_from_json(v)?,
         })
     }
 
@@ -273,7 +241,7 @@ mod tests {
             MechanismReport::from_outcome("snake", "lps", &outcome(12345, 6789), &cfg, &em, true);
         row.ipc = 1.0 / 3.0; // force a non-terminating decimal
         row.cycles = u64::MAX - 7; // beyond f64 precision
-        row.stall_mem_mshr = 2.0 / 7.0; // breakdown columns too
+        row.stall[5] = 2.0 / 7.0; // breakdown columns too
         let text = row.to_json().to_string();
         let back = MechanismReport::from_json_str(&text).unwrap();
         assert_eq!(back, row);
@@ -299,14 +267,7 @@ mod tests {
             timeliness_p50: 40,
             timeliness_p90: 90,
             evicted_unused: 3,
-            stall_issued: 1.0 / 7.0,
-            stall_no_warp: 0.05,
-            stall_barrier: 0.1,
-            stall_scoreboard: 0.05,
-            stall_mem_data: 0.4,
-            stall_mem_mshr: 0.15,
-            stall_mem_missq: 0.08,
-            stall_mem_noc: 0.02,
+            stall: [1.0 / 7.0, 0.05, 0.1, 0.05, 0.4, 0.15, 0.08, 0.02],
         };
         assert_eq!(
             row.to_json().to_string(),

@@ -20,7 +20,7 @@ use throttle::{Throttle, ThrottleConfig};
 /// Configuration of the Snake prefetcher and its ablation variants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnakeConfig {
-    /// Tail-table knobs (capacity, promote threshold, eviction).
+    /// Tail-table knobs (capacity, eviction).
     pub tail: TailTableConfig,
     /// Head-table rows (should equal the SM's resident warps).
     pub head_warps: u32,

@@ -260,27 +260,28 @@ fn entry_index(idx: usize) -> u16 {
     u16::try_from(idx).expect("TailTable::new bounds the capacity to u16 indices")
 }
 
-/// Configuration knobs of the table.
+/// Distinct warps required to promote a stride (the paper uses 3).
+/// The trace analysis of Figs 8–10 reads the same rule.
+pub const PROMOTE_THRESHOLD: u32 = 3;
+
+/// Maximum hops when reconstructing a non-consecutive intra-warp
+/// stride by accumulating chain strides (§3.1 case 2).
+const MAX_CHAIN_WALK: usize = 8;
+
+/// Configuration knobs of the table: the two that Figs 20–22 sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TailTableConfig {
     /// Entry capacity (the paper settles on 10, §5.5/Fig 20).
     pub entries: usize,
-    /// Distinct warps required to promote a stride (the paper uses 3).
-    pub promote_threshold: u32,
     /// Eviction policy.
     pub eviction: EvictionPolicy,
-    /// Maximum hops when reconstructing a non-consecutive intra-warp
-    /// stride by accumulating chain strides (§3.1 case 2).
-    pub max_chain_walk: usize,
 }
 
 impl Default for TailTableConfig {
     fn default() -> Self {
         TailTableConfig {
             entries: 10,
-            promote_threshold: 3,
             eviction: EvictionPolicy::LruThenPopcount,
-            max_chain_walk: 8,
         }
     }
 }
@@ -319,16 +320,12 @@ impl TailTable {
     /// # Panics
     ///
     /// Panics if the configured capacity is zero or more than
-    /// `u16::MAX` entries, or the promote threshold is zero.
+    /// `u16::MAX` entries.
     pub fn new(cfg: TailTableConfig) -> Self {
         assert!(cfg.entries > 0, "tail table needs capacity");
         assert!(
             cfg.entries <= usize::from(u16::MAX),
             "tail table capacity exceeds 16-bit entry indices"
-        );
-        assert!(
-            cfg.promote_threshold > 0,
-            "promote threshold must be positive"
         );
         TailTable {
             entries: Vec::with_capacity(cfg.entries),
@@ -431,7 +428,6 @@ impl TailTable {
         // ── Verification / demotion (§3.2 last paragraph): if this
         // warp previously claimed a different (pc2, stride) continuation
         // for prev_pc, remove it from that entry's warp vector.
-        let threshold = self.cfg.promote_threshold;
         let bit = (t.warp.0 % 64) as usize;
         for e in &mut self.entries {
             if e.pc1 == t.prev_pc
@@ -440,7 +436,7 @@ impl TailTable {
             {
                 e.warp_vec &= !warp_bit(t.warp);
                 self.warp_versions[bit] += 1;
-                if e.popcount() < threshold && e.t1.can_prefetch() {
+                if e.popcount() < PROMOTE_THRESHOLD && e.t1.can_prefetch() {
                     e.t1 = TrainState::NotTrained;
                     self.version += 1;
                 }
@@ -463,7 +459,6 @@ impl TailTable {
         };
 
         // ── Inter-thread chain entry: match or insert (Fig 12 ❷–❺).
-        let threshold = self.cfg.promote_threshold;
         if let Some(e) = self
             .entries
             .iter_mut()
@@ -481,7 +476,9 @@ impl TailTable {
             if e.t1 == TrainState::Promoted && had_warp {
                 // Re-confirmation after promotion.
                 e.t1 = TrainState::Trained;
-            } else if e.t1 < TrainState::Promoted && (e.popcount() >= threshold || e.repeats >= 2) {
+            } else if e.t1 < TrainState::Promoted
+                && (e.popcount() >= PROMOTE_THRESHOLD || e.repeats >= 2)
+            {
                 // Promote via the SIMT multi-warp rule (>= 3 warps) or
                 // via in-warp loop repetition (seen, then repeated) —
                 // both training paths of §3.2.
@@ -510,7 +507,7 @@ impl TailTable {
     fn chain_distance(&self, warp: WarpId, from: Pc, to: Pc) -> Option<i64> {
         let mut pc = from;
         let mut total = 0i64;
-        for _ in 0..self.cfg.max_chain_walk {
+        for _ in 0..MAX_CHAIN_WALK {
             let e = self
                 .entries
                 .iter()
@@ -528,7 +525,6 @@ impl TailTable {
     }
 
     fn update_intra(&mut self, pc: Pc, warp: WarpId, stride: i64) {
-        let threshold = self.cfg.promote_threshold;
         let mut trained = false;
         if let Some(e) = self.entries.iter_mut().find(|e| e.pc1 == pc) {
             match e.intra_stride {
@@ -539,7 +535,7 @@ impl TailTable {
                 }
                 Some(v) if v == stride => {
                     e.intra_warps |= warp_bit(warp);
-                    if e.intra_warps.count_ones() >= threshold {
+                    if e.intra_warps.count_ones() >= PROMOTE_THRESHOLD {
                         e.t2 = TrainState::Trained;
                     } else if e.t2 == TrainState::Observed {
                         // Second consistent sighting (possibly the same
@@ -562,7 +558,6 @@ impl TailTable {
     }
 
     fn update_inter_warp(&mut self, pc: Pc, warp: WarpId, addr: Address) {
-        let threshold = self.cfg.promote_threshold;
         let mut trained = false;
         if let Some(e) = self.entries.iter_mut().find(|e| e.pc1 == pc) {
             match e.iw_base {
@@ -574,7 +569,7 @@ impl TailTable {
                         let per_warp = delta / dw;
                         if e.iw_candidate == Some(per_warp) {
                             e.iw_confirm |= warp_bit(warp);
-                            if e.iw_confirm.count_ones() >= threshold {
+                            if e.iw_confirm.count_ones() >= PROMOTE_THRESHOLD {
                                 e.inter_warp_stride = Some(per_warp);
                                 trained = true;
                             }
@@ -1030,7 +1025,6 @@ mod tests {
         let mut t = TailTable::new(TailTableConfig {
             entries: 3,
             eviction: EvictionPolicy::PopcountOnly,
-            ..Default::default()
         });
         for w in 0..3u32 {
             t.observe(&tr(w, 1, 0, 2, 400));

@@ -174,7 +174,6 @@ proptest! {
             } else {
                 EvictionPolicy::LruThenPopcount
             },
-            ..Default::default()
         };
         let (mut cached, mut cold) = (TailTable::new(cfg), TailTable::new(cfg));
         let mut positions = HashMap::new();
@@ -197,7 +196,6 @@ proptest! {
             } else {
                 EvictionPolicy::LruThenPopcount
             },
-            ..Default::default()
         };
         let mut table = TailTable::new(cfg);
         let mut head = HeadTable::new(8);

@@ -26,7 +26,7 @@
 //!   interconnect, and partition have all drained — every reservation
 //!   was eventually filled.
 
-use crate::stats::SimStats;
+use crate::stats::{SimStats, STALL_BUCKETS};
 
 /// Cross-window auditor state (previous stats snapshot).
 #[derive(Debug, Clone, Default)]
@@ -35,8 +35,9 @@ pub struct Auditor {
 }
 
 /// The cumulative counters that must never decrease, with names for
-/// the violation message.
-fn monotone_counters(s: &SimStats) -> [(&'static str, u64); 25] {
+/// the violation message. The eight stall buckets are checked beside
+/// them, named `stall.<field>` after [`STALL_BUCKETS`].
+fn monotone_counters(s: &SimStats) -> [(&'static str, u64); 17] {
     [
         ("cycles", s.cycles),
         ("instructions", s.instructions),
@@ -44,14 +45,6 @@ fn monotone_counters(s: &SimStats) -> [(&'static str, u64); 25] {
         ("stores", s.stores),
         ("all_stall_cycles", s.all_stall_cycles),
         ("all_stall_mem_cycles", s.all_stall_mem_cycles),
-        ("stall.issued", s.stall.issued),
-        ("stall.no_warp", s.stall.no_warp),
-        ("stall.barrier", s.stall.barrier),
-        ("stall.scoreboard", s.stall.scoreboard),
-        ("stall.mem_data", s.stall.mem_data),
-        ("stall.mem_struct_mshr", s.stall.mem_struct_mshr),
-        ("stall.mem_struct_missq", s.stall.mem_struct_missq),
-        ("stall.mem_struct_noc", s.stall.mem_struct_noc),
         ("stall.scheduler_cycles", s.stall.scheduler_cycles),
         ("l1.hits", s.l1.hits),
         ("l1.misses", s.l1.misses),
@@ -77,13 +70,20 @@ impl Auditor {
     pub fn check_stats(&mut self, current: &SimStats) -> Vec<String> {
         let mut violations = Vec::new();
         if let Some(prev) = &self.prev {
+            let mut check = |name: &dyn std::fmt::Display, before: u64, now: u64| {
+                if now < before {
+                    violations.push(format!("counter {name} went backwards: {before} -> {now}"));
+                }
+            };
             for ((name, now), (_, before)) in monotone_counters(current)
                 .iter()
                 .zip(monotone_counters(prev).iter())
             {
-                if now < before {
-                    violations.push(format!("counter {name} went backwards: {before} -> {now}"));
-                }
+                check(name, *before, *now);
+            }
+            let buckets = STALL_BUCKETS.iter().zip(current.stall.counts());
+            for ((bucket, now), before) in buckets.zip(prev.stall.counts()) {
+                check(&format_args!("stall.{}", bucket.field), before, now);
             }
         }
         if !current.stall.is_exact() {
@@ -165,6 +165,12 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("instructions"));
         assert!(v[0].contains("100 -> 50"));
+        // A stall bucket is named by its field.
+        s.stall.mem_struct_noc = 9;
+        assert!(a.check_stats(&s).iter().any(|m| m.contains("not exact")));
+        s.stall.mem_struct_noc = 2;
+        let v = a.check_stats(&s);
+        assert_eq!(v[0], "counter stall.mem_struct_noc went backwards: 9 -> 2");
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub use prefetch::{
 pub use sm::Sm;
 pub use snapshot::{Checkpoint, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 pub use stats::{
-    AccessOutcome, CacheStats, FaultStats, PrefetchStats, ReservationFailReason, SimStats,
-    StallBreakdown,
+    stall_shares_from_json, stall_shares_to_json, AccessOutcome, CacheStats, FaultStats,
+    PrefetchStats, ReservationFailReason, SimStats, StallBreakdown, StallBucket, STALL_BUCKETS,
 };
 pub use types::{Address, CtaId, Cycle, LineAddr, Pc, SmId, WarpId};
 pub use watchdog::{

@@ -9,9 +9,11 @@
 //! ([`MetricsSeries::to_csv`]) or rendered as an ASCII timeline
 //! ([`MetricsSeries::ascii_timeline`]).
 
+use std::fmt::Write as _;
+
 use crate::json::{self, FieldError, Value};
 use crate::snapshot::SnapshotError;
-use crate::stats::StallBreakdown;
+use crate::stats::{self, StallBreakdown, STALL_BUCKETS};
 use crate::types::Cycle;
 
 /// Cumulative device-wide counters snapshotted at a window boundary.
@@ -69,22 +71,9 @@ pub struct MetricsSample {
     pub throttled_sms: usize,
     /// Max chain depth across SMs at the window edge.
     pub chain_depth: u32,
-    /// Fraction of the window's issue slots that issued, `[0, 1]`.
-    pub stall_issued: f64,
-    /// Fraction with no runnable warp in the scheduler's partition.
-    pub stall_no_warp: f64,
-    /// Fraction stalled absorbing memory-use latency (hit/store).
-    pub stall_barrier: f64,
-    /// Fraction stalled on a non-memory data dependency.
-    pub stall_scoreboard: f64,
-    /// Fraction stalled waiting on outstanding loads (stall-on-use).
-    pub stall_mem_data: f64,
-    /// Fraction rejected by a full MSHR (or no evictable way).
-    pub stall_mem_mshr: f64,
-    /// Fraction rejected by a full miss queue (NoC keeping up).
-    pub stall_mem_missq: f64,
-    /// Fraction rejected by a full miss queue under NoC backpressure.
-    pub stall_mem_noc: f64,
+    /// Fraction of the window's issue slots in each stall bucket, in
+    /// [`STALL_BUCKETS`] order; they sum to 1 over a non-empty window.
+    pub stall: [f64; 8],
 }
 
 impl MetricsSample {
@@ -92,7 +81,7 @@ impl MetricsSample {
     /// the sandbox child's `window` line and of the daemon's `window`
     /// stream line, which wrap it in their own framing keys.
     pub fn to_json(&self) -> Value {
-        Value::Obj(vec![
+        let mut fields = vec![
             ("cycle".into(), Value::u64(self.cycle)),
             ("ipc".into(), Value::f64(self.ipc)),
             ("l1_hit_rate".into(), Value::f64(self.l1_hit_rate)),
@@ -111,15 +100,9 @@ impl MetricsSample {
                 "chain_depth".into(),
                 Value::u64(u64::from(self.chain_depth)),
             ),
-            ("stall_issued".into(), Value::f64(self.stall_issued)),
-            ("stall_no_warp".into(), Value::f64(self.stall_no_warp)),
-            ("stall_barrier".into(), Value::f64(self.stall_barrier)),
-            ("stall_scoreboard".into(), Value::f64(self.stall_scoreboard)),
-            ("stall_mem_data".into(), Value::f64(self.stall_mem_data)),
-            ("stall_mem_mshr".into(), Value::f64(self.stall_mem_mshr)),
-            ("stall_mem_missq".into(), Value::f64(self.stall_mem_missq)),
-            ("stall_mem_noc".into(), Value::f64(self.stall_mem_noc)),
-        ])
+        ];
+        fields.extend(stats::stall_shares_to_json(&self.stall));
+        Value::Obj(fields)
     }
 
     /// Decodes [`to_json`](MetricsSample::to_json)'s object; framing
@@ -139,14 +122,7 @@ impl MetricsSample {
             active_warps: json::usize_field(v, "active_warps")?,
             throttled_sms: json::usize_field(v, "throttled_sms")?,
             chain_depth: json::u32_field(v, "chain_depth")?,
-            stall_issued: json::f64_field(v, "stall_issued")?,
-            stall_no_warp: json::f64_field(v, "stall_no_warp")?,
-            stall_barrier: json::f64_field(v, "stall_barrier")?,
-            stall_scoreboard: json::f64_field(v, "stall_scoreboard")?,
-            stall_mem_data: json::f64_field(v, "stall_mem_data")?,
-            stall_mem_mshr: json::f64_field(v, "stall_mem_mshr")?,
-            stall_mem_missq: json::f64_field(v, "stall_mem_missq")?,
-            stall_mem_noc: json::f64_field(v, "stall_mem_noc")?,
+            stall: stats::stall_shares_from_json(v)?,
         })
     }
 }
@@ -179,14 +155,16 @@ impl MetricsSeries {
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "cycle,ipc,l1_hit_rate,mshr_occupancy,miss_queue_occupancy,\
-             noc_utilization,active_warps,throttled_sms,chain_depth,\
-             stall_issued,stall_no_warp,stall_barrier,stall_scoreboard,\
-             stall_mem_data,stall_mem_mshr,stall_mem_missq,stall_mem_noc\n",
+             noc_utilization,active_warps,throttled_sms,chain_depth",
         );
+        for b in &STALL_BUCKETS {
+            let _ = write!(out, ",{}", b.wire);
+        }
+        out.push('\n');
         for s in &self.samples {
-            out.push_str(&format!(
-                "{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},\
-                 {:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
+            let _ = write!(
+                out,
+                "{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{}",
                 s.cycle,
                 s.ipc,
                 s.l1_hit_rate,
@@ -196,15 +174,11 @@ impl MetricsSeries {
                 s.active_warps,
                 s.throttled_sms,
                 s.chain_depth,
-                s.stall_issued,
-                s.stall_no_warp,
-                s.stall_barrier,
-                s.stall_scoreboard,
-                s.stall_mem_data,
-                s.stall_mem_mshr,
-                s.stall_mem_missq,
-                s.stall_mem_noc
-            ));
+            );
+            for share in s.stall {
+                let _ = write!(out, ",{share:.6}");
+            }
+            out.push('\n');
         }
         if let Some(stop) = &self.stop {
             out.push_str(&format!("# stop={stop}\n"));
@@ -261,6 +235,9 @@ impl MetricsSeries {
         out
     }
 }
+
+/// Columns of a checkpointed sample row ahead of its stall shares.
+const SAMPLE_GAUGES: usize = 9;
 
 /// Incremental collector the GPU drives once per `window` cycles.
 #[derive(Debug, Clone, Default)]
@@ -319,13 +296,14 @@ impl WindowedMetrics {
             .stall
             .scheduler_cycles
             .saturating_sub(self.last_stall.scheduler_cycles);
-        let stall_frac = |cur: u64, prev: u64| {
+        let (now, before) = (totals.stall.counts(), self.last_stall.counts());
+        let stall = std::array::from_fn(|i| {
             if d_sched == 0 {
                 0.0
             } else {
-                cur.saturating_sub(prev) as f64 / d_sched as f64
+                now[i].saturating_sub(before[i]) as f64 / d_sched as f64
             }
-        };
+        });
         self.series.samples.push(MetricsSample {
             cycle: cycle.0,
             ipc: d_instr as f64 / elapsed as f64,
@@ -340,20 +318,7 @@ impl WindowedMetrics {
             active_warps: totals.active_warps,
             throttled_sms: totals.throttled_sms,
             chain_depth: totals.max_chain_depth,
-            stall_issued: stall_frac(totals.stall.issued, self.last_stall.issued),
-            stall_no_warp: stall_frac(totals.stall.no_warp, self.last_stall.no_warp),
-            stall_barrier: stall_frac(totals.stall.barrier, self.last_stall.barrier),
-            stall_scoreboard: stall_frac(totals.stall.scoreboard, self.last_stall.scoreboard),
-            stall_mem_data: stall_frac(totals.stall.mem_data, self.last_stall.mem_data),
-            stall_mem_mshr: stall_frac(
-                totals.stall.mem_struct_mshr,
-                self.last_stall.mem_struct_mshr,
-            ),
-            stall_mem_missq: stall_frac(
-                totals.stall.mem_struct_missq,
-                self.last_stall.mem_struct_missq,
-            ),
-            stall_mem_noc: stall_frac(totals.stall.mem_struct_noc, self.last_stall.mem_struct_noc),
+            stall,
         });
         self.last_cycle = cycle.0;
         self.last_instructions = totals.instructions;
@@ -383,7 +348,7 @@ impl WindowedMetrics {
             .samples
             .iter()
             .map(|s| {
-                Value::Arr(vec![
+                let gauges: [Value; SAMPLE_GAUGES] = [
                     Value::u64(s.cycle),
                     Value::f64(s.ipc),
                     Value::f64(s.l1_hit_rate),
@@ -393,15 +358,8 @@ impl WindowedMetrics {
                     Value::u64(s.active_warps as u64),
                     Value::u64(s.throttled_sms as u64),
                     Value::u64(u64::from(s.chain_depth)),
-                    Value::f64(s.stall_issued),
-                    Value::f64(s.stall_no_warp),
-                    Value::f64(s.stall_barrier),
-                    Value::f64(s.stall_scoreboard),
-                    Value::f64(s.stall_mem_data),
-                    Value::f64(s.stall_mem_mshr),
-                    Value::f64(s.stall_mem_missq),
-                    Value::f64(s.stall_mem_noc),
-                ])
+                ];
+                Value::Arr(gauges.into_iter().chain(s.stall.map(Value::f64)).collect())
             })
             .collect();
         Value::Obj(vec![
@@ -435,7 +393,7 @@ impl WindowedMetrics {
         for (i, entry) in json::arr_field(v, "samples")?.iter().enumerate() {
             let row = entry
                 .as_arr()
-                .filter(|r| r.len() == 17)
+                .filter(|r| r.len() == SAMPLE_GAUGES + STALL_BUCKETS.len())
                 .ok_or_else(|| SnapshotError::malformed(format!("metrics sample {i}")))?;
             let u = |j: usize| {
                 row[j]
@@ -447,6 +405,10 @@ impl WindowedMetrics {
                     .as_f64()
                     .ok_or_else(|| SnapshotError::malformed(format!("metrics sample {i} col {j}")))
             };
+            let mut stall = [0.0; 8];
+            for (j, share) in stall.iter_mut().enumerate() {
+                *share = f(SAMPLE_GAUGES + j)?;
+            }
             samples.push(MetricsSample {
                 cycle: u(0)?,
                 ipc: f(1)?,
@@ -457,14 +419,7 @@ impl WindowedMetrics {
                 active_warps: u(6)? as usize,
                 throttled_sms: u(7)? as usize,
                 chain_depth: u(8)? as u32,
-                stall_issued: f(9)?,
-                stall_no_warp: f(10)?,
-                stall_barrier: f(11)?,
-                stall_scoreboard: f(12)?,
-                stall_mem_data: f(13)?,
-                stall_mem_mshr: f(14)?,
-                stall_mem_missq: f(15)?,
-                stall_mem_noc: f(16)?,
+                stall,
             });
         }
         let stop = match json::field(v, "stop")? {
@@ -590,11 +545,8 @@ mod tests {
         };
         m.record(Cycle(20), &t2);
         let s = m.finish();
-        assert_eq!(s.samples[0].stall_issued, 0.6);
-        assert_eq!(s.samples[0].stall_mem_data, 0.4);
-        assert_eq!(s.samples[1].stall_issued, 0.2);
-        assert_eq!(s.samples[1].stall_mem_data, 0.0);
-        assert_eq!(s.samples[1].stall_mem_mshr, 0.8);
+        assert_eq!(s.samples[0].stall, [0.6, 0.0, 0.0, 0.0, 0.4, 0.0, 0.0, 0.0]);
+        assert_eq!(s.samples[1].stall, [0.2, 0.0, 0.0, 0.0, 0.0, 0.8, 0.0, 0.0]);
         // The CSV carries all eight fraction columns.
         let csv = s.to_csv();
         assert!(csv.lines().next().unwrap().ends_with("stall_mem_noc"));

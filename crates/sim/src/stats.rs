@@ -6,7 +6,7 @@
 //! (Figs 16/17), IPC (Fig 18), energy events (Fig 19), and L1 hit
 //! rates (Fig 25).
 
-use crate::json::{self, Value};
+use crate::json::{self, FieldError, Value};
 use crate::snapshot::SnapshotError;
 
 /// Generates `save_state`/`restore_state` for a struct of plain `u64`
@@ -81,6 +81,92 @@ persist_u64_fields!(StallBreakdown {
     scheduler_cycles,
 });
 
+/// One bucket of the issue-slot stall taxonomy under each of its
+/// names: a row of [`STALL_BUCKETS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StallBucket {
+    /// The [`StallBreakdown`] field, which is also the bucket's
+    /// checkpoint key and its counter name in the auditor
+    /// (`stall.<field>`).
+    pub field: &'static str,
+    /// The key of the bucket's share in JSON objects and its CSV
+    /// column: report rows, metrics samples and `repro --metrics-csv`.
+    pub wire: &'static str,
+    /// The short label of Fig 5b's header and `snakectl top`'s legend.
+    pub label: &'static str,
+}
+
+/// The issue-slot stall taxonomy, in [`StallBreakdown`] field order:
+/// the one place that names the eight buckets. Every per-bucket array
+/// ([`StallBreakdown::counts`], [`StallBreakdown::shares`], the
+/// `stall` shares of reports and metrics samples) follows this order,
+/// and every reader that names a bucket (JSON codecs, CSV, Fig 5b,
+/// the auditor, `snakectl top`) reads it from here.
+pub const STALL_BUCKETS: [StallBucket; 8] = [
+    StallBucket {
+        field: "issued",
+        wire: "stall_issued",
+        label: "issued",
+    },
+    StallBucket {
+        field: "no_warp",
+        wire: "stall_no_warp",
+        label: "no-warp",
+    },
+    StallBucket {
+        field: "barrier",
+        wire: "stall_barrier",
+        label: "barrier",
+    },
+    StallBucket {
+        field: "scoreboard",
+        wire: "stall_scoreboard",
+        label: "scoreb",
+    },
+    StallBucket {
+        field: "mem_data",
+        wire: "stall_mem_data",
+        label: "mem-data",
+    },
+    StallBucket {
+        field: "mem_struct_mshr",
+        wire: "stall_mem_mshr",
+        label: "mshr",
+    },
+    StallBucket {
+        field: "mem_struct_missq",
+        wire: "stall_mem_missq",
+        label: "missq",
+    },
+    StallBucket {
+        field: "mem_struct_noc",
+        wire: "stall_mem_noc",
+        label: "noc",
+    },
+];
+
+/// Per-bucket shares as JSON fields keyed by [`StallBucket::wire`], in
+/// table order.
+pub fn stall_shares_to_json(shares: &[f64; 8]) -> impl Iterator<Item = (String, Value)> + '_ {
+    STALL_BUCKETS
+        .iter()
+        .zip(shares)
+        .map(|(b, &share)| (b.wire.into(), Value::f64(share)))
+}
+
+/// Decodes the fields [`stall_shares_to_json`] writes.
+///
+/// # Errors
+///
+/// [`FieldError`] for the first missing or mistyped share.
+pub fn stall_shares_from_json(v: &Value) -> Result<[f64; 8], FieldError> {
+    let mut shares = [0.0; 8];
+    for (share, b) in shares.iter_mut().zip(&STALL_BUCKETS) {
+        *share = json::f64_field(v, b.wire)?;
+    }
+    Ok(shares)
+}
+
 /// Exact per-issue-slot cycle accounting: every scheduler, every
 /// cycle, lands in exactly one bucket (mutually exclusive,
 /// collectively exhaustive). The partition unit is the
@@ -120,41 +206,35 @@ pub struct StallBreakdown {
 }
 
 impl StallBreakdown {
+    /// The eight buckets, in [`STALL_BUCKETS`] order.
+    pub fn counts(&self) -> [u64; 8] {
+        [
+            self.issued,
+            self.no_warp,
+            self.barrier,
+            self.scoreboard,
+            self.mem_data,
+            self.mem_struct_mshr,
+            self.mem_struct_missq,
+            self.mem_struct_noc,
+        ]
+    }
+
+    /// Each bucket as a fraction of all scheduler-cycles, in
+    /// [`STALL_BUCKETS`] order.
+    pub fn shares(&self) -> [f64; 8] {
+        self.counts().map(|n| ratio(n, self.scheduler_cycles))
+    }
+
     /// Sum of the eight buckets — must equal
     /// [`scheduler_cycles`](StallBreakdown::scheduler_cycles).
     pub fn total(&self) -> u64 {
-        self.issued
-            + self.no_warp
-            + self.barrier
-            + self.scoreboard
-            + self.mem_data
-            + self.mem_struct_mshr
-            + self.mem_struct_missq
-            + self.mem_struct_noc
+        self.counts().iter().sum()
     }
 
     /// Whether the buckets partition the scheduler-cycles exactly.
     pub fn is_exact(&self) -> bool {
         self.total() == self.scheduler_cycles
-    }
-
-    /// The buckets with their stable labels, in display order.
-    pub fn buckets(&self) -> [(&'static str, u64); 8] {
-        [
-            ("issued", self.issued),
-            ("no_warp", self.no_warp),
-            ("barrier", self.barrier),
-            ("scoreboard", self.scoreboard),
-            ("mem_data", self.mem_data),
-            ("mem_struct_mshr", self.mem_struct_mshr),
-            ("mem_struct_missq", self.mem_struct_missq),
-            ("mem_struct_noc", self.mem_struct_noc),
-        ]
-    }
-
-    /// One bucket as a fraction of all scheduler-cycles.
-    pub fn fraction(&self, bucket: u64) -> f64 {
-        ratio(bucket, self.scheduler_cycles)
     }
 
     /// Sums another breakdown into this one (per-SM → device merge).
@@ -622,7 +702,15 @@ mod tests {
         };
         assert_eq!(b.total(), 51);
         assert!(b.is_exact());
-        assert!((b.fraction(b.mem_data) - 20.0 / 51.0).abs() < 1e-12);
+        assert_eq!(b.counts(), [10, 3, 2, 1, 20, 4, 5, 6]);
+        assert_eq!(b.shares()[4], 20.0 / 51.0);
+        // The table's field names are the checkpoint keys, in order.
+        let keys: Vec<String> = match b.save_state() {
+            Value::Obj(fields) => fields.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("not an object: {other:?}"),
+        };
+        let fields = STALL_BUCKETS.map(|b| b.field);
+        assert_eq!(keys[..8], fields[..]);
         let mut merged = b;
         merged.merge(&b);
         assert_eq!(merged.scheduler_cycles, 102);

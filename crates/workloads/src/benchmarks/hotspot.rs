@@ -46,12 +46,12 @@ pub fn trace(size: &WorkloadSize) -> KernelTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snake_core::analysis::{analyze_chains, predictability, ChainAnalysisConfig};
+    use snake_core::analysis::{analyze_chains, predictability};
 
     #[test]
     fn stencil_chain_is_stable_and_long() {
         let k = trace(&WorkloadSize::tiny());
-        let r = analyze_chains(&k, &ChainAnalysisConfig::default());
+        let r = analyze_chains(&k);
         assert!(r.pc_fraction_in_chains > 0.9, "{r:?}");
         assert!(r.stable_links >= 3, "four PCs -> at least 3 links: {r:?}");
     }

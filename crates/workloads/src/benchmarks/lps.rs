@@ -54,12 +54,12 @@ pub fn trace(size: &WorkloadSize) -> KernelTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snake_core::analysis::{analyze_chains, predictability, ChainAnalysisConfig};
+    use snake_core::analysis::{analyze_chains, predictability};
 
     #[test]
     fn loads_form_the_paper_chain() {
         let k = trace(&WorkloadSize::tiny());
-        let r = analyze_chains(&k, &ChainAnalysisConfig::default());
+        let r = analyze_chains(&k);
         assert!(
             r.pc_fraction_in_chains > 0.9,
             "LPS PCs live in chains: {r:?}"

@@ -41,12 +41,12 @@ pub fn trace(size: &WorkloadSize) -> KernelTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snake_core::analysis::{analyze_chains, predictability, ChainAnalysisConfig};
+    use snake_core::analysis::{analyze_chains, predictability};
 
     #[test]
     fn four_link_chain_is_fully_stable() {
         let k = trace(&WorkloadSize::tiny());
-        let r = analyze_chains(&k, &ChainAnalysisConfig::default());
+        let r = analyze_chains(&k);
         assert!((r.pc_fraction_in_chains - 1.0).abs() < 1e-9, "{r:?}");
     }
 

@@ -47,12 +47,12 @@ pub fn trace(size: &WorkloadSize) -> KernelTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snake_core::analysis::{analyze_chains, predictability, ChainAnalysisConfig};
+    use snake_core::analysis::{analyze_chains, predictability};
 
     #[test]
     fn low_repetition_limits_chain_training() {
         let k = trace(&WorkloadSize::tiny());
-        let r = analyze_chains(&k, &ChainAnalysisConfig::default());
+        let r = analyze_chains(&k);
         assert!(
             r.max_repetition <= SEG as u32,
             "diagonal segments are short: {r:?}"

@@ -6,7 +6,7 @@
 //! cargo run --release --example chain_anatomy [APP]
 //! ```
 
-use snake_repro::core::analysis::{analyze_chains, ChainAnalysisConfig};
+use snake_repro::core::analysis::{analyze_chains, chain_graph_dot};
 use snake_repro::core::snake::{Snake, SnakeConfig};
 use snake_repro::prelude::*;
 use snake_repro::sim::Gpu;
@@ -62,13 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if std::env::args().any(|a| a == "--dot") {
         println!("\n== Chain graph (Graphviz DOT, Fig 8 style) ==");
-        print!(
-            "{}",
-            snake_repro::core::analysis::chain_graph_dot(&kernel, &ChainAnalysisConfig::default())
-        );
+        print!("{}", chain_graph_dot(&kernel));
     }
 
-    let r = analyze_chains(&kernel, &ChainAnalysisConfig::default());
+    let r = analyze_chains(&kernel);
     println!("\n== Trace analysis (Figs 9/10) ==");
     println!(
         "PCs in chains: {:.1}% of {} PCs (representative warp)",

@@ -139,24 +139,31 @@ echo "==> kill-anywhere smoke (checkpoint mid-run, restore, byte-identical outco
 # LIB is memory-bound and its chain walks almost never repeat. MRQ is
 # chain-heavy: most of Snake's walks there come from the Tail table's
 # walk cache, which is never checkpointed, so the restored run walks
-# from an empty cache and must still match the uninterrupted one.
+# from an empty cache and must still match the uninterrupted one. The
+# lib-w500 leg samples windowed metrics every 500 cycles, so its
+# checkpoint carries metrics-sample rows and its outcome the series.
 # The kill cycle is derived from the PID and echoed so a failure is
 # reproducible; a mismatched restore must use the distinct exit code 6.
 KILL_CYCLE=$((500 + $$ % 2000))
 echo "    kill cycle: $KILL_CYCLE (reproduce with --checkpoint-at $KILL_CYCLE)"
-for APP in lib mrq; do
-    ./target/release/pfdebug "$APP" snake \
-        --outcome-out "$SWEEP_DIR/$APP-uninterrupted.outcome"
-    ./target/release/pfdebug "$APP" snake --checkpoint-at "$KILL_CYCLE" \
-        --checkpoint-out "$SWEEP_DIR/$APP-kill.ckpt" --outcome-out /dev/null
-    ./target/release/pfdebug "$APP" snake --restore "$SWEEP_DIR/$APP-kill.ckpt" \
-        --outcome-out "$SWEEP_DIR/$APP-restored.outcome"
-    if ! cmp -s "$SWEEP_DIR/$APP-uninterrupted.outcome" "$SWEEP_DIR/$APP-restored.outcome"; then
-        echo "kill-anywhere smoke: $APP restored outcome differs from the uninterrupted run" >&2
-        ./target/release/pfdebug "$APP" snake --checkpoint-at $((KILL_CYCLE + 32)) \
-            --checkpoint-out "$SWEEP_DIR/$APP-kill2.ckpt" --outcome-out /dev/null
-        ./target/release/pfdebug "$APP" snake \
-            --diverge "$SWEEP_DIR/$APP-kill.ckpt" "$SWEEP_DIR/$APP-kill2.ckpt" >&2 || true
+for LEG in lib mrq lib-w500; do
+    APP=${LEG%-w500}
+    LEG_FLAGS=()
+    if [ "$LEG" = lib-w500 ]; then
+        LEG_FLAGS=(--window 500)
+    fi
+    ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" \
+        --outcome-out "$SWEEP_DIR/$LEG-uninterrupted.outcome"
+    ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --checkpoint-at "$KILL_CYCLE" \
+        --checkpoint-out "$SWEEP_DIR/$LEG-kill.ckpt" --outcome-out /dev/null
+    ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --restore "$SWEEP_DIR/$LEG-kill.ckpt" \
+        --outcome-out "$SWEEP_DIR/$LEG-restored.outcome"
+    if ! cmp -s "$SWEEP_DIR/$LEG-uninterrupted.outcome" "$SWEEP_DIR/$LEG-restored.outcome"; then
+        echo "kill-anywhere smoke: $LEG restored outcome differs from the uninterrupted run" >&2
+        ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --checkpoint-at $((KILL_CYCLE + 32)) \
+            --checkpoint-out "$SWEEP_DIR/$LEG-kill2.ckpt" --outcome-out /dev/null
+        ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" \
+            --diverge "$SWEEP_DIR/$LEG-kill.ckpt" "$SWEEP_DIR/$LEG-kill2.ckpt" >&2 || true
         exit 1
     fi
 done

@@ -12,6 +12,11 @@
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test golden_stats`
 //! only when a change is *meant* to alter simulated behaviour.
 //!
+//! `tests/golden/checkpoint_digest.txt` pins the bytes of one
+//! `Gpu::checkpoint()` taken mid-run with windowed metrics on, so a
+//! change that reorders a component's state, or the columns of the
+//! metrics-sample rows, shows even when save and restore agree.
+//!
 //! Every row runs twice: suspended after every cycle, which steps each
 //! cycle, and through plain `Gpu::run`, which skips device-quiet
 //! stretches in bulk. Both must give the pinned digest. The Snake rows
@@ -167,4 +172,47 @@ fn stats_digests_match_golden_file() {
         golden.lines().count(),
         changed.join("\n")
     );
+}
+
+/// LIB under Snake with a 128-cycle metrics window, suspended at cycle
+/// 1000: the checkpoint carries seven metrics-sample rows beside every
+/// component's state.
+fn checkpoint_digest() -> String {
+    let mut cfg = GpuConfig::scaled(2);
+    cfg.metrics_window = Some(128);
+    let kind = PrefetcherKind::Snake;
+    let warps = cfg.max_warps_per_sm;
+    let mut gpu =
+        Gpu::new(cfg, Benchmark::Lib.build(&small()), |_| kind.build(warps)).expect("valid config");
+    assert!(
+        gpu.run_interruptible(|c| c.0 >= 1000).is_none(),
+        "LIB runs past cycle 1000"
+    );
+    let state = gpu.checkpoint().to_json();
+    let samples = state
+        .get("state")
+        .and_then(|s| s.get("metrics"))
+        .and_then(|m| m.get("samples"))
+        .and_then(|s| s.as_arr());
+    assert_eq!(samples.map(<[_]>::len), Some(7), "seven sample rows");
+    let text = state.to_string();
+    format!(
+        "LIB/snake/window128@1000 {:016x}\n",
+        fnv1a64(text.as_bytes())
+    )
+}
+
+#[test]
+fn checkpoint_digest_matches_golden_file() {
+    let text = checkpoint_digest();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/checkpoint_digest.txt"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &text).expect("write golden");
+    }
+    let golden = std::fs::read_to_string(path)
+        .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
+    assert_eq!(text, golden, "checkpoint bytes changed");
 }
