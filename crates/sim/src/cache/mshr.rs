@@ -5,8 +5,7 @@
 //! (Table 1: 512 entries, 8 merges on the V100). Exhaustion of either
 //! produces reservation fails, one of the paper's motivation points.
 
-use std::collections::HashMap;
-
+use crate::cache::tag_array::LineMap;
 use crate::json::{self, Value};
 use crate::obs::{SimEvent, TraceEvent};
 use crate::snapshot::SnapshotError;
@@ -63,7 +62,7 @@ pub enum MergeResult {
 /// The MSHR file.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
-    entries: HashMap<LineAddr, MshrEntry>,
+    entries: LineMap<MshrEntry>,
     capacity: usize,
     merge_capacity: usize,
     /// Allocation events buffered while tracing is enabled; the owning
@@ -82,7 +81,7 @@ impl MshrFile {
     pub fn new(entries: u32, merge: u32) -> Self {
         assert!(entries > 0 && merge > 0);
         MshrFile {
-            entries: HashMap::with_capacity(entries as usize),
+            entries: LineMap::with_capacity_and_hasher(entries as usize, Default::default()),
             capacity: entries as usize,
             merge_capacity: merge as usize,
             trace: None,
@@ -282,7 +281,7 @@ impl MshrFile {
                 self.capacity
             )));
         }
-        let mut restored = HashMap::with_capacity(self.capacity);
+        let mut restored = LineMap::with_capacity_and_hasher(self.capacity, Default::default());
         for e in entries {
             let line = LineAddr(json::u64_field(e, "line")?);
             let origin = match json::u64_field(e, "origin")? {

@@ -71,13 +71,18 @@ impl Line {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Way(pub(crate) usize);
 
-/// Hasher for the line index: one multiply by an odd 64-bit constant,
-/// then a rotate. The product's low bits depend only on the key's low
-/// bits, and the lines of a strided stream differ only in high bits,
-/// so `finish` rotates the well-mixed high bits down to where the
-/// table takes its bucket index.
+/// Hasher for maps keyed by line address: one multiply by an odd
+/// 64-bit constant, then a rotate. The product's low bits depend only on
+/// the key's low bits, and the lines of a strided stream differ only in
+/// high bits, so `finish` rotates the well-mixed high bits down to where
+/// the table takes its bucket index. Deterministic, unlike std's
+/// per-process `RandomState`, so a map's iteration order is the same in
+/// every process.
 #[derive(Default)]
-struct LineHasher(u64);
+pub(crate) struct LineHasher(u64);
+
+/// A map keyed by line address, hashed with [`LineHasher`].
+pub(crate) type LineMap<V> = HashMap<LineAddr, V, BuildHasherDefault<LineHasher>>;
 
 impl Hasher for LineHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -108,7 +113,7 @@ pub struct TagArray {
     /// Exact map from the tag of every non-invalid line to its way:
     /// kept in step by [`TagArray::reserve`] and [`TagArray::evict`],
     /// rebuilt on restore, never checkpointed.
-    index: HashMap<LineAddr, u32, BuildHasherDefault<LineHasher>>,
+    index: LineMap<u32>,
     valid: u32,
     valid_prefetch: u32,
     reserved: u32,
@@ -131,7 +136,7 @@ impl TagArray {
             set_mask: u64::from(sets - 1),
             ways,
             lines: vec![Line::invalid(); usable_lines as usize],
-            index: HashMap::with_capacity_and_hasher(usable_lines as usize, Default::default()),
+            index: LineMap::with_capacity_and_hasher(usable_lines as usize, Default::default()),
             valid: 0,
             valid_prefetch: 0,
             reserved: 0,
@@ -422,7 +427,7 @@ impl TagArray {
                 origin_prefetch: flag(6)?,
             });
         }
-        let mut index = HashMap::with_capacity_and_hasher(restored.len(), Default::default());
+        let mut index = LineMap::with_capacity_and_hasher(restored.len(), Default::default());
         for (i, l) in restored.iter().enumerate() {
             if l.state == LineState::Invalid {
                 continue;

@@ -428,7 +428,7 @@ impl Gpu {
 
         self.switch(Phase::SmIssue);
         for sm in &mut self.sms {
-            sm.retire_finished(&self.kernel);
+            sm.retire_finished();
         }
 
         self.cycle = now.plus(1);
@@ -632,7 +632,7 @@ impl Gpu {
         let mut violations: Vec<String> = Vec::new();
         for sm in &self.sms {
             for v in sm
-                .audit_invariants()
+                .audit_invariants(&self.kernel)
                 .into_iter()
                 .chain(sm.l1().audit_invariants())
             {
@@ -779,6 +779,8 @@ impl Gpu {
     }
 
     /// Times the step's next region as `phase` in a sampled iteration.
+    /// Inlined, so a step with profiling off pays one branch here.
+    #[inline]
     fn switch(&mut self, phase: Phase) {
         if let Some(p) = &mut self.prof {
             p.switch(phase);
@@ -1015,7 +1017,7 @@ impl Gpu {
             )));
         }
         for (sm, state) in self.sms.iter_mut().zip(sms) {
-            sm.restore_state(state)?;
+            sm.restore_state(state, &self.kernel)?;
         }
         self.noc.restore_state(json::field(v, "noc")?)?;
         self.partition.restore_state(json::field(v, "partition")?)?;

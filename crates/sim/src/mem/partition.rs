@@ -6,9 +6,9 @@
 //! the L2 service latency (hits) or the additional DRAM latency
 //! (misses). DRAM line transfers are bandwidth-limited.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use crate::cache::tag_array::{LineState, Side, TagArray};
+use crate::cache::tag_array::{LineMap, LineState, Side, TagArray};
 use crate::config::GpuConfig;
 use crate::fault::{FaultInjector, ResponseFault};
 use crate::json::{self, Value};
@@ -67,7 +67,7 @@ pub struct MemoryPartition {
     /// Every line with a DRAM read queued or in flight, with the
     /// requesters merged onto that read (empty until one merges): the
     /// O(1) merge check for each L2 request.
-    dram_merges: HashMap<LineAddr, Vec<SmId>>,
+    dram_merges: LineMap<Vec<SmId>>,
     /// Responses ready to go back over the interconnect.
     outbox: VecDeque<DownPacket>,
     /// Responses held back by injected delay faults (constant delay,
@@ -108,7 +108,7 @@ impl MemoryPartition {
             hit_pipe: VecDeque::new(),
             dram_queue: VecDeque::new(),
             dram_pipe: VecDeque::new(),
-            dram_merges: HashMap::new(),
+            dram_merges: LineMap::default(),
             outbox: VecDeque::new(),
             delayed: VecDeque::new(),
             injector: FaultInjector::new(cfg.fault),
@@ -529,7 +529,7 @@ impl MemoryPartition {
         let dram_pipe = timed(v, "dram_pipe", decode_read)?;
         let outbox = queue(v, "outbox", decode_pkt)?;
         let delayed = timed(v, "delayed", decode_pkt)?;
-        let mut dram_merges = HashMap::new();
+        let mut dram_merges = LineMap::default();
         for entry in json::arr_field(v, "dram_merges")? {
             let (line, sms) = entry
                 .as_arr()

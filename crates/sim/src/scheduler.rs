@@ -9,7 +9,7 @@
 use crate::config::SchedulerPolicy;
 use crate::json::{self, Value};
 use crate::snapshot::{self, SnapshotError};
-use crate::warp::{bits, WarpSlot};
+use crate::warp::bits;
 
 /// The slots of an `n`-slot SM owned by scheduler `offset` of `stride`
 /// (`slot_idx % stride == offset`), as a mask.
@@ -36,35 +36,31 @@ impl Scheduler {
 
     /// Picks a slot index to issue from. `ready` holds this scheduler's
     /// issuable slots: the SM's ready mask restricted to
-    /// [`partition_mask`]`(slots.len(), offset, stride)`, the slots with
-    /// `slot_idx % stride == offset`. `slots` (the SM's full slot array)
-    /// supplies GTO's launch order.
+    /// [`partition_mask`]`(ages.len(), offset, stride)`, the slots with
+    /// `slot_idx % stride == offset`. `ages` holds the launch age of
+    /// each of the SM's slots (the SM's `WarpMasks::age`, smaller is
+    /// older), one per slot: GTO takes the oldest ready warp from it
+    /// without reading a slot.
     pub fn pick(
         &mut self,
         ready: u64,
-        slots: &[Option<WarpSlot>],
+        ages: &[u64],
         offset: usize,
         stride: usize,
     ) -> Option<usize> {
         match self.policy {
             SchedulerPolicy::GreedyThenOldest => {
                 if let Some(cur) = self.current {
-                    if cur < slots.len() && ready & 1 << cur != 0 {
+                    if cur < ages.len() && ready & 1 << cur != 0 {
                         return Some(cur);
                     }
                 }
-                // Oldest = smallest launch sequence number.
-                let pick = bits(ready).min_by_key(|&i| {
-                    slots[i]
-                        .as_ref()
-                        .expect("ready bit marks a live slot")
-                        .launch_seq
-                });
+                let pick = bits(ready).min_by_key(|&i| ages[i]);
                 self.current = pick;
                 pick
             }
             SchedulerPolicy::LooseRoundRobin => {
-                let n = slots.len();
+                let n = ages.len();
                 if n == 0 {
                     return None;
                 }
@@ -116,28 +112,25 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::CtaId;
-    use crate::warp::{WarpMasks, WarpState};
+
+    /// A warp of age `age` and its readiness.
+    type Slot = (u64, bool);
 
     /// Picks the way the SM does: from the ready mask of `offset`'s
-    /// partition.
-    fn pick(
-        s: &mut Scheduler,
-        slots: &[Option<WarpSlot>],
-        offset: usize,
-        stride: usize,
-    ) -> Option<usize> {
-        let ready =
-            WarpMasks::from_slots(slots).ready & partition_mask(slots.len(), offset, stride);
-        s.pick(ready, slots, offset, stride)
+    /// partition and the slots' ages.
+    fn pick(s: &mut Scheduler, slots: &[Slot], offset: usize, stride: usize) -> Option<usize> {
+        let ready = slots
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, ready))| ready)
+            .fold(0, |m, (i, _)| m | 1 << i)
+            & partition_mask(slots.len(), offset, stride);
+        let ages: Vec<u64> = slots.iter().map(|&(age, _)| age).collect();
+        s.pick(ready, &ages, offset, stride)
     }
 
-    fn slot(seq: u64, ready: bool) -> Option<WarpSlot> {
-        let mut w = WarpSlot::new(CtaId(0), 0, seq);
-        if !ready {
-            w.state = WarpState::Waiting;
-        }
-        Some(w)
+    fn slot(age: u64, ready: bool) -> Slot {
+        (age, ready)
     }
 
     #[test]
@@ -155,7 +148,7 @@ mod tests {
         let mut s = Scheduler::new(SchedulerPolicy::GreedyThenOldest);
         let mut slots = vec![slot(5, true), slot(1, true), slot(2, true)];
         assert_eq!(pick(&mut s, &slots, 0, 1), Some(1));
-        slots[1].as_mut().unwrap().state = WarpState::Waiting;
+        slots[1].1 = false;
         // Oldest ready is seq 2 = slot 2.
         assert_eq!(pick(&mut s, &slots, 0, 1), Some(2));
     }
@@ -171,7 +164,7 @@ mod tests {
     #[test]
     fn gto_returns_none_when_nothing_ready() {
         let mut s = Scheduler::new(SchedulerPolicy::GreedyThenOldest);
-        let slots = vec![slot(0, false), None];
+        let slots = vec![slot(0, false), slot(1, false)];
         assert_eq!(pick(&mut s, &slots, 0, 1), None);
     }
 

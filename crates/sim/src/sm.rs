@@ -238,7 +238,7 @@ impl Sm {
             .is_some_and(|cta| free.count_ones() as usize >= cta.warps.len())
     }
 
-    fn try_launch_ctas(&mut self) {
+    fn try_launch_ctas(&mut self, kernel: &KernelTrace) {
         while self.cta_launchable() {
             let free = self.all_slots & !self.masks.live;
             let cta = self.cta_queue.pop_front().expect("front checked");
@@ -246,24 +246,34 @@ impl Sm {
                 self.slots[slot_idx] = Some(WarpSlot::new(cta.cta, trace_idx, self.launch_seq));
                 self.launch_seq += 1;
                 self.sync(slot_idx);
+                if kernel.warps()[trace_idx].instrs.is_empty() {
+                    self.masks.exhaust(slot_idx);
+                }
             }
         }
     }
 
-    /// Normalizes busy warps whose deadline has passed to ready. Only
-    /// busy slots are visited, and only once the earliest deadline is
-    /// due; `next_wake` is recomputed from the slots still busy.
+    /// Normalizes busy warps whose deadline has passed to ready. It runs
+    /// only once the earliest deadline is due, reads the busy slots'
+    /// deadlines from the masks, refreshes and syncs only the due slots
+    /// and sets `next_wake` to the earliest deadline among the rest.
     fn refresh_busy(&mut self, now: Cycle) {
         if now < self.masks.next_wake {
             return;
         }
-        self.masks.next_wake = Cycle(u64::MAX);
+        let mut next_wake = Cycle(u64::MAX);
         for i in bits(self.masks.busy) {
+            let until = self.masks.deadline[i];
+            if until > now {
+                next_wake = next_wake.min(until);
+                continue;
+            }
             if let Some(slot) = self.slots[i].as_mut() {
                 slot.refresh(now);
             }
             self.sync(i);
         }
+        self.masks.next_wake = next_wake;
     }
 
     /// Advances the SM by one cycle: launch CTAs, refresh warps, issue
@@ -300,7 +310,7 @@ impl Sm {
             }
             self.idle = None;
         }
-        self.try_launch_ctas();
+        self.try_launch_ctas(kernel);
         perfstat::switch(&mut prof, Phase::Mshr);
         self.l1.tick_recovery(now);
         perfstat::switch(&mut prof, Phase::SmIssue);
@@ -309,11 +319,13 @@ impl Sm {
         let idle = self.masks.ready == 0;
 
         let n_sched = self.schedulers.len();
+        let n_slots = self.slots.len();
         let mut issued = 0u32;
         for sid in 0..n_sched {
             let mut sched = std::mem::take(&mut self.schedulers[sid]);
             let part = self.partitions[sid];
-            let picked = sched.pick(self.masks.ready & part, &self.slots, sid, n_sched);
+            let ages = &self.masks.age[..n_slots];
+            let picked = sched.pick(self.masks.ready & part, ages, sid, n_sched);
             // Exactly one stall-taxonomy bucket is charged per
             // scheduler per cycle, so the buckets partition
             // `scheduler_cycles` exactly (audit-enforced).
@@ -470,7 +482,9 @@ impl Sm {
 
     /// Issues from `slot_idx`. Returns `true` if a *new* instruction
     /// was issued (retries of reservation-failed transactions return
-    /// `false`).
+    /// `false`). An issue that moves the trace cursor past the last
+    /// instruction marks the slot exhausted; picking an exhausted warp
+    /// retires it (the slot is left free).
     fn issue(
         &mut self,
         slot_idx: usize,
@@ -561,6 +575,9 @@ impl Sm {
                 );
                 self.process_txns(&mut slot, slot_idx, now, noc_utilization, false, prof);
             }
+        }
+        if slot.next >= trace.instrs.len() {
+            self.masks.exhaust(slot_idx);
         }
         self.slots[slot_idx] = Some(slot);
         true
@@ -832,14 +849,17 @@ impl Sm {
         ])
     }
 
-    /// Restores from [`save_state`](Sm::save_state).
+    /// Restores from [`save_state`](Sm::save_state), rebuilding the
+    /// warp masks from the restored slots and the lengths of `kernel`'s
+    /// traces.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Malformed`] on a missing or malformed field,
-    /// or when the slot/scheduler counts do not match this SM's
-    /// configuration (the checkpoint belongs to a different config).
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
+    /// when a warp names a trace `kernel` does not have, or when the
+    /// slot/scheduler counts do not match this SM's configuration (the
+    /// checkpoint belongs to a different config).
+    pub fn restore_state(&mut self, v: &Value, kernel: &KernelTrace) -> Result<(), SnapshotError> {
         let slot_entries = json::arr_field(v, "slots")?;
         if slot_entries.len() != self.slots.len() {
             return Err(SnapshotError::malformed(format!(
@@ -854,6 +874,17 @@ impl Sm {
                 Value::Null => None,
                 other => Some(WarpSlot::from_state(other)?),
             });
+        }
+        if let Some(slot) = slots
+            .iter()
+            .flatten()
+            .find(|s| s.trace_idx >= kernel.warps().len())
+        {
+            return Err(SnapshotError::malformed(format!(
+                "warp trace {} is not in a kernel of {} traces",
+                slot.trace_idx,
+                kernel.warps().len()
+            )));
         }
         let sched_entries = json::arr_field(v, "schedulers")?;
         if sched_entries.len() != self.schedulers.len() {
@@ -892,7 +923,7 @@ impl Sm {
         self.prefetcher
             .restore_state(json::field(v, "prefetcher")?)?;
         self.stats.restore_state(json::field(v, "stats")?)?;
-        self.masks = WarpMasks::from_slots(&slots);
+        self.masks = WarpMasks::from_slots(&slots, kernel);
         self.idle = None;
         self.slots = slots;
         self.cta_queue = cta_queue;
@@ -902,14 +933,12 @@ impl Sm {
     }
 
     /// Frees retired warps (trace exhausted, nothing outstanding).
-    /// Called each cycle by the GPU after fills are delivered.
-    pub fn retire_finished(&mut self, kernel: &KernelTrace) {
-        // Ready with nothing pending; the trace and responses decide.
-        for i in bits(self.masks.ready & !self.masks.retry) {
-            let retire = self.slots[i].as_ref().is_some_and(|s| {
-                s.outstanding == 0 && s.next >= kernel.warps()[s.trace_idx].instrs.len()
-            });
-            if retire {
+    /// Called each cycle by the GPU after fills are delivered. Only
+    /// `ready & !retry & exhausted` slots are visited, and of each only
+    /// `outstanding` is read.
+    pub fn retire_finished(&mut self) {
+        for i in bits(self.masks.ready & !self.masks.retry & self.masks.exhausted) {
+            if self.slots[i].as_ref().is_some_and(|s| s.outstanding == 0) {
                 self.slots[i] = None;
                 self.sync(i);
             }
@@ -917,11 +946,12 @@ impl Sm {
     }
 
     /// Checks the derived warp state against the slots it summarizes:
-    /// recomputes every warp mask, the resident-warp count and
-    /// `next_wake` from scratch and reports each mismatch (empty when
+    /// recomputes every warp mask, the resident-warp count, `next_wake`
+    /// and each slot's deadline and age from the slots and `kernel`'s
+    /// trace lengths, and reports each mismatch (empty when
     /// consistent). Called by the device's invariant auditor.
-    pub fn audit_invariants(&self) -> Vec<String> {
-        let want = WarpMasks::from_slots(&self.slots);
+    pub fn audit_invariants(&self, kernel: &KernelTrace) -> Vec<String> {
+        let want = WarpMasks::from_slots(&self.slots, kernel);
         let have = self.masks;
         let mut violations: Vec<String> = [
             ("live", have.live, want.live),
@@ -930,6 +960,7 @@ impl Sm {
             ("retry", have.retry, want.retry),
             ("busy", have.busy, want.busy),
             ("busy_mem", have.busy_mem, want.busy_mem),
+            ("exhausted", have.exhausted, want.exhausted),
         ]
         .into_iter()
         .filter(|(_, have, want)| have != want)
@@ -937,6 +968,19 @@ impl Sm {
             format!("warp mask {name} is {have:#018x} but the slots give {want:#018x}")
         })
         .collect();
+        for i in 0..self.slots.len() {
+            let words = [
+                ("deadline", have.deadline[i].0, want.deadline[i].0),
+                ("age", have.age[i], want.age[i]),
+            ];
+            for (name, have, want) in words {
+                if have != want {
+                    violations.push(format!(
+                        "slot {i} {name} is {have} but the slot gives {want}"
+                    ));
+                }
+            }
+        }
         let resident = self.slots.iter().flatten().count();
         if self.active_warps() != resident {
             violations.push(format!(
@@ -1066,9 +1110,9 @@ mod tests {
         };
         assert_eq!(delta(&before, &full), delta(&full, &replayed));
         assert!(
-            sm.audit_invariants().is_empty(),
+            sm.audit_invariants(&kernel).is_empty(),
             "{:?}",
-            sm.audit_invariants()
+            sm.audit_invariants(&kernel)
         );
 
         // The fill unstalls the warp, which ends the charge.
@@ -1088,12 +1132,117 @@ mod tests {
         slot.outstanding = 0;
         let slot = sm.slots[0].clone();
         sm.masks.set(0, slot.as_ref());
-        let violations = sm.audit_invariants();
+        let violations = sm.audit_invariants(&kernel);
         assert!(
             violations
                 .iter()
                 .any(|v| v.contains("idle charge held with ready warps")),
             "{violations:?}"
+        );
+    }
+
+    /// One SM whose slots 0 and 1 (one per scheduler) went busy at
+    /// cycle 0 until cycles 5 and 9; slot 0's warp loads next.
+    fn two_busy_sm() -> (Sm, KernelTrace) {
+        let kernel = KernelTrace::new(
+            "busy",
+            vec![
+                WarpTrace::new(CtaId(0), vec![Instr::compute(5), Instr::load(0u32, 0u64)]),
+                WarpTrace::new(CtaId(0), vec![Instr::compute(9), Instr::compute(1)]),
+            ],
+        );
+        let mut sm = Sm::new(&GpuConfig::scaled(1), SmId(0), Box::new(NullPrefetcher));
+        sm.enqueue_cta(PendingCta {
+            cta: CtaId(0),
+            warps: vec![0, 1],
+        });
+        assert_eq!(sm.tick(&kernel, Cycle(0), 0.0, false, None), 2);
+        assert_eq!((sm.masks.busy, sm.masks.next_wake), (0b11, Cycle(5)));
+        (sm, kernel)
+    }
+
+    #[test]
+    fn refresh_wakes_only_the_due_warp() {
+        let (mut sm, kernel) = two_busy_sm();
+        for now in 1..5 {
+            assert_eq!(sm.tick(&kernel, Cycle(now), 0.0, false, None), 0);
+        }
+        assert_eq!(
+            sm.idle_until(),
+            Some(Cycle(5)),
+            "the first deadline ends the charge"
+        );
+        assert_eq!(
+            sm.tick(&kernel, Cycle(5), 0.0, false, None),
+            1,
+            "only slot 0 woke, and it issued its load"
+        );
+        assert_eq!(
+            sm.slots[0].as_ref().map(|s| s.state),
+            Some(WarpState::Waiting)
+        );
+        assert_eq!(
+            sm.slots[1].as_ref().map(|s| s.state),
+            Some(WarpState::Busy(Cycle(9)))
+        );
+        assert_eq!((sm.masks.ready, sm.masks.busy), (0, 0b10));
+        assert_eq!(sm.masks.next_wake, Cycle(9), "the second deadline is next");
+        assert_eq!(
+            sm.masks.exhausted, 0b01,
+            "slot 0 issued its last instruction"
+        );
+        assert!(
+            sm.audit_invariants(&kernel).is_empty(),
+            "{:?}",
+            sm.audit_invariants(&kernel)
+        );
+    }
+
+    #[test]
+    fn audit_flags_each_stale_word() {
+        let (mut sm, kernel) = two_busy_sm();
+        let mut stale_deadline = sm.masks;
+        stale_deadline.deadline[1] = Cycle(10);
+        let mut stale_age = sm.masks;
+        stale_age.age[1] = 7;
+        let mut stale_exhausted = sm.masks;
+        stale_exhausted.exhaust(0);
+        let corruptions = [
+            (stale_deadline, "slot 1 deadline is 10 but the slot gives 9"),
+            (stale_age, "slot 1 age is 7 but the slot gives 1"),
+            (stale_exhausted, "warp mask exhausted is 0x0000000000000001"),
+        ];
+        for (masks, want) in corruptions {
+            sm.masks = masks;
+            let violations = sm.audit_invariants(&kernel);
+            assert!(
+                violations.len() == 1 && violations[0].contains(want),
+                "{want}: {violations:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rebuilds_the_words_and_rejects_unknown_traces() {
+        let (mut sm, kernel) = two_busy_sm();
+        sm.tick(&kernel, Cycle(5), 0.0, false, None);
+        let state = sm.save_state();
+        let fresh = || Sm::new(&GpuConfig::scaled(1), SmId(0), Box::new(NullPrefetcher));
+
+        let mut restored = fresh();
+        restored
+            .restore_state(&state, &kernel)
+            .expect("restore succeeds");
+        assert_eq!(restored.masks, sm.masks, "every word is rebuilt");
+
+        let short = KernelTrace::new("short", kernel.warps()[..1].to_vec());
+        let err = fresh()
+            .restore_state(&state, &short)
+            .expect_err("warp 1's trace is not in the kernel");
+        assert!(
+            err.to_string()
+                .contains("warp trace 1 is not in a kernel of 1 traces"),
+            "{err}"
         );
     }
 }

@@ -7,6 +7,7 @@
 //! wall) the paper quantifies in Figs 3–5.
 
 use crate::json::{self, Value};
+use crate::kernel::KernelTrace;
 use crate::snapshot::SnapshotError;
 use crate::types::{Address, CtaId, Cycle, Pc};
 
@@ -27,13 +28,15 @@ pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 /// One SM's warp states as bitmasks, bit `i` describing slot `i`, so the
-/// per-cycle front-end decisions are mask tests instead of slot scans.
+/// per-cycle front-end decisions are mask tests instead of slot scans,
+/// plus two per-slot words the front end would otherwise read out of
+/// the slots: each busy slot's deadline and each live slot's age.
 ///
 /// Derived state: every mutation of a slot is followed by
 /// [`WarpMasks::set`] for that slot, which keeps the masks equal to
-/// [`WarpMasks::from_slots`] of the slot array (the invariant auditor
-/// checks exactly that). They are rebuilt on restore, never
-/// checkpointed.
+/// [`WarpMasks::from_slots`] of the slot array and the kernel (the
+/// invariant auditor checks exactly that). They are rebuilt on restore,
+/// never checkpointed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct WarpMasks {
     /// Occupied slots.
@@ -50,10 +53,25 @@ pub(crate) struct WarpMasks {
     /// Busy, with the latency entered by a memory instruction
     /// ([`WarpSlot::busy_mem`]).
     pub busy_mem: u64,
+    /// Live slots whose trace cursor is at or past the end of their
+    /// trace: the only slots retirement looks at. The trace length is
+    /// not in the slot, so `set` keeps a live slot's bit (a cursor only
+    /// moves forward) and clears a free slot's; the SM sets it with
+    /// [`WarpMasks::exhaust`] at launch for an empty trace and when an
+    /// issue moves the cursor past the last instruction.
+    pub exhausted: u64,
     /// The earliest `Busy` deadline; `Cycle(u64::MAX)` when no slot is
     /// busy. No busy slot can become ready before this cycle.
     pub next_wake: Cycle,
+    /// Each busy slot's deadline (`Cycle::ZERO` for a slot not busy).
+    pub deadline: [Cycle; SLOTS],
+    /// Each live slot's launch sequence number, GTO's age: smaller is
+    /// older (0 for a free slot).
+    pub age: [u64; SLOTS],
 }
+
+/// Slot count of a [`WarpMasks`] word.
+const SLOTS: usize = MAX_WARP_SLOTS as usize;
 
 impl Default for WarpMasks {
     fn default() -> Self {
@@ -64,24 +82,34 @@ impl Default for WarpMasks {
             retry: 0,
             busy: 0,
             busy_mem: 0,
+            exhausted: 0,
             next_wake: Cycle(u64::MAX),
+            deadline: [Cycle::ZERO; SLOTS],
+            age: [0; SLOTS],
         }
     }
 }
 
 impl WarpMasks {
-    /// Masks describing `slots` from scratch.
-    pub fn from_slots(slots: &[Option<WarpSlot>]) -> Self {
+    /// Masks describing `slots` of a device running `kernel` from
+    /// scratch. Every slot's `trace_idx` must index `kernel`.
+    pub fn from_slots(slots: &[Option<WarpSlot>], kernel: &KernelTrace) -> Self {
         let mut masks = WarpMasks::default();
         for (i, slot) in slots.iter().enumerate() {
             masks.set(i, slot.as_ref());
+            if slot
+                .as_ref()
+                .is_some_and(|s| s.next >= kernel.warps()[s.trace_idx].instrs.len())
+            {
+                masks.exhaust(i);
+            }
         }
         masks
     }
 
-    /// Re-derives slot `i`'s bits from its current contents (`None` for
-    /// a free slot). `next_wake` only ever moves earlier here; the
-    /// busy-slot refresh recomputes it.
+    /// Re-derives slot `i`'s bits and words from its current contents
+    /// (`None` for a free slot). `next_wake` only ever moves earlier
+    /// here; the busy-slot refresh recomputes it.
     pub fn set(&mut self, i: usize, slot: Option<&WarpSlot>) {
         let bit = 1u64 << i;
         let clear = !bit;
@@ -91,8 +119,14 @@ impl WarpMasks {
         self.retry &= clear;
         self.busy &= clear;
         self.busy_mem &= clear;
-        let Some(slot) = slot else { return };
+        self.deadline[i] = Cycle::ZERO;
+        let Some(slot) = slot else {
+            self.exhausted &= clear;
+            self.age[i] = 0;
+            return;
+        };
         self.live |= bit;
+        self.age[i] = slot.launch_seq;
         match slot.state {
             WarpState::Ready => {
                 self.ready |= bit;
@@ -106,9 +140,15 @@ impl WarpMasks {
                 if slot.busy_mem {
                     self.busy_mem |= bit;
                 }
+                self.deadline[i] = until;
                 self.next_wake = self.next_wake.min(until);
             }
         }
+    }
+
+    /// Marks live slot `i`'s trace as exhausted.
+    pub fn exhaust(&mut self, i: usize) {
+        self.exhausted |= 1 << i;
     }
 
     /// Slots stalled *on memory* (for the Fig 5 stall taxonomy): waiting
@@ -285,6 +325,16 @@ impl WarpSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{Instr, WarpTrace};
+
+    /// A kernel whose trace `t` holds `lens[t]` compute instructions.
+    fn kernel(lens: &[usize]) -> KernelTrace {
+        let traces = lens
+            .iter()
+            .map(|&n| WarpTrace::new(CtaId(0), vec![Instr::compute(1); n]))
+            .collect();
+        KernelTrace::new("masks", traces)
+    }
 
     #[test]
     fn busy_refreshes_to_ready() {
@@ -334,7 +384,8 @@ mod tests {
         slots[5] = Some(waiting);
         slots[17] = Some(retry);
         slots[63] = Some(late);
-        let m = WarpMasks::from_slots(&slots);
+        // Trace 3 is empty, so slot 63's warp is exhausted at launch.
+        let m = WarpMasks::from_slots(&slots, &kernel(&[1, 1, 1, 0]));
         assert_eq!(m.live, 1 | 1 << 5 | 1 << 17 | 1 << 63);
         assert_eq!(m.ready, 1 << 17);
         assert_eq!(m.retry, 1 << 17);
@@ -343,17 +394,24 @@ mod tests {
         assert_eq!(m.busy_mem, 1);
         assert_eq!(m.memory_stalled(), 1 << 5 | 1 << 17);
         assert_eq!(m.next_wake, Cycle(40));
+        assert_eq!(m.exhausted, 1 << 63);
+        assert_eq!((m.deadline[0], m.deadline[63]), (Cycle(40), Cycle(90)));
+        assert_eq!(m.deadline[5], Cycle::ZERO, "only busy slots have deadlines");
+        assert_eq!((m.age[5], m.age[17], m.age[63]), (1, 2, 3));
         assert_eq!(bits(m.live).collect::<Vec<_>>(), vec![0, 5, 17, 63]);
 
         let mut cleared = m;
         cleared.set(63, None);
         assert_eq!(cleared.live, 1 | 1 << 5 | 1 << 17);
         assert_eq!(cleared.busy, 1);
+        assert_eq!(cleared.exhausted, 0, "a freed slot is not exhausted");
+        assert_eq!((cleared.deadline[63], cleared.age[63]), (Cycle::ZERO, 0));
     }
 
     #[test]
     fn memory_stall_taxonomy() {
-        let stalled = |w: WarpSlot| WarpMasks::from_slots(&[Some(w)]).memory_stalled() == 1;
+        let k = kernel(&[1]);
+        let stalled = |w: WarpSlot| WarpMasks::from_slots(&[Some(w)], &k).memory_stalled() == 1;
         let mut w = WarpSlot::new(CtaId(0), 0, 0);
         assert!(!stalled(w.clone()));
         w.state = WarpState::Waiting;

@@ -1,10 +1,14 @@
 //! Property-based exactness of the issue-slot stall taxonomy: for
 //! arbitrary instruction mixes, fault plans, scheduler policies, SM
-//! counts and checkpoint cut points, the eight stall buckets must
-//! partition scheduler-cycles exactly — at every observation point,
-//! after merging across SMs, and bit-identically across a
+//! counts and shapes and checkpoint cut points, the eight stall buckets
+//! must partition scheduler-cycles exactly — at every observation
+//! point, after merging across SMs, and bit-identically across a
 //! checkpoint/restore round-trip. Every run is audited, so the SMs'
-//! warp-state masks are checked against their slots throughout.
+//! warp-state masks and per-slot words are checked against their slots
+//! throughout: kernels hold more CTAs than the device has slots (later
+//! CTAs launch into the slots of retired warps, with newer ages), some
+//! warp traces are empty (exhausted at launch), and some runs use one
+//! `volta_v100()` SM, whose 64 slots reach the last bit of a mask.
 
 use proptest::prelude::*;
 use snake_sim::snapshot::Checkpoint;
@@ -16,39 +20,61 @@ use snake_sim::{CtaId, FaultPlan};
 
 #[derive(Debug, Clone)]
 struct Scenario {
-    warps: usize,
+    /// A power of two, so one wave of CTAs fills every slot.
+    warps_per_cta: usize,
+    /// CTAs beyond the first full wave: they launch as warps retire.
+    extra_ctas: usize,
     instrs: usize,
     stride: u64,
     /// Per-instruction selector stream: load / store / compute.
     mix: u64,
+    /// Warp `w`'s trace is empty when bit `w % 64` is set.
+    empty: u64,
     kill: u64,
     faults: bool,
     lrr: bool,
+    /// One `volta_v100()` SM (64 slots, 4 schedulers) instead of `sms`
+    /// scaled ones (16 slots, 2 schedulers).
+    v100: bool,
     sms: u32,
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
     (
-        (1usize..6, 2usize..24, 1u64..8),
-        (any::<u64>(), 1u64..400, any::<bool>()),
-        (any::<bool>(), 1u32..3),
+        (0u32..4, 1usize..5, 2usize..24, 1u64..8),
+        (any::<u64>(), any::<u64>(), any::<u64>(), 1u64..2000),
+        (any::<bool>(), any::<bool>(), any::<bool>(), 1u32..3),
     )
         .prop_map(
-            |((warps, instrs, stride), (mix, kill, faults), (lrr, sms))| Scenario {
-                warps,
+            |(
+                (cta_log2, extra_ctas, instrs, stride),
+                (mix, empty_a, empty_b, kill),
+                (faults, lrr, v100, sms),
+            )| Scenario {
+                warps_per_cta: 1 << cta_log2,
+                extra_ctas,
                 instrs,
                 stride: stride * 64,
                 mix,
+                empty: empty_a & empty_b,
                 kill,
                 faults,
                 lrr,
+                v100,
                 sms,
             },
         )
 }
 
 fn build(s: &Scenario) -> (GpuConfig, KernelTrace) {
-    let mut cfg = GpuConfig::scaled(s.sms);
+    let mut cfg = if s.v100 {
+        GpuConfig {
+            num_sms: 1,
+            ..GpuConfig::volta_v100()
+        }
+    } else {
+        GpuConfig::scaled(s.sms)
+    };
     cfg.metrics_window = Some(64);
     cfg.audit_window = Some(16);
     cfg.scheduler = if s.lrr {
@@ -70,9 +96,16 @@ fn build(s: &Scenario) -> (GpuConfig, KernelTrace) {
             }),
         };
     }
-    let traces = (0..s.warps)
+    let slots = (cfg.num_sms * cfg.max_warps_per_sm) as usize;
+    let warps = slots + s.extra_ctas * s.warps_per_cta;
+    let traces = (0..warps)
         .map(|w| {
-            let instrs = (0..s.instrs)
+            let len = if s.empty >> (w % 64) & 1 == 1 {
+                0
+            } else {
+                s.instrs
+            };
+            let instrs = (0..len)
                 .map(|i| {
                     let addr = (w * s.instrs + i) as u64 * s.stride;
                     // Cheap deterministic per-slot selector derived
@@ -84,7 +117,7 @@ fn build(s: &Scenario) -> (GpuConfig, KernelTrace) {
                     }
                 })
                 .collect();
-            WarpTrace::new(CtaId((w / 4) as u32), instrs)
+            WarpTrace::new(CtaId((w / s.warps_per_cta) as u32), instrs)
         })
         .collect();
     (cfg, KernelTrace::new("proptest-stall", traces))

@@ -142,25 +142,33 @@ echo "==> kill-anywhere smoke (checkpoint mid-run, restore, byte-identical outco
 # from an empty cache and must still match the uninterrupted one. The
 # lib-w500 leg samples windowed metrics every 500 cycles, so its
 # checkpoint carries metrics-sample rows and its outcome the series.
-# The kill cycle is derived from the PID and echoed so a failure is
+# The early legs kill before the first warp retires (LIB/snake's first
+# retirement is at cycle 9,100 of 42,276, MRQ/snake's at 3,395); the
+# lib-late leg kills after it, so its restore rebuilds slots whose
+# traces are exhausted and slots relaunched by later CTAs.
+# The kill cycles are derived from the PID and echoed so a failure is
 # reproducible; a mismatched restore must use the distinct exit code 6.
 KILL_CYCLE=$((500 + $$ % 2000))
+LATE_KILL_CYCLE=$((9100 + $$ % 30000))
 echo "    kill cycle: $KILL_CYCLE (reproduce with --checkpoint-at $KILL_CYCLE)"
-for LEG in lib mrq lib-w500; do
-    APP=${LEG%-w500}
+echo "    late kill cycle (lib-late): $LATE_KILL_CYCLE (reproduce with --checkpoint-at $LATE_KILL_CYCLE)"
+for LEG in lib mrq lib-w500 lib-late; do
+    APP=${LEG%%-*}
     LEG_FLAGS=()
-    if [ "$LEG" = lib-w500 ]; then
-        LEG_FLAGS=(--window 500)
-    fi
+    LEG_KILL=$KILL_CYCLE
+    case "$LEG" in
+        lib-w500) LEG_FLAGS=(--window 500) ;;
+        lib-late) LEG_KILL=$LATE_KILL_CYCLE ;;
+    esac
     ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" \
         --outcome-out "$SWEEP_DIR/$LEG-uninterrupted.outcome"
-    ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --checkpoint-at "$KILL_CYCLE" \
+    ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --checkpoint-at "$LEG_KILL" \
         --checkpoint-out "$SWEEP_DIR/$LEG-kill.ckpt" --outcome-out /dev/null
     ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --restore "$SWEEP_DIR/$LEG-kill.ckpt" \
         --outcome-out "$SWEEP_DIR/$LEG-restored.outcome"
     if ! cmp -s "$SWEEP_DIR/$LEG-uninterrupted.outcome" "$SWEEP_DIR/$LEG-restored.outcome"; then
         echo "kill-anywhere smoke: $LEG restored outcome differs from the uninterrupted run" >&2
-        ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --checkpoint-at $((KILL_CYCLE + 32)) \
+        ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --checkpoint-at $((LEG_KILL + 32)) \
             --checkpoint-out "$SWEEP_DIR/$LEG-kill2.ckpt" --outcome-out /dev/null
         ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" \
             --diverge "$SWEEP_DIR/$LEG-kill.ckpt" "$SWEEP_DIR/$LEG-kill2.ckpt" >&2 || true
