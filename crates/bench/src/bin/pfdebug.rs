@@ -33,7 +33,7 @@ fn usage() -> String {
          --window N             sample windowed metrics every N cycles (default {} with --timeline)\n  \
          --budget N             stop the run after N cycles (StopReason::BudgetExceeded)\n  \
          --profile              print the run's per-phase host wall-time table\n  \
-         --checkpoint-at N      checkpoint the full simulator state at cycle N, then finish\n  \
+         --checkpoint-at N      checkpoint the full simulator state at cycle N, then finish\n                         (N >= 1, and after the cycle --restore resumes from)\n  \
          --checkpoint-out FILE  where --checkpoint-at writes (default BENCH-MECHANISM-cN.ckpt)\n  \
          --restore FILE         restore a checkpoint and run it to completion\n                         (schema/config mismatch exits {})\n  \
          --outcome-out FILE     write the final SimOutcome (Debug form) for byte comparison\n  \
@@ -113,6 +113,14 @@ fn run() -> Result<(), CliError> {
                     what: "checkpoint-at",
                     why: format!("not a cycle count: {raw:?}"),
                 })?;
+                // The run is suspended after a step, so cycle 0 is
+                // never a cycle boundary it stops at.
+                if n == 0 {
+                    return Err(CliError::BadArg {
+                        what: "checkpoint-at",
+                        why: "the checkpoint cycle must be at least 1".into(),
+                    });
+                }
                 checkpoint_at = Some(n);
             }
             "--checkpoint-out" => {
@@ -207,6 +215,15 @@ fn run() -> Result<(), CliError> {
         let ckpt = Checkpoint::load(Path::new(path))?;
         gpu.restore(&ckpt)?;
         eprintln!("restored {path} at cycle {}", gpu.cycle().0);
+        if let Some(n) = checkpoint_at.filter(|&n| n <= gpu.cycle().0) {
+            return Err(CliError::BadArg {
+                what: "checkpoint-at",
+                why: format!(
+                    "cycle {n} is not after the restored cycle {}",
+                    gpu.cycle().0
+                ),
+            });
+        }
     }
     let out = match checkpoint_at {
         Some(n) => match gpu.run_interruptible(|c| c.0 >= n) {

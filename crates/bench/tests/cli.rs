@@ -145,3 +145,51 @@ fn pfdebug_rejects_checkpoint_out_without_checkpoint_at() {
     );
     assert!(!out.exists(), "no checkpoint may be written");
 }
+
+/// `--checkpoint-at N` writes cycle N or nothing. The run is suspended
+/// after a step, so N = 0, or N at or before the cycle `--restore`
+/// resumes from, would write a later cycle under N's name: both are
+/// usage errors, refused before any checkpoint is written.
+#[test]
+fn pfdebug_rejects_a_checkpoint_cycle_it_cannot_write() {
+    let pfdebug = || Command::new(env!("CARGO_BIN_EXE_pfdebug"));
+    let output = pfdebug()
+        .args(["--checkpoint-at", "0", "lps", "snake"])
+        .output()
+        .expect("spawn pfdebug");
+    assert_eq!(output.status.code(), Some(2), "usage error expected");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("checkpoint-at"),
+        "unhelpful error: {stderr}"
+    );
+
+    let c2000 = tmp("c2000.ckpt");
+    let status = pfdebug()
+        .args(["--checkpoint-at", "2000", "--checkpoint-out"])
+        .arg(&c2000)
+        .args(["lps", "snake"])
+        .output()
+        .expect("spawn pfdebug")
+        .status;
+    assert!(status.success(), "pfdebug exited with {status}");
+    for at in ["1500", "2000"] {
+        let earlier = tmp(&format!("at{at}.ckpt"));
+        let output = pfdebug()
+            .arg("--restore")
+            .arg(&c2000)
+            .args(["--checkpoint-at", at, "--checkpoint-out"])
+            .arg(&earlier)
+            .args(["lps", "snake"])
+            .output()
+            .expect("spawn pfdebug");
+        assert_eq!(output.status.code(), Some(2), "--checkpoint-at {at}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("cycle {at} is not after the restored cycle 2000")),
+            "unhelpful error: {stderr}"
+        );
+        assert!(!earlier.exists(), "no checkpoint may be written");
+    }
+    std::fs::remove_file(&c2000).ok();
+}

@@ -1,8 +1,6 @@
 //! Composition: `Snake+CTA` (§4, comparison point 9 — the two
 //! mechanisms are orthogonal).
 
-use snake_sim::json::{self, Value};
-use snake_sim::snapshot::SnapshotError;
 use snake_sim::{
     AccessEvent, KernelTrace, PrefetchContext, PrefetchPlacement, PrefetchRequest, Prefetcher,
     PrefetcherEvent,
@@ -93,19 +91,9 @@ impl Prefetcher for Combined {
         self.first.drain_events(out);
         self.second.drain_events(out);
     }
-
-    fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            ("first".into(), self.first.save_state()),
-            ("second".into(), self.second.save_state()),
-        ])
-    }
-
-    fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.first.restore_state(json::field(v, "first")?)?;
-        self.second.restore_state(json::field(v, "second")?)
-    }
 }
+
+snake_sim::restore_fields!(Combined { first, second });
 
 #[cfg(test)]
 mod tests {

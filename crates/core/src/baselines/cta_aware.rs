@@ -7,8 +7,7 @@
 
 use std::collections::HashMap;
 
-use snake_sim::json::{self, Value};
-use snake_sim::snapshot::{self, SnapshotError};
+use snake_sim::snapshot::SnapshotError;
 use snake_sim::{
     AccessEvent, Address, CtaId, KernelTrace, Pc, PrefetchContext, PrefetchRequest, Prefetcher,
 };
@@ -21,6 +20,12 @@ struct PcEntry {
     stride: Option<i64>,
     stamp: u64,
 }
+
+snake_sim::state_row!(PcEntry {
+    cta_bases,
+    stride,
+    stamp
+});
 
 /// The CTA-aware prefetcher.
 #[derive(Debug, Clone)]
@@ -49,6 +54,18 @@ impl CtaAware {
             confirm_pairs,
             seq: 0,
         }
+    }
+
+    /// Checks a restored table against the configured capacity.
+    fn check_capacity(&mut self) -> Result<(), SnapshotError> {
+        if self.table.len() > self.capacity {
+            return Err(SnapshotError::malformed(format!(
+                "checkpoint has {} cta-aware entries, capacity is {}",
+                self.table.len(),
+                self.capacity
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -131,77 +148,13 @@ impl Prefetcher for CtaAware {
             }
         }
     }
-
-    /// The table, serialized sorted by PC for byte-identical
-    /// checkpoints regardless of `HashMap` iteration order. Per-CTA
-    /// base lists keep their insertion order (it is
-    /// detection-meaningful).
-    fn save_state(&self) -> Value {
-        let mut rows: Vec<_> = self.table.iter().collect();
-        rows.sort_by_key(|(pc, _)| pc.0);
-        let rows = rows
-            .into_iter()
-            .map(|(pc, e)| {
-                let bases = e
-                    .cta_bases
-                    .iter()
-                    .map(|(c, a)| Value::Arr(vec![Value::u64(u64::from(c.0)), Value::u64(a.raw())]))
-                    .collect();
-                Value::Arr(vec![
-                    Value::u64(u64::from(pc.0)),
-                    Value::Arr(bases),
-                    e.stride.map_or(Value::Null, snapshot::i64_value),
-                    Value::u64(e.stamp),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("table".into(), Value::Arr(rows)),
-            ("seq".into(), Value::u64(self.seq)),
-        ])
-    }
-
-    fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let bad = || SnapshotError::malformed("cta-aware table row does not decode");
-        let seq = json::u64_field(v, "seq")?;
-        let mut table = HashMap::with_capacity(self.capacity);
-        for row in json::arr_field(v, "table")? {
-            let Some([pc, bases, stride, stamp]) = row.as_arr() else {
-                return Err(bad());
-            };
-            let mut cta_bases = Vec::new();
-            for b in bases.as_arr().ok_or_else(bad)? {
-                let Some([c, a]) = b.as_arr() else {
-                    return Err(bad());
-                };
-                cta_bases.push((
-                    CtaId(c.as_u32().ok_or_else(bad)?),
-                    Address(a.as_u64().ok_or_else(bad)?),
-                ));
-            }
-            let stride = match stride {
-                Value::Null => None,
-                other => Some(other.as_i64().ok_or_else(bad)?),
-            };
-            table.insert(
-                Pc(pc.as_u32().ok_or_else(bad)?),
-                PcEntry {
-                    cta_bases,
-                    stride,
-                    stamp: stamp.as_u64().ok_or_else(bad)?,
-                },
-            );
-        }
-        if table.len() > self.capacity {
-            return Err(SnapshotError::malformed(
-                "cta-aware checkpoint exceeds table capacity",
-            ));
-        }
-        self.table = table;
-        self.seq = seq;
-        Ok(())
-    }
 }
+
+// The table, as `[pc, [[cta, base]..], stride, stamp]` rows sorted by PC
+// (each PC's CTA bases keep their insertion order, which detection
+// reads), and the stamp sequence; capacity, degree and the confirmation
+// count are configuration.
+snake_sim::restore_fields!(CtaAware { table, seq } then check_capacity);
 
 #[cfg(test)]
 mod tests {

@@ -6,8 +6,7 @@
 
 use std::collections::HashMap;
 
-use snake_sim::json::{self, Value};
-use snake_sim::snapshot::{self, SnapshotError};
+use snake_sim::snapshot::SnapshotError;
 use snake_sim::{
     AccessEvent, Address, KernelTrace, Pc, PrefetchContext, PrefetchRequest, Prefetcher, WarpId,
 };
@@ -21,6 +20,14 @@ struct PcEntry {
     confidence: u8,
     stamp: u64,
 }
+
+snake_sim::state_row!(PcEntry {
+    last_warp,
+    last_addr,
+    candidate,
+    confidence,
+    stamp,
+});
 
 /// Per-PC inter-warp stride table.
 #[derive(Debug, Clone)]
@@ -49,6 +56,18 @@ impl InterWarp {
             threshold,
             seq: 0,
         }
+    }
+
+    /// Checks a restored table against the configured capacity.
+    fn check_capacity(&mut self) -> Result<(), SnapshotError> {
+        if self.table.len() > self.capacity {
+            return Err(SnapshotError::malformed(format!(
+                "checkpoint has {} inter-warp entries, capacity is {}",
+                self.table.len(),
+                self.capacity
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -124,67 +143,11 @@ impl Prefetcher for InterWarp {
             }
         }
     }
-
-    /// The table, serialized sorted by PC for byte-identical
-    /// checkpoints regardless of `HashMap` iteration order.
-    fn save_state(&self) -> Value {
-        let mut rows: Vec<_> = self.table.iter().collect();
-        rows.sort_by_key(|(pc, _)| pc.0);
-        let rows = rows
-            .into_iter()
-            .map(|(pc, e)| {
-                Value::Arr(vec![
-                    Value::u64(u64::from(pc.0)),
-                    Value::u64(u64::from(e.last_warp.0)),
-                    Value::u64(e.last_addr.raw()),
-                    e.candidate.map_or(Value::Null, snapshot::i64_value),
-                    Value::u64(u64::from(e.confidence)),
-                    Value::u64(e.stamp),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("table".into(), Value::Arr(rows)),
-            ("seq".into(), Value::u64(self.seq)),
-        ])
-    }
-
-    fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let bad = || SnapshotError::malformed("inter-warp table row does not decode");
-        let seq = json::u64_field(v, "seq")?;
-        let mut table = HashMap::with_capacity(self.capacity);
-        for row in json::arr_field(v, "table")? {
-            let Some([pc, warp, addr, candidate, confidence, stamp]) = row.as_arr() else {
-                return Err(bad());
-            };
-            let candidate = match candidate {
-                Value::Null => None,
-                other => Some(other.as_i64().ok_or_else(bad)?),
-            };
-            table.insert(
-                Pc(pc.as_u32().ok_or_else(bad)?),
-                PcEntry {
-                    last_warp: WarpId(warp.as_u32().ok_or_else(bad)?),
-                    last_addr: Address(addr.as_u64().ok_or_else(bad)?),
-                    candidate,
-                    confidence: confidence
-                        .as_u32()
-                        .and_then(|c| u8::try_from(c).ok())
-                        .ok_or_else(bad)?,
-                    stamp: stamp.as_u64().ok_or_else(bad)?,
-                },
-            );
-        }
-        if table.len() > self.capacity {
-            return Err(SnapshotError::malformed(
-                "inter-warp checkpoint exceeds table capacity",
-            ));
-        }
-        self.table = table;
-        self.seq = seq;
-        Ok(())
-    }
 }
+
+// The table, as `[pc, entry..]` rows sorted by PC, and the stamp
+// sequence; capacity, degree and threshold are configuration.
+snake_sim::restore_fields!(InterWarp { table, seq } then check_capacity);
 
 #[cfg(test)]
 mod tests {

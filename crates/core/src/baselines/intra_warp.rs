@@ -5,8 +5,7 @@
 
 use std::collections::HashMap;
 
-use snake_sim::json::{self, Value};
-use snake_sim::snapshot::{self, SnapshotError};
+use snake_sim::snapshot::SnapshotError;
 use snake_sim::{
     AccessEvent, Address, KernelTrace, Pc, PrefetchContext, PrefetchRequest, Prefetcher, WarpId,
 };
@@ -20,6 +19,13 @@ struct StrideEntry {
     /// Insertion-order stamp for FIFO-ish replacement.
     stamp: u64,
 }
+
+snake_sim::state_row!(StrideEntry {
+    last_addr,
+    stride,
+    confidence,
+    stamp,
+});
 
 /// Per-(warp, PC) stride table.
 #[derive(Debug, Clone)]
@@ -59,6 +65,18 @@ impl IntraWarp {
                 self.table.remove(&key);
             }
         }
+    }
+
+    /// Checks a restored table against the configured capacity.
+    fn check_capacity(&mut self) -> Result<(), SnapshotError> {
+        if self.table.len() > self.capacity {
+            return Err(SnapshotError::malformed(format!(
+                "checkpoint has {} intra-warp entries, capacity is {}",
+                self.table.len(),
+                self.capacity
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -123,66 +141,11 @@ impl Prefetcher for IntraWarp {
             }
         }
     }
-
-    /// The table, serialized sorted by `(warp, pc)` so equal state
-    /// always produces byte-identical checkpoints despite the
-    /// `HashMap`'s arbitrary iteration order.
-    fn save_state(&self) -> Value {
-        let mut rows: Vec<_> = self.table.iter().collect();
-        rows.sort_by_key(|((w, pc), _)| (w.0, pc.0));
-        let rows = rows
-            .into_iter()
-            .map(|((w, pc), e)| {
-                Value::Arr(vec![
-                    Value::u64(u64::from(w.0)),
-                    Value::u64(u64::from(pc.0)),
-                    Value::u64(e.last_addr.raw()),
-                    snapshot::i64_value(e.stride),
-                    Value::u64(u64::from(e.confidence)),
-                    Value::u64(e.stamp),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("table".into(), Value::Arr(rows)),
-            ("seq".into(), Value::u64(self.seq)),
-        ])
-    }
-
-    fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let bad = || SnapshotError::malformed("intra-warp table row does not decode");
-        let seq = json::u64_field(v, "seq")?;
-        let mut table = HashMap::with_capacity(self.capacity);
-        for row in json::arr_field(v, "table")? {
-            let Some([w, pc, addr, stride, confidence, stamp]) = row.as_arr() else {
-                return Err(bad());
-            };
-            table.insert(
-                (
-                    WarpId(w.as_u32().ok_or_else(bad)?),
-                    Pc(pc.as_u32().ok_or_else(bad)?),
-                ),
-                StrideEntry {
-                    last_addr: Address(addr.as_u64().ok_or_else(bad)?),
-                    stride: stride.as_i64().ok_or_else(bad)?,
-                    confidence: confidence
-                        .as_u32()
-                        .and_then(|c| u8::try_from(c).ok())
-                        .ok_or_else(bad)?,
-                    stamp: stamp.as_u64().ok_or_else(bad)?,
-                },
-            );
-        }
-        if table.len() > self.capacity {
-            return Err(SnapshotError::malformed(
-                "intra-warp checkpoint exceeds table capacity",
-            ));
-        }
-        self.table = table;
-        self.seq = seq;
-        Ok(())
-    }
 }
+
+// The table, as `[warp, pc, entry..]` rows sorted by `(warp, pc)`, and
+// the stamp sequence; capacity and degree are configuration.
+snake_sim::restore_fields!(IntraWarp { table, seq } then check_capacity);
 
 #[cfg(test)]
 mod tests {

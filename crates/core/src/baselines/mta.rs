@@ -2,8 +2,6 @@
 //! intra-warp and inter-warp mechanisms — the best-coverage prior work
 //! the paper compares against (§2, Fig 6/11/16).
 
-use snake_sim::json::{self, Value};
-use snake_sim::snapshot::SnapshotError;
 use snake_sim::{AccessEvent, KernelTrace, PrefetchContext, PrefetchRequest, Prefetcher};
 
 use crate::baselines::inter_warp::InterWarp;
@@ -43,19 +41,9 @@ impl Prefetcher for Mta {
         self.inter.on_demand_access(event, ctx, out);
         out.dedup_by_key(|r| r.addr);
     }
-
-    fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            ("intra".into(), self.intra.save_state()),
-            ("inter".into(), self.inter.save_state()),
-        ])
-    }
-
-    fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.intra.restore_state(json::field(v, "intra")?)?;
-        self.inter.restore_state(json::field(v, "inter")?)
-    }
 }
+
+snake_sim::restore_fields!(Mta { intra, inter });
 
 #[cfg(test)]
 mod tests {

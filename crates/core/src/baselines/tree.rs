@@ -5,9 +5,6 @@
 //! traffic, and inaccurate on irregular applications, which is exactly
 //! the behaviour the paper contrasts Snake against.
 
-use std::collections::HashMap;
-
-use snake_sim::json::{self, Value};
 use snake_sim::snapshot::SnapshotError;
 use snake_sim::{
     AccessEvent, AccessOutcome, Address, KernelTrace, PrefetchContext, PrefetchRequest, Prefetcher,
@@ -22,10 +19,9 @@ pub struct Tree {
     line_bytes: u64,
     /// Lines prefetched ahead per trigger.
     degree: u32,
-    /// High-water mark per chunk so the same lines are not re-requested
-    /// (bounded map, FIFO replacement).
-    frontier: HashMap<u64, u64>,
-    order: Vec<u64>,
+    /// Each tracked chunk with its high-water mark, so the same lines
+    /// are not re-requested, oldest first (bounded, FIFO replacement).
+    chunks: Vec<(u64, u64)>,
     capacity: usize,
 }
 
@@ -43,10 +39,21 @@ impl Tree {
             chunk_bytes,
             line_bytes,
             degree,
-            frontier: HashMap::with_capacity(capacity),
-            order: Vec::new(),
+            chunks: Vec::with_capacity(capacity),
             capacity,
         }
+    }
+
+    /// Checks restored chunks against the configured capacity.
+    fn check_capacity(&mut self) -> Result<(), SnapshotError> {
+        if self.chunks.len() > self.capacity {
+            return Err(SnapshotError::malformed(format!(
+                "checkpoint has {} chunks, capacity is {}",
+                self.chunks.len(),
+                self.capacity
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -62,8 +69,7 @@ impl Prefetcher for Tree {
     }
 
     fn on_kernel_launch(&mut self, _trace: &KernelTrace) {
-        self.frontier.clear();
-        self.order.clear();
+        self.chunks.clear();
     }
 
     fn on_demand_access(
@@ -77,15 +83,17 @@ impl Prefetcher for Tree {
         }
         let chunk = event.addr.raw() / self.chunk_bytes;
         let chunk_end = (chunk + 1) * self.chunk_bytes;
-        if !self.frontier.contains_key(&chunk) {
-            if self.frontier.len() >= self.capacity {
-                let oldest = self.order.remove(0);
-                self.frontier.remove(&oldest);
+        let idx = match self.chunks.iter().position(|&(c, _)| c == chunk) {
+            Some(idx) => idx,
+            None => {
+                if self.chunks.len() >= self.capacity {
+                    self.chunks.remove(0);
+                }
+                self.chunks.push((chunk, event.addr.raw()));
+                self.chunks.len() - 1
             }
-            self.order.push(chunk);
-            self.frontier.insert(chunk, event.addr.raw());
-        }
-        let frontier = self.frontier.get_mut(&chunk).expect("just inserted");
+        };
+        let frontier = &mut self.chunks[idx].1;
         // Advance the frontier from max(current access, old frontier).
         let mut next =
             (*frontier).max(event.addr.raw()) / self.line_bytes * self.line_bytes + self.line_bytes;
@@ -98,44 +106,11 @@ impl Prefetcher for Tree {
         }
         *frontier = next.saturating_sub(self.line_bytes);
     }
-
-    /// Chunks serialized in FIFO (`order`) sequence — `order` and the
-    /// frontier map always hold the same keys, so one array captures
-    /// both, deterministically.
-    fn save_state(&self) -> Value {
-        let chunks = self
-            .order
-            .iter()
-            .map(|chunk| {
-                let frontier = self.frontier.get(chunk).copied().unwrap_or(0);
-                Value::Arr(vec![Value::u64(*chunk), Value::u64(frontier)])
-            })
-            .collect();
-        Value::Obj(vec![("chunks".into(), Value::Arr(chunks))])
-    }
-
-    fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let bad = || SnapshotError::malformed("tree chunk row does not decode");
-        let mut frontier = HashMap::with_capacity(self.capacity);
-        let mut order = Vec::new();
-        for row in json::arr_field(v, "chunks")? {
-            let Some([chunk, front]) = row.as_arr() else {
-                return Err(bad());
-            };
-            let chunk = chunk.as_u64().ok_or_else(bad)?;
-            frontier.insert(chunk, front.as_u64().ok_or_else(bad)?);
-            order.push(chunk);
-        }
-        if order.len() > self.capacity {
-            return Err(SnapshotError::malformed(
-                "tree checkpoint exceeds chunk capacity",
-            ));
-        }
-        self.frontier = frontier;
-        self.order = order;
-        Ok(())
-    }
 }
+
+// The tracked chunks as `[chunk, frontier]` rows, oldest first; chunk
+// size, line size, degree and capacity are configuration.
+snake_sim::restore_fields!(Tree { chunks } then check_capacity);
 
 #[cfg(test)]
 mod tests {
@@ -218,6 +193,6 @@ mod tests {
         for c in 0..5u64 {
             p.on_demand_access(&ev(c * 64 * 1024, AccessOutcome::Miss), &ctx(), &mut out);
         }
-        assert!(p.frontier.len() <= 2);
+        assert!(p.chunks.len() <= 2);
     }
 }

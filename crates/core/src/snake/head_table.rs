@@ -13,7 +13,6 @@
 //! per-warp table, the paper's paired rows with doubled columns, and
 //! the cheaper single-column paired row the doubling defends against.
 
-use snake_sim::json::{self, Value};
 use snake_sim::snapshot::SnapshotError;
 use snake_sim::{Address, Pc, WarpId};
 
@@ -67,10 +66,16 @@ struct PairedRow {
     slots: [Option<(WarpId, Address)>; 2],
 }
 
+// A checkpointed paired row is `[pc, slot, slot]`, each cell `null` or a
+// value.
+snake_sim::state_row!(PairedRow { pc, slots });
+
 /// The Head table.
 #[derive(Debug, Clone)]
 pub struct HeadTable {
     layout: HeadLayout,
+    /// Warp rows the table was built for.
+    warps: u32,
     /// PerWarp storage.
     entries: Vec<Option<(Pc, Address)>>,
     /// Paired-row storage.
@@ -97,6 +102,7 @@ impl HeadTable {
         assert!(warps > 0, "head table needs at least one warp row");
         HeadTable {
             layout,
+            warps,
             entries: vec![None; warps as usize],
             rows: vec![PairedRow::default(); warps.div_ceil(2) as usize],
         }
@@ -109,7 +115,7 @@ impl HeadTable {
 
     /// Number of warp rows.
     pub fn warps(&self) -> u32 {
-        self.entries.len() as u32
+        self.warps
     }
 
     /// Records that `warp` executed a load at `pc` for `addr`; returns
@@ -194,102 +200,22 @@ impl HeadTable {
         self.rows.fill(PairedRow::default());
     }
 
-    /// Serializes both storage organizations for a checkpoint (the
-    /// layout itself is configuration and is not captured).
-    pub fn save_state(&self) -> Value {
-        let entries = self
-            .entries
-            .iter()
-            .map(|e| match e {
-                None => Value::Null,
-                Some((pc, addr)) => {
-                    Value::Arr(vec![Value::u64(u64::from(pc.0)), Value::u64(addr.raw())])
-                }
-            })
-            .collect();
-        let slot = |s: &Option<(WarpId, Address)>| match s {
-            None => Value::Null,
-            Some((w, a)) => Value::Arr(vec![Value::u64(u64::from(w.0)), Value::u64(a.raw())]),
-        };
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                Value::Arr(vec![
-                    r.pc.map_or(Value::Null, |pc| Value::u64(u64::from(pc.0))),
-                    slot(&r.slots[0]),
-                    slot(&r.slots[1]),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("entries".into(), Value::Arr(entries)),
-            ("rows".into(), Value::Arr(rows)),
-        ])
-    }
-
-    /// Restores state captured by [`HeadTable::save_state`] onto a
-    /// table built with the same `warps`/`layout`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] when the row counts disagree with
-    /// this table's construction or an entry does not decode.
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let bad = || SnapshotError::malformed("head table entry does not decode");
-        let pair = |item: &Value| -> Result<Option<(u32, u64)>, SnapshotError> {
-            match item {
-                Value::Null => Ok(None),
-                other => {
-                    let row = other.as_arr().ok_or_else(bad)?;
-                    match row {
-                        [a, b] => Ok(Some((
-                            a.as_u32().ok_or_else(bad)?,
-                            b.as_u64().ok_or_else(bad)?,
-                        ))),
-                        _ => Err(bad()),
-                    }
-                }
-            }
-        };
-        let entries = json::arr_field(v, "entries")?;
-        let rows = json::arr_field(v, "rows")?;
-        if entries.len() != self.entries.len() || rows.len() != self.rows.len() {
+    /// Checks restored rows against the table's construction.
+    fn check_shape(&mut self) -> Result<(), SnapshotError> {
+        let (entries, rows) = (self.warps as usize, self.warps.div_ceil(2) as usize);
+        if self.entries.len() != entries || self.rows.len() != rows {
             return Err(SnapshotError::malformed(format!(
-                "head table shape mismatch: checkpoint {}x{} rows, table {}x{}",
-                entries.len(),
-                rows.len(),
+                "head table shape mismatch: checkpoint {}x{} rows, table {entries}x{rows}",
                 self.entries.len(),
-                self.rows.len()
+                self.rows.len(),
             )));
         }
-        let mut new_entries = Vec::with_capacity(entries.len());
-        for e in entries {
-            new_entries.push(pair(e)?.map(|(pc, addr)| (Pc(pc), Address(addr))));
-        }
-        let mut new_rows = Vec::with_capacity(rows.len());
-        for r in rows {
-            let row = r.as_arr().ok_or_else(bad)?;
-            let [pc, s0, s1] = row else {
-                return Err(bad());
-            };
-            let pc = match pc {
-                Value::Null => None,
-                other => Some(Pc(other.as_u32().ok_or_else(bad)?)),
-            };
-            let decode_slot = |s: &Value| -> Result<Option<(WarpId, Address)>, SnapshotError> {
-                Ok(pair(s)?.map(|(w, a)| (WarpId(w), Address(a))))
-            };
-            new_rows.push(PairedRow {
-                pc,
-                slots: [decode_slot(s0)?, decode_slot(s1)?],
-            });
-        }
-        self.entries = new_entries;
-        self.rows = new_rows;
         Ok(())
     }
 }
+
+// Both storage organizations; the layout and row count are configuration.
+snake_sim::restore_fields!(HeadTable { entries, rows } then check_shape);
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,6 @@ pub mod head_table;
 pub mod tail_table;
 pub mod throttle;
 
-use snake_sim::json::{self, Value};
 use snake_sim::snapshot::SnapshotError;
 use snake_sim::{
     AccessEvent, Address, KernelTrace, PrefetchContext, PrefetchPlacement, PrefetchRequest,
@@ -156,6 +155,12 @@ impl Snake {
     pub fn tail_table(&self) -> &TailTable {
         &self.tail
     }
+
+    /// Drops telemetry recorded before a restore.
+    fn clear_events(&mut self) -> Result<(), SnapshotError> {
+        self.events.clear();
+        Ok(())
+    }
 }
 
 /// The Tail table's target sink for one demand access: each target
@@ -255,30 +260,17 @@ impl Prefetcher for Snake {
     fn drain_events(&mut self, out: &mut Vec<PrefetcherEvent>) {
         out.append(&mut self.events);
     }
-
-    /// Captures the Head table, Tail table, and throttle state machine.
-    /// The telemetry buffer is not captured: checkpoints are taken at
-    /// cycle boundaries, after the SM has drained it.
-    fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            ("head".into(), self.head.save_state()),
-            ("tail".into(), self.tail.save_state()),
-            ("throttle".into(), self.throttle.save_state()),
-        ])
-    }
-
-    fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.head.restore_state(json::field(v, "head")?)?;
-        self.tail.restore_state(json::field(v, "tail")?)?;
-        self.throttle.restore_state(json::field(v, "throttle")?)?;
-        self.events.clear();
-        Ok(())
-    }
 }
+
+// The Head table, Tail table, and throttle state machine. The telemetry
+// buffer is not captured: checkpoints are taken at cycle boundaries,
+// after the SM has drained it.
+snake_sim::restore_fields!(Snake { head, tail, throttle } then clear_events);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snake_sim::snapshot::Restore;
     use snake_sim::{AccessOutcome, CtaId, Cycle, Pc, SmId, WarpId};
 
     fn ev(warp: u32, pc: u32, addr: u64, cycle: u64) -> AccessEvent {
@@ -323,6 +315,37 @@ mod tests {
             );
         }
         out.clear();
+    }
+
+    #[test]
+    fn restore_checks_the_head_shape_and_clamps_the_depth() {
+        let state = snake_sim::json::parse(concat!(
+            r#"{"head":{"entries":[null,[3,64],null,null],"#,
+            r#""rows":[[3,[1,64],null],[null,null,null]]},"#,
+            r#""tail":{"entries":[],"seq":0,"any_trained":false},"#,
+            r#""throttle":{"space_halted_until":0,"bw_halted":false,"#,
+            r#""depth":16,"calm_events":0}}"#
+        ))
+        .unwrap();
+        let snake = |head_warps, chain_depth| {
+            Snake::new(SnakeConfig {
+                head_warps,
+                chain_depth,
+                ..SnakeConfig::snake()
+            })
+        };
+        let mut shallow = snake(4, 4);
+        shallow.restore_state(&state).expect("same head shape");
+        assert_eq!(shallow.chain_depth(), 4, "depth clamped to the maximum");
+        let mut deep = snake(4, 16);
+        deep.restore_state(&state).expect("same head shape");
+        assert_eq!(deep.save_state(), state);
+        let err = snake(8, 16).restore_state(&state).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed checkpoint: head: head table shape mismatch: \
+             checkpoint 4x2 rows, table 8x4"
+        );
     }
 
     #[test]

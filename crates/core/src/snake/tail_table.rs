@@ -2,8 +2,7 @@
 //! intra-warp and inter-warp strides, with the paper's training FSM,
 //! promotion rule, verification/demotion, and eviction policies.
 
-use snake_sim::json::{self, Value};
-use snake_sim::snapshot::{self, SnapshotError};
+use snake_sim::snapshot::SnapshotError;
 use snake_sim::{Address, Pc, WarpId};
 
 use crate::snake::head_table::Transition;
@@ -37,18 +36,15 @@ impl TrainState {
             TrainState::Trained => 0b11,
         }
     }
-
-    /// Decodes the 2-bit encoding; `None` for out-of-range values.
-    pub fn from_bits(bits: u8) -> Option<TrainState> {
-        match bits {
-            0b00 => Some(TrainState::NotTrained),
-            0b01 => Some(TrainState::Observed),
-            0b10 => Some(TrainState::Promoted),
-            0b11 => Some(TrainState::Trained),
-            _ => None,
-        }
-    }
 }
+
+// Checkpointed as its 2-bit encoding.
+snake_sim::state_codes!(TrainState {
+    NotTrained = 0,
+    Observed = 1,
+    Promoted = 2,
+    Trained = 3,
+});
 
 /// Eviction policy for a full Tail table (§3.1, Fig 20 vs Fig 22).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,82 +113,6 @@ impl TailEntry {
         }
     }
 
-    /// Serializes every field (including the private training scratch)
-    /// for a checkpoint.
-    pub fn save_state(&self) -> Value {
-        let opt_i64 = |s: Option<i64>| s.map_or(Value::Null, snapshot::i64_value);
-        Value::Obj(vec![
-            ("pc1".into(), Value::u64(u64::from(self.pc1.0))),
-            ("pc2".into(), Value::u64(u64::from(self.pc2.0))),
-            (
-                "inter_thread_stride".into(),
-                snapshot::i64_value(self.inter_thread_stride),
-            ),
-            ("t1".into(), Value::u64(u64::from(self.t1.bits()))),
-            ("warp_vec".into(), Value::u64(self.warp_vec)),
-            ("intra_stride".into(), opt_i64(self.intra_stride)),
-            ("t2".into(), Value::u64(u64::from(self.t2.bits()))),
-            ("intra_warps".into(), Value::u64(self.intra_warps)),
-            ("inter_warp_stride".into(), opt_i64(self.inter_warp_stride)),
-            (
-                "iw_base".into(),
-                self.iw_base.map_or(Value::Null, |(w, a)| {
-                    Value::Arr(vec![Value::u64(u64::from(w.0)), Value::u64(a.raw())])
-                }),
-            ),
-            ("iw_candidate".into(), opt_i64(self.iw_candidate)),
-            ("iw_confirm".into(), Value::u64(self.iw_confirm)),
-            ("repeats".into(), Value::u64(u64::from(self.repeats))),
-            ("last_use".into(), Value::u64(self.last_use)),
-        ])
-    }
-
-    /// Decodes an entry captured by [`TailEntry::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] when any field is missing or does
-    /// not decode.
-    pub fn from_state(v: &Value) -> Result<TailEntry, SnapshotError> {
-        let bad = |what: &str| SnapshotError::malformed(format!("tail entry: bad {what}"));
-        let opt_i64 = |key: &str| -> Result<Option<i64>, SnapshotError> {
-            match json::field(v, key)? {
-                Value::Null => Ok(None),
-                other => Ok(Some(other.as_i64().ok_or_else(|| bad(key))?)),
-            }
-        };
-        let state = |key: &str| -> Result<TrainState, SnapshotError> {
-            let bits = u8::try_from(json::u64_field(v, key)?).map_err(|_| bad(key))?;
-            TrainState::from_bits(bits).ok_or_else(|| bad(key))
-        };
-        let iw_base = match json::field(v, "iw_base")? {
-            Value::Null => None,
-            other => match other.as_arr() {
-                Some([w, a]) => Some((
-                    WarpId(w.as_u32().ok_or_else(|| bad("iw_base"))?),
-                    Address(a.as_u64().ok_or_else(|| bad("iw_base"))?),
-                )),
-                _ => return Err(bad("iw_base")),
-            },
-        };
-        Ok(TailEntry {
-            pc1: Pc(json::u32_field(v, "pc1")?),
-            pc2: Pc(json::u32_field(v, "pc2")?),
-            inter_thread_stride: json::i64_field(v, "inter_thread_stride")?,
-            t1: state("t1")?,
-            warp_vec: json::u64_field(v, "warp_vec")?,
-            intra_stride: opt_i64("intra_stride")?,
-            t2: state("t2")?,
-            intra_warps: json::u64_field(v, "intra_warps")?,
-            inter_warp_stride: opt_i64("inter_warp_stride")?,
-            iw_base,
-            iw_candidate: opt_i64("iw_candidate")?,
-            iw_confirm: json::u64_field(v, "iw_confirm")?,
-            repeats: u8::try_from(json::u64_field(v, "repeats")?).map_err(|_| bad("repeats"))?,
-            last_use: json::u64_field(v, "last_use")?,
-        })
-    }
-
     /// Number of warps that observed the inter-thread pattern.
     pub fn popcount(&self) -> u32 {
         self.warp_vec.count_ones()
@@ -203,6 +123,24 @@ impl TailEntry {
         self.warp_vec & warp_bit(warp) != 0
     }
 }
+
+// Every field, the private training scratch included.
+snake_sim::state_struct!(TailEntry {
+    pc1,
+    pc2,
+    inter_thread_stride,
+    t1,
+    warp_vec,
+    intra_stride,
+    t2,
+    intra_warps,
+    inter_warp_stride,
+    iw_base,
+    iw_candidate,
+    iw_confirm,
+    repeats,
+    last_use,
+});
 
 fn warp_bit(warp: WarpId) -> u64 {
     1u64 << (warp.0 % 64)
@@ -365,44 +303,16 @@ impl TailTable {
         self.walk_pcs.clear();
     }
 
-    /// Serializes entries (in table order — it is LRU-meaningful) and
-    /// training cursors for a checkpoint. The configuration is not
-    /// captured; restore requires a table built with the same config.
-    pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "entries".into(),
-                Value::Arr(self.entries.iter().map(TailEntry::save_state).collect()),
-            ),
-            ("seq".into(), Value::u64(self.seq)),
-            ("any_trained".into(), Value::Bool(self.any_trained)),
-        ])
-    }
-
-    /// Restores state captured by [`TailTable::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] when an entry does not decode or
-    /// the checkpoint holds more entries than this table's capacity.
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let items = json::arr_field(v, "entries")?;
-        if items.len() > self.cfg.entries {
+    /// Checks restored entries against the configured capacity and
+    /// drops the cached walks, which name entries by index.
+    fn check_capacity(&mut self) -> Result<(), SnapshotError> {
+        if self.entries.len() > self.cfg.entries {
             return Err(SnapshotError::malformed(format!(
                 "checkpoint has {} tail entries, capacity is {}",
-                items.len(),
+                self.entries.len(),
                 self.cfg.entries
             )));
         }
-        let seq = json::u64_field(v, "seq")?;
-        let any_trained = json::bool_field(v, "any_trained")?;
-        let mut entries = Vec::with_capacity(self.cfg.entries);
-        for item in items {
-            entries.push(TailEntry::from_state(item)?);
-        }
-        self.entries = entries;
-        self.seq = seq;
-        self.any_trained = any_trained;
         self.walks.clear();
         self.walk_pcs.clear();
         Ok(())
@@ -750,6 +660,15 @@ impl TailTable {
     }
 }
 
+// Entries in table order (it is LRU-meaningful) and the training
+// cursors. The configuration is not captured: restore requires a table
+// built with the same config.
+snake_sim::restore_fields!(TailTable {
+    entries,
+    seq,
+    any_trained,
+} then check_capacity);
+
 /// Aggregate result of one [`TailTable::generate`] chain walk, used
 /// for chain-walk telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -767,6 +686,7 @@ pub struct WalkSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snake_sim::snapshot::Restore;
 
     fn tr(warp: u32, pc1: u32, a1: u64, pc2: u32, a2: u64) -> Transition {
         Transition {
@@ -1080,6 +1000,23 @@ mod tests {
         assert_eq!(walk(&mut t), vec![Address(50_400)]);
         t.restore_state(&chain_table(800).save_state()).unwrap();
         assert_eq!(walk(&mut t), vec![Address(50_800)]);
+    }
+
+    #[test]
+    fn restore_checks_the_capacity() {
+        let mut t = table();
+        t.observe(&tr(0, 10, 0, 20, 64));
+        t.observe(&tr(0, 20, 64, 30, 128));
+        assert_eq!(t.entries().len(), 2);
+        let mut small = TailTable::new(TailTableConfig {
+            entries: 1,
+            ..Default::default()
+        });
+        let err = small.restore_state(&t.save_state()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed checkpoint: checkpoint has 2 tail entries, capacity is 1"
+        );
     }
 
     #[test]

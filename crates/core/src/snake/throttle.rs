@@ -9,7 +9,6 @@
 //! 2. **Bandwidth** — measured interconnect utilization reaches 70% of
 //!    peak: halt until it falls back to 50% (hysteresis).
 
-use snake_sim::json::{self, Value};
 use snake_sim::snapshot::SnapshotError;
 use snake_sim::{Cycle, PrefetchContext};
 
@@ -139,41 +138,20 @@ impl Throttle {
         self.calm_events = 0;
     }
 
-    /// Serializes the state machine for a checkpoint (the thresholds
-    /// and `max_depth` are configuration and are not captured).
-    pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "space_halted_until".into(),
-                Value::u64(self.space_halted_until.0),
-            ),
-            ("bw_halted".into(), Value::Bool(self.bw_halted)),
-            ("depth".into(), Value::u64(self.depth as u64)),
-            (
-                "calm_events".into(),
-                Value::u64(u64::from(self.calm_events)),
-            ),
-        ])
-    }
-
-    /// Restores state captured by [`Throttle::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] when a field is missing or does not
-    /// decode.
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let space_halted_until = Cycle(json::u64_field(v, "space_halted_until")?);
-        let bw_halted = json::bool_field(v, "bw_halted")?;
-        let depth = json::usize_field(v, "depth")?;
-        let calm_events = json::u32_field(v, "calm_events")?;
-        self.space_halted_until = space_halted_until;
-        self.bw_halted = bw_halted;
-        self.depth = depth.clamp(1, self.max_depth);
-        self.calm_events = calm_events;
+    /// Clamps a restored depth to the configured maximum.
+    fn clamp_depth(&mut self) -> Result<(), SnapshotError> {
+        self.depth = self.depth.clamp(1, self.max_depth);
         Ok(())
     }
 }
+
+// The state machine; the thresholds and `max_depth` are configuration.
+snake_sim::restore_fields!(Throttle {
+    space_halted_until,
+    bw_halted,
+    depth,
+    calm_events,
+} then clamp_depth);
 
 impl Default for Throttle {
     fn default() -> Self {

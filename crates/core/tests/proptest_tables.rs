@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use snake_core::snake::head_table::{HeadTable, Transition};
 use snake_core::snake::tail_table::{EvictionPolicy, TailTable, TailTableConfig};
 use snake_core::snake::{Snake, SnakeConfig};
+use snake_sim::snapshot::Restore;
 use snake_sim::{
     AccessEvent, AccessOutcome, Address, CtaId, Cycle, Pc, PrefetchContext, Prefetcher, SmId,
     WarpId,

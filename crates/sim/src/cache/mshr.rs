@@ -6,9 +6,9 @@
 //! produces reservation fails, one of the paper's motivation points.
 
 use crate::cache::tag_array::LineMap;
-use crate::json::{self, Value};
+use crate::json::Value;
 use crate::obs::{SimEvent, TraceEvent};
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{SnapshotError, State};
 use crate::types::{Cycle, LineAddr, SmId, WarpId};
 
 /// The origin of an outstanding miss.
@@ -19,6 +19,11 @@ pub enum MissOrigin {
     /// Allocated by a prefetch (no warp waits unless one merges later).
     Prefetch,
 }
+
+crate::state_codes!(MissOrigin {
+    Demand = 0,
+    Prefetch = 1,
+});
 
 /// One outstanding miss.
 #[derive(Debug, Clone)]
@@ -41,6 +46,36 @@ pub struct MshrEntry {
     pub last_issue: Cycle,
     /// Timeout-recovery reissues consumed.
     pub retries: u32,
+}
+
+crate::state_struct!(MshrEntry {
+    line,
+    origin,
+    waiters,
+    demand_merged,
+    requests,
+    alloc_cycle,
+    last_issue,
+    retries,
+});
+
+/// Outstanding entries are written as their own objects in ascending
+/// line order (each carries its line), so the encoding does not depend
+/// on the map's iteration order — the byte-stability the kill-anywhere
+/// guarantee needs.
+impl State for LineMap<MshrEntry> {
+    fn save(&self) -> Value {
+        let mut entries: Vec<&MshrEntry> = self.values().collect();
+        entries.sort_by_key(|e| e.line);
+        Value::Arr(entries.into_iter().map(MshrEntry::save).collect())
+    }
+
+    fn load(v: &Value) -> Result<Self, SnapshotError> {
+        Ok(Vec::<MshrEntry>::load(v)?
+            .into_iter()
+            .map(|e| (e.line, e))
+            .collect())
+    }
 }
 
 /// Result of attempting to merge into an existing entry.
@@ -224,97 +259,21 @@ impl MshrFile {
         self.entries.get_mut(&line)
     }
 
-    /// Serializes every outstanding entry for a checkpoint. Entries
-    /// are written in ascending line order so the encoding is
-    /// independent of `HashMap` iteration order — the byte-stability
-    /// the kill-anywhere guarantee needs.
-    pub fn save_state(&self) -> Value {
-        let mut lines: Vec<&MshrEntry> = self.entries.values().collect();
-        lines.sort_by_key(|e| e.line);
-        let entries = lines
-            .into_iter()
-            .map(|e| {
-                Value::Obj(vec![
-                    ("line".into(), Value::u64(e.line.0)),
-                    (
-                        "origin".into(),
-                        Value::u64(match e.origin {
-                            MissOrigin::Demand => 0,
-                            MissOrigin::Prefetch => 1,
-                        }),
-                    ),
-                    (
-                        "waiters".into(),
-                        Value::Arr(
-                            e.waiters
-                                .iter()
-                                .map(|w| Value::u64(u64::from(w.0)))
-                                .collect(),
-                        ),
-                    ),
-                    ("demand_merged".into(), Value::Bool(e.demand_merged)),
-                    ("requests".into(), Value::u64(u64::from(e.requests))),
-                    ("alloc_cycle".into(), Value::u64(e.alloc_cycle.0)),
-                    ("last_issue".into(), Value::u64(e.last_issue.0)),
-                    ("retries".into(), Value::u64(u64::from(e.retries))),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![("entries".into(), Value::Arr(entries))])
-    }
-
-    /// Restores the outstanding entries from [`save_state`]
-    /// (capacities are config-derived and kept).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a mistyped entry or more
-    /// entries than this file's capacity.
-    ///
-    /// [`save_state`]: MshrFile::save_state
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let entries = json::arr_field(v, "entries")?;
-        if entries.len() > self.capacity {
+    /// Checks restored entries against this file's capacity.
+    fn check_capacity(&mut self) -> Result<(), SnapshotError> {
+        if self.entries.len() > self.capacity {
             return Err(SnapshotError::malformed(format!(
                 "checkpoint has {} MSHR entries, capacity is {}",
-                entries.len(),
+                self.entries.len(),
                 self.capacity
             )));
         }
-        let mut restored = LineMap::with_capacity_and_hasher(self.capacity, Default::default());
-        for e in entries {
-            let line = LineAddr(json::u64_field(e, "line")?);
-            let origin = match json::u64_field(e, "origin")? {
-                0 => MissOrigin::Demand,
-                1 => MissOrigin::Prefetch,
-                _ => return Err(SnapshotError::malformed("bad MSHR origin")),
-            };
-            let waiters = json::arr_field(e, "waiters")?
-                .iter()
-                .map(|w| {
-                    w.as_u32()
-                        .map(WarpId)
-                        .ok_or_else(|| SnapshotError::malformed("bad MSHR waiter"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            restored.insert(
-                line,
-                MshrEntry {
-                    line,
-                    origin,
-                    waiters,
-                    demand_merged: json::bool_field(e, "demand_merged")?,
-                    requests: json::u32_field(e, "requests")?,
-                    alloc_cycle: Cycle(json::u64_field(e, "alloc_cycle")?),
-                    last_issue: Cycle(json::u64_field(e, "last_issue")?),
-                    retries: json::u32_field(e, "retries")?,
-                },
-            );
-        }
-        self.entries = restored;
         Ok(())
     }
 }
+
+// The outstanding entries; the capacities are config-derived.
+crate::restore_fields!(MshrFile { entries } then check_capacity);
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::config::CacheGeometry;
-use crate::json::{self, Value};
 use crate::snapshot::SnapshotError;
 use crate::types::{Cycle, LineAddr};
 
@@ -20,6 +19,12 @@ pub enum LineState {
     Valid,
 }
 
+crate::state_codes!(LineState {
+    Invalid = 0,
+    Reserved = 1,
+    Valid = 2,
+});
+
 /// Which logical partition of the unified SRAM a line belongs to.
 ///
 /// The paper's decoupling is "not a physical movement but the
@@ -31,6 +36,11 @@ pub enum Side {
     /// Prefetched data not yet consumed by a demand access.
     Prefetch,
 }
+
+crate::state_codes!(Side {
+    Demand = 0,
+    Prefetch = 1,
+});
 
 /// One cache line's bookkeeping.
 #[derive(Debug, Clone, Copy)]
@@ -52,6 +62,17 @@ pub struct Line {
     /// every demand hit on such lines as a correctly predicted address.
     pub origin_prefetch: bool,
 }
+
+// A checkpointed line is one 7-cell row.
+crate::state_row!(Line {
+    tag,
+    state,
+    side,
+    last_use,
+    fill_cycle,
+    used,
+    origin_prefetch,
+});
 
 impl Line {
     fn invalid() -> Self {
@@ -351,84 +372,24 @@ impl TagArray {
         &self.lines
     }
 
-    /// Serializes every line for a checkpoint. The geometry and the
-    /// occupancy counters are not captured: geometry comes from the
-    /// config, counters are recomputed from the lines on restore.
-    pub fn save_state(&self) -> Value {
-        let lines = self
-            .lines
-            .iter()
-            .map(|l| {
-                Value::Arr(vec![
-                    Value::u64(l.tag.0),
-                    Value::u64(match l.state {
-                        LineState::Invalid => 0,
-                        LineState::Reserved => 1,
-                        LineState::Valid => 2,
-                    }),
-                    Value::u64(match l.side {
-                        Side::Demand => 0,
-                        Side::Prefetch => 1,
-                    }),
-                    Value::u64(l.last_use.0),
-                    Value::u64(l.fill_cycle.0),
-                    Value::Bool(l.used),
-                    Value::Bool(l.origin_prefetch),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![("lines".into(), Value::Arr(lines))])
-    }
-
-    /// Restores every line from [`save_state`] and recomputes the
-    /// occupancy counters and the line index.
+    /// Checks restored lines against this array's geometry and
+    /// rebuilds the occupancy counters and the line index from them.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Malformed`] when the line count does not match
-    /// this array's geometry, a line entry is mistyped, a line sits
-    /// outside its tag's set, or a tag is held twice.
-    ///
-    /// [`save_state`]: TagArray::save_state
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let lines = json::arr_field(v, "lines")?;
-        if lines.len() != self.lines.len() {
+    /// the geometry, a line sits outside its tag's set, or a tag is
+    /// held twice.
+    fn rebuild(&mut self) -> Result<(), SnapshotError> {
+        let expected = (self.set_mask as usize + 1) * self.ways as usize;
+        if self.lines.len() != expected {
             return Err(SnapshotError::malformed(format!(
-                "tag array has {} lines, checkpoint has {}",
-                self.lines.len(),
-                lines.len()
+                "tag array has {expected} lines, checkpoint has {}",
+                self.lines.len()
             )));
         }
-        let bad = || SnapshotError::malformed("bad tag-array line entry");
-        let mut restored = Vec::with_capacity(lines.len());
-        for entry in lines {
-            let f = entry.as_arr().ok_or_else(bad)?;
-            if f.len() != 7 {
-                return Err(bad());
-            }
-            let num = |i: usize| f[i].as_u64().ok_or_else(bad);
-            let flag = |i: usize| f[i].as_bool().ok_or_else(bad);
-            restored.push(Line {
-                tag: LineAddr(num(0)?),
-                state: match num(1)? {
-                    0 => LineState::Invalid,
-                    1 => LineState::Reserved,
-                    2 => LineState::Valid,
-                    _ => return Err(bad()),
-                },
-                side: match num(2)? {
-                    0 => Side::Demand,
-                    1 => Side::Prefetch,
-                    _ => return Err(bad()),
-                },
-                last_use: Cycle(num(3)?),
-                fill_cycle: Cycle(num(4)?),
-                used: flag(5)?,
-                origin_prefetch: flag(6)?,
-            });
-        }
-        let mut index = LineMap::with_capacity_and_hasher(restored.len(), Default::default());
-        for (i, l) in restored.iter().enumerate() {
+        let mut index = LineMap::with_capacity_and_hasher(self.lines.len(), Default::default());
+        for (i, l) in self.lines.iter().enumerate() {
             if l.state == LineState::Invalid {
                 continue;
             }
@@ -445,7 +406,6 @@ impl TagArray {
                 )));
             }
         }
-        self.lines = restored;
         self.index = index;
         self.valid = self
             .lines
@@ -510,9 +470,16 @@ impl TagArray {
     }
 }
 
+// Every line, in way order. The geometry comes from the config, and the
+// occupancy counters and line index are rebuilt from the lines.
+crate::restore_fields!(TagArray { lines } then rebuild);
+crate::snapshot::restore_in_place!(Option<TagArray>);
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
+    use crate::snapshot::Restore;
 
     fn arr() -> TagArray {
         TagArray::new(8, 2) // 4 sets x 2 ways
@@ -653,6 +620,13 @@ mod tests {
         let twice = edited(&|lines| lines[w.0 ^ 1] = lines[w.0].clone());
         let err = arr().restore_state(&twice).unwrap_err();
         assert!(err.to_string().contains("stored twice"), "{err}");
+        // A checkpoint of another geometry.
+        let err = TagArray::new(16, 2).restore_state(&saved).unwrap_err();
+        assert!(
+            err.to_string()
+                .ends_with("tag array has 16 lines, checkpoint has 8"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -20,7 +20,6 @@ use crate::cache::mshr::{MergeResult, MissOrigin, MshrFile};
 use crate::cache::tag_array::{Side, TagArray};
 use crate::config::GpuConfig;
 use crate::fault::Recovery;
-use crate::json::{self, Value};
 use crate::obs::{PrefetchDropReason, PrefetchLifecycle, SimEvent, TraceEvent};
 use crate::snapshot::SnapshotError;
 use crate::stats::{AccessOutcome, CacheStats, FaultStats, PrefetchStats, ReservationFailReason};
@@ -68,6 +67,12 @@ pub enum RequestKind {
     /// Write-through store; no response.
     Store,
 }
+
+crate::state_codes!(RequestKind {
+    ReadMiss = 0,
+    Store = 1,
+});
+crate::state_row!(OutgoingRequest { line, kind });
 
 /// Warps to wake after a fill.
 pub type Waiters = Vec<WarpId>;
@@ -740,106 +745,15 @@ impl UnifiedL1 {
             .unwrap_or(Cycle(u64::MAX))
     }
 
-    /// Serializes the complete cache state for a checkpoint: tag
-    /// arrays, MSHRs, the miss queue, the decoupling policy state,
-    /// and every counter/histogram. The placement mode, queue depth,
-    /// and recovery plan are config-derived and not captured; trace
-    /// attachments are runtime-only (checkpoints are taken at a
-    /// flushed cycle boundary, so their buffers are empty).
-    pub fn save_state(&self) -> Value {
-        let mut fields = vec![
-            ("tags".into(), self.tags.save_state()),
-            (
-                "isolated".into(),
-                match &self.isolated {
-                    Some(iso) => iso.save_state(),
-                    None => Value::Null,
-                },
-            ),
-            ("mshr".into(), self.mshr.save_state()),
-            (
-                "miss_queue".into(),
-                Value::Arr(
-                    self.miss_queue
-                        .iter()
-                        .map(|r| {
-                            Value::Arr(vec![
-                                Value::u64(r.line.0),
-                                Value::u64(match r.kind {
-                                    RequestKind::ReadMiss => 0,
-                                    RequestKind::Store => 1,
-                                }),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("confined_until".into(), Value::u64(self.confined_until.0)),
-            ("trained".into(), Value::Bool(self.trained)),
-            ("transfer_numer".into(), Value::u64(self.transfer_numer)),
-            ("transfer_denom".into(), Value::u64(self.transfer_denom)),
-            ("overrun".into(), Value::Bool(self.overrun)),
-        ];
-        fields.push(("fault_stats".into(), self.fault_stats.save_state()));
-        fields.push(("stats".into(), self.stats.save_state()));
-        fields.push(("pf_stats".into(), self.pf_stats.save_state()));
-        fields.push(("lifecycle".into(), self.lifecycle.save_state()));
-        Value::Obj(fields)
-    }
-
-    /// Restores the complete cache state from [`save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] when a field is missing, mistyped,
-    /// or inconsistent with this cache's configured geometry.
-    ///
-    /// [`save_state`]: UnifiedL1::save_state
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.tags.restore_state(json::field(v, "tags")?)?;
-        match (&mut self.isolated, json::field(v, "isolated")?) {
-            (None, Value::Null) => {}
-            (Some(iso), saved @ Value::Obj(_)) => iso.restore_state(saved)?,
-            _ => {
-                return Err(SnapshotError::malformed(
-                    "isolated-buffer presence disagrees with the configuration",
-                ))
-            }
-        }
-        self.mshr.restore_state(json::field(v, "mshr")?)?;
-        let queue = json::arr_field(v, "miss_queue")?;
-        if queue.len() > self.miss_queue_depth {
+    /// Checks a restored miss queue against the configured depth.
+    fn check_miss_queue(&mut self) -> Result<(), SnapshotError> {
+        if self.miss_queue.len() > self.miss_queue_depth {
             return Err(SnapshotError::malformed(format!(
                 "checkpoint miss queue holds {}, depth is {}",
-                queue.len(),
+                self.miss_queue.len(),
                 self.miss_queue_depth
             )));
         }
-        let bad = || SnapshotError::malformed("bad miss-queue entry");
-        self.miss_queue = queue
-            .iter()
-            .map(|e| {
-                let f = e.as_arr().filter(|f| f.len() == 2).ok_or_else(bad)?;
-                Ok(OutgoingRequest {
-                    line: LineAddr(f[0].as_u64().ok_or_else(bad)?),
-                    kind: match f[1].as_u64().ok_or_else(bad)? {
-                        0 => RequestKind::ReadMiss,
-                        1 => RequestKind::Store,
-                        _ => return Err(bad()),
-                    },
-                })
-            })
-            .collect::<Result<VecDeque<_>, SnapshotError>>()?;
-        self.confined_until = Cycle(json::u64_field(v, "confined_until")?);
-        self.trained = json::bool_field(v, "trained")?;
-        self.transfer_numer = json::u64_field(v, "transfer_numer")?;
-        self.transfer_denom = json::u64_field(v, "transfer_denom")?;
-        self.overrun = json::bool_field(v, "overrun")?;
-        self.fault_stats
-            .restore_state(json::field(v, "fault_stats")?)?;
-        self.stats.restore_state(json::field(v, "stats")?)?;
-        self.pf_stats.restore_state(json::field(v, "pf_stats")?)?;
-        self.lifecycle.restore_state(json::field(v, "lifecycle")?)?;
         Ok(())
     }
 
@@ -918,6 +832,28 @@ impl UnifiedL1 {
     }
 }
 
+// The complete cache state: tag arrays, MSHRs, the miss queue, the
+// decoupling policy state, and every counter and histogram. The
+// placement mode, queue depth and recovery plan are config-derived;
+// trace attachments are runtime-only (checkpoints are taken at a
+// flushed cycle boundary, so their buffers are empty), and `last_fail`
+// never outlives the cycle that set it.
+crate::restore_fields!(UnifiedL1 {
+    tags,
+    isolated,
+    mshr,
+    miss_queue,
+    confined_until,
+    trained,
+    transfer_numer,
+    transfer_denom,
+    overrun,
+    fault_stats,
+    stats,
+    pf_stats,
+    lifecycle,
+} then check_miss_queue);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -931,6 +867,39 @@ mod tests {
 
     fn l1(mode: L1Mode) -> UnifiedL1 {
         UnifiedL1::new(&cfg(), mode)
+    }
+
+    #[test]
+    fn restore_checks_the_configuration() {
+        use crate::snapshot::Restore;
+        let mut c = l1(L1Mode::Plain);
+        c.access_demand(LineAddr(5), WarpId(0), Cycle(0));
+        c.access_demand(LineAddr(6), WarpId(1), Cycle(0));
+        let saved = c.save_state();
+        let mut back = l1(L1Mode::Plain);
+        back.restore_state(&saved).expect("same configuration");
+        assert_eq!(back.save_state(), saved);
+        let rejection = |cfg: &GpuConfig, mode: L1Mode| {
+            let err = UnifiedL1::new(cfg, mode).restore_state(&saved).unwrap_err();
+            err.to_string()
+        };
+        let mut shallow = cfg();
+        shallow.miss_queue_depth = 1;
+        assert_eq!(
+            rejection(&shallow, L1Mode::Plain),
+            "malformed checkpoint: checkpoint miss queue holds 2, depth is 1"
+        );
+        let mut small = cfg();
+        small.mshr_entries = 1;
+        assert_eq!(
+            rejection(&small, L1Mode::Plain),
+            "malformed checkpoint: mshr: checkpoint has 2 MSHR entries, capacity is 1"
+        );
+        assert_eq!(
+            rejection(&cfg(), L1Mode::Isolated { lines: 8 }),
+            "malformed checkpoint: isolated: absent from the checkpoint, \
+             present in this configuration"
+        );
     }
 
     #[test]

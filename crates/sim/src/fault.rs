@@ -14,8 +14,6 @@
 //! its waiters and the forward-progress watchdog converts the hang
 //! into a [`StopReason::Deadlock`](crate::StopReason::Deadlock).
 
-use crate::json::{self, Value};
-use crate::snapshot::SnapshotError;
 use crate::stats::FaultStats;
 use crate::types::Cycle;
 
@@ -218,29 +216,6 @@ impl FaultInjector {
         self.state
     }
 
-    /// Serializes the generator position and fired-fault counters for
-    /// a checkpoint (the plan itself is config-derived).
-    pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            ("state".into(), Value::u64(self.state)),
-            ("stats".into(), self.stats.save_state()),
-        ])
-    }
-
-    /// Restores the generator position and counters from
-    /// [`save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing or mistyped field.
-    ///
-    /// [`save_state`]: FaultInjector::save_state
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.state = json::u64_field(v, "state")?;
-        self.stats.restore_state(json::field(v, "stats")?)?;
-        Ok(())
-    }
-
     /// Decides the fate of one fill response and records it.
     pub fn on_response(&mut self) -> ResponseFault {
         if !self.plan.perturbs_responses() {
@@ -263,9 +238,14 @@ impl FaultInjector {
     }
 }
 
+// The generator position and fired-fault counters; the plan is
+// config-derived.
+crate::restore_fields!(FaultInjector { state, stats });
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::Restore;
 
     fn plan_with(drop: f64, dup: f64, delay: f64) -> FaultPlan {
         FaultPlan {

@@ -8,7 +8,6 @@ use std::sync::OnceLock;
 
 use crate::audit::{self, Auditor};
 use crate::config::{ConfigError, GpuConfig};
-use crate::json::{self, Value};
 use crate::kernel::KernelTrace;
 use crate::mem::interconnect::{Interconnect, UpPacket, READ_REQUEST_BYTES};
 use crate::mem::partition::MemoryPartition;
@@ -967,91 +966,33 @@ impl Gpu {
         Ok(())
     }
 
-    /// Serializes all mutable state. Option-gated components (watchdog,
-    /// windowed metrics) encode as `Null` when absent; the fingerprint
-    /// guarantees presence agrees between capture and restore.
-    fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            ("cycle".into(), Value::u64(self.cycle.0)),
-            ("brownout_cycles".into(), Value::u64(self.brownout_cycles)),
-            ("prev_brownout".into(), Value::Bool(self.prev_brownout)),
-            (
-                "noc_backpressured".into(),
-                Value::Bool(self.noc_backpressured),
-            ),
-            ("events_flushed".into(), Value::u64(self.events_flushed)),
-            (
-                "sms".into(),
-                Value::Arr(self.sms.iter().map(Sm::save_state).collect()),
-            ),
-            ("noc".into(), self.noc.save_state()),
-            ("partition".into(), self.partition.save_state()),
-            (
-                "watchdog".into(),
-                self.watchdog
-                    .as_ref()
-                    .map_or(Value::Null, Watchdog::save_state),
-            ),
-            (
-                "metrics".into(),
-                self.metrics
-                    .as_ref()
-                    .map_or(Value::Null, WindowedMetrics::save_state),
-            ),
-        ])
-    }
-
-    /// Applies state captured by [`Gpu::save_state`].
-    fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let cycle = Cycle(json::u64_field(v, "cycle")?);
-        let brownout_cycles = json::u64_field(v, "brownout_cycles")?;
-        let prev_brownout = json::bool_field(v, "prev_brownout")?;
-        let noc_backpressured = json::bool_field(v, "noc_backpressured")?;
-        let events_flushed = json::u64_field(v, "events_flushed")?;
-        let sms = json::arr_field(v, "sms")?;
-        if sms.len() != self.sms.len() {
-            return Err(SnapshotError::malformed(format!(
-                "checkpoint has {} SMs, device has {}",
-                sms.len(),
-                self.sms.len()
-            )));
+    /// Rebuilds each restored SM's warp masks against the kernel, and
+    /// clears the deadlock report of the run the device was built for.
+    fn rebuild_sms(&mut self) -> Result<(), SnapshotError> {
+        for (i, sm) in self.sms.iter_mut().enumerate() {
+            sm.rebuild_masks(&self.kernel)
+                .map_err(|e| e.at(i).at("sms"))?;
         }
-        for (sm, state) in self.sms.iter_mut().zip(sms) {
-            sm.restore_state(state, &self.kernel)?;
-        }
-        self.noc.restore_state(json::field(v, "noc")?)?;
-        self.partition.restore_state(json::field(v, "partition")?)?;
-        let wd = json::field(v, "watchdog")?;
-        match (&mut self.watchdog, wd) {
-            (None, Value::Null) => {}
-            (Some(w), state) if !matches!(state, Value::Null) => w.restore_state(state)?,
-            _ => {
-                return Err(SnapshotError::malformed(
-                    "watchdog presence disagrees with configuration",
-                ));
-            }
-        }
-        let m = json::field(v, "metrics")?;
-        match (&mut self.metrics, m) {
-            (None, Value::Null) => {}
-            (Some(metrics), state) if !matches!(state, Value::Null) => {
-                metrics.restore_state(state)?;
-            }
-            _ => {
-                return Err(SnapshotError::malformed(
-                    "metrics presence disagrees with configuration",
-                ));
-            }
-        }
-        self.cycle = cycle;
-        self.brownout_cycles = brownout_cycles;
-        self.prev_brownout = prev_brownout;
-        self.noc_backpressured = noc_backpressured;
-        self.events_flushed = events_flushed;
         self.deadlock = None;
         Ok(())
     }
 }
+
+// All mutable state. The watchdog and the windowed metrics exist in some
+// configurations only: each is `null` when absent, and the fingerprint
+// guarantees that presence agrees between capture and restore.
+crate::restore_fields!(fn Gpu {
+    cycle,
+    brownout_cycles,
+    prev_brownout,
+    noc_backpressured,
+    events_flushed,
+    sms,
+    noc,
+    partition,
+    watchdog,
+    metrics,
+} then rebuild_sms);
 
 /// The cycle whose step closes the first `every`-cycle window ending
 /// after `now` (the step of cycle `c` ends with the cycle count at

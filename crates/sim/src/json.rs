@@ -261,20 +261,6 @@ pub fn usize_field(v: &Value, key: &str) -> Result<usize, FieldError> {
         .map_err(|_| FieldError(format!("field {key:?} exceeds usize")))
 }
 
-/// Reads an `i64` field (stored as its decimal lexeme).
-///
-/// # Errors
-///
-/// [`FieldError`] when missing or mistyped.
-pub fn i64_field(v: &Value, key: &str) -> Result<i64, FieldError> {
-    match v.get(key) {
-        Some(Value::Num(s)) => s
-            .parse()
-            .map_err(|_| FieldError(format!("field {key:?} is not an i64"))),
-        _ => Err(mistyped("numeric", key)),
-    }
-}
-
 /// Reads an `f64` field; the lexeme round-trips bit-exactly because
 /// both sides use [`fmt_f64`]'s shortest representation.
 ///
@@ -318,21 +304,6 @@ pub fn arr_field<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], FieldError>
     v.get(key)
         .and_then(Value::as_arr)
         .ok_or_else(|| mistyped("array", key))
-}
-
-/// Reads a required `Option<u64>` field written as the number or `null`.
-///
-/// # Errors
-///
-/// [`FieldError`] when missing or mistyped.
-pub fn opt_u64_field(v: &Value, key: &str) -> Result<Option<u64>, FieldError> {
-    match field(v, key)? {
-        Value::Null => Ok(None),
-        n => n
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| FieldError(format!("field {key:?} is not u64 or null"))),
-    }
 }
 
 /// Reads an optional field with `read`: `None` when `key` is absent. A
@@ -669,9 +640,6 @@ mod tests {
         assert_eq!(u64_field(&v, "a").unwrap(), 1);
         let err = u64_field(&v, "b").unwrap_err();
         assert_eq!(err.to_string(), r#"missing or non-u64 field "b""#);
-        assert_eq!(i64_field(&v, "x").unwrap(), -5);
-        assert_eq!(opt_u64_field(&v, "n").unwrap(), None);
-        assert!(opt_u64_field(&v, "b").is_err(), "nullable is not optional");
         // Optional fields: absent is `None`, present but mistyped is an
         // error.
         assert_eq!(if_present(&v, "b", u64_field).unwrap(), None);

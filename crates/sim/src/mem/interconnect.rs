@@ -8,9 +8,8 @@
 
 use std::collections::VecDeque;
 
-use crate::json::{self, Value};
 use crate::obs::{NocDir, SimEvent, TraceEvent};
-use crate::snapshot::{self, SnapshotError};
+use crate::snapshot::Row;
 use crate::types::{Cycle, LineAddr, SmId};
 
 /// A request travelling L1→L2.
@@ -32,6 +31,9 @@ pub struct DownPacket {
     /// Filled line.
     pub line: LineAddr,
 }
+
+crate::state_row!(UpPacket { sm, line, is_store });
+crate::state_row!(DownPacket { sm, line });
 
 /// Size in bytes of a read-request header on the wire.
 pub const READ_REQUEST_BYTES: u64 = 32;
@@ -89,58 +91,17 @@ impl<T> Channel<T> {
         }
         None
     }
-
-    /// Serializes the runtime channel state (budget and latency are
-    /// config-derived). Packets encode through `enc`, prefixed with
-    /// their ready cycle.
-    fn save_state(&self, enc: impl Fn(&T) -> Vec<Value>) -> Value {
-        let in_flight = self
-            .in_flight
-            .iter()
-            .map(|(ready, pkt)| {
-                let mut row = vec![Value::u64(ready.0)];
-                row.extend(enc(pkt));
-                Value::Arr(row)
-            })
-            .collect();
-        Value::Obj(vec![
-            ("effective_budget".into(), Value::u64(self.effective_budget)),
-            ("credit".into(), snapshot::i64_value(self.credit)),
-            ("in_flight".into(), Value::Arr(in_flight)),
-            ("total_bytes".into(), Value::u64(self.total_bytes)),
-            ("window_bytes".into(), Value::u64(self.window_bytes)),
-        ])
-    }
-
-    /// Restores from [`Channel::save_state`]; `dec` decodes the packet
-    /// fields that follow the ready cycle. Nothing is applied until the
-    /// whole in-flight queue decodes.
-    fn restore_state(
-        &mut self,
-        v: &Value,
-        dec: impl Fn(&[Value]) -> Option<T>,
-    ) -> Result<(), SnapshotError> {
-        let mut in_flight = VecDeque::new();
-        for entry in json::arr_field(v, "in_flight")? {
-            let row = entry
-                .as_arr()
-                .ok_or_else(|| SnapshotError::malformed("in-flight packet"))?;
-            let ready = row
-                .first()
-                .and_then(Value::as_u64)
-                .ok_or_else(|| SnapshotError::malformed("in-flight ready cycle"))?;
-            let pkt =
-                dec(&row[1..]).ok_or_else(|| SnapshotError::malformed("in-flight packet body"))?;
-            in_flight.push_back((Cycle(ready), pkt));
-        }
-        self.effective_budget = json::u64_field(v, "effective_budget")?;
-        self.credit = json::i64_field(v, "credit")?;
-        self.in_flight = in_flight;
-        self.total_bytes = json::u64_field(v, "total_bytes")?;
-        self.window_bytes = json::u64_field(v, "window_bytes")?;
-        Ok(())
-    }
 }
+
+// The runtime channel state, each in-flight packet a row led by its
+// ready cycle; budget and latency are config-derived.
+crate::restore_fields!(Channel<T: Row> {
+    effective_budget,
+    credit,
+    in_flight,
+    total_bytes,
+    window_bytes,
+});
 
 /// The L1↔L2 interconnect.
 #[derive(Debug, Clone)]
@@ -384,77 +345,25 @@ impl Interconnect {
         let capacity = 2 * self.up.budget * self.cycles;
         (self.up.total_bytes + self.down.total_bytes) as f64 / capacity as f64
     }
-
-    /// Serializes in-flight packets, credits, brownout scaling, and the
-    /// utilization window for a checkpoint. Budgets, latency, and the
-    /// window length are config-derived and not captured; trace
-    /// attachments are runtime-only (the trace buffer is drained every
-    /// cycle, so it is empty at a checkpoint boundary).
-    pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "up".into(),
-                self.up.save_state(|p| {
-                    vec![
-                        Value::u64(u64::from(p.sm.0)),
-                        Value::u64(p.line.0),
-                        Value::Bool(p.is_store),
-                    ]
-                }),
-            ),
-            (
-                "down".into(),
-                self.down
-                    .save_state(|p| vec![Value::u64(u64::from(p.sm.0)), Value::u64(p.line.0)]),
-            ),
-            ("window_start".into(), Value::u64(self.window_start.0)),
-            (
-                "last_window_utilization".into(),
-                Value::f64(self.last_window_utilization),
-            ),
-            ("window_capacity".into(), Value::u64(self.window_capacity)),
-            ("cycles".into(), Value::u64(self.cycles)),
-        ])
-    }
-
-    /// Restores from [`save_state`](Interconnect::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing or malformed field.
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.up.restore_state(json::field(v, "up")?, |row| {
-            if let [sm, line, is_store] = row {
-                Some(UpPacket {
-                    sm: SmId(sm.as_u32()?),
-                    line: LineAddr(line.as_u64()?),
-                    is_store: is_store.as_bool()?,
-                })
-            } else {
-                None
-            }
-        })?;
-        self.down.restore_state(json::field(v, "down")?, |row| {
-            if let [sm, line] = row {
-                Some(DownPacket {
-                    sm: SmId(sm.as_u32()?),
-                    line: LineAddr(line.as_u64()?),
-                })
-            } else {
-                None
-            }
-        })?;
-        self.window_start = Cycle(json::u64_field(v, "window_start")?);
-        self.last_window_utilization = json::f64_field(v, "last_window_utilization")?;
-        self.window_capacity = json::u64_field(v, "window_capacity")?;
-        self.cycles = json::u64_field(v, "cycles")?;
-        Ok(())
-    }
 }
+
+// In-flight packets, credits, brownout scaling and the utilization
+// window. Budgets, latency and the window length are config-derived;
+// trace attachments are runtime-only (the trace buffer is drained every
+// cycle, so it is empty at a checkpoint boundary).
+crate::restore_fields!(Interconnect {
+    up,
+    down,
+    window_start,
+    last_window_utilization,
+    window_capacity,
+    cycles,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::Restore;
 
     fn pkt(line: u64) -> UpPacket {
         UpPacket {

@@ -11,11 +11,11 @@ use std::collections::VecDeque;
 use crate::cache::tag_array::{LineMap, LineState, Side, TagArray};
 use crate::config::GpuConfig;
 use crate::fault::{FaultInjector, ResponseFault};
-use crate::json::{self, Value};
+use crate::json::Value;
 use crate::mem::interconnect::DownPacket;
 use crate::obs::{FaultKind, SimEvent, TraceEvent};
-use crate::snapshot::SnapshotError;
-use crate::stats::{persist_u64_fields, FaultStats};
+use crate::snapshot::{SnapshotError, State};
+use crate::stats::FaultStats;
 use crate::types::{Cycle, LineAddr, SmId};
 
 /// A read request pending in the partition.
@@ -23,6 +23,32 @@ use crate::types::{Cycle, LineAddr, SmId};
 struct PendingRead {
     sm: SmId,
     line: LineAddr,
+}
+
+crate::state_row!(PendingRead { sm, line });
+
+/// Every line with a DRAM read queued or in flight, with the requesters
+/// merged onto that read (empty until one merges).
+#[derive(Debug, Clone, Default, PartialEq)]
+struct DramMerges(LineMap<Vec<SmId>>);
+
+/// Only the lines with merged requesters are written, as key-sorted
+/// `[line, [sm..]]` rows: the other lines follow from the DRAM queue
+/// and pipe, and the partition restores them from there.
+impl State for DramMerges {
+    fn save(&self) -> Value {
+        let merged: LineMap<Vec<SmId>> = self
+            .0
+            .iter()
+            .filter(|(_, sms)| !sms.is_empty())
+            .map(|(line, sms)| (*line, sms.clone()))
+            .collect();
+        merged.save()
+    }
+
+    fn load(v: &Value) -> Result<Self, SnapshotError> {
+        LineMap::load(v).map(DramMerges)
+    }
 }
 
 /// Partition statistics.
@@ -38,7 +64,7 @@ pub struct PartitionStats {
     pub dram_reads: u64,
 }
 
-persist_u64_fields!(PartitionStats {
+crate::state_struct!(PartitionStats {
     l2_hits,
     l2_misses,
     stores,
@@ -64,10 +90,8 @@ pub struct MemoryPartition {
     dram_queue: VecDeque<PendingRead>,
     /// DRAM reads in flight (ready_cycle ordered FIFO: fixed latency).
     dram_pipe: VecDeque<(Cycle, PendingRead)>,
-    /// Every line with a DRAM read queued or in flight, with the
-    /// requesters merged onto that read (empty until one merges): the
-    /// O(1) merge check for each L2 request.
-    dram_merges: LineMap<Vec<SmId>>,
+    /// The O(1) merge check for each L2 request.
+    dram_merges: DramMerges,
     /// Responses ready to go back over the interconnect.
     outbox: VecDeque<DownPacket>,
     /// Responses held back by injected delay faults (constant delay,
@@ -108,7 +132,7 @@ impl MemoryPartition {
             hit_pipe: VecDeque::new(),
             dram_queue: VecDeque::new(),
             dram_pipe: VecDeque::new(),
-            dram_merges: LineMap::default(),
+            dram_merges: DramMerges::default(),
             outbox: VecDeque::new(),
             delayed: VecDeque::new(),
             injector: FaultInjector::new(cfg.fault),
@@ -207,7 +231,7 @@ impl MemoryPartition {
                 },
                 now,
             );
-            if let Some(extra) = self.dram_merges.remove(&req.line) {
+            if let Some(extra) = self.dram_merges.0.remove(&req.line) {
                 for sm in extra {
                     self.emit(DownPacket { sm, line: req.line }, now);
                 }
@@ -291,7 +315,7 @@ impl MemoryPartition {
 
     fn service(&mut self, req: PendingRead, now: Cycle) {
         // Merge with an outstanding DRAM read for the same line.
-        if let Some(readers) = self.dram_merges.get_mut(&req.line) {
+        if let Some(readers) = self.dram_merges.0.get_mut(&req.line) {
             readers.push(req.sm);
             // Merged requests still count as L2 misses (they need DRAM).
             self.stats.l2_misses += 1;
@@ -311,7 +335,7 @@ impl MemoryPartition {
             }
             _ => {
                 self.stats.l2_misses += 1;
-                self.dram_merges.insert(req.line, Vec::new());
+                self.dram_merges.0.insert(req.line, Vec::new());
                 self.dram_queue.push_back(req);
             }
         }
@@ -362,16 +386,16 @@ impl MemoryPartition {
             .dram_queue
             .iter()
             .chain(self.dram_pipe.iter().map(|(_, r)| r));
-        if let Some(r) = reads_iter.find(|r| !self.dram_merges.contains_key(&r.line)) {
+        if let Some(r) = reads_iter.find(|r| !self.dram_merges.0.contains_key(&r.line)) {
             v.push(format!(
                 "DRAM read of line {:#x} has no merge entry",
                 r.line.0
             ));
         }
-        if self.dram_merges.len() != reads {
+        if self.dram_merges.0.len() != reads {
             v.push(format!(
                 "{} DRAM merge entries but {reads} DRAM reads queued or in flight",
-                self.dram_merges.len()
+                self.dram_merges.0.len()
             ));
         }
         v
@@ -387,182 +411,16 @@ impl MemoryPartition {
         self.injector.stats
     }
 
-    /// Serializes the complete partition state for a checkpoint: the
-    /// L2 tag array, every queue and pipe, the DRAM merges that have
-    /// readers (sorted by line for order-independence of the backing
-    /// `HashMap`; the empty entries follow from the DRAM queue and
-    /// pipe), fault injector, and counters. Latencies, bank count, and
-    /// bandwidth are config-derived; trace attachments are runtime-only
-    /// (the trace buffer is drained every cycle, so it is empty at a
-    /// checkpoint boundary).
-    pub fn save_state(&self) -> Value {
-        let read =
-            |r: &PendingRead| Value::Arr(vec![Value::u64(u64::from(r.sm.0)), Value::u64(r.line.0)]);
-        let pkt =
-            |p: &DownPacket| Value::Arr(vec![Value::u64(u64::from(p.sm.0)), Value::u64(p.line.0)]);
-        let timed_read = |(ready, r): &(Cycle, PendingRead)| {
-            Value::Arr(vec![
-                Value::u64(ready.0),
-                Value::u64(u64::from(r.sm.0)),
-                Value::u64(r.line.0),
-            ])
-        };
-        let timed_pkt = |(ready, p): &(Cycle, DownPacket)| {
-            Value::Arr(vec![
-                Value::u64(ready.0),
-                Value::u64(u64::from(p.sm.0)),
-                Value::u64(p.line.0),
-            ])
-        };
-        let mut merges: Vec<_> = self
-            .dram_merges
+    /// Restores the DRAM merge entries of the lines whose reads are
+    /// queued or in flight without a merged requester.
+    fn rebuild_merges(&mut self) -> Result<(), SnapshotError> {
+        for r in self
+            .dram_queue
             .iter()
-            .filter(|(_, sms)| !sms.is_empty())
-            .collect();
-        merges.sort_by_key(|(line, _)| line.0);
-        let merges = merges
-            .into_iter()
-            .map(|(line, sms)| {
-                Value::Arr(vec![
-                    Value::u64(line.0),
-                    Value::Arr(sms.iter().map(|s| Value::u64(u64::from(s.0))).collect()),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("l2".into(), self.l2.save_state()),
-            ("dram_credit".into(), Value::u64(self.dram_credit)),
-            (
-                "incoming".into(),
-                Value::Arr(self.incoming.iter().map(read).collect()),
-            ),
-            (
-                "hit_pipe".into(),
-                Value::Arr(self.hit_pipe.iter().map(timed_pkt).collect()),
-            ),
-            (
-                "dram_queue".into(),
-                Value::Arr(self.dram_queue.iter().map(read).collect()),
-            ),
-            (
-                "dram_pipe".into(),
-                Value::Arr(self.dram_pipe.iter().map(timed_read).collect()),
-            ),
-            ("dram_merges".into(), Value::Arr(merges)),
-            (
-                "outbox".into(),
-                Value::Arr(self.outbox.iter().map(pkt).collect()),
-            ),
-            (
-                "delayed".into(),
-                Value::Arr(self.delayed.iter().map(timed_pkt).collect()),
-            ),
-            ("injector".into(), self.injector.save_state()),
-            ("events".into(), Value::u64(self.events)),
-            ("stats".into(), self.stats.save_state()),
-        ])
-    }
-
-    /// Restores from [`save_state`](MemoryPartition::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing or malformed field;
-    /// queues are fully decoded before anything is applied.
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        fn decode_read(row: &[Value]) -> Option<PendingRead> {
-            if let [sm, line] = row {
-                Some(PendingRead {
-                    sm: SmId(sm.as_u32()?),
-                    line: LineAddr(line.as_u64()?),
-                })
-            } else {
-                None
-            }
+            .chain(self.dram_pipe.iter().map(|(_, r)| r))
+        {
+            self.dram_merges.0.entry(r.line).or_default();
         }
-        fn decode_pkt(row: &[Value]) -> Option<DownPacket> {
-            if let [sm, line] = row {
-                Some(DownPacket {
-                    sm: SmId(sm.as_u32()?),
-                    line: LineAddr(line.as_u64()?),
-                })
-            } else {
-                None
-            }
-        }
-        fn queue<T>(
-            v: &Value,
-            key: &str,
-            dec: impl Fn(&[Value]) -> Option<T>,
-        ) -> Result<VecDeque<T>, SnapshotError> {
-            json::arr_field(v, key)?
-                .iter()
-                .map(|entry| {
-                    entry
-                        .as_arr()
-                        .and_then(&dec)
-                        .ok_or_else(|| SnapshotError::malformed(format!("partition {key} entry")))
-                })
-                .collect()
-        }
-        fn timed<T>(
-            v: &Value,
-            key: &str,
-            dec: impl Fn(&[Value]) -> Option<T>,
-        ) -> Result<VecDeque<(Cycle, T)>, SnapshotError> {
-            json::arr_field(v, key)?
-                .iter()
-                .map(|entry| {
-                    entry
-                        .as_arr()
-                        .and_then(|row| {
-                            let ready = row.first()?.as_u64()?;
-                            Some((Cycle(ready), dec(&row[1..])?))
-                        })
-                        .ok_or_else(|| SnapshotError::malformed(format!("partition {key} entry")))
-                })
-                .collect()
-        }
-        let incoming = queue(v, "incoming", decode_read)?;
-        let hit_pipe = timed(v, "hit_pipe", decode_pkt)?;
-        let dram_queue = queue(v, "dram_queue", decode_read)?;
-        let dram_pipe = timed(v, "dram_pipe", decode_read)?;
-        let outbox = queue(v, "outbox", decode_pkt)?;
-        let delayed = timed(v, "delayed", decode_pkt)?;
-        let mut dram_merges = LineMap::default();
-        for entry in json::arr_field(v, "dram_merges")? {
-            let (line, sms) = entry
-                .as_arr()
-                .and_then(|row| {
-                    if let [line, sms] = row {
-                        let sms = sms
-                            .as_arr()?
-                            .iter()
-                            .map(|s| s.as_u32().map(SmId))
-                            .collect::<Option<Vec<_>>>()?;
-                        Some((LineAddr(line.as_u64()?), sms))
-                    } else {
-                        None
-                    }
-                })
-                .ok_or_else(|| SnapshotError::malformed("partition dram_merges entry"))?;
-            dram_merges.insert(line, sms);
-        }
-        for r in dram_queue.iter().chain(dram_pipe.iter().map(|(_, r)| r)) {
-            dram_merges.entry(r.line).or_default();
-        }
-        self.l2.restore_state(json::field(v, "l2")?)?;
-        self.injector.restore_state(json::field(v, "injector")?)?;
-        self.stats.restore_state(json::field(v, "stats")?)?;
-        self.dram_credit = json::u64_field(v, "dram_credit")?;
-        self.events = json::u64_field(v, "events")?;
-        self.incoming = incoming;
-        self.hit_pipe = hit_pipe;
-        self.dram_queue = dram_queue;
-        self.dram_pipe = dram_pipe;
-        self.dram_merges = dram_merges;
-        self.outbox = outbox;
-        self.delayed = delayed;
         Ok(())
     }
 
@@ -573,12 +431,32 @@ impl MemoryPartition {
             hit_pipe: self.hit_pipe.len(),
             dram_queue: self.dram_queue.len(),
             dram_pipe: self.dram_pipe.len(),
-            merged_readers: self.dram_merges.values().map(Vec::len).sum(),
+            merged_readers: self.dram_merges.0.values().map(Vec::len).sum(),
             outbox: self.outbox.len(),
             fault_delayed: self.delayed.len(),
         }
     }
 }
+
+// The complete partition state: the L2 tag array, every queue and pipe,
+// the DRAM merges, the fault injector and the counters. Latencies, bank
+// count and bandwidth are config-derived; trace attachments are
+// runtime-only (the trace buffer is drained every cycle, so it is empty
+// at a checkpoint boundary).
+crate::restore_fields!(MemoryPartition {
+    l2,
+    dram_credit,
+    incoming,
+    hit_pipe,
+    dram_queue,
+    dram_pipe,
+    dram_merges,
+    outbox,
+    delayed,
+    injector,
+    events,
+    stats,
+} then rebuild_merges);
 
 /// Occupancy snapshot of the memory partition's internal queues,
 /// embedded in [`DeadlockReport`](crate::DeadlockReport).
@@ -603,6 +481,7 @@ pub struct PartitionCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::Restore;
 
     fn part() -> MemoryPartition {
         let mut cfg = GpuConfig::scaled(1);
@@ -725,7 +604,7 @@ mod tests {
             p.push_read(SmId(sm), LineAddr(line));
         }
         p.tick(Cycle(0));
-        assert_eq!(p.dram_merges.len(), 2, "one entry per DRAM read");
+        assert_eq!(p.dram_merges.0.len(), 2, "one entry per DRAM read");
         assert_eq!(p.census().merged_readers, 1);
         let saved = p.save_state();
         let mut restored = part();

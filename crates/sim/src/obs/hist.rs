@@ -8,9 +8,6 @@
 //! the hot path. Percentiles are bucket-resolution upper bounds, which
 //! is plenty for "did the fill beat the first use" questions.
 
-use crate::json::{self, Value};
-use crate::snapshot::SnapshotError;
-
 /// Number of power-of-two buckets in a [`LatencyHistogram`].
 ///
 /// Bucket 0 holds exactly the value 0; bucket `i` (for `0 < i < 15`)
@@ -148,47 +145,16 @@ impl LatencyHistogram {
     pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
         &self.buckets
     }
-
-    /// Serializes the histogram for a checkpoint.
-    pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "buckets".into(),
-                Value::Arr(self.buckets.iter().map(|&b| Value::u64(b)).collect()),
-            ),
-            ("count".into(), Value::u64(self.count)),
-            ("sum".into(), Value::u64(self.sum)),
-            ("max".into(), Value::u64(self.max)),
-        ])
-    }
-
-    /// Restores the histogram from [`save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing field or a bucket
-    /// array of the wrong length.
-    ///
-    /// [`save_state`]: LatencyHistogram::save_state
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let buckets = json::arr_field(v, "buckets")?;
-        if buckets.len() != HISTOGRAM_BUCKETS {
-            return Err(SnapshotError::malformed(format!(
-                "histogram has {} buckets, expected {HISTOGRAM_BUCKETS}",
-                buckets.len()
-            )));
-        }
-        for (slot, b) in self.buckets.iter_mut().zip(buckets) {
-            *slot = b
-                .as_u64()
-                .ok_or_else(|| SnapshotError::malformed("non-u64 histogram bucket"))?;
-        }
-        self.count = json::u64_field(v, "count")?;
-        self.sum = json::u64_field(v, "sum")?;
-        self.max = json::u64_field(v, "max")?;
-        Ok(())
-    }
 }
+
+// The bucket array is a fixed 16-cell row: a checkpoint with any other
+// bucket count is malformed.
+crate::state_struct!(LatencyHistogram {
+    buckets,
+    count,
+    sum,
+    max
+});
 
 impl std::fmt::Display for LatencyHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -229,34 +195,13 @@ impl PrefetchLifecycle {
         self.fill_to_first_use.merge(&other.fill_to_first_use);
         self.lifetime_unused.merge(&other.lifetime_unused);
     }
-
-    /// Serializes all three histograms for a checkpoint.
-    pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            ("issue_to_fill".into(), self.issue_to_fill.save_state()),
-            (
-                "fill_to_first_use".into(),
-                self.fill_to_first_use.save_state(),
-            ),
-            ("lifetime_unused".into(), self.lifetime_unused.save_state()),
-        ])
-    }
-
-    /// Restores from [`save_state`](PrefetchLifecycle::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing or malformed field.
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.issue_to_fill
-            .restore_state(json::field(v, "issue_to_fill")?)?;
-        self.fill_to_first_use
-            .restore_state(json::field(v, "fill_to_first_use")?)?;
-        self.lifetime_unused
-            .restore_state(json::field(v, "lifetime_unused")?)?;
-        Ok(())
-    }
 }
+
+crate::state_struct!(PrefetchLifecycle {
+    issue_to_fill,
+    fill_to_first_use,
+    lifetime_unused,
+});
 
 #[cfg(test)]
 mod tests {
@@ -403,5 +348,23 @@ mod tests {
         assert_eq!(a.issue_to_fill.count(), 1);
         assert_eq!(a.fill_to_first_use.count(), 1);
         assert_eq!(a.lifetime_unused.count(), 1);
+    }
+
+    #[test]
+    fn histogram_state_round_trips_and_needs_every_bucket() {
+        use crate::json::parse;
+        use crate::snapshot::State;
+        let mut h = LatencyHistogram::default();
+        for v in [0u64, 3, 900, 1 << 20] {
+            h.record(v);
+        }
+        let text = h.save().to_string();
+        assert_eq!(LatencyHistogram::load(&parse(&text).unwrap()).unwrap(), h);
+        let short = text.replacen("[1,0,1,", "[0,1,", 1);
+        let err = LatencyHistogram::load(&parse(&short).unwrap()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed checkpoint: buckets: row of 15 cells is too short"
+        );
     }
 }

@@ -12,7 +12,6 @@
 use std::fmt::Write as _;
 
 use crate::json::{self, FieldError, Value};
-use crate::snapshot::SnapshotError;
 use crate::stats::{self, StallBreakdown, STALL_BUCKETS};
 use crate::types::Cycle;
 
@@ -236,13 +235,27 @@ impl MetricsSeries {
     }
 }
 
-/// Columns of a checkpointed sample row ahead of its stall shares.
-const SAMPLE_GAUGES: usize = 9;
+// A checkpointed sample is one row of 17 cells: the nine gauges, then
+// the eight stall shares in `STALL_BUCKETS` order.
+crate::state_row!(MetricsSample {
+    cycle,
+    ipc,
+    l1_hit_rate,
+    mshr_occupancy,
+    miss_queue_occupancy,
+    noc_utilization,
+    active_warps,
+    throttled_sms,
+    chain_depth,
+    stall,
+});
 
 /// Incremental collector the GPU drives once per `window` cycles.
 #[derive(Debug, Clone, Default)]
 pub struct WindowedMetrics {
-    series: MetricsSeries,
+    window: u64,
+    samples: Vec<MetricsSample>,
+    stop: Option<String>,
     last_cycle: u64,
     last_instructions: u64,
     last_l1_hits: u64,
@@ -260,11 +273,9 @@ impl WindowedMetrics {
     pub fn new(window: u64) -> Self {
         assert!(window > 0, "metrics window must be non-zero");
         WindowedMetrics {
-            series: MetricsSeries {
-                window,
-                samples: Vec::new(),
-                stop: None,
-            },
+            window,
+            samples: Vec::new(),
+            stop: None,
             last_cycle: 0,
             last_instructions: 0,
             last_l1_hits: 0,
@@ -275,14 +286,14 @@ impl WindowedMetrics {
 
     /// Sampling period in cycles.
     pub fn window(&self) -> u64 {
-        self.series.window
+        self.window
     }
 
     /// The most recently closed window's sample, if any — the row the
     /// GPU forwards to a live telemetry ring right after
     /// [`record`](WindowedMetrics::record).
     pub fn last_sample(&self) -> Option<&MetricsSample> {
-        self.series.samples.last()
+        self.samples.last()
     }
 
     /// Closes the window ending at `cycle` with the given cumulative
@@ -304,7 +315,7 @@ impl WindowedMetrics {
                 now[i].saturating_sub(before[i]) as f64 / d_sched as f64
             }
         });
-        self.series.samples.push(MetricsSample {
+        self.samples.push(MetricsSample {
             cycle: cycle.0,
             ipc: d_instr as f64 / elapsed as f64,
             l1_hit_rate: if d_acc == 0 {
@@ -330,118 +341,32 @@ impl WindowedMetrics {
     /// Marks the series as belonging to a truncated run (any
     /// non-`Completed` stop reason), by its stable label.
     pub fn mark_stop(&mut self, label: impl Into<String>) {
-        self.series.stop = Some(label.into());
+        self.stop = Some(label.into());
     }
 
     /// Consumes the collector and returns the series.
     pub fn finish(self) -> MetricsSeries {
-        self.series
-    }
-
-    /// Serializes the collected samples and differencing cursors for a
-    /// checkpoint. The sampling period itself is config-derived and not
-    /// captured; the restored collector must be built with the same
-    /// window (guaranteed by the checkpoint's config fingerprint).
-    pub fn save_state(&self) -> Value {
-        let samples = self
-            .series
-            .samples
-            .iter()
-            .map(|s| {
-                let gauges: [Value; SAMPLE_GAUGES] = [
-                    Value::u64(s.cycle),
-                    Value::f64(s.ipc),
-                    Value::f64(s.l1_hit_rate),
-                    Value::f64(s.mshr_occupancy),
-                    Value::f64(s.miss_queue_occupancy),
-                    Value::f64(s.noc_utilization),
-                    Value::u64(s.active_warps as u64),
-                    Value::u64(s.throttled_sms as u64),
-                    Value::u64(u64::from(s.chain_depth)),
-                ];
-                Value::Arr(gauges.into_iter().chain(s.stall.map(Value::f64)).collect())
-            })
-            .collect();
-        Value::Obj(vec![
-            ("samples".into(), Value::Arr(samples)),
-            (
-                "stop".into(),
-                match &self.series.stop {
-                    Some(s) => Value::str(s.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("last_cycle".into(), Value::u64(self.last_cycle)),
-            (
-                "last_instructions".into(),
-                Value::u64(self.last_instructions),
-            ),
-            ("last_l1_hits".into(), Value::u64(self.last_l1_hits)),
-            ("last_l1_accesses".into(), Value::u64(self.last_l1_accesses)),
-            ("last_stall".into(), self.last_stall.save_state()),
-        ])
-    }
-
-    /// Restores from [`save_state`](WindowedMetrics::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing or malformed field;
-    /// nothing is applied until the whole sample array decodes.
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        let mut samples = Vec::new();
-        for (i, entry) in json::arr_field(v, "samples")?.iter().enumerate() {
-            let row = entry
-                .as_arr()
-                .filter(|r| r.len() == SAMPLE_GAUGES + STALL_BUCKETS.len())
-                .ok_or_else(|| SnapshotError::malformed(format!("metrics sample {i}")))?;
-            let u = |j: usize| {
-                row[j]
-                    .as_u64()
-                    .ok_or_else(|| SnapshotError::malformed(format!("metrics sample {i} col {j}")))
-            };
-            let f = |j: usize| {
-                row[j]
-                    .as_f64()
-                    .ok_or_else(|| SnapshotError::malformed(format!("metrics sample {i} col {j}")))
-            };
-            let mut stall = [0.0; 8];
-            for (j, share) in stall.iter_mut().enumerate() {
-                *share = f(SAMPLE_GAUGES + j)?;
-            }
-            samples.push(MetricsSample {
-                cycle: u(0)?,
-                ipc: f(1)?,
-                l1_hit_rate: f(2)?,
-                mshr_occupancy: f(3)?,
-                miss_queue_occupancy: f(4)?,
-                noc_utilization: f(5)?,
-                active_warps: u(6)? as usize,
-                throttled_sms: u(7)? as usize,
-                chain_depth: u(8)? as u32,
-                stall,
-            });
+        MetricsSeries {
+            window: self.window,
+            samples: self.samples,
+            stop: self.stop,
         }
-        let stop = match json::field(v, "stop")? {
-            Value::Null => None,
-            other => Some(
-                other
-                    .as_str()
-                    .ok_or_else(|| SnapshotError::malformed("metrics stop label"))?
-                    .to_string(),
-            ),
-        };
-        self.series.samples = samples;
-        self.series.stop = stop;
-        self.last_cycle = json::u64_field(v, "last_cycle")?;
-        self.last_instructions = json::u64_field(v, "last_instructions")?;
-        self.last_l1_hits = json::u64_field(v, "last_l1_hits")?;
-        self.last_l1_accesses = json::u64_field(v, "last_l1_accesses")?;
-        self.last_stall
-            .restore_state(json::field(v, "last_stall")?)?;
-        Ok(())
     }
 }
+
+// The collected samples and differencing cursors. The sampling period
+// is config-derived and not captured: the restored collector is built
+// with the same window (the checkpoint's config fingerprint sees to it).
+crate::restore_fields!(WindowedMetrics {
+    samples,
+    stop,
+    last_cycle,
+    last_instructions,
+    last_l1_hits,
+    last_l1_accesses,
+    last_stall,
+});
+crate::snapshot::restore_in_place!(Option<WindowedMetrics>);
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 use crate::json::Value;
 use crate::kernel::KernelTrace;
 use crate::obs::WalkStop;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{Restore, SnapshotError};
 use crate::stats::AccessOutcome;
 use crate::types::{Address, CtaId, Cycle, Pc, SmId, WarpId};
 
@@ -130,9 +130,15 @@ pub enum PrefetchPlacement {
 /// A hardware prefetching mechanism.
 ///
 /// Implementations observe the demand stream and emit prefetch
-/// candidates. All methods have defaults so trivial mechanisms stay
-/// trivial; the trait is object-safe (the simulator stores a
-/// `Box<dyn Prefetcher>`).
+/// candidates. All methods but [`name`](Prefetcher::name) have
+/// defaults so trivial mechanisms stay trivial; the trait is
+/// object-safe (the simulator stores a `Box<dyn Prefetcher>`).
+///
+/// A mechanism's checkpointed state is its [`Restore`] encoding: a
+/// stateful one names the fields its decisions depend on with
+/// [`restore_fields!`](crate::restore_fields), or a restored run will
+/// diverge from an uninterrupted one; a stateless one declares itself
+/// with [`stateless!`](crate::stateless).
 ///
 /// # Contract
 ///
@@ -144,7 +150,7 @@ pub enum PrefetchPlacement {
 /// demand access, so while its prefetcher is unthrottled it replays
 /// one recorded idle tick instead of re-reading these (see
 /// [`Sm::tick`](crate::Sm::tick)).
-pub trait Prefetcher {
+pub trait Prefetcher: Restore {
     /// Short mechanism name used in reports (e.g. `"snake"`, `"mta"`).
     fn name(&self) -> &str;
 
@@ -210,33 +216,15 @@ pub trait Prefetcher {
     fn drain_events(&mut self, out: &mut Vec<PrefetcherEvent>) {
         let _ = out;
     }
+}
 
-    /// Serializes the mechanism's mutable state for a checkpoint. A
-    /// stateless mechanism returns [`Value::Null`] (the default); a
-    /// stateful one must capture everything its decisions depend on,
-    /// or a restored run will diverge from an uninterrupted one.
+impl Restore for Box<dyn Prefetcher> {
     fn save_state(&self) -> Value {
-        Value::Null
+        (**self).save_state()
     }
 
-    /// Restores state captured by
-    /// [`save_state`](Prefetcher::save_state). The default accepts
-    /// only [`Value::Null`], so a mechanism that gains state without
-    /// implementing the pair fails loudly instead of resuming wrong.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on an encoding the mechanism does
-    /// not recognize.
     fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        if matches!(v, Value::Null) {
-            Ok(())
-        } else {
-            Err(SnapshotError::malformed(format!(
-                "prefetcher {:?} has no state to restore",
-                self.name()
-            )))
-        }
+        (**self).restore_state(v)
     }
 }
 
@@ -250,6 +238,8 @@ pub trait Prefetcher {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullPrefetcher;
+
+crate::stateless!(NullPrefetcher);
 
 impl Prefetcher for NullPrefetcher {
     fn name(&self) -> &str {

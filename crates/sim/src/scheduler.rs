@@ -7,8 +7,6 @@
 //! warp-id/base-address columns (§3.1, §5.5).
 
 use crate::config::SchedulerPolicy;
-use crate::json::{self, Value};
-use crate::snapshot::{self, SnapshotError};
 use crate::warp::bits;
 
 /// The slots of an `n`-slot SM owned by scheduler `offset` of `stride`
@@ -86,28 +84,11 @@ impl Scheduler {
             self.current = None;
         }
     }
-
-    /// Serializes the pick state for a checkpoint (the policy is
-    /// config-derived and not captured).
-    pub fn save_state(&self) -> Value {
-        Value::Obj(vec![(
-            "current".into(),
-            snapshot::opt_u64_value(self.current.map(|c| c as u64)),
-        )])
-    }
-
-    /// Restores the pick state from [`save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing or mistyped field.
-    ///
-    /// [`save_state`]: Scheduler::save_state
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.current = json::opt_u64_field(v, "current")?.map(|c| c as usize);
-        Ok(())
-    }
 }
+
+// The pick state; the policy is config-derived.
+crate::restore_fields!(Scheduler { current });
+crate::snapshot::restore_in_place!(Vec<Scheduler>);
 
 #[cfg(test)]
 mod tests {

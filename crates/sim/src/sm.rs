@@ -5,7 +5,6 @@ use std::collections::VecDeque;
 
 use crate::cache::unified_l1::{L1Mode, OutgoingRequest, PrefetchIssue, UnifiedL1};
 use crate::config::GpuConfig;
-use crate::json::{self, Value};
 use crate::kernel::{Instr, KernelTrace};
 use crate::obs::{SimEvent, TraceEvent};
 use crate::perfstat::{self, HostProfiler, Phase};
@@ -26,6 +25,8 @@ pub(crate) struct PendingCta {
     /// Kernel trace indices of the CTA's warps.
     pub warps: Vec<usize>,
 }
+
+crate::state_row!(PendingCta { cta, warps });
 
 /// What one idle tick charged: a tick that found no ready warp, no
 /// launchable CTA, no due timeout recovery and an unthrottled
@@ -808,74 +809,31 @@ impl Sm {
         }
     }
 
-    /// Serializes the complete SM state for a checkpoint: every warp
-    /// slot, scheduler cursors, the unified L1, the prefetcher's own
-    /// state, the CTA launch queue, and counters. Config-derived
-    /// fields (latencies, capacities) are not captured; trace
-    /// attachments are runtime-only (event buffers are drained every
-    /// cycle, so they are empty at a checkpoint boundary), and
-    /// `scratch`/`pf_events` never hold data across cycles.
-    pub fn save_state(&self) -> Value {
-        let slots = self
-            .slots
-            .iter()
-            .map(|s| match s {
-                Some(slot) => slot.save_state(),
-                None => Value::Null,
-            })
-            .collect();
-        let cta_queue = self
-            .cta_queue
-            .iter()
-            .map(|c| {
-                Value::Arr(vec![
-                    Value::u64(u64::from(c.cta.0)),
-                    Value::Arr(c.warps.iter().map(|&w| Value::u64(w as u64)).collect()),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("slots".into(), Value::Arr(slots)),
-            (
-                "schedulers".into(),
-                Value::Arr(self.schedulers.iter().map(Scheduler::save_state).collect()),
-            ),
-            ("l1".into(), self.l1.save_state()),
-            ("prefetcher".into(), self.prefetcher.save_state()),
-            ("cta_queue".into(), Value::Arr(cta_queue)),
-            ("launch_seq".into(), Value::u64(self.launch_seq)),
-            ("stats".into(), self.stats.save_state()),
-            ("prev_throttled".into(), Value::Bool(self.prev_throttled)),
-        ])
-    }
-
-    /// Restores from [`save_state`](Sm::save_state), rebuilding the
-    /// warp masks from the restored slots and the lengths of `kernel`'s
-    /// traces.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing or malformed field,
-    /// when a warp names a trace `kernel` does not have, or when the
-    /// slot/scheduler counts do not match this SM's configuration (the
-    /// checkpoint belongs to a different config).
-    pub fn restore_state(&mut self, v: &Value, kernel: &KernelTrace) -> Result<(), SnapshotError> {
-        let slot_entries = json::arr_field(v, "slots")?;
-        if slot_entries.len() != self.slots.len() {
+    /// Checks the restored slot count against this SM's configuration.
+    fn check_slots(&mut self) -> Result<(), SnapshotError> {
+        let configured = self.all_slots.count_ones() as usize;
+        if self.slots.len() != configured {
             return Err(SnapshotError::malformed(format!(
-                "checkpoint has {} warp slots, SM has {}",
-                slot_entries.len(),
+                "checkpoint has {} warp slots, SM has {configured}",
                 self.slots.len()
             )));
         }
-        let mut slots = Vec::with_capacity(slot_entries.len());
-        for entry in slot_entries {
-            slots.push(match entry {
-                Value::Null => None,
-                other => Some(WarpSlot::from_state(other)?),
-            });
-        }
-        if let Some(slot) = slots
+        self.idle = None;
+        Ok(())
+    }
+
+    /// Rebuilds the warp masks of restored slots from the lengths of
+    /// `kernel`'s traces: the last step of restoring an SM (the state
+    /// holds the slots, not the traces), which the device takes once
+    /// every component is restored.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] when a warp names a trace `kernel`
+    /// does not have.
+    pub fn rebuild_masks(&mut self, kernel: &KernelTrace) -> Result<(), SnapshotError> {
+        if let Some(slot) = self
+            .slots
             .iter()
             .flatten()
             .find(|s| s.trace_idx >= kernel.warps().len())
@@ -886,49 +844,7 @@ impl Sm {
                 kernel.warps().len()
             )));
         }
-        let sched_entries = json::arr_field(v, "schedulers")?;
-        if sched_entries.len() != self.schedulers.len() {
-            return Err(SnapshotError::malformed(format!(
-                "checkpoint has {} schedulers, SM has {}",
-                sched_entries.len(),
-                self.schedulers.len()
-            )));
-        }
-        let mut cta_queue = VecDeque::new();
-        for entry in json::arr_field(v, "cta_queue")? {
-            let pending = entry
-                .as_arr()
-                .and_then(|row| {
-                    if let [cta, warps] = row {
-                        let warps = warps
-                            .as_arr()?
-                            .iter()
-                            .map(|w| w.as_u64().map(|w| w as usize))
-                            .collect::<Option<Vec<_>>>()?;
-                        Some(PendingCta {
-                            cta: CtaId(cta.as_u32()?),
-                            warps,
-                        })
-                    } else {
-                        None
-                    }
-                })
-                .ok_or_else(|| SnapshotError::malformed("SM cta_queue entry"))?;
-            cta_queue.push_back(pending);
-        }
-        for (sched, entry) in self.schedulers.iter_mut().zip(sched_entries) {
-            sched.restore_state(entry)?;
-        }
-        self.l1.restore_state(json::field(v, "l1")?)?;
-        self.prefetcher
-            .restore_state(json::field(v, "prefetcher")?)?;
-        self.stats.restore_state(json::field(v, "stats")?)?;
-        self.masks = WarpMasks::from_slots(&slots, kernel);
-        self.idle = None;
-        self.slots = slots;
-        self.cta_queue = cta_queue;
-        self.launch_seq = json::u64_field(v, "launch_seq")?;
-        self.prev_throttled = json::bool_field(v, "prev_throttled")?;
+        self.masks = WarpMasks::from_slots(&self.slots, kernel);
         Ok(())
     }
 
@@ -1043,6 +959,25 @@ impl Sm {
     }
 }
 
+// The complete SM state: every warp slot, scheduler cursors, the unified
+// L1, the prefetcher's own state, the CTA launch queue, and counters.
+// Config-derived fields (latencies, capacities) are not captured; trace
+// attachments are runtime-only (event buffers are drained every cycle,
+// so they are empty at a checkpoint boundary), and `scratch`/`pf_events`
+// never hold data across cycles. The warp masks are derived: the device
+// rebuilds them with `Sm::rebuild_masks` once the SM is restored.
+crate::restore_fields!(Sm {
+    slots,
+    schedulers,
+    l1,
+    prefetcher,
+    cta_queue,
+    launch_seq,
+    stats,
+    prev_throttled,
+} then check_slots);
+crate::snapshot::restore_in_place!(Vec<Sm>);
+
 /// The [`StallBreakdown`] counter of idle bucket `bucket` (see
 /// [`Sm::idle_bucket`]).
 fn stall_bucket(stall: &mut StallBreakdown, bucket: usize) -> &mut u64 {
@@ -1059,6 +994,7 @@ mod tests {
     use super::*;
     use crate::kernel::WarpTrace;
     use crate::prefetch::NullPrefetcher;
+    use crate::snapshot::Restore;
     use crate::types::LineAddr;
 
     /// One SM holding one warp that issues a load, then waits on it.
@@ -1227,22 +1163,44 @@ mod tests {
         let (mut sm, kernel) = two_busy_sm();
         sm.tick(&kernel, Cycle(5), 0.0, false, None);
         let state = sm.save_state();
-        let fresh = || Sm::new(&GpuConfig::scaled(1), SmId(0), Box::new(NullPrefetcher));
+        let sm_of = |cfg: &GpuConfig| Sm::new(cfg, SmId(0), Box::new(NullPrefetcher));
+        let fresh = || sm_of(&GpuConfig::scaled(1));
 
         let mut restored = fresh();
         restored
-            .restore_state(&state, &kernel)
+            .restore_state(&state)
+            .and_then(|()| restored.rebuild_masks(&kernel))
             .expect("restore succeeds");
         assert_eq!(restored.masks, sm.masks, "every word is rebuilt");
 
         let short = KernelTrace::new("short", kernel.warps()[..1].to_vec());
-        let err = fresh()
-            .restore_state(&state, &short)
+        let mut restored = fresh();
+        restored.restore_state(&state).expect("restore succeeds");
+        let err = restored
+            .rebuild_masks(&short)
             .expect_err("warp 1's trace is not in the kernel");
         assert!(
             err.to_string()
                 .contains("warp trace 1 is not in a kernel of 1 traces"),
             "{err}"
+        );
+
+        // A checkpoint of an SM with other slot or scheduler counts.
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.max_warps_per_sm = 8;
+        let err = sm_of(&cfg).restore_state(&state).unwrap_err();
+        assert!(
+            err.to_string()
+                .ends_with("checkpoint has 16 warp slots, SM has 8"),
+            "{err}"
+        );
+        let mut cfg = GpuConfig::scaled(1);
+        cfg.schedulers_per_sm = 1;
+        let err = sm_of(&cfg).restore_state(&state).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed checkpoint: schedulers: checkpoint has 2 entries, \
+             this configuration has 1"
         );
     }
 }

@@ -7,36 +7,8 @@
 //! rates (Fig 25).
 
 use crate::json::{self, FieldError, Value};
-use crate::snapshot::SnapshotError;
 
-/// Generates `save_state`/`restore_state` for a struct of plain `u64`
-/// counters — the checkpoint encoding of every stats block.
-macro_rules! persist_u64_fields {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $ty {
-            /// Serializes every counter for a checkpoint.
-            pub fn save_state(&self) -> Value {
-                Value::Obj(vec![
-                    $((stringify!($field).into(), Value::u64(self.$field)),)+
-                ])
-            }
-
-            /// Restores every counter from `save_state`'s encoding.
-            ///
-            /// # Errors
-            ///
-            /// [`SnapshotError::Malformed`] on a missing or mistyped
-            /// field.
-            pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-                $(self.$field = json::u64_field(v, stringify!($field))?;)+
-                Ok(())
-            }
-        }
-    };
-}
-pub(crate) use persist_u64_fields;
-
-persist_u64_fields!(CacheStats {
+crate::state_struct!(CacheStats {
     hits,
     hits_on_prefetch,
     hits_reserved,
@@ -48,7 +20,7 @@ persist_u64_fields!(CacheStats {
     evictions,
 });
 
-persist_u64_fields!(PrefetchStats {
+crate::state_struct!(PrefetchStats {
     requested,
     issued,
     redundant,
@@ -60,7 +32,7 @@ persist_u64_fields!(PrefetchStats {
     throttled_cycles,
 });
 
-persist_u64_fields!(FaultStats {
+crate::state_struct!(FaultStats {
     dropped_responses,
     duplicated_responses,
     delayed_responses,
@@ -69,7 +41,7 @@ persist_u64_fields!(FaultStats {
     brownout_cycles,
 });
 
-persist_u64_fields!(StallBreakdown {
+crate::state_struct!(StallBreakdown {
     issued,
     no_warp,
     barrier,
@@ -540,54 +512,22 @@ impl SimStats {
     }
 }
 
-impl SimStats {
-    /// Serializes every counter (including the nested cache, prefetch,
-    /// and fault blocks) for a checkpoint.
-    pub fn save_state(&self) -> Value {
-        Value::Obj(vec![
-            ("cycles".into(), Value::u64(self.cycles)),
-            ("instructions".into(), Value::u64(self.instructions)),
-            ("demand_loads".into(), Value::u64(self.demand_loads)),
-            ("stores".into(), Value::u64(self.stores)),
-            (
-                "all_stall_mem_cycles".into(),
-                Value::u64(self.all_stall_mem_cycles),
-            ),
-            ("all_stall_cycles".into(), Value::u64(self.all_stall_cycles)),
-            ("stall".into(), self.stall.save_state()),
-            ("l1".into(), self.l1.save_state()),
-            ("l2_hits".into(), Value::u64(self.l2_hits)),
-            ("l2_misses".into(), Value::u64(self.l2_misses)),
-            ("noc_bytes_up".into(), Value::u64(self.noc_bytes_up)),
-            ("noc_bytes_down".into(), Value::u64(self.noc_bytes_down)),
-            ("prefetch".into(), self.prefetch.save_state()),
-            ("fault".into(), self.fault.save_state()),
-        ])
-    }
-
-    /// Restores from [`save_state`](SimStats::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing or mistyped field.
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.cycles = json::u64_field(v, "cycles")?;
-        self.instructions = json::u64_field(v, "instructions")?;
-        self.demand_loads = json::u64_field(v, "demand_loads")?;
-        self.stores = json::u64_field(v, "stores")?;
-        self.all_stall_mem_cycles = json::u64_field(v, "all_stall_mem_cycles")?;
-        self.all_stall_cycles = json::u64_field(v, "all_stall_cycles")?;
-        self.stall.restore_state(json::field(v, "stall")?)?;
-        self.l1.restore_state(json::field(v, "l1")?)?;
-        self.l2_hits = json::u64_field(v, "l2_hits")?;
-        self.l2_misses = json::u64_field(v, "l2_misses")?;
-        self.noc_bytes_up = json::u64_field(v, "noc_bytes_up")?;
-        self.noc_bytes_down = json::u64_field(v, "noc_bytes_down")?;
-        self.prefetch.restore_state(json::field(v, "prefetch")?)?;
-        self.fault.restore_state(json::field(v, "fault")?)?;
-        Ok(())
-    }
-}
+crate::state_struct!(SimStats {
+    cycles,
+    instructions,
+    demand_loads,
+    stores,
+    all_stall_mem_cycles,
+    all_stall_cycles,
+    stall,
+    l1,
+    l2_hits,
+    l2_misses,
+    noc_bytes_up,
+    noc_bytes_down,
+    prefetch,
+    fault,
+});
 
 pub(crate) fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
@@ -600,6 +540,7 @@ pub(crate) fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::State;
 
     #[test]
     fn outcome_accepted() {
@@ -678,13 +619,11 @@ mod tests {
             fail_no_way: 7,
             ..Default::default()
         };
-        let text = c.save_state().to_string();
-        let mut back = CacheStats::default();
-        back.restore_state(&crate::json::parse(&text).unwrap())
-            .unwrap();
+        let text = c.save().to_string();
+        let back = CacheStats::load(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, c);
-        assert_eq!(back.save_state().to_string(), text);
-        assert!(back.restore_state(&Value::Obj(vec![])).is_err());
+        assert_eq!(back.save().to_string(), text);
+        assert!(CacheStats::load(&Value::Obj(vec![])).is_err());
     }
 
     #[test]
@@ -705,7 +644,7 @@ mod tests {
         assert_eq!(b.counts(), [10, 3, 2, 1, 20, 4, 5, 6]);
         assert_eq!(b.shares()[4], 20.0 / 51.0);
         // The table's field names are the checkpoint keys, in order.
-        let keys: Vec<String> = match b.save_state() {
+        let keys: Vec<String> = match b.save() {
             Value::Obj(fields) => fields.into_iter().map(|(k, _)| k).collect(),
             other => panic!("not an object: {other:?}"),
         };
@@ -715,12 +654,10 @@ mod tests {
         merged.merge(&b);
         assert_eq!(merged.scheduler_cycles, 102);
         assert!(merged.is_exact());
-        let text = b.save_state().to_string();
-        let mut back = StallBreakdown::default();
-        back.restore_state(&crate::json::parse(&text).unwrap())
-            .unwrap();
+        let text = b.save().to_string();
+        let back = StallBreakdown::load(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, b);
-        assert_eq!(back.save_state().to_string(), text);
+        assert_eq!(back.save().to_string(), text);
         let short = StallBreakdown {
             scheduler_cycles: 52,
             ..b

@@ -6,9 +6,9 @@
 //! latency hiding, exactly the mechanism whose breakdown (the memory
 //! wall) the paper quantifies in Figs 3–5.
 
-use crate::json::{self, Value};
+use crate::json::Value;
 use crate::kernel::KernelTrace;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{SnapshotError, State};
 use crate::types::{Address, CtaId, Cycle, Pc};
 
 /// The most warp slots one SM can hold: one bit each in a [`WarpMasks`]
@@ -170,6 +170,25 @@ pub enum WarpState {
     Waiting,
 }
 
+/// `null` for ready, the deadline for busy, `true` for waiting.
+impl State for WarpState {
+    fn save(&self) -> Value {
+        match self {
+            WarpState::Ready => Value::Null,
+            WarpState::Busy(until) => until.save(),
+            WarpState::Waiting => Value::Bool(true),
+        }
+    }
+
+    fn load(v: &Value) -> Result<Self, SnapshotError> {
+        match v {
+            Value::Null => Ok(WarpState::Ready),
+            Value::Bool(true) => Ok(WarpState::Waiting),
+            until => Cycle::load(until).map(WarpState::Busy),
+        }
+    }
+}
+
 /// A resident warp: trace cursor plus memory bookkeeping.
 #[derive(Debug, Clone)]
 pub struct WarpSlot {
@@ -257,70 +276,21 @@ impl WarpSlot {
             self.busy_mem = true;
         }
     }
-
-    /// Serializes the complete slot for a checkpoint.
-    pub fn save_state(&self) -> Value {
-        let state = match self.state {
-            WarpState::Ready => Value::Null,
-            WarpState::Busy(until) => Value::u64(until.0),
-            WarpState::Waiting => Value::Bool(true),
-        };
-        Value::Obj(vec![
-            ("cta".into(), Value::u64(u64::from(self.cta.0))),
-            ("trace_idx".into(), Value::u64(self.trace_idx as u64)),
-            ("launch_seq".into(), Value::u64(self.launch_seq)),
-            ("next".into(), Value::u64(self.next as u64)),
-            ("state".into(), state),
-            (
-                "pending".into(),
-                Value::Arr(self.pending.iter().map(|a| Value::u64(a.0)).collect()),
-            ),
-            ("cur_pc".into(), Value::u64(u64::from(self.cur_pc.0))),
-            ("cur_is_load".into(), Value::Bool(self.cur_is_load)),
-            ("cur_coalesced".into(), Value::Bool(self.cur_coalesced)),
-            (
-                "outstanding".into(),
-                Value::u64(u64::from(self.outstanding)),
-            ),
-            ("busy_mem".into(), Value::Bool(self.busy_mem)),
-        ])
-    }
-
-    /// Rebuilds a slot from [`save_state`](WarpSlot::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing or malformed field.
-    pub fn from_state(v: &Value) -> Result<WarpSlot, SnapshotError> {
-        let state = match json::field(v, "state")? {
-            Value::Null => WarpState::Ready,
-            Value::Bool(true) => WarpState::Waiting,
-            other => WarpState::Busy(Cycle(
-                other
-                    .as_u64()
-                    .ok_or_else(|| SnapshotError::malformed("warp state"))?,
-            )),
-        };
-        let pending = json::arr_field(v, "pending")?
-            .iter()
-            .map(|a| a.as_u64().map(Address))
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| SnapshotError::malformed("warp pending address"))?;
-        Ok(WarpSlot {
-            cta: CtaId(json::u32_field(v, "cta")?),
-            trace_idx: json::usize_field(v, "trace_idx")?,
-            launch_seq: json::u64_field(v, "launch_seq")?,
-            next: json::usize_field(v, "next")?,
-            state,
-            pending,
-            cur_pc: Pc(json::u32_field(v, "cur_pc")?),
-            cur_is_load: json::bool_field(v, "cur_is_load")?,
-            cur_coalesced: json::bool_field(v, "cur_coalesced")?,
-            outstanding: json::u32_field(v, "outstanding")?,
-            busy_mem: json::bool_field(v, "busy_mem")?,
-        })
-    }
 }
+
+crate::state_struct!(WarpSlot {
+    cta,
+    trace_idx,
+    launch_seq,
+    next,
+    state,
+    pending,
+    cur_pc,
+    cur_is_load,
+    cur_coalesced,
+    outstanding,
+    busy_mem,
+});
 
 #[cfg(test)]
 mod tests {

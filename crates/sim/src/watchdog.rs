@@ -13,8 +13,6 @@
 //! [`DeadlockReport`]: who is blocked, on what, and where every
 //! in-flight request was parked.
 
-use crate::json::{self, Value};
-use crate::snapshot::SnapshotError;
 use crate::types::{CtaId, Cycle, SmId};
 
 pub use crate::mem::partition::PartitionCensus;
@@ -60,28 +58,11 @@ impl Watchdog {
     pub fn stalled_for(&self, now: Cycle) -> u64 {
         now.since(self.last_progress)
     }
-
-    /// Serializes the progress counter for a checkpoint (the
-    /// threshold is config-derived and not captured).
-    pub fn save_state(&self) -> Value {
-        Value::Obj(vec![(
-            "last_progress".into(),
-            Value::u64(self.last_progress.0),
-        )])
-    }
-
-    /// Restores the progress counter from [`save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on a missing or mistyped field.
-    ///
-    /// [`save_state`]: Watchdog::save_state
-    pub fn restore_state(&mut self, v: &Value) -> Result<(), SnapshotError> {
-        self.last_progress = Cycle(json::u64_field(v, "last_progress")?);
-        Ok(())
-    }
 }
+
+// The progress counter; the threshold is config-derived.
+crate::restore_fields!(Watchdog { last_progress });
+crate::snapshot::restore_in_place!(Option<Watchdog>);
 
 /// Why one resident warp cannot proceed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -98,6 +98,7 @@ fn profile_call_counts_are_deterministic() {
 /// The baseline mechanism, except that every demand access it observes
 /// burns 20 µs of host time: a stand-in for an expensive prefetcher.
 struct SlowPrefetcher;
+snake_sim::stateless!(SlowPrefetcher);
 
 impl Prefetcher for SlowPrefetcher {
     fn name(&self) -> &str {

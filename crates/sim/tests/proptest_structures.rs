@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use snake_sim::cache::mshr::{MergeResult, MissOrigin, MshrFile};
 use snake_sim::cache::tag_array::{LineState, Side, TagArray};
 use snake_sim::mem::interconnect::{Interconnect, UpPacket};
+use snake_sim::snapshot::Restore;
 use snake_sim::{Cycle, LineAddr, SmId, WarpId};
 
 #[derive(Debug, Clone)]

@@ -59,6 +59,7 @@ fn divergent_loads_fetch_every_transaction() {
 struct SpyPrefetcher {
     events: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
+snake_sim::stateless!(SpyPrefetcher);
 
 impl Prefetcher for SpyPrefetcher {
     fn name(&self) -> &str {
@@ -104,6 +105,7 @@ struct OneShot {
     target: u64,
     done: bool,
 }
+snake_sim::stateless!(OneShot);
 
 impl Prefetcher for OneShot {
     fn name(&self) -> &str {

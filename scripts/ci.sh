@@ -145,32 +145,38 @@ echo "==> kill-anywhere smoke (checkpoint mid-run, restore, byte-identical outco
 # The early legs kill before the first warp retires (LIB/snake's first
 # retirement is at cycle 9,100 of 42,276, MRQ/snake's at 3,395); the
 # lib-late leg kills after it, so its restore rebuilds slots whose
-# traces are exhausted and slots relaunched by later CTAs.
+# traces are exhausted and slots relaunched by later CTAs. The lps-cta
+# and lps-iso legs run LPS under CTA-aware and Isolated-Snake, so a
+# restore also goes through a baseline's hashed table and the isolated
+# side buffer; a leg's name carries its mechanism.
 # The kill cycles are derived from the PID and echoed so a failure is
 # reproducible; a mismatched restore must use the distinct exit code 6.
 KILL_CYCLE=$((500 + $$ % 2000))
 LATE_KILL_CYCLE=$((9100 + $$ % 30000))
 echo "    kill cycle: $KILL_CYCLE (reproduce with --checkpoint-at $KILL_CYCLE)"
 echo "    late kill cycle (lib-late): $LATE_KILL_CYCLE (reproduce with --checkpoint-at $LATE_KILL_CYCLE)"
-for LEG in lib mrq lib-w500 lib-late; do
+for LEG in lib mrq lib-w500 lib-late lps-cta lps-iso; do
     APP=${LEG%%-*}
+    MECH=snake
     LEG_FLAGS=()
     LEG_KILL=$KILL_CYCLE
     case "$LEG" in
         lib-w500) LEG_FLAGS=(--window 500) ;;
         lib-late) LEG_KILL=$LATE_KILL_CYCLE ;;
+        lps-cta) MECH=cta-aware ;;
+        lps-iso) MECH=isolated-snake ;;
     esac
-    ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" \
+    ./target/release/pfdebug "$APP" "$MECH" "${LEG_FLAGS[@]}" \
         --outcome-out "$SWEEP_DIR/$LEG-uninterrupted.outcome"
-    ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --checkpoint-at "$LEG_KILL" \
+    ./target/release/pfdebug "$APP" "$MECH" "${LEG_FLAGS[@]}" --checkpoint-at "$LEG_KILL" \
         --checkpoint-out "$SWEEP_DIR/$LEG-kill.ckpt" --outcome-out /dev/null
-    ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --restore "$SWEEP_DIR/$LEG-kill.ckpt" \
+    ./target/release/pfdebug "$APP" "$MECH" "${LEG_FLAGS[@]}" --restore "$SWEEP_DIR/$LEG-kill.ckpt" \
         --outcome-out "$SWEEP_DIR/$LEG-restored.outcome"
     if ! cmp -s "$SWEEP_DIR/$LEG-uninterrupted.outcome" "$SWEEP_DIR/$LEG-restored.outcome"; then
         echo "kill-anywhere smoke: $LEG restored outcome differs from the uninterrupted run" >&2
-        ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" --checkpoint-at $((LEG_KILL + 32)) \
+        ./target/release/pfdebug "$APP" "$MECH" "${LEG_FLAGS[@]}" --checkpoint-at $((LEG_KILL + 32)) \
             --checkpoint-out "$SWEEP_DIR/$LEG-kill2.ckpt" --outcome-out /dev/null
-        ./target/release/pfdebug "$APP" snake "${LEG_FLAGS[@]}" \
+        ./target/release/pfdebug "$APP" "$MECH" "${LEG_FLAGS[@]}" \
             --diverge "$SWEEP_DIR/$LEG-kill.ckpt" "$SWEEP_DIR/$LEG-kill2.ckpt" >&2 || true
         exit 1
     fi

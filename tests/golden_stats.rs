@@ -12,21 +12,30 @@
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test --test golden_stats`
 //! only when a change is *meant* to alter simulated behaviour.
 //!
-//! `tests/golden/checkpoint_digest.txt` pins the bytes of one
-//! `Gpu::checkpoint()` taken mid-run with windowed metrics on, so a
-//! change that reorders a component's state, or the columns of the
-//! metrics-sample rows, shows even when save and restore agree.
-//!
 //! Every row runs twice: suspended after every cycle, which steps each
 //! cycle, and through plain `Gpu::run`, which skips device-quiet
 //! stretches in bulk. Both must give the pinned digest. The Snake rows
 //! of the matrix (every app under GTO and LRR) run a third time,
 //! through `Gpu::run` with the host profiler on, which hands itself to
 //! the steps it samples: that run must give the pinned digest too.
+//!
+//! `tests/golden/checkpoint_digest.txt` pins the FNV-1a digest of
+//! `Gpu::checkpoint()` documents taken mid-run: every mechanism of
+//! `PrefetcherKind::all()` plus Isolated-Snake on LPS, LIB and MUM,
+//! once at cycle 1000 with a 128-cycle metrics window and once at
+//! cycle 3000 under injected faults with timeout recovery, and LPS
+//! under Snake with CTAs queued on every SM. A change to any
+//! component's state layout, a row's cells or a key's name shows
+//! there even when save and restore agree with each other, and the
+//! test requires the matrix to reach every row shape, an isolated
+//! buffer and a re-issued MSHR entry, so no layout goes unpinned.
+//! Regenerate it the same way, and only for an intended format change
+//! (which also bumps `SNAPSHOT_SCHEMA_VERSION`).
 
 use snake_repro::prelude::*;
+use snake_repro::sim::json::Value;
 use snake_repro::sim::snapshot::fnv1a64;
-use snake_repro::sim::SchedulerPolicy;
+use snake_repro::sim::{Brownout, FaultPlan, Recovery, SchedulerPolicy};
 
 /// The integration suite's small size: 4 CTAs of 4 warps, 24 iterations.
 fn small() -> WorkloadSize {
@@ -174,32 +183,160 @@ fn stats_digests_match_golden_file() {
     );
 }
 
-/// LIB under Snake with a 128-cycle metrics window, suspended at cycle
-/// 1000: the checkpoint carries seven metrics-sample rows beside every
-/// component's state.
-fn checkpoint_digest() -> String {
-    let mut cfg = GpuConfig::scaled(2);
-    cfg.metrics_window = Some(128);
-    let kind = PrefetcherKind::Snake;
+/// The values at `path` in a state document, where `*` steps into
+/// every element of an array.
+fn at<'a>(v: &'a Value, path: &str) -> Vec<&'a Value> {
+    let mut found = vec![v];
+    for seg in path.split('/') {
+        found = found
+            .into_iter()
+            .flat_map(|v| match seg {
+                "*" => v.as_arr().map_or(Vec::new(), |a| a.iter().collect()),
+                key => v.get(key).into_iter().collect(),
+            })
+            .collect();
+    }
+    found
+}
+
+/// Rows of every array at `path`.
+fn rows(v: &Value, path: &str) -> usize {
+    at(v, path)
+        .iter()
+        .filter_map(|a| a.as_arr())
+        .map(<[_]>::len)
+        .sum()
+}
+
+/// The row shapes a checkpoint can hold, by state path: the matrix
+/// must reach each of them at least once, so a codec edit that changes
+/// one of their encodings changes a pinned digest. The DRAM queue is
+/// left out: it holds the same `[sm, line]` rows as `incoming`, and
+/// DRAM bandwidth keeps it empty at every cut of the matrix.
+const SHAPES: [&str; 19] = [
+    "metrics/samples",
+    "noc/up/in_flight",
+    "noc/down/in_flight",
+    "partition/incoming",
+    "partition/hit_pipe",
+    "partition/dram_pipe",
+    "partition/dram_merges",
+    "partition/outbox",
+    "partition/delayed",
+    "sms/*/cta_queue",
+    "sms/*/l1/miss_queue",
+    "sms/*/l1/mshr/entries",
+    "sms/*/prefetcher/table",
+    "sms/*/prefetcher/intra/table",
+    "sms/*/prefetcher/inter/table",
+    "sms/*/prefetcher/second/table",
+    "sms/*/prefetcher/chunks",
+    "sms/*/prefetcher/tail/entries",
+    "sms/*/prefetcher/first/tail/entries",
+];
+
+/// Suspends `app` under `kind` at cycle `at` and returns its digest
+/// line plus the checkpoint's state document.
+fn checkpoint_row(
+    name: &str,
+    cfg: GpuConfig,
+    app: Benchmark,
+    size: &WorkloadSize,
+    kind: PrefetcherKind,
+    at: u64,
+) -> (String, Value) {
     let warps = cfg.max_warps_per_sm;
-    let mut gpu =
-        Gpu::new(cfg, Benchmark::Lib.build(&small()), |_| kind.build(warps)).expect("valid config");
+    let mut gpu = Gpu::new(cfg, app.build(size), |_| kind.build(warps)).expect("valid config");
     assert!(
-        gpu.run_interruptible(|c| c.0 >= 1000).is_none(),
-        "LIB runs past cycle 1000"
+        gpu.run_interruptible(|c| c.0 >= at).is_none(),
+        "{name}: runs past cycle {at}"
     );
-    let state = gpu.checkpoint().to_json();
-    let samples = state
-        .get("state")
-        .and_then(|s| s.get("metrics"))
-        .and_then(|m| m.get("samples"))
-        .and_then(|s| s.as_arr());
-    assert_eq!(samples.map(<[_]>::len), Some(7), "seven sample rows");
-    let text = state.to_string();
-    format!(
-        "LIB/snake/window128@1000 {:016x}\n",
-        fnv1a64(text.as_bytes())
-    )
+    let doc = gpu.checkpoint().to_json();
+    let line = format!("{name} {:016x}\n", fnv1a64(doc.to_string().as_bytes()));
+    let state = doc.get("state").expect("checkpoint state").clone();
+    (line, state)
+}
+
+/// Every mechanism of `PrefetcherKind::all()` plus Isolated-Snake on
+/// LPS, LIB and MUM, each suspended once at cycle 1000 with a
+/// 128-cycle metrics window and once at cycle 3000 under a fault plan
+/// (drops, duplicates, delays, brownouts and timeout recovery), plus
+/// LPS/Snake at 16 CTAs, so each SM holds queued CTAs. Asserts that
+/// the matrix reaches every row shape of [`SHAPES`], an isolated side
+/// buffer and an MSHR entry that timeout recovery re-issued.
+fn checkpoint_digest() -> String {
+    let mut windowed = GpuConfig::scaled(2);
+    windowed.metrics_window = Some(128);
+    let mut faulty = GpuConfig::scaled(2);
+    faulty.fault = FaultPlan {
+        seed: 7,
+        drop_response: 0.02,
+        duplicate_response: 0.05,
+        delay_response: 0.10,
+        delay_cycles: 40,
+        brownout: Some(Brownout {
+            period: 500,
+            active: 100,
+            scale: 0.5,
+        }),
+        recovery: Some(Recovery {
+            timeout: 2_000,
+            max_retries: 3,
+        }),
+    };
+    let kinds = PrefetcherKind::all()
+        .iter()
+        .copied()
+        .chain([PrefetcherKind::IsolatedSnake]);
+    let mut text = String::new();
+    let mut states = Vec::new();
+    for app in [Benchmark::Lps, Benchmark::Lib, Benchmark::Mum] {
+        for kind in kinds.clone() {
+            for (cfg, label, at) in [(&windowed, "window128", 1000), (&faulty, "faults", 3000)] {
+                let name = format!("{app}/{kind}/{label}@{at}");
+                let (line, state) = checkpoint_row(&name, cfg.clone(), app, &small(), kind, at);
+                if name == "LIB/snake/window128@1000" {
+                    assert_eq!(rows(&state, "metrics/samples"), 7, "{name}: seven samples");
+                }
+                text.push_str(&line);
+                states.push(state);
+            }
+        }
+    }
+    let queued = WorkloadSize {
+        ctas: 16,
+        ..small()
+    };
+    let (line, state) = checkpoint_row(
+        "LPS/snake/ctas16@1000",
+        windowed,
+        Benchmark::Lps,
+        &queued,
+        PrefetcherKind::Snake,
+        1000,
+    );
+    text.push_str(&line);
+    assert_eq!(rows(&state, "sms/*/cta_queue"), 8, "4 queued CTAs per SM");
+    states.push(state);
+
+    let empty: Vec<&str> = SHAPES
+        .into_iter()
+        .filter(|shape| states.iter().all(|s| rows(s, shape) == 0))
+        .collect();
+    assert!(empty.is_empty(), "no checkpoint holds a row of {empty:?}");
+    let isolated = states
+        .iter()
+        .flat_map(|s| at(s, "sms/*/l1/isolated"))
+        .filter(|iso| rows(iso, "lines") > 0)
+        .count();
+    assert!(isolated > 0, "no checkpoint holds an isolated buffer");
+    let retried = states
+        .iter()
+        .flat_map(|s| at(s, "sms/*/l1/mshr/entries/*/retries"))
+        .filter(|r| r.as_u64().is_some_and(|r| r > 0))
+        .count();
+    assert!(retried > 0, "no checkpoint holds a re-issued MSHR entry");
+    text
 }
 
 #[test]
@@ -214,5 +351,17 @@ fn checkpoint_digest_matches_golden_file() {
     }
     let golden = std::fs::read_to_string(path)
         .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
-    assert_eq!(text, golden, "checkpoint bytes changed");
+    let changed: Vec<String> = golden
+        .lines()
+        .zip(text.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("want {want}\n   got {got}"))
+        .collect();
+    assert!(
+        changed.is_empty() && golden == text,
+        "checkpoint bytes changed ({} of {} rows differ):\n{}",
+        changed.len(),
+        golden.lines().count(),
+        changed.join("\n")
+    );
 }

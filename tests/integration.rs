@@ -2,7 +2,8 @@
 //! → metrics, exercising the full reproduction pipeline.
 
 use snake_repro::prelude::*;
-use snake_repro::sim::StopReason;
+use snake_repro::sim::json::Value;
+use snake_repro::sim::{Checkpoint, StopReason};
 
 fn small() -> WorkloadSize {
     WorkloadSize {
@@ -169,4 +170,101 @@ fn volta_config_also_runs() {
     })
     .expect("volta config valid");
     assert_eq!(out.stop, StopReason::Completed);
+}
+
+/// The state value at `/`-joined `path` (object keys and array
+/// indices).
+fn state_at<'a>(v: &'a mut Value, path: &str) -> &'a mut Value {
+    path.split('/').fold(v, |v, step| match v {
+        Value::Obj(fields) => {
+            let at = fields.iter().position(|(k, _)| k == step);
+            &mut fields[at.unwrap_or_else(|| panic!("no field {step}"))].1
+        }
+        Value::Arr(items) => &mut items[step.parse::<usize>().expect("an index")],
+        _ => panic!("{step} is inside a scalar"),
+    })
+}
+
+/// LIB under `kind` on two SMs, suspended at cycle 1000.
+fn lib_at_1000(cfg: GpuConfig, kind: PrefetcherKind) -> Gpu {
+    let warps = cfg.max_warps_per_sm;
+    let mut gpu =
+        Gpu::new(cfg, Benchmark::Lib.build(&small()), |_| kind.build(warps)).expect("valid config");
+    assert!(gpu.run_interruptible(|c| c.0 >= 1000).is_none());
+    gpu
+}
+
+/// A state corrupted deep inside one component fails to restore with
+/// that field's path. The checkpoint is built directly, so its
+/// checksum does not catch the corruption first.
+#[test]
+fn restore_names_the_path_of_a_corrupt_field() {
+    let cfg = GpuConfig::scaled(2);
+    let gpu = lib_at_1000(cfg.clone(), PrefetcherKind::Snake);
+    let mut state = gpu.checkpoint().state;
+    let origin = state_at(&mut state, "sms/1/l1/mshr/entries/3/origin");
+    assert!(origin.as_u64().is_some_and(|code| code < 2));
+    *origin = Value::u64(2);
+    let corrupt = Checkpoint {
+        fingerprint: gpu.fingerprint(),
+        state,
+    };
+    let mut fresh = Gpu::new(cfg, Benchmark::Lib.build(&small()), |_| {
+        PrefetcherKind::Snake.build(16)
+    })
+    .expect("valid config");
+    let err = fresh.restore(&corrupt).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "malformed checkpoint: sms/1/l1/mshr/entries/3/origin: bad MissOrigin code"
+    );
+}
+
+/// A state restores only onto a device whose configuration holds the
+/// same components: an optional one (watchdog, metrics collector,
+/// isolated prefetch buffer) present exactly when it is, and as many
+/// SMs.
+#[test]
+fn restore_rejects_components_the_configuration_lacks() {
+    let rejection = |from: &Gpu, onto: &mut Gpu| {
+        let ckpt = Checkpoint {
+            fingerprint: onto.fingerprint(),
+            state: from.checkpoint().state,
+        };
+        onto.restore(&ckpt).unwrap_err().to_string()
+    };
+    let snake = PrefetcherKind::Snake;
+    let plain = lib_at_1000(GpuConfig::scaled(2), snake);
+    let mut unwatched = GpuConfig::scaled(2);
+    unwatched.watchdog_cycles = None;
+    assert_eq!(
+        rejection(&plain, &mut lib_at_1000(unwatched, snake)),
+        "malformed checkpoint: watchdog: present in the checkpoint, \
+         absent from this configuration"
+    );
+    let mut sampled = GpuConfig::scaled(2);
+    sampled.metrics_window = Some(128);
+    assert_eq!(
+        rejection(&plain, &mut lib_at_1000(sampled, snake)),
+        "malformed checkpoint: metrics: absent from the checkpoint, \
+         present in this configuration"
+    );
+    let isolated = lib_at_1000(GpuConfig::scaled(2), PrefetcherKind::IsolatedSnake);
+    assert_eq!(
+        rejection(
+            &plain,
+            &mut lib_at_1000(GpuConfig::scaled(2), PrefetcherKind::IsolatedSnake)
+        ),
+        "malformed checkpoint: sms/0/l1/isolated: absent from the checkpoint, \
+         present in this configuration"
+    );
+    assert_eq!(
+        rejection(&isolated, &mut lib_at_1000(GpuConfig::scaled(2), snake)),
+        "malformed checkpoint: sms/0/l1/isolated: present in the checkpoint, \
+         absent from this configuration"
+    );
+    assert_eq!(
+        rejection(&plain, &mut lib_at_1000(GpuConfig::scaled(4), snake)),
+        "malformed checkpoint: sms: checkpoint has 2 entries, this configuration has 4"
+    );
 }
