@@ -131,8 +131,7 @@ impl Harness {
     ///
     /// Returns [`SimError`] when the harness configuration is invalid.
     pub fn run(&self, bench: Benchmark, kind: PrefetcherKind) -> Result<MechanismReport, SimError> {
-        let kernel = bench.build(&self.size);
-        self.run_kernel(&kernel, kind)
+        Ok(self.run_job(bench, kind)?.report)
     }
 
     /// Runs one benchmark under one mechanism, keeping the stop reason
@@ -143,12 +142,7 @@ impl Harness {
     /// Returns [`SimError`] when the harness configuration is invalid.
     pub fn run_job(&self, bench: Benchmark, kind: PrefetcherKind) -> Result<RunOutput, SimError> {
         let kernel = bench.build(&self.size);
-        self.finish(
-            &kernel,
-            kind.name(),
-            kind.has_hardware(),
-            self.factory(kind),
-        )
+        self.finish(kernel, kind.name(), kind.has_hardware(), self.factory(kind))
     }
 
     /// Runs one job under the run control in `ctx` — the entry point
@@ -193,7 +187,7 @@ impl Harness {
         let kernel = bench.build(&self.size);
         let mk = self.factory(kind);
         self.run_ctx(
-            &kernel,
+            kernel,
             kind.name(),
             kind.has_hardware(),
             mk,
@@ -212,7 +206,12 @@ impl Harness {
         kernel: &KernelTrace,
         kind: PrefetcherKind,
     ) -> Result<MechanismReport, SimError> {
-        let out = self.finish(kernel, kind.name(), kind.has_hardware(), self.factory(kind))?;
+        let out = self.finish(
+            kernel.clone(),
+            kind.name(),
+            kind.has_hardware(),
+            self.factory(kind),
+        )?;
         Ok(out.report)
     }
 
@@ -228,7 +227,7 @@ impl Harness {
         name: &str,
         mk: impl FnMut(SmId) -> Box<dyn Prefetcher>,
     ) -> Result<MechanismReport, SimError> {
-        Ok(self.finish(kernel, name, true, mk)?.report)
+        Ok(self.finish(kernel.clone(), name, true, mk)?.report)
     }
 
     /// Per-SM prefetcher factory for a registry mechanism.
@@ -240,7 +239,7 @@ impl Harness {
     /// Runs `kernel` to its stop reason with no run control.
     fn finish(
         &self,
-        kernel: &KernelTrace,
+        kernel: KernelTrace,
         name: &str,
         hardware: bool,
         mk: impl FnMut(SmId) -> Box<dyn Prefetcher>,
@@ -257,7 +256,7 @@ impl Harness {
     /// [`Gpu`]. `name` and `hardware` label the report row.
     fn run_ctx(
         &self,
-        kernel: &KernelTrace,
+        kernel: KernelTrace,
         name: &str,
         hardware: bool,
         mk: impl FnMut(SmId) -> Box<dyn Prefetcher>,
@@ -268,7 +267,7 @@ impl Harness {
         if cancelled() {
             return Ok(JobRun::Cancelled);
         }
-        let mut gpu = Gpu::new(self.cfg.clone(), kernel.clone(), mk)?;
+        let mut gpu = Gpu::new(self.cfg.clone(), kernel, mk)?;
         if let Some(ring) = ctx.ring {
             gpu.attach_telemetry(ring, ctx.include_events);
         }
@@ -297,7 +296,7 @@ impl Harness {
         if let Some(outcome) = outcome {
             let report = MechanismReport::from_outcome(
                 name,
-                kernel.name(),
+                gpu.kernel().name(),
                 &outcome,
                 &self.cfg,
                 &self.energy,

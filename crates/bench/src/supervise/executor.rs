@@ -431,32 +431,15 @@ fn run_sandbox(
 
     let child = Mutex::new(child);
     let done = AtomicBool::new(false);
-    let lease_killed = AtomicBool::new(false);
-    let cancelled = AtomicBool::new(false);
 
     let mut terminal: Option<ChildLine> = None;
     let mut garbage: Option<String> = None;
-    let (status, child_stderr) = std::thread::scope(|s| {
+    let (status, child_stderr, watched) = std::thread::scope(|s| {
         let stderr_tail = s.spawn(move || read_bounded_tail(stderr, 8192));
-        s.spawn(|| {
-            // Lease / cancellation monitor: the only thing that can
-            // stop a wedged child is SIGKILL from out here.
-            loop {
-                if done.load(Ordering::Relaxed) {
-                    return;
-                }
-                if ctx.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                    cancelled.store(true, Ordering::Relaxed);
-                    kill_child(&child);
-                    return;
-                }
-                if ctx.deadline.is_some_and(|t| Instant::now() >= t) {
-                    lease_killed.store(true, Ordering::Relaxed);
-                    kill_child(&child);
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
+        let monitor = s.spawn(|| {
+            watch_child(&done, ctx.cancel, ctx.deadline, MONITOR_POLL, || {
+                kill_child(&child)
+            })
         });
         for line in BufReader::new(stdout).lines() {
             let Ok(line) = line else { break };
@@ -482,13 +465,15 @@ fn run_sandbox(
             }
         }
         done.store(true, Ordering::Relaxed);
+        monitor.thread().unpark();
         let status = child
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .wait()
             .expect("child was spawned, wait cannot fail");
         let tail = stderr_tail.join().unwrap_or_default();
-        (status, tail)
+        let watched = monitor.join().expect("the monitor does not panic");
+        (status, tail, watched)
     });
 
     Ok(resolve_child(
@@ -498,15 +483,56 @@ fn run_sandbox(
         garbage,
         &status,
         &child_stderr,
-        lease_killed.load(Ordering::Relaxed),
-        cancelled.load(Ordering::Relaxed),
+        watched,
     ))
 }
 
+/// How often the sandbox monitor checks cancellation and the lease.
+const MONITOR_POLL: Duration = Duration::from_millis(10);
+
+/// How [`watch_child`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Watched {
+    /// The child's output ended first.
+    Done,
+    /// The job was cancelled and the child killed.
+    Cancelled,
+    /// The lease ran out and the child was killed.
+    LeaseExpired,
+}
+
+/// The lease / cancellation monitor of one sandboxed child: the only
+/// thing that can stop a wedged child is SIGKILL from out here. Every
+/// `poll` it checks `cancel` and `deadline` and calls `kill` on either.
+/// It parks between checks, and whoever sets `done` unparks it, so it
+/// returns as soon as the child's output ends instead of at its next
+/// check: a job never waits out a poll interval.
+fn watch_child(
+    done: &AtomicBool,
+    cancel: Option<&AtomicBool>,
+    deadline: Option<Instant>,
+    poll: Duration,
+    kill: impl FnOnce(),
+) -> Watched {
+    loop {
+        if done.load(Ordering::Relaxed) {
+            return Watched::Done;
+        }
+        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+            kill();
+            return Watched::Cancelled;
+        }
+        if deadline.is_some_and(|t| Instant::now() >= t) {
+            kill();
+            return Watched::LeaseExpired;
+        }
+        std::thread::park_timeout(poll);
+    }
+}
+
 /// Turns what the child left behind — terminal line, wait status,
-/// stderr, kill flags — into the job's fate. Pure decision logic, kept
-/// apart from the plumbing above.
-#[allow(clippy::too_many_arguments)]
+/// stderr, how the monitor ended — into the job's fate. Pure decision
+/// logic, kept apart from the plumbing above.
 fn resolve_child(
     job: &JobSpec,
     ctx: &ExecContext<'_>,
@@ -514,10 +540,9 @@ fn resolve_child(
     garbage: Option<String>,
     status: &ExitStatus,
     stderr: &str,
-    lease_killed: bool,
-    cancelled: bool,
+    watched: Watched,
 ) -> Result<JobRun, ExecError> {
-    if cancelled {
+    if watched == Watched::Cancelled {
         return Ok(JobRun::Cancelled);
     }
     if garbage.is_none() && status.success() {
@@ -535,7 +560,7 @@ fn resolve_child(
     }
     let kind = match &garbage {
         Some(_) => CrashKind::ProtocolError,
-        None => decode_exit(status, stderr, lease_killed),
+        None => decode_exit(status, stderr, watched == Watched::LeaseExpired),
     };
     // A lease or CPU-limit kill with a durable checkpoint is not a
     // failure: the job suspends exactly like a deadline-suspended one
@@ -1185,7 +1210,9 @@ pub fn run_worker() -> i32 {
             if d.done {
                 return;
             }
-            std::thread::sleep(Duration::from_millis(20));
+            // Unparked when the ring closes, so the terminal line
+            // does not wait out the interval.
+            std::thread::park_timeout(Duration::from_millis(20));
         })
     });
 
@@ -1203,6 +1230,7 @@ pub fn run_worker() -> i32 {
         });
     ring.close();
     if let Some(handle) = drain {
+        handle.thread().unpark();
         let _ = handle.join();
     }
     let line = match result {
@@ -1566,6 +1594,36 @@ mod tests {
             assert_eq!(value.to_string(), line);
             assert!(parse_child_line(line).is_ok(), "{line}");
         }
+    }
+
+    #[test]
+    fn the_monitor_wakes_when_the_child_is_done() {
+        let (done, cancel) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (minute, hour) = (Duration::from_secs(60), Duration::from_secs(3600));
+        let start = Instant::now();
+        let watched = std::thread::scope(|s| {
+            let monitor = s.spawn(|| watch_child(&done, Some(&cancel), None, minute, || {}));
+            // Most likely the monitor is waiting by now; if it is not,
+            // it sees `done` on its first check, and either way it
+            // must not wait out its minute.
+            std::thread::sleep(Duration::from_millis(20));
+            done.store(true, Ordering::Relaxed);
+            monitor.thread().unpark();
+            monitor.join().unwrap()
+        });
+        assert_eq!(watched, Watched::Done);
+        let waited = start.elapsed();
+        assert!(waited < Duration::from_secs(5), "returned after {waited:?}");
+
+        // Cancellation and an expired lease each kill the child.
+        let done = AtomicBool::new(false);
+        cancel.store(true, Ordering::Relaxed);
+        let mut kills = 0;
+        let watched = watch_child(&done, Some(&cancel), None, hour, || kills += 1);
+        assert_eq!((watched, kills), (Watched::Cancelled, 1));
+        let past = Some(Instant::now());
+        let watched = watch_child(&done, None, past, hour, || kills += 1);
+        assert_eq!((watched, kills), (Watched::LeaseExpired, 2));
     }
 
     #[test]

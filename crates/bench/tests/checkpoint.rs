@@ -43,8 +43,8 @@ fn kill_anywhere_restore_is_byte_identical() {
 
                 // Round-trip the checkpoint through its text encoding,
                 // as a crash + reload would.
-                let text = victim.checkpoint().to_json().to_string();
-                let ckpt = Checkpoint::from_json(&json::parse(&text).unwrap()).unwrap();
+                let text = victim.checkpoint().to_text();
+                let ckpt = Checkpoint::from_doc(json::parse(&text).unwrap()).unwrap();
 
                 let mut resumed = gpu(&h, bench, kind);
                 resumed.restore(&ckpt).unwrap();

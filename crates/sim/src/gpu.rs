@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 
 use crate::audit::{self, Auditor};
 use crate::config::{ConfigError, GpuConfig};
-use crate::kernel::KernelTrace;
+use crate::kernel::{Instr, KernelTrace};
 use crate::mem::interconnect::{Interconnect, UpPacket, READ_REQUEST_BYTES};
 use crate::mem::partition::MemoryPartition;
 use crate::obs::ring::{RingSink, TelemetryRecord, TelemetryRing};
@@ -306,6 +306,11 @@ impl Gpu {
     /// The configuration the device was built with.
     pub fn config(&self) -> &GpuConfig {
         &self.cfg
+    }
+
+    /// The kernel the device runs.
+    pub fn kernel(&self) -> &KernelTrace {
+        &self.kernel
     }
 
     /// Current cycle.
@@ -900,15 +905,30 @@ impl Gpu {
     /// with equal fingerprints step identically, so state captured on
     /// one restores exactly onto the other.
     ///
-    /// The value is the FNV-1a hash of `"{cfg:?}|{kernel:?}"` followed
-    /// by `"|<name>"` per SM, streamed rather than built as a string.
+    /// The value is one [`Fnv1a64`] stream over the text
+    /// `"{cfg:?}|"`, then the kernel by its 64-bit words, then
+    /// `"|<name>"` per SM. The kernel's words are its name (length,
+    /// then bytes), its warp count, and per warp its CTA, its
+    /// instruction count and each instruction as a tag (0 compute,
+    /// 1 load, 2 store) followed by its cycles, or by its PC, address
+    /// count and every address. Each word is one [`Fnv1a64::word`]
+    /// step, so the kernel costs one pass over its trace, where
+    /// formatting it would make about a megabyte of `Debug` text at
+    /// standard size. The encoding is written out here rather than
+    /// left to `derive(Hash)`, so the value cannot move with the
+    /// toolchain. Computed on first use and cached: only checkpointing
+    /// pays.
+    ///
+    /// [`Fnv1a64`]: snapshot::Fnv1a64
+    /// [`Fnv1a64::word`]: snapshot::Fnv1a64::word
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
             let mut cfg = self.cfg.clone();
             cfg.checkpoint_every = None;
             cfg.host_profile = false;
             let mut hash = snapshot::Fnv1a64::default();
-            write!(hash, "{cfg:?}|{:?}", self.kernel).expect("hashing cannot fail");
+            write!(hash, "{cfg:?}|").expect("hashing cannot fail");
+            hash_kernel(&mut hash, &self.kernel);
             for sm in &self.sms {
                 write!(hash, "|{}", sm.prefetcher_name()).expect("hashing cannot fail");
             }
@@ -994,6 +1014,35 @@ crate::restore_fields!(fn Gpu {
     metrics,
 } then rebuild_sms);
 
+/// Folds `kernel` into `hash` by the words [`Gpu::fingerprint`] lists.
+/// Each variable-length part carries its length, so two kernels that
+/// differ always feed the hash different sequences.
+fn hash_kernel(hash: &mut snapshot::Fnv1a64, kernel: &KernelTrace) {
+    hash.word(kernel.name().len() as u64);
+    hash.write_str(kernel.name()).expect("hashing cannot fail");
+    hash.word(kernel.warp_count() as u64);
+    for warp in kernel.warps() {
+        hash.word(u64::from(warp.cta.0));
+        hash.word(warp.instrs.len() as u64);
+        for instr in &warp.instrs {
+            match instr {
+                Instr::Compute { cycles } => {
+                    hash.word(0);
+                    hash.word(u64::from(*cycles));
+                }
+                Instr::Load { pc, addrs } | Instr::Store { pc, addrs } => {
+                    hash.word(if instr.is_load() { 1 } else { 2 });
+                    hash.word(u64::from(pc.0));
+                    hash.word(addrs.len() as u64);
+                    for addr in addrs.iter() {
+                        hash.word(addr.0);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The cycle whose step closes the first `every`-cycle window ending
 /// after `now` (the step of cycle `c` ends with the cycle count at
 /// `c + 1`); never for `every == 0`, which no cycle count after a step
@@ -1066,9 +1115,9 @@ pub fn run_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Instr, WarpTrace};
+    use crate::kernel::{AddrList, WarpTrace};
     use crate::prefetch::NullPrefetcher;
-    use crate::types::CtaId;
+    use crate::types::{Address, CtaId, Pc};
 
     fn simple_kernel(warps: usize, loads_per_warp: usize) -> KernelTrace {
         let traces = (0..warps)
@@ -1086,21 +1135,114 @@ mod tests {
         run_kernel(GpuConfig::scaled(1), kernel, |_| Box::new(NullPrefetcher)).unwrap()
     }
 
-    #[test]
-    fn streamed_fingerprint_hashes_the_formatted_text() {
-        let mut cfg = GpuConfig::scaled(1);
-        cfg.checkpoint_every = Some(100);
-        let kernel = simple_kernel(8, 3);
-        let gpu = Gpu::new(cfg.clone(), kernel.clone(), |_| Box::new(NullPrefetcher)).unwrap();
-        // The reference: the whole text, formatted, then hashed.
-        cfg.checkpoint_every = None;
-        let mut text = format!("{cfg:?}|{kernel:?}");
-        for sm in gpu.sms() {
-            text.push('|');
-            text.push_str(sm.prefetcher_name());
+    /// The baseline under another name: what a device with a
+    /// different mechanism on one SM looks like to the fingerprint.
+    struct Renamed;
+    crate::stateless!(Renamed);
+
+    impl Prefetcher for Renamed {
+        fn name(&self) -> &str {
+            "renamed"
         }
-        assert_eq!(gpu.fingerprint(), snapshot::fnv1a64(text.as_bytes()));
-        assert_eq!(gpu.fingerprint(), gpu.fingerprint(), "cached value");
+
+        fn on_demand_access(
+            &mut self,
+            _event: &crate::prefetch::AccessEvent,
+            _ctx: &crate::prefetch::PrefetchContext,
+            _out: &mut Vec<crate::prefetch::PrefetchRequest>,
+        ) {
+        }
+    }
+
+    /// Three warps (two in CTA 0), each a compute, a load, a divergent
+    /// load and a store.
+    fn mixed_warps() -> Vec<WarpTrace> {
+        let warp = |cta, base: u64| {
+            let divergent = AddrList::from_vec(vec![Address(base + 128), Address(base + 4096)]);
+            let instrs = vec![
+                Instr::compute(3),
+                Instr::load(4u32, base),
+                Instr::Load {
+                    pc: Pc(8),
+                    addrs: divergent,
+                },
+                Instr::store(12u32, base + 256),
+            ];
+            WarpTrace::new(CtaId(cta), instrs)
+        };
+        vec![warp(0, 0), warp(0, 8192), warp(1, 16384)]
+    }
+
+    #[test]
+    fn fingerprint_tells_apart_what_a_state_depends_on() {
+        let fingerprint = |cfg: &GpuConfig, name: &str, warps: Vec<WarpTrace>, renamed: bool| {
+            let kernel = KernelTrace::new(name, warps);
+            let gpu = Gpu::new(cfg.clone(), kernel, |sm| -> Box<dyn Prefetcher> {
+                match renamed && sm == SmId(1) {
+                    true => Box::new(Renamed),
+                    false => Box::new(NullPrefetcher),
+                }
+            })
+            .unwrap();
+            let value = gpu.fingerprint();
+            assert_eq!(gpu.fingerprint(), value, "cached value");
+            value
+        };
+        let cfg = GpuConfig::scaled(2);
+        let base = fingerprint(&cfg, "fp", mixed_warps(), false);
+        assert_eq!(fingerprint(&cfg, "fp", mixed_warps(), false), base);
+        let mut host_only = cfg.clone();
+        host_only.checkpoint_every = Some(100);
+        host_only.host_profile = true;
+        assert_eq!(fingerprint(&host_only, "fp", mixed_warps(), false), base);
+
+        type Edit = fn(&mut Vec<WarpTrace>);
+        let edits: [(&str, Edit); 7] = [
+            ("a warp's CTA", |w| w[1].cta = CtaId(1)),
+            ("a compute's cycles", |w| w[0].instrs[0] = Instr::compute(4)),
+            ("a load's PC", |w| {
+                w[2].instrs[1] = Instr::load(5u32, 16384u64)
+            }),
+            ("a divergent load's address", |w| {
+                let addrs = AddrList::from_vec(vec![Address(128), Address(4224)]);
+                w[0].instrs[2] = Instr::Load { pc: Pc(8), addrs };
+            }),
+            ("a load turned store", |w| {
+                w[0].instrs[1] = Instr::store(4u32, 0u64);
+            }),
+            ("two warps swapped", |w| w.swap(0, 1)),
+            ("an instruction split in two", |w| {
+                let halves = [Instr::load(8u32, 128u64), Instr::load(8u32, 4096u64)];
+                w[0].instrs.splice(2..3, halves);
+            }),
+        ];
+        let mut slower = cfg.clone();
+        slower.noc_latency += 1;
+        let mut seen = vec![
+            ("no edit", base),
+            (
+                "the kernel name",
+                fingerprint(&cfg, "fq", mixed_warps(), false),
+            ),
+            (
+                "a config field",
+                fingerprint(&slower, "fp", mixed_warps(), false),
+            ),
+            (
+                "one SM's mechanism",
+                fingerprint(&cfg, "fp", mixed_warps(), true),
+            ),
+        ];
+        for (what, edit) in edits {
+            let mut warps = mixed_warps();
+            edit(&mut warps);
+            seen.push((what, fingerprint(&cfg, "fp", warps, false)));
+        }
+        for (i, (what, value)) in seen.iter().enumerate() {
+            for (other, earlier) in &seen[..i] {
+                assert_ne!(value, earlier, "{what} and {other} share a fingerprint");
+            }
+        }
     }
 
     #[test]

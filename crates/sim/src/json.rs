@@ -173,19 +173,28 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// Writes `s` as a JSON string. Each run of characters that needs no
+/// escape goes out in one `write_str`; the escaped ones are ASCII, so
+/// every byte where a run ends is a character boundary.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -226,6 +235,20 @@ fn mistyped(what: &str, key: &str) -> FieldError {
 pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, FieldError> {
     v.get(key)
         .ok_or_else(|| FieldError(format!("missing field {key:?}")))
+}
+
+/// Moves field `key` out of an object value, dropping the rest: how a
+/// large field (a checkpoint's state) leaves its document uncopied.
+///
+/// # Errors
+///
+/// [`FieldError`] naming the missing key.
+pub fn take_field(v: Value, key: &str) -> Result<Value, FieldError> {
+    match v {
+        Value::Obj(entries) => entries.into_iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+    .ok_or_else(|| FieldError(format!("missing field {key:?}")))
 }
 
 /// Reads a `u64` field.
@@ -624,6 +647,28 @@ mod tests {
     }
 
     #[test]
+    fn escaped_text_is_pinned() {
+        let table = [
+            ("", r#""""#),
+            ("plain", r#""plain""#),
+            ("a\"b", r#""a\"b""#),
+            ("a\\b", r#""a\\b""#),
+            ("line\n", r#""line\n""#),
+            ("\rcr", r#""\rcr""#),
+            ("\t", r#""\t""#),
+            ("\u{1}x", r#""\u0001x""#),
+            ("\u{1f}", r#""\u001f""#),
+            ("café", r#""café""#),
+            ("🐍 \"é\"\n", r#""🐍 \"é\"\n""#),
+        ];
+        for (raw, text) in table {
+            let v = Value::str(raw);
+            assert_eq!(v.to_string(), text, "{raw:?}");
+            assert_eq!(parse(text).unwrap(), v, "{raw:?}");
+        }
+    }
+
+    #[test]
     fn errors_carry_offsets() {
         let e = parse("{\"a\":}").unwrap_err();
         assert_eq!(e.offset, 5);
@@ -646,6 +691,18 @@ mod tests {
         assert_eq!(if_present(&v, "a", u64_field).unwrap(), Some(1));
         let err = if_present(&v, "s", u64_field).unwrap_err();
         assert_eq!(String::from(err), r#"missing or non-u64 field "s""#);
+    }
+
+    #[test]
+    fn a_taken_field_leaves_its_document() {
+        let v = parse(r#"{"a":1,"big":[1,2],"big":3}"#).unwrap();
+        assert_eq!(
+            take_field(v.clone(), "big").unwrap(),
+            parse("[1,2]").unwrap()
+        );
+        let err = take_field(v, "b").unwrap_err();
+        assert_eq!(err.to_string(), r#"missing field "b""#);
+        assert!(take_field(Value::Null, "a").is_err());
     }
 
     #[test]

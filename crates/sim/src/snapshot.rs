@@ -78,7 +78,7 @@
 //! [`SimOutcome`]: crate::SimOutcome
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{BuildHasher, Hash};
 use std::io::Write;
 use std::path::Path;
@@ -87,15 +87,31 @@ use crate::json::{self, Value};
 use crate::types::{Address, CtaId, Cycle, LineAddr, Pc, SmId, WarpId};
 
 /// Version of the checkpoint document schema. Bump on any change to
-/// the component state layouts; a mismatch on load is a typed error,
-/// never a silent misinterpretation.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
+/// the component state layouts or to what the fingerprint hashes; a
+/// mismatch on load is a typed error, never a silent
+/// misinterpretation.
+///
+/// Version 2 hashes the kernel by its words rather than its `Debug`
+/// text (see [`Gpu::fingerprint`]); the state layout is version 1's.
+/// A version-1 artifact therefore fails [`Checkpoint::load`] with
+/// [`SnapshotError::SchemaMismatch`] (the `snaked` daemon re-runs such
+/// a job from cycle zero) and is never restored.
+///
+/// [`Gpu::fingerprint`]: crate::Gpu::fingerprint
+pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
 
 /// First token of every checkpoint file.
 const SNAPSHOT_MAGIC: &str = "snake-checkpoint";
 
 /// A checkpoint artifact: the config/kernel fingerprint it was taken
 /// under plus the full simulator state document.
+///
+/// On disk it is one line, `{"magic", "version", "fingerprint", "crc",
+/// "state"}`, where `crc` is the [`fnv1a64`] of the state's text. It
+/// has one writer, [`Checkpoint::to_text`], which formats the state
+/// once and hashes those bytes, and one decoder,
+/// [`Checkpoint::from_doc`], which moves the state out of the parsed
+/// document and hashes it as it formats, without building the text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Fingerprint of the configuration + kernel + mechanism the
@@ -233,11 +249,23 @@ impl Default for Fnv1a64 {
 }
 
 impl Fnv1a64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
     fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
         }
+    }
+
+    /// Folds in one 64-bit word as a single FNV-1a step: one xor and
+    /// one multiply, where the byte stream takes eight of each. A
+    /// change anywhere in the word changes the hash, but the multiply
+    /// carries it only towards the high bits, so this suits telling
+    /// honest inputs apart (a fingerprint), not resisting crafted
+    /// ones.
+    pub fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(Self::PRIME);
     }
 }
 
@@ -277,68 +305,80 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 impl Checkpoint {
     /// The simulation cycle the state was captured at — what a
     /// recovery supervisor reports when it resurrects a run from this
-    /// artifact. Every schema-v1 state document carries the device
-    /// cycle at its top level; `None` only for a foreign document.
+    /// artifact. Every state document carries the device cycle at
+    /// its top level; `None` only for a foreign document.
     pub fn cycle(&self) -> Option<u64> {
         self.state.get("cycle").and_then(Value::as_u64)
     }
 
-    /// Serializes the artifact as a single JSON document. The payload
-    /// checksum goes in before the state, so [`from_json`] can detect
-    /// any corruption that still parses.
+    /// The artifact's one line of text (no newline): the state is
+    /// formatted once, its checksum is taken over those bytes, and
+    /// the header goes around them. The checksum precedes the state,
+    /// so [`from_doc`] can detect any corruption that still parses.
     ///
-    /// [`from_json`]: Checkpoint::from_json
-    pub fn to_json(&self) -> Value {
-        let crc = fnv1a64(self.state.to_string().as_bytes());
-        Value::Obj(vec![
-            ("magic".into(), Value::str(SNAPSHOT_MAGIC)),
-            ("version".into(), Value::u64(SNAPSHOT_SCHEMA_VERSION)),
-            ("fingerprint".into(), Value::u64(self.fingerprint)),
-            ("crc".into(), Value::u64(crc)),
-            ("state".into(), self.state.clone()),
-        ])
+    /// [`from_doc`]: Checkpoint::from_doc
+    pub fn to_text(&self) -> String {
+        let state = self.state.to_string();
+        let crc = fnv1a64(state.as_bytes());
+        let mut text = format!(
+            "{{\"magic\":\"{SNAPSHOT_MAGIC}\",\"version\":{SNAPSHOT_SCHEMA_VERSION},\
+             \"fingerprint\":{},\"crc\":{crc},\"state\":",
+            self.fingerprint
+        );
+        // Room for the state, the closing brace and the newline
+        // `write_atomic` appends.
+        text.reserve_exact(state.len() + 2);
+        text.push_str(&state);
+        text.push('}');
+        text
     }
 
-    /// Rebuilds and validates an artifact from its JSON document.
+    /// Validates a parsed artifact and takes its state out of it. The
+    /// checksum is streamed through [`Fnv1a64`] while the state is
+    /// formatted, so decoding builds neither a copy of the state nor
+    /// its text.
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Malformed`] on a missing magic/field or a
     /// checksum mismatch; [`SnapshotError::SchemaMismatch`] when the
     /// document was written by a different schema version.
-    pub fn from_json(v: &Value) -> Result<Self, SnapshotError> {
-        let magic = json::str_field(v, "magic")?;
+    pub fn from_doc(doc: Value) -> Result<Self, SnapshotError> {
+        let magic = json::str_field(&doc, "magic")?;
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::malformed(format!(
                 "magic {magic:?} is not {SNAPSHOT_MAGIC:?}"
             )));
         }
-        let version = json::u64_field(v, "version")?;
+        let version = json::u64_field(&doc, "version")?;
         if version != SNAPSHOT_SCHEMA_VERSION {
             return Err(SnapshotError::SchemaMismatch { found: version });
         }
-        let fingerprint = json::u64_field(v, "fingerprint")?;
-        let crc = json::u64_field(v, "crc")?;
-        let state = json::field(v, "state")?.clone();
-        let actual = fnv1a64(state.to_string().as_bytes());
-        if actual != crc {
+        let fingerprint = json::u64_field(&doc, "fingerprint")?;
+        let crc = json::u64_field(&doc, "crc")?;
+        let state = json::take_field(doc, "state")?;
+        let mut actual = Fnv1a64::default();
+        write!(actual, "{state}").expect("hashing cannot fail");
+        if actual.0 != crc {
             return Err(SnapshotError::malformed(format!(
-                "state checksum {actual:#018x} does not match recorded {crc:#018x}"
+                "state checksum {:#018x} does not match recorded {crc:#018x}",
+                actual.0
             )));
         }
         Ok(Checkpoint { fingerprint, state })
     }
 
-    /// Writes the artifact to `path`, one line, with [`write_atomic`]:
-    /// a crash mid-write leaves the previous file (or none) intact.
-    /// Returns the artifact size in bytes (reported on the
+    /// Writes [`to_text`](Checkpoint::to_text) and a newline to
+    /// `path` with [`write_atomic`]: a crash mid-write leaves the
+    /// previous file (or none) intact. Returns the artifact size in
+    /// bytes (reported on the
     /// [`SimEvent::CheckpointSaved`](crate::obs::SimEvent) trace event).
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Io`] with the offending path.
     pub fn write_atomic(&self, path: &Path) -> Result<u64, SnapshotError> {
-        let mut text = self.to_json().to_string();
+        let mut text = self.to_text();
         text.push('\n');
         write_atomic(path, text.as_bytes()).map_err(|source| SnapshotError::Io {
             path: path.display().to_string(),
@@ -347,10 +387,11 @@ impl Checkpoint {
         Ok(text.len() as u64)
     }
 
-    /// Loads and validates an artifact from `path`. A torn tail (the
-    /// process died mid-write without the atomic rename, or the file
-    /// was truncated afterwards) fails the parse or the checksum and
-    /// is rejected here — state is never partially applied.
+    /// Loads and validates an artifact from `path` through
+    /// [`from_doc`](Checkpoint::from_doc). A torn tail (the process
+    /// died mid-write without the atomic rename, or the file was
+    /// truncated afterwards) fails the parse or the checksum and is
+    /// rejected here — state is never partially applied.
     ///
     /// # Errors
     ///
@@ -361,9 +402,9 @@ impl Checkpoint {
             path: path.display().to_string(),
             source,
         })?;
-        let v = json::parse(text.trim_end())
+        let doc = json::parse(text.trim_end())
             .map_err(|e| SnapshotError::malformed(format!("{}: {e}", path.display())))?;
-        Checkpoint::from_json(&v)
+        Checkpoint::from_doc(doc)
     }
 
     /// Checks the artifact against the fingerprint of the simulation
@@ -1085,10 +1126,20 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_bit_exactly() {
         let c = sample();
-        let text = c.to_json().to_string();
-        let back = Checkpoint::from_json(&json::parse(&text).unwrap()).unwrap();
+        let text = c.to_text();
+        // The writer's text is the header-then-state document.
+        let state = c.state.to_string();
+        let doc = Value::Obj(vec![
+            ("magic".into(), Value::str(SNAPSHOT_MAGIC)),
+            ("version".into(), Value::u64(SNAPSHOT_SCHEMA_VERSION)),
+            ("fingerprint".into(), Value::u64(c.fingerprint)),
+            ("crc".into(), Value::u64(fnv1a64(state.as_bytes()))),
+            ("state".into(), c.state.clone()),
+        ]);
+        assert_eq!(text, doc.to_string());
+        let back = Checkpoint::from_doc(json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, c);
-        assert_eq!(back.to_json().to_string(), text);
+        assert_eq!(back.to_text(), text);
     }
 
     #[test]
@@ -1099,6 +1150,7 @@ mod tests {
         std::fs::write(&path, "an older artifact").unwrap();
         let c = sample();
         let size = c.write_atomic(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), c.to_text() + "\n");
         assert_eq!(size, std::fs::metadata(&path).unwrap().len());
         assert_eq!(Checkpoint::load(&path).unwrap(), c);
         // The temporary file was renamed over the old artifact.
@@ -1139,21 +1191,25 @@ mod tests {
 
     #[test]
     fn corruption_that_still_parses_fails_the_checksum() {
-        let text = sample().to_json().to_string().replace("41", "42");
-        let err = Checkpoint::from_json(&json::parse(&text).unwrap()).unwrap_err();
+        let text = sample().to_text().replace("41", "42");
+        let err = Checkpoint::from_doc(json::parse(&text).unwrap()).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed { .. }), "{err}");
     }
 
     #[test]
     fn version_and_fingerprint_mismatches_are_typed() {
-        let mut v = sample().to_json();
-        if let Value::Obj(fields) = &mut v {
-            fields[1].1 = Value::u64(SNAPSHOT_SCHEMA_VERSION + 1);
+        // A version-1 artifact (the kernel hashed by its text) is
+        // refused by version before its fingerprint is compared.
+        let current = format!("\"version\":{SNAPSHOT_SCHEMA_VERSION},");
+        for found in [1, SNAPSHOT_SCHEMA_VERSION + 1] {
+            let text = sample()
+                .to_text()
+                .replace(&current, &format!("\"version\":{found},"));
+            assert!(matches!(
+                Checkpoint::from_doc(json::parse(&text).unwrap()).unwrap_err(),
+                SnapshotError::SchemaMismatch { found: f } if f == found
+            ));
         }
-        assert!(matches!(
-            Checkpoint::from_json(&v).unwrap_err(),
-            SnapshotError::SchemaMismatch { .. }
-        ));
         let c = sample();
         assert!(c.verify_fingerprint(c.fingerprint).is_ok());
         assert!(matches!(

@@ -88,11 +88,11 @@ proptest! {
             }
             None => {
                 let ckpt = victim.checkpoint();
-                let text = ckpt.to_json().to_string();
+                let text = ckpt.to_text();
                 let reparsed = json::parse(&text).expect("checkpoint is valid json");
-                let ckpt2 = Checkpoint::from_json(&reparsed).expect("checkpoint decodes");
+                let ckpt2 = Checkpoint::from_doc(reparsed).expect("checkpoint decodes");
                 prop_assert_eq!(
-                    ckpt2.to_json().to_string(),
+                    ckpt2.to_text(),
                     text,
                     "encode/decode/encode must be bit-stable"
                 );

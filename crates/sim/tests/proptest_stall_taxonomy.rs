@@ -170,9 +170,9 @@ proptest! {
                 // The breakdown survives the text round-trip
                 // bit-identically.
                 let ckpt = victim.checkpoint();
-                let text = ckpt.to_json().to_string();
+                let text = ckpt.to_text();
                 let reparsed = json::parse(&text).expect("checkpoint is valid json");
-                let ckpt2 = Checkpoint::from_json(&reparsed).expect("checkpoint decodes");
+                let ckpt2 = Checkpoint::from_doc(reparsed).expect("checkpoint decodes");
                 let mut resumed = gpu(&cfg, &kernel);
                 resumed.restore(&ckpt2).expect("restore succeeds");
                 prop_assert_eq!(

@@ -181,12 +181,19 @@ for LEG in lib mrq lib-w500 lib-late lps-cta lps-iso; do
         exit 1
     fi
 done
-rc=0
-./target/release/pfdebug lib mta --restore "$SWEEP_DIR/lib-kill.ckpt" >/dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 6 ]; then
-    echo "kill-anywhere smoke: mismatched restore must exit 6, got $rc" >&2
-    exit 1
-fi
+# The LIB/snake checkpoint restored under another mechanism (MTA) and
+# onto another kernel (MUM) must each be refused by its fingerprint:
+# the second checks the kernel's word hash across processes.
+for MISMATCH in lib/mta mum/snake; do
+    rc=0
+    ./target/release/pfdebug "${MISMATCH%/*}" "${MISMATCH#*/}" --restore "$SWEEP_DIR/lib-kill.ckpt" \
+        >/dev/null 2>"$SWEEP_DIR/mismatch.err" || rc=$?
+    if [ "$rc" -ne 6 ] || ! grep -q "fingerprint" "$SWEEP_DIR/mismatch.err"; then
+        echo "kill-anywhere smoke: restoring lib-kill.ckpt as '$MISMATCH' must fail its fingerprint and exit 6, got $rc:" >&2
+        cat "$SWEEP_DIR/mismatch.err" >&2
+        exit 1
+    fi
+done
 # Note: checkpointing-off overhead is covered by snakebench's
 # end-to-end metrics, compared parent against change (Gpu::run is the
 # one run loop with no checkpoint path), and by the

@@ -20,8 +20,9 @@
 //! the steps it samples: that run must give the pinned digest too.
 //!
 //! `tests/golden/checkpoint_digest.txt` pins the FNV-1a digest of
-//! `Gpu::checkpoint()` documents taken mid-run: every mechanism of
-//! `PrefetcherKind::all()` plus Isolated-Snake on LPS, LIB and MUM,
+//! `Gpu::checkpoint()` texts taken mid-run (`Checkpoint::to_text`, so
+//! the header's version and fingerprint count too): every mechanism
+//! of `PrefetcherKind::all()` plus Isolated-Snake on LPS, LIB and MUM,
 //! once at cycle 1000 with a 128-cycle metrics window and once at
 //! cycle 3000 under injected faults with timeout recovery, and LPS
 //! under Snake with CTAs queued on every SM. A change to any
@@ -251,10 +252,9 @@ fn checkpoint_row(
         gpu.run_interruptible(|c| c.0 >= at).is_none(),
         "{name}: runs past cycle {at}"
     );
-    let doc = gpu.checkpoint().to_json();
-    let line = format!("{name} {:016x}\n", fnv1a64(doc.to_string().as_bytes()));
-    let state = doc.get("state").expect("checkpoint state").clone();
-    (line, state)
+    let ckpt = gpu.checkpoint();
+    let line = format!("{name} {:016x}\n", fnv1a64(ckpt.to_text().as_bytes()));
+    (line, ckpt.state)
 }
 
 /// Every mechanism of `PrefetcherKind::all()` plus Isolated-Snake on

@@ -194,6 +194,22 @@ fn lib_at_1000(cfg: GpuConfig, kind: PrefetcherKind) -> Gpu {
     gpu
 }
 
+/// A real LIB/Snake checkpoint is written as the writer's text and a
+/// newline, and loads back equal.
+#[test]
+fn a_written_checkpoint_is_its_text_and_loads_back_equal() {
+    let ckpt = lib_at_1000(GpuConfig::scaled(2), PrefetcherKind::Snake).checkpoint();
+    let dir = std::env::temp_dir().join(format!("snake-ckpt-text-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("lib.ckpt");
+    let bytes = ckpt.write_atomic(&path).expect("checkpoint write");
+    let written = std::fs::read_to_string(&path).expect("checkpoint read");
+    assert_eq!(written, ckpt.to_text() + "\n");
+    assert_eq!(bytes, written.len() as u64);
+    assert_eq!(Checkpoint::load(&path).expect("checkpoint load"), ckpt);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 /// A state corrupted deep inside one component fails to restore with
 /// that field's path. The checkpoint is built directly, so its
 /// checksum does not catch the corruption first.

@@ -104,7 +104,7 @@ proptest! {
         cfg.watchdog_cycles = Some(400 + window);
         cfg.cycle_budget = Some(Cycle(budget));
         let warps = cfg.max_warps_per_sm;
-        let state = |gpu: &Gpu| gpu.checkpoint().to_json().to_string();
+        let state = |gpu: &Gpu| gpu.checkpoint().to_text();
         for kind in [PrefetcherKind::Baseline, PrefetcherKind::Snake] {
             let build = || Gpu::new(cfg.clone(), k.clone(), |_| kind.build(warps)).expect("valid");
             let (mut skipping, mut stepped) = (build(), build());

@@ -58,7 +58,7 @@ fn traced(mut gpu: Gpu) -> (Gpu, SharedVecSink) {
 }
 
 fn checkpoint_text(gpu: &Gpu) -> String {
-    gpu.checkpoint().to_json().to_string()
+    gpu.checkpoint().to_text()
 }
 
 #[test]
@@ -163,7 +163,7 @@ fn suspension_and_checkpoints_inside_skipped_stretches_match_stepping() {
             Some((&path, EVERY)),
             |cycle, _| {
                 let ckpt = Checkpoint::load(&path).expect("written checkpoint");
-                written.push((cycle, ckpt.to_json().to_string()));
+                written.push((cycle, ckpt.to_text()));
             },
             |_| false,
         )
